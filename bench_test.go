@@ -553,6 +553,14 @@ func (s stubMachine) RunBeamSteering(beamsteer.Spec) (core.Result, error) {
 // coalescing (attaching to a running execution), and cold submissions
 // (the full queue/worker/memo-store lifecycle on a stub backend).
 func BenchmarkServiceThroughput(b *testing.B) {
+	ctx := context.Background()
+	submitOne := func(p *svc.Pool, t svc.Task) (*svc.Future, error) {
+		futs, err := p.Submit(ctx, []svc.Task{t}, false)
+		if err != nil {
+			return nil, err
+		}
+		return futs[0], nil
+	}
 	newPool := func() *svc.Pool {
 		return svc.NewPool(svc.PoolOptions{
 			Workers:      runtime.GOMAXPROCS(0),
@@ -569,7 +577,6 @@ func BenchmarkServiceThroughput(b *testing.B) {
 			},
 		}
 	}
-	ctx := context.Background()
 
 	b.Run("cache-hit", func(b *testing.B) {
 		p := newPool()
@@ -577,7 +584,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		keys := make([]string, 64)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("key-%02d", i)
-			fut, err := p.Submit(stubTask(keys[i]))
+			fut, err := submitOne(p, stubTask(keys[i]))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -590,7 +597,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
-				fut, err := p.Submit(stubTask(keys[i%len(keys)]))
+				fut, err := submitOne(p, stubTask(keys[i%len(keys)]))
 				if err != nil {
 					b.Error(err)
 					return
@@ -608,7 +615,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		p := newPool()
 		defer p.Close()
 		release := make(chan struct{})
-		lead, err := p.Submit(svc.Task{
+		lead, err := submitOne(p, svc.Task{
 			Label:   "leader",
 			MemoKey: "shared",
 			Run: func(context.Context) (core.Result, error) {
@@ -622,7 +629,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f, err := p.Submit(stubTask("shared"))
+			f, err := submitOne(p, stubTask("shared"))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -643,7 +650,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			fut, err := p.Submit(stubTask(fmt.Sprintf("cold-%d", i)))
+			fut, err := submitOne(p, stubTask(fmt.Sprintf("cold-%d", i)))
 			if err != nil {
 				b.Fatal(err)
 			}

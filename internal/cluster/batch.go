@@ -29,13 +29,8 @@ type batchCell struct {
 
 // handleBatch splits one batch across the ring by each cell's spec
 // hash and merges the shards' NDJSON streams back into a single
-// response. Each shard group is one upstream POST /v1/batch carrying
-// explicit per-line index fields, so a cell's index survives the split;
-// lines are relayed to the client as they arrive, serialized through
-// one writer. A failed sub-batch reroutes its unanswered cells to the
-// group's ring successors; cells no shard could run come back as
-// synthesized failed lines, never a dropped index. Per-shard summary
-// lines are swallowed and replaced with one merged summary.
+// response (see splitBatch); per-shard summary lines are swallowed and
+// replaced with one merged summary.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !g.guardConfigConsensus(w) {
 		return
@@ -44,6 +39,22 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	w.Header().Set("X-Batch-Cells", strconv.Itoa(len(cells)))
+	mw := g.splitBatch(w, r, cells, nil)
+	mw.writeLine(svc.BatchSummary{Done: true, Cells: len(cells), Failed: mw.failed, FromCache: mw.fromCache})
+}
+
+// splitBatch routes cells across the ring by spec hash and merges the
+// answers into w as NDJSON. Each shard group is one upstream POST
+// /v1/batch carrying explicit per-line index fields, so a cell's index
+// survives the split; lines are relayed to the client as they arrive,
+// serialized through one writer. A failed sub-batch reroutes its
+// unanswered cells to the group's ring successors; cells no shard could
+// run come back as synthesized failed lines, never a dropped index.
+// convert, when set, re-encodes every merged cell (a design point on
+// /v1/dse); nil relays the shards' lines byte for byte. It returns
+// once every group has finished, with the tallies for the summary.
+func (g *Gateway) splitBatch(w http.ResponseWriter, r *http.Request, cells []batchCell, convert func(svc.BatchResult) any) *mergeWriter {
 	g.metrics.proxiedInc()
 	groups := make(map[string][]batchCell)
 	for _, c := range cells {
@@ -51,9 +62,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		groups[owner] = append(groups[owner], c)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Batch-Cells", strconv.Itoa(len(cells)))
 	w.WriteHeader(http.StatusOK)
-	mw := &mergeWriter{w: w}
+	mw := &mergeWriter{w: w, convert: convert}
 	if fl, ok := w.(http.Flusher); ok {
 		mw.fl = fl
 		// Headers out before the first shard answers, so streaming
@@ -69,13 +79,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(shard, group)
 	}
 	wg.Wait()
-	sum, _ := json.Marshal(svc.BatchSummary{
-		Done:      true,
-		Cells:     len(cells),
-		Failed:    mw.failed,
-		FromCache: mw.fromCache,
-	})
-	mw.writeCell(sum, false, false)
+	return mw
 }
 
 // readBatchCells parses and normalizes the batch body — NDJSON lines
@@ -137,22 +141,26 @@ func (g *Gateway) readBatchCells(w http.ResponseWriter, r *http.Request) ([]batc
 			fmt.Sprintf("cluster: batch of %d cells exceeds cap of %d", len(cells), svc.MaxBatchCells))
 		return nil, false
 	}
-	// Normalize and hash here: no shard would accept an invalid spec, so
-	// routing it through the ring would just multiply the error.
+	return cells, normalizeCells(w, cells, func(i int) string { return fmt.Sprintf("batch cell %d", i) })
+}
+
+// normalizeCells normalizes and hashes every cell at the gateway: no
+// shard would accept an invalid spec, so routing it through the ring
+// would just multiply the error, and the hash is the routing key. The
+// first invalid cell, named by name, answers 400.
+func normalizeCells(w http.ResponseWriter, cells []batchCell, name func(i int) string) bool {
 	for i := range cells {
 		norm, err := cells[i].spec.Normalize()
-		if err != nil {
-			writeGatewayError(w, http.StatusBadRequest, fmt.Sprintf("batch cell %d: %v", i, err))
-			return nil, false
+		if err == nil {
+			cells[i].spec = norm
+			cells[i].hash, err = norm.Hash()
 		}
-		hash, err := norm.Hash()
 		if err != nil {
-			writeGatewayError(w, http.StatusBadRequest, fmt.Sprintf("batch cell %d: %v", i, err))
-			return nil, false
+			writeGatewayError(w, http.StatusBadRequest, fmt.Sprintf("%s: %v", name(i), err))
+			return false
 		}
-		cells[i].spec, cells[i].hash = norm, hash
 	}
-	return cells, true
+	return true
 }
 
 // statusForBodyErr maps a body-read failure onto 413 when it came from
@@ -303,10 +311,13 @@ type mergeWriter struct {
 	mu        sync.Mutex
 	w         io.Writer
 	fl        http.Flusher
+	convert   func(svc.BatchResult) any
 	failed    int
 	fromCache int
 }
 
+// writeCell writes one answered cell: the shard's line as is, or
+// re-encoded through convert.
 func (mw *mergeWriter) writeCell(line []byte, failed, fromCache bool) {
 	mw.mu.Lock()
 	defer mw.mu.Unlock()
@@ -316,6 +327,24 @@ func (mw *mergeWriter) writeCell(line []byte, failed, fromCache bool) {
 	if fromCache {
 		mw.fromCache++
 	}
+	if mw.convert != nil {
+		var br svc.BatchResult
+		if err := json.Unmarshal(line, &br); err == nil {
+			line, _ = json.Marshal(mw.convert(br))
+		}
+	}
+	mw.writeLocked(line)
+}
+
+// writeLine writes one gateway-made line, such as the merged summary.
+func (mw *mergeWriter) writeLine(v any) {
+	line, _ := json.Marshal(v)
+	mw.mu.Lock()
+	defer mw.mu.Unlock()
+	mw.writeLocked(line)
+}
+
+func (mw *mergeWriter) writeLocked(line []byte) {
 	_, _ = mw.w.Write(line)
 	_, _ = mw.w.Write([]byte("\n"))
 	if mw.fl != nil {

@@ -1,17 +1,12 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
-	"sigkern/internal/machines"
 	"sigkern/internal/svc"
 )
 
@@ -32,24 +27,12 @@ func (g *Gateway) guardConfigConsensus(w http.ResponseWriter) bool {
 	return true
 }
 
-// dsePoint is one expanded design point at the gateway: its global
-// index and label, the delta that reproduces it shard-side, and the
-// canonical hash of its runnable spec (the routing key).
-type dsePoint struct {
-	index int
-	label string
-	delta *machines.ConfigSet
-	spec  svc.JobSpec // normalized, for synthesized failure lines
-	hash  string
-}
-
-// handleDSE splits one design-space exploration across the ring: the
-// gateway expands the request exactly as a shard would, routes each
-// design point by its canonical spec hash, and re-packs each shard's
-// points as a sub-exploration carrying explicit global indices. Point
-// lines are relayed as they arrive; per-shard summaries are swallowed
-// and replaced with one merged summary whose Pareto frontier is
-// computed at the gateway over every completed point.
+// handleDSE serves a design-space exploration through the batch path:
+// the gateway expands the request exactly as a shard would, routes the
+// design points as cells through splitBatch to the shards' /v1/batch,
+// and writes each merged cell as a point line — through the same
+// conversion a single simserved uses — followed by one summary whose
+// Pareto frontier covers every completed point.
 func (g *Gateway) handleDSE(w http.ResponseWriter, r *http.Request) {
 	if !g.guardConfigConsensus(w) {
 		return
@@ -70,243 +53,20 @@ func (g *Gateway) handleDSE(w http.ResponseWriter, r *http.Request) {
 		writeGatewayError(w, status, err.Error())
 		return
 	}
-	// Normalize and hash here: no shard would accept an invalid point,
-	// and the hash is the routing key.
-	points := make([]dsePoint, len(designs))
+	cells := make([]batchCell, len(designs))
 	for i, d := range designs {
-		norm, err := d.Spec.Normalize()
-		if err != nil {
-			writeGatewayError(w, http.StatusBadRequest, fmt.Sprintf("dse point %q: %v", d.Label, err))
-			return
-		}
-		hash, err := norm.Hash()
-		if err != nil {
-			writeGatewayError(w, http.StatusBadRequest, fmt.Sprintf("dse point %q: %v", d.Label, err))
-			return
-		}
-		points[i] = dsePoint{index: d.Index, label: d.Label, delta: d.Spec.Config, spec: norm, hash: hash}
+		cells[i] = batchCell{index: i, spec: d.Spec}
 	}
-
-	g.metrics.proxiedInc()
-	groups := make(map[string][]dsePoint)
-	for _, p := range points {
-		owner := g.routeOrder(p.hash)[0]
-		groups[owner] = append(groups[owner], p)
+	if !normalizeCells(w, cells, func(i int) string { return fmt.Sprintf("dse point %q", designs[i].Label) }) {
+		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-DSE-Points", strconv.Itoa(len(points)))
-	w.WriteHeader(http.StatusOK)
-	mw := &dseMergeWriter{w: w}
-	if fl, ok := w.(http.Flusher); ok {
-		mw.fl = fl
-		fl.Flush()
-	}
-	var wg sync.WaitGroup
-	for shard, group := range groups {
-		wg.Add(1)
-		go func(shard string, group []dsePoint) {
-			defer wg.Done()
-			g.streamSubDSE(r, req.Base, shard, group, mw)
-		}(shard, group)
-	}
-	wg.Wait()
-	sum, _ := json.Marshal(svc.DSESummary{
-		Done:     true,
-		Points:   len(points),
-		Failed:   mw.failed,
-		Machine:  req.Base.Machine,
-		AreaDesc: mw.areaDesc,
-		Frontier: svc.ParetoFrontier(mw.completed),
+	w.Header().Set("X-DSE-Points", strconv.Itoa(len(cells)))
+	sum := svc.DSESummary{Points: len(cells), Machine: req.Base.Machine}
+	mw := g.splitBatch(w, r, cells, func(br svc.BatchResult) any {
+		pt := svc.NewDSEPoint(br.Index, designs[br.Index].Label, br.Job)
+		sum.Add(pt)
+		return pt
 	})
-	mw.writeLine(sum, false, nil)
-}
-
-// streamSubDSE drives one shard group to completion: each candidate in
-// ring order gets a sub-exploration of the still-unanswered points
-// (base spec + one delta per point + the global indices), and whatever
-// is left when the candidates run out becomes synthesized failed lines.
-func (g *Gateway) streamSubDSE(r *http.Request, base svc.JobSpec, owner string, group []dsePoint, mw *dseMergeWriter) {
-	order := g.routeOrder(group[0].hash)
-	answered := make(map[int]bool)
-	path := "/v1/dse"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	lastErr := "no shard reachable for dse"
-	for _, name := range order {
-		var pend []dsePoint
-		for _, p := range group {
-			if !answered[p.index] {
-				pend = append(pend, p)
-			}
-		}
-		if len(pend) == 0 {
-			return
-		}
-		br := g.breakers.Get(name)
-		if err := br.Allow(); err != nil {
-			g.metrics.breakerRejectedInc()
-			lastErr = err.Error()
-			continue
-		}
-		ok, errMsg := g.streamDSEAttempt(r, base, name, path, pend, answered, mw)
-		br.Record(ok)
-		if ok {
-			if name != owner {
-				g.metrics.rerouteInc()
-			}
-			return
-		}
-		lastErr = errMsg
-	}
-	for _, p := range group {
-		if !answered[p.index] {
-			answered[p.index] = true
-			mw.writeFailedPoint(p, lastErr)
-		}
-	}
-}
-
-// streamDSEAttempt POSTs one sub-exploration to one shard and relays
-// its NDJSON stream, marking answered indices and collecting completed
-// points for the merged frontier. Transport errors and 5xx report
-// ok=false (the caller reroutes); a 4xx refusal fails the pending
-// points in place — a successor would refuse the same request.
-func (g *Gateway) streamDSEAttempt(r *http.Request, base svc.JobSpec, shard, path string, pend []dsePoint, answered map[int]bool, mw *dseMergeWriter) (bool, string) {
-	s, ok := g.shards[shard]
-	if !ok {
-		return false, fmt.Sprintf("unknown shard %q", shard)
-	}
-	sub := svc.DSERequest{Base: base, Deltas: make([]machines.ConfigSet, len(pend)), Indices: make([]int, len(pend))}
-	for i, p := range pend {
-		if p.delta != nil {
-			sub.Deltas[i] = *p.delta
-		}
-		sub.Indices[i] = p.index
-	}
-	body, err := json.Marshal(sub)
-	if err != nil {
-		return false, err.Error()
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, s.URL+path, bytes.NewReader(body))
-	if err != nil {
-		return false, err.Error()
-	}
-	req.Header.Set("Content-Type", "application/json")
-	for _, k := range []string{"X-Request-Id", "X-Deadline-Budget", "Accept"} {
-		if v := r.Header.Get(k); v != "" {
-			req.Header.Set(k, v)
-		}
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		g.metrics.upstreamErrorInc()
-		g.prober.ObserveFailure(shard, err)
-		return false, err.Error()
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		msg := fmt.Sprintf("shard %s: %s: %s", shard, resp.Status, bytes.TrimSpace(body))
-		if resp.StatusCode >= 500 {
-			g.metrics.upstreamErrorInc()
-			return false, msg
-		}
-		for _, p := range pend {
-			answered[p.index] = true
-			mw.writeFailedPoint(p, msg)
-		}
-		return true, ""
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var probe struct {
-			Index    *int    `json:"index"`
-			Label    string  `json:"label"`
-			State    string  `json:"state"`
-			Cycles   uint64  `json:"cycles"`
-			Area     float64 `json:"area"`
-			AreaDesc string  `json:"area_desc"`
-			Done     bool    `json:"done"`
-			Points   *int    `json:"points"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			continue
-		}
-		if probe.Points != nil && probe.Index == nil {
-			// The shard's own summary: swallowed, the gateway emits one
-			// merged summary (and frontier) after every group finishes.
-			continue
-		}
-		if probe.Index != nil {
-			answered[*probe.Index] = true
-		}
-		var fp *svc.DSEFrontierPoint
-		if probe.State == string(svc.Done) && probe.Index != nil {
-			fp = &svc.DSEFrontierPoint{Index: *probe.Index, Label: probe.Label, Cycles: probe.Cycles, Area: probe.Area}
-		}
-		if probe.AreaDesc != "" {
-			mw.setAreaDesc(probe.AreaDesc)
-		}
-		mw.writeLine(raw, probe.State == string(svc.Failed), fp)
-	}
-	if err := sc.Err(); err != nil {
-		g.metrics.upstreamErrorInc()
-		g.prober.ObserveFailure(shard, err)
-		return false, err.Error()
-	}
-	return true, ""
-}
-
-// dseMergeWriter serializes concurrent shard streams into one NDJSON
-// response and accumulates the completed points the merged frontier is
-// computed from. The tallies are read without the lock only after
-// every group goroutine has finished.
-type dseMergeWriter struct {
-	mu        sync.Mutex
-	w         io.Writer
-	fl        http.Flusher
-	failed    int
-	areaDesc  string
-	completed []svc.DSEFrontierPoint
-}
-
-func (mw *dseMergeWriter) writeLine(line []byte, failed bool, fp *svc.DSEFrontierPoint) {
-	mw.mu.Lock()
-	defer mw.mu.Unlock()
-	if failed {
-		mw.failed++
-	}
-	if fp != nil {
-		mw.completed = append(mw.completed, *fp)
-	}
-	_, _ = mw.w.Write(line)
-	_, _ = mw.w.Write([]byte("\n"))
-	if mw.fl != nil {
-		mw.fl.Flush()
-	}
-}
-
-func (mw *dseMergeWriter) setAreaDesc(desc string) {
-	mw.mu.Lock()
-	mw.areaDesc = desc
-	mw.mu.Unlock()
-}
-
-// writeFailedPoint emits a synthesized failed line for a point no
-// shard could answer, preserving its global index and label.
-func (mw *dseMergeWriter) writeFailedPoint(p dsePoint, msg string) {
-	line, _ := json.Marshal(svc.DSEPoint{
-		Index:  p.index,
-		Label:  p.label,
-		Config: p.spec.Config,
-		State:  svc.Failed,
-		Error:  "cluster: " + msg,
-	})
-	mw.writeLine(line, true, nil)
+	sum.Finish()
+	mw.writeLine(sum)
 }

@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
 	"sigkern/internal/core"
+	"sigkern/internal/machines"
 	"sigkern/internal/svc"
 )
 
@@ -134,6 +136,109 @@ func TestGatewayDSELanesSweep(t *testing.T) {
 			t.Fatalf("frontier point %d dominated by %d: %+v", i, i-1, sum.Frontier)
 		}
 	}
+}
+
+// exploreAt posts one exploration to a gateway or shard and returns its
+// point lines by index plus the summary.
+func exploreAt(t *testing.T, url string, req svc.DSERequest) (map[int]svc.DSEPoint, svc.DSESummary) {
+	t.Helper()
+	resp := postDSE(t, url, req)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("POST %s/v1/dse: %d: %s", url, resp.StatusCode, body)
+	}
+	points, sum := readDSEStream(t, resp.Body)
+	byIndex := make(map[int]svc.DSEPoint, len(points))
+	for _, pt := range points {
+		if _, dup := byIndex[pt.Index]; dup {
+			t.Fatalf("index %d answered twice", pt.Index)
+		}
+		byIndex[pt.Index] = pt
+	}
+	if len(byIndex) != sum.Points {
+		t.Fatalf("%d point lines for %d points", len(byIndex), sum.Points)
+	}
+	return byIndex, sum
+}
+
+// samePlacement requires two answers for one design point to agree on
+// everything the exploration decides before any simulation runs: its
+// label, the normalized config, and where it sits on the area axis.
+func samePlacement(t *testing.T, i int, got, want svc.DSEPoint) {
+	t.Helper()
+	gotCfg, _ := json.Marshal(got.Config)
+	wantCfg, _ := json.Marshal(want.Config)
+	if got.Label != want.Label || !bytes.Equal(gotCfg, wantCfg) || got.Area != want.Area || got.AreaDesc != want.AreaDesc {
+		t.Fatalf("point %d: gateway %q %s area %v %q, single node %q %s area %v %q", i,
+			got.Label, gotCfg, got.Area, got.AreaDesc, want.Label, wantCfg, want.Area, want.AreaDesc)
+	}
+}
+
+// TestGatewayDSEMatchesSingleNode: an exploration sent through simgate
+// answers exactly what one simserved answers — per index the same
+// label, config, cycles, area and area description, and the same
+// Pareto frontier — for axis sweeps, explicit deltas and the empty
+// exploration alike; and points the gateway has to fail itself, with
+// every shard down, still carry their label, config and area.
+func TestGatewayDSEMatchesSingleNode(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	single := svc.NewService(svc.Options{})
+	singleSrv := httptest.NewServer(single.Handler())
+	t.Cleanup(func() {
+		singleSrv.Close()
+		single.Close()
+	})
+
+	w := smallWorkload()
+	base := svc.JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn, Workload: &w}
+	var deltas []machines.ConfigSet
+	if err := json.Unmarshal([]byte(`[{}, {"viram": {"MVL": 32}}, {"raw": {"Mesh": {"Width": 2, "Height": 2}}}]`), &deltas); err != nil {
+		t.Fatal(err)
+	}
+	explorations := map[string]svc.DSERequest{
+		"axes":   {Base: base, Axes: []svc.DSEAxis{{Param: "viram.Lanes", Values: []int{2, 4, 8, 16}}}},
+		"deltas": {Base: base, Deltas: deltas},
+		"empty":  {Base: base},
+	}
+	for name, req := range explorations {
+		t.Run(name, func(t *testing.T) {
+			want, wantSum := exploreAt(t, singleSrv.URL, req)
+			got, gotSum := exploreAt(t, tc.gwSrv.URL, req)
+			if len(got) != len(want) {
+				t.Fatalf("gateway answered %d points, single node %d", len(got), len(want))
+			}
+			for i, wp := range want {
+				gp := got[i]
+				samePlacement(t, i, gp, wp)
+				if gp.State != svc.Done || gp.Cycles != wp.Cycles {
+					t.Fatalf("point %d (%s): gateway %s %d cycles, single node %s %d", i, wp.Label, gp.State, gp.Cycles, wp.State, wp.Cycles)
+				}
+			}
+			if !reflect.DeepEqual(gotSum.Frontier, wantSum.Frontier) || gotSum.AreaDesc != wantSum.AreaDesc || gotSum.Failed != 0 {
+				t.Fatalf("gateway summary %+v, single node %+v", gotSum, wantSum)
+			}
+		})
+	}
+
+	t.Run("all shards down", func(t *testing.T) {
+		req := explorations["axes"]
+		want, _ := exploreAt(t, singleSrv.URL, req)
+		for _, srv := range tc.servers {
+			srv.Close()
+		}
+		got, sum := exploreAt(t, tc.gwSrv.URL, req)
+		if sum.Failed != len(want) || len(sum.Frontier) != 0 {
+			t.Fatalf("summary %+v, want all %d points failed", sum, len(want))
+		}
+		for i, wp := range want {
+			gp := got[i]
+			if gp.State != svc.Failed || gp.Error == "" {
+				t.Fatalf("point %d: state %s error %q, want a synthesized failure", i, gp.State, gp.Error)
+			}
+			samePlacement(t, i, gp, wp)
+		}
+	})
 }
 
 // TestGatewayDSEEmptyExploration: no deltas and no axes is the base

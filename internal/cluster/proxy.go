@@ -147,12 +147,13 @@ func (g *Gateway) Prober() *Prober { return g.prober }
 //	                         reroutes its unanswered cells to ring
 //	                         successors, and cells no shard could run
 //	                         come back as failed lines, never dropped
-//	POST /v1/dse             split a design-space exploration across the
-//	                         ring: the request is expanded at the gateway,
-//	                         each design point routed by its canonical
-//	                         spec hash, and shard streams merged back with
-//	                         one gateway-computed Pareto frontier in the
-//	                         final summary line
+//	POST /v1/dse             a design-space exploration through the batch
+//	                         split/merge: the request is expanded at the
+//	                         gateway, each design point routed as a cell
+//	                         to the shards' /v1/batch by its canonical
+//	                         spec hash, and the merged cells written as
+//	                         point lines with one gateway-computed Pareto
+//	                         frontier in the final summary line
 //	GET  /v1/jobs/{id}       routed by the ID's shard prefix and hash
 //	GET  /v1/jobs/{id}/trace suffix; hedged across successors
 //	GET  /v1/jobs            forwarded to the first ready shard

@@ -92,8 +92,8 @@ func (s Sweeper) sweep(points []pointRuns) ([]Point, error) {
 	for i, p := range points {
 		out[i] = Point{Label: p.label, Cycles: map[string]uint64{}}
 	}
-	// The whole sweep goes to the pool as one batch group: one queue
-	// reservation per wave instead of a blocking Submit per cell. Cells
+	// The whole sweep goes to the pool as one Submit: one queue
+	// reservation per wave instead of one send per cell. Cells
 	// stay plain Run tasks — sweep closures bake in per-point machine
 	// configurations, so two cells named "VIRAM" may be different
 	// machines and must not share a reused instance.
@@ -124,7 +124,7 @@ func (s Sweeper) sweep(points []pointRuns) ([]Point, error) {
 			})
 		}
 	}
-	futs, err := pool.SubmitBatch(context.Background(), tasks)
+	futs, err := pool.Submit(context.Background(), tasks, false)
 	if err != nil {
 		return nil, err
 	}

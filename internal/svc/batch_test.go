@@ -26,6 +26,16 @@ import (
 	"sigkern/internal/machines"
 )
 
+// freshRun simulates a normalized spec on a fresh paper machine: the
+// reference every served answer must reproduce bit for bit.
+func freshRun(spec JobSpec) (core.Result, error) {
+	m, err := machines.ByName(spec.Machine)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return core.Run(m, spec.Kernel, *spec.Workload)
+}
+
 func TestBatchGridExpand(t *testing.T) {
 	w := smallWorkload()
 	grid := BatchGrid{Machines: []string{"VIRAM", "Raw"}, Kernels: []core.KernelID{core.CornerTurn}, Workloads: []*core.Workload{&w}}
@@ -77,7 +87,7 @@ func TestSubmitBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := runSpec(machines.ByName, norm)
+		ref, err := freshRun(norm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +224,7 @@ func TestHTTPBatchGridForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := runSpec(machines.ByName, norm)
+		ref, err := freshRun(norm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -612,7 +622,7 @@ func TestBatchReplayReRunsNonTerminalMembers(t *testing.T) {
 			t.Fatalf("member %s re-ran to %s %q", id, j.State, j.Error)
 		}
 		norm, _ := specs[i].Normalize()
-		ref, err := runSpec(machines.ByName, norm)
+		ref, err := freshRun(norm)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func TestPoolCoalescing(t *testing.T) {
 			return core.Result{Cycles: 42, Verified: true}, nil
 		},
 	}
-	lead, err := p.Submit(task)
+	lead, err := submitOne(p, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestPoolCoalescing(t *testing.T) {
 	const followers = 15
 	futs := make([]*Future, followers)
 	for i := range futs {
-		f, err := p.Submit(task)
+		f, err := submitOne(p, task)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,12 +84,12 @@ func TestPoolCoalescingWaiterCancel(t *testing.T) {
 			return core.Result{Cycles: 7, Verified: true}, nil
 		},
 	}
-	lead, err := p.Submit(task)
+	lead, err := submitOne(p, task)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-lead.started
-	follower, err := p.Submit(task)
+	follower, err := submitOne(p, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestPoolCoalescingWaiterCancel(t *testing.T) {
 	}
 }
 
-// TestPoolCoalescingShedUnregisters proves a shed TrySubmit does not
+// TestPoolCoalescingShedUnregisters proves a shed submission does not
 // leave a dead flight behind: the same key submitted again afterwards
 // runs fresh instead of waiting on work that never executed.
 func TestPoolCoalescingShedUnregisters(t *testing.T) {
@@ -122,7 +122,7 @@ func TestPoolCoalescingShedUnregisters(t *testing.T) {
 	defer p.Close()
 
 	block := make(chan struct{})
-	filler, err := p.Submit(Task{Label: "filler", Run: func(ctx context.Context) (core.Result, error) {
+	filler, err := submitOne(p, Task{Label: "filler", Run: func(ctx context.Context) (core.Result, error) {
 		<-block
 		return core.Result{}, nil
 	}})
@@ -130,7 +130,7 @@ func TestPoolCoalescingShedUnregisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-filler.started
-	if _, err := p.Submit(Task{Label: "queued", Run: func(ctx context.Context) (core.Result, error) {
+	if _, err := submitOne(p, Task{Label: "queued", Run: func(ctx context.Context) (core.Result, error) {
 		return core.Result{}, nil
 	}}); err != nil {
 		t.Fatal(err)
@@ -145,12 +145,12 @@ func TestPoolCoalescingShedUnregisters(t *testing.T) {
 			return core.Result{Cycles: 3, Verified: true}, nil
 		},
 	}
-	if _, err := p.TrySubmit(task); !errors.Is(err, ErrOverloaded) {
+	if _, err := trySubmitOne(p, task); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("want shed, got %v", err)
 	}
 	close(block)
 
-	fut, err := p.Submit(task)
+	fut, err := submitOne(p, task)
 	if err != nil {
 		t.Fatal(err)
 	}

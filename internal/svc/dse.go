@@ -51,18 +51,11 @@ type DSERequest struct {
 	// Axes expand to the cross product of their values, appended after
 	// Deltas.
 	Axes []DSEAxis `json:"axes,omitempty"`
-	// Indices relabels the expanded points (len must equal the point
-	// count): the cluster gateway's split/merge plumbing, so a shard's
-	// point lines carry the gateway's global indices. Single-node
-	// clients omit it.
-	Indices []int `json:"indices,omitempty"`
 }
 
-// DSEDesign is one expanded design point before execution.
+// DSEDesign is one expanded design point before execution; its index
+// is its position in the expansion.
 type DSEDesign struct {
-	// Index is the point's position in the request's expansion (or its
-	// entry in DSERequest.Indices when the gateway relabeled it).
-	Index int
 	// Label is a human-readable identity: "base", "delta[2]", or
 	// "viram.Lanes=8 raw.Mesh=2" for axis points.
 	Label string
@@ -162,7 +155,7 @@ func (r DSERequest) Expand() ([]DSEDesign, error) {
 	add := func(label string, delta *machines.ConfigSet) {
 		spec := r.Base
 		spec.Config = delta
-		points = append(points, DSEDesign{Index: len(points), Label: label, Spec: spec})
+		points = append(points, DSEDesign{Label: label, Spec: spec})
 	}
 	for i := range r.Deltas {
 		d := r.Deltas[i]
@@ -237,14 +230,6 @@ func (r DSERequest) Expand() ([]DSEDesign, error) {
 	if len(points) > MaxDSEPoints {
 		return nil, fmt.Errorf("%w: %d points (max %d)", ErrDSETooLarge, len(points), MaxDSEPoints)
 	}
-	if len(r.Indices) > 0 {
-		if len(r.Indices) != len(points) {
-			return nil, fmt.Errorf("svc: %d indices for %d points", len(r.Indices), len(points))
-		}
-		for i := range points {
-			points[i].Index = r.Indices[i]
-		}
-	}
 	return points, nil
 }
 
@@ -267,6 +252,27 @@ type DSEPoint struct {
 	Error     string  `json:"error,omitempty"`
 }
 
+// NewDSEPoint is the one conversion from a finished design-point job to
+// its /v1/dse line, shared by simserved and the cluster gateway: the
+// point's index and label from the expansion, the config the job ran
+// with after normalization, cycles when done, and the area proxy —
+// which depends only on the config, so a failed point still reports
+// where it sits on the area axis.
+func NewDSEPoint(index int, label string, j Job) DSEPoint {
+	pt := DSEPoint{Index: index, Label: label, Config: j.Spec.Config, State: j.State, FromCache: j.FromCache, Error: j.Error}
+	cs := machines.ConfigSet{}
+	if j.Spec.Config != nil {
+		cs = *j.Spec.Config
+	}
+	if area, desc, err := cs.AreaProxy(j.Spec.Machine); err == nil {
+		pt.Area, pt.AreaDesc = area, desc
+	}
+	if j.State == Done && j.Result != nil {
+		pt.Cycles = j.Result.Cycles
+	}
+	return pt
+}
+
 // DSESummary is the stream's trailer: counts plus the Pareto frontier
 // over the completed points.
 type DSESummary struct {
@@ -279,6 +285,26 @@ type DSESummary struct {
 	// least as good on both cycles and area and strictly better on
 	// one), sorted by ascending area.
 	Frontier []DSEFrontierPoint `json:"frontier"`
+}
+
+// Add counts one streamed point: a failure, or a completed point kept
+// as a frontier candidate.
+func (s *DSESummary) Add(pt DSEPoint) {
+	if pt.AreaDesc != "" {
+		s.AreaDesc = pt.AreaDesc
+	}
+	if pt.State != Done {
+		s.Failed++
+		return
+	}
+	s.Frontier = append(s.Frontier, DSEFrontierPoint{Index: pt.Index, Label: pt.Label, Cycles: pt.Cycles, Area: pt.Area})
+}
+
+// Finish marks the summary complete and reduces the completed points
+// to their Pareto frontier.
+func (s *DSESummary) Finish() {
+	s.Done = true
+	s.Frontier = ParetoFrontier(s.Frontier)
 }
 
 // DSEFrontierPoint is one Pareto-optimal design point.

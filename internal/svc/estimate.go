@@ -183,14 +183,15 @@ func (s *Service) runExtensionCells(ctx context.Context, measured map[string]map
 	type cell struct {
 		machine string
 		kernel  core.KernelID
-		fut     *Future
 	}
 	var cells []cell
+	var tasks []Task
 	for _, name := range machineNames() {
 		name := name
-		// The probe instance only answers capability checks; each task
-		// run builds its own. The factory consults the chaos fault point,
-		// so construction is retried like any transient failure.
+		// The probe instance only answers capability checks; the tasks run
+		// on the workers' own instances. The factory consults the chaos
+		// fault point, so construction is retried like any transient
+		// failure.
 		var probe core.Machine
 		if _, err := resilience.DefaultRetry().Do(ctx, func(context.Context) error {
 			var ferr error
@@ -199,42 +200,34 @@ func (s *Service) runExtensionCells(ctx context.Context, measured map[string]map
 		}); err != nil {
 			return err
 		}
-		submit := func(k core.KernelID, run func(core.Machine) (core.Result, error)) error {
-			fut, err := s.pool.Submit(Task{
+		add := func(k core.KernelID, run func(core.Machine) (core.Result, error)) {
+			cells = append(cells, cell{machine: name, kernel: k})
+			tasks = append(tasks, Task{
 				Label:   fmt.Sprintf("%s/%s", name, k),
 				MemoKey: fmt.Sprintf("roofline-ext:%s:%s", name, k),
 				Cell:    obs.Labels{Machine: name, Kernel: string(k)},
-				Run: func(context.Context) (core.Result, error) {
-					m, err := s.factory(name)
-					if err != nil {
-						return core.Result{}, err
-					}
-					return run(m)
-				},
+				Machine: name,
+				Factory: s.factory,
+				RunOn:   func(_ context.Context, m core.Machine) (core.Result, error) { return run(m) },
 			})
-			if err != nil {
-				return err
-			}
-			cells = append(cells, cell{machine: name, kernel: k, fut: fut})
-			return nil
 		}
 		if _, ok := probe.(core.MatMulRunner); ok {
-			if err := submit(core.MatMul, func(m core.Machine) (core.Result, error) {
+			add(core.MatMul, func(m core.Machine) (core.Result, error) {
 				return m.(core.MatMulRunner).RunMatMul(matmul.DefaultSpec())
-			}); err != nil {
-				return err
-			}
+			})
 		}
 		if _, ok := probe.(pfbRunner); ok {
-			if err := submit(roofline.PFB, func(m core.Machine) (core.Result, error) {
+			add(roofline.PFB, func(m core.Machine) (core.Result, error) {
 				return m.(pfbRunner).RunPFB(pfb.DefaultWorkload())
-			}); err != nil {
-				return err
-			}
+			})
 		}
 	}
-	for _, c := range cells {
-		r, err := c.fut.Wait(ctx)
+	futs, err := s.pool.Submit(ctx, tasks, false)
+	if err != nil {
+		return err
+	}
+	for i, c := range cells {
+		r, err := futs[i].Wait(ctx)
 		if err != nil {
 			return fmt.Errorf("svc: %s on %s: %w", c.kernel, c.machine, err)
 		}

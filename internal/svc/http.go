@@ -147,26 +147,87 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError maps service errors onto HTTP statuses: explicit
-// httpErrors pass through; deadline expiry is the gateway's fault
+// httpErrors pass through; an empty batch is 400; an oversized batch
+// 413; a shed admission 429; deadline expiry is the gateway's fault
 // (504); a cancelled context means the client hung up (499); a job
-// evicted from the registry is gone (410); a closed pool is 503;
-// everything else is 500.
+// evicted from the registry is gone (410); a closed pool, an
+// unavailable journal or an open breaker is 503; everything else is
+// 500.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	var he httpError
 	switch {
 	case errors.As(err, &he):
 		status = he.status
+	case errors.Is(err, ErrBatchEmpty):
+		status = http.StatusBadRequest
+	case errors.Is(err, ErrBatchTooLarge):
+		status = http.StatusRequestEntityTooLarge
+	case errors.Is(err, ErrOverloaded):
+		status = http.StatusTooManyRequests
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, ErrTimeout), errors.Is(err, ErrBudgetExhausted):
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		status = StatusClientClosedRequest
 	case errors.Is(err, ErrJobEvicted):
 		status = http.StatusGone
-	case errors.Is(err, ErrPoolClosed), errors.Is(err, ErrDurability):
+	case errors.Is(err, ErrPoolClosed), errors.Is(err, ErrDurability), errors.Is(err, resilience.ErrBreakerOpen):
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// admissionParams parses what every write endpoint shares: the
+// ?priority= class and the X-Deadline-Budget header (the remaining
+// end-to-end deadline, set by the gateway — decremented across
+// reroutes — or by the client directly). A bad value is answered with a
+// structured 400 and ok=false.
+func admissionParams(w http.ResponseWriter, r *http.Request) (opts BatchOptions, ok bool) {
+	prParam := r.URL.Query().Get("priority")
+	priority, err := ParsePriority(prParam)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, ParamError{
+			Error:     err.Error(),
+			Parameter: "priority",
+			Value:     prParam,
+			Want:      []string{string(PriorityBatch), string(PriorityInteractive)},
+		})
+		return opts, false
+	}
+	budgetHdr := r.Header.Get("X-Deadline-Budget")
+	budget, err := resilience.ParseTimeout(budgetHdr, maxRequestTimeout)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, ParamError{
+			Error:     err.Error(),
+			Parameter: "X-Deadline-Budget",
+			Value:     budgetHdr,
+			Want:      []string{"a Go duration, e.g. 5s or 500ms, at most " + maxRequestTimeout.String()},
+		})
+		return opts, false
+	}
+	return BatchOptions{Priority: priority, Budget: budget}, true
+}
+
+// writeAdmitError answers a refused admission the same way on every
+// write endpoint, through writeError's statuses. A bad spec is pointed
+// at by badSpec when the endpoint can name it (an NDJSON line, a
+// design point); a shed or a spent budget carries a Retry-After from
+// the queue drain, and an open breaker the breaker's own.
+func (s *Service) writeAdmitError(w http.ResponseWriter, err error, pr Priority, badSpec func(*BatchSpecError) ParamError) {
+	var bse *BatchSpecError
+	var open *breakerRefusal
+	switch {
+	case errors.As(err, &bse) && badSpec != nil:
+		writeJSON(w, http.StatusBadRequest, badSpec(bse))
+		return
+	case errors.As(err, &bse):
+		err = httpError{http.StatusBadRequest, bse.Err.Error()}
+	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrBudgetExhausted):
+		setRetryAfter(w, s.retryAfter(pr))
+	case errors.As(err, &open):
+		setRetryAfter(w, s.breakers.Get(open.machine).RetryAfter())
+	}
+	writeError(w, err)
 }
 
 // retryAfter estimates how long a shed client should back off: the
@@ -231,37 +292,17 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	prParam := r.URL.Query().Get("priority")
-	priority, err := ParsePriority(prParam)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ParamError{
-			Error:     err.Error(),
-			Parameter: "priority",
-			Value:     prParam,
-			Want:      []string{string(PriorityBatch), string(PriorityInteractive)},
-		})
+	opts, ok := admissionParams(w, r)
+	if !ok {
 		return
 	}
-	// The deadline budget is what remains of the caller's end-to-end
-	// deadline — set by the gateway (decremented across reroutes) or the
-	// client directly. Absent, the wait timeout doubles as the budget —
-	// a client waiting 30s has no use for an answer admitted later —
-	// plus a grace second so the budget can never beat the wait itself
-	// to the deadline: the client's expiry must surface as the wait's
-	// 504, not as a job the budget clamp killed a poll tick earlier.
-	budgetHdr := r.Header.Get("X-Deadline-Budget")
-	budget, err := resilience.ParseTimeout(budgetHdr, maxRequestTimeout)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ParamError{
-			Error:     err.Error(),
-			Parameter: "X-Deadline-Budget",
-			Value:     budgetHdr,
-			Want:      []string{"a Go duration, e.g. 5s or 500ms, at most " + maxRequestTimeout.String()},
-		})
-		return
-	}
-	if budget <= 0 && reqTimeout > 0 {
-		budget = reqTimeout + time.Second
+	// Without a deadline budget the wait timeout doubles as one — a
+	// client waiting 30s has no use for an answer admitted later — plus
+	// a grace second so the budget can never beat the wait itself to
+	// the deadline: the client's expiry must surface as the wait's 504,
+	// not as a job the budget clamp killed first.
+	if opts.Budget <= 0 && reqTimeout > 0 {
+		opts.Budget = reqTimeout + time.Second
 	}
 	tierParam := r.URL.Query().Get("tier")
 	tier, err := ParseTier(tierParam)
@@ -303,11 +344,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	job, replayed, err := s.AdmitWith(AdmitOptions{
-		IdemKey:  r.Header.Get("Idempotency-Key"),
-		Priority: priority,
-		Budget:   budget,
-	}, spec)
+	job, replayed, err := s.Admit(spec, r.Header.Get("Idempotency-Key"), opts)
 	if replayed {
 		// The key (or, on a durable service, the spec hash) is already
 		// bound to a job — typically a client retrying after a crash or
@@ -315,36 +352,13 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Idempotency-Replayed", "true")
 	}
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			setRetryAfter(w, s.retryAfter(priority))
-			writeError(w, httpError{http.StatusTooManyRequests, err.Error()})
-		case errors.Is(err, ErrBudgetExhausted):
-			// The remaining budget cannot cover the predicted queue drain:
-			// fail fast with the same status a slow timeout would have
-			// produced, plus a Retry-After so the client resubmits when
-			// the queue has drained rather than immediately.
-			setRetryAfter(w, s.retryAfter(priority))
-			writeError(w, httpError{http.StatusGatewayTimeout, err.Error()})
-		case errors.Is(err, resilience.ErrBreakerOpen):
-			ra := s.breakers.Get(spec.Machine).RetryAfter()
-			if ra <= 0 {
-				ra = time.Second
-			}
-			setRetryAfter(w, ra)
-			writeError(w, httpError{http.StatusServiceUnavailable, err.Error()})
-		case job.ID == "":
-			// Rejected before registration (bad machine, kernel, workload).
-			writeError(w, httpError{http.StatusBadRequest, err.Error()})
-		default:
-			writeError(w, err) // registered but not enqueued (pool closed)
-		}
+		s.writeAdmitError(w, err, opts.Priority, nil)
 		return
 	}
 	if wantWait(r) {
 		waitFor := reqTimeout
-		if budget > 0 && (waitFor <= 0 || budget < waitFor) {
-			waitFor = budget
+		if opts.Budget > 0 && (waitFor <= 0 || opts.Budget < waitFor) {
+			waitFor = opts.Budget
 		}
 		ctx, cancel := resilience.WithTimeout(r.Context(), waitFor)
 		defer cancel()

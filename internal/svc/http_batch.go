@@ -9,9 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
-
-	"sigkern/internal/resilience"
 )
 
 // maxBatchBodyBytes bounds POST /v1/batch bodies — generous enough for
@@ -49,82 +46,27 @@ type BatchSummary struct {
 // completion order, each line a job snapshot tagged with its cell
 // index. See Handler for the wire contract.
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	prParam := r.URL.Query().Get("priority")
-	priority, err := ParsePriority(prParam)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ParamError{
-			Error:     err.Error(),
-			Parameter: "priority",
-			Value:     prParam,
-			Want:      []string{string(PriorityBatch), string(PriorityInteractive)},
-		})
+	opts, ok := admissionParams(w, r)
+	if !ok {
 		return
 	}
-	budgetHdr := r.Header.Get("X-Deadline-Budget")
-	budget, err := resilience.ParseTimeout(budgetHdr, maxRequestTimeout)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ParamError{
-			Error:     err.Error(),
-			Parameter: "X-Deadline-Budget",
-			Value:     budgetHdr,
-			Want:      []string{"a Go duration, e.g. 5s or 500ms, at most " + maxRequestTimeout.String()},
-		})
-		return
-	}
-
 	specs, indices, ok := s.readBatchBody(w, r)
 	if !ok {
 		return
 	}
-
-	run, err := s.SubmitBatch(r.Context(), specs, BatchOptions{Priority: priority, Budget: budget})
+	run, err := s.SubmitBatch(r.Context(), specs, opts)
 	if err != nil {
-		var bse *BatchSpecError
-		switch {
-		case errors.As(err, &bse):
-			// Point the client at the offending NDJSON line (or grid
-			// cell): the 0-based spec index maps 1:1 onto parsed lines.
-			writeJSON(w, http.StatusBadRequest, ParamError{
-				Error:     err.Error(),
-				Parameter: "line",
-				Value:     strconv.Itoa(bse.Index + 1),
-				Want:      []string{"a valid JobSpec per line"},
-			})
-		case errors.Is(err, ErrBatchTooLarge):
-			writeError(w, httpError{http.StatusRequestEntityTooLarge, err.Error()})
-		case errors.Is(err, ErrBatchEmpty):
-			writeError(w, httpError{http.StatusBadRequest, err.Error()})
-		case errors.Is(err, ErrBudgetExhausted):
-			setRetryAfter(w, s.retryAfter(priority))
-			writeError(w, httpError{http.StatusGatewayTimeout, err.Error()})
-		case errors.Is(err, resilience.ErrBreakerOpen):
-			setRetryAfter(w, time.Second)
-			writeError(w, httpError{http.StatusServiceUnavailable, err.Error()})
-		default:
-			writeError(w, err) // durability or pool closed: 503
-		}
+		// Point the client at the offending NDJSON line (or grid cell):
+		// the 0-based spec index maps 1:1 onto parsed lines.
+		s.writeAdmitError(w, err, opts.Priority, func(bse *BatchSpecError) ParamError {
+			return ParamError{Error: err.Error(), Parameter: "line", Value: strconv.Itoa(bse.Index + 1),
+				Want: []string{"a valid JobSpec per line"}}
+		})
 		return
 	}
-
-	// Stream cells as they complete. A client that disconnects
-	// mid-stream cancels only cells that have not started (dropped at
-	// worker pickup); running cells finish and are journaled, so the
-	// work already paid for is never discarded.
-	stopCancel := context.AfterFunc(r.Context(), run.Cancel)
-	defer stopCancel()
-	w.Header().Set("Content-Type", ndjsonContentType)
 	w.Header().Set("X-Batch-Cells", strconv.Itoa(len(specs)))
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Push the headers out before the first cell completes: streaming
-		// clients need the 200 to start reading, and a client gating its
-		// own workload on it would otherwise deadlock against us.
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
 	summary := BatchSummary{Cells: len(specs)}
-	for br := range run.Results() {
+	streamRun(w, r, run, func(br BatchResult) any {
 		if br.State == Failed {
 			summary.Failed++
 		}
@@ -132,16 +74,40 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			summary.FromCache++
 		}
 		br.Index = indices[br.Index]
-		_ = enc.Encode(br)
+		return br
+	}, func() any {
+		summary.Done = true
+		return summary
+	})
+}
+
+// streamRun streams an admitted group as NDJSON: one line per member
+// in completion order, flushed as it arrives, then the summary line. A
+// client that disconnects mid-stream cancels only members that have
+// not started (dropped at worker pickup); running ones finish and are
+// journaled, so work already paid for is never discarded.
+func streamRun(w http.ResponseWriter, r *http.Request, run *BatchRun, line func(BatchResult) any, summary func() any) {
+	stopCancel := context.AfterFunc(r.Context(), run.Cancel)
+	defer stopCancel()
+	w.Header().Set("Content-Type", ndjsonContentType)
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	summary.Done = true
-	_ = enc.Encode(summary)
-	if flusher != nil {
-		flusher.Flush()
+	// Push the headers out before the first member completes: streaming
+	// clients need the 200 to start reading, and a client gating its own
+	// workload on it would otherwise deadlock against us.
+	flush()
+	enc := json.NewEncoder(w)
+	for br := range run.Results() {
+		_ = enc.Encode(line(br))
+		flush()
 	}
+	_ = enc.Encode(summary())
+	flush()
 }
 
 // readBatchBody parses a batch request body into specs plus the

@@ -1,15 +1,10 @@
 package svc
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
-	"time"
-
-	"sigkern/internal/machines"
-	"sigkern/internal/resilience"
 )
 
 // handleDSE serves POST /v1/dse: one base spec plus config deltas
@@ -19,29 +14,10 @@ import (
 // frontier over (cycles, area proxy). See Handler for the wire
 // contract.
 func (s *Service) handleDSE(w http.ResponseWriter, r *http.Request) {
-	prParam := r.URL.Query().Get("priority")
-	priority, err := ParsePriority(prParam)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ParamError{
-			Error:     err.Error(),
-			Parameter: "priority",
-			Value:     prParam,
-			Want:      []string{string(PriorityBatch), string(PriorityInteractive)},
-		})
+	opts, ok := admissionParams(w, r)
+	if !ok {
 		return
 	}
-	budgetHdr := r.Header.Get("X-Deadline-Budget")
-	budget, err := resilience.ParseTimeout(budgetHdr, maxRequestTimeout)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ParamError{
-			Error:     err.Error(),
-			Parameter: "X-Deadline-Budget",
-			Value:     budgetHdr,
-			Want:      []string{"a Go duration, e.g. 5s or 500ms, at most " + maxRequestTimeout.String()},
-		})
-		return
-	}
-
 	var req DSERequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
 	dec.DisallowUnknownFields()
@@ -68,91 +44,25 @@ func (s *Service) handleDSE(w http.ResponseWriter, r *http.Request) {
 	for i, d := range designs {
 		specs[i] = d.Spec
 	}
-	run, err := s.SubmitBatch(r.Context(), specs, BatchOptions{Priority: priority, Budget: budget})
+	run, err := s.SubmitBatch(r.Context(), specs, opts)
 	if err != nil {
-		var bse *BatchSpecError
-		switch {
-		case errors.As(err, &bse):
-			// Point the client at the offending design point, by its
-			// expansion label rather than a line number — axis points have
-			// no line in the request body.
-			writeJSON(w, http.StatusBadRequest, ParamError{
-				Error:     err.Error(),
-				Parameter: "point",
-				Value:     designs[bse.Index].Label,
-				Want:      []string{"a valid base spec and config deltas"},
-			})
-		case errors.Is(err, ErrBatchTooLarge):
-			writeError(w, httpError{http.StatusRequestEntityTooLarge, err.Error()})
-		case errors.Is(err, ErrBatchEmpty):
-			writeError(w, httpError{http.StatusBadRequest, err.Error()})
-		case errors.Is(err, ErrBudgetExhausted):
-			setRetryAfter(w, s.retryAfter(priority))
-			writeError(w, httpError{http.StatusGatewayTimeout, err.Error()})
-		case errors.Is(err, resilience.ErrBreakerOpen):
-			setRetryAfter(w, time.Second)
-			writeError(w, httpError{http.StatusServiceUnavailable, err.Error()})
-		default:
-			writeError(w, err) // durability or pool closed: 503
-		}
+		// Point the client at the offending design point by its
+		// expansion label rather than a line number — axis points have
+		// no line in the request body.
+		s.writeAdmitError(w, err, opts.Priority, func(bse *BatchSpecError) ParamError {
+			return ParamError{Error: err.Error(), Parameter: "point", Value: designs[bse.Index].Label,
+				Want: []string{"a valid base spec and config deltas"}}
+		})
 		return
 	}
-
-	// Stream points as they complete; a disconnect cancels only points
-	// that have not started, exactly like /v1/batch.
-	stopCancel := context.AfterFunc(r.Context(), run.Cancel)
-	defer stopCancel()
-	w.Header().Set("Content-Type", ndjsonContentType)
 	w.Header().Set("X-DSE-Points", strconv.Itoa(len(designs)))
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
 	summary := DSESummary{Points: len(designs), Machine: req.Base.Machine}
-	var frontier []DSEFrontierPoint
-	for br := range run.Results() {
-		design := designs[br.Index]
-		pt := DSEPoint{
-			Index:     design.Index,
-			Label:     design.Label,
-			Config:    br.Spec.Config,
-			State:     br.State,
-			FromCache: br.FromCache,
-			Error:     br.Error,
-		}
-		// The area proxy depends only on the point's (normalized) config,
-		// so failed points still report where they sit on the area axis.
-		cs := machines.ConfigSet{}
-		if br.Spec.Config != nil {
-			cs = *br.Spec.Config
-		}
-		if area, desc, aerr := cs.AreaProxy(br.Spec.Machine); aerr == nil {
-			pt.Area = area
-			pt.AreaDesc = desc
-			summary.AreaDesc = desc
-		}
-		if br.State == Done && br.Result != nil {
-			pt.Cycles = br.Result.Cycles
-			frontier = append(frontier, DSEFrontierPoint{
-				Index:  pt.Index,
-				Label:  pt.Label,
-				Cycles: pt.Cycles,
-				Area:   pt.Area,
-			})
-		} else {
-			summary.Failed++
-		}
-		_ = enc.Encode(pt)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	summary.Done = true
-	summary.Frontier = ParetoFrontier(frontier)
-	_ = enc.Encode(summary)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	streamRun(w, r, run, func(br BatchResult) any {
+		pt := NewDSEPoint(br.Index, designs[br.Index].Label, br.Job)
+		summary.Add(pt)
+		return pt
+	}, func() any {
+		summary.Finish()
+		return summary
+	})
 }

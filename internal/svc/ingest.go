@@ -31,7 +31,6 @@ type foldState struct {
 	seq          uint64
 	jobs         map[string]*Job
 	order        []string
-	idem         map[string]string
 	evicted      map[string]bool
 	evictedOrder []string
 	// memo accumulates terminal cycle counts keyed by canonical spec
@@ -49,7 +48,6 @@ type foldState struct {
 func foldRecovery(rec *journal.Recovery) *foldState {
 	f := &foldState{
 		jobs:    make(map[string]*Job),
-		idem:    make(map[string]string),
 		evicted: make(map[string]bool),
 		memo:    make(map[string]core.Result),
 		stats: ReplayStats{
@@ -71,9 +69,6 @@ func foldRecovery(rec *journal.Recovery) *foldState {
 				cp := snap.Jobs[i]
 				f.jobs[cp.ID] = &cp
 				f.order = append(f.order, cp.ID)
-				if cp.IdemKey != "" {
-					f.idem[cp.IdemKey] = cp.ID
-				}
 				f.stats.JobsRestored++
 			}
 			for _, id := range snap.Evicted {
@@ -118,76 +113,22 @@ func (f *foldState) apply(ev jobEvent) {
 	f.stats.RecordsApplied++
 	switch ev.Type {
 	case eventAccepted:
+		// A journal written before every admission became a
+		// batch_accepted record: one job per record.
 		if ev.ID == "" || ev.Spec == nil {
 			f.stats.BadRecords++
 			return
 		}
-		if _, exists := f.jobs[ev.ID]; exists {
-			return // duplicate append (e.g. replayed twice); first wins
-		}
-		if ev.Seq > f.seq {
-			f.seq = ev.Seq
-		}
-		j := &Job{
-			ID:        ev.ID,
-			Spec:      *ev.Spec,
-			Hash:      ev.Hash,
-			IdemKey:   ev.IdemKey,
-			State:     Queued,
-			Submitted: ev.Time,
-			// Log-record replay reconstructs the lifecycle trace from
-			// the journaled transitions (acceptance implies queueing:
-			// both were durable before the client heard about the job).
-			Trace: []obs.Event{
-				{Name: obs.EventAccepted, Time: ev.Time},
-				{Name: obs.EventQueued, Time: ev.Time},
-			},
-		}
-		f.jobs[j.ID] = j
-		f.order = append(f.order, j.ID)
-		if j.IdemKey != "" {
-			f.idem[j.IdemKey] = j.ID
-		}
-		f.stats.JobsRestored++
+		f.accept(ev, batchMember{ID: ev.ID, Hash: ev.Hash, Spec: *ev.Spec, IdemKey: ev.IdemKey})
 	case eventBatch:
-		// One group-commit frame restores every member under its
-		// original ID. Members fold exactly like individually accepted
-		// jobs (duplicates first-win, the record's Seq advances the
-		// counter once), so the rest of the log — started/done/failed
-		// events for members — applies unchanged. Replayed members stay
-		// groupCommit: their re-run transitions keep riding amortized
-		// syncs.
+		// One frame restores every member of an admission under its
+		// original ID; the rest of the log — started/done/failed events
+		// for members — applies unchanged.
 		if len(ev.Batch) == 0 {
 			f.stats.BadRecords++
 			return
 		}
-		if ev.Seq > f.seq {
-			f.seq = ev.Seq
-		}
-		for _, m := range ev.Batch {
-			if m.ID == "" {
-				f.stats.BadRecords++
-				continue
-			}
-			if _, exists := f.jobs[m.ID]; exists {
-				continue
-			}
-			j := &Job{
-				ID:        m.ID,
-				Spec:      m.Spec,
-				Hash:      m.Hash,
-				State:     Queued,
-				Submitted: ev.Time,
-				Trace: []obs.Event{
-					{Name: obs.EventAccepted, Time: ev.Time, Note: "batch"},
-					{Name: obs.EventQueued, Time: ev.Time},
-				},
-				groupCommit: true,
-			}
-			f.jobs[j.ID] = j
-			f.order = append(f.order, j.ID)
-			f.stats.JobsRestored++
-		}
+		f.accept(ev, ev.Batch...)
 	case eventStarted:
 		if j, ok := f.jobs[ev.ID]; ok && !j.State.Terminal() {
 			j.State = Running
@@ -224,25 +165,54 @@ func (f *foldState) apply(ev jobEvent) {
 			j.Trace = append(j.Trace, obs.Event{Name: obs.EventFailed, Time: ev.Time, Note: ev.Error})
 		}
 	case eventAborted:
-		if j, ok := f.jobs[ev.ID]; ok {
+		if _, ok := f.jobs[ev.ID]; ok {
 			delete(f.jobs, ev.ID)
-			if j.IdemKey != "" && f.idem[j.IdemKey] == ev.ID {
-				delete(f.idem, j.IdemKey)
-			}
 			f.removeFromOrder(ev.ID)
 		}
 	case eventEvicted:
-		if j, ok := f.jobs[ev.ID]; ok {
+		if _, ok := f.jobs[ev.ID]; ok {
 			delete(f.jobs, ev.ID)
-			if j.IdemKey != "" && f.idem[j.IdemKey] == ev.ID {
-				delete(f.idem, j.IdemKey)
-			}
 			f.removeFromOrder(ev.ID)
 			f.evicted[ev.ID] = true
 			f.evictedOrder = append(f.evictedOrder, ev.ID)
 		}
 	default:
 		f.stats.BadRecords++
+	}
+}
+
+// accept folds an acceptance record's members in as queued jobs. The
+// record's Seq advances the ID counter once; a member already present
+// (a duplicate append, e.g. replayed twice) keeps its first record.
+// Log-record replay reconstructs the lifecycle trace from the
+// journaled transitions: acceptance implies queueing, both were
+// durable before anyone heard about the job.
+func (f *foldState) accept(ev jobEvent, members ...batchMember) {
+	if ev.Seq > f.seq {
+		f.seq = ev.Seq
+	}
+	for _, m := range members {
+		if m.ID == "" {
+			f.stats.BadRecords++
+			continue
+		}
+		if _, exists := f.jobs[m.ID]; exists {
+			continue
+		}
+		f.jobs[m.ID] = &Job{
+			ID:        m.ID,
+			Spec:      m.Spec,
+			Hash:      m.Hash,
+			IdemKey:   m.IdemKey,
+			State:     Queued,
+			Submitted: ev.Time,
+			Trace: []obs.Event{
+				{Name: obs.EventAccepted, Time: ev.Time},
+				{Name: obs.EventQueued, Time: ev.Time},
+			},
+		}
+		f.order = append(f.order, m.ID)
+		f.stats.JobsRestored++
 	}
 }
 
@@ -304,12 +274,12 @@ type IngestStats struct {
 // keys, so a client polling a rebalanced job ID — or blindly
 // resubmitting its key — finds the original work here. Terminal jobs
 // are registered as-is and their results seeded into the memo under
-// the determinism guard; non-terminal jobs are re-enqueued. Everything
-// ingested is journaled to this shard's own log before the call
-// returns, so a subsequent crash here does not lose the handoff. On a
-// journal append failure the ingest stops (ErrDurability); the stats
-// report what landed before the failure and the rebalance must be
-// driven again — already-ingested jobs dedup as Duplicates.
+// the determinism guard; non-terminal jobs are relaunched. The ingest
+// is journaled to this shard's own log — one batch_accepted record plus
+// the terminal transitions, synced — before the call returns, so a
+// subsequent crash here does not lose the handoff. On a journal
+// failure (ErrDurability) the rebalance must be driven again; whatever
+// already landed dedups as Duplicates on the retry.
 func (s *Service) IngestJobs(jobs []Job, memo map[string]core.Result) (IngestStats, error) {
 	var st IngestStats
 	for _, k := range sortedMemoKeys(memo) {
@@ -319,24 +289,10 @@ func (s *Service) IngestJobs(jobs []Job, memo map[string]core.Result) (IngestSta
 			st.Conflicts++
 		}
 	}
-	type requeue struct {
-		id   string
-		spec JobSpec
-		hash string
-	}
-	var rq []requeue
-	flush := func() error {
-		for _, r := range rq {
-			if err := s.enqueue(r.id, r.spec, r.hash); err != nil {
-				s.finish(r.id, core.Result{}, false, err)
-				continue
-			}
-			st.Requeued++
-		}
-		return nil
-	}
 
 	s.mu.Lock()
+	var in, rq []*Job
+	seen := make(map[string]bool)
 	for i := range jobs {
 		j := jobs[i]
 		if j.ID == "" {
@@ -348,20 +304,15 @@ func (s *Service) IngestJobs(jobs []Job, memo map[string]core.Result) (IngestSta
 			st.Rejected++
 			continue
 		}
-		if _, live := s.jobs[j.ID]; live || s.evicted[j.ID] {
+		if _, live := s.jobs[j.ID]; live || s.evicted[j.ID] || seen[j.ID] {
 			st.Duplicates++
 			continue
 		}
-		if j.IdemKey != "" {
-			if id, ok := s.idem[j.IdemKey]; ok {
-				if _, live := s.jobs[id]; live {
-					// The key is already bound to live work here — a
-					// rerouted client got there first. That job answers.
-					st.Duplicates++
-					continue
-				}
-				delete(s.idem, j.IdemKey)
-			}
+		if _, live := s.jobs[s.idem[j.IdemKey]]; live && j.IdemKey != "" {
+			// The key is already bound to live work here — a rerouted
+			// client got there first. That job answers.
+			st.Duplicates++
+			continue
 		}
 		cp := j
 		cp.Spec = norm
@@ -397,29 +348,28 @@ func (s *Service) IngestJobs(jobs []Job, memo map[string]core.Result) (IngestSta
 			cp.Error = ""
 			cp.Started, cp.Finished = time.Time{}, time.Time{}
 			cp.Trace = append(cp.Trace, obs.Event{Name: obs.EventRequeued, Time: time.Now(), Note: "rebalance ingest"})
+			rq = append(rq, &cp)
 		}
-		if jerr := s.journalAcceptedLocked(&cp); jerr != nil {
-			s.mu.Unlock()
-			_ = flush()
-			return st, jerr
-		}
-		s.jobs[cp.ID] = &cp
-		s.order = append(s.order, cp.ID)
-		if cp.IdemKey != "" {
-			s.idem[cp.IdemKey] = cp.ID
-		}
-		st.JobsIngested++
-		switch cp.State {
+		seen[cp.ID] = true
+		in = append(in, &cp)
+	}
+	if err := s.acceptLocked(in, s.seq); err != nil {
+		s.mu.Unlock()
+		return st, err
+	}
+	for _, j := range in {
+		switch j.State {
 		case Done:
-			s.journalEventLocked(eventDone, &cp)
+			s.journalEventLocked(eventDone, j)
 		case Failed:
-			s.journalEventLocked(eventFailed, &cp)
-		default:
-			rq = append(rq, requeue{id: cp.ID, spec: norm, hash: cp.Hash})
+			s.journalEventLocked(eventFailed, j)
 		}
 	}
-	s.evictLocked()
 	s.mu.Unlock()
-	_ = flush()
+	st.JobsIngested = len(in)
+	if err := s.syncJournal(); err != nil {
+		return st, err
+	}
+	st.Requeued = s.relaunch(rq)
 	return st, nil
 }

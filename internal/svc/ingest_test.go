@@ -59,7 +59,7 @@ func TestExportIngestRoundTrip(t *testing.T) {
 		if i == 0 {
 			key = "client-key-0"
 		}
-		job, _, err := s.AdmitWithKey(key, spec)
+		job, _, err := s.Admit(spec, key, BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestExportIngestRoundTrip(t *testing.T) {
 
 	// The client's idempotency key crossed over: resubmitting it on the
 	// successor finds the original job, not duplicate work.
-	replay, replayed, err := s2.AdmitWithKey("client-key-0", keyed.Spec)
+	replay, replayed, err := s2.Admit(keyed.Spec, "client-key-0", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestExportIngestRoundTrip(t *testing.T) {
 	}
 	// And the memo crossed over: fresh work for a rebalanced spec is a
 	// cache hit with the origin shard's exact cycle count.
-	fresh, _, err := s2.AdmitWithKey("fresh-key", specs[1])
+	fresh, _, err := s2.Admit(specs[1], "fresh-key", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,9 +144,10 @@ type Job struct {
 	Spec JobSpec `json:"spec"`
 	// Hash is the canonical spec hash (the memoization key).
 	Hash string `json:"hash"`
-	// IdemKey is the idempotency key the job was admitted under (the
-	// Idempotency-Key header, or the spec hash when the service is
-	// durable): resubmitting it returns this job instead of new work.
+	// IdemKey is the idempotency key the job was admitted under (for a
+	// single job, the Idempotency-Key header, or the spec hash when the
+	// service is durable; batch members take none): resubmitting it
+	// returns this job instead of new work.
 	IdemKey string `json:"idempotency_key,omitempty"`
 	State   State  `json:"state"`
 	// Tier records which quality tier answered the job: "simulate" for
@@ -187,10 +188,9 @@ type Job struct {
 	// queued, so a restart re-enqueues it instead of replaying a
 	// failure the client never caused.
 	interrupted bool
-	// groupCommit marks a member of a batch group: its post-acceptance
-	// journal appends skip the per-record fsync and ride the group's
-	// amortized Sync instead (see journalEventLocked).
-	groupCommit bool
+	// done is closed when the job reaches a terminal state (or leaves
+	// the registry unfinished, shed at admission): Wait blocks on it.
+	done chan struct{}
 }
 
 // clone returns a copy safe to hand outside the registry lock: the
@@ -215,16 +215,8 @@ func (j Job) Latency() time.Duration {
 }
 
 // MachineFactory constructs a fresh machine instance by name. The
-// machine models are stateful and not safe for concurrent use, so every
-// job gets its own instance. The default factory is machines.ByName
-// (paper configurations).
+// machine models are stateful and not safe for concurrent use, so a
+// worker never shares an instance: it builds one per machine and
+// configuration and rewinds it between jobs. The default factory is
+// machines.ByName (paper configurations).
 type MachineFactory func(name string) (core.Machine, error)
-
-// runSpec executes a normalized spec on a fresh machine from factory.
-func runSpec(factory MachineFactory, spec JobSpec) (core.Result, error) {
-	m, err := factory(spec.Machine)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return core.Run(m, spec.Kernel, *spec.Workload)
-}

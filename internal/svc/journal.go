@@ -1,7 +1,6 @@
 package svc
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,16 +11,19 @@ import (
 	"sigkern/internal/obs"
 )
 
-// ErrDurability is returned by Submit/Admit when the service is
+// ErrDurability is returned by every admission when the service is
 // durable but the journal cannot persist the acceptance: accepting
 // work that would silently vanish in a crash defeats the point, so
-// the job is refused (503 upstairs) instead.
+// the work is refused (503 upstairs) instead.
 var ErrDurability = errors.New("svc: durability journal unavailable")
 
 // eventType names one journaled job lifecycle transition.
 type eventType string
 
 const (
+	// eventAccepted is one job's acceptance as journals written before
+	// every admission became a batch_accepted record stored it. It is
+	// decoded on replay, never written.
 	eventAccepted eventType = "accepted"
 	eventStarted  eventType = "started"
 	eventDone     eventType = "done"
@@ -31,19 +33,20 @@ const (
 	// client was told 429.
 	eventAborted eventType = "aborted"
 	eventEvicted eventType = "evicted"
-	// eventBatch records one accepted batch group in a single CRC32C
-	// frame: every member job's identity and spec, plus the sequence
-	// counter after the group. One record — and one fsync — covers the
-	// whole group's acceptance, and replay restores every member under
-	// its original ID.
+	// eventBatch records one admission — a batch group, or a single job
+	// as its batch of one — in a single CRC32C frame: every member job's
+	// identity, spec and idempotency key, plus the sequence counter after
+	// the group. One record — and one fsync — covers the whole
+	// admission, and replay restores every member under its original ID.
 	eventBatch eventType = "batch_accepted"
 )
 
 // batchMember is one member job inside an eventBatch record.
 type batchMember struct {
-	ID   string  `json:"id"`
-	Hash string  `json:"hash"`
-	Spec JobSpec `json:"spec"`
+	ID      string  `json:"id"`
+	Hash    string  `json:"hash"`
+	Spec    JobSpec `json:"spec"`
+	IdemKey string  `json:"idem,omitempty"`
 }
 
 // jobEvent is the JSON payload of one write-ahead-log record.
@@ -52,7 +55,8 @@ type jobEvent struct {
 	ID   string    `json:"id"`
 	// Seq is the service's ID counter at acceptance, so a restart
 	// never reissues a live job ID.
-	Seq       uint64       `json:"seq,omitempty"`
+	Seq uint64 `json:"seq,omitempty"`
+	// IdemKey, Hash and Spec describe an eventAccepted job.
 	IdemKey   string       `json:"idem,omitempty"`
 	Hash      string       `json:"hash,omitempty"`
 	Spec      *JobSpec     `json:"spec,omitempty"`
@@ -173,25 +177,33 @@ func (s *Service) snapshotLocked() serviceSnapshot {
 // service: foldRecovery does the pure reconstruction (snapshot first,
 // then the log records appended after it — shared with the cluster
 // rebalance path), then the fold's registry is installed, its memo
-// seeded into the pool, and everything non-terminal re-enqueued. It
+// seeded into the pool, and everything non-terminal relaunched. It
 // never fails — bad records are counted and skipped, conflicting
 // results are refused by the determinism guard and counted.
 func (s *Service) replayRecovery(rec *journal.Recovery) {
 	f := foldRecovery(rec)
 	st := f.stats
+	// Everything accepted but never finished runs again. State resets
+	// to Queued here (under the lock) so a concurrent observer never
+	// sees a Running job with no worker behind it.
+	var rq []*Job
 	s.mu.Lock()
 	s.seq = f.seq
 	for _, id := range f.order {
-		s.jobs[id] = f.jobs[id]
-	}
-	s.order = append(s.order, f.order...)
-	for k, id := range f.idem {
-		s.idem[k] = id
+		j := f.jobs[id]
+		if !j.State.Terminal() {
+			j.State = Queued
+			j.Started = time.Time{}
+			j.Trace = append(j.Trace, obs.Event{Name: obs.EventRequeued, Time: time.Now(), Note: "journal replay"})
+			rq = append(rq, j)
+		}
+		s.registerLocked(j)
 	}
 	for _, id := range f.evictedOrder {
 		s.evicted[id] = true
 	}
 	s.evictedOrder = append(s.evictedOrder, f.evictedOrder...)
+	s.mu.Unlock()
 	// At startup the pool memo is empty, so seeding the folded results
 	// can only conflict if the memo itself is corrupt — counted anyway.
 	for _, k := range f.memoOrder {
@@ -199,124 +211,45 @@ func (s *Service) replayRecovery(rec *journal.Recovery) {
 			st.Conflicts++
 		}
 	}
-	// Everything accepted but never finished runs again. State resets
-	// to Queued here (under the lock) so a concurrent observer never
-	// sees a Running job with no worker behind it.
-	type requeue struct {
-		id   string
-		spec JobSpec
-		hash string
-	}
-	var rq []requeue
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if !j.State.Terminal() {
-			j.State = Queued
-			j.Started = time.Time{}
-			j.Trace = append(j.Trace, obs.Event{Name: obs.EventRequeued, Time: time.Now(), Note: "journal replay"})
-			rq = append(rq, requeue{id: j.ID, spec: j.Spec, hash: j.Hash})
-		}
-	}
-	s.mu.Unlock()
-	for _, r := range rq {
-		if err := s.enqueue(r.id, r.spec, r.hash); err != nil {
-			s.finish(r.id, core.Result{}, false, err)
-			continue
-		}
-		st.Requeued++
-	}
+	st.Requeued = s.relaunch(rq)
 	s.mu.Lock()
 	s.replay = st
 	s.mu.Unlock()
 }
 
-// enqueue puts an already-registered job back onto the pool — the
-// replay path for jobs accepted before a crash. Blocking submission:
-// at startup the queue is empty and backpressure is the right answer.
-func (s *Service) enqueue(id string, spec JobSpec, hash string) error {
-	task := Task{
-		Label:   fmt.Sprintf("%s/%s", spec.Machine, spec.Kernel),
-		MemoKey: hash,
-		Cell:    obs.Labels{Machine: spec.Machine, Kernel: string(spec.Kernel)},
-		OnRetry: func(attempt int, err error) {
-			s.traceEvent(id, obs.EventRetried, fmt.Sprintf("attempt %d: %v", attempt, err))
-		},
-		Run: func(context.Context) (core.Result, error) {
-			s.markRunning(id)
-			// The journaled spec carries its config override, so replay
-			// re-runs it on the same hardware parameters it was accepted
-			// with — never the process default.
-			return runSpec(s.factoryFor(spec), spec)
-		},
-	}
-	fut, err := s.pool.Submit(task)
-	if err != nil {
-		return err
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		res, werr := fut.Wait(context.Background())
-		s.finish(id, res, fut.FromCache(), werr)
-	}()
-	return nil
-}
-
-// journalAcceptedLocked makes a job's acceptance durable before the
-// client hears about it. Unlike later transitions, a failure here
-// refuses the job: a durable service must not accept work it cannot
-// promise to remember.
-func (s *Service) journalAcceptedLocked(j *Job) error {
-	if s.journal == nil {
-		return nil
-	}
-	ev := jobEvent{
-		Type:    eventAccepted,
-		ID:      j.ID,
-		Seq:     s.seq,
-		IdemKey: j.IdemKey,
-		Hash:    j.Hash,
-		Spec:    &j.Spec,
-		Time:    j.Submitted,
-	}
-	if err := s.appendEvent(ev); err != nil {
-		s.Metrics().journalAppendError()
-		return fmt.Errorf("%w: %v", ErrDurability, err)
-	}
-	return nil
-}
-
-// journalBatchAcceptedLocked makes a whole batch group's acceptance
-// durable in one CRC32C frame — one append and one fsync for N member
-// jobs, against N for the single-job path. Like journalAcceptedLocked,
-// a failure here refuses the batch: a durable service must not accept
-// work it cannot promise to remember.
-func (s *Service) journalBatchAcceptedLocked(members []*Job) error {
+// journalAcceptedLocked makes an admission's acceptance durable before
+// anyone hears about it: one CRC32C batch_accepted frame — one append,
+// one fsync — for every member, carrying each member's ID, spec hash,
+// spec and idempotency key plus the ID counter seq after the group. A
+// failure refuses the admission.
+func (s *Service) journalAcceptedLocked(members []*Job, seq uint64) error {
 	if s.journal == nil || len(members) == 0 {
 		return nil
 	}
-	ev := jobEvent{Type: eventBatch, Seq: s.seq, Time: time.Now()}
+	ev := jobEvent{Type: eventBatch, Seq: seq, Time: time.Now()}
 	for _, j := range members {
-		ev.Batch = append(ev.Batch, batchMember{ID: j.ID, Hash: j.Hash, Spec: j.Spec})
+		ev.Batch = append(ev.Batch, batchMember{ID: j.ID, Hash: j.Hash, Spec: j.Spec, IdemKey: j.IdemKey})
 	}
-	if err := s.appendEvent(ev); err != nil {
+	data, err := json.Marshal(ev)
+	if err == nil {
+		err = s.journal.Append(data)
+	}
+	if err != nil {
 		s.Metrics().journalAppendError()
 		return fmt.Errorf("%w: %v", ErrDurability, err)
 	}
 	return nil
 }
 
-// journalEventLocked appends a post-acceptance transition. Failures
-// are counted (and degrade /healthz) but do not fail the job: the
-// in-memory state is still correct and still served.
-//
-// Members of a batch group (groupCommit) append without an immediate
-// fsync: the batch driver syncs the journal every few completions and
-// at group end, amortizing the durability cost across the group's
-// transitions. A crash inside that window loses only the unsynced
-// transitions — replay then re-runs those members from the group's
-// accepted record, and the deterministic simulators reproduce the same
-// cycle counts.
+// journalEventLocked appends a post-acceptance transition without an
+// fsync: the admission that launched the job syncs the journal every
+// few completions and at group end, amortizing the durability cost
+// across the group's transitions. A crash inside that window loses
+// only the unsynced transitions — replay then re-runs those jobs from
+// their batch_accepted record, and the deterministic simulators
+// reproduce the same cycle counts. Failures are counted (and degrade
+// /healthz) but do not fail the job: the in-memory state is still
+// correct and still served.
 func (s *Service) journalEventLocked(t eventType, j *Job) {
 	if s.journal == nil {
 		return
@@ -330,31 +263,11 @@ func (s *Service) journalEventLocked(t eventType, j *Job) {
 	case eventFailed:
 		ev.Error = j.Error
 	}
-	var err error
-	if j.groupCommit {
-		err = s.appendEventDefer(ev)
-	} else {
-		err = s.appendEvent(ev)
+	data, err := json.Marshal(ev)
+	if err == nil {
+		err = s.journal.AppendDefer(data)
 	}
 	if err != nil {
 		s.Metrics().journalAppendError()
 	}
-}
-
-func (s *Service) appendEvent(ev jobEvent) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	return s.journal.Append(data)
-}
-
-// appendEventDefer writes without fsync; the batch driver owns the
-// group's Sync.
-func (s *Service) appendEventDefer(ev jobEvent) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	return s.journal.AppendDefer(data)
 }

@@ -81,7 +81,7 @@ func TestDurableCrashReplayRestoresResults(t *testing.T) {
 
 	// A blind retry of the same spec (no explicit key) finds the
 	// original job: on a durable service the spec hash is the key.
-	replay, replayed, err := s2.AdmitWithKey("", specA)
+	replay, replayed, err := s2.Admit(specA, "", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDurableCrashReplayRestoresResults(t *testing.T) {
 	}
 	// A genuinely new job for the same spec is served from the
 	// restored memo table without re-simulating.
-	fresh, replayed, err := s2.AdmitWithKey("fresh-key", specA)
+	fresh, replayed, err := s2.Admit(specA, "fresh-key", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDurableCrashRequeuesUnfinishedJobs(t *testing.T) {
 		t.Fatalf("requeued job: %+v", final)
 	}
 	// Determinism: the re-execution must match a fresh run of the spec.
-	ref, _, err := s2.AdmitWithKey("ref", spec)
+	ref, _, err := s2.Admit(spec, "ref", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,11 +317,11 @@ func TestIdempotencyKeys(t *testing.T) {
 	t.Run("explicit key dedups everywhere", func(t *testing.T) {
 		s := NewService(durableOpts())
 		defer s.Close()
-		first, replayed, err := s.AdmitWithKey("k1", spec)
+		first, replayed, err := s.Admit(spec, "k1", BatchOptions{})
 		if err != nil || replayed {
 			t.Fatalf("first admit: %v replayed=%v", err, replayed)
 		}
-		second, replayed, err := s.AdmitWithKey("k1", spec)
+		second, replayed, err := s.Admit(spec, "k1", BatchOptions{})
 		if err != nil || !replayed || second.ID != first.ID {
 			t.Fatalf("second admit: %v replayed=%v id=%s want %s", err, replayed, second.ID, first.ID)
 		}
@@ -329,11 +329,11 @@ func TestIdempotencyKeys(t *testing.T) {
 	t.Run("no key no journal no dedup", func(t *testing.T) {
 		s := NewService(durableOpts())
 		defer s.Close()
-		first, _, err := s.AdmitWithKey("", spec)
+		first, _, err := s.Admit(spec, "", BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, replayed, err := s.AdmitWithKey("", spec)
+		second, replayed, err := s.Admit(spec, "", BatchOptions{})
 		if err != nil || replayed || second.ID == first.ID {
 			t.Fatalf("memory-only service deduped: %v replayed=%v", err, replayed)
 		}
@@ -341,11 +341,11 @@ func TestIdempotencyKeys(t *testing.T) {
 	t.Run("durable falls back to spec hash", func(t *testing.T) {
 		s := openDurable(t, t.TempDir(), durableOpts())
 		defer s.Close()
-		first, _, err := s.AdmitWithKey("", spec)
+		first, _, err := s.Admit(spec, "", BatchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, replayed, err := s.AdmitWithKey("", spec)
+		second, replayed, err := s.Admit(spec, "", BatchOptions{})
 		if err != nil || !replayed || second.ID != first.ID {
 			t.Fatalf("durable spec-hash dedup: %v replayed=%v id=%s want %s", err, replayed, second.ID, first.ID)
 		}

@@ -101,7 +101,7 @@ func TestPoolPriorityAdmission(t *testing.T) {
 	defer p.Close()
 
 	gate := make(chan struct{})
-	gateFut, err := p.Submit(Task{Label: "gate", Run: func(ctx context.Context) (core.Result, error) {
+	gateFut, err := submitOne(p, Task{Label: "gate", Run: func(ctx context.Context) (core.Result, error) {
 		<-gate
 		return core.Result{}, nil
 	}})
@@ -122,14 +122,14 @@ func TestPoolPriorityAdmission(t *testing.T) {
 	// Batch submitted FIRST: strict priority, not FIFO, must decide.
 	var futs []*Future
 	for i := 0; i < 3; i++ {
-		f, err := p.Submit(mk(fmt.Sprintf("batch-%d", i), PriorityBatch))
+		f, err := submitOne(p, mk(fmt.Sprintf("batch-%d", i), PriorityBatch))
 		if err != nil {
 			t.Fatal(err)
 		}
 		futs = append(futs, f)
 	}
 	for i := 0; i < 3; i++ {
-		f, err := p.Submit(mk(fmt.Sprintf("inter-%d", i), PriorityInteractive))
+		f, err := submitOne(p, mk(fmt.Sprintf("inter-%d", i), PriorityInteractive))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestBatchShedsBeforeInteractive(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	running := make(chan struct{})
-	if _, err := p.Submit(Task{Label: "gate", Run: func(ctx context.Context) (core.Result, error) {
+	if _, err := submitOne(p, Task{Label: "gate", Run: func(ctx context.Context) (core.Result, error) {
 		close(running)
 		<-gate
 		return core.Result{}, nil
@@ -180,13 +180,13 @@ func TestBatchShedsBeforeInteractive(t *testing.T) {
 	// a queue slot, then fill the interactive queue to exactly 3/4.
 	<-running
 	for i := 0; i < 3; i++ {
-		if _, err := p.Submit(Task{Label: "fill", Run: func(context.Context) (core.Result, error) {
+		if _, err := submitOne(p, Task{Label: "fill", Run: func(context.Context) (core.Result, error) {
 			return core.Result{}, nil
 		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := p.TrySubmit(Task{Label: "late-batch", Priority: PriorityBatch,
+	_, err := trySubmitOne(p, Task{Label: "late-batch", Priority: PriorityBatch,
 		Run: func(context.Context) (core.Result, error) { return core.Result{}, nil }})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("batch admission at 3/4 interactive occupancy: err = %v, want ErrOverloaded", err)
@@ -196,7 +196,7 @@ func TestBatchShedsBeforeInteractive(t *testing.T) {
 		t.Fatalf("jobs_shed_batch = %d, want 1", snap.ShedBatch)
 	}
 	// Interactive still has the last slot.
-	if _, err := p.TrySubmit(Task{Label: "late-inter",
+	if _, err := trySubmitOne(p, Task{Label: "late-inter",
 		Run: func(context.Context) (core.Result, error) { return core.Result{}, nil }}); err != nil {
 		t.Fatalf("interactive admission with one slot left: %v", err)
 	}
@@ -221,7 +221,7 @@ func TestBudgetFastReject(t *testing.T) {
 	defer s.Close()
 	seedExecWindow(s.Metrics(), 10*time.Second, 32)
 
-	_, _, err := s.AdmitWith(AdmitOptions{Budget: time.Second}, JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn})
+	_, _, err := s.Admit(JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn}, "", BatchOptions{Budget: time.Second})
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("admit with 1s budget against a 10s p99: err = %v, want ErrBudgetExhausted", err)
 	}
@@ -229,7 +229,7 @@ func TestBudgetFastReject(t *testing.T) {
 		t.Fatalf("budget_rejected = %d, want 1", got)
 	}
 	// A generous budget admits.
-	job, _, err := s.AdmitWith(AdmitOptions{Budget: time.Minute}, JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn})
+	job, _, err := s.Admit(JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn}, "", BatchOptions{Budget: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestBudgetFastRejectSparesMemoHits(t *testing.T) {
 	defer s.Close()
 
 	// Run the spec once so the memo holds it.
-	job, _, err := s.AdmitWith(AdmitOptions{}, JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn})
+	job, _, err := s.Admit(JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn}, "", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +259,8 @@ func TestBudgetFastRejectSparesMemoHits(t *testing.T) {
 	}
 
 	seedExecWindow(s.Metrics(), 10*time.Second, 32)
-	if _, _, err := s.AdmitWith(AdmitOptions{Budget: time.Millisecond},
-		JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn}); err != nil {
+	if _, _, err := s.Admit(JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn}, "",
+		BatchOptions{Budget: time.Millisecond}); err != nil {
 		t.Fatalf("memoized spec bounced by budget fast-reject: %v", err)
 	}
 }
@@ -273,7 +273,7 @@ func TestExpiredJobNeverExecutes(t *testing.T) {
 	defer p.Close()
 
 	gate := make(chan struct{})
-	gateFut, err := p.Submit(Task{Label: "gate", Run: func(ctx context.Context) (core.Result, error) {
+	gateFut, err := submitOne(p, Task{Label: "gate", Run: func(ctx context.Context) (core.Result, error) {
 		<-gate
 		return core.Result{}, nil
 	}})
@@ -281,7 +281,7 @@ func TestExpiredJobNeverExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ran atomic.Bool
-	doomed, err := p.Submit(Task{
+	doomed, err := submitOne(p, Task{
 		Label:   "doomed",
 		Expires: time.Now().Add(50 * time.Millisecond),
 		Run: func(context.Context) (core.Result, error) {

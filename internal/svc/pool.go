@@ -23,9 +23,9 @@ var ErrPoolClosed = errors.New("svc: pool closed")
 // them (errors.Is(err, ErrTimeout)).
 var ErrTimeout = errors.New("svc: job timed out")
 
-// ErrOverloaded is returned by TrySubmit when every worker is busy and
-// the queue is full — the load-shedding signal the HTTP layer turns
-// into 429 + Retry-After.
+// ErrOverloaded fails a task that a shedding Submit found no queue room
+// for — the load-shedding signal the HTTP layer turns into 429 +
+// Retry-After.
 var ErrOverloaded = errors.New("svc: overloaded, job shed")
 
 // ErrBudgetExhausted marks work refused — or dropped at worker pickup —
@@ -84,7 +84,12 @@ type Task struct {
 	// worker pickup instead of occupying a slot, and a running task's
 	// context deadline is clamped to it.
 	Expires time.Time
-	Run     func(ctx context.Context) (core.Result, error)
+	// Run executes the task on a machine it builds itself. Only
+	// internal/study sweeps use it: their machines are built by closures
+	// over per-point parameters and must not enter the per-worker
+	// instance cache, which never evicts. Every service job is a RunOn
+	// task.
+	Run func(ctx context.Context) (core.Result, error)
 
 	// Machine, Factory and RunOn together select the machine-reuse
 	// execution path: the worker resolves an instance of Machine from
@@ -159,6 +164,20 @@ func (f *Future) Wait(ctx context.Context) (core.Result, error) {
 	}
 }
 
+// ready reports whether the task has completed.
+func (f *Future) ready() bool {
+	select {
+	case <-f.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// shed reports whether a shedding Submit refused the task for lack of
+// queue room — known as soon as Submit returns.
+func (f *Future) shed() bool { return f.ready() && errors.Is(f.err, ErrOverloaded) }
+
 // FromCache reports whether the result was served from the memo table.
 // Valid only after Wait returns.
 func (f *Future) FromCache() bool { return f.fromCache }
@@ -177,9 +196,9 @@ type PoolOptions struct {
 	// JobTimeout bounds one job's execution including retries; <= 0
 	// means 2 minutes.
 	JobTimeout time.Duration
-	// QueueDepth is the number of tasks that can wait for a worker
-	// before Submit blocks (backpressure) and TrySubmit sheds; <= 0
-	// means 256.
+	// QueueDepth is the number of tasks that can wait for a worker in
+	// each priority queue before Submit holds the rest back
+	// (backpressure) or, shedding, refuses them; <= 0 means 256.
 	QueueDepth int
 	// MemoCapacity is the memo table size; < 0 disables memoization.
 	MemoCapacity int
@@ -379,56 +398,47 @@ func (p *Pool) MemoHitRate() float64 {
 	return p.memo.HitRate()
 }
 
-// Submit enqueues a task and returns its future. It blocks while all
-// workers are busy and the queue is full (backpressure), and fails fast
-// once the pool is closed.
-func (p *Pool) Submit(t Task) (*Future, error) { return p.submit(t, true) }
-
-// TrySubmit enqueues a task without blocking: when every worker is busy
-// and the queue is full it sheds the task with ErrOverloaded instead of
-// queueing unboundedly — the admission-control entry point.
-func (p *Pool) TrySubmit(t Task) (*Future, error) { return p.submit(t, false) }
-
-func (p *Pool) submit(t Task, block bool) (*Future, error) {
-	if err := t.validate(); err != nil {
-		return nil, err
+// Submit admits a group of tasks — the pool's one entry point, for a
+// single task as for a grid. The memo/coalescing pre-filter answers
+// cached and duplicate tasks synchronously, so they never occupy a
+// queue slot or a worker; the cold remainder goes to the admission
+// queues in waves, one lock acquisition and free-slot scan per wave
+// rather than one send per task. The returned futures are
+// index-aligned with tasks, and all of them eventually complete.
+//
+// shed decides what a full queue means. Without it the tasks that found
+// no room wait for it in a background feeder — Submit itself never
+// blocks — and those still unsent when ctx ends fail with ctx.Err().
+// With it they fail at once with ErrOverloaded, and so does a
+// batch-priority task once the interactive queue is three quarters
+// full: saturation sheds batch work first. Queued tasks whose
+// Task.Abort closes are dropped at worker pickup.
+func (p *Pool) Submit(ctx context.Context, tasks []Task, shed bool) ([]*Future, error) {
+	for i := range tasks {
+		if err := tasks[i].validate(); err != nil {
+			return nil, fmt.Errorf("svc: task %d: %w", i, err)
+		}
 	}
+	futs := make([]*Future, len(tasks))
+	var pend []poolItem
 	p.submitMu.RLock()
-	defer p.submitMu.RUnlock()
 	if p.closed {
+		p.submitMu.RUnlock()
 		return nil, ErrPoolClosed
 	}
-	fut, enqueue := p.prepare(t)
-	if !enqueue {
-		return fut, nil
+	for i := range tasks {
+		fut, enqueue := p.prepare(tasks[i])
+		futs[i] = fut
+		if enqueue {
+			pend = append(pend, poolItem{task: tasks[i], fut: fut})
+		}
 	}
-
-	queue := p.tasks
-	if t.Priority == PriorityBatch {
-		queue = p.batch
+	pend = p.fill(pend, shed)
+	p.submitMu.RUnlock()
+	if len(pend) > 0 {
+		go p.feed(ctx, pend)
 	}
-	if block {
-		p.metrics.jobQueued()
-		// May block when the queue is full (backpressure); workers keep
-		// draining because Close cannot cancel them until this send's read
-		// lock is released.
-		queue <- poolItem{task: t, fut: fut}
-		return fut, nil
-	}
-	// Saturation sheds batch first: once the interactive queue is three
-	// quarters full the remaining capacity belongs to interactive
-	// traffic, so a batch admission is refused even though its own
-	// queue still has room.
-	if t.Priority == PriorityBatch && len(p.tasks)*4 >= cap(p.tasks)*3 {
-		return p.shedTask(t, fut)
-	}
-	select {
-	case queue <- poolItem{task: t, fut: fut}:
-		p.metrics.jobQueued()
-		return fut, nil
-	default:
-		return p.shedTask(t, fut)
-	}
+	return futs, nil
 }
 
 // prepare answers the pre-queue half of one admission. A verified memo
@@ -483,119 +493,95 @@ func (p *Pool) prepare(t Task) (fut *Future, enqueue bool) {
 	return fut, true
 }
 
-// SubmitBatch admits a group of tasks as one batch. The memo/coalescing
-// pre-filter answers cached and duplicate cells synchronously — they
-// never occupy a queue slot or a worker — and the remaining cold cells
-// are fed to the admission queues in waves: one lock acquisition and
-// free-slot scan per wave rather than one send (and one shed decision)
-// per task. The returned futures are index-aligned with tasks, and all
-// of them eventually complete: cells not yet queued when ctx is
-// cancelled fail with ctx.Err(), and queued cells whose Task.Abort
-// channel closes are dropped at worker pickup. SubmitBatch itself never
-// blocks on queue capacity; the feeder applies backpressure in the
-// background.
-func (p *Pool) SubmitBatch(ctx context.Context, tasks []Task) ([]*Future, error) {
-	for i := range tasks {
-		if err := tasks[i].validate(); err != nil {
-			return nil, fmt.Errorf("svc: batch cell %d: %w", i, err)
-		}
+// queueFor returns the admission queue of the task's priority class.
+func (p *Pool) queueFor(t Task) chan poolItem {
+	if t.Priority == PriorityBatch {
+		return p.batch
 	}
-	futs := make([]*Future, len(tasks))
-	var pend []poolItem
-	p.submitMu.RLock()
-	if p.closed {
-		p.submitMu.RUnlock()
-		return nil, ErrPoolClosed
-	}
-	for i := range tasks {
-		fut, enqueue := p.prepare(tasks[i])
-		futs[i] = fut
-		if enqueue {
-			pend = append(pend, poolItem{task: tasks[i], fut: fut})
-		}
-	}
-	p.submitMu.RUnlock()
-	if len(pend) > 0 {
-		go p.feedBatch(ctx, pend)
-	}
-	return futs, nil
+	return p.tasks
 }
 
-// feedBatch drains one batch's cold cells into the admission queues in
-// waves. Each wave takes the submit lock once and fills every free slot
-// without blocking; only when the queue is completely full does it fall
-// back to a single blocking send — the same backpressure point Submit
-// uses (workers keep draining because Close cannot cancel them until
-// the send's read lock is released). Pool close and ctx cancellation
-// both terminate the feeder, failing the cells that never reached a
-// queue.
-func (p *Pool) feedBatch(ctx context.Context, pend []poolItem) {
-	queueFor := func(t Task) chan poolItem {
-		if t.Priority == PriorityBatch {
-			return p.batch
+// fill sends cold tasks to their queues without blocking and returns,
+// in order, the ones that found no room — or, shedding, refuses them
+// (and batch tasks past the interactive three-quarter mark) with
+// ErrOverloaded and returns none. Called with submitMu read-held.
+func (p *Pool) fill(pend []poolItem, shed bool) []poolItem {
+	var rest []poolItem
+	for _, item := range pend {
+		if shed && item.task.Priority == PriorityBatch && len(p.tasks)*4 >= cap(p.tasks)*3 {
+			p.shedTask(item)
+			continue
 		}
-		return p.tasks
-	}
-	for len(pend) > 0 {
-		if err := ctx.Err(); err != nil {
-			p.failPending(pend, err)
-			return
-		}
-		p.submitMu.RLock()
-		if p.closed {
-			p.submitMu.RUnlock()
-			p.failPending(pend, ErrPoolClosed)
-			return
-		}
-		sent := 0
-	fill:
-		for sent < len(pend) {
+		if len(rest) == 0 {
 			select {
-			case queueFor(pend[sent].task) <- pend[sent]:
+			case p.queueFor(item.task) <- item:
 				p.metrics.jobQueued()
-				sent++
+				continue
 			default:
-				break fill
 			}
 		}
-		if sent == 0 {
+		if shed {
+			p.shedTask(item)
+		} else {
+			rest = append(rest, item)
+		}
+	}
+	return rest
+}
+
+// feed waits for queue room on behalf of a Submit whose cold tasks did
+// not all fit: one blocking send — the backpressure point; workers keep
+// draining because Close cannot cancel them until the send's read lock
+// is released — then a non-blocking wave behind it. Pool close and ctx
+// cancellation both stop the feeder, failing the tasks that never
+// reached a queue.
+func (p *Pool) feed(ctx context.Context, pend []poolItem) {
+	for len(pend) > 0 {
+		cause := ctx.Err()
+		p.submitMu.RLock()
+		if cause == nil && p.closed {
+			cause = ErrPoolClosed
+		}
+		if cause == nil {
 			select {
-			case queueFor(pend[0].task) <- pend[0]:
+			case p.queueFor(pend[0].task) <- pend[0]:
 				p.metrics.jobQueued()
-				sent = 1
+				pend = p.fill(pend[1:], false)
 			case <-ctx.Done():
-				p.submitMu.RUnlock()
-				p.failPending(pend, ctx.Err())
-				return
+				cause = ctx.Err()
 			}
 		}
 		p.submitMu.RUnlock()
-		pend = pend[sent:]
+		if cause != nil {
+			for _, item := range pend {
+				p.fail(item, cause)
+			}
+			return
+		}
 	}
 }
 
-// failPending fails batch cells that never reached an admission queue.
-func (p *Pool) failPending(items []poolItem, cause error) {
-	for _, item := range items {
-		p.removeFlight(item.task.MemoKey, item.fut)
-		item.fut.err = fmt.Errorf("svc: job %q: %w", item.task.Label, cause)
-		p.metrics.jobFinished(item.task.Cell, false, false, false, false, 0)
-		close(item.fut.started)
-		close(item.fut.done)
-	}
+// fail completes a task that never ran with cause.
+func (p *Pool) fail(item poolItem, cause error) {
+	p.metrics.jobFinished(item.task.Cell, false, false, false, false, 0)
+	p.failUnrun(item, cause)
 }
 
-// shedTask refuses one non-blocking admission with ErrOverloaded. The
+// shedTask refuses one shedding admission with ErrOverloaded. The
 // registered flight will never execute, so its future is failed too — a
 // duplicate submission may have attached to it in the window since
 // registration, and it must see the shed rather than wait forever.
-func (p *Pool) shedTask(t Task, fut *Future) (*Future, error) {
-	p.removeFlight(t.MemoKey, fut)
-	fut.err = fmt.Errorf("svc: job %q: %w", t.Label, ErrOverloaded)
-	close(fut.started)
-	close(fut.done)
-	p.metrics.loadShed(t.Priority)
-	return nil, fut.err
+func (p *Pool) shedTask(item poolItem) {
+	p.metrics.loadShed(item.task.Priority)
+	p.failUnrun(item, ErrOverloaded)
+}
+
+// failUnrun unregisters a never-run task's flight and fails its future.
+func (p *Pool) failUnrun(item poolItem, cause error) {
+	p.removeFlight(item.task.MemoKey, item.fut)
+	item.fut.err = fmt.Errorf("svc: job %q: %w", item.task.Label, cause)
+	close(item.fut.started)
+	close(item.fut.done)
 }
 
 // removeFlight unregisters fut as the in-flight execution for key, if
@@ -629,11 +615,7 @@ func (p *Pool) Close() {
 		for {
 			select {
 			case item := <-queue:
-				item.fut.err = fmt.Errorf("svc: job %q: %w", item.task.Label, ErrPoolClosed)
-				p.metrics.jobFinished(item.task.Cell, false, false, false, false, 0)
-				p.removeFlight(item.task.MemoKey, item.fut)
-				close(item.fut.started)
-				close(item.fut.done)
+				p.fail(item, ErrPoolClosed)
 			default:
 				break drain
 			}
@@ -708,11 +690,7 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 	// waiting for — exactly what the budget exists to prevent.
 	if !item.task.Expires.IsZero() && start.After(item.task.Expires) {
 		p.metrics.expiredDropped()
-		p.removeFlight(item.task.MemoKey, item.fut)
-		item.fut.err = fmt.Errorf("svc: job %q: expired in queue: %w", item.task.Label, ErrBudgetExhausted)
-		p.metrics.jobFinished(item.task.Cell, false, false, false, false, 0)
-		close(item.fut.started)
-		close(item.fut.done)
+		p.fail(item, fmt.Errorf("expired in queue: %w", ErrBudgetExhausted))
 		return
 	}
 	// A cell of a cancelled batch is dropped at pickup the same way:
@@ -721,11 +699,7 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 	if item.task.Abort != nil {
 		select {
 		case <-item.task.Abort:
-			p.removeFlight(item.task.MemoKey, item.fut)
-			item.fut.err = fmt.Errorf("svc: job %q: batch cancelled in queue: %w", item.task.Label, context.Canceled)
-			p.metrics.jobFinished(item.task.Cell, false, false, false, false, 0)
-			close(item.fut.started)
-			close(item.fut.done)
+			p.fail(item, fmt.Errorf("batch cancelled in queue: %w", context.Canceled))
 			return
 		default:
 		}
@@ -829,18 +803,19 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 // (its goroutine finishes in the background, the buffered channel lets
 // it exit) and the deadline is reported as ErrTimeout. reused reports
 // whether a RunOn attempt executed on a cached machine instance.
+//
+// A cached instance is rewound here, on the worker that owns the cache;
+// a miss is built inside the attempt, after the fault point, so a slow
+// or hung factory is bounded by the attempt's deadline like the run
+// itself, and an injected fault costs no build.
 func (p *Pool) runAttempt(ctx context.Context, t Task, ws *workerState) (core.Result, bool, error) {
-	var m core.Machine
-	var reused bool
+	var cached core.Machine
 	if t.RunOn != nil {
-		var err error
-		m, reused, err = p.resolveMachine(t, ws)
-		if err != nil {
-			return core.Result{}, false, fmt.Errorf("svc: job %q: %w", t.Label, err)
-		}
+		cached = p.cachedMachine(t, ws)
 	}
 	type outcome struct {
 		res core.Result
+		m   core.Machine
 		err error
 	}
 	ch := make(chan outcome, 1)
@@ -860,21 +835,29 @@ func (p *Pool) runAttempt(ctx context.Context, t Task, ws *workerState) (core.Re
 				return
 			}
 		}
-		var res core.Result
-		var err error
-		if t.RunOn != nil {
-			res, err = t.RunOn(ctx, m)
-		} else {
-			res, err = t.Run(ctx)
+		if t.RunOn == nil {
+			res, err := t.Run(ctx)
+			ch <- outcome{res: res, err: err}
+			return
 		}
-		ch <- outcome{res: res, err: err}
+		m := cached
+		if m == nil {
+			var err error
+			if m, err = t.Factory(t.Machine); err != nil {
+				ch <- outcome{err: fmt.Errorf("svc: job %q: %w", t.Label, err)}
+				return
+			}
+			p.metrics.machineBuilt()
+		}
+		res, err := t.RunOn(ctx, m)
+		ch <- outcome{res: res, m: m, err: err}
 	}()
 
 	select {
 	case out := <-ch:
 		if t.RunOn != nil {
 			if out.err == nil {
-				p.cacheMachine(ws, t.instanceKey(), m)
+				p.cacheMachine(ws, t.instanceKey(), out.m)
 			} else {
 				// A failed or panicked attempt leaves the instance in an
 				// unknown state; drop it rather than hand it to the next
@@ -882,43 +865,39 @@ func (p *Pool) runAttempt(ctx context.Context, t Task, ws *workerState) (core.Re
 				p.evictMachine(ws, t.instanceKey())
 			}
 		}
-		return out.res, reused, out.err
+		return out.res, cached != nil, out.err
 	case <-ctx.Done():
 		if t.RunOn != nil {
-			// The abandoned attempt keeps running on m in the
+			// The abandoned attempt keeps running on its instance in the
 			// background; the instance must never be reused while
 			// another goroutine may still be mutating it.
 			p.evictMachine(ws, t.instanceKey())
 		}
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return core.Result{}, reused, fmt.Errorf("svc: job %q: %w", t.Label, ErrTimeout)
+			return core.Result{}, cached != nil, fmt.Errorf("svc: job %q: %w", t.Label, ErrTimeout)
 		}
-		return core.Result{}, reused, fmt.Errorf("svc: job %q: %w", t.Label, ctx.Err())
+		return core.Result{}, cached != nil, fmt.Errorf("svc: job %q: %w", t.Label, ctx.Err())
 	}
 }
 
-// resolveMachine hands the attempt a simulator instance: the worker's
-// cached one (rewound via core.Resettable) when it has run this machine
-// before, a freshly constructed one otherwise. Instances that do not
-// implement core.Resettable are never cached — those machines are
-// rebuilt per job exactly as before the cache existed — and once the
-// reuse quarantine has tripped every task gets a fresh instance.
-func (p *Pool) resolveMachine(t Task, ws *workerState) (core.Machine, bool, error) {
+// cachedMachine returns the worker's cached instance for the task,
+// rewound via core.Resettable, or nil when the attempt must build a
+// fresh one: nothing cached yet, the reuse quarantine has tripped, or
+// the instance cannot be rewound — such machines are rebuilt per job
+// exactly as before the cache existed.
+func (p *Pool) cachedMachine(t Task, ws *workerState) core.Machine {
 	key := t.instanceKey()
-	if cached, ok := ws.machines[key]; ok && !p.reuseOff.Load() {
-		if r, isReset := cached.(core.Resettable); isReset {
-			r.Reset()
-			p.metrics.machineReused()
-			return cached, true, nil
-		}
-		delete(ws.machines, key)
+	cached, ok := ws.machines[key]
+	if !ok || p.reuseOff.Load() {
+		return nil
 	}
-	m, err := t.Factory(t.Machine)
-	if err != nil {
-		return nil, false, err
+	if r, isReset := cached.(core.Resettable); isReset {
+		r.Reset()
+		p.metrics.machineReused()
+		return cached
 	}
-	p.metrics.machineBuilt()
-	return m, false, nil
+	delete(ws.machines, key)
+	return nil
 }
 
 // cacheMachine stores a cleanly used instance for the next job on this

@@ -93,7 +93,7 @@ func TestPoolRetriesTransientTaskErrors(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, JobTimeout: time.Minute, Faults: faults.New(1)})
 	defer p.Close()
 	var calls atomic.Int32
-	fut, err := p.Submit(Task{
+	fut, err := submitOne(p, Task{
 		Label: "flaky",
 		Run: func(context.Context) (core.Result, error) {
 			if calls.Add(1) < 3 {
@@ -122,7 +122,7 @@ func TestPoolDoesNotRetryPermanentErrors(t *testing.T) {
 	defer p.Close()
 	var calls atomic.Int32
 	perm := errors.New("invalid configuration")
-	fut, err := p.Submit(Task{
+	fut, err := submitOne(p, Task{
 		Label: "broken",
 		Run: func(context.Context) (core.Result, error) {
 			calls.Add(1)
@@ -145,7 +145,7 @@ func TestPoolDoesNotRetryPermanentErrors(t *testing.T) {
 func TestDeterminismGuardOnReexecution(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, JobTimeout: time.Minute, Faults: faults.New(1)})
 	defer p.Close()
-	seed, err := p.Submit(Task{Label: "seed", MemoKey: "k3", Run: okTask(500)})
+	seed, err := submitOne(p, Task{Label: "seed", MemoKey: "k3", Run: okTask(500)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +181,14 @@ func TestDeterminismGuardOnCorruptedMemoRead(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, JobTimeout: time.Minute, Faults: reg})
 	defer p.Close()
 
-	seed, err := p.Submit(Task{Label: "seed", MemoKey: "k", Run: okTask(42)})
+	seed, err := submitOne(p, Task{Label: "seed", MemoKey: "k", Run: okTask(42)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, werr := seed.Wait(context.Background()); werr != nil {
 		t.Fatal(werr)
 	}
-	hit, err := p.Submit(Task{Label: "hit", MemoKey: "k", Run: okTask(42)})
+	hit, err := submitOne(p, Task{Label: "hit", MemoKey: "k", Run: okTask(42)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +200,9 @@ func TestDeterminismGuardOnCorruptedMemoRead(t *testing.T) {
 	}
 }
 
+// TestTrySubmitShedsWhenSaturated pins Pool.Submit's shedding mode:
+// with every worker busy and the queue full, the task is refused with
+// ErrOverloaded instead of waiting for room.
 func TestTrySubmitShedsWhenSaturated(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, QueueDepth: 1, JobTimeout: time.Minute, Faults: faults.New(1)})
 	defer p.Close()
@@ -210,18 +213,18 @@ func TestTrySubmitShedsWhenSaturated(t *testing.T) {
 	}
 	// One running, one queued: the pool is then saturated. Wait for the
 	// worker to pick the first task up before filling the queue slot.
-	first, err := p.TrySubmit(Task{Label: "slow0", Run: slow})
+	first, err := trySubmitOne(p, Task{Label: "slow0", Run: slow})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-first.started
-	second, err := p.TrySubmit(Task{Label: "slow1", Run: slow})
+	second, err := trySubmitOne(p, Task{Label: "slow1", Run: slow})
 	if err != nil {
 		t.Fatalf("queue-slot submit: %v", err)
 	}
 	futs := []*Future{first, second}
-	if _, err := p.TrySubmit(Task{Label: "shed-me", Run: slow}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("saturated TrySubmit: %v, want ErrOverloaded", err)
+	if _, err := trySubmitOne(p, Task{Label: "shed-me", Run: slow}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("saturated shedding submit: %v, want ErrOverloaded", err)
 	}
 	if snap := p.Metrics().Snapshot(); snap.Shed != 1 {
 		t.Fatalf("shed not metered: %+v", snap)
@@ -262,7 +265,7 @@ func TestServiceBreakerOpensAndRecovers(t *testing.T) {
 
 	// Two failures trip the VIRAM breaker.
 	for i := 0; i < 2; i++ {
-		job, err := s.Admit(spec)
+		job, _, err := s.Admit(spec, "", BatchOptions{})
 		if err != nil {
 			t.Fatalf("admit %d: %v", i, err)
 		}
@@ -274,11 +277,11 @@ func TestServiceBreakerOpensAndRecovers(t *testing.T) {
 	if st := s.Breakers().Get("VIRAM").State(); st != resilience.Open {
 		t.Fatalf("VIRAM breaker %s, want open", st)
 	}
-	if _, err := s.Admit(spec); !errors.Is(err, resilience.ErrBreakerOpen) {
+	if _, _, err := s.Admit(spec, "", BatchOptions{}); !errors.Is(err, resilience.ErrBreakerOpen) {
 		t.Fatalf("open breaker admitted: %v", err)
 	}
 	// Other machines are unaffected.
-	if _, err := s.Admit(JobSpec{Machine: "Raw", Kernel: core.CornerTurn, Workload: &w}); err != nil {
+	if _, _, err := s.Admit(JobSpec{Machine: "Raw", Kernel: core.CornerTurn, Workload: &w}, "", BatchOptions{}); err != nil {
 		t.Fatalf("Raw admission: %v", err)
 	}
 	// Health reports the open breaker and degrades.
@@ -290,14 +293,20 @@ func TestServiceBreakerOpensAndRecovers(t *testing.T) {
 	failing.Store(false)
 	later := now.Load().Add(2 * time.Hour)
 	now.Store(&later)
-	if _, err := s.Admit(spec); err != nil {
+	if _, _, err := s.Admit(spec, "", BatchOptions{}); err != nil {
 		t.Fatalf("probe not admitted after interval: %v", err)
 	}
 }
 
+// unresettable hides a machine's Reset, so workers never cache it: every
+// job builds a fresh instance and so consults the factory.
+type unresettable struct{ core.Machine }
+
 // breakerTestService builds a service whose factory fails while failing
 // is set and whose breaker trips on one failure, with a manually
-// advanced clock.
+// advanced clock. Its machines cannot be reused, so every job reaches
+// the factory — and sees it fail — even on a worker that already ran
+// the same machine.
 func breakerTestService(pool PoolOptions, failing *atomic.Bool, now *atomic.Pointer[time.Time]) *Service {
 	boom := errors.New("backend down")
 	return NewService(Options{
@@ -306,7 +315,8 @@ func breakerTestService(pool PoolOptions, failing *atomic.Bool, now *atomic.Poin
 			if failing.Load() {
 				return nil, boom
 			}
-			return machines.ByName(name)
+			m, err := machines.ByName(name)
+			return unresettable{m}, err
 		},
 		Breaker: resilience.BreakerConfig{
 			FailureThreshold: 1,
@@ -337,7 +347,7 @@ func TestBreakerShedProbeDoesNotWedge(t *testing.T) {
 	spec := JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn, Workload: &w}
 
 	// One failure trips the breaker open.
-	job, err := s.Admit(spec)
+	job, _, err := s.Admit(spec, "", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,12 +364,12 @@ func TestBreakerShedProbeDoesNotWedge(t *testing.T) {
 		<-release
 		return core.Result{Cycles: 1, Verified: true}, nil
 	}
-	first, err := s.Pool().TrySubmit(Task{Label: "slow0", Run: slow})
+	first, err := trySubmitOne(s.Pool(), Task{Label: "slow0", Run: slow})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-first.started
-	second, err := s.Pool().TrySubmit(Task{Label: "slow1", Run: slow})
+	second, err := trySubmitOne(s.Pool(), Task{Label: "slow1", Run: slow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +379,7 @@ func TestBreakerShedProbeDoesNotWedge(t *testing.T) {
 	failing.Store(false)
 	later := now.Load().Add(2 * time.Hour)
 	now.Store(&later)
-	if _, err := s.Admit(spec); !errors.Is(err, ErrOverloaded) {
+	if _, _, err := s.Admit(spec, "", BatchOptions{}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated admit: %v, want ErrOverloaded", err)
 	}
 
@@ -382,7 +392,7 @@ func TestBreakerShedProbeDoesNotWedge(t *testing.T) {
 
 	// The shed must have released the probe slot: the next admission is
 	// the real probe, not an ErrBreakerOpen from a leaked slot.
-	job, err = s.Admit(spec)
+	job, _, err = s.Admit(spec, "", BatchOptions{})
 	if err != nil {
 		t.Fatalf("probe after shed rejected: %v", err)
 	}
@@ -424,7 +434,7 @@ func TestBreakerCacheHitProbeDoesNotWedge(t *testing.T) {
 
 	// Trip the breaker with a failing run of a non-memoized spec.
 	failing.Store(true)
-	job, err = s.Admit(fresh)
+	job, _, err = s.Admit(fresh, "", BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +450,7 @@ func TestBreakerCacheHitProbeDoesNotWedge(t *testing.T) {
 
 	// The probe is answered from the memo: served fine, but the circuit
 	// stays half-open because the backend was never exercised.
-	job, err = s.Admit(warm)
+	job, _, err = s.Admit(warm, "", BatchOptions{})
 	if err != nil {
 		t.Fatalf("cache-hit probe rejected: %v", err)
 	}
@@ -453,7 +463,7 @@ func TestBreakerCacheHitProbeDoesNotWedge(t *testing.T) {
 	}
 
 	// The slot came back: a real probe is admitted and recloses.
-	job, err = s.Admit(fresh)
+	job, _, err = s.Admit(fresh, "", BatchOptions{})
 	if err != nil {
 		t.Fatalf("probe after cache hit rejected: %v", err)
 	}
@@ -473,14 +483,14 @@ func TestPoolCloseReleasesGoroutines(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 4, QueueDepth: 8, JobTimeout: time.Minute, Faults: faults.New(1)})
 	var futs []*Future
 	for i := 0; i < 8; i++ {
-		fut, err := p.Submit(Task{Label: fmt.Sprintf("t%d", i), Run: okTask(uint64(i + 1))})
+		fut, err := submitOne(p, Task{Label: fmt.Sprintf("t%d", i), Run: okTask(uint64(i + 1))})
 		if err != nil {
 			t.Fatal(err)
 		}
 		futs = append(futs, fut)
 	}
 	p.Close()
-	if _, err := p.Submit(Task{Label: "post-close", Run: okTask(1)}); !errors.Is(err, ErrPoolClosed) {
+	if _, err := submitOne(p, Task{Label: "post-close", Run: okTask(1)}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("submit after close: %v, want ErrPoolClosed", err)
 	}
 	// Every future resolves — completed, or failed with pool-closed for
@@ -511,7 +521,7 @@ func TestFutureWaitRacesPoolShutdown(t *testing.T) {
 		p := NewPool(PoolOptions{Workers: 2, QueueDepth: 2, JobTimeout: time.Minute, Faults: faults.New(1)})
 		var wg sync.WaitGroup
 		for i := 0; i < 8; i++ {
-			fut, err := p.TrySubmit(Task{Label: fmt.Sprintf("r%d-t%d", round, i), Run: okTask(uint64(i + 1))})
+			fut, err := trySubmitOne(p, Task{Label: fmt.Sprintf("r%d-t%d", round, i), Run: okTask(uint64(i + 1))})
 			if err != nil {
 				if !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrPoolClosed) {
 					t.Fatalf("submit: %v", err)

@@ -75,7 +75,7 @@ func TestLeakyResetTripsDeterminismGuard(t *testing.T) {
 
 	tripped := false
 	for i := 0; i < 6; i++ {
-		fut, err := p.Submit(reuseTask(fmt.Sprintf("leak-%d", i), factory))
+		fut, err := submitOne(p, reuseTask(fmt.Sprintf("leak-%d", i), factory))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestLeakyResetTripsDeterminismGuard(t *testing.T) {
 	// The quarantine: after a trip, instance reuse is off pool-wide, so
 	// every further cell runs fresh and correct.
 	for i := 0; i < 3; i++ {
-		fut, err := p.Submit(reuseTask(fmt.Sprintf("post-%d", i), factory))
+		fut, err := submitOne(p, reuseTask(fmt.Sprintf("post-%d", i), factory))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestHonestResetReusesInstances(t *testing.T) {
 	factory := leakyFactory(false)
 
 	for i := 0; i < 5; i++ {
-		fut, err := p.Submit(reuseTask(fmt.Sprintf("honest-%d", i), factory))
+		fut, err := submitOne(p, reuseTask(fmt.Sprintf("honest-%d", i), factory))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestReuseSamplingStride(t *testing.T) {
 	defer p.Close()
 	factory := leakyFactory(false)
 	for i := 0; i < 9; i++ {
-		fut, err := p.Submit(reuseTask(fmt.Sprintf("stride-%d", i), factory))
+		fut, err := submitOne(p, reuseTask(fmt.Sprintf("stride-%d", i), factory))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestReuseUnderCoalescedDuplicates(t *testing.T) {
 			},
 		}
 	}
-	futs, err := p.SubmitBatch(context.Background(), tasks)
+	futs, err := p.Submit(context.Background(), tasks, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestReuseDisabledBySampleEveryNegative(t *testing.T) {
 	defer p.Close()
 	factory := leakyFactory(false)
 	for i := 0; i < 4; i++ {
-		fut, err := p.Submit(reuseTask(fmt.Sprintf("nosample-%d", i), factory))
+		fut, err := submitOne(p, reuseTask(fmt.Sprintf("nosample-%d", i), factory))
 		if err != nil {
 			t.Fatal(err)
 		}

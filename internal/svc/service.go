@@ -28,10 +28,11 @@ var ErrJobEvicted = errors.New("svc: job evicted from registry")
 // Options configures a Service. The zero value is usable.
 type Options struct {
 	Pool PoolOptions
-	// Factory builds fresh machine instances per job; nil means
-	// machines.ByName (the paper configurations). The factory is
-	// wrapped with the machines.FaultPoint chaos hook when a fault
-	// registry is active.
+	// Factory builds the machine instances jobs run on — each worker
+	// builds one per machine and configuration and rewinds it between
+	// jobs; nil means machines.ByName (the paper configurations). The
+	// factory is wrapped with the machines.FaultPoint chaos hook when a
+	// fault registry is active.
 	Factory MachineFactory
 	// MaxJobs bounds the job registry; once exceeded the oldest
 	// terminal jobs are evicted. <= 0 means 4096.
@@ -215,232 +216,6 @@ func (s *Service) Close() {
 	}
 }
 
-// Submit normalizes, registers, and enqueues one job, returning a
-// snapshot of its initial state. Cache hits come back already Done.
-// Submit blocks for a queue slot when the pool is saturated
-// (backpressure); batch drivers want that.
-func (s *Service) Submit(spec JobSpec) (Job, error) {
-	j, _, err := s.submit(AdmitOptions{}, spec, true)
-	return j, err
-}
-
-// Admit is Submit with load shedding instead of backpressure: when
-// every worker is busy and the queue is full the job is refused with
-// ErrOverloaded (HTTP 429 upstairs), and when the machine's circuit
-// breaker is open it is refused with resilience.ErrBreakerOpen (503).
-// The serving layer uses Admit so saturation never queues unboundedly.
-func (s *Service) Admit(spec JobSpec) (Job, error) {
-	j, _, err := s.submit(AdmitOptions{}, spec, false)
-	return j, err
-}
-
-// AdmitWithKey is Admit under an idempotency key: when the key is
-// already bound to a live job — including one restored by journal
-// replay after a crash — that job's snapshot is returned (replayed =
-// true) instead of duplicate work. An empty key falls back to the
-// canonical spec hash on a durable service, so a blind client retry
-// of the same spec after a crash finds its original job; without a
-// journal an empty key means no deduplication, preserving the
-// one-job-per-submit behavior batch drivers rely on.
-func (s *Service) AdmitWithKey(key string, spec JobSpec) (job Job, replayed bool, err error) {
-	return s.submit(AdmitOptions{IdemKey: key}, spec, false)
-}
-
-// AdmitOptions carries the per-request admission qualifiers of
-// AdmitWith. The zero value is AdmitWithKey's behavior: no key,
-// interactive priority, no deadline budget.
-type AdmitOptions struct {
-	// IdemKey deduplicates resubmissions (see AdmitWithKey).
-	IdemKey string
-	// Priority selects the admission class; empty means interactive.
-	Priority Priority
-	// Budget, when positive, is the client's remaining deadline budget:
-	// the admission is refused fast with ErrBudgetExhausted when the
-	// executed-job drain estimate says the job could not finish inside
-	// it, and an admitted job that outlives the budget in the queue is
-	// dropped at worker pickup instead of occupying a slot. Memo hits
-	// and idempotent replays are exempt — they answer in microseconds
-	// regardless of pool pressure.
-	Budget time.Duration
-}
-
-// AdmitWith is AdmitWithKey plus priority class and deadline budget —
-// the full admission-control entry point the HTTP layer uses.
-func (s *Service) AdmitWith(opts AdmitOptions, spec JobSpec) (job Job, replayed bool, err error) {
-	return s.submit(opts, spec, false)
-}
-
-func (s *Service) submit(opts AdmitOptions, spec JobSpec, block bool) (Job, bool, error) {
-	idemKey := opts.IdemKey
-	norm, err := spec.Normalize()
-	if err != nil {
-		return Job{}, false, err
-	}
-	hash, err := norm.Hash()
-	if err != nil {
-		return Job{}, false, err
-	}
-	key := idemKey
-	if key == "" && s.journal != nil {
-		key = hash
-	}
-
-	// Deadline-budget fast-reject: when the remaining budget cannot
-	// cover the executed-job drain estimate, refuse now (504 upstairs)
-	// instead of queueing work that is doomed to expire. Memo hits and
-	// idempotent replays are exempt — they answer in microseconds no
-	// matter how deep the queue is.
-	if !block && opts.Budget > 0 && !s.pool.MemoHas(hash) && !s.idemLive(key) {
-		if est := s.drainEstimate(opts.Priority); est > opts.Budget {
-			s.pool.Metrics().budgetRejected()
-			return Job{}, false, fmt.Errorf("svc: %s/%s: remaining budget %s below drain estimate %s: %w",
-				norm.Machine, norm.Kernel, opts.Budget, est, ErrBudgetExhausted)
-		}
-	}
-
-	breaker := s.breakers.Get(norm.Machine)
-	if !block {
-		if err := breaker.Allow(); err != nil {
-			s.pool.Metrics().breakerRejected()
-			return Job{}, false, fmt.Errorf("svc: machine %s: %w", norm.Machine, err)
-		}
-	}
-
-	s.mu.Lock()
-	if key != "" {
-		if id, ok := s.idem[key]; ok {
-			if j, live := s.jobs[id]; live {
-				cp := j.clone(true)
-				s.mu.Unlock()
-				if !block {
-					// The admitted slot was never used: an idempotent
-					// replay exercises no backend.
-					breaker.Cancel()
-				}
-				return cp, true, nil
-			}
-			delete(s.idem, key) // bound to an evicted job; issue fresh work
-		}
-	}
-	s.seq++
-	job := &Job{
-		ID:        fmt.Sprintf("%sj%06d-%s", s.idPrefix, s.seq, hash[:8]),
-		Spec:      norm,
-		Hash:      hash,
-		IdemKey:   key,
-		State:     Queued,
-		Tier:      TierSimulate,
-		Priority:  opts.Priority,
-		Submitted: time.Now(),
-	}
-	// One backing array sized for the common accepted→queued→started→done
-	// lifecycle; only retries grow it.
-	job.Trace = append(make([]obs.Event, 0, 4), obs.Event{Name: obs.EventAccepted, Time: job.Submitted})
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	if key != "" {
-		s.idem[key] = job.ID
-	}
-	// Acceptance is journaled before the client hears about the job;
-	// if the journal cannot persist it, the job is refused — a durable
-	// service must not accept work it cannot promise to remember.
-	if jerr := s.journalAcceptedLocked(job); jerr != nil {
-		delete(s.jobs, job.ID)
-		s.order = s.order[:len(s.order)-1]
-		if key != "" {
-			delete(s.idem, key)
-		}
-		s.mu.Unlock()
-		if !block {
-			breaker.Cancel()
-		}
-		return Job{}, false, jerr
-	}
-	// The queued event lands before the pool sees the task so a cache
-	// hit's completion goroutine can never write its terminal event
-	// first and leave the trace out of order.
-	job.Trace = append(job.Trace, obs.Event{Name: obs.EventQueued, Time: time.Now()})
-	s.evictLocked()
-	s.mu.Unlock()
-
-	task := Task{
-		Label:    fmt.Sprintf("%s/%s", norm.Machine, norm.Kernel),
-		MemoKey:  hash,
-		Cell:     obs.Labels{Machine: norm.Machine, Kernel: string(norm.Kernel)},
-		Priority: opts.Priority,
-		OnRetry: func(attempt int, err error) {
-			s.traceEvent(job.ID, obs.EventRetried, fmt.Sprintf("attempt %d: %v", attempt, err))
-		},
-		Run: func(context.Context) (core.Result, error) {
-			s.markRunning(job.ID)
-			return runSpec(s.factoryFor(norm), norm)
-		},
-	}
-	if opts.Budget > 0 {
-		task.Expires = time.Now().Add(opts.Budget)
-	}
-	var fut *Future
-	if block {
-		fut, err = s.pool.Submit(task)
-	} else {
-		fut, err = s.pool.TrySubmit(task)
-	}
-	if err != nil {
-		if !block {
-			// The job never reached a worker: the backend was not
-			// exercised, so the breaker learns nothing from a shed — but
-			// the admitted slot must be released, or a shed probe would
-			// wedge a half-open breaker until restart.
-			breaker.Cancel()
-			s.drop(job.ID)
-			return Job{}, false, err
-		}
-		s.finish(job.ID, core.Result{}, false, err)
-		return s.snapshot(job.ID), false, err
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		res, werr := fut.Wait(context.Background())
-		if !block {
-			// Pair the Allow above with exactly one outcome report: a
-			// memo hit never exercised the backend, so its slot is
-			// released without evidence — and so is a job dropped in
-			// the queue because its deadline budget ran out, which
-			// says nothing about the machine backend's health.
-			if fut.FromCache() || errors.Is(werr, ErrBudgetExhausted) {
-				breaker.Cancel()
-			} else {
-				breaker.Record(werr == nil)
-			}
-		}
-		s.finish(job.ID, res, fut.FromCache(), werr)
-		// Every fresh execution is checked against the analytic model it
-		// should never undercut; cache hits were checked when they ran.
-		if werr == nil && !fut.FromCache() {
-			s.recordModelDrift(norm, res)
-		}
-	}()
-	return s.snapshot(job.ID), false, nil
-}
-
-// idemLive reports whether key is bound to a live job — an admission
-// that would be answered by idempotent replay, instantly, regardless of
-// pool pressure.
-func (s *Service) idemLive(key string) bool {
-	if key == "" {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id, ok := s.idem[key]
-	if !ok {
-		return false
-	}
-	_, live := s.jobs[id]
-	return live
-}
-
 // drainEstimate predicts how long a newly admitted job of the given
 // priority waits before finishing: the jobs queued ahead of it drained
 // in worker-wide waves, each wave costing the rolling executed-job p99
@@ -524,6 +299,7 @@ func (s *Service) drop(id string) {
 	}
 	s.removeFromOrderLocked(id)
 	s.journalEventLocked(eventAborted, j)
+	close(j.done)
 }
 
 // removeFromOrderLocked drops one ID from the submission-order slice.
@@ -636,27 +412,25 @@ func (s *Service) wasEvicted(id string) bool {
 // returns the final snapshot. A job dropped by registry eviction is
 // reported as ErrJobEvicted, distinct from a never-issued ID.
 func (s *Service) Wait(ctx context.Context, id string) (Job, error) {
-	// Poll-free would need a per-job channel; jobs are seconds-long, so
-	// a short poll keeps the registry simple.
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		j, ok := s.Job(id)
-		if !ok {
-			if s.wasEvicted(id) {
-				return Job{}, fmt.Errorf("svc: job %q: %w", id, ErrJobEvicted)
-			}
-			return Job{}, fmt.Errorf("svc: unknown job %q", id)
-		}
-		if j.State.Terminal() {
-			return j, nil
-		}
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
+	if ok {
 		select {
+		case <-j.done:
 		case <-ctx.Done():
-			return j, ctx.Err()
-		case <-tick.C:
+			if cur, ok := s.Job(id); ok && !cur.State.Terminal() {
+				return cur, ctx.Err()
+			}
 		}
 	}
+	if cur, ok := s.Job(id); ok {
+		return cur, nil
+	}
+	if s.wasEvicted(id) {
+		return Job{}, fmt.Errorf("svc: job %q: %w", id, ErrJobEvicted)
+	}
+	return Job{}, fmt.Errorf("svc: unknown job %q", id)
 }
 
 func (s *Service) markRunning(id string) {
@@ -677,6 +451,7 @@ func (s *Service) finish(id string, res core.Result, fromCache bool, err error) 
 	if !ok || j.State.Terminal() {
 		return
 	}
+	defer close(j.done)
 	j.Finished = time.Now()
 	j.FromCache = fromCache
 	if err != nil {
@@ -837,7 +612,7 @@ func runStudy(ctx context.Context, p *Pool, factory MachineFactory, names []stri
 		ms[i] = m
 	}
 
-	// The whole grid goes through SubmitBatch in one group: one queue
+	// The whole grid goes through one Pool.Submit: one queue
 	// reservation per wave, memo/coalescing pre-filter up front, and
 	// per-worker machine reuse across cells of the same machine.
 	type cell struct {
@@ -872,7 +647,7 @@ func runStudy(ctx context.Context, p *Pool, factory MachineFactory, names []stri
 			})
 		}
 	}
-	futs, err := p.SubmitBatch(ctx, tasks)
+	futs, err := p.Submit(ctx, tasks, false)
 	if err != nil {
 		return nil, err
 	}

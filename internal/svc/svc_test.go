@@ -34,6 +34,28 @@ func okTask(cycles uint64) func(context.Context) (core.Result, error) {
 	}
 }
 
+// submitOne is Pool.Submit for one task that waits for queue room.
+func submitOne(p *Pool, t Task) (*Future, error) {
+	futs, err := p.Submit(context.Background(), []Task{t}, false)
+	if err != nil {
+		return nil, err
+	}
+	return futs[0], nil
+}
+
+// trySubmitOne is Pool.Submit for one task in shedding mode, reporting
+// a task the full queue refused as its ErrOverloaded.
+func trySubmitOne(p *Pool, t Task) (*Future, error) {
+	futs, err := p.Submit(context.Background(), []Task{t}, true)
+	if err != nil {
+		return nil, err
+	}
+	if futs[0].shed() {
+		return nil, futs[0].err
+	}
+	return futs[0], nil
+}
+
 // TestPoolConcurrentSubmitters hammers one pool from many goroutines;
 // run under -race this is the subsystem's data-race check.
 func TestPoolConcurrentSubmitters(t *testing.T) {
@@ -53,7 +75,7 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < perSubmitter; j++ {
-				fut, err := p.Submit(Task{
+				fut, err := submitOne(p, Task{
 					Label: fmt.Sprintf("s%d-%d", i, j),
 					Run: func(context.Context) (core.Result, error) {
 						ran.Add(1)
@@ -91,7 +113,7 @@ func TestPoolTimeout(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 2, JobTimeout: 30 * time.Millisecond})
 	defer p.Close()
 	release := make(chan struct{})
-	fut, err := p.Submit(Task{
+	fut, err := submitOne(p, Task{
 		Label: "slow",
 		Run: func(ctx context.Context) (core.Result, error) {
 			<-release // longer than the deadline
@@ -111,7 +133,7 @@ func TestPoolTimeout(t *testing.T) {
 		t.Fatalf("timeout metrics: %+v", snap)
 	}
 	// The worker slot is free again: a fast job still completes.
-	fut2, err := p.Submit(Task{Label: "fast", Run: okTask(1)})
+	fut2, err := submitOne(p, Task{Label: "fast", Run: okTask(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +145,7 @@ func TestPoolTimeout(t *testing.T) {
 func TestPoolPanicIsolation(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 2})
 	defer p.Close()
-	fut, err := p.Submit(Task{
+	fut, err := submitOne(p, Task{
 		Label: "boom",
 		Run: func(context.Context) (core.Result, error) {
 			panic("simulated simulator bug")
@@ -141,7 +163,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 		t.Fatalf("panic metrics: %+v", snap)
 	}
 	// The pool survived: later tasks run normally.
-	fut2, err := p.Submit(Task{Label: "after", Run: okTask(2)})
+	fut2, err := submitOne(p, Task{Label: "after", Run: okTask(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +184,7 @@ func TestPoolMemoization(t *testing.T) {
 			return core.Result{Cycles: 42, Verified: true}, nil
 		},
 	}
-	first, err := p.Submit(task)
+	first, err := submitOne(p, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +192,7 @@ func TestPoolMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := p.Submit(task)
+	second, err := submitOne(p, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +216,7 @@ func TestPoolMemoization(t *testing.T) {
 
 func TestPoolClose(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1})
-	fut, err := p.Submit(Task{Label: "pre-close", Run: okTask(1)})
+	fut, err := submitOne(p, Task{Label: "pre-close", Run: okTask(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +224,7 @@ func TestPoolClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
-	if _, err := p.Submit(Task{Label: "post-close", Run: okTask(1)}); !errors.Is(err, ErrPoolClosed) {
+	if _, err := submitOne(p, Task{Label: "post-close", Run: okTask(1)}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("submit after close: %v, want ErrPoolClosed", err)
 	}
 	p.Close() // idempotent

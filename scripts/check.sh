@@ -32,6 +32,12 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
+# bench/ is its own Go module (it replaces sigkern with ../), so the
+# root ./... patterns never compile it; vet and test it explicitly so a
+# change to the svc API it calls cannot slip through.
+echo "== bench: go vet ./... && go test -short ./..."
+(cd bench && go vet ./... && go test -short ./...)
+
 echo "== dse-smoke"
 ./scripts/dse_smoke.sh
 
