@@ -119,7 +119,10 @@ bench-json:
 # benchdiff takes a fresh snapshot and diffs it against the committed
 # baseline: simulated cycle counts must be bit-identical (the machine
 # models are deterministic), and wall-clock ns/op may not regress beyond
-# the tolerance. The tool's default gate is 15%; shared CI runners and
+# the tolerance. BENCH_PR14.json is the fixed anchor: a later change adds
+# its own baseline as a second diff below and never re-points this one,
+# so slowdowns that each stay inside the tolerance cannot accumulate
+# unseen. The tool's default gate is 15%; shared CI runners and
 # single-CPU containers jitter ±20% run-to-run even with min-of-N
 # sampling, so the make target loosens the wall-clock gate to 30% —
 # tighten with BENCH_TOL=0.15 on quiet dedicated hardware. The
@@ -127,7 +130,7 @@ bench-json:
 # that cannot be noise.
 BENCH_TOL ?= 0.30
 benchdiff: bench-json
-	$(GO) run scripts/benchdiff.go -tol $(BENCH_TOL) BENCH_PR10.json BENCH.json
+	$(GO) run scripts/benchdiff.go -tol $(BENCH_TOL) BENCH_PR14.json BENCH.json
 
 clean:
 	$(GO) clean ./...

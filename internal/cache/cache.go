@@ -19,7 +19,6 @@ import (
 	"math/bits"
 
 	"sigkern/internal/dram"
-	"sigkern/internal/sim"
 )
 
 // Level is anything that can serve a line-sized access: a lower cache or
@@ -46,6 +45,9 @@ func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0:
 		return errors.New("cache: sizes and associativity must be positive")
+	case c.LineBytes < 4:
+		// Lines are filled from DRAM in whole 32-bit words.
+		return fmt.Errorf("cache %s: LineBytes %d below one 4-byte word", c.Name, c.LineBytes)
 	case c.HitLatency < 0:
 		return errors.New("cache: negative hit latency")
 	case c.SizeBytes%(c.LineBytes*c.Assoc) != 0:
@@ -85,13 +87,18 @@ type line struct {
 	used  uint64 // LRU timestamp
 }
 
+// Counters are one level's event counts since the last Reset.
+type Counters struct {
+	Hits, Misses, Writebacks uint64
+}
+
 // Cache is one simulated cache level. It is not safe for concurrent use.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
-	lower Level
-	tick  uint64
-	stats sim.Stats
+	cfg      Config
+	sets     [][]line
+	lower    Level
+	tick     uint64
+	counters Counters
 }
 
 // New returns a cache over the given lower level. It panics on an invalid
@@ -108,7 +115,7 @@ func New(cfg Config, lower Level) *Cache {
 	return c
 }
 
-// Reset invalidates every line and clears statistics. The set arrays
+// Reset invalidates every line and clears the counters. The set arrays
 // are allocated once (over a single flat backing slice) and zeroed on
 // later resets: the simulators reset between every kernel run, and the
 // PPC hierarchy alone holds over a thousand sets.
@@ -126,7 +133,7 @@ func (c *Cache) Reset() {
 		}
 	}
 	c.tick = 0
-	c.stats = sim.Stats{}
+	c.counters = Counters{}
 	if lc, ok := c.lower.(interface{ Reset() }); ok {
 		lc.Reset()
 	}
@@ -138,8 +145,8 @@ func (c *Cache) Config() Config { return c.cfg }
 // LineBytes implements Level.
 func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 
-// Stats returns this level's counters (hits, misses, writebacks).
-func (c *Cache) Stats() sim.Stats { return c.stats }
+// Counters returns this level's hits, misses and writebacks.
+func (c *Cache) Counters() Counters { return c.counters }
 
 // Access implements Level: it serves the access and returns its latency.
 func (c *Cache) Access(addr int, write bool) uint64 {
@@ -158,11 +165,11 @@ func (c *Cache) Access(addr int, write bool) uint64 {
 			if write {
 				ways[i].dirty = true
 			}
-			c.stats.Inc("hits", 1)
+			c.counters.Hits++
 			return uint64(c.cfg.HitLatency)
 		}
 	}
-	c.stats.Inc("misses", 1)
+	c.counters.Misses++
 
 	// Choose the LRU victim.
 	victim := 0
@@ -181,7 +188,7 @@ func (c *Cache) Access(addr int, write bool) uint64 {
 		// we charge the lower level's occupancy but not its full latency.
 		victimAddr := (ways[victim].tag*len(c.sets) + set) * c.cfg.LineBytes
 		c.lower.Access(victimAddr, true)
-		c.stats.Inc("writebacks", 1)
+		c.counters.Writebacks++
 	}
 	lat += c.lower.Access(addr, false)
 	ways[victim] = line{tag: tag, valid: true, dirty: write, used: c.tick}
@@ -190,7 +197,7 @@ func (c *Cache) Access(addr int, write bool) uint64 {
 
 // MissRate returns misses / (hits + misses), or 0 when idle.
 func (c *Cache) MissRate() float64 {
-	h, m := c.stats.Get("hits"), c.stats.Get("misses")
+	h, m := c.counters.Hits, c.counters.Misses
 	if h+m == 0 {
 		return 0
 	}

@@ -23,6 +23,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 32 << 10, LineBytes: 33, Assoc: 8}, // not power of two
 		{SizeBytes: 48 << 10, LineBytes: 32, Assoc: 5}, // set count not pow2
 		{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 8, HitLatency: -1},
+		{SizeBytes: 32 << 10, LineBytes: 2, Assoc: 8}, // line below one word
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -41,8 +42,8 @@ func TestColdMissThenHit(t *testing.T) {
 	if lat2 != uint64(c.Config().HitLatency) {
 		t.Fatalf("second access latency %d, want hit latency %d", lat2, c.Config().HitLatency)
 	}
-	if c.Stats().Get("hits") != 1 || c.Stats().Get("misses") != 1 {
-		t.Fatalf("stats: %s", c.Stats())
+	if s := c.Counters(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("counters: %+v", s)
 	}
 }
 
@@ -84,12 +85,12 @@ func TestWritebackOfDirtyVictim(t *testing.T) {
 	c := New(cfg, lower)
 	c.Access(0, true)    // dirty line in set 0
 	c.Access(256, false) // evicts it -> writeback
-	if c.Stats().Get("writebacks") != 1 {
-		t.Fatalf("writebacks = %d, want 1", c.Stats().Get("writebacks"))
+	if c.Counters().Writebacks != 1 {
+		t.Fatalf("writebacks = %d, want 1", c.Counters().Writebacks)
 	}
 	// Clean eviction: no writeback.
 	c.Access(512, false)
-	if c.Stats().Get("writebacks") != 1 {
+	if c.Counters().Writebacks != 1 {
 		t.Fatalf("clean eviction caused writeback")
 	}
 }
@@ -102,7 +103,7 @@ func TestTwoLevelHierarchyOverDRAM(t *testing.T) {
 	cold := l1.Access(0, false)
 	hitL1 := l1.Access(4, false)
 	l1.Reset() // also resets L2 and DRAM via the Reset interface
-	if l2.Stats().Get("misses") != 0 {
+	if l2.Counters().Misses != 0 {
 		t.Fatal("Reset did not propagate to L2")
 	}
 	if cold <= hitL1 {
@@ -183,8 +184,8 @@ func TestAccessAccountingProperty(t *testing.T) {
 			}
 			n++
 		}
-		s := c.Stats()
-		return s.Get("hits")+s.Get("misses") == n
+		s := c.Counters()
+		return s.Hits+s.Misses == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -23,9 +23,9 @@ func FuzzAccessInvariants(f *testing.F) {
 			}
 			n++
 		}
-		s := c.Stats()
-		if s.Get("hits")+s.Get("misses") != n {
-			t.Fatalf("accounting: %d+%d != %d", s.Get("hits"), s.Get("misses"), n)
+		s := c.Counters()
+		if s.Hits+s.Misses != n {
+			t.Fatalf("accounting: %d+%d != %d", s.Hits, s.Misses, n)
 		}
 	})
 }

@@ -70,6 +70,8 @@ func (c Config) Validate() error {
 		return errors.New("dram: AddrGens must be positive")
 	case c.TRP < 0 || c.TRCD < 0 || c.CAS < 0:
 		return errors.New("dram: negative timing parameter")
+	case c.InterleaveWords < 0:
+		return fmt.Errorf("dram: InterleaveWords %d must not be negative", c.InterleaveWords)
 	}
 	return nil
 }
@@ -166,13 +168,20 @@ type StreamResult struct {
 	Words uint64
 }
 
+// Counters are a controller's event counts since the last Reset.
+type Counters struct {
+	RowMisses, WordsRead, WordsWritten uint64
+	StreamRequests, BusyCycles         uint64
+	LineFetches                        uint64
+}
+
 // Controller simulates one DRAM array. It is not safe for concurrent use.
 type Controller struct {
 	cfg      Config
 	openRow  []int    // open row per bank, -1 = closed
 	bankFree []uint64 // cycle at which each bank can accept a new activate
 	clock    sim.Clock
-	stats    sim.Stats
+	counters Counters
 }
 
 // NewController returns a controller for cfg. It panics if cfg is invalid,
@@ -197,11 +206,11 @@ func (c *Controller) Reset() {
 		c.openRow[i] = -1
 	}
 	c.clock.Reset()
-	c.stats = sim.Stats{}
+	c.counters = Counters{}
 }
 
-// Stats returns accumulated event counters.
-func (c *Controller) Stats() sim.Stats { return c.stats }
+// Counters returns the event counts accumulated since the last Reset.
+func (c *Controller) Counters() Counters { return c.counters }
 
 // Now returns the controller's current cycle.
 func (c *Controller) Now() uint64 { return c.clock.Now() }
@@ -298,7 +307,6 @@ func (c *Controller) Stream(req Request) StreamResult {
 		serve := issue
 		if c.openRow[bank] != row {
 			res.RowMisses++
-			c.stats.Inc("row_misses", 1)
 			if c.cfg.Reorder {
 				// The streaming controller schedules around activates;
 				// the bank is refreshed in the background.
@@ -325,17 +333,18 @@ func (c *Controller) Stream(req Request) StreamResult {
 			inSlot = 0
 			issue++
 		}
-		if req.Write {
-			c.stats.Inc("words_written", 1)
-		} else {
-			c.stats.Inc("words_read", 1)
-		}
 	}
 	end := finish + 1
 	res.Cycles = end - start
 	c.clock.AdvanceTo(end)
-	c.stats.Inc("stream_requests", 1)
-	c.stats.Inc("busy_cycles", res.Cycles)
+	c.counters.RowMisses += res.RowMisses
+	if req.Write {
+		c.counters.WordsWritten += res.Words
+	} else {
+		c.counters.WordsRead += res.Words
+	}
+	c.counters.StreamRequests++
+	c.counters.BusyCycles += res.Cycles
 	return res
 }
 
@@ -349,11 +358,11 @@ func (c *Controller) LineFetch(addr, lineWords int) uint64 {
 	if c.openRow[bank] != row {
 		lat += uint64(c.cfg.TRP + c.cfg.TRCD)
 		c.openRow[bank] = row
-		c.stats.Inc("row_misses", 1)
+		c.counters.RowMisses++
 	}
 	lat += sim.CeilDiv(uint64(lineWords), uint64(c.cfg.SeqWordsPerCycle))
-	c.stats.Inc("line_fetches", 1)
-	c.stats.Inc("words_read", uint64(lineWords))
+	c.counters.LineFetches++
+	c.counters.WordsRead += uint64(lineWords)
 	return lat
 }
 

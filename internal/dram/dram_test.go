@@ -16,6 +16,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.SeqWordsPerCycle = 0 },
 		func(c *Config) { c.AddrGens = 0 },
 		func(c *Config) { c.TRP = -1 },
+		func(c *Config) { c.InterleaveWords = -8 },
 	}
 	for i, mutate := range cases {
 		c := VIRAMDRAM()
@@ -153,13 +154,17 @@ func TestClockAdvancesAcrossStreams(t *testing.T) {
 
 func TestResetRestoresInitialState(t *testing.T) {
 	c := NewController(VIRAMDRAM())
-	c.Stream(Request{Stride: 513, Count: 4096})
+	r := c.Stream(Request{Stride: 513, Count: 4096})
+	want := Counters{RowMisses: r.RowMisses, WordsRead: 4096, StreamRequests: 1, BusyCycles: r.Cycles}
+	if got := c.Counters(); got != want {
+		t.Fatalf("counters after one stream = %+v, want %+v", got, want)
+	}
 	c.Reset()
 	if c.Now() != 0 {
 		t.Fatalf("clock after reset = %d", c.Now())
 	}
-	if got := c.Stats().Get("words_read"); got != 0 {
-		t.Fatalf("stats after reset: words_read = %d", got)
+	if got := c.Counters(); got != (Counters{}) {
+		t.Fatalf("counters after reset = %+v", got)
 	}
 }
 

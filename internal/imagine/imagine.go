@@ -134,8 +134,17 @@ type Machine struct {
 	inflight    []uint64 // completion times of streams holding descriptors
 	end         uint64
 
-	breakdown sim.Breakdown
-	stats     sim.Stats
+	// counters accumulate the current kernel run's events; finish turns
+	// them into the Result's Breakdown and Stats.
+	counters counters
+}
+
+// counters are the event counts of one kernel run. memBusy sums the
+// memory streams' cycles over all controllers; kernelCycles is the
+// cluster array's occupancy.
+type counters struct {
+	memBusy, descriptorStalls, memWords, srfWords uint64
+	kernelInvocations, kernelCycles, clusterOps   uint64
 }
 
 // New returns a machine for cfg, panicking on invalid configuration.
@@ -185,8 +194,7 @@ func (m *Machine) reset() {
 	m.clusterFree = 0
 	m.inflight = nil
 	m.end = 0
-	m.breakdown = sim.Breakdown{}
-	m.stats = sim.Stats{}
+	m.counters = counters{}
 }
 
 // acquireDescriptor blocks until a stream descriptor register is free,
@@ -203,7 +211,7 @@ func (m *Machine) acquireDescriptor(t uint64) uint64 {
 		}
 	}
 	if m.inflight[minIdx] > t {
-		m.stats.Inc("descriptor_stalls", m.inflight[minIdx]-t)
+		m.counters.descriptorStalls += m.inflight[minIdx] - t
 		t = m.inflight[minIdx]
 	}
 	m.inflight = append(m.inflight[:minIdx], m.inflight[minIdx+1:]...)
@@ -238,8 +246,8 @@ func (m *Machine) memStream(words int, stride int, write bool, ready uint64) uin
 	done := start + sr.Cycles
 	m.mcFree[mc] = done
 	m.inflight = append(m.inflight, done)
-	m.breakdown.Add("memory", sr.Cycles)
-	m.stats.Inc("mem_words", uint64(words))
+	m.counters.memBusy += sr.Cycles
+	m.counters.memWords += uint64(words)
 	m.noteEnd(done)
 	return done
 }
@@ -257,7 +265,7 @@ func (m *Machine) srfStream(words int, ready uint64) uint64 {
 	dur := m.srf.TransferCycles(uint64(words))
 	done := start + dur
 	m.srfFree = done
-	m.stats.Inc("srf_words", uint64(words))
+	m.counters.srfWords += uint64(words)
 	m.noteEnd(done)
 	return done
 }
@@ -300,11 +308,9 @@ func (m *Machine) runKernel(k KernelDesc, ready uint64) uint64 {
 	dur := m.kernelCycles(k)
 	done := start + dur
 	m.clusterFree = done
-	m.breakdown.Add("compute", dur)
-	m.stats.Inc("kernel_invocations", 1)
-	m.stats.Inc("kernel_cycles", dur)
-	ops := uint64(k.Iterations) * uint64(k.AddsPerIter+k.MulsPerIter+k.DivsPerIter) * uint64(m.cfg.Clusters)
-	m.stats.Inc("cluster_ops", ops)
+	m.counters.kernelInvocations++
+	m.counters.kernelCycles += dur
+	m.counters.clusterOps += uint64(k.Iterations) * uint64(k.AddsPerIter+k.MulsPerIter+k.DivsPerIter) * uint64(m.cfg.Clusters)
 	m.noteEnd(done)
 	return done
 }
@@ -322,19 +328,26 @@ func (m *Machine) finish(kernel core.KernelID, ops, words uint64) core.Result {
 	total := m.end
 	// Normalize the memory category to per-controller occupancy so its
 	// fraction of the total is meaningful.
-	memBusy := m.breakdown.Get("memory") / uint64(m.cfg.MemControllers)
+	memBusy := m.counters.memBusy / uint64(m.cfg.MemControllers)
 	b := sim.Breakdown{}
 	b.Add("memory", memBusy)
-	b.Add("compute", m.breakdown.Get("compute"))
-	if busiest := max64(memBusy, m.breakdown.Get("compute")); total > busiest {
+	b.Add("compute", m.counters.kernelCycles)
+	if busiest := max64(memBusy, m.counters.kernelCycles); total > busiest {
 		b.Add("other", total-busiest)
 	}
+	var st sim.Stats
+	st.Inc("descriptor_stalls", m.counters.descriptorStalls)
+	st.Inc("mem_words", m.counters.memWords)
+	st.Inc("srf_words", m.counters.srfWords)
+	st.Inc("kernel_invocations", m.counters.kernelInvocations)
+	st.Inc("kernel_cycles", m.counters.kernelCycles)
+	st.Inc("cluster_ops", m.counters.clusterOps)
 	return core.Result{
 		Machine:   m.cfg.Name,
 		Kernel:    kernel,
 		Cycles:    total,
 		Breakdown: b,
-		Stats:     m.stats,
+		Stats:     st,
 		Ops:       ops,
 		Words:     words,
 		Verified:  true,

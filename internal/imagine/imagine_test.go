@@ -72,10 +72,10 @@ func TestDescriptorPressureThrottles(t *testing.T) {
 		mf.memStream(64, 1, false, 0)
 		mm.memStream(64, 1, false, 0)
 	}
-	if mf.stats.Get("descriptor_stalls") == 0 {
+	if mf.counters.descriptorStalls == 0 {
 		t.Fatal("no descriptor stalls with 2 registers")
 	}
-	if mm.stats.Get("descriptor_stalls") != 0 {
+	if mm.counters.descriptorStalls != 0 {
 		t.Fatal("descriptor stalls with 64 registers")
 	}
 }

@@ -21,7 +21,9 @@ func TestAllMachinesResettable(t *testing.T) {
 // TestResetReproducesFreshRuns runs every kernel on a fresh instance,
 // then drives one long-lived instance through the whole kernel set
 // twice with a Reset before each run: every reused-instance cycle
-// count must equal the fresh instance's exactly.
+// count, event counter and breakdown category must equal the fresh
+// instance's exactly. Counters matter as much as cycles: one that Reset
+// forgot to zero would inflate every reused instance's Result.Stats.
 func TestResetReproducesFreshRuns(t *testing.T) {
 	w := core.PaperWorkload()
 	for _, name := range Names() {
@@ -54,9 +56,8 @@ func TestResetReproducesFreshRuns(t *testing.T) {
 					if err != nil {
 						t.Fatalf("pass %d %s: %v", pass, k, err)
 					}
-					if r.Cycles != fresh[k].Cycles {
-						t.Fatalf("pass %d %s: reused instance ran to %d cycles, fresh runs to %d",
-							pass, k, r.Cycles, fresh[k].Cycles)
+					for _, d := range cellDiffs(cellOf("reused", r), cellOf("fresh", fresh[k])) {
+						t.Errorf("pass %d %s: reused instance: %s", pass, k, d)
 					}
 				}
 			}

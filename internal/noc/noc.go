@@ -15,8 +15,6 @@ package noc
 import (
 	"errors"
 	"fmt"
-
-	"sigkern/internal/sim"
 )
 
 // Config describes a mesh.
@@ -61,11 +59,17 @@ type link struct {
 	from, to int
 }
 
+// Counters are a mesh's event counts since the last Reset.
+type Counters struct {
+	StaticLinkStalls, StaticWords            uint64
+	DynamicLinkStalls, Packets, DynamicWords uint64
+}
+
 // Mesh is a simulated mesh network. It is not safe for concurrent use.
 type Mesh struct {
 	cfg      Config
 	linkFree map[link]uint64
-	stats    sim.Stats
+	counters Counters
 	// routeBuf is the reusable backing for route: routes are consumed
 	// before the next call (the mesh is single-threaded by contract),
 	// and cache fills route millions of packets per kernel.
@@ -86,14 +90,14 @@ func (m *Mesh) Config() Config { return m.cfg }
 // Tiles returns the tile count.
 func (m *Mesh) Tiles() int { return m.cfg.Width * m.cfg.Height }
 
-// Reset clears all link reservations and statistics.
+// Reset clears all link reservations and counters.
 func (m *Mesh) Reset() {
 	m.linkFree = make(map[link]uint64)
-	m.stats = sim.Stats{}
+	m.counters = Counters{}
 }
 
-// Stats returns accumulated counters.
-func (m *Mesh) Stats() sim.Stats { return m.stats }
+// Counters returns the event counts accumulated since the last Reset.
+func (m *Mesh) Counters() Counters { return m.counters }
 
 // XY returns tile t's coordinates.
 func (m *Mesh) XY(t int) (x, y int) {
@@ -186,7 +190,7 @@ func (m *Mesh) SendStatic(from, to, words int, start uint64) uint64 {
 	begin := start
 	for _, l := range links {
 		if f := m.linkFree[l]; f > begin {
-			m.stats.Inc("static_link_stalls", f-begin)
+			m.counters.StaticLinkStalls += f - begin
 			begin = f
 		}
 	}
@@ -194,7 +198,7 @@ func (m *Mesh) SendStatic(from, to, words int, start uint64) uint64 {
 	for _, l := range links {
 		m.linkFree[l] = begin + uint64(words)
 	}
-	m.stats.Inc("static_words", uint64(words))
+	m.counters.StaticWords += uint64(words)
 	return begin + m.StaticLatency(from, to) + uint64(words-1)
 }
 
@@ -218,7 +222,7 @@ func (m *Mesh) SendPacket(from, to, payloadWords int, start uint64) uint64 {
 	t := start
 	for _, l := range links {
 		if f := m.linkFree[l]; f > t {
-			m.stats.Inc("dynamic_link_stalls", f-t)
+			m.counters.DynamicLinkStalls += f - t
 			t = f
 		}
 		m.linkFree[l] = t + flits
@@ -227,8 +231,8 @@ func (m *Mesh) SendPacket(from, to, payloadWords int, start uint64) uint64 {
 	if len(links) == 0 {
 		t += flits
 	}
-	m.stats.Inc("packets", 1)
-	m.stats.Inc("dynamic_words", flits)
+	m.counters.Packets++
+	m.counters.DynamicWords += flits
 	return t
 }
 

@@ -77,7 +77,7 @@ func TestSendStaticContentionSerializes(t *testing.T) {
 	if b <= a {
 		t.Fatalf("contending stream not delayed: %d <= %d", b, a)
 	}
-	if m.Stats().Get("static_link_stalls") == 0 {
+	if m.Counters().StaticLinkStalls == 0 {
 		t.Fatal("no link stalls recorded under contention")
 	}
 	// Disjoint routes do not contend.

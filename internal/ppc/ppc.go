@@ -118,10 +118,13 @@ type Machine struct {
 	mem       *dram.Controller
 	l2        *cache.Cache
 	l1        *cache.Cache
-	bk        sim.Breakdown
-	st        sim.Stats
 	readStall float64 // accumulated raw read-miss latency (pre-MLP)
 	writeStal float64 // accumulated raw write-miss latency (pre-MLP)
+
+	// Event counts and cycle attribution of the current kernel run;
+	// result reports them as a Stats and a Breakdown.
+	instructions, memAccesses   uint64
+	computeCycles, memoryCycles uint64
 }
 
 // New returns a machine for cfg, panicking on invalid configuration.
@@ -164,10 +167,10 @@ func (m *Machine) Reset() { m.reset() }
 // reset rewinds caches and accounting between kernel runs.
 func (m *Machine) reset() {
 	m.l1.Reset() // cascades to L2 and DRAM
-	m.bk = sim.Breakdown{}
-	m.st = sim.Stats{}
 	m.readStall = 0
 	m.writeStal = 0
+	m.instructions, m.memAccesses = 0, 0
+	m.computeCycles, m.memoryCycles = 0, 0
 }
 
 // loopMix describes one inner loop's per-iteration instruction mix.
@@ -201,8 +204,8 @@ func (m *Machine) loopCycles(l loopMix) uint64 {
 		perIter = l.critical
 	}
 	cycles := l.iters * perIter
-	m.bk.Add("compute", cycles)
-	m.st.Inc("instructions", l.iters*total)
+	m.computeCycles += cycles
+	m.instructions += l.iters * total
 	return cycles
 }
 
@@ -218,14 +221,14 @@ func (m *Machine) access(addr int, write bool) {
 			m.readStall += float64(lat - hit)
 		}
 	}
-	m.st.Inc("mem_accesses", 1)
+	m.memAccesses++
 }
 
 // memStallCycles converts accumulated miss latency into stall cycles via
 // the read and write MLP factors and charges them to the breakdown.
 func (m *Machine) memStallCycles() uint64 {
 	stall := uint64(m.readStall/m.cfg.MLP + m.writeStal/m.cfg.MLPStore)
-	m.bk.Add("memory", stall)
+	m.memoryCycles += stall
 	m.readStall = 0
 	m.writeStal = 0
 	return stall
@@ -233,14 +236,17 @@ func (m *Machine) memStallCycles() uint64 {
 
 // result assembles a core.Result.
 func (m *Machine) result(kernel core.KernelID, cycles, ops, words uint64) core.Result {
-	return core.Result{
-		Machine:   m.Name(),
-		Kernel:    kernel,
-		Cycles:    cycles,
-		Breakdown: m.bk,
-		Stats:     m.st,
-		Ops:       ops,
-		Words:     words,
-		Verified:  true,
+	r := core.Result{
+		Machine:  m.Name(),
+		Kernel:   kernel,
+		Cycles:   cycles,
+		Ops:      ops,
+		Words:    words,
+		Verified: true,
 	}
+	r.Breakdown.Add("compute", m.computeCycles)
+	r.Breakdown.Add("memory", m.memoryCycles)
+	r.Stats.Inc("instructions", m.instructions)
+	r.Stats.Inc("mem_accesses", m.memAccesses)
+	return r
 }

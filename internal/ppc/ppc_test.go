@@ -143,8 +143,8 @@ func TestCornerTurnConflictMisses(t *testing.T) {
 	if _, err := m.RunCornerTurn(cornerturn.PaperSpec()); err != nil {
 		t.Fatal(err)
 	}
-	misses := m.l1.Stats().Get("misses")
-	accesses := m.l1.Stats().Get("hits") + misses
+	misses := m.l1.Counters().Misses
+	accesses := m.l1.Counters().Hits + misses
 	rate := float64(misses) / float64(accesses)
 	if rate < 0.15 {
 		t.Fatalf("L1 miss rate = %.3f, want conflict-inflated (> 0.15)", rate)

@@ -63,7 +63,7 @@ func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
 		// into local memory (transposing via the store index).
 		m.portIn(tile, words, true)
 		// Per-row loop and address arithmetic.
-		m.compute(tile, rows*m.cfg.LoopOverheadPerRow, "addr-loop")
+		m.compute(tile, rows*m.cfg.LoopOverheadPerRow, catAddrLoop)
 		// Outbound: the tile loads each word back onto the network in
 		// transposed order; main-memory writes are sequential.
 		m.portOut(tile, words, true)
@@ -146,9 +146,9 @@ func (m *Machine) RunCSLCDMA(spec cslc.Spec) (core.Result, error) {
 		}
 		for mc := 0; mc < spec.MainChannels; mc++ {
 			w := spec.WeightCountsPerBand()
-			m.compute(tile, int(w.Flops()), "compute")
+			m.compute(tile, int(w.Flops()), catCompute)
 			m.localMem(tile, int(w.Loads+w.Stores))
-			m.compute(tile, int(addrLoopFraction*float64(w.Flops()+w.Loads+w.Stores)), "addr-loop")
+			m.compute(tile, int(addrLoopFraction*float64(w.Flops()+w.Loads+w.Stores)), catAddrLoop)
 			m.emitFFT(tile, inv, 0)
 			m.portOut(tile, bandWords, false)
 		}
@@ -207,9 +207,9 @@ func (m *Machine) runCSLC(spec cslc.Spec, radix fft.Radix, spill bool) (core.Res
 		// Weight application and inverse FFTs per main channel.
 		for mc := 0; mc < spec.MainChannels; mc++ {
 			w := spec.WeightCountsPerBand()
-			m.compute(tile, int(w.Flops()), "compute")
+			m.compute(tile, int(w.Flops()), catCompute)
 			m.localMem(tile, int(w.Loads+w.Stores))
-			m.compute(tile, int(addrLoopFraction*float64(w.Flops()+w.Loads+w.Stores)), "addr-loop")
+			m.compute(tile, int(addrLoopFraction*float64(w.Flops()+w.Loads+w.Stores)), catAddrLoop)
 			m.emitFFT(tile, inv, spillLS)
 			// Results write back through the cache (write-allocate).
 			outLines := (bandWords + m.cfg.CacheLineWords - 1) / m.cfg.CacheLineWords
@@ -226,9 +226,9 @@ func (m *Machine) runCSLC(spec cslc.Spec, radix fft.Radix, spill bool) (core.Res
 // emitFFT charges one transform's instruction mix to a tile.
 func (m *Machine) emitFFT(tile int, plan *fft.Plan, spillLS int) {
 	c := plan.Counts()
-	m.compute(tile, int(c.Flops()), "compute")
+	m.compute(tile, int(c.Flops()), catCompute)
 	m.localMem(tile, int(c.Loads+c.Stores)+spillLS)
-	m.compute(tile, int(addrLoopFraction*float64(c.Flops()+c.Loads+c.Stores)), "addr-loop")
+	m.compute(tile, int(addrLoopFraction*float64(c.Flops()+c.Loads+c.Stores)), catAddrLoop)
 }
 
 func log4(n int) int {
@@ -275,8 +275,8 @@ func (m *Machine) RunCSLCStream(spec cslc.Spec) (core.Result, error) {
 		}
 		for mc := 0; mc < spec.MainChannels; mc++ {
 			w := spec.WeightCountsPerBand()
-			m.compute(tile, int(w.Flops()), "compute")
-			m.compute(tile, int(addrLoopFraction*float64(w.Flops())), "addr-loop")
+			m.compute(tile, int(w.Flops()), catCompute)
+			m.compute(tile, int(addrLoopFraction*float64(w.Flops())), catAddrLoop)
 			c := inv.Counts()
 			instrs := int(c.Flops()) + int(addrLoopFraction*float64(c.Flops()))
 			m.streamCompute(tile, 0, bandWords, instrs)
@@ -327,7 +327,7 @@ func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
 					continue
 				}
 				m.streamCompute(tile, 2*n, n, int(spec.OpsPerOutput())*n)
-				m.compute(tile, 8, "addr-loop") // per-beam loop control
+				m.compute(tile, 8, catAddrLoop) // per-beam loop control
 			}
 		}
 	}
@@ -379,8 +379,8 @@ func (m *Machine) RunBeamSteeringMIMD(spec beamsteer.Spec) (core.Result, error) 
 				m.cacheFill(tile, outLines)
 				// Explicit loads and stores plus the arithmetic.
 				m.localMem(tile, 3*n)
-				m.compute(tile, int(spec.OpsPerOutput())*n, "compute")
-				m.compute(tile, 8, "addr-loop")
+				m.compute(tile, int(spec.OpsPerOutput())*n, catCompute)
+				m.compute(tile, 8, catAddrLoop)
 			}
 		}
 	}
@@ -418,13 +418,13 @@ func (m *Machine) streamCompute(tile, inWords, outWords, instrs int) {
 	if lastIn := arrival + uint64(tail); lastIn > computeDone {
 		computeDone = lastIn
 	}
-	m.tileBusy[tile].Add("compute", uint64(instrs))
+	m.tileBusy[tile][catCompute] += uint64(instrs)
 	if computeDone > instrDone {
-		m.tileBusy[tile].Add("net-wait", computeDone-instrDone)
+		m.tileBusy[tile][catNetWait] += computeDone - instrDone
 	}
 	m.tileClock[tile] = computeDone
-	m.stats.Inc("instructions", uint64(instrs))
-	m.stats.Inc("port_words_in", uint64(inWords))
+	m.counters.instructions += uint64(instrs)
+	m.counters.portWordsIn += uint64(inWords)
 
 	if outWords > 0 {
 		// Results stream to the port as they are produced.
@@ -440,7 +440,7 @@ func (m *Machine) streamCompute(tile, inWords, outWords, instrs int) {
 		ctl.SyncTo(wstart)
 		wr := ctl.Stream(dram.Request{Stride: 1, Count: outWords, Write: true})
 		m.portFree[port] = wstart + wr.Cycles
-		m.stats.Inc("port_words_out", uint64(outWords))
+		m.counters.portWordsOut += uint64(outWords)
 	}
 }
 

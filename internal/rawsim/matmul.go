@@ -53,9 +53,9 @@ func (m *Machine) RunMatMul(spec matmul.Spec) (core.Result, error) {
 			m.portIn(tile, 2*blockWords, true)
 			// Register-blocked MACs: two ALU ops per MAC plus the
 			// amortized operand reloads and loop control.
-			m.compute(tile, 2*macsPerPanel, "compute")
+			m.compute(tile, 2*macsPerPanel, catCompute)
 			m.localMem(tile, macsPerPanel*mmLSPerMAC/mmLSDen)
-			m.compute(tile, macsPerPanel/16, "addr-loop")
+			m.compute(tile, macsPerPanel/16, catAddrLoop)
 		}
 		// The finished C block streams back out.
 		m.portOut(tile, blockWords, true)

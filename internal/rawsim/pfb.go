@@ -36,13 +36,13 @@ func (m *Machine) RunPFB(w pfb.Workload) (core.Result, error) {
 		// ring.
 		m.portIn(tile, newWords, true)
 		// FIR over the local history.
-		m.compute(tile, firFlops, "compute")
+		m.compute(tile, firFlops, catCompute)
 		m.localMem(tile, firLoads)
-		m.compute(tile, int(addrLoopFraction*float64(firFlops+firLoads)), "addr-loop")
+		m.compute(tile, int(addrLoopFraction*float64(firFlops+firLoads)), catAddrLoop)
 		// Cross-branch FFT.
-		m.compute(tile, int(fftCounts.Flops()), "compute")
+		m.compute(tile, int(fftCounts.Flops()), catCompute)
 		m.localMem(tile, int(fftCounts.Loads+fftCounts.Stores))
-		m.compute(tile, int(addrLoopFraction*float64(fftCounts.Flops()+fftCounts.Loads+fftCounts.Stores)), "addr-loop")
+		m.compute(tile, int(addrLoopFraction*float64(fftCounts.Flops()+fftCounts.Loads+fftCounts.Stores)), catAddrLoop)
 		// The frame streams back out.
 		m.portOut(tile, newWords, true)
 	}

@@ -95,8 +95,48 @@ type Machine struct {
 
 	tileClock []uint64
 	portFree  []uint64
-	tileBusy  []sim.Breakdown
-	stats     sim.Stats
+	// tileBusy and counters accumulate the current kernel run's cycle
+	// attribution and events; finish turns them into the Result's
+	// Breakdown and Stats.
+	tileBusy []tileCycles
+	counters counters
+}
+
+// tileCategory is one cause a tile's cycles are attributed to.
+type tileCategory int
+
+const (
+	catCompute tileCategory = iota
+	catAddrLoop
+	catLoadStore
+	catNetWait
+	catCacheStall
+	numTileCategories
+)
+
+// tileCategoryNames are the Breakdown names of the tile categories.
+var tileCategoryNames = [numTileCategories]string{
+	"compute", "addr-loop", "load-store", "net-wait", "cache-stall",
+}
+
+// tileCycles attributes one tile's cycles to the tile categories.
+type tileCycles [numTileCategories]uint64
+
+// breakdown reports the categories that received cycles.
+func (c *tileCycles) breakdown() sim.Breakdown {
+	var b sim.Breakdown
+	for k, v := range c {
+		if v > 0 {
+			b.Add(tileCategoryNames[k], v)
+		}
+	}
+	return b
+}
+
+// counters are the event counts of one kernel run.
+type counters struct {
+	instructions, localAccesses, cacheMisses uint64
+	portWordsIn, portWordsOut                uint64
 }
 
 // New returns a machine for cfg, panicking on invalid configuration.
@@ -144,13 +184,13 @@ func (m *Machine) Reset() { m.reset() }
 func (m *Machine) reset() {
 	n := m.mesh.Tiles()
 	m.tileClock = make([]uint64, n)
-	m.tileBusy = make([]sim.Breakdown, n)
+	m.tileBusy = make([]tileCycles, n)
 	m.portFree = make([]uint64, m.mesh.PortCount())
 	m.mesh.Reset()
 	for _, p := range m.ports {
 		p.Reset()
 	}
-	m.stats = sim.Stats{}
+	m.counters = counters{}
 }
 
 // raw4x4Ports maps each tile of the 4x4 chip to a peripheral port so
@@ -204,19 +244,19 @@ func (m *Machine) tilePort(tile int) int {
 }
 
 // compute advances a tile by n single-issue ALU instructions.
-func (m *Machine) compute(tile int, n int, category string) {
+func (m *Machine) compute(tile int, n int, category tileCategory) {
 	m.tileClock[tile] += uint64(n)
-	m.tileBusy[tile].Add(category, uint64(n))
-	m.stats.Inc("instructions", uint64(n))
+	m.tileBusy[tile][category] += uint64(n)
+	m.counters.instructions += uint64(n)
 }
 
 // localMem advances a tile by n local-SRAM load/store instructions
 // (single cycle each on Raw).
 func (m *Machine) localMem(tile int, n int) {
 	m.tileClock[tile] += uint64(n)
-	m.tileBusy[tile].Add("load-store", uint64(n))
-	m.stats.Inc("instructions", uint64(n))
-	m.stats.Inc("local_accesses", uint64(n))
+	m.tileBusy[tile][catLoadStore] += uint64(n)
+	m.counters.instructions += uint64(n)
+	m.counters.localAccesses += uint64(n)
 }
 
 // portIn streams words from the tile's DRAM port over the static network
@@ -243,19 +283,19 @@ func (m *Machine) portIn(tile, words int, storeInstrs bool) {
 	instrDone := m.tileClock[tile]
 	if storeInstrs {
 		instrDone += uint64(words)
-		m.tileBusy[tile].Add("load-store", uint64(words))
-		m.stats.Inc("instructions", uint64(words))
+		m.tileBusy[tile][catLoadStore] += uint64(words)
+		m.counters.instructions += uint64(words)
 	}
 	if instrDone > finish {
 		finish = instrDone
 	}
 	if finish > instrDone {
-		m.tileBusy[tile].Add("net-wait", finish-instrDone)
+		m.tileBusy[tile][catNetWait] += finish - instrDone
 	}
 	if finish > m.tileClock[tile] {
 		m.tileClock[tile] = finish
 	}
-	m.stats.Inc("port_words_in", uint64(words))
+	m.counters.portWordsIn += uint64(words)
 }
 
 // portOut streams words from the tile to its DRAM port. If loadInstrs is
@@ -269,8 +309,8 @@ func (m *Machine) portOut(tile, words int, loadInstrs bool) {
 	start := m.tileClock[tile]
 	if loadInstrs {
 		m.tileClock[tile] += uint64(words)
-		m.tileBusy[tile].Add("load-store", uint64(words))
-		m.stats.Inc("instructions", uint64(words))
+		m.tileBusy[tile][catLoadStore] += uint64(words)
+		m.counters.instructions += uint64(words)
 	}
 	m.mesh.SendStatic(tile, m.mesh.PortTile(port), words, start)
 	ctl := m.ports[port]
@@ -283,7 +323,7 @@ func (m *Machine) portOut(tile, words int, loadInstrs bool) {
 	ctl.SyncTo(wstart)
 	sr := ctl.Stream(dram.Request{Stride: 1, Count: words, Write: true})
 	m.portFree[port] = wstart + sr.Cycles
-	m.stats.Inc("port_words_out", uint64(words))
+	m.counters.portWordsOut += uint64(words)
 }
 
 // cacheFill charges a tile for line cache misses served over the dynamic
@@ -302,9 +342,9 @@ func (m *Machine) cacheFill(tile, lines int) {
 		resp := m.mesh.SendPacket(portTile, tile, m.cfg.CacheLineWords, req+lat)
 		stall := resp - t
 		m.tileClock[tile] += stall
-		m.tileBusy[tile].Add("cache-stall", stall)
+		m.tileBusy[tile][catCacheStall] += stall
 	}
-	m.stats.Inc("cache_misses", uint64(lines))
+	m.counters.cacheMisses += uint64(lines)
 }
 
 // finish assembles a core.Result: total cycles are the slowest tile's
@@ -317,21 +357,30 @@ func (m *Machine) finish(kernel core.KernelID, ops, words uint64) core.Result {
 			total = c
 		}
 	}
-	b := sim.Breakdown{}
+	var sum tileCycles
 	var idle uint64
 	for t, c := range m.tileClock {
-		b.Merge(m.tileBusy[t])
+		for k, v := range m.tileBusy[t] {
+			sum[k] += v
+		}
 		idle += total - c
 	}
 	// Average the per-tile categories so fractions are per-tile shares.
+	b := sum.breakdown()
 	b.Scale(1, uint64(m.mesh.Tiles()))
 	b.Add("imbalance-idle", idle/uint64(m.mesh.Tiles()))
+	var st sim.Stats
+	st.Inc("instructions", m.counters.instructions)
+	st.Inc("local_accesses", m.counters.localAccesses)
+	st.Inc("cache_misses", m.counters.cacheMisses)
+	st.Inc("port_words_in", m.counters.portWordsIn)
+	st.Inc("port_words_out", m.counters.portWordsOut)
 	return core.Result{
 		Machine:   m.cfg.Name,
 		Kernel:    kernel,
 		Cycles:    total,
 		Breakdown: b,
-		Stats:     m.stats,
+		Stats:     st,
 		Ops:       ops,
 		Words:     words,
 		Verified:  true,
@@ -354,7 +403,7 @@ func (m *Machine) TileUtilization() []struct {
 	for t := range out {
 		out[t].Tile = t
 		out[t].Cycles = m.tileClock[t]
-		out[t].Breakdown = m.tileBusy[t].Clone()
+		out[t].Breakdown = m.tileBusy[t].breakdown()
 	}
 	return out
 }

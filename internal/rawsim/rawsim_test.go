@@ -34,7 +34,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestComputeAdvancesOneTileOnly(t *testing.T) {
 	m := New(DefaultConfig())
-	m.compute(3, 100, "compute")
+	m.compute(3, 100, catCompute)
 	if m.tileClock[3] != 100 {
 		t.Fatalf("tile 3 clock = %d", m.tileClock[3])
 	}
@@ -180,11 +180,11 @@ func TestTileCacheModel(t *testing.T) {
 	for a := 0; a < 4*1024; a += 4 {
 		c.Access(a, false)
 	}
-	before := c.Stats().Get("misses")
+	before := c.Counters().Misses
 	for a := 0; a < 4*1024; a += 4 {
 		c.Access(a, false)
 	}
-	if c.Stats().Get("misses") != before {
+	if c.Counters().Misses != before {
 		t.Fatal("second pass over a resident working set missed")
 	}
 }

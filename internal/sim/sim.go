@@ -45,6 +45,11 @@ func (c *Clock) Reset() { c.cycle = 0 }
 // "memory", "compute", "startup"). The paper reports such breakdowns for
 // every kernel/machine pair, so every simulator in this repository
 // produces one. The zero value is ready to use.
+//
+// Breakdown and Stats are report types: an engine accumulates cycles
+// and events in typed fields and builds them once per core.Result,
+// because each Add or Inc is a string-keyed map update, too slow for a
+// path that runs once per simulated access.
 type Breakdown struct {
 	categories map[string]uint64
 }

@@ -68,10 +68,15 @@ type Alloc struct {
 // Array is an SRAM array with an allocator and bandwidth accounting.
 // It is not safe for concurrent use.
 type Array struct {
-	cfg    Config
-	used   int
-	allocs map[string]*Alloc
-	stats  sim.Stats
+	cfg      Config
+	used     int
+	allocs   map[string]*Alloc
+	counters Counters
+}
+
+// Counters are an array's event counts over its lifetime.
+type Counters struct {
+	Allocations, Releases, WordsTransferred uint64
 }
 
 // New returns an Array for cfg, panicking on an invalid configuration.
@@ -108,7 +113,7 @@ func (a *Array) Allocate(name string, size int) (*Alloc, error) {
 	al := &Alloc{Name: name, Bytes: size, Held: held}
 	a.allocs[name] = al
 	a.used += held
-	a.stats.Inc("allocations", 1)
+	a.counters.Allocations++
 	return al, nil
 }
 
@@ -121,7 +126,7 @@ func (a *Array) Release(name string) error {
 	}
 	a.used -= al.Held
 	delete(a.allocs, name)
-	a.stats.Inc("releases", 1)
+	a.counters.Releases++
 	return nil
 }
 
@@ -136,9 +141,9 @@ func (a *Array) ReleaseAll() {
 // TransferCycles returns the cycles to move n words through the array's
 // ports at full bandwidth.
 func (a *Array) TransferCycles(n uint64) uint64 {
-	a.stats.Inc("words_transferred", n)
+	a.counters.WordsTransferred += n
 	return sim.CeilDiv(n, uint64(a.cfg.WordsPerCycle))
 }
 
-// Stats returns accumulated counters.
-func (a *Array) Stats() sim.Stats { return a.stats }
+// Counters returns the array's event counts.
+func (a *Array) Counters() Counters { return a.counters }

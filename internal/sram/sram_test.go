@@ -96,7 +96,7 @@ func TestTransferCycles(t *testing.T) {
 	if got := a.TransferCycles(1); got != 1 {
 		t.Fatalf("TransferCycles(1) = %d, want 1", got)
 	}
-	if got := a.Stats().Get("words_transferred"); got != 161 {
+	if got := a.Counters().WordsTransferred; got != 161 {
 		t.Fatalf("words_transferred = %d, want 161", got)
 	}
 }

@@ -2,6 +2,9 @@ package svc
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,5 +243,50 @@ func TestDurableReplayRestoresConfigJob(t *testing.T) {
 	}
 	if legacyAgainDone.Result.Cycles != legacyDone.Result.Cycles {
 		t.Fatalf("legacy resubmit cycles %d, want %d", legacyAgainDone.Result.Cycles, legacyDone.Result.Cycles)
+	}
+}
+
+// TestInvalidHardwareOverridesRejected sends overrides that once passed
+// validation and then crashed the simulator. Every write endpoint must
+// refuse each one with a 400 naming the field, before it reaches a
+// worker: five crashing VIRAM specs would otherwise open the VIRAM
+// breaker and refuse the paper VIRAM job that follows them.
+func TestInvalidHardwareOverridesRejected(t *testing.T) {
+	_, srv := newTestServer(t)
+	bad := []struct{ spec, field string }{
+		{`{"machine":"VIRAM","kernel":"corner-turn","config":{"viram":{"TLBPageBytes":2}}}`, "TLBPageBytes"},
+		{`{"machine":"VIRAM","kernel":"corner-turn","config":{"viram":{"TLBPageBytes":1}}}`, "TLBPageBytes"},
+		{`{"machine":"VIRAM","kernel":"beam-steering","config":{"viram":{"TLBPageBytes":3}}}`, "TLBPageBytes"},
+		{`{"machine":"VIRAM","kernel":"corner-turn","config":{"viram":{"DRAM":{"InterleaveWords":-8}}}}`, "InterleaveWords"},
+		{`{"machine":"VIRAM","kernel":"cslc","config":{"viram":{"DRAM":{"InterleaveWords":-1}}}}`, "InterleaveWords"},
+		{`{"machine":"PPC","kernel":"corner-turn","config":{"ppc":{"L2":{"LineBytes":2}}}}`, "LineBytes"},
+	}
+	for _, b := range bad {
+		for _, call := range []struct{ path, contentType, body string }{
+			{"/v1/jobs?wait=1", "application/json", b.spec},
+			{"/v1/batch", "application/x-ndjson", b.spec + "\n"},
+			{"/v1/dse", "application/json", `{"base":` + b.spec + `}`},
+		} {
+			resp, err := http.Post(srv.URL+call.path, call.contentType, strings.NewReader(call.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), b.field) {
+				if len(body) > 200 {
+					body = body[:200]
+				}
+				t.Errorf("POST %s %s: %d %s..., want 400 naming %s",
+					call.path, b.spec, resp.StatusCode, body, b.field)
+			}
+		}
+	}
+	resp, job := postJob(t, srv.URL+"/v1/jobs?wait=1", JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn})
+	if resp.StatusCode != http.StatusOK || job.State != Done || job.Result == nil || !job.Result.Verified {
+		t.Fatalf("paper VIRAM job after the rejected overrides: %d %+v", resp.StatusCode, job)
 	}
 }

@@ -139,8 +139,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("viram: negative startup")
 	case c.IssueQueue <= 0:
 		return fmt.Errorf("viram: IssueQueue %d", c.IssueQueue)
-	case c.TLBEntries <= 0 || c.TLBPageBytes <= 0:
-		return fmt.Errorf("viram: TLB %d entries / %d-byte pages", c.TLBEntries, c.TLBPageBytes)
+	case c.TLBEntries <= 0:
+		return fmt.Errorf("viram: TLBEntries %d must be positive", c.TLBEntries)
+	case c.TLBPageBytes < 4:
+		// A page must hold at least one 32-bit word.
+		return fmt.Errorf("viram: TLBPageBytes %d below one 4-byte word", c.TLBPageBytes)
 	}
 	return c.DRAM.Validate()
 }
@@ -257,7 +260,10 @@ type ExecResult struct {
 
 // exec runs the scoreboard over a vector program. The three functional
 // units are the memory unit and the two arithmetic units; chaining lets
-// a consumer start `startup` cycles after its producer.
+// a consumer start `startup` cycles after its producer. Events are
+// counted in locals and reported as a Stats and a Breakdown once the
+// program has run; the Breakdown's memory, compute and scalar
+// categories are the busy cycles of the units that execute them.
 func (m *Machine) exec(prog []Inst) ExecResult {
 	const (
 		unitMem = iota
@@ -268,12 +274,15 @@ func (m *Machine) exec(prog []Inst) ExecResult {
 	)
 	var (
 		unitFree   [numUnits]uint64
+		busy       [numUnits]uint64
 		chainReady = make([]uint64, m.cfg.VRegs)
 		dispatch   uint64
 		end        uint64
-		res        ExecResult
+
+		stallQueue, stallUnit, stallDep             uint64
+		tlbMisses, rowMisses, conflictStalls, words uint64
+		flops, intops                               uint64
 	)
-	busy := make([]uint64, numUnits)
 	// starts holds the execution-start cycles of the last IssueQueue
 	// instructions: dispatch may run ahead of execution by at most the
 	// queue depth.
@@ -315,7 +324,7 @@ func (m *Machine) exec(prog []Inst) ExecResult {
 			dispatch++
 		}
 		if i >= m.cfg.IssueQueue && starts[i%m.cfg.IssueQueue] > dispatch {
-			res.Stats.Inc("stall_queue", starts[i%m.cfg.IssueQueue]-dispatch)
+			stallQueue += starts[i%m.cfg.IssueQueue] - dispatch
 			dispatch = starts[i%m.cfg.IssueQueue]
 		}
 		// Execution start: unit availability and chaining.
@@ -324,14 +333,14 @@ func (m *Machine) exec(prog []Inst) ExecResult {
 		if unitFree[unit] > tUnit {
 			tUnit = unitFree[unit]
 		}
-		res.Stats.Inc("stall_unit", tUnit-t)
+		stallUnit += tUnit - t
 		tDep := tUnit
 		for _, src := range []int{in.Src1, in.Src2} {
 			if src >= 0 && chainReady[src] > tDep {
 				tDep = chainReady[src]
 			}
 		}
-		res.Stats.Inc("stall_dep", tDep-tUnit)
+		stallDep += tDep - tUnit
 		t = tDep
 		starts[i%m.cfg.IssueQueue] = t
 
@@ -346,32 +355,25 @@ func (m *Machine) exec(prog []Inst) ExecResult {
 				req.Stride = 1
 			}
 			sr := m.mem.Stream(req)
-			dur = sr.Cycles
 			misses := m.tlb.touch(in.Base, req.Stride, in.VL)
-			penalty := misses * m.cfg.TLBMissPenalty
-			dur += penalty
-			res.Stats.Inc("tlb_misses", misses)
-			res.Stats.Inc("dram_row_misses", sr.RowMisses)
-			res.Stats.Inc("dram_conflict_stalls", sr.ConflictStalls)
-			res.Stats.Inc("mem_words", sr.Words)
-			res.Breakdown.Add("memory", dur)
+			dur = sr.Cycles + misses*m.cfg.TLBMissPenalty
+			tlbMisses += misses
+			rowMisses += sr.RowMisses
+			conflictStalls += sr.ConflictStalls
+			words += sr.Words
 		case VAddF, VMulF, VPerm:
 			dur = sim.CeilDiv(uint64(in.VL), uint64(m.cfg.FPLanes))
-			res.Breakdown.Add("compute", dur)
 			if in.Op != VPerm {
-				res.Stats.Inc("flops", uint64(in.VL))
+				flops += uint64(in.VL)
 			}
 		case VFMA:
 			dur = sim.CeilDiv(uint64(in.VL), uint64(m.cfg.FPLanes))
-			res.Breakdown.Add("compute", dur)
-			res.Stats.Inc("flops", 2*uint64(in.VL))
+			flops += 2 * uint64(in.VL)
 		case VAddI, VShift:
 			dur = sim.CeilDiv(uint64(in.VL), uint64(m.cfg.Lanes))
-			res.Breakdown.Add("compute", dur)
-			res.Stats.Inc("intops", uint64(in.VL))
+			intops += uint64(in.VL)
 		case Scalar:
 			dur = uint64(in.Cost)
-			res.Breakdown.Add("scalar", dur)
 		}
 
 		if m.tracer != nil {
@@ -391,14 +393,39 @@ func (m *Machine) exec(prog []Inst) ExecResult {
 		if done := t + startup + dur; done > end {
 			end = done
 		}
-		res.Stats.Inc("instructions", 1)
 	}
-	res.Cycles = end
+
+	res := ExecResult{Cycles: end}
+	res.Stats.Inc("instructions", uint64(len(prog)))
+	res.Stats.Inc("stall_queue", stallQueue)
+	res.Stats.Inc("stall_unit", stallUnit)
+	res.Stats.Inc("stall_dep", stallDep)
+	res.Stats.Inc("tlb_misses", tlbMisses)
+	res.Stats.Inc("dram_row_misses", rowMisses)
+	res.Stats.Inc("dram_conflict_stalls", conflictStalls)
+	res.Stats.Inc("mem_words", words)
+	res.Stats.Inc("flops", flops)
+	res.Stats.Inc("intops", intops)
 	res.Stats.Inc("mem_unit_busy", busy[unitMem])
 	res.Stats.Inc("alu0_busy", busy[unitALU0])
 	res.Stats.Inc("alu1_busy", busy[unitALU1])
-	if slack := end - busy[unitMem]; end > busy[unitMem] {
-		res.Breakdown.Add("startup+wait", slackOrZero(slack, res.Breakdown))
+	compute := busy[unitALU0] + busy[unitALU1]
+	if busy[unitMem] > 0 {
+		res.Breakdown.Add("memory", busy[unitMem])
+	}
+	if compute > 0 {
+		res.Breakdown.Add("compute", compute)
+	}
+	if busy[unitScalar] > 0 {
+		res.Breakdown.Add("scalar", busy[unitScalar])
+	}
+	if end > busy[unitMem] {
+		// Cycles no unit category accounts for are startup and waiting.
+		var wait uint64
+		if slack, accounted := end-busy[unitMem], compute+busy[unitScalar]; slack > accounted {
+			wait = slack - accounted
+		}
+		res.Breakdown.Add("startup+wait", wait)
 	}
 	return res
 }
@@ -428,31 +455,36 @@ func (m *Machine) checkAddressRange(in *Inst) {
 	}
 }
 
-// slackOrZero attributes the cycles not covered by any accounted busy
-// category to startup/wait, clamping at zero.
-func slackOrZero(slack uint64, b sim.Breakdown) uint64 {
-	accounted := b.Get("compute") + b.Get("scalar")
-	if accounted >= slack {
-		return 0
-	}
-	return slack - accounted
+// tlb is a small fully-associative LRU translation buffer. index maps
+// a resident page to its slot, and the slots form a doubly linked list
+// in recency order, so a hit, a miss and an eviction each cost O(1).
+type tlb struct {
+	pageWords  int
+	slots      []tlbSlot
+	used       int // slots filled since the last reset
+	index      map[int]int32
+	head, tail int32 // most and least recently used slot; -1 when empty
 }
 
-// tlb is a small fully-associative LRU translation buffer.
-type tlb struct {
-	entries   int
-	pageWords int
-	pages     map[int]uint64
-	tick      uint64
+type tlbSlot struct {
+	page       int
+	prev, next int32
 }
 
 func newTLB(entries, pageBytes int) *tlb {
-	return &tlb{entries: entries, pageWords: pageBytes / 4, pages: make(map[int]uint64)}
+	t := &tlb{
+		pageWords: pageBytes / 4,
+		slots:     make([]tlbSlot, entries),
+		index:     make(map[int]int32, entries),
+	}
+	t.reset()
+	return t
 }
 
 func (t *tlb) reset() {
-	t.pages = make(map[int]uint64)
-	t.tick = 0
+	clear(t.index)
+	t.used = 0
+	t.head, t.tail = -1, -1
 }
 
 // touch visits the pages of a strided access and returns the miss count.
@@ -465,25 +497,53 @@ func (t *tlb) touch(base, stride, count int) uint64 {
 			continue
 		}
 		last = page
-		t.tick++
-		if _, ok := t.pages[page]; ok {
-			t.pages[page] = t.tick
+		if s, ok := t.index[page]; ok {
+			if s != t.head {
+				t.unlink(s)
+				t.pushFront(s)
+			}
 			continue
 		}
 		misses++
-		if len(t.pages) >= t.entries {
+		var s int32
+		if t.used < len(t.slots) {
+			s = int32(t.used)
+			t.used++
+		} else {
 			// Evict the least recently used page.
-			var victim int
-			var oldest uint64 = ^uint64(0)
-			for p, when := range t.pages {
-				if when < oldest {
-					oldest = when
-					victim = p
-				}
-			}
-			delete(t.pages, victim)
+			s = t.tail
+			delete(t.index, t.slots[s].page)
+			t.unlink(s)
 		}
-		t.pages[page] = t.tick
+		t.slots[s].page = page
+		t.index[page] = s
+		t.pushFront(s)
 	}
 	return misses
+}
+
+// unlink removes slot s from the recency list.
+func (t *tlb) unlink(s int32) {
+	sl := &t.slots[s]
+	if sl.prev >= 0 {
+		t.slots[sl.prev].next = sl.next
+	} else {
+		t.head = sl.next
+	}
+	if sl.next >= 0 {
+		t.slots[sl.next].prev = sl.prev
+	} else {
+		t.tail = sl.prev
+	}
+}
+
+// pushFront makes slot s the most recently used.
+func (t *tlb) pushFront(s int32) {
+	t.slots[s].prev, t.slots[s].next = -1, t.head
+	if t.head >= 0 {
+		t.slots[t.head].prev = s
+	} else {
+		t.tail = s
+	}
+	t.head = s
 }

@@ -8,6 +8,7 @@ import (
 	"sigkern/internal/kernels/cornerturn"
 	"sigkern/internal/kernels/cslc"
 	"sigkern/internal/kernels/fft"
+	"sigkern/internal/sim"
 )
 
 var _ core.Machine = (*Machine)(nil)
@@ -23,7 +24,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MVL = 0 },
 		func(c *Config) { c.StartupALU = -1 },
 		func(c *Config) { c.TLBEntries = 0 },
+		func(c *Config) { c.TLBPageBytes = 2 },
 		func(c *Config) { c.DRAM.Banks = 0 },
+		func(c *Config) { c.DRAM.InterleaveWords = -8 },
 	}
 	for i, mut := range mutations {
 		c := DefaultConfig()
@@ -121,6 +124,104 @@ func TestTLBMissesOnLargeWalk(t *testing.T) {
 	tl.reset()
 	if got := tl.touch(0, 1, 64); got != 1 {
 		t.Fatalf("unit walk misses = %d, want 1", got)
+	}
+}
+
+// TestTLBEvictsLeastRecentlyUsed separates LRU from FIFO replacement:
+// re-touching page 0 must protect it, so page 4 evicts page 1.
+func TestTLBEvictsLeastRecentlyUsed(t *testing.T) {
+	const page = 2048 // words in an 8 KB page
+	tl := newTLB(4, 8<<10)
+	steps := []struct {
+		first, pages int
+		misses       uint64
+	}{
+		{0, 4, 4}, // pages 0-3 fill the TLB
+		{0, 1, 0}, // page 0 becomes most recently used
+		{4, 1, 1}, // page 4 evicts page 1, the least recently used
+		{0, 1, 0}, // page 0 survived
+		{1, 1, 1}, // page 1 did not
+	}
+	for i, st := range steps {
+		if got := tl.touch(st.first*page, page, st.pages); got != st.misses {
+			t.Fatalf("step %d (pages %d..%d): %d misses, want %d",
+				i, st.first, st.first+st.pages-1, got, st.misses)
+		}
+	}
+}
+
+// mapScanTLB is the original TLB: a page -> last-use map whose victim
+// is found by scanning every entry. It is the oracle the O(1) TLB must
+// match miss for miss.
+type mapScanTLB struct {
+	entries   int
+	pageWords int
+	pages     map[int]uint64
+	tick      uint64
+}
+
+func (t *mapScanTLB) touch(base, stride, count int) uint64 {
+	var misses uint64
+	last := -1
+	for i := 0; i < count; i++ {
+		page := (base + i*stride) / t.pageWords
+		if page == last {
+			continue
+		}
+		last = page
+		t.tick++
+		if _, ok := t.pages[page]; ok {
+			t.pages[page] = t.tick
+			continue
+		}
+		misses++
+		if len(t.pages) >= t.entries {
+			var victim int
+			var oldest uint64 = ^uint64(0)
+			for p, when := range t.pages {
+				if when < oldest {
+					oldest = when
+					victim = p
+				}
+			}
+			delete(t.pages, victim)
+		}
+		t.pages[page] = t.tick
+	}
+	return misses
+}
+
+// TestTLBMatchesMapScanOracle drives the TLB and the oracle through the
+// same seeded random strided walks and requires equal miss counts after
+// every call, across entry counts and page sizes, with a reset of both
+// every 250 calls.
+func TestTLBMatchesMapScanOracle(t *testing.T) {
+	rng := sim.NewPRNG(14)
+	for _, entries := range []int{1, 2, 3, 8, 48} {
+		for _, pageBytes := range []int{4, 64, 8 << 10, 64 << 10} {
+			tl := newTLB(entries, pageBytes)
+			var oracle *mapScanTLB
+			// The address space spans a few times more pages than the
+			// TLB holds, so walks mix hits, cold misses and evictions.
+			span := 4 * entries * pageBytes / 4
+			for call := 0; call < 1000; call++ {
+				if call%250 == 0 {
+					tl.reset()
+					oracle = &mapScanTLB{entries: entries, pageWords: pageBytes / 4, pages: map[int]uint64{}}
+				}
+				base := rng.Intn(span)
+				stride := 1 + rng.Intn(3*pageBytes/4+1)
+				if rng.Intn(4) == 0 {
+					stride = -stride
+				}
+				count := 1 + rng.Intn(64)
+				got, want := tl.touch(base, stride, count), oracle.touch(base, stride, count)
+				if got != want {
+					t.Fatalf("entries %d, %d-byte pages, call %d (base %d stride %d count %d): %d misses, oracle %d",
+						entries, pageBytes, call, base, stride, count, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -3,7 +3,7 @@
 # snapshot (default BENCH.json) for scripts/benchdiff.go.
 #
 # The set is split in three because the right benchtime differs:
-#   - simulator benchmarks (Table 3 corner turn + CSLC): a handful of
+#   - simulator benchmarks (all three Table 3 kernels): a handful of
 #     fixed iterations — each iteration is a full deterministic
 #     simulation, so more iterations only burn time;
 #   - service benchmarks (BenchmarkServiceThroughput): time-based, the
@@ -34,7 +34,7 @@ out="${1:-BENCH.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-go test -run='^$' -bench='Table3CornerTurn|Table3CSLC' -benchmem \
+go test -run='^$' -bench='Table3CornerTurn|Table3CSLC|Table3BeamSteering' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SIM_BENCHTIME:-20x}" . | tee "$tmp"
 go test -run='^$' -bench='ServiceThroughput|EstimateTier' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SVC_BENCHTIME:-0.5s}" . | tee -a "$tmp"
