@@ -26,9 +26,9 @@ import (
 	"sigkern/internal/kernels/matmul"
 	"sigkern/internal/kernels/pfb"
 	"sigkern/internal/machines"
-	"sigkern/internal/perfmodel"
 	"sigkern/internal/ppc"
 	"sigkern/internal/rawsim"
+	"sigkern/internal/roofline"
 	"sigkern/internal/svc"
 	"sigkern/internal/viram"
 )
@@ -56,11 +56,11 @@ func benchKernel(b *testing.B, m core.Machine, k core.KernelID) {
 
 func BenchmarkTable1PeakThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if rows := perfmodel.Table1(); len(rows) != 5 {
+		if rows := roofline.Table1(); len(rows) != 5 {
 			b.Fatal("Table 1 incomplete")
 		}
 	}
-	for _, t := range perfmodel.Table1() {
+	for _, t := range roofline.Table1() {
 		b.ReportMetric(t.Compute, t.Machine+"-compute-w/c")
 	}
 }
@@ -104,26 +104,29 @@ func BenchmarkTable3BeamSteering(b *testing.B) {
 // --- Table 4: performance model vs measured ------------------------------
 
 func BenchmarkTable4CornerTurnModel(b *testing.B) {
-	spec := cornerturn.PaperSpec()
-	measured := make(map[string]uint64)
-	for _, m := range machines.Research() {
-		r, err := m.RunCornerTurn(spec)
+	w := core.PaperWorkload()
+	ms := machines.Research()
+	measured := make([]uint64, len(ms))
+	for i, m := range ms {
+		r, err := m.RunCornerTurn(w.CornerTurn)
 		if err != nil {
 			b.Fatal(err)
 		}
-		measured[m.Name()] = r.Cycles
+		measured[i] = r.Cycles
 	}
 	b.ResetTimer()
-	var rows []perfmodel.Table4Row
+	peak := make([]uint64, len(ms))
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = perfmodel.Table4(spec, measured)
-		if err != nil {
-			b.Fatal(err)
+		for j, m := range ms {
+			e, err := roofline.ForJob(m.Name(), core.CornerTurn, w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			peak[j] = e.PeakCycles
 		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(r.Ratio(), r.Machine+"-measured/peak")
+	for j, m := range ms {
+		b.ReportMetric(float64(measured[j])/float64(peak[j]), m.Name()+"-measured/peak")
 	}
 }
 

@@ -158,10 +158,7 @@ func log4(n int) int {
 // descriptor-limited stream units.
 func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 	spec.Radix = fft.BestRadix(spec.FFTSize) // mixed radix-4/2 at the paper's N=128
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := verifyCSLC(spec); err != nil {
+	if err := cslc.Verify(spec); err != nil {
 		return core.Result{}, err
 	}
 
@@ -221,10 +218,7 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 // idle clusters when fewer than eight transforms remain.
 func (m *Machine) RunCSLCIndependentFFTs(spec cslc.Spec) (core.Result, error) {
 	spec.Radix = fft.MixedRadix42
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := verifyCSLC(spec); err != nil {
+	if err := cslc.Verify(spec); err != nil {
 		return core.Result{}, err
 	}
 
@@ -293,24 +287,6 @@ func (m *Machine) RunCSLCIndependentFFTs(spec cslc.Spec) (core.Result, error) {
 	return r, nil
 }
 
-// verifyCSLC proves the functional pipeline against the naive-DFT
-// reference on the synthetic scene.
-func verifyCSLC(spec cslc.Spec) error {
-	scene := testsig.DefaultScene(spec.Samples)
-	scene.AuxCoupling = scene.AuxCoupling[:spec.AuxChannels]
-	channels := scene.Channels(spec.MainChannels)
-	w, err := cslc.EstimateWeights(spec, channels)
-	if err != nil {
-		return err
-	}
-	out, err := cslc.Run(spec, channels, w)
-	if err != nil {
-		return err
-	}
-	probe := []int{0, spec.SubBands / 2, spec.SubBands - 1}
-	return cslc.VerifyAgainstNaive(spec, channels, w, out, probe)
-}
-
 // RunBeamSteering implements core.Machine: per dwell and direction, the
 // calibration tables stream from memory into the SRF, the clusters
 // compute the phases, and the results stream back. The table streams
@@ -336,16 +312,8 @@ func (m *Machine) RunBeamSteeringSRFTables(spec beamsteer.Spec) (core.Result, er
 // limited by memory bandwidth ... but rather will be limited by
 // arithmetic performance."
 func (m *Machine) RunBeamSteeringPipelined(spec beamsteer.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
+	if err := beamsteer.Verify(spec); err != nil {
 		return core.Result{}, err
-	}
-	tables := testsig.NewBeamTables(spec.Elements, spec.Directions, spec.Dwells, 7)
-	out, err := beamsteer.Steer(spec, tables)
-	if err != nil {
-		return core.Result{}, err
-	}
-	if out[0][0][0] != beamsteer.SteerOne(spec, tables, 0, 0, 0) {
-		return core.Result{}, fmt.Errorf("imagine: beam steering output mismatch")
 	}
 
 	m.reset()
@@ -370,19 +338,8 @@ func (m *Machine) RunBeamSteeringPipelined(spec beamsteer.Spec) (core.Result, er
 }
 
 func (m *Machine) runBeamSteering(spec beamsteer.Spec, srfTables bool) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
+	if err := beamsteer.Verify(spec); err != nil {
 		return core.Result{}, err
-	}
-	tables := testsig.NewBeamTables(spec.Elements, spec.Directions, spec.Dwells, 7)
-	out, err := beamsteer.Steer(spec, tables)
-	if err != nil {
-		return core.Result{}, err
-	}
-	for _, probe := range [][3]int{{0, 0, 0}, {spec.Dwells - 1, spec.Directions - 1, spec.Elements - 1}} {
-		dw, d, e := probe[0], probe[1], probe[2]
-		if out[dw][d][e] != beamsteer.SteerOne(spec, tables, dw, d, e) {
-			return core.Result{}, fmt.Errorf("imagine: beam steering output mismatch at %v", probe)
-		}
 	}
 
 	m.reset()

@@ -74,10 +74,10 @@ func (m *Machine) RunPipeline(w pfb.Workload, bs beamsteer.Spec, eq equalize.Spe
 	if err := w.ValidateWorkload(); err != nil {
 		return core.Result{}, err
 	}
-	if err := bs.Validate(); err != nil {
+	if err := eq.Validate(); err != nil {
 		return core.Result{}, err
 	}
-	if err := eq.Validate(); err != nil {
+	if err := beamsteer.Verify(bs); err != nil {
 		return core.Result{}, err
 	}
 	if err := w.Verify(); err != nil {

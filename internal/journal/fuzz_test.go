@@ -12,9 +12,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	good, _ := EncodeFrame([]byte("seed-record"))
 	f.Add(good)
 	f.Add([]byte{})
-	f.Add(make([]byte, 64))                            // zero run: must not decode
+	f.Add(make([]byte, 64))                           // zero run: must not decode
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // oversized length
-	f.Add(good[:len(good)-2])                          // torn tail
+	f.Add(good[:len(good)-2])                         // torn tail
 	two := append(append([]byte(nil), good...), good...)
 	f.Add(two)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -98,8 +98,40 @@ func Steer(spec Spec, tables *testsig.BeamTables) ([][][]int32, error) {
 	return out, nil
 }
 
-// SteerOne computes a single output; used by tests and by machine models
-// that verify single lanes.
+// Verify is the beam-steering golden check: it builds the synthetic
+// calibration tables, runs Steer, and proves the first, middle and last
+// outputs against the independent single-output formula. Every machine
+// model calls it once before timing the kernel.
+func Verify(spec Spec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	tables := testsig.NewBeamTables(spec.Elements, spec.Directions, spec.Dwells, 7)
+	out, err := Steer(spec, tables)
+	if err != nil {
+		return err
+	}
+	return checkProbes(spec, tables, out)
+}
+
+// checkProbes compares the first, middle and last outputs of out with
+// SteerOne.
+func checkProbes(spec Spec, tables *testsig.BeamTables, out [][][]int32) error {
+	for _, p := range [][3]int{
+		{0, 0, 0},
+		{spec.Dwells - 1, spec.Directions - 1, spec.Elements - 1},
+		{spec.Dwells / 2, 0, spec.Elements / 2},
+	} {
+		dw, d, e := p[0], p[1], p[2]
+		if got, want := out[dw][d][e], SteerOne(spec, tables, dw, d, e); got != want {
+			return fmt.Errorf("beamsteer: output %v = %d, want %d", p, got, want)
+		}
+	}
+	return nil
+}
+
+// SteerOne computes a single output, independently of Steer's loop
+// nest; Verify checks Steer against it.
 func SteerOne(spec Spec, tables *testsig.BeamTables, dw, d, e int) int32 {
 	t := tables.ElementCal[e] + tables.ElementGrad[e] +
 		tables.DirSteer[d] + tables.DwellBase[dw] + spec.Rounding

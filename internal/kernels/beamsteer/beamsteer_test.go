@@ -157,3 +157,28 @@ func BenchmarkSteerPaperSpec(b *testing.B) {
 		}
 	}
 }
+
+// TestVerifyCatchesWrongOutput proves the golden check can fail: Steer's
+// cube passes the probe comparison, and changing any one probed output
+// makes it fail.
+func TestVerifyCatchesWrongOutput(t *testing.T) {
+	s := Spec{Elements: 13, Directions: 4, Dwells: 3, ShiftBits: 2, Rounding: 2}
+	if err := Verify(s); err != nil {
+		t.Fatal(err)
+	}
+	tb := tables(s)
+	out, err := Steer(s, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkProbes(s, tb, out); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][3]int{{0, 0, 0}, {2, 3, 12}, {1, 0, 6}} {
+		out[p[0]][p[1]][p[2]]++
+		if err := checkProbes(s, tb, out); err == nil {
+			t.Errorf("changed output %v passed verification", p)
+		}
+		out[p[0]][p[1]][p[2]]--
+	}
+}

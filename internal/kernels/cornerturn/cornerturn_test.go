@@ -181,3 +181,27 @@ func BenchmarkTransposeBlocked1024(b *testing.B) {
 		_ = TransposeBlocked(dst, src, 64)
 	}
 }
+
+// TestVerifySyntheticCatchesSwap proves the golden check can fail: a
+// blocked transpose passes, and the same transpose with two output
+// elements swapped does not.
+func TestVerifySyntheticCatchesSwap(t *testing.T) {
+	blocked := func(dst, src *testsig.Matrix) error { return TransposeBlocked(dst, src, 16) }
+	if err := VerifySynthetic(48, 40, blocked); err != nil {
+		t.Fatal(err)
+	}
+	swapped := func(dst, src *testsig.Matrix) error {
+		if err := blocked(dst, src); err != nil {
+			return err
+		}
+		last := len(dst.Data) - 1
+		if dst.Data[0] == dst.Data[last] {
+			t.Fatal("swap candidates are equal; pick other elements")
+		}
+		dst.Data[0], dst.Data[last] = dst.Data[last], dst.Data[0]
+		return nil
+	}
+	if err := VerifySynthetic(48, 40, swapped); err == nil {
+		t.Fatal("a transpose with two elements swapped passed verification")
+	}
+}

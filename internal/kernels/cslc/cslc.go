@@ -25,7 +25,13 @@ import (
 	"fmt"
 
 	"sigkern/internal/kernels/fft"
+	"sigkern/internal/kernels/testsig"
 )
+
+// maxAuxChannels is the most auxiliary channels the canceller supports:
+// EstimateWeights solves at most a 2x2 system per bin, and the synthetic
+// scene couples the jammer into two aux antennas.
+const maxAuxChannels = 2
 
 // Spec describes one CSLC problem instance.
 type Spec struct {
@@ -50,6 +56,9 @@ func PaperSpec(radix fft.Radix) Spec {
 func (s Spec) Validate() error {
 	if s.MainChannels <= 0 || s.AuxChannels < 0 {
 		return fmt.Errorf("cslc: channel counts %d/%d", s.MainChannels, s.AuxChannels)
+	}
+	if s.AuxChannels > maxAuxChannels {
+		return fmt.Errorf("cslc: %d aux channels, at most %d supported", s.AuxChannels, maxAuxChannels)
 	}
 	if s.Samples < s.FFTSize || s.FFTSize < 2 {
 		return fmt.Errorf("cslc: %d samples with FFT size %d", s.Samples, s.FFTSize)
@@ -273,8 +282,8 @@ func EstimateWeights(s Spec, channels [][]complex128) (*Weights, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.AuxChannels > 2 {
-		return nil, fmt.Errorf("cslc: EstimateWeights supports at most 2 aux channels, got %d", s.AuxChannels)
+	if s.AuxChannels > maxAuxChannels {
+		return nil, fmt.Errorf("cslc: EstimateWeights supports at most %d aux channels, got %d", maxAuxChannels, s.AuxChannels)
 	}
 	w := NewWeights(s)
 	auxSpectra := spectra[s.MainChannels:]
@@ -323,11 +332,35 @@ func loading(trace float64) complex128 {
 	return complex(1e-4*trace+1e-12, 0)
 }
 
+// Verify is the CSLC golden check. It runs the pipeline with the spec's
+// FFT radix on the synthetic radar scene, weights estimated from that
+// scene, and proves the first, middle and last sub-bands against the
+// naive-DFT reference. Every machine model calls it once, with its own
+// radix, before timing the kernel.
+func Verify(s Spec) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	scene := testsig.DefaultScene(s.Samples)
+	scene.AuxCoupling = scene.AuxCoupling[:s.AuxChannels]
+	channels := scene.Channels(s.MainChannels)
+	w, err := EstimateWeights(s, channels)
+	if err != nil {
+		return err
+	}
+	out, err := Run(s, channels, w)
+	if err != nil {
+		return err
+	}
+	return VerifyAgainstNaive(s, channels, w, out, probeBands(s))
+}
+
+// probeBands returns the sub-bands Verify proves: first, middle, last.
+func probeBands(s Spec) []int { return []int{0, s.SubBands / 2, s.SubBands - 1} }
+
 // VerifyAgainstNaive recomputes the pipeline for the selected sub-bands
-// with the O(N^2) naive DFT/IDFT and compares against out. Machine models
-// call it to prove their functional results against an implementation
-// that shares no code with the fast path. It returns the first
-// discrepancy found.
+// with the O(N^2) naive DFT/IDFT and compares against out, sharing no
+// code with the fast path. It returns the first discrepancy found.
 func VerifyAgainstNaive(s Spec, channels [][]complex128, w *Weights, out *Output, bands []int) error {
 	for m := 0; m < s.MainChannels; m++ {
 		for _, b := range bands {

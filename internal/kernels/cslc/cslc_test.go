@@ -35,6 +35,7 @@ func TestSpecValidate(t *testing.T) {
 		{MainChannels: 2, AuxChannels: 2, Samples: 8192, SubBands: 0, FFTSize: 128, Radix: fft.Radix2},
 		{MainChannels: 2, AuxChannels: 2, Samples: 8192, SubBands: 73, FFTSize: 128, Radix: fft.Radix4}, // 128 != 4^k
 		{MainChannels: 2, AuxChannels: 2, Samples: 130, SubBands: 100, FFTSize: 128, Radix: fft.Radix2}, // hop 0
+		{MainChannels: 2, AuxChannels: 3, Samples: 8192, SubBands: 73, FFTSize: 128, Radix: fft.Radix2}, // > 2 aux
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -335,5 +336,32 @@ func TestSinglePrecisionRejectsBadInput(t *testing.T) {
 	}
 	if _, err := RunSinglePrecision(s, bad, w); err == nil {
 		t.Fatal("short channels accepted")
+	}
+}
+
+// TestVerifyCatchesWrongOutput proves the golden check can fail: the
+// pipeline passes Verify, and the same naive-DFT comparison rejects its
+// output once one sample of a probed band is perturbed.
+func TestVerifyCatchesWrongOutput(t *testing.T) {
+	s := smallSpec(fft.MixedRadix42)
+	if err := Verify(s); err != nil {
+		t.Fatal(err)
+	}
+	channels := testsig.DefaultScene(s.Samples).Channels(s.MainChannels)
+	w, err := EstimateWeights(s, channels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(s, channels, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bands := probeBands(s)
+	if err := VerifyAgainstNaive(s, channels, w, out, bands); err != nil {
+		t.Fatal(err)
+	}
+	out.Cancelled[1][bands[1]][5] += 1e-3
+	if err := VerifyAgainstNaive(s, channels, w, out, bands); err == nil {
+		t.Fatal("a perturbed sample in a probed band passed verification")
 	}
 }

@@ -1,114 +1,76 @@
-package perfmodel
+// Package perfmodel holds no code: the Section 2.5 peak-throughput
+// model lives in internal/roofline. These tests pin that model to the
+// bounds the paper works through for its instance — 1M corner-turn
+// elements (2M word transfers), the CSLC and 51,456 beam-steering
+// outputs — which are Table 4's peak column.
+package perfmodel_test
 
 import (
 	"testing"
 
-	"sigkern/internal/kernels/beamsteer"
-	"sigkern/internal/kernels/cornerturn"
-	"sigkern/internal/kernels/cslc"
-	"sigkern/internal/kernels/fft"
+	"sigkern/internal/core"
+	"sigkern/internal/roofline"
 )
 
-func TestTable1Rows(t *testing.T) {
-	rows := Table1()
-	if len(rows) != 5 {
-		t.Fatalf("Table 1 has %d rows, want 5", len(rows))
+// paperBound is the model's estimate for one paper-workload cell.
+func paperBound(t *testing.T, machine string, k core.KernelID) roofline.Estimate {
+	t.Helper()
+	e, err := roofline.ForJob(machine, k, core.PaperWorkload())
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := map[string][3]float64{
-		"PPC":     {1, 1, 2},
-		"AltiVec": {4, 1, 5},
-		"VIRAM":   {8, 2, 8},
-		"Imagine": {16, 2, 48},
-		"Raw":     {16, 16, 16},
-	}
-	for _, r := range rows {
-		w, ok := want[r.Machine]
-		if !ok {
-			t.Fatalf("unexpected machine %q", r.Machine)
-		}
-		if r.OnChipRW != w[0] || r.OffChipRW != w[1] || r.Compute != w[2] {
-			t.Fatalf("%s: got %v/%v/%v, want %v", r.Machine, r.OnChipRW, r.OffChipRW, r.Compute, w)
-		}
-	}
-	// The baselines run their kernels against off-chip memory and have
-	// no special strided or integer paths.
-	for _, name := range []string{"PPC", "AltiVec"} {
-		r, err := ForMachine(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.KernelMemoryOnChip || r.StridedRW != 0 || r.IntCompute != 0 {
-			t.Fatalf("%s: unexpected research-architecture fields %+v", name, r)
-		}
-	}
-}
-
-func TestTable1Shared(t *testing.T) {
-	// The table is hoisted to package level: repeated calls hand out the
-	// same backing array instead of allocating.
-	a, b := Table1(), Table1()
-	if &a[0] != &b[0] {
-		t.Fatal("Table1 allocated a fresh slice")
-	}
-	if n := testing.AllocsPerRun(100, func() { _, _ = ForMachine("VIRAM") }); n != 0 {
-		t.Fatalf("ForMachine allocates %v per call", n)
-	}
+	return e
 }
 
 func TestForMachine(t *testing.T) {
-	if _, err := ForMachine("VIRAM"); err != nil {
+	if _, err := roofline.ForMachine("VIRAM"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ForMachine("G5"); err == nil {
+	if _, err := roofline.ForMachine("G5"); err == nil {
 		t.Fatal("unknown machine accepted")
 	}
 }
 
 func TestExpectedCornerTurn(t *testing.T) {
-	spec := cornerturn.PaperSpec() // 1M elements, 2M word transfers
-	viram, _ := ForMachine("VIRAM")
-	imagine, _ := ForMachine("Imagine")
-	raw, _ := ForMachine("Raw")
-	// VIRAM: 2M words at 8/cycle on-chip = 262,144 cycles (the paper:
-	// measured is "about half of what would have been expected").
-	if got := ExpectedCornerTurn(viram, spec); got != 2*1024*1024/8 {
-		t.Fatalf("VIRAM expected = %d, want 262144", got)
-	}
-	// Imagine: 2M words at 2/cycle off-chip = 1,048,576 cycles.
-	if got := ExpectedCornerTurn(imagine, spec); got != 2*1024*1024/2 {
-		t.Fatalf("Imagine expected = %d, want 1048576", got)
-	}
-	// Raw: issue-bound at 16 instructions/cycle = 131,072 cycles.
-	if got := ExpectedCornerTurn(raw, spec); got != 2*1024*1024/16 {
-		t.Fatalf("Raw expected = %d, want 131072", got)
+	const words = 2 * 1024 * 1024
+	for _, c := range []struct {
+		machine string
+		want    uint64
+	}{
+		// VIRAM: 2M words at 8/cycle on chip = 262,144 cycles (the
+		// paper: measured is "about half of what would have been
+		// expected").
+		{"VIRAM", words / 8},
+		// Imagine: 2M words at 2/cycle off chip = 1,048,576 cycles.
+		{"Imagine", words / 2},
+		// Raw: issue-bound at 16 instructions/cycle = 131,072 cycles.
+		{"Raw", words / 16},
+	} {
+		if got := paperBound(t, c.machine, core.CornerTurn).PeakCycles; got != c.want {
+			t.Errorf("%s expected = %d, want %d", c.machine, got, c.want)
+		}
 	}
 }
 
 func TestExpectedCornerTurnStrided(t *testing.T) {
-	spec := cornerturn.PaperSpec()
-	viram, _ := ForMachine("VIRAM")
+	const n = 1024 * 1024
 	// Strided reads at 4/cycle + sequential writes at 8/cycle.
-	want := uint64(1024*1024/4 + 1024*1024/8)
-	if got := ExpectedCornerTurnStrided(viram, spec); got != want {
+	if got, want := paperBound(t, "VIRAM", core.CornerTurn).Cycles, uint64(n/4+n/8); got != want {
 		t.Fatalf("VIRAM strided expected = %d, want %d", got, want)
 	}
 	// Machines without a strided limit fall back to the plain bound.
-	raw, _ := ForMachine("Raw")
-	if got := ExpectedCornerTurnStrided(raw, spec); got != ExpectedCornerTurn(raw, spec) {
-		t.Fatal("Raw strided bound should equal plain bound")
+	for _, name := range []string{"Imagine", "Raw"} {
+		if e := paperBound(t, name, core.CornerTurn); e.Cycles != e.PeakCycles {
+			t.Fatalf("%s strided bound %d should equal plain bound %d", name, e.Cycles, e.PeakCycles)
+		}
 	}
 }
 
 func TestExpectedCSLCOrdering(t *testing.T) {
-	spec := cslc.PaperSpec(fft.MixedRadix42)
 	var prev uint64
 	// Higher compute throughput gives a lower bound: Imagine < Raw < VIRAM.
 	for i, name := range []string{"Imagine", "Raw", "VIRAM"} {
-		tp, _ := ForMachine(name)
-		got, err := ExpectedCSLC(tp, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := paperBound(t, name, core.CSLC).Cycles
 		if i > 0 && got <= prev {
 			t.Fatalf("%s bound %d not above previous %d", name, got, prev)
 		}
@@ -117,52 +79,18 @@ func TestExpectedCSLCOrdering(t *testing.T) {
 }
 
 func TestExpectedBeamSteering(t *testing.T) {
-	spec := beamsteer.PaperSpec()
-	viram, _ := ForMachine("VIRAM")
-	// Memory-bound: 3 words x 51,456 outputs at 8 words/cycle.
-	want := uint64(3 * 51456 / 8)
-	if got := ExpectedBeamSteering(viram, spec); got != want {
-		t.Fatalf("VIRAM beam steering bound = %d, want %d", got, want)
-	}
-	// Raw: compute-bound (6 ops at 16/cycle > 3 words at 16/cycle).
-	raw, _ := ForMachine("Raw")
-	if got := ExpectedBeamSteering(raw, spec); got != uint64(6*51456/16) {
-		t.Fatalf("Raw beam steering bound = %d", got)
-	}
-}
-
-func TestTable4(t *testing.T) {
-	spec := cornerturn.PaperSpec()
-	measured := map[string]uint64{"VIRAM": 554_000, "Imagine": 1_439_000, "Raw": 146_000}
-	rows, err := Table4(spec, measured)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Measured == 0 || r.Expected == 0 {
-			t.Fatalf("row %+v has zeros", r)
+	const outputs = 51456
+	for _, c := range []struct {
+		machine string
+		want    uint64
+	}{
+		// VIRAM: memory-bound, 3 words per output at 8 words/cycle.
+		{"VIRAM", 3 * outputs / 8},
+		// Raw: compute-bound (6 ops at 16/cycle > 3 words at 16/cycle).
+		{"Raw", 6 * outputs / 16},
+	} {
+		if e := paperBound(t, c.machine, core.BeamSteering); e.PeakCycles != c.want || e.Cycles != c.want {
+			t.Errorf("%s beam steering bound = %d/%d, want %d", c.machine, e.PeakCycles, e.Cycles, c.want)
 		}
-		if r.Ratio() < 1 {
-			t.Fatalf("%s: measured beat the peak model (ratio %.2f)", r.Machine, r.Ratio())
-		}
-	}
-	// A partial study reconstructs its slice of the table, in Table 1
-	// machine order.
-	partial, err := Table4(spec, map[string]uint64{"Raw": 150_000, "PPC": 28_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(partial) != 2 || partial[0].Machine != "PPC" || partial[1].Machine != "Raw" {
-		t.Fatalf("partial rows %+v", partial)
-	}
-	// Machines without a Table 1 row, and empty measurements, are errors.
-	if _, err := Table4(spec, map[string]uint64{"G5": 1}); err == nil {
-		t.Fatal("unknown machine accepted")
-	}
-	if _, err := Table4(spec, nil); err == nil {
-		t.Fatal("empty measurements accepted")
 	}
 }

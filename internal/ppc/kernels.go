@@ -76,10 +76,7 @@ func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
 // but software-pipelines well (the source of the paper's ~6x gain).
 func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 	spec.Radix = fft.Radix2
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := verifyCSLC(spec); err != nil {
+	if err := cslc.Verify(spec); err != nil {
 		return core.Result{}, err
 	}
 
@@ -165,19 +162,8 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 // after the first dwell; the output stream write-misses its way through
 // the store queue.
 func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
+	if err := beamsteer.Verify(spec); err != nil {
 		return core.Result{}, err
-	}
-	tables := testsig.NewBeamTables(spec.Elements, spec.Directions, spec.Dwells, 7)
-	out, err := beamsteer.Steer(spec, tables)
-	if err != nil {
-		return core.Result{}, err
-	}
-	for _, probe := range [][3]int{{0, 0, 0}, {spec.Dwells - 1, spec.Directions - 1, spec.Elements - 1}} {
-		dw, d, e := probe[0], probe[1], probe[2]
-		if out[dw][d][e] != beamsteer.SteerOne(spec, tables, dw, d, e) {
-			return core.Result{}, fmt.Errorf("ppc: beam steering output mismatch at %v", probe)
-		}
 	}
 
 	m.reset()
@@ -211,24 +197,6 @@ func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
 	cycles := compute + m.memStallCycles()
 	return m.result(core.BeamSteering, cycles,
 		outputs*spec.OpsPerOutput(), outputs*spec.MemPerOutput()), nil
-}
-
-// verifyCSLC proves the functional pipeline against the naive-DFT
-// reference on the synthetic scene.
-func verifyCSLC(spec cslc.Spec) error {
-	scene := testsig.DefaultScene(spec.Samples)
-	scene.AuxCoupling = scene.AuxCoupling[:spec.AuxChannels]
-	channels := scene.Channels(spec.MainChannels)
-	w, err := cslc.EstimateWeights(spec, channels)
-	if err != nil {
-		return err
-	}
-	o, err := cslc.Run(spec, channels, w)
-	if err != nil {
-		return err
-	}
-	probe := []int{0, spec.SubBands / 2, spec.SubBands - 1}
-	return cslc.VerifyAgainstNaive(spec, channels, w, o, probe)
 }
 
 func minInt(a, b int) int {

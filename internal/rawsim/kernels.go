@@ -116,10 +116,7 @@ func (m *Machine) RunCSLCRadix4(spec cslc.Spec) (core.Result, error) {
 // load/store and address instructions remain).
 func (m *Machine) RunCSLCDMA(spec cslc.Spec) (core.Result, error) {
 	spec.Radix = fft.Radix2
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := verifyCSLC(spec); err != nil {
+	if err := cslc.Verify(spec); err != nil {
 		return core.Result{}, err
 	}
 
@@ -170,10 +167,7 @@ func (m *Machine) runCSLC(spec cslc.Spec, radix fft.Radix, spill bool) (core.Res
 		radix = fft.MixedRadix42
 	}
 	spec.Radix = radix
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := verifyCSLC(spec); err != nil {
+	if err := cslc.Verify(spec); err != nil {
 		return core.Result{}, err
 	}
 
@@ -248,10 +242,7 @@ func log4(n int) int {
 // improvement"). The weight stage keeps its register-resident form.
 func (m *Machine) RunCSLCStream(spec cslc.Spec) (core.Result, error) {
 	spec.Radix = fft.Radix2
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := verifyCSLC(spec); err != nil {
+	if err := cslc.Verify(spec); err != nil {
 		return core.Result{}, err
 	}
 
@@ -297,19 +288,8 @@ func (m *Machine) RunCSLCStream(spec cslc.Spec) (core.Result, error) {
 // network — "loads and stores are not necessary and ALU utilization is
 // very high".
 func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
+	if err := beamsteer.Verify(spec); err != nil {
 		return core.Result{}, err
-	}
-	tables := testsig.NewBeamTables(spec.Elements, spec.Directions, spec.Dwells, 7)
-	out, err := beamsteer.Steer(spec, tables)
-	if err != nil {
-		return core.Result{}, err
-	}
-	for _, probe := range [][3]int{{0, 0, 0}, {spec.Dwells - 1, spec.Directions - 1, spec.Elements - 1}} {
-		dw, d, e := probe[0], probe[1], probe[2]
-		if out[dw][d][e] != beamsteer.SteerOne(spec, tables, dw, d, e) {
-			return core.Result{}, fmt.Errorf("rawsim: beam steering output mismatch at %v", probe)
-		}
 	}
 
 	m.reset()
@@ -342,16 +322,8 @@ func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
 // two table loads and one store as real instructions, plus the cache
 // traffic for the tables and output stream.
 func (m *Machine) RunBeamSteeringMIMD(spec beamsteer.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
+	if err := beamsteer.Verify(spec); err != nil {
 		return core.Result{}, err
-	}
-	tables := testsig.NewBeamTables(spec.Elements, spec.Directions, spec.Dwells, 7)
-	out, err := beamsteer.Steer(spec, tables)
-	if err != nil {
-		return core.Result{}, err
-	}
-	if out[0][0][0] != beamsteer.SteerOne(spec, tables, 0, 0, 0) {
-		return core.Result{}, fmt.Errorf("rawsim: beam steering output mismatch")
 	}
 
 	m.reset()
@@ -456,22 +428,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// verifyCSLC proves the functional pipeline against the naive-DFT
-// reference on the synthetic scene.
-func verifyCSLC(spec cslc.Spec) error {
-	scene := testsig.DefaultScene(spec.Samples)
-	scene.AuxCoupling = scene.AuxCoupling[:spec.AuxChannels]
-	channels := scene.Channels(spec.MainChannels)
-	w, err := cslc.EstimateWeights(spec, channels)
-	if err != nil {
-		return err
-	}
-	out, err := cslc.Run(spec, channels, w)
-	if err != nil {
-		return err
-	}
-	probe := []int{0, spec.SubBands / 2, spec.SubBands - 1}
-	return cslc.VerifyAgainstNaive(spec, channels, w, out, probe)
 }

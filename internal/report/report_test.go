@@ -207,3 +207,28 @@ func (s *stubMachine) RunCSLC(cslc.Spec) (core.Result, error) {
 func (s *stubMachine) RunBeamSteering(beamsteer.Spec) (core.Result, error) {
 	return s.result(core.BeamSteering, 100)
 }
+
+// TestRenderTable4 pins the reconstructed Table 4's rows: Table 1 order
+// for exactly the Table 1 machines the study ran, and an error for a
+// study that ran none.
+func TestRenderTable4(t *testing.T) {
+	sr, err := core.RunStudy([]core.Machine{
+		&stubMachine{name: "Raw", clock: 250, scale: 1},
+		&stubMachine{name: "PPC", clock: 1000, scale: 10},
+	}, core.PaperWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RenderTable4(&buf, sr); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	ppcRow, rawRow := strings.Index(out, "\nPPC "), strings.Index(out, "\nRaw ")
+	if ppcRow < 0 || rawRow < 0 || ppcRow > rawRow || strings.Contains(out, "\nVIRAM ") {
+		t.Fatalf("rows not PPC then Raw:\n%s", out)
+	}
+	if err := RenderTable4(&buf, fakeStudy(t)); err == nil {
+		t.Fatal("study without a Table 1 machine rendered a Table 4")
+	}
+}

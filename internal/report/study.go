@@ -5,14 +5,14 @@ import (
 	"io"
 
 	"sigkern/internal/core"
-	"sigkern/internal/perfmodel"
+	"sigkern/internal/roofline"
 )
 
 // RenderTable1 writes the paper's Table 1: peak throughput in 32-bit
 // words per cycle.
 func RenderTable1(w io.Writer) error {
 	var rows [][]string
-	for _, t := range perfmodel.Table1() {
+	for _, t := range roofline.Table1() {
 		rows = append(rows, []string{
 			t.Machine,
 			fmt.Sprintf("%.0f", t.OnChipRW),
@@ -63,28 +63,30 @@ func RenderTable3(w io.Writer, sr *core.StudyResults) error {
 }
 
 // RenderTable4 writes the reconstructed Table 4: the Section 2.5
-// performance model's expected corner-turn cycles against the simulated
-// measurement.
+// performance model's expected corner-turn cycles (the roofline's peak
+// and strided bounds) against the simulated measurement, one row per
+// Table 1 machine the study ran, in Table 1 order.
 func RenderTable4(w io.Writer, sr *core.StudyResults) error {
-	measured := make(map[string]uint64)
-	for _, t := range perfmodel.Table1() {
-		if r, ok := sr.Result(t.Machine, core.CornerTurn); ok {
-			measured[t.Machine] = r.Cycles
-		}
-	}
-	rows4, err := perfmodel.Table4(sr.Workload.CornerTurn, measured)
-	if err != nil {
-		return err
-	}
 	var rows [][]string
-	for _, r := range rows4 {
+	for _, t := range roofline.Table1() {
+		r, ok := sr.Result(t.Machine, core.CornerTurn)
+		if !ok {
+			continue
+		}
+		e, err := roofline.ForJob(t.Machine, core.CornerTurn, sr.Workload)
+		if err != nil {
+			return err
+		}
 		rows = append(rows, []string{
-			r.Machine,
-			KCycles(r.Expected),
-			KCycles(r.Strided),
-			KCycles(r.Measured),
-			fmt.Sprintf("%.2fx", r.Ratio()),
+			t.Machine,
+			KCycles(e.PeakCycles),
+			KCycles(e.Cycles),
+			KCycles(r.Cycles),
+			fmt.Sprintf("%.2fx", float64(r.Cycles)/float64(e.PeakCycles)),
 		})
+	}
+	if len(rows) == 0 {
+		return fmt.Errorf("report: no corner-turn result for a Table 1 machine")
 	}
 	return Table(w,
 		"Table 4. Corner turn: performance-model expectation vs. measured (cycles in 10^3; reconstructed)",

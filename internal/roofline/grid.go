@@ -1,9 +1,6 @@
 package roofline
 
-import (
-	"sigkern/internal/core"
-	"sigkern/internal/perfmodel"
-)
+import "sigkern/internal/core"
 
 // EnvelopeFor returns the acceptable measured/predicted ratio band for
 // one (machine, kernel) cell. The model is a lower bound, so a healthy
@@ -68,8 +65,8 @@ func GridKernels() []core.KernelID {
 // This is the regenerated and extended Table 4.
 func Grid(w core.Workload, measured map[string]map[core.KernelID]uint64) ([]Cell, error) {
 	kernels := GridKernels()
-	cells := make([]Cell, 0, len(perfmodel.Table1())*len(kernels))
-	for _, t := range perfmodel.Table1() {
+	cells := make([]Cell, 0, len(table1)*len(kernels))
+	for _, t := range table1 {
 		for _, k := range kernels {
 			e, err := ForJob(t.Machine, k, w)
 			if err != nil {

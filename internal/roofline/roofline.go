@@ -1,8 +1,10 @@
-// Package roofline generalizes the paper's Section 2.5 performance
-// model into an analytical roofline engine: every kernel declares its
-// resource demands (words moved, operations, strided fraction) and every
-// machine contributes its Table 1 peak-throughput row, and the predicted
-// execution time is
+// Package roofline implements the paper's Section 2.5 performance model
+// as an analytical roofline engine. "We model computation and memory
+// bandwidth. Memory latency is not modeled since these architectures can
+// generally hide memory latency on the kernels used in this study."
+// Every kernel declares its resource demands (words moved, operations,
+// strided fraction), every machine contributes its Table 1
+// peak-throughput row, and the predicted execution time is
 //
 //	cycles = max(compute bound, memory bound)
 //
@@ -12,9 +14,9 @@
 // tier next to full simulation, and what lets the simulators be checked
 // continuously against their own analytic model (drift alerting).
 //
-// The corner-turn, CSLC, and beam-steering bounds computed here are
-// bit-identical to perfmodel.ExpectedCornerTurn/ExpectedCSLC/
-// ExpectedBeamSteering; the tests assert it. The extension kernels
+// For the corner turn, PeakCycles and Cycles are the peak and strided
+// columns of the paper's Table 4. The tests pin the paper kernels'
+// bounds to the hand-written Section 2.5 formulas. The extension kernels
 // (matmul, pfb, equalize, fft) get bounds from the same machinery via
 // their declared metadata.
 package roofline
@@ -27,7 +29,6 @@ import (
 	"sigkern/internal/kernels/fft"
 	"sigkern/internal/kernels/matmul"
 	"sigkern/internal/kernels/pfb"
-	"sigkern/internal/perfmodel"
 	"sigkern/internal/sim"
 )
 
@@ -57,7 +58,7 @@ const equalizeSamples = 8192
 // the per-kernel metadata the roofline model consumes.
 type Costs struct {
 	// SeqWords is the unit-stride 32-bit-word traffic through the
-	// memory level the kernel stresses (perfmodel.KernelBandwidth).
+	// memory level the kernel stresses (Throughput.KernelBandwidth).
 	SeqWords uint64 `json:"seq_words"`
 	// StridedWords is the word traffic through strided or indexed
 	// accesses; machines with a separate strided path (VIRAM's address
@@ -106,8 +107,8 @@ type Estimate struct {
 	// limit where one exists (the "strided model" column); equal to
 	// PeakMemBound otherwise.
 	MemBound uint64 `json:"memory_bound_cycles,omitempty"`
-	// PeakCycles is max(ComputeBound, PeakMemBound) — bit-identical to
-	// perfmodel.ExpectedCornerTurn and friends for the paper kernels.
+	// PeakCycles is max(ComputeBound, PeakMemBound): the Section 2.5
+	// bound the paper compares its measurements against.
 	PeakCycles uint64 `json:"peak_cycles"`
 	// Cycles is max(ComputeBound, MemBound): the tightest analytic
 	// bound, and what the estimate tier serves.
@@ -124,7 +125,7 @@ type Estimate struct {
 
 // For computes the roofline estimate for one Table 1 row and one set of
 // declared kernel costs.
-func For(t perfmodel.Throughput, c Costs) Estimate {
+func For(t Throughput, c Costs) Estimate {
 	e := Estimate{
 		Machine:   t.Machine,
 		Intensity: c.Intensity(),
@@ -235,7 +236,7 @@ func extensionCosts(k core.KernelID) (Costs, bool) {
 // ForJob computes the estimate for one (machine, kernel, workload)
 // request — the estimate tier's entry point.
 func ForJob(machine string, k core.KernelID, w core.Workload) (Estimate, error) {
-	t, err := perfmodel.ForMachine(machine)
+	t, err := ForMachine(machine)
 	if err != nil {
 		return Estimate{}, err
 	}

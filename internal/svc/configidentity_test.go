@@ -2,6 +2,7 @@ package svc
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -288,5 +289,48 @@ func TestInvalidHardwareOverridesRejected(t *testing.T) {
 	resp, job := postJob(t, srv.URL+"/v1/jobs?wait=1", JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn})
 	if resp.StatusCode != http.StatusOK || job.State != Done || job.Result == nil || !job.Result.Verified {
 		t.Fatalf("paper VIRAM job after the rejected overrides: %d %+v", resp.StatusCode, job)
+	}
+}
+
+// TestTooManyAuxChannelsRejected sends CSLC workloads with more aux
+// channels than the canceller supports. They once passed validation and
+// then panicked in every machine's verification; five of them opened
+// the VIRAM breaker and refused the paper VIRAM job that followed. Every
+// write endpoint must now answer 400 naming the aux-channel count, and
+// the paper job must still run.
+func TestTooManyAuxChannelsRejected(t *testing.T) {
+	_, srv := newTestServer(t)
+	w := core.PaperWorkload()
+	w.CSLC.AuxChannels = 3
+	raw, err := json.Marshal(JobSpec{Machine: "VIRAM", Kernel: core.CSLC, Workload: &w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := string(raw)
+	type call struct{ path, contentType, body string }
+	calls := []call{
+		{"/v1/batch", "application/x-ndjson", spec + "\n"},
+		{"/v1/dse", "application/json", `{"base":` + spec + `}`},
+	}
+	for i := 0; i < 5; i++ {
+		calls = append(calls, call{"/v1/jobs?wait=1", "application/json", spec})
+	}
+	for _, call := range calls {
+		resp, err := http.Post(srv.URL+call.path, call.contentType, strings.NewReader(call.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "3 aux channels") {
+			t.Errorf("POST %s: %d %s, want 400 naming 3 aux channels", call.path, resp.StatusCode, body)
+		}
+	}
+	resp, job := postJob(t, srv.URL+"/v1/jobs?wait=1", JobSpec{Machine: "VIRAM", Kernel: core.CSLC})
+	if resp.StatusCode != http.StatusOK || job.State != Done || job.Result == nil || !job.Result.Verified {
+		t.Fatalf("paper VIRAM CSLC job after the rejected specs: %d %+v", resp.StatusCode, job)
 	}
 }

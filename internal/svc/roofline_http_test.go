@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"sigkern/internal/core"
-	"sigkern/internal/perfmodel"
 	"sigkern/internal/roofline"
 )
 
 // TestHTTPRooflineGrid is the endpoint's acceptance check: the grid's
-// corner-turn cells are bit-identical to the perfmodel Table 4
-// expectations, every kernel with declared metadata appears, and the
-// simulated cells carry their model error.
+// corner-turn cells are bit-identical to the roofline Table 4 bounds,
+// every kernel with declared metadata appears, and the simulated cells
+// carry their model error.
 func TestHTTPRooflineGrid(t *testing.T) {
 	s, srv := newTestServer(t)
 
@@ -22,7 +21,7 @@ func TestHTTPRooflineGrid(t *testing.T) {
 	if resp := getJSON(t, srv.URL+"/v1/roofline", &rd); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	wantCells := len(perfmodel.Table1()) * len(roofline.GridKernels())
+	wantCells := len(roofline.Table1()) * len(roofline.GridKernels())
 	if len(rd.Cells) != wantCells {
 		t.Fatalf("%d cells, want %d", len(rd.Cells), wantCells)
 	}
@@ -36,13 +35,17 @@ func TestHTTPRooflineGrid(t *testing.T) {
 	}
 
 	w := core.PaperWorkload()
-	for _, tp := range perfmodel.Table1() {
+	for _, tp := range roofline.Table1() {
 		ct := cell[tp.Machine][core.CornerTurn]
-		if want := perfmodel.ExpectedCornerTurn(tp, w.CornerTurn); ct.PeakCycles != want {
-			t.Errorf("%s corner-turn peak = %d, want %d (bit-identity)", tp.Machine, ct.PeakCycles, want)
+		want, err := roofline.ForJob(tp.Machine, core.CornerTurn, w)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want := perfmodel.ExpectedCornerTurnStrided(tp, w.CornerTurn); ct.Cycles != want {
-			t.Errorf("%s corner-turn refined = %d, want %d (bit-identity)", tp.Machine, ct.Cycles, want)
+		if ct.PeakCycles != want.PeakCycles {
+			t.Errorf("%s corner-turn peak = %d, want %d (bit-identity)", tp.Machine, ct.PeakCycles, want.PeakCycles)
+		}
+		if ct.Cycles != want.Cycles {
+			t.Errorf("%s corner-turn refined = %d, want %d (bit-identity)", tp.Machine, ct.Cycles, want.Cycles)
 		}
 		// Every paper-kernel cell simulated, with its error populated and
 		// inside the envelope (real simulators, real bounds).

@@ -69,14 +69,28 @@ func chunks(n, mvl int) []int {
 }
 
 // newProg returns the machine's reusable program builder, emptied. The
-// instruction backing is handed back by finishProg so its capacity
-// carries over to the next kernel run.
+// instruction backing is handed back by finish so its capacity carries
+// over to the next kernel run.
 func (m *Machine) newProg() *prog {
 	return &prog{insts: m.progBuf[:0]}
 }
 
-// finishProg returns p's backing array to the machine for reuse.
-func (m *Machine) finishProg(p *prog) { m.progBuf = p.insts }
+// finish executes the kernel's program, returns its backing array to
+// the machine for reuse, and assembles the core.Result.
+func (m *Machine) finish(p *prog, kernel core.KernelID, ops, words uint64) core.Result {
+	res := m.exec(p.insts)
+	m.progBuf = p.insts
+	return core.Result{
+		Machine:   m.Name(),
+		Kernel:    kernel,
+		Cycles:    res.Cycles,
+		Breakdown: res.Breakdown,
+		Stats:     res.Stats,
+		Ops:       ops,
+		Words:     words,
+		Verified:  true,
+	}
+}
 
 // instArena hands out fixed-capacity []Inst chunks carved from one
 // backing array, so per-butterfly bundle construction does not allocate.
@@ -98,7 +112,7 @@ func (a *instArena) take(n int) []Inst {
 		}
 		a.buf = make([]Inst, 0, grow)
 	}
-	s := a.buf[len(a.buf):len(a.buf):len(a.buf)+n]
+	s := a.buf[len(a.buf) : len(a.buf) : len(a.buf)+n]
 	a.buf = a.buf[:len(a.buf)+n]
 	return s
 }
@@ -138,19 +152,7 @@ func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
 			r0 += vl
 		}
 	}
-	res := m.exec(p.insts)
-	m.finishProg(p)
-
-	return core.Result{
-		Machine:   m.Name(),
-		Kernel:    core.CornerTurn,
-		Cycles:    res.Cycles,
-		Breakdown: res.Breakdown,
-		Stats:     res.Stats,
-		Ops:       2 * spec.Words(),
-		Words:     2 * spec.Words(),
-		Verified:  true,
-	}, nil
+	return m.finish(p, core.CornerTurn, 2*spec.Words(), 2*spec.Words()), nil
 }
 
 // RunCornerTurnPermute is the alternative corner-turn formulation the
@@ -203,19 +205,9 @@ func (m *Machine) RunCornerTurnPermute(spec cornerturn.Spec) (core.Result, error
 			c0 += vl
 		}
 	}
-	res := m.exec(p.insts)
-	m.finishProg(p)
-	return core.Result{
-		Machine:   m.Name(),
-		Kernel:    core.CornerTurn,
-		Cycles:    res.Cycles,
-		Breakdown: res.Breakdown,
-		Stats:     res.Stats,
-		Ops:       2 * spec.Words(),
-		Words:     2 * spec.Words(),
-		Verified:  true,
-		Notes:     []string{"permute variant: unit-stride loads, in-register transpose, strided stores"},
-	}, nil
+	r := m.finish(p, core.CornerTurn, 2*spec.Words(), 2*spec.Words())
+	r.Notes = append(r.Notes, "permute variant: unit-stride loads, in-register transpose, strided stores")
+	return r, nil
 }
 
 // RunBeamSteering implements core.Machine: the inner loop is
@@ -223,21 +215,8 @@ func (m *Machine) RunCornerTurnPermute(spec cornerturn.Spec) (core.Result, error
 // into a scalar ahead of the loop, as the paper describes ("the data is
 // fed to the vector unit, which computes output data").
 func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
+	if err := beamsteer.Verify(spec); err != nil {
 		return core.Result{}, err
-	}
-	tables := testsig.NewBeamTables(spec.Elements, spec.Directions, spec.Dwells, 7)
-	out, err := beamsteer.Steer(spec, tables)
-	if err != nil {
-		return core.Result{}, err
-	}
-	// Verify a sample of outputs against the independent single-output
-	// formula.
-	for _, probe := range [][3]int{{0, 0, 0}, {spec.Dwells - 1, spec.Directions - 1, spec.Elements - 1}, {spec.Dwells / 2, 0, spec.Elements / 2}} {
-		dw, d, e := probe[0], probe[1], probe[2]
-		if out[dw][d][e] != beamsteer.SteerOne(spec, tables, dw, d, e) {
-			return core.Result{}, fmt.Errorf("viram: beam steering output mismatch at %v", probe)
-		}
 	}
 
 	m.reset()
@@ -265,19 +244,8 @@ func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
 			outAddr += spec.Elements
 		}
 	}
-	res := m.exec(p.insts)
-	m.finishProg(p)
-
-	return core.Result{
-		Machine:   m.Name(),
-		Kernel:    core.BeamSteering,
-		Cycles:    res.Cycles,
-		Breakdown: res.Breakdown,
-		Stats:     res.Stats,
-		Ops:       spec.Outputs() * spec.OpsPerOutput(),
-		Words:     spec.Outputs() * spec.MemPerOutput(),
-		Verified:  true,
-	}, nil
+	return m.finish(p, core.BeamSteering,
+		spec.Outputs()*spec.OpsPerOutput(), spec.Outputs()*spec.MemPerOutput()), nil
 }
 
 // RunCSLC implements core.Machine. Per the paper, VIRAM runs the
@@ -289,10 +257,7 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 	// The paper's hand-optimized choice for N=128 is the mixed radix-4/2
 	// plan; other lengths take the best decomposition available.
 	spec.Radix = fft.BestRadix(spec.FFTSize)
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := m.verifyCSLC(spec); err != nil {
+	if err := cslc.Verify(spec); err != nil {
 		return core.Result{}, err
 	}
 
@@ -333,42 +298,11 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 			m.emitFFT(p, n, vl, workRe, workIm, evenRe, evenIm, oddRe, oddIm, outRe, outIm, true)
 		}
 	}
-	res := m.exec(p.insts)
-	m.finishProg(p)
-
 	counts, err := spec.TotalCounts()
 	if err != nil {
 		return core.Result{}, err
 	}
-	return core.Result{
-		Machine:   m.Name(),
-		Kernel:    core.CSLC,
-		Cycles:    res.Cycles,
-		Breakdown: res.Breakdown,
-		Stats:     res.Stats,
-		Ops:       counts.Flops(),
-		Words:     counts.Loads + counts.Stores,
-		Verified:  true,
-	}, nil
-}
-
-// verifyCSLC runs the functional pipeline on the synthetic scene and
-// proves it against the naive-DFT reference and a cancellation-depth
-// check.
-func (m *Machine) verifyCSLC(spec cslc.Spec) error {
-	scene := testsig.DefaultScene(spec.Samples)
-	scene.AuxCoupling = scene.AuxCoupling[:spec.AuxChannels]
-	channels := scene.Channels(spec.MainChannels)
-	w, err := cslc.EstimateWeights(spec, channels)
-	if err != nil {
-		return err
-	}
-	out, err := cslc.Run(spec, channels, w)
-	if err != nil {
-		return err
-	}
-	probe := []int{0, spec.SubBands / 2, spec.SubBands - 1}
-	return cslc.VerifyAgainstNaive(spec, channels, w, out, probe)
+	return m.finish(p, core.CSLC, counts.Flops(), counts.Loads+counts.Stores), nil
 }
 
 // emitExtract emits the sub-band gather: for each sample row, a strided

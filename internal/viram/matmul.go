@@ -41,18 +41,8 @@ func (m *Machine) RunMatMul(spec matmul.Spec) (core.Result, error) {
 			j0 += vl
 		}
 	}
-	res := m.exec(p.insts)
-	m.finishProg(p)
-	return core.Result{
-		Machine:   m.Name(),
-		Kernel:    core.MatMul,
-		Cycles:    res.Cycles,
-		Breakdown: res.Breakdown,
-		Stats:     res.Stats,
-		Ops:       spec.Flops(),
-		// B streams past every output row (one word per MAC — vector
-		// registers hold C, not B), plus C in/out and the A scalars.
-		Words:    spec.MACs() + 2*uint64(spec.M)*uint64(spec.N) + uint64(spec.M)*uint64(spec.K),
-		Verified: true,
-	}, nil
+	// B streams past every output row (one word per MAC — vector
+	// registers hold C, not B), plus C in/out and the A scalars.
+	return m.finish(p, core.MatMul, spec.Flops(),
+		spec.MACs()+2*uint64(spec.M)*uint64(spec.N)+uint64(spec.M)*uint64(spec.K)), nil
 }

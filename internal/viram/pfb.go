@@ -70,16 +70,6 @@ func (m *Machine) RunPFB(w pfb.Workload) (core.Result, error) {
 		}
 		f0 += vl
 	}
-	res := m.exec(p.insts)
-	m.finishProg(p)
-	return core.Result{
-		Machine:   m.Name(),
-		Kernel:    core.KernelID("pfb"),
-		Cycles:    res.Cycles,
-		Breakdown: res.Breakdown,
-		Stats:     res.Stats,
-		Ops:       w.TotalOps(),
-		Words:     2*uint64(w.Samples)*uint64(w.Taps) + 2*uint64(w.FrameCount())*uint64(w.Channels),
-		Verified:  true,
-	}, nil
+	return m.finish(p, core.KernelID("pfb"), w.TotalOps(),
+		2*uint64(w.Samples)*uint64(w.Taps)+2*uint64(w.FrameCount())*uint64(w.Channels)), nil
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's verification gate, run by `make check` and
-# CI: compile everything, vet, then the full test suite under the race
-# detector (the service worker pool is exercised concurrently).
+# CI: compile everything, vet, check formatting, then the full test
+# suite under the race detector (the service worker pool is exercised
+# concurrently).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -10,6 +11,16 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+# gofmt over every tracked Go file, so the separate bench/ module is
+# covered too; any file it lists fails the gate.
+echo "== gofmt -l"
+unformatted=$(git ls-files '*.go' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: files need formatting:"
+    echo "$unformatted"
+    exit 1
+fi
 
 # staticcheck is optional locally (CI installs it); the gate still
 # passes on machines without the binary rather than forcing a download.
