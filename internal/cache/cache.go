@@ -21,15 +21,16 @@ import (
 	"sigkern/internal/dram"
 )
 
-// Level is anything that can serve a line-sized access: a lower cache or
-// a DRAM backend.
-type Level interface {
-	// Access serves a read or write of the line containing byte address
-	// addr and returns its latency in cycles.
-	Access(addr int, write bool) uint64
-	// LineBytes returns the level's line size.
-	LineBytes() int
-}
+// Absolute upper bounds on a cache level. They sit far above any real
+// or swept cache, and they bound the memory one configuration can pin:
+// the largest legal level holds 4M ways of 8 bytes. Assoc also bounds
+// the cost of one hit, which moves its way to the front of the set.
+const (
+	maxSizeBytes  = 16 << 20
+	maxLineBytes  = 4 << 10
+	maxAssoc      = 64
+	maxHitLatency = 10_000
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -45,11 +46,19 @@ func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0:
 		return errors.New("cache: sizes and associativity must be positive")
+	case c.SizeBytes > maxSizeBytes:
+		return fmt.Errorf("cache %s: SizeBytes %d above the %d limit", c.Name, c.SizeBytes, maxSizeBytes)
+	case c.LineBytes > maxLineBytes:
+		return fmt.Errorf("cache %s: LineBytes %d above the %d limit", c.Name, c.LineBytes, maxLineBytes)
+	case c.Assoc > maxAssoc:
+		return fmt.Errorf("cache %s: Assoc %d above the %d limit", c.Name, c.Assoc, maxAssoc)
 	case c.LineBytes < 4:
 		// Lines are filled from DRAM in whole 32-bit words.
 		return fmt.Errorf("cache %s: LineBytes %d below one 4-byte word", c.Name, c.LineBytes)
 	case c.HitLatency < 0:
 		return errors.New("cache: negative hit latency")
+	case c.HitLatency > maxHitLatency:
+		return fmt.Errorf("cache %s: HitLatency %d above the %d limit", c.Name, c.HitLatency, maxHitLatency)
 	case c.SizeBytes%(c.LineBytes*c.Assoc) != 0:
 		return fmt.Errorf("cache %s: size %d not divisible by line*assoc %d",
 			c.Name, c.SizeBytes, c.LineBytes*c.Assoc)
@@ -80,12 +89,13 @@ func RawTileCache(tile int) Config {
 	}
 }
 
-type line struct {
-	tag   int
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
+// A way is one packed word: the line's tag above two state bits. An
+// invalid way is zero.
+const (
+	dirtyBit = 1 << iota
+	validBit
+	tagShift = iota
+)
 
 // Counters are one level's event counts since the last Reset.
 type Counters struct {
@@ -93,106 +103,134 @@ type Counters struct {
 }
 
 // Cache is one simulated cache level. It is not safe for concurrent use.
+//
+// Each set is kept in recency order, most recently used way first, with
+// the invalid ways at its tail. A hit moves its way to the front; a miss
+// evicts the last way and inserts the new line at the front. That is
+// exact LRU with an O(1) victim: the last way is invalid whenever any
+// way is, and otherwise it is the least recently used.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
-	lower    Level
-	tick     uint64
-	counters Counters
+	cfg   Config
+	ways  []uint64 // set s occupies ways[s*Assoc : (s+1)*Assoc]
+	lower *Cache   // next level, or nil when mem is the next level
+	mem   *dram.Controller
+
+	lineShift, setShift uint
+	setMask             int
+	lineWords           int // DRAM words per line fill
+	counters            Counters
 }
 
-// New returns a cache over the given lower level. It panics on an invalid
-// configuration (configurations are constants in this repository).
-func New(cfg Config, lower Level) *Cache {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+// New returns a cache whose misses go to the lower cache level. It
+// panics on an invalid configuration (configurations are validated
+// before any machine is built).
+func New(cfg Config, lower *Cache) *Cache {
 	if lower == nil {
 		panic("cache: nil lower level")
 	}
-	c := &Cache{cfg: cfg, lower: lower}
+	return newCache(cfg, lower, nil)
+}
+
+// NewOverDRAM returns a cache whose misses fetch whole lines from mem.
+func NewOverDRAM(cfg Config, mem *dram.Controller) *Cache {
+	if mem == nil {
+		panic("cache: nil DRAM controller")
+	}
+	return newCache(cfg, nil, mem)
+}
+
+func newCache(cfg Config, lower *Cache, mem *dram.Controller) *Cache {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
+	c := &Cache{
+		cfg:       cfg,
+		ways:      make([]uint64, nsets*cfg.Assoc),
+		lower:     lower,
+		mem:       mem,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setShift:  uint(bits.TrailingZeros(uint(nsets))),
+		setMask:   nsets - 1,
+		lineWords: cfg.LineBytes / 4,
+	}
 	c.Reset()
 	return c
 }
 
-// Reset invalidates every line and clears the counters. The set arrays
-// are allocated once (over a single flat backing slice) and zeroed on
-// later resets: the simulators reset between every kernel run, and the
-// PPC hierarchy alone holds over a thousand sets.
+// Reset invalidates every line, clears the counters and resets the
+// levels below. The way array is allocated once and zeroed on later
+// resets: the simulators reset between every kernel run, and the PPC
+// hierarchy alone holds over a thousand sets.
 func (c *Cache) Reset() {
-	nsets := c.cfg.SizeBytes / (c.cfg.LineBytes * c.cfg.Assoc)
-	if len(c.sets) != nsets {
-		backing := make([]line, nsets*c.cfg.Assoc)
-		c.sets = make([][]line, nsets)
-		for i := range c.sets {
-			c.sets[i] = backing[i*c.cfg.Assoc : (i+1)*c.cfg.Assoc : (i+1)*c.cfg.Assoc]
-		}
-	} else {
-		for i := range c.sets {
-			clear(c.sets[i])
-		}
-	}
-	c.tick = 0
+	clear(c.ways)
 	c.counters = Counters{}
-	if lc, ok := c.lower.(interface{ Reset() }); ok {
-		lc.Reset()
+	if c.lower != nil {
+		c.lower.Reset()
+	} else {
+		c.mem.Reset()
 	}
 }
 
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// LineBytes implements Level.
-func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
-
 // Counters returns this level's hits, misses and writebacks.
 func (c *Cache) Counters() Counters { return c.counters }
 
-// Access implements Level: it serves the access and returns its latency.
+// Access serves a read or write of the line containing byte address
+// addr and returns its latency in cycles.
 func (c *Cache) Access(addr int, write bool) uint64 {
 	if addr < 0 {
 		addr = -addr
 	}
-	c.tick++
-	lineAddr := addr / c.cfg.LineBytes
-	set := lineAddr % len(c.sets)
-	tag := lineAddr / len(c.sets)
+	lineAddr := addr >> c.lineShift
+	set := lineAddr & c.setMask
+	want := uint64(lineAddr>>c.setShift)<<tagShift | validBit
+	base := set * c.cfg.Assoc
+	ways := c.ways[base : base+c.cfg.Assoc]
 
-	ways := c.sets[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].used = c.tick
+	for i, w := range ways {
+		if w&^dirtyBit == want {
 			if write {
-				ways[i].dirty = true
+				w |= dirtyBit
 			}
+			copy(ways[1:i+1], ways[:i])
+			ways[0] = w
 			c.counters.Hits++
 			return uint64(c.cfg.HitLatency)
+		}
+		if w == 0 {
+			break // the invalid tail: no valid way follows
 		}
 	}
 	c.counters.Misses++
 
-	// Choose the LRU victim.
-	victim := 0
-	for i := 1; i < len(ways); i++ {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].used < ways[victim].used {
-			victim = i
-		}
-	}
 	lat := uint64(c.cfg.HitLatency)
-	if ways[victim].valid && ways[victim].dirty {
+	last := len(ways) - 1
+	if victim := ways[last]; victim&(validBit|dirtyBit) == validBit|dirtyBit {
 		// Write back the victim. Writebacks are buffered in real machines;
 		// we charge the lower level's occupancy but not its full latency.
-		victimAddr := (ways[victim].tag*len(c.sets) + set) * c.cfg.LineBytes
-		c.lower.Access(victimAddr, true)
+		victimLine := int(victim>>tagShift)<<c.setShift | set
+		c.next(victimLine<<c.lineShift, true)
 		c.counters.Writebacks++
 	}
-	lat += c.lower.Access(addr, false)
-	ways[victim] = line{tag: tag, valid: true, dirty: write, used: c.tick}
+	lat += c.next(addr, false)
+	copy(ways[1:], ways[:last])
+	ways[0] = want
+	if write {
+		ways[0] |= dirtyBit
+	}
 	return lat
+}
+
+// next serves a line access at the level below: the lower cache, or a
+// whole-line fill from DRAM (a writeback is charged as a fill too).
+func (c *Cache) next(addr int, write bool) uint64 {
+	if c.lower != nil {
+		return c.lower.Access(addr, write)
+	}
+	return c.mem.LineFetch(addr>>2, c.lineWords)
 }
 
 // MissRate returns misses / (hits + misses), or 0 when idle.
@@ -202,48 +240,4 @@ func (c *Cache) MissRate() float64 {
 		return 0
 	}
 	return float64(m) / float64(h+m)
-}
-
-// DRAMBackend adapts a dram.Controller as the lowest Level of a
-// hierarchy. Line fills stream LineWords words per fetch.
-type DRAMBackend struct {
-	Ctl       *dram.Controller
-	LineWords int
-}
-
-// NewDRAMBackend returns a backend fetching lines of lineBytes from ctl.
-func NewDRAMBackend(ctl *dram.Controller, lineBytes int) *DRAMBackend {
-	if lineBytes%4 != 0 {
-		panic("cache: line size must be a multiple of 4 bytes")
-	}
-	return &DRAMBackend{Ctl: ctl, LineWords: lineBytes / 4}
-}
-
-// Access implements Level by fetching or writing one full line.
-func (b *DRAMBackend) Access(addr int, write bool) uint64 {
-	return b.Ctl.LineFetch(addr/4, b.LineWords)
-}
-
-// LineBytes implements Level.
-func (b *DRAMBackend) LineBytes() int { return b.LineWords * 4 }
-
-// Reset rewinds the underlying controller.
-func (b *DRAMBackend) Reset() { b.Ctl.Reset() }
-
-// FixedLatency is a trivial Level with constant access time; useful in
-// tests and for modeling an idealized next level.
-type FixedLatency struct {
-	Latency uint64
-	Line    int
-}
-
-// Access implements Level.
-func (f *FixedLatency) Access(addr int, write bool) uint64 { return f.Latency }
-
-// LineBytes implements Level.
-func (f *FixedLatency) LineBytes() int {
-	if f.Line == 0 {
-		return 32
-	}
-	return f.Line
 }

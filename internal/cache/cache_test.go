@@ -9,7 +9,7 @@ import (
 
 func newL1(t *testing.T) *Cache {
 	t.Helper()
-	return New(G4L1(), &FixedLatency{Latency: 100})
+	return NewOverDRAM(G4L1(), dram.NewController(dram.PPCDRAM()))
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -23,11 +23,24 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 32 << 10, LineBytes: 33, Assoc: 8}, // not power of two
 		{SizeBytes: 48 << 10, LineBytes: 32, Assoc: 5}, // set count not pow2
 		{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 8, HitLatency: -1},
-		{SizeBytes: 32 << 10, LineBytes: 2, Assoc: 8}, // line below one word
+		{SizeBytes: 32 << 10, LineBytes: 2, Assoc: 8},  // line below one word
+		{SizeBytes: 16 << 30, LineBytes: 32, Assoc: 8}, // 16 GiB
+		{SizeBytes: 32 << 20, LineBytes: 32, Assoc: 8}, // above the size limit
+		{SizeBytes: 64 << 10, LineBytes: 8 << 10, Assoc: 1},
+		{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 128},
+		{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 8, HitLatency: 1 << 20},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d passed validation", i)
+		}
+	}
+	for _, c := range []Config{
+		{Name: "limit", SizeBytes: maxSizeBytes, LineBytes: 32, Assoc: maxAssoc, HitLatency: maxHitLatency},
+		{Name: "wide-line", SizeBytes: 64 << 10, LineBytes: maxLineBytes, Assoc: 1},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("config at the bounds rejected: %v", err)
 		}
 	}
 }
@@ -63,7 +76,7 @@ func TestSpatialLocalityWithinLine(t *testing.T) {
 func TestLRUReplacement(t *testing.T) {
 	// Direct-mapped-ish scenario: fill one set beyond associativity.
 	cfg := Config{Name: "t", SizeBytes: 1 << 10, LineBytes: 32, Assoc: 2, HitLatency: 1}
-	c := New(cfg, &FixedLatency{Latency: 50})
+	c := NewOverDRAM(cfg, dram.NewController(dram.PPCDRAM()))
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc) // 16 sets
 	setStride := nsets * cfg.LineBytes                   // same-set stride
 
@@ -81,8 +94,7 @@ func TestLRUReplacement(t *testing.T) {
 
 func TestWritebackOfDirtyVictim(t *testing.T) {
 	cfg := Config{Name: "t", SizeBytes: 256, LineBytes: 32, Assoc: 1, HitLatency: 1}
-	lower := &FixedLatency{Latency: 10}
-	c := New(cfg, lower)
+	c := NewOverDRAM(cfg, dram.NewController(dram.PPCDRAM()))
 	c.Access(0, true)    // dirty line in set 0
 	c.Access(256, false) // evicts it -> writeback
 	if c.Counters().Writebacks != 1 {
@@ -97,14 +109,17 @@ func TestWritebackOfDirtyVictim(t *testing.T) {
 
 func TestTwoLevelHierarchyOverDRAM(t *testing.T) {
 	mem := dram.NewController(dram.PPCDRAM())
-	l2 := New(G4L2(), NewDRAMBackend(mem, 32))
+	l2 := NewOverDRAM(G4L2(), mem)
 	l1 := New(G4L1(), l2)
 
 	cold := l1.Access(0, false)
 	hitL1 := l1.Access(4, false)
-	l1.Reset() // also resets L2 and DRAM via the Reset interface
+	l1.Reset() // also resets L2 and DRAM
 	if l2.Counters().Misses != 0 {
 		t.Fatal("Reset did not propagate to L2")
+	}
+	if mem.Counters().LineFetches != 0 {
+		t.Fatal("Reset did not propagate to DRAM")
 	}
 	if cold <= hitL1 {
 		t.Fatalf("cold %d not slower than L1 hit %d", cold, hitL1)
@@ -150,31 +165,43 @@ func TestSequentialWalkMostlyHits(t *testing.T) {
 	}
 }
 
+// TestDRAMBackendLineBytes pins the DRAM-backed level: a miss fills one
+// whole line of LineBytes/4 words from the controller.
 func TestDRAMBackendLineBytes(t *testing.T) {
 	mem := dram.NewController(dram.PPCDRAM())
-	b := NewDRAMBackend(mem, 64)
-	if b.LineBytes() != 64 {
-		t.Fatalf("LineBytes = %d", b.LineBytes())
+	c := NewOverDRAM(Config{Name: "t", SizeBytes: 8 << 10, LineBytes: 64, Assoc: 2, HitLatency: 1}, mem)
+	if c.Config().LineBytes != 64 {
+		t.Fatalf("LineBytes = %d", c.Config().LineBytes)
 	}
-	if lat := b.Access(0, false); lat == 0 {
+	if lat := c.Access(0, false); lat <= 1 {
 		t.Fatal("DRAM access free")
+	}
+	if got := mem.Counters(); got.LineFetches != 1 || got.WordsRead != 16 {
+		t.Fatalf("one miss fetched %+v, want one 16-word line", got)
 	}
 }
 
 func TestNewPanicsOnNilLower(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(nil lower) did not panic")
-		}
-	}()
-	New(G4L1(), nil)
+	for name, build := range map[string]func(){
+		"New":         func() { New(G4L1(), nil) },
+		"NewOverDRAM": func() { NewOverDRAM(G4L1(), nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a nil lower level did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 // Property: hits + misses == number of accesses, and re-accessing the
 // same address immediately always hits.
 func TestAccessAccountingProperty(t *testing.T) {
 	f := func(addrs []uint32) bool {
-		c := New(G4L1(), &FixedLatency{Latency: 100})
+		c := NewOverDRAM(G4L1(), dram.NewController(dram.PPCDRAM()))
 		n := uint64(0)
 		for _, a := range addrs {
 			c.Access(int(a%1<<24), false)
@@ -193,7 +220,7 @@ func TestAccessAccountingProperty(t *testing.T) {
 }
 
 func BenchmarkL1SequentialWalk(b *testing.B) {
-	c := New(G4L1(), &FixedLatency{Latency: 100})
+	c := NewOverDRAM(G4L1(), dram.NewController(dram.PPCDRAM()))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for a := 0; a < 1<<16; a += 4 {

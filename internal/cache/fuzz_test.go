@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+
+	"sigkern/internal/dram"
+)
 
 // FuzzAccessInvariants drives the cache with arbitrary address streams
 // and checks the structural invariants: accounting adds up, immediate
@@ -9,7 +13,7 @@ func FuzzAccessInvariants(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, true)
 	f.Add([]byte{255, 0, 255, 0}, false)
 	f.Fuzz(func(t *testing.T, addrs []byte, write bool) {
-		c := New(G4L1(), &FixedLatency{Latency: 100})
+		c := NewOverDRAM(G4L1(), dram.NewController(dram.PPCDRAM()))
 		var n uint64
 		for i, a := range addrs {
 			addr := (int(a) << 7) | (i & 0x7f)

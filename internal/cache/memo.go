@@ -42,6 +42,11 @@ type memoShard[V any] struct {
 	tick     uint64
 	hits     uint64
 	misses   uint64
+	// size, when set, bounds the shard by bytes instead of entries: an
+	// entry costs len(key) + size(value), and bytes never exceeds budget.
+	size   func(V) int
+	budget int
+	bytes  int
 	// corrupt, when set, may damage values on the Get path — the
 	// fault-injection hook chaos runs use to prove the service's
 	// determinism guard catches a lying cache. See SetCorruptor.
@@ -54,7 +59,8 @@ type memoShard[V any] struct {
 
 type memoEntry[V any] struct {
 	value V
-	used  uint64 // LRU timestamp, same scheme as Cache lines
+	used  uint64 // LRU timestamp
+	bytes int    // cost charged against a byte budget
 }
 
 // shardCountFor picks the largest power-of-two shard count (capped at
@@ -89,6 +95,17 @@ func NewMemo[V any](capacity int) *Memo[V] {
 			entries:  make(map[string]*memoEntry[V]),
 		}
 	}
+	return m
+}
+
+// NewSizedMemo returns a memo bounded by bytes instead of entries. It
+// charges each entry len(key) + size(value), evicts least recently used
+// entries to keep the total within budget, and does not store a value
+// that alone exceeds it. It is a single shard, so LRU order is exact.
+func NewSizedMemo[V any](budget int, size func(V) int) *Memo[V] {
+	m := NewMemo[V](1) // one shard; its entry capacity is unused
+	m.shards[0].size = size
+	m.shards[0].budget = budget
 	return m
 }
 
@@ -155,19 +172,23 @@ func (m *Memo[V]) SetCorruptor(f func(key string, value V) (V, bool)) {
 	}
 }
 
-// Put stores value under key, evicting the least recently used entry
-// in the key's shard when that shard is full.
+// Put stores value under key, evicting the least recently used entries
+// in the key's shard while that shard is full.
 func (m *Memo[V]) Put(key string, value V) {
 	s := m.shard(key)
+	cost := 0
+	if s.size != nil { // fixed at construction, so read without the lock
+		if cost = len(key) + s.size(value); cost > s.budget {
+			return
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tick++
 	if e, ok := s.entries[key]; ok {
-		e.value = value
-		e.used = s.tick
-		return
+		s.remove(key, e)
 	}
-	if len(s.entries) >= s.capacity {
+	for len(s.entries) > 0 && s.full(cost) {
 		var victim string
 		var oldest uint64
 		first := true
@@ -176,9 +197,35 @@ func (m *Memo[V]) Put(key string, value V) {
 				victim, oldest, first = k, e.used, false
 			}
 		}
-		delete(s.entries, victim)
+		s.remove(victim, s.entries[victim])
 	}
-	s.entries[key] = &memoEntry[V]{value: value, used: s.tick}
+	s.entries[key] = &memoEntry[V]{value: value, used: s.tick, bytes: cost}
+	s.bytes += cost
+}
+
+// full reports whether the shard must evict before taking an entry of
+// the given cost.
+func (s *memoShard[V]) full(cost int) bool {
+	if s.size != nil {
+		return s.bytes+cost > s.budget
+	}
+	return len(s.entries) >= s.capacity
+}
+
+func (s *memoShard[V]) remove(key string, e *memoEntry[V]) {
+	delete(s.entries, key)
+	s.bytes -= e.bytes
+}
+
+// Purge drops every entry, keeping the hit and miss counts.
+func (m *Memo[V]) Purge() {
+	for i := range m.shards {
+		s := &m.shards[i]
+		s.mu.Lock()
+		clear(s.entries)
+		s.bytes = 0
+		s.mu.Unlock()
+	}
 }
 
 // Entries returns a copy of the table's current contents, keyed as
@@ -205,6 +252,19 @@ func (m *Memo[V]) Len() int {
 		s := &m.shards[i]
 		s.mu.Lock()
 		n += len(s.entries)
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// Bytes returns the cost a sized memo retains against its budget (0
+// for a memo bounded by entries).
+func (m *Memo[V]) Bytes() int {
+	n := 0
+	for i := range m.shards {
+		s := &m.shards[i]
+		s.mu.Lock()
+		n += s.bytes
 		s.mu.Unlock()
 	}
 	return n

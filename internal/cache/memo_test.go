@@ -58,26 +58,41 @@ func TestMemoDefaultCapacity(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrent exercises the memo from many goroutines; under
-// -race this is the concurrency-safety check the hardware Cache type
-// explicitly does not make.
+// TestMemoConcurrent exercises the memo, bounded by entries and by
+// bytes, from many goroutines; under -race this is the
+// concurrency-safety check the hardware Cache type explicitly does not
+// make.
 func TestMemoConcurrent(t *testing.T) {
-	m := NewMemo[uint64](32)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("k%d", i%40)
-				if v, ok := m.Get(key); ok && v != uint64(i%40) {
-					t.Errorf("key %s holds %d", key, v)
+	const budget = 200
+	for name, m := range map[string]*Memo[uint64]{
+		"entries": NewMemo[uint64](32),
+		"bytes":   NewSizedMemo(budget, func(uint64) int { return 8 }),
+	} {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					key := fmt.Sprintf("k%d", i%40)
+					if v, ok := m.Get(key); ok && v != uint64(i%40) {
+						t.Errorf("%s: key %s holds %d", name, key, v)
+					}
+					m.Put(key, uint64(i%40))
+					switch i % 50 {
+					case 13:
+						m.Bytes()
+					case 37:
+						m.Purge()
+					}
 				}
-				m.Put(key, uint64(i%40))
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
+		if b := m.Bytes(); b > budget {
+			t.Errorf("%s: %d bytes retained, budget %d", name, b, budget)
+		}
 	}
-	wg.Wait()
 }
 
 func TestMemoShardCount(t *testing.T) {
@@ -212,5 +227,46 @@ func TestMemoEntries(t *testing.T) {
 	}
 	if h2, m2 := m.Counters(); h2 != hits || m2 != misses {
 		t.Fatal("Entries moved the hit/miss counters")
+	}
+}
+
+// TestSizedMemoBudget pins the byte-bounded mode: entries cost
+// len(key) + size(value), the total never exceeds the budget, the least
+// recently used entries go first, an oversize value is not stored, and
+// Purge drops entries but keeps the counters.
+func TestSizedMemoBudget(t *testing.T) {
+	m := NewSizedMemo(100, func(v []byte) int { return len(v) })
+	m.Put("a", make([]byte, 39)) // 40 bytes
+	m.Put("b", make([]byte, 39)) // 80
+	m.Get("a")                   // b is now the LRU entry
+	m.Put("c", make([]byte, 39)) // 120 > 100: b goes
+	if b, n := m.Bytes(), m.Len(); b != 80 || n != 2 {
+		t.Fatalf("after eviction: %d bytes in %d entries, want 80 in 2", b, n)
+	}
+	if _, ok := m.Peek("b"); ok {
+		t.Fatal("LRU entry b survived eviction")
+	}
+	m.Put("a", make([]byte, 9)) // re-put shrinks a to 10 bytes
+	if b := m.Bytes(); b != 50 {
+		t.Fatalf("re-put: %d bytes, want 50", b)
+	}
+	m.Put("huge", make([]byte, 200))
+	if _, ok := m.Peek("huge"); ok {
+		t.Fatal("a value larger than the budget was stored")
+	}
+	if b, n := m.Bytes(), m.Len(); b != 50 || n != 2 {
+		t.Fatalf("oversize put disturbed the memo: %d bytes in %d entries", b, n)
+	}
+	for i := 0; i < 50; i++ {
+		m.Put(fmt.Sprintf("k%02d", i), make([]byte, i))
+		if b := m.Bytes(); b > 100 {
+			t.Fatalf("put %d: %d bytes retained, budget 100", i, b)
+		}
+	}
+	m.Purge()
+	hits, misses := m.Counters()
+	if b, n := m.Bytes(), m.Len(); b != 0 || n != 0 || hits != 1 || misses != 0 {
+		t.Fatalf("after Purge: %d bytes in %d entries, %d hits, %d misses; want empty with the one hit kept",
+			b, n, hits, misses)
 	}
 }

@@ -20,6 +20,7 @@ package dram
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"sigkern/internal/sim"
 )
@@ -57,21 +58,47 @@ type Config struct {
 	Reorder bool
 }
 
+// Absolute upper bounds on a DRAM configuration, far above any real or
+// swept array. They bound the per-bank state one configuration pins and
+// keep every address and cycle computation far from overflow.
+const (
+	maxBanks         = 1024
+	maxRowWords      = 1 << 20
+	maxTiming        = 10_000
+	maxWordsPerCycle = 1024
+)
+
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
 	switch {
 	case c.Banks <= 0:
 		return errors.New("dram: Banks must be positive")
+	case c.Banks > maxBanks:
+		return fmt.Errorf("dram: Banks %d above the %d limit", c.Banks, maxBanks)
 	case c.RowWords <= 0:
 		return errors.New("dram: RowWords must be positive")
+	case c.RowWords > maxRowWords:
+		return fmt.Errorf("dram: RowWords %d above the %d limit", c.RowWords, maxRowWords)
 	case c.SeqWordsPerCycle <= 0:
 		return errors.New("dram: SeqWordsPerCycle must be positive")
+	case c.SeqWordsPerCycle > maxWordsPerCycle:
+		return fmt.Errorf("dram: SeqWordsPerCycle %d above the %d limit", c.SeqWordsPerCycle, maxWordsPerCycle)
 	case c.AddrGens <= 0:
 		return errors.New("dram: AddrGens must be positive")
+	case c.AddrGens > maxWordsPerCycle:
+		return fmt.Errorf("dram: AddrGens %d above the %d limit", c.AddrGens, maxWordsPerCycle)
 	case c.TRP < 0 || c.TRCD < 0 || c.CAS < 0:
 		return errors.New("dram: negative timing parameter")
+	case c.TRP > maxTiming:
+		return fmt.Errorf("dram: TRP %d above the %d limit", c.TRP, maxTiming)
+	case c.TRCD > maxTiming:
+		return fmt.Errorf("dram: TRCD %d above the %d limit", c.TRCD, maxTiming)
+	case c.CAS > maxTiming:
+		return fmt.Errorf("dram: CAS %d above the %d limit", c.CAS, maxTiming)
 	case c.InterleaveWords < 0:
 		return fmt.Errorf("dram: InterleaveWords %d must not be negative", c.InterleaveWords)
+	case c.InterleaveWords > maxRowWords:
+		return fmt.Errorf("dram: InterleaveWords %d above the %d limit", c.InterleaveWords, maxRowWords)
 	}
 	return nil
 }
@@ -182,6 +209,14 @@ type Controller struct {
 	bankFree []uint64 // cycle at which each bank can accept a new activate
 	clock    sim.Clock
 	counters Counters
+
+	// The address mapping, derived once from cfg: banks switch every il
+	// words, and a row stripe spans stripe words. When both and the bank
+	// count are powers of two, decoding is by shift and mask.
+	il, stripe        int
+	pow2              bool
+	ilShift, rowShift uint
+	bankMask          int
 }
 
 // NewController returns a controller for cfg. It panics if cfg is invalid,
@@ -190,21 +225,38 @@ func NewController(cfg Config) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Controller{cfg: cfg}
+	c := &Controller{
+		cfg:      cfg,
+		openRow:  make([]int, cfg.Banks),
+		bankFree: make([]uint64, cfg.Banks),
+		il:       cfg.InterleaveWords,
+		stripe:   cfg.RowWords * cfg.Banks,
+		bankMask: cfg.Banks - 1,
+	}
+	if c.il == 0 {
+		c.il = cfg.RowWords
+	}
+	if isPow2(c.il) && isPow2(cfg.Banks) && isPow2(c.stripe) {
+		c.pow2 = true
+		c.ilShift = uint(bits.TrailingZeros(uint(c.il)))
+		c.rowShift = uint(bits.TrailingZeros(uint(c.stripe)))
+	}
 	c.Reset()
 	return c
 }
 
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
+
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Reset closes all rows and rewinds the clock.
+// Reset closes all rows and rewinds the clock, reusing the per-bank
+// state.
 func (c *Controller) Reset() {
-	c.openRow = make([]int, c.cfg.Banks)
-	c.bankFree = make([]uint64, c.cfg.Banks)
 	for i := range c.openRow {
 		c.openRow[i] = -1
 	}
+	clear(c.bankFree)
 	c.clock.Reset()
 	c.counters = Counters{}
 }
@@ -228,13 +280,10 @@ func (c *Controller) bankAndRow(addr int) (bank, row int) {
 	if addr < 0 {
 		addr = -addr
 	}
-	il := c.cfg.InterleaveWords
-	if il == 0 {
-		il = c.cfg.RowWords
+	if c.pow2 {
+		return (addr >> c.ilShift) & c.bankMask, addr >> c.rowShift
 	}
-	bank = (addr / il) % c.cfg.Banks
-	row = addr / (c.cfg.RowWords * c.cfg.Banks)
-	return bank, row
+	return (addr / c.il) % c.cfg.Banks, addr / c.stripe
 }
 
 // issueWidth returns how many words of this request may issue per cycle.

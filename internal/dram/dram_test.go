@@ -17,6 +17,15 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.AddrGens = 0 },
 		func(c *Config) { c.TRP = -1 },
 		func(c *Config) { c.InterleaveWords = -8 },
+		func(c *Config) { c.Banks = 1 << 30 },
+		func(c *Config) { c.Banks = maxBanks + 1 },
+		func(c *Config) { c.RowWords = 1 << 30 },
+		func(c *Config) { c.InterleaveWords = 1 << 30 },
+		func(c *Config) { c.TRP = maxTiming + 1 },
+		func(c *Config) { c.TRCD = maxTiming + 1 },
+		func(c *Config) { c.CAS = maxTiming + 1 },
+		func(c *Config) { c.SeqWordsPerCycle = maxWordsPerCycle + 1 },
+		func(c *Config) { c.AddrGens = maxWordsPerCycle + 1 },
 	}
 	for i, mutate := range cases {
 		c := VIRAMDRAM()
@@ -24,6 +33,11 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config passed validation", i)
 		}
+	}
+	limit := Config{Name: "limit", Banks: maxBanks, RowWords: maxRowWords, TRP: maxTiming, TRCD: maxTiming,
+		CAS: maxTiming, SeqWordsPerCycle: maxWordsPerCycle, AddrGens: maxWordsPerCycle, InterleaveWords: maxRowWords}
+	if err := limit.Validate(); err != nil {
+		t.Errorf("config at every bound rejected: %v", err)
 	}
 }
 

@@ -14,7 +14,9 @@ package cornerturn
 
 import (
 	"fmt"
+	"strconv"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/kernels/testsig"
 )
 
@@ -118,30 +120,73 @@ func TransposeStrips(dst, src *testsig.Matrix, strips int) error {
 
 // VerifySynthetic proves one transpose formulation on pooled synthetic
 // operands: it fills a deterministic rows x cols source, runs transpose
-// into a cols x rows destination, and compares checksums against the
-// naive reference. Machine models call this before timing a corner
+// into a cols x rows destination, and compares its checksum against the
+// naive reference's. Machine models call this before timing a corner
 // turn; the matrices come from (and return to) the testsig pool, so
 // steady-state verification allocates nothing matrix-sized.
+//
+// The fill is deterministic, so the reference checksum is a function of
+// the shape alone: it is computed once per shape per process and
+// memoized. The formulation under test still runs on every call.
 func VerifySynthetic(rows, cols int, transpose func(dst, src *testsig.Matrix) error) error {
 	src := testsig.GetMatrix(rows, cols)
 	defer src.Release()
-	src.Fill(1)
+	src.Fill(syntheticSeed)
+	// The reference comes first, from the untouched source, so a
+	// formulation that writes its input cannot poison the memo.
+	want, err := referenceChecksum(src)
+	if err != nil {
+		return err
+	}
 	dst := testsig.GetMatrix(cols, rows)
 	defer dst.Release()
 	dst.Zero()
 	if err := transpose(dst, src); err != nil {
 		return err
 	}
-	ref := testsig.GetMatrix(cols, rows)
-	defer ref.Release()
-	ref.Zero()
-	if err := Transpose(ref, src); err != nil {
-		return err
-	}
-	if Checksum(dst) != Checksum(ref) {
+	if Checksum(dst) != want {
 		return fmt.Errorf("cornerturn: output mismatch against reference")
 	}
 	return nil
+}
+
+// syntheticSeed fills VerifySynthetic's source matrices.
+const syntheticSeed = 1
+
+// referenceBudget bounds the bytes the reference memo retains: about a
+// thousand shapes at referenceEntryBytes each.
+const referenceBudget = 64 << 10
+
+// referenceEntryBytes is what one memoized checksum is charged beside
+// its key: the 8-byte value and its share of the table.
+const referenceEntryBytes = 56
+
+// references memoizes the naive transpose's checksum of the synthetic
+// source, keyed by shape.
+var references = cache.NewSizedMemo(referenceBudget, func(uint64) int { return referenceEntryBytes })
+
+// referenceChecksum returns the checksum of the naive transpose of src,
+// which must hold the synthetic fill of its shape.
+func referenceChecksum(src *testsig.Matrix) (uint64, error) {
+	key := strconv.Itoa(src.Rows) + "x" + strconv.Itoa(src.Cols)
+	if sum, ok := references.Get(key); ok {
+		return sum, nil
+	}
+	ref := testsig.GetMatrix(src.Cols, src.Rows)
+	defer ref.Release()
+	if err := Transpose(ref, src); err != nil {
+		return 0, err
+	}
+	sum := Checksum(ref)
+	references.Put(key, sum)
+	return sum, nil
+}
+
+// ReferenceStats reports the reference memo's hits, misses and
+// retained bytes.
+func ReferenceStats() (hits, misses uint64, bytes int) {
+	hits, misses = references.Counters()
+	return hits, misses, references.Bytes()
 }
 
 // Checksum returns an order-independent-free (position-sensitive) FNV-1a

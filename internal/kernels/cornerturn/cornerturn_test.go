@@ -201,7 +201,90 @@ func TestVerifySyntheticCatchesSwap(t *testing.T) {
 		dst.Data[0], dst.Data[last] = dst.Data[last], dst.Data[0]
 		return nil
 	}
+	hits, _ := references.Counters()
 	if err := VerifySynthetic(48, 40, swapped); err == nil {
 		t.Fatal("a transpose with two elements swapped passed verification")
 	}
+	if after, _ := references.Counters(); after != hits+1 {
+		t.Fatal("the swapped transpose was not checked against the memoized reference")
+	}
+}
+
+// freshReference computes the reference checksum of the synthetic
+// rows x cols source without the memo.
+func freshReference(rows, cols int) uint64 {
+	src := testsig.NewMatrix(rows, cols, syntheticSeed)
+	ref := testsig.ZeroMatrix(cols, rows)
+	if err := Transpose(ref, src); err != nil {
+		panic(err)
+	}
+	return Checksum(ref)
+}
+
+// TestReferenceMemoMatchesFresh verifies several shapes with each
+// transposer, so every memoized checksum has served formulations under
+// test, then recomputes each reference without the memo.
+func TestReferenceMemoMatchesFresh(t *testing.T) {
+	shapes := [][2]int{{1, 1}, {3, 5}, {17, 33}, {64, 64}, {130, 7}}
+	for _, sh := range shapes {
+		for _, transpose := range []func(dst, src *testsig.Matrix) error{
+			func(dst, src *testsig.Matrix) error { return TransposeBlocked(dst, src, 16) },
+			func(dst, src *testsig.Matrix) error { return TransposeStrips(dst, src, 4) },
+			Transpose,
+		} {
+			if err := VerifySynthetic(sh[0], sh[1], transpose); err != nil {
+				t.Fatalf("%dx%d: %v", sh[0], sh[1], err)
+			}
+		}
+	}
+	for _, sh := range shapes {
+		src := testsig.NewMatrix(sh[0], sh[1], syntheticSeed)
+		before, _ := references.Counters()
+		memo, err := referenceChecksum(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after, _ := references.Counters(); after != before+1 {
+			t.Fatalf("%dx%d: reference was not memoized", sh[0], sh[1])
+		}
+		if fresh := freshReference(sh[0], sh[1]); memo != fresh {
+			t.Fatalf("%dx%d: memoized checksum %x, fresh %x", sh[0], sh[1], memo, fresh)
+		}
+	}
+}
+
+// TestReferenceMemoWithinBudget verifies more shapes than the memo can
+// hold and checks the retained bytes after every one.
+func TestReferenceMemoWithinBudget(t *testing.T) {
+	shapes := 2 * referenceBudget / referenceEntryBytes
+	for cols := 1; cols <= shapes; cols++ {
+		if err := VerifySynthetic(1, cols, Transpose); err != nil {
+			t.Fatal(err)
+		}
+		if b := references.Bytes(); b > referenceBudget {
+			t.Fatalf("after %d shapes: %d bytes retained, budget %d", cols, b, referenceBudget)
+		}
+	}
+	if n := references.Len(); n >= shapes {
+		t.Fatalf("%d entries for %d shapes: nothing was evicted", n, shapes)
+	}
+}
+
+// BenchmarkVerifyCold is VerifySynthetic's first-run cost at the paper
+// size: the memo is purged every iteration, so each one computes the
+// naive reference as well as the blocked transpose under test. The
+// sub-benchmark names the kernel, so the row stays distinct from the
+// CSLC one in one snapshot.
+func BenchmarkVerifyCold(b *testing.B) {
+	b.Run("corner-turn", func(b *testing.B) {
+		s := PaperSpec()
+		blocked := func(dst, src *testsig.Matrix) error { return TransposeBlocked(dst, src, s.BlockSize) }
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			references.Purge()
+			if err := VerifySynthetic(s.Rows, s.Cols, blocked); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -24,6 +24,7 @@ package cslc
 import (
 	"fmt"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/kernels/fft"
 	"sigkern/internal/kernels/testsig"
 )
@@ -337,22 +338,23 @@ func loading(trace float64) complex128 {
 // scene, and proves the first, middle and last sub-bands against the
 // naive-DFT reference. Every machine model calls it once, with its own
 // radix, before timing the kernel.
+//
+// The scene, the weights and the naive reference are pure functions of
+// the spec, so they come from a process-wide memo (see goldenFor); Run,
+// the formulation under test, executes and is compared on every call.
 func Verify(s Spec) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	scene := testsig.DefaultScene(s.Samples)
-	scene.AuxCoupling = scene.AuxCoupling[:s.AuxChannels]
-	channels := scene.Channels(s.MainChannels)
-	w, err := EstimateWeights(s, channels)
+	g, err := goldenFor(s)
 	if err != nil {
 		return err
 	}
-	out, err := Run(s, channels, w)
+	out, err := Run(s, g.channels, g.w)
 	if err != nil {
 		return err
 	}
-	return VerifyAgainstNaive(s, channels, w, out, probeBands(s))
+	return g.ref.check(out)
 }
 
 // probeBands returns the sub-bands Verify proves: first, middle, last.
@@ -362,33 +364,182 @@ func probeBands(s Spec) []int { return []int{0, s.SubBands / 2, s.SubBands - 1} 
 // with the O(N^2) naive DFT/IDFT and compares against out, sharing no
 // code with the fast path. It returns the first discrepancy found.
 func VerifyAgainstNaive(s Spec, channels [][]complex128, w *Weights, out *Output, bands []int) error {
-	for m := 0; m < s.MainChannels; m++ {
-		for _, b := range bands {
-			if b < 0 || b >= s.SubBands {
-				return fmt.Errorf("cslc: verify band %d out of range", b)
-			}
+	for _, b := range bands {
+		if b < 0 || b >= s.SubBands {
+			return fmt.Errorf("cslc: verify band %d out of range", b)
+		}
+	}
+	return naiveReference(s, naiveSpectra(s, channels, bands), w, bands).check(out)
+}
+
+// naiveSpectra returns the naive DFT of every channel's window of each
+// given sub-band, indexed [channel][i] for bands[i].
+func naiveSpectra(s Spec, channels [][]complex128, bands []int) [][][]complex128 {
+	out := make([][][]complex128, len(channels))
+	for ch, x := range channels {
+		out[ch] = make([][]complex128, len(bands))
+		for i, b := range bands {
 			start := b * s.Hop()
-			mainSpec := fft.NaiveDFT(channels[m][start : start+s.FFTSize])
+			out[ch][i] = fft.NaiveDFT(x[start : start+s.FFTSize])
+		}
+	}
+	return out
+}
+
+// reference is the naive pipeline's answer for some sub-bands:
+// want[m][i] is main channel m's cancelled sub-band bands[i], in the
+// time domain.
+type reference struct {
+	bands []int
+	want  [][][]complex128
+}
+
+// naiveReference cancels the naive spectra (from naiveSpectra over the
+// same bands) with w and inverts them with the naive IDFT.
+func naiveReference(s Spec, spectra [][][]complex128, w *Weights, bands []int) reference {
+	want := make([][][]complex128, s.MainChannels)
+	for m := range want {
+		want[m] = make([][]complex128, len(bands))
+		for i := range bands {
 			cancelled := make([]complex128, s.FFTSize)
-			copy(cancelled, mainSpec)
+			copy(cancelled, spectra[m][i])
 			for a := 0; a < s.AuxChannels; a++ {
-				auxSpec := fft.NaiveDFT(channels[s.MainChannels+a][start : start+s.FFTSize])
+				aux := spectra[s.MainChannels+a][i]
 				for k := range cancelled {
-					cancelled[k] -= w.W[m][a][k] * auxSpec[k]
+					cancelled[k] -= w.W[m][a][k] * aux[k]
 				}
 			}
-			ref := fft.NaiveIDFT(cancelled)
+			want[m][i] = fft.NaiveIDFT(cancelled)
+		}
+	}
+	return reference{bands: bands, want: want}
+}
+
+// check compares out with the reference, sample by sample, and returns
+// the first discrepancy. Verify and VerifyAgainstNaive both end here.
+func (r reference) check(out *Output) error {
+	for m, bands := range r.want {
+		for i, ref := range bands {
+			b := r.bands[i]
 			got := out.Cancelled[m][b]
-			for i := range ref {
-				d := ref[i] - got[i]
+			for j := range ref {
+				d := ref[j] - got[j]
 				if real(d)*real(d)+imag(d)*imag(d) > 1e-12 {
 					return fmt.Errorf("cslc: main %d band %d sample %d: got %v, want %v",
-						m, b, i, got[i], ref[i])
+						m, b, j, got[j], ref[j])
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// referenceBudget bounds the bytes the reference memo retains, 1.5 MiB:
+// the paper's scene (512 KiB) with its spectra and the pieces of both
+// radices the machines use fits, with room for two more scenes of that
+// size.
+const referenceBudget = 3 << 19
+
+// references memoizes Verify's inputs and references. Each piece is
+// keyed by exactly the spec fields it reads, so specs that differ only
+// in radix (the five machines of one grid) share the scene and the
+// naive spectra. Stored values are shared read-only: nothing writes to
+// a scene, spectrum, weight or reference after it is built.
+var references = cache.NewSizedMemo(referenceBudget, golden.bytes)
+
+// golden holds Verify's memoized inputs and references. A memo entry
+// fills the fields of one piece: the scene (channels, which reads
+// Samples, MainChannels and AuxChannels), the naive spectra of the
+// probed sub-bands (which also read FFTSize and SubBands, not Radix), or
+// the weights EstimateWeights derives with the spec's radix together
+// with the naive reference under them (the whole spec).
+type golden struct {
+	channels [][]complex128
+	spectra  [][][]complex128 // naiveSpectra over probeBands
+	w        *Weights
+	ref      reference
+}
+
+// complexBytes is the size of one complex128.
+const complexBytes = 16
+
+// bytes is what a memo entry is charged against referenceBudget.
+func (g golden) bytes() int {
+	n := cells(g.channels)
+	for _, ch := range g.spectra {
+		n += cells(ch)
+	}
+	if g.w != nil {
+		for _, ch := range g.w.W {
+			n += cells(ch)
+		}
+	}
+	for _, ch := range g.ref.want {
+		n += cells(ch)
+	}
+	return complexBytes * n
+}
+
+// cells counts the elements of a ragged slice.
+func cells(rows [][]complex128) int {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	return n
+}
+
+// memoized returns the piece stored under key, building and storing it
+// on a miss. Two concurrent misses on one key may both build it; the
+// pieces are identical by construction.
+func memoized(key string, build func() (golden, error)) (golden, error) {
+	if g, ok := references.Get(key); ok {
+		return g, nil
+	}
+	g, err := build()
+	if err == nil {
+		references.Put(key, g)
+	}
+	return g, err
+}
+
+// goldenFor assembles the memoized scene, weights and reference of a
+// valid spec.
+func goldenFor(s Spec) (golden, error) {
+	scene, err := memoized(fmt.Sprintf("scene %d %d %d", s.Samples, s.MainChannels, s.AuxChannels),
+		func() (golden, error) {
+			sc := testsig.DefaultScene(s.Samples)
+			sc.AuxCoupling = sc.AuxCoupling[:s.AuxChannels]
+			return golden{channels: sc.Channels(s.MainChannels)}, nil
+		})
+	if err != nil {
+		return golden{}, err
+	}
+	bands := probeBands(s)
+	spectra, err := memoized(fmt.Sprintf("spectra %d %d %d %d %d", s.Samples, s.MainChannels, s.AuxChannels, s.FFTSize, s.SubBands),
+		func() (golden, error) { return golden{spectra: naiveSpectra(s, scene.channels, bands)}, nil })
+	if err != nil {
+		return golden{}, err
+	}
+	out, err := memoized(fmt.Sprintf("output %d %d %d %d %d %d", s.Samples, s.MainChannels, s.AuxChannels, s.FFTSize, s.SubBands, s.Radix),
+		func() (golden, error) {
+			w, err := EstimateWeights(s, scene.channels)
+			if err != nil {
+				return golden{}, err
+			}
+			return golden{w: w, ref: naiveReference(s, spectra.spectra, w, bands)}, nil
+		})
+	if err != nil {
+		return golden{}, err
+	}
+	return golden{channels: scene.channels, w: out.w, ref: out.ref}, nil
+}
+
+// ReferenceStats reports the reference memo's hits, misses and
+// retained bytes.
+func ReferenceStats() (hits, misses uint64, bytes int) {
+	hits, misses = references.Counters()
+	return hits, misses, references.Bytes()
 }
 
 // TotalPower sums the mean power of every band of one main channel's

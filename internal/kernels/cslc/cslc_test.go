@@ -2,6 +2,7 @@ package cslc
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"sigkern/internal/kernels/fft"
@@ -364,4 +365,173 @@ func TestVerifyCatchesWrongOutput(t *testing.T) {
 	if err := VerifyAgainstNaive(s, channels, w, out, bands); err == nil {
 		t.Fatal("a perturbed sample in a probed band passed verification")
 	}
+
+	// The memoized path Verify takes must reject it too.
+	hits, misses := references.Counters()
+	g, err := goldenFor(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, m := references.Counters(); h != hits+3 || m != misses {
+		t.Fatalf("goldenFor after Verify: %d hits %d misses -> %d hits %d misses, want three hits", hits, misses, h, m)
+	}
+	out, err = Run(s, g.channels, g.w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ref.check(out); err != nil {
+		t.Fatal(err)
+	}
+	out.Cancelled[1][bands[1]][5] += 1e-3
+	if err := g.ref.check(out); err == nil {
+		t.Fatal("a perturbed sample in a probed band passed the memoized check")
+	}
+}
+
+// memoSpecs are specs no other test verifies, so each starts cold: two
+// radices of one shape (which share the scene and the naive spectra) and
+// a single-aux shape.
+func memoSpecs() []Spec {
+	return []Spec{
+		{MainChannels: 2, AuxChannels: 2, Samples: 1536, SubBands: 11, FFTSize: 128, Radix: fft.Radix2},
+		{MainChannels: 2, AuxChannels: 2, Samples: 1536, SubBands: 11, FFTSize: 128, Radix: fft.MixedRadix42},
+		{MainChannels: 1, AuxChannels: 1, Samples: 640, SubBands: 5, FFTSize: 64, Radix: fft.Radix4},
+	}
+}
+
+// TestReferenceMemoMatchesFresh verifies fresh specs, so that Run has
+// consumed every memoized piece, and then rebuilds each piece without
+// the memo: scene, naive spectra, weights and reference must be equal
+// bit for bit.
+func TestReferenceMemoMatchesFresh(t *testing.T) {
+	for _, s := range memoSpecs() {
+		if err := Verify(s); err != nil {
+			t.Fatalf("%+v: %v", s, err)
+		}
+	}
+	for _, s := range memoSpecs() {
+		g, err := goldenFor(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scene := testsig.DefaultScene(s.Samples)
+		scene.AuxCoupling = scene.AuxCoupling[:s.AuxChannels]
+		channels := scene.Channels(s.MainChannels)
+		w, err := EstimateWeights(s, channels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bands := probeBands(s)
+		ref := naiveReference(s, naiveSpectra(s, channels, bands), w, bands)
+		if !sameCells(g.channels, channels) {
+			t.Errorf("%+v: memoized scene differs from a fresh one", s)
+		}
+		for m := range w.W {
+			if !sameCells(g.w.W[m], w.W[m]) {
+				t.Errorf("%+v: memoized weights of main %d differ from fresh ones", s, m)
+			}
+			if !sameCells(g.ref.want[m], ref.want[m]) {
+				t.Errorf("%+v: memoized reference of main %d differs from a fresh one", s, m)
+			}
+		}
+	}
+}
+
+// sameCells reports whether a and b hold bit-identical values.
+func sameCells(a, b [][]complex128) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(real(a[i][j])) != math.Float64bits(real(b[i][j])) ||
+				math.Float64bits(imag(a[i][j])) != math.Float64bits(imag(b[i][j])) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestReferenceMemoSharesAcrossRadix checks the keying: a second radix
+// of one shape reuses the scene and the naive spectra and builds only
+// its own weights and reference.
+func TestReferenceMemoSharesAcrossRadix(t *testing.T) {
+	s := Spec{MainChannels: 2, AuxChannels: 1, Samples: 896, SubBands: 7, FFTSize: 128, Radix: fft.Radix2}
+	if err := Verify(s); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := references.Counters()
+	s.Radix = fft.MixedRadix42
+	if err := Verify(s); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := references.Counters(); h != hits+2 || m != misses+1 {
+		t.Fatalf("second radix: %d hits %d misses -> %d hits %d misses, want two hits and one miss", hits, misses, h, m)
+	}
+}
+
+// TestVerifyConcurrent verifies both radices of one fresh spec from
+// several goroutines at once. Under -race it checks that Run and
+// EstimateWeights only read the memoized scene, spectra, weights and
+// reference the goroutines share.
+func TestVerifyConcurrent(t *testing.T) {
+	s := Spec{MainChannels: 2, AuxChannels: 2, Samples: 640, SubBands: 5, FFTSize: 128, Radix: fft.Radix2}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		spec := s
+		if g%2 == 1 {
+			spec.Radix = fft.MixedRadix42
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if err := Verify(spec); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestReferenceMemoWithinBudget verifies specs whose scenes together
+// exceed the budget several times over and checks the retained bytes
+// after each one.
+func TestReferenceMemoWithinBudget(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		s := Spec{MainChannels: 2, AuxChannels: 2, Samples: 8192 + 64*i, SubBands: 9, FFTSize: 64, Radix: fft.Radix2}
+		if err := Verify(s); err != nil {
+			t.Fatal(err)
+		}
+		if b := references.Bytes(); b > referenceBudget {
+			t.Fatalf("after spec %d: %d bytes retained, budget %d", i, b, referenceBudget)
+		}
+	}
+	if b := references.Bytes(); b < referenceBudget/2 {
+		t.Fatalf("only %d bytes retained after ten paper-sized scenes", b)
+	}
+}
+
+// BenchmarkVerifyCold is Verify's first-run cost on the paper instance:
+// the memo is purged every iteration, so each one builds the scene, the
+// naive spectra, the weights and the reference as well as running the
+// pipeline under test. The sub-benchmark names the kernel, so the row
+// stays distinct from the corner turn's in one snapshot.
+func BenchmarkVerifyCold(b *testing.B) {
+	b.Run("cslc", func(b *testing.B) {
+		s := PaperSpec(fft.Radix2)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			references.Purge()
+			if err := Verify(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -134,7 +134,7 @@ func New(cfg Config) *Machine {
 	}
 	m := &Machine{cfg: cfg}
 	m.mem = dram.NewController(cfg.DRAM)
-	m.l2 = cache.New(cfg.L2, cache.NewDRAMBackend(m.mem, cfg.L2.LineBytes))
+	m.l2 = cache.NewOverDRAM(cfg.L2, m.mem)
 	m.l1 = cache.New(cfg.L1, m.l2)
 	return m
 }

@@ -28,7 +28,6 @@ package rawsim
 import (
 	"fmt"
 
-	"sigkern/internal/cache"
 	"sigkern/internal/core"
 	"sigkern/internal/dram"
 	"sigkern/internal/noc"
@@ -406,11 +405,4 @@ func (m *Machine) TileUtilization() []struct {
 		out[t].Breakdown = m.tileBusy[t].breakdown()
 	}
 	return out
-}
-
-// cacheModelFor builds the tile-local cache simulator used by unit tests
-// and the MIMD kernels' miss estimation.
-func (m *Machine) cacheModelFor(tile int) *cache.Cache {
-	ctl := dram.NewController(m.cfg.DRAM)
-	return cache.New(cache.RawTileCache(tile), cache.NewDRAMBackend(ctl, m.cfg.CacheLineWords*4))
 }

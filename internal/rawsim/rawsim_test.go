@@ -3,7 +3,9 @@ package rawsim
 import (
 	"testing"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/core"
+	"sigkern/internal/dram"
 	"sigkern/internal/kernels/beamsteer"
 	"sigkern/internal/kernels/cornerturn"
 	"sigkern/internal/kernels/cslc"
@@ -170,6 +172,12 @@ func TestParamsMatchTable2(t *testing.T) {
 	if p.ClockMHz != 300 || p.ALUs != 16 || p.PeakGFLOPS != 4.64 {
 		t.Fatalf("Table 2 row mismatch: %+v", p)
 	}
+}
+
+// cacheModelFor builds a tile-local cache over its own DRAM port, the
+// structure a tile presents in cache-miss (MIMD) mode.
+func (m *Machine) cacheModelFor(tile int) *cache.Cache {
+	return cache.NewOverDRAM(cache.RawTileCache(tile), dram.NewController(m.cfg.DRAM))
 }
 
 func TestTileCacheModel(t *testing.T) {

@@ -292,6 +292,59 @@ func TestInvalidHardwareOverridesRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedHardwareOverridesRejected sends cache and DRAM overrides
+// above the absolute bounds. They once passed validation, and the
+// largest (a 16 GiB L2, a billion DRAM banks) made the machine build
+// allocate until the process died, which no recover catches. Every
+// write endpoint must refuse each with a 400 naming the field. The
+// values here stay small enough to build, so a server without the
+// bounds answers 200 instead of dying.
+func TestOversizedHardwareOverridesRejected(t *testing.T) {
+	_, srv := newTestServer(t)
+	bad := []struct{ spec, field string }{
+		{`{"machine":"PPC","kernel":"beam-steering","config":{"ppc":{"L2":{"SizeBytes":33554432}}}}`, "SizeBytes"},
+		{`{"machine":"PPC","kernel":"beam-steering","config":{"ppc":{"L1":{"Assoc":128}}}}`, "Assoc"},
+		{`{"machine":"PPC","kernel":"beam-steering","config":{"ppc":{"L1":{"SizeBytes":65536,"LineBytes":8192,"Assoc":1}}}}`, "LineBytes"},
+		{`{"machine":"AltiVec","kernel":"beam-steering","config":{"ppc":{"L2":{"HitLatency":1000000}}}}`, "HitLatency"},
+		{`{"machine":"PPC","kernel":"beam-steering","config":{"ppc":{"DRAM":{"Banks":1048576}}}}`, "Banks"},
+		{`{"machine":"VIRAM","kernel":"beam-steering","config":{"viram":{"DRAM":{"TRP":100000000}}}}`, "TRP"},
+		{`{"machine":"VIRAM","kernel":"beam-steering","config":{"viram":{"DRAM":{"CAS":100000000}}}}`, "CAS"},
+		{`{"machine":"Imagine","kernel":"beam-steering","config":{"imagine":{"DRAM":{"TRCD":100000000}}}}`, "TRCD"},
+		{`{"machine":"Imagine","kernel":"beam-steering","config":{"imagine":{"DRAM":{"SeqWordsPerCycle":1048576}}}}`, "SeqWordsPerCycle"},
+		{`{"machine":"Raw","kernel":"beam-steering","config":{"raw":{"DRAM":{"AddrGens":1048576}}}}`, "AddrGens"},
+		{`{"machine":"Raw","kernel":"beam-steering","config":{"raw":{"DRAM":{"RowWords":1073741824}}}}`, "RowWords"},
+		{`{"machine":"Raw","kernel":"beam-steering","config":{"raw":{"DRAM":{"InterleaveWords":1073741824}}}}`, "InterleaveWords"},
+	}
+	for _, b := range bad {
+		for _, call := range []struct{ path, contentType, body string }{
+			{"/v1/jobs?wait=1", "application/json", b.spec},
+			{"/v1/batch", "application/x-ndjson", b.spec + "\n"},
+			{"/v1/dse", "application/json", `{"base":` + b.spec + `}`},
+		} {
+			resp, err := http.Post(srv.URL+call.path, call.contentType, strings.NewReader(call.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), b.field) {
+				if len(body) > 200 {
+					body = body[:200]
+				}
+				t.Errorf("POST %s %s: %d %s..., want 400 naming %s",
+					call.path, b.spec, resp.StatusCode, body, b.field)
+			}
+		}
+	}
+	resp, job := postJob(t, srv.URL+"/v1/jobs?wait=1", JobSpec{Machine: "PPC", Kernel: core.BeamSteering})
+	if resp.StatusCode != http.StatusOK || job.State != Done || job.Result == nil || !job.Result.Verified {
+		t.Fatalf("paper PPC job after the rejected overrides: %d %+v", resp.StatusCode, job)
+	}
+}
+
 // TestTooManyAuxChannelsRejected sends CSLC workloads with more aux
 // channels than the canceller supports. They once passed validation and
 // then panicked in every machine's verification; five of them opened

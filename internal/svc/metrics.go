@@ -8,6 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sigkern/internal/core"
+	"sigkern/internal/kernels/cornerturn"
+	"sigkern/internal/kernels/cslc"
 	"sigkern/internal/obs"
 )
 
@@ -604,5 +607,37 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		fmt.Sprintf("%d", s.ShedBatch), "priority", string(PriorityBatch)); err != nil {
 		return err
 	}
+	if err := writeReferenceMemos(w); err != nil {
+		return err
+	}
 	return m.reg.WritePrometheus(w)
+}
+
+// writeReferenceMemos renders the kernels' process-wide golden-reference
+// memos: hits, misses and retained bytes, one series per kernel.
+func writeReferenceMemos(w io.Writer) error {
+	ctHits, ctMisses, ctBytes := cornerturn.ReferenceStats()
+	csHits, csMisses, csBytes := cslc.ReferenceStats()
+	for _, f := range []struct {
+		name, help, typ string
+		ct, cs          uint64
+	}{
+		{"simserved_kernel_reference_memo_hits_total",
+			"Golden-reference memo hits since process start, per kernel.", "counter", ctHits, csHits},
+		{"simserved_kernel_reference_memo_misses_total",
+			"Golden-reference memo misses (references computed) since process start, per kernel.", "counter", ctMisses, csMisses},
+		{"simserved_kernel_reference_memo_bytes",
+			"Bytes the golden-reference memo retains, per kernel.", "gauge", uint64(ctBytes), uint64(csBytes)},
+	} {
+		if err := obs.WritePromHeader(w, f.name, f.help, f.typ); err != nil {
+			return err
+		}
+		if err := obs.WritePromSampleKV(w, f.name, fmt.Sprintf("%d", f.ct), "kernel", string(core.CornerTurn)); err != nil {
+			return err
+		}
+		if err := obs.WritePromSampleKV(w, f.name, fmt.Sprintf("%d", f.cs), "kernel", string(core.CSLC)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

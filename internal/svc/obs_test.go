@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -290,6 +291,63 @@ func TestHTTPMetricsFormats(t *testing.T) {
 
 	if resp, _ := get("xml"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown format: status %d", resp.StatusCode)
+	}
+}
+
+// TestReferenceMemoMetrics runs a corner turn and a CSLC job on two
+// machines each and reads the golden-reference memo series from the
+// Prometheus exposition: per kernel, the second machine's check is a
+// hit and the memo retains the references.
+func TestReferenceMemoMetrics(t *testing.T) {
+	s, srv := newTestServer(t)
+	w := smallWorkload()
+	w.CornerTurn.Rows, w.CornerTurn.Cols = 72, 40 // shapes no other test verifies
+	w.CSLC.Samples = 320
+	for _, k := range []core.KernelID{core.CornerTurn, core.CSLC} {
+		for _, m := range []string{"PPC", "Raw"} {
+			job, err := s.Submit(JobSpec{Machine: m, Kernel: k, Workload: &w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Wait(context.Background(), job.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resp, err := http.Get(srv.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(family string, k core.KernelID) float64 {
+		t.Helper()
+		prefix := family + `{kernel="` + string(k) + `"} `
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				var f float64
+				if _, err := fmt.Sscan(v, &f); err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("exposition has no %s series for %s:\n%s", family, k, body)
+		return 0
+	}
+	for _, k := range []core.KernelID{core.CornerTurn, core.CSLC} {
+		if v := value("simserved_kernel_reference_memo_hits_total", k); v < 1 {
+			t.Errorf("%s: %v memo hits after two machines checked one spec", k, v)
+		}
+		if v := value("simserved_kernel_reference_memo_misses_total", k); v < 1 {
+			t.Errorf("%s: %v memo misses after a fresh spec", k, v)
+		}
+		if v := value("simserved_kernel_reference_memo_bytes", k); v <= 0 {
+			t.Errorf("%s: %v bytes retained", k, v)
+		}
 	}
 }
 

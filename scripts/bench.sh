@@ -3,9 +3,11 @@
 # snapshot (default BENCH.json) for scripts/benchdiff.go.
 #
 # The set is split in three because the right benchtime differs:
-#   - simulator benchmarks (all three Table 3 kernels): a handful of
-#     fixed iterations — each iteration is a full deterministic
-#     simulation, so more iterations only burn time;
+#   - simulator benchmarks (all three Table 3 kernels, plus the first-run
+#     cost of the corner-turn and CSLC golden checks with their reference
+#     memo purged, BenchmarkVerifyCold): a handful of fixed iterations —
+#     each iteration is a full deterministic simulation, so more
+#     iterations only burn time;
 #   - service benchmarks (BenchmarkServiceThroughput): time-based, the
 #     usual regime for nanosecond-scale operations;
 #   - grid benchmarks (BenchmarkBatchGrid, BenchmarkDSEGrid): one fixed
@@ -36,6 +38,9 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run='^$' -bench='Table3CornerTurn|Table3CSLC|Table3BeamSteering' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SIM_BENCHTIME:-20x}" . | tee "$tmp"
+go test -run='^$' -bench='VerifyCold' -benchmem \
+    -count="${BENCH_COUNT:-3}" -benchtime="${SIM_BENCHTIME:-20x}" \
+    ./internal/kernels/cornerturn ./internal/kernels/cslc | tee -a "$tmp"
 go test -run='^$' -bench='ServiceThroughput|EstimateTier' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SVC_BENCHTIME:-0.5s}" . | tee -a "$tmp"
 go test -run='^$' -bench='BatchGrid|DSEGrid' -benchmem \
