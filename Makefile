@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check chaos soak cluster-soak batch-soak overload-soak dse-smoke bench bench-smoke bench-json benchdiff clean
+.PHONY: all build vet test race check chaos soak cluster-soak batch-soak overload-soak dse-smoke bench bench-smoke bench-json benchdiff loc clean
 
 # soak sweeps the durability and chaos suites under the race detector
 # across a fixed seed matrix: journal frame/replay tests, svc crash and
@@ -134,6 +134,15 @@ BENCH_TOL ?= 0.30
 benchdiff: bench-json
 	$(GO) run scripts/benchdiff.go -tol $(BENCH_TOL) BENCH_PR14.json BENCH.json
 	$(GO) run scripts/benchdiff.go -tol $(BENCH_TOL) BENCH_PR16.json BENCH.json
+
+# loc prints the non-test Go lines of every package directory under
+# internal/ and cmd/, then their total — the count ROADMAP's "non-test
+# lines" criteria quote. It reports and gates nothing.
+loc:
+	@total=0; for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		n=$$(cat $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') | wc -l); \
+		printf '%7d  %s\n' $$n $$d; total=$$((total + n)); \
+	done; printf '%7d  total\n' $$total
 
 clean:
 	$(GO) clean ./...

@@ -571,12 +571,18 @@ func BenchmarkServiceThroughput(b *testing.B) {
 			MemoCapacity: 4096,
 		})
 	}
+	// Pool-level rows run RunOn over a stubMachine, which is not
+	// core.Resettable: every cold task builds one, and none is cached or
+	// reuse-sampled.
+	stubFactory := func(name string) (core.Machine, error) { return stubMachine{name: name}, nil }
 	stubTask := func(key string) svc.Task {
 		return svc.Task{
 			Label:   "stub",
 			MemoKey: key,
-			Run: func(context.Context) (core.Result, error) {
-				return core.Result{Machine: "stub", Kernel: core.CornerTurn, Cycles: 4242, Verified: true}, nil
+			Machine: "stub",
+			Factory: stubFactory,
+			RunOn: func(_ context.Context, m core.Machine) (core.Result, error) {
+				return m.RunCornerTurn(cornerturn.Spec{})
 			},
 		}
 	}
@@ -621,7 +627,9 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		lead, err := submitOne(p, svc.Task{
 			Label:   "leader",
 			MemoKey: "shared",
-			Run: func(context.Context) (core.Result, error) {
+			Machine: "stub",
+			Factory: stubFactory,
+			RunOn: func(context.Context, core.Machine) (core.Result, error) {
 				<-release
 				return core.Result{Cycles: 7, Verified: true}, nil
 			},
@@ -669,7 +677,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	b.Run("service-cache-hit", func(b *testing.B) {
 		s := svc.NewService(svc.Options{
 			Pool:    svc.PoolOptions{Workers: runtime.GOMAXPROCS(0), QueueDepth: 4096, MemoCapacity: 4096},
-			Factory: func(name string) (core.Machine, error) { return stubMachine{name: name}, nil },
+			Factory: stubFactory,
 			// Keep the registry small: every submit registers a job, and
 			// eviction scans the registry, so a large MaxJobs would measure
 			// registry bookkeeping instead of the memo-hit path.

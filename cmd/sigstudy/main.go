@@ -97,8 +97,8 @@ func main() {
 func run(ms []core.Machine, factory svc.MachineFactory, workers int, w core.Workload, table, figure int, kernel, csvPath, htmlPath string, breakdowns bool) error {
 	fmt.Printf("Running the PIM / stream / tiled processing study (%d workers)...\n", workers)
 	// Fan the (machine, kernel) grid out across the service's worker
-	// pool; each job runs on a fresh machine instance, so cycle counts
-	// are identical to the serial core.RunStudy.
+	// pool at batch priority; cycle counts are identical to the serial
+	// core.RunStudy.
 	pool := svc.NewPool(svc.PoolOptions{
 		Workers:      workers,
 		JobTimeout:   time.Hour,
@@ -109,7 +109,7 @@ func run(ms []core.Machine, factory svc.MachineFactory, workers int, w core.Work
 	for _, m := range ms {
 		names = append(names, m.Name())
 	}
-	sr, err := svc.RunStudyBatch(context.Background(), pool, factory, names, w)
+	sr, err := svc.RunStudy(context.Background(), pool, factory, names, w, svc.PriorityBatch)
 	if err != nil {
 		return err
 	}

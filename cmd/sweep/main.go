@@ -1,10 +1,12 @@
 // Command sweep runs parameter sweeps over the machine models: the
 // design-space excursions the paper's analysis points at but does not
 // plot — matrix size, VIRAM address generators, Raw tile counts, Imagine
-// stream-descriptor registers, and beam-steering dwell counts.
+// stream-descriptor registers, beam-steering dwell counts, and CSLC
+// sub-band FFT sizes.
 //
-// Sweeps execute through the simulation service's worker pool
-// (internal/svc), machine-parallel; -workers controls the fan-out.
+// Each sweep is a list of labelled job specs executed through the
+// simulation service's worker pool (internal/svc), machine-parallel;
+// -workers controls the fan-out.
 //
 // Usage:
 //
@@ -26,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"runtime"
@@ -42,13 +45,15 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "save completed cells to this JSON file as the sweep runs")
 	resume := flag.Bool("resume", false, "skip cells already verified-complete in the -checkpoint file")
 	flag.Parse()
-	if err := run(*what, *workers, *checkpoint, *resume); err != nil {
+	if err := run(*what, *workers, *checkpoint, *resume, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(what string, workers int, checkpoint string, resume bool) error {
+// run executes one sweep and writes its table, and with a checkpoint
+// its per-machine summary, to out.
+func run(what string, workers int, checkpoint string, resume bool, out io.Writer) error {
 	sw := study.Sweeper{Concurrency: workers}
 	if resume && checkpoint == "" {
 		return fmt.Errorf("-resume needs -checkpoint")
@@ -68,7 +73,7 @@ func run(what string, workers int, checkpoint string, resume bool) error {
 				fmt.Fprintf(os.Stderr, "sweep: checkpoint save: %v\n", err)
 			}
 		}
-		defer printSummary(cp)
+		defer printSummary(out, cp)
 	}
 	switch what {
 	case "matrix":
@@ -76,49 +81,49 @@ func run(what string, workers int, checkpoint string, resume bool) error {
 		if err != nil {
 			return err
 		}
-		return render("Corner-turn cycles (10^3) vs matrix size", "Matrix", pts)
+		return render(out, "Corner-turn cycles (10^3) vs matrix size", "Matrix", pts)
 	case "addrgens":
 		pts, err := sw.VIRAMAddrGens([]int{1, 2, 4, 8})
 		if err != nil {
 			return err
 		}
-		return render("VIRAM corner turn vs address generators (paper: 4; the 24% strided-limit factor)",
+		return render(out, "VIRAM corner turn vs address generators (paper: 4; the 24% strided-limit factor)",
 			"Addr gens", pts)
 	case "tiles":
 		pts, err := sw.RawTiles([]int{2, 3, 4, 6, 8})
 		if err != nil {
 			return err
 		}
-		if err := render("Raw corner turn vs mesh size", "Mesh", pts); err != nil {
+		if err := render(out, "Raw corner turn vs mesh size", "Mesh", pts); err != nil {
 			return err
 		}
-		fmt.Println("(tiles scale with mesh area, DRAM ports with its perimeter: the kernel is")
-		fmt.Println(" issue-bound below 4x4 and port-bound above it)")
+		fmt.Fprintln(out, "(tiles scale with mesh area, DRAM ports with its perimeter: the kernel is")
+		fmt.Fprintln(out, " issue-bound below 4x4 and port-bound above it)")
 		return nil
 	case "descriptors":
 		pts, err := sw.ImagineDescriptors([]int{2, 4, 8, 16, 32})
 		if err != nil {
 			return err
 		}
-		if err := render("Imagine corner turn (fully pipelined) vs stream descriptor registers",
+		if err := render(out, "Imagine corner turn (fully pipelined) vs stream descriptor registers",
 			"Descriptors", pts); err != nil {
 			return err
 		}
-		fmt.Println("(flat beyond 2: the strip loop holds at most ~6 streams in flight, so the pool")
-		fmt.Println(" size does not bind — the measured chip's limitation was issue ordering)")
+		fmt.Fprintln(out, "(flat beyond 2: the strip loop holds at most ~6 streams in flight, so the pool")
+		fmt.Fprintln(out, " size does not bind — the measured chip's limitation was issue ordering)")
 		return nil
 	case "fftsize":
 		pts, err := sw.CSLCFFTSizes([]int{32, 64, 128, 256, 512})
 		if err != nil {
 			return err
 		}
-		return render("CSLC cycles (10^3) vs sub-band FFT size", "Transform", pts)
+		return render(out, "CSLC cycles (10^3) vs sub-band FFT size", "Transform", pts)
 	case "dwells":
 		pts, err := sw.BeamDwells([]int{1, 2, 4, 8, 16})
 		if err != nil {
 			return err
 		}
-		return render("Beam-steering cycles (10^3) vs dwell count", "Dwells", pts)
+		return render(out, "Beam-steering cycles (10^3) vs dwell count", "Dwells", pts)
 	default:
 		return fmt.Errorf("unknown sweep %q", what)
 	}
@@ -128,15 +133,15 @@ func run(what string, workers int, checkpoint string, resume bool) error {
 // completed cells, verified cells, summed kilocycles, and wall-clock
 // simulation time. Cells restored from a resumed checkpoint keep their
 // recorded elapsed times, so the totals cover the whole sweep.
-func printSummary(cp *study.Checkpoint) {
+func printSummary(out io.Writer, cp *study.Checkpoint) {
 	sums := cp.Summary()
 	if len(sums) == 0 {
 		return
 	}
-	fmt.Println()
-	fmt.Println("Per-machine cell metrics:")
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, "Per-machine cell metrics:")
 	for _, s := range sums {
-		fmt.Printf("  %-10s %2d cell(s), %2d verified, %12.1f kcycles, %8.1f ms wall\n",
+		fmt.Fprintf(out, "  %-10s %2d cell(s), %2d verified, %12.1f kcycles, %8.1f ms wall\n",
 			s.Machine, s.Cells, s.VerifiedCells, s.KCycles, s.WallMS)
 	}
 }
@@ -164,7 +169,7 @@ func loadOrNewCheckpoint(what, path string, resume bool) (*study.Checkpoint, err
 // render prints sweep points as a table with one column per machine, in
 // the study's fixed machine order (paper order) so columns are stable
 // across runs and sweeps.
-func render(title, axis string, pts []study.Point) error {
+func render(out io.Writer, title, axis string, pts []study.Point) error {
 	if len(pts) == 0 {
 		return fmt.Errorf("empty sweep")
 	}
@@ -180,5 +185,5 @@ func render(title, axis string, pts []study.Point) error {
 		}
 		rows = append(rows, row)
 	}
-	return report.Table(os.Stdout, title, headers, rows)
+	return report.Table(out, title, headers, rows)
 }

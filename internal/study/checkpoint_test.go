@@ -7,33 +7,30 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"sigkern/internal/core"
+	"sigkern/internal/kernels/beamsteer"
+	"sigkern/internal/svc"
 )
 
-// countingPoints builds a 2-point x 2-machine grid whose runs return
-// deterministic cycles and count their invocations, so tests can prove
-// which cells actually re-simulated.
-func countingPoints(calls *atomic.Int64) []pointRuns {
-	cellRun := func(cycles uint64) func() (core.Result, error) {
-		return func() (core.Result, error) {
-			calls.Add(1)
-			return core.Result{Cycles: cycles, Verified: true}, nil
+// smallCells is a 2-point x 2-machine grid of small real specs, fast
+// enough to simulate in milliseconds. Tests count which cells actually
+// re-simulated through Sweeper.OnCell, which fires once per fresh cell.
+func smallCells() []svc.DSEDesign {
+	var cells []svc.DSEDesign
+	for _, p := range []struct {
+		label  string
+		dwells int
+	}{{"p0", 1}, {"p1", 2}} {
+		w := core.PaperWorkload()
+		w.Beam = beamsteer.Spec{Elements: 64, Directions: 2, Dwells: p.dwells, ShiftBits: 2, Rounding: 2}
+		for _, m := range []string{"VIRAM", "Raw"} {
+			cells = append(cells, svc.DSEDesign{Label: p.label, Spec: svc.JobSpec{Machine: m, Kernel: core.BeamSteering, Workload: &w}})
 		}
 	}
-	return []pointRuns{
-		{label: "p0", runs: []machineRun{
-			{machine: "A", run: cellRun(100)},
-			{machine: "B", run: cellRun(200)},
-		}},
-		{label: "p1", runs: []machineRun{
-			{machine: "A", run: cellRun(300)},
-			{machine: "B", run: cellRun(400)},
-		}},
-	}
+	return cells
 }
 
 // TestSweepResumesFromCheckpoint is the crash-safety acceptance check:
@@ -41,21 +38,26 @@ func countingPoints(calls *atomic.Int64) []pointRuns {
 // re-simulating only the missing cells, and the assembled points are
 // identical to an uninterrupted run.
 func TestSweepResumesFromCheckpoint(t *testing.T) {
-	var fullCalls atomic.Int64
-	want, err := Sweeper{}.sweep(countingPoints(&fullCalls))
+	full := NewCheckpoint("test")
+	fullCalls := 0
+	want, err := Sweeper{OnCell: func(label, machine string, r core.Result, elapsed time.Duration) {
+		fullCalls++
+		full.Add(label, machine, r, elapsed)
+	}}.sweep(smallCells())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fullCalls.Load() != 4 {
-		t.Fatalf("full sweep ran %d cells, want 4", fullCalls.Load())
+	if fullCalls != 4 {
+		t.Fatalf("full sweep ran %d cells, want 4", fullCalls)
 	}
 
 	// The "crashed" run completed p0 before dying.
 	cp := NewCheckpoint("test")
-	cp.Add("p0", "A", core.Result{Cycles: 100, Verified: true}, 0)
-	cp.Add("p0", "B", core.Result{Cycles: 200, Verified: true}, 0)
+	for _, m := range []string{"VIRAM", "Raw"} {
+		c, _ := full.Lookup("p0", m)
+		cp.Add("p0", m, core.Result{Cycles: c.Cycles, Verified: c.Verified}, 0)
+	}
 
-	var resumedCalls atomic.Int64
 	var cellsSeen []string
 	got, err := Sweeper{
 		Completed: cp,
@@ -63,20 +65,17 @@ func TestSweepResumesFromCheckpoint(t *testing.T) {
 			cellsSeen = append(cellsSeen, label+"/"+machine)
 			cp.Add(label, machine, r, elapsed)
 		},
-	}.sweep(countingPoints(&resumedCalls))
+	}.sweep(smallCells())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("resumed sweep differs:\nfull:    %+v\nresumed: %+v", want, got)
 	}
-	if resumedCalls.Load() != 2 {
-		t.Fatalf("resumed sweep ran %d cells, want 2 (p0 was checkpointed)", resumedCalls.Load())
-	}
-	// OnCell fires only for freshly simulated cells, and the checkpoint
-	// now holds the whole grid.
-	if !reflect.DeepEqual(cellsSeen, []string{"p1/A", "p1/B"}) {
-		t.Fatalf("OnCell saw %v", cellsSeen)
+	// OnCell fires only for freshly simulated cells — p0 was
+	// checkpointed — and the checkpoint now holds the whole grid.
+	if !reflect.DeepEqual(cellsSeen, []string{"p1/VIRAM", "p1/Raw"}) {
+		t.Fatalf("OnCell saw %v, want only p1's cells re-simulated", cellsSeen)
 	}
 	if cp.Len() != 4 {
 		t.Fatalf("checkpoint holds %d cells, want 4", cp.Len())
@@ -87,18 +86,25 @@ func TestSweepResumesFromCheckpoint(t *testing.T) {
 // cells whose functional output was verified; anything else re-runs.
 func TestSweepReRunsUnverifiedCheckpointCells(t *testing.T) {
 	cp := NewCheckpoint("test")
-	cp.Add("p0", "A", core.Result{Cycles: 999999, Verified: false}, 0)
+	cp.Add("p0", "VIRAM", core.Result{Cycles: 999999, Verified: false}, 0)
 
-	var calls atomic.Int64
-	got, err := Sweeper{Completed: cp}.sweep(countingPoints(&calls))
+	calls := 0
+	got, err := Sweeper{
+		Completed: cp,
+		OnCell:    func(string, string, core.Result, time.Duration) { calls++ },
+	}.sweep(smallCells())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls.Load() != 4 {
-		t.Fatalf("ran %d cells, want 4 (unverified cell must re-run)", calls.Load())
+	if calls != 4 {
+		t.Fatalf("ran %d cells, want 4 (unverified cell must re-run)", calls)
 	}
-	if got[0].Cycles["A"] != 100 {
-		t.Fatalf("unverified checkpoint cycles served: %d", got[0].Cycles["A"])
+	want, err := Sweeper{}.sweep(smallCells())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("unverified checkpoint cycles served:\nfresh:   %+v\nresumed: %+v", want, got)
 	}
 }
 

@@ -1,24 +1,27 @@
 // Package study implements the design-space sweeps around the paper's
 // fixed measurement points: the excursions its analysis gestures at
 // (address-generator counts, tile counts, descriptor registers, dwell
-// density, matrix size) as structured, testable experiments.
+// density, matrix size, FFT size) as structured, testable experiments.
 //
-// Sweeps execute through the simulation service's worker pool
-// (internal/svc), so the (point, machine) grid runs machine-parallel;
-// the Sweeper type controls concurrency. The package-level functions
-// keep the original serial-equivalent API (results are identical either
-// way: every simulation runs on a fresh machine instance).
+// A sweep is a list of labelled job specs (svc.DSEDesign): workload
+// sweeps vary the spec's Workload on every study machine, hardware
+// sweeps set its Config. The cells run through svc.RunSpecs on a
+// private worker pool, so the (point, machine) grid runs
+// machine-parallel on reused machine instances; the pool's
+// reuse-sampling guard re-runs sampled cells on fresh instances, so
+// results are identical at any concurrency. The Sweeper type controls
+// concurrency and checkpoint resume.
 package study
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"sigkern/internal/core"
 	"sigkern/internal/imagine"
-	"sigkern/internal/kernels/beamsteer"
 	"sigkern/internal/kernels/cornerturn"
 	"sigkern/internal/kernels/cslc"
 	"sigkern/internal/kernels/fft"
@@ -40,10 +43,6 @@ type Sweeper struct {
 	// Concurrency is the number of simulations in flight at once;
 	// <= 0 means 1 (serial).
 	Concurrency int
-	// Pool, when set, runs the sweep on an existing pool (e.g. the
-	// simulation service's) instead of a private one, sharing its
-	// metrics and memoization; Concurrency is then ignored.
-	Pool *svc.Pool
 	// Completed, when set, is a checkpoint of cells from a previous run:
 	// verified cells are served from it without re-simulating, which is
 	// how an interrupted sweep resumes. Unverified cells re-run.
@@ -56,107 +55,86 @@ type Sweeper struct {
 	OnCell func(label, machine string, r core.Result, elapsed time.Duration)
 }
 
-// machineRun is one simulation of a sweep point: a column name and the
-// function producing its cycles. Each run constructs its own machine,
-// so runs are independent and safe to execute concurrently.
-type machineRun struct {
-	machine string
-	run     func() (core.Result, error)
-}
-
-// pointRuns is one sweep point's label and simulations.
-type pointRuns struct {
-	label string
-	runs  []machineRun
-}
-
-// sweep fans every (point, machine) simulation across the pool and
-// reassembles points in order.
-func (s Sweeper) sweep(points []pointRuns) ([]Point, error) {
-	pool := s.Pool
-	if pool == nil {
-		workers := s.Concurrency
-		if workers <= 0 {
-			workers = 1
+// sweep runs the cells through one svc.RunSpecs on a private pool and
+// reassembles them into points in order: a point is a run of cells
+// sharing a label, each on a different machine. The pool closes when
+// the sweep returns, and the machine instances its workers cached go
+// with it.
+func (s Sweeper) sweep(cells []svc.DSEDesign) ([]Point, error) {
+	// Sweeps are batch work: no memo (each cell runs once) and a
+	// generous per-simulation deadline.
+	pool := svc.NewPool(svc.PoolOptions{
+		Workers:      max(s.Concurrency, 1),
+		JobTimeout:   time.Hour,
+		MemoCapacity: -1,
+	})
+	defer pool.Close()
+	var out []Point
+	var fresh []svc.DSEDesign
+	var specs []svc.JobSpec
+	var at []int // fresh cell -> its point in out
+	for _, c := range cells {
+		machine := c.Spec.Machine
+		if n := len(out); n == 0 || out[n-1].Label != c.Label || hasCycles(out[n-1], machine) {
+			out = append(out, Point{Label: c.Label, Cycles: map[string]uint64{}})
 		}
-		// Sweeps are batch work: no memo (each cell runs once) and a
-		// generous per-simulation deadline.
-		pool = svc.NewPool(svc.PoolOptions{
-			Workers:      workers,
-			JobTimeout:   time.Hour,
-			MemoCapacity: -1,
-		})
-		defer pool.Close()
-	}
-	out := make([]Point, len(points))
-	for i, p := range points {
-		out[i] = Point{Label: p.label, Cycles: map[string]uint64{}}
-	}
-	// The whole sweep goes to the pool as one Submit: one queue
-	// reservation per wave instead of one send per cell. Cells
-	// stay plain Run tasks — sweep closures bake in per-point machine
-	// configurations, so two cells named "VIRAM" may be different
-	// machines and must not share a reused instance.
-	type cell struct {
-		point, run int
-	}
-	var cells []cell
-	var tasks []svc.Task
-	for pi, p := range points {
-		for ri, mr := range p.runs {
-			// Resume: a verified cell from a previous run's checkpoint is
-			// served as-is; everything else (including unverified cells)
-			// re-simulates.
-			if s.Completed != nil {
-				if c, ok := s.Completed.Lookup(p.label, mr.machine); ok && c.Verified {
-					out[pi].Cycles[mr.machine] = c.Cycles
-					continue
-				}
+		// Resume: a verified cell from a previous run's checkpoint is
+		// served as-is; everything else (including unverified cells)
+		// re-simulates.
+		if s.Completed != nil {
+			if done, ok := s.Completed.Lookup(c.Label, machine); ok && done.Verified {
+				out[len(out)-1].Cycles[machine] = done.Cycles
+				continue
 			}
-			run := mr.run
-			cells = append(cells, cell{point: pi, run: ri})
-			tasks = append(tasks, svc.Task{
-				Label:    fmt.Sprintf("%s @ %s", mr.machine, p.label),
-				Priority: svc.PriorityBatch,
-				Run: func(context.Context) (core.Result, error) {
-					return run()
-				},
-			})
 		}
+		fresh = append(fresh, c)
+		specs = append(specs, c.Spec)
+		at = append(at, len(out)-1)
 	}
-	futs, err := pool.Submit(context.Background(), tasks, false)
+	futs, err := svc.RunSpecs(context.Background(), pool, machines.ByName, specs, svc.PriorityBatch)
+	var bad *svc.BatchSpecError
+	if errors.As(err, &bad) {
+		c := fresh[bad.Index]
+		return nil, fmt.Errorf("study: %s @ %s: %w", c.Spec.Machine, c.Label, bad.Err)
+	}
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cells {
-		label, machine := points[c.point].label, points[c.point].runs[c.run].machine
+	for i, c := range fresh {
+		machine := c.Spec.Machine
 		r, err := futs[i].Wait(context.Background())
 		if err != nil {
-			return nil, fmt.Errorf("study: %s: %w", machine, err)
+			return nil, fmt.Errorf("study: %s @ %s: %w", machine, c.Label, err)
 		}
-		out[c.point].Cycles[machine] = r.Cycles
+		out[at[i]].Cycles[machine] = r.Cycles
 		if s.OnCell != nil {
-			s.OnCell(label, machine, r, futs[i].Elapsed())
+			s.OnCell(c.Label, machine, r, futs[i].Elapsed())
 		}
 	}
 	return out, nil
 }
 
-// allMachineRuns builds one run per study machine, each on a fresh
-// instance.
-func allMachineRuns(run func(m core.Machine) (core.Result, error)) []machineRun {
-	var runs []machineRun
-	for _, m := range machines.All() {
-		name := m.Name()
-		runs = append(runs, machineRun{machine: name, run: func() (core.Result, error) {
-			m, err := machines.ByName(name)
-			if err != nil {
-				return core.Result{}, err
-			}
-			return run(m)
-		}})
+// hasCycles reports whether the point already holds a machine's cell —
+// a repeated sweep value starts a point of its own.
+func hasCycles(p Point, machine string) bool {
+	_, ok := p.Cycles[machine]
+	return ok
+}
+
+// onEveryMachine returns one cell per study machine running kernel k on
+// workload w — the cells of one workload-sweep point.
+func onEveryMachine(label string, k core.KernelID, w core.Workload) []svc.DSEDesign {
+	var cells []svc.DSEDesign
+	for _, name := range machines.Names() {
+		cells = append(cells, svc.DSEDesign{Label: label, Spec: svc.JobSpec{Machine: name, Kernel: k, Workload: &w}})
 	}
-	return runs
+	return cells
+}
+
+// cornerTurnOn returns the cell running the paper corner turn on one
+// machine under a hardware override — one hardware-sweep point.
+func cornerTurnOn(label, machine string, cfg machines.ConfigSet) svc.DSEDesign {
+	return svc.DSEDesign{Label: label, Spec: svc.JobSpec{Machine: machine, Kernel: core.CornerTurn, Config: &cfg}}
 }
 
 // MachineColumns returns the union of machine names across the points
@@ -186,114 +164,64 @@ func MachineColumns(pts []Point) []string {
 }
 
 // MatrixSizes sweeps the corner-turn matrix edge across every machine.
-func MatrixSizes(sizes []int) ([]Point, error) { return Sweeper{}.MatrixSizes(sizes) }
-
-// MatrixSizes sweeps the corner-turn matrix edge across every machine.
 func (s Sweeper) MatrixSizes(sizes []int) ([]Point, error) {
-	var points []pointRuns
+	var cells []svc.DSEDesign
 	for _, n := range sizes {
-		spec := cornerturn.Spec{Rows: n, Cols: n, BlockSize: 16}
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		points = append(points, pointRuns{
-			label: fmt.Sprintf("%dx%d", n, n),
-			runs: allMachineRuns(func(m core.Machine) (core.Result, error) {
-				return m.RunCornerTurn(spec)
-			}),
-		})
+		w := core.PaperWorkload()
+		w.CornerTurn = cornerturn.Spec{Rows: n, Cols: n, BlockSize: 16}
+		cells = append(cells, onEveryMachine(fmt.Sprintf("%dx%d", n, n), core.CornerTurn, w)...)
 	}
-	return s.sweep(points)
+	return s.sweep(cells)
 }
 
 // VIRAMAddrGens sweeps the number of VIRAM address generators on the
 // corner turn (the paper's 24% strided-limit factor).
-func VIRAMAddrGens(gens []int) ([]Point, error) { return Sweeper{}.VIRAMAddrGens(gens) }
-
-// VIRAMAddrGens sweeps the number of VIRAM address generators on the
-// corner turn (the paper's 24% strided-limit factor).
 func (s Sweeper) VIRAMAddrGens(gens []int) ([]Point, error) {
-	var points []pointRuns
+	var cells []svc.DSEDesign
 	for _, g := range gens {
-		g := g
-		points = append(points, pointRuns{
-			label: fmt.Sprintf("%d", g),
-			runs: []machineRun{{machine: "VIRAM", run: func() (core.Result, error) {
-				cfg := viram.DefaultConfig()
-				cfg.DRAM.AddrGens = g
-				return viram.New(cfg).RunCornerTurn(cornerturn.PaperSpec())
-			}}},
-		})
+		cfg := viram.DefaultConfig()
+		cfg.DRAM.AddrGens = g
+		cells = append(cells, cornerTurnOn(fmt.Sprintf("%d", g), "VIRAM", machines.ConfigSet{VIRAM: &cfg}))
 	}
-	return s.sweep(points)
+	return s.sweep(cells)
 }
 
 // RawTiles sweeps the Raw mesh edge on the corner turn. The shape this
 // produces is the perimeter-versus-area story: tiles (and issue slots)
 // grow with the mesh area but DRAM ports only with its perimeter, so the
 // kernel flips from issue-bound below 4x4 to port-bound above it.
-func RawTiles(edges []int) ([]Point, error) { return Sweeper{}.RawTiles(edges) }
-
-// RawTiles sweeps the Raw mesh edge on the corner turn.
 func (s Sweeper) RawTiles(edges []int) ([]Point, error) {
-	var points []pointRuns
+	var cells []svc.DSEDesign
 	for _, e := range edges {
-		e := e
-		points = append(points, pointRuns{
-			label: fmt.Sprintf("%dx%d", e, e),
-			runs: []machineRun{{machine: "Raw", run: func() (core.Result, error) {
-				cfg := rawsim.DefaultConfig()
-				cfg.Mesh.Width, cfg.Mesh.Height = e, e
-				return rawsim.New(cfg).RunCornerTurn(cornerturn.PaperSpec())
-			}}},
-		})
+		cfg := rawsim.DefaultConfig()
+		cfg.Mesh.Width, cfg.Mesh.Height = e, e
+		cells = append(cells, cornerTurnOn(fmt.Sprintf("%dx%d", e, e), "Raw", machines.ConfigSet{Raw: &cfg}))
 	}
-	return s.sweep(points)
+	return s.sweep(cells)
 }
-
-// ImagineDescriptors sweeps the stream-descriptor-register count on the
-// fully software-pipelined corner turn.
-func ImagineDescriptors(counts []int) ([]Point, error) { return Sweeper{}.ImagineDescriptors(counts) }
 
 // ImagineDescriptors sweeps the stream-descriptor-register count on the
 // fully software-pipelined corner turn.
 func (s Sweeper) ImagineDescriptors(counts []int) ([]Point, error) {
-	var points []pointRuns
+	var cells []svc.DSEDesign
 	for _, n := range counts {
-		n := n
-		points = append(points, pointRuns{
-			label: fmt.Sprintf("%d", n),
-			runs: []machineRun{{machine: "Imagine", run: func() (core.Result, error) {
-				cfg := imagine.DefaultConfig()
-				cfg.StreamDescRegs = n
-				cfg.FullPipelining = true
-				return imagine.New(cfg).RunCornerTurn(cornerturn.PaperSpec())
-			}}},
-		})
+		cfg := imagine.DefaultConfig()
+		cfg.StreamDescRegs = n
+		cfg.FullPipelining = true
+		cells = append(cells, cornerTurnOn(fmt.Sprintf("%d", n), "Imagine", machines.ConfigSet{Imagine: &cfg}))
 	}
-	return s.sweep(points)
+	return s.sweep(cells)
 }
 
 // BeamDwells sweeps the beam-steering dwell count across every machine.
-func BeamDwells(dwells []int) ([]Point, error) { return Sweeper{}.BeamDwells(dwells) }
-
-// BeamDwells sweeps the beam-steering dwell count across every machine.
 func (s Sweeper) BeamDwells(dwells []int) ([]Point, error) {
-	var points []pointRuns
+	var cells []svc.DSEDesign
 	for _, d := range dwells {
-		spec := beamsteer.PaperSpec()
-		spec.Dwells = d
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		points = append(points, pointRuns{
-			label: fmt.Sprintf("%d", d),
-			runs: allMachineRuns(func(m core.Machine) (core.Result, error) {
-				return m.RunBeamSteering(spec)
-			}),
-		})
+		w := core.PaperWorkload()
+		w.Beam.Dwells = d
+		cells = append(cells, onEveryMachine(fmt.Sprintf("%d", d), core.BeamSteering, w)...)
 	}
-	return s.sweep(points)
+	return s.sweep(cells)
 }
 
 // CSLCFFTSizes sweeps the CSLC sub-band transform length across every
@@ -301,31 +229,21 @@ func (s Sweeper) BeamDwells(dwells []int) ([]Point, error) {
 // the FFT grows). The paper fixes N=128; the sweep shows how each
 // machine's CSLC cost moves as the working set and the per-transform
 // startup change.
-func CSLCFFTSizes(sizes []int) ([]Point, error) { return Sweeper{}.CSLCFFTSizes(sizes) }
-
-// CSLCFFTSizes sweeps the CSLC sub-band transform length across every
-// machine.
 func (s Sweeper) CSLCFFTSizes(sizes []int) ([]Point, error) {
-	var points []pointRuns
+	var cells []svc.DSEDesign
 	for _, n := range sizes {
-		spec := cslc.PaperSpec(fft.BestRadix(n))
-		spec.FFTSize = n
+		w := core.PaperWorkload()
+		w.CSLC = cslc.PaperSpec(fft.BestRadix(n))
+		w.CSLC.FFTSize = n
 		// Keep roughly the paper's band overlap: bands span the samples
 		// with a hop of 7/8 of the window.
 		if hop := n * 7 / 8; hop > 0 {
-			spec.SubBands = (spec.Samples-n)/hop + 1
+			w.CSLC.SubBands = (w.CSLC.Samples-n)/hop + 1
 		}
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("study: FFT size %d: %w", n, err)
-		}
-		points = append(points, pointRuns{
-			label: fmt.Sprintf("%d-pt x %d bands", n, spec.SubBands),
-			runs: allMachineRuns(func(m core.Machine) (core.Result, error) {
-				return m.RunCSLC(spec)
-			}),
-		})
+		label := fmt.Sprintf("%d-pt x %d bands", n, w.CSLC.SubBands)
+		cells = append(cells, onEveryMachine(label, core.CSLC, w)...)
 	}
-	return s.sweep(points)
+	return s.sweep(cells)
 }
 
 // EqualClockSpeedups answers the paper's closing speculation — "if the

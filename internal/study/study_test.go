@@ -1,14 +1,16 @@
 package study
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"sigkern/internal/core"
 	"sigkern/internal/machines"
 )
 
 func TestMatrixSizesScaleRoughlyQuadratically(t *testing.T) {
-	pts, err := MatrixSizes([]int{256, 512})
+	pts, err := Sweeper{}.MatrixSizes([]int{256, 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func TestMatrixSizesScaleRoughlyQuadratically(t *testing.T) {
 }
 
 func TestVIRAMAddrGensMonotone(t *testing.T) {
-	pts, err := VIRAMAddrGens([]int{1, 2, 4})
+	pts, err := Sweeper{}.VIRAMAddrGens([]int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestVIRAMAddrGensMonotone(t *testing.T) {
 }
 
 func TestRawTilesPerimeterVsArea(t *testing.T) {
-	pts, err := RawTiles([]int{2, 4, 8})
+	pts, err := Sweeper{}.RawTiles([]int{2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestRawTilesPerimeterVsArea(t *testing.T) {
 }
 
 func TestImagineDescriptorsNeverHurt(t *testing.T) {
-	pts, err := ImagineDescriptors([]int{2, 8, 32})
+	pts, err := Sweeper{}.ImagineDescriptors([]int{2, 8, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestImagineDescriptorsNeverHurt(t *testing.T) {
 }
 
 func TestBeamDwellsLinear(t *testing.T) {
-	pts, err := BeamDwells([]int{4, 8})
+	pts, err := Sweeper{}.BeamDwells([]int{4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestCSLCFFTSizeCrossover(t *testing.T) {
 	// the per-kernel dispatch cost hands the win to VIRAM (which
 	// vectorizes across bands, indifferent to transform length); from the
 	// paper's 128-point size upward, Imagine leads.
-	pts, err := CSLCFFTSizes([]int{32, 128, 512})
+	pts, err := Sweeper{}.CSLCFFTSizes([]int{32, 128, 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +154,10 @@ func TestSweeperConcurrencyMatchesSerial(t *testing.T) {
 	if len(serial) != len(parallel) {
 		t.Fatalf("point counts differ: %d vs %d", len(serial), len(parallel))
 	}
-	// Every job runs on a fresh machine instance, so concurrency must
-	// not change a single cycle count.
+	// Workers reuse machine instances, resetting them between cells, and
+	// the pool re-runs sampled reused cells on fresh instances: whichever
+	// worker runs a cell, on whatever instance, concurrency must not
+	// change a single cycle count.
 	for i := range serial {
 		if serial[i].Label != parallel[i].Label {
 			t.Fatalf("point %d: label %q vs %q", i, serial[i].Label, parallel[i].Label)
@@ -166,24 +170,38 @@ func TestSweeperConcurrencyMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSweepInvalidSpecs: an invalid sweep value fails the whole sweep
+// before any cell runs — a valid value ahead of it included — and the
+// error names the offending cell's label and machine.
 func TestSweepInvalidSpecs(t *testing.T) {
-	sw := Sweeper{Concurrency: 2}
 	tests := []struct {
 		name string
-		run  func() ([]Point, error)
+		run  func(Sweeper) ([]Point, error)
+		want string
 	}{
-		{"non-power-of-two FFT size", func() ([]Point, error) { return sw.CSLCFFTSizes([]int{100}) }},
-		{"FFT size below minimum", func() ([]Point, error) { return sw.CSLCFFTSizes([]int{1}) }},
-		{"zero dwells", func() ([]Point, error) { return sw.BeamDwells([]int{0}) }},
-		{"negative dwells", func() ([]Point, error) { return sw.BeamDwells([]int{-3}) }},
-		{"zero matrix edge", func() ([]Point, error) { return sw.MatrixSizes([]int{0}) }},
-		{"negative matrix edge", func() ([]Point, error) { return sw.MatrixSizes([]int{-16}) }},
+		{"non-power-of-two FFT size", func(sw Sweeper) ([]Point, error) { return sw.CSLCFFTSizes([]int{64, 100}) }, "PPC @ 100-pt"},
+		{"FFT size below minimum", func(sw Sweeper) ([]Point, error) { return sw.CSLCFFTSizes([]int{64, 1}) }, "PPC @ 1-pt"},
+		{"zero dwells", func(sw Sweeper) ([]Point, error) { return sw.BeamDwells([]int{1, 0}) }, "PPC @ 0:"},
+		{"negative dwells", func(sw Sweeper) ([]Point, error) { return sw.BeamDwells([]int{1, -3}) }, "PPC @ -3:"},
+		{"zero matrix edge", func(sw Sweeper) ([]Point, error) { return sw.MatrixSizes([]int{64, 0}) }, "PPC @ 0x0:"},
+		{"negative matrix edge", func(sw Sweeper) ([]Point, error) { return sw.MatrixSizes([]int{64, -16}) }, "PPC @ -16x-16:"},
+		{"zero address generators", func(sw Sweeper) ([]Point, error) { return sw.VIRAMAddrGens([]int{2, 0}) }, "VIRAM @ 0:"},
+		{"zero mesh edge", func(sw Sweeper) ([]Point, error) { return sw.RawTiles([]int{2, 0}) }, "Raw @ 0x0:"},
+		{"one descriptor register", func(sw Sweeper) ([]Point, error) { return sw.ImagineDescriptors([]int{2, 1}) }, "Imagine @ 1:"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			pts, err := tc.run()
+			ran := 0
+			sw := Sweeper{Concurrency: 2, OnCell: func(string, string, core.Result, time.Duration) { ran++ }}
+			pts, err := tc.run(sw)
 			if err == nil {
 				t.Fatalf("want error, got %d points", len(pts))
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name the cell %q", err, tc.want)
+			}
+			if ran != 0 {
+				t.Errorf("%d cell(s) ran before the invalid value failed the sweep", ran)
 			}
 		})
 	}

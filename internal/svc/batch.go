@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sigkern/internal/core"
+	"sigkern/internal/faults"
 	"sigkern/internal/machines"
 	"sigkern/internal/obs"
 )
@@ -241,13 +242,9 @@ func (s *Service) admit(ctx context.Context, specs []JobSpec, keys []string, opt
 		probes:   make(map[string]*probe),
 	}
 	for i, spec := range specs {
-		norm, err := spec.Normalize()
+		norm, hash, err := normalizeAt(i, spec)
 		if err != nil {
-			return nil, &BatchSpecError{Index: i, Err: err}
-		}
-		hash, err := norm.Hash()
-		if err != nil {
-			return nil, &BatchSpecError{Index: i, Err: err}
+			return nil, err
 		}
 		key := ""
 		if keys != nil {
@@ -296,6 +293,20 @@ func (s *Service) admit(ctx context.Context, specs []JobSpec, keys []string, opt
 		return nil, err
 	}
 	return run, nil
+}
+
+// normalizeAt normalizes and hashes the i-th spec of a group, reporting
+// an invalid one as a *BatchSpecError naming its index.
+func normalizeAt(i int, spec JobSpec) (JobSpec, string, error) {
+	norm, err := spec.Normalize()
+	if err != nil {
+		return JobSpec{}, "", &BatchSpecError{Index: i, Err: err}
+	}
+	hash, err := norm.Hash()
+	if err != nil {
+		return JobSpec{}, "", &BatchSpecError{Index: i, Err: err}
+	}
+	return norm, hash, nil
 }
 
 // answeredAtOnce reports whether every member would be answered without
@@ -464,32 +475,71 @@ func (s *Service) launch(ctx context.Context, run *BatchRun, expires time.Time, 
 	return shedErr
 }
 
-// task builds the pool task that runs one registered job on the
-// worker's cached instance of its machine and configuration. RunOn is a
-// pure function of (spec, instance), so the reuse-sampling guard may
-// re-run it on a fresh instance; the config hash keys the instance
-// cache, so a job can never run on an instance built for different
-// hardware.
+// task builds the pool task for one registered job: its spec task plus
+// the hooks only registered jobs carry — the registry's running and
+// retry transitions, the admission's priority and budget expiry, and
+// the group's abort channel.
 func (s *Service) task(j *Job, abort <-chan struct{}, expires time.Time) Task {
-	id, spec := j.ID, j.Spec
+	id := j.ID
+	t := specTask(j.Spec, j.Hash, s.factory, s.pool.Faults())
+	t.Priority = j.Priority
+	t.Expires = expires
+	t.OnStart = func() { s.markRunning(id) }
+	t.OnRetry = func(attempt int, err error) {
+		s.traceEvent(id, obs.EventRetried, fmt.Sprintf("attempt %d: %v", attempt, err))
+	}
+	t.Abort = abort
+	return t
+}
+
+// specTask builds the pool task that runs one normalized spec on the
+// worker's cached instance of its machine and configuration — the one
+// constructor behind admitted jobs, study grids and sweeps. The spec
+// hash is the memo key and the (machine, kernel) pair the metrics cell.
+// A paper-default spec builds its instances with factory; a
+// config-carrying one with its own config, behind the same chaos fault
+// point. RunOn is a pure function of (spec, instance), so the
+// reuse-sampling guard may re-run it on a fresh instance; the config
+// hash keys the instance cache, so a spec can never run on an instance
+// built for different hardware.
+func specTask(spec JobSpec, hash string, factory MachineFactory, chaos *faults.Registry) Task {
+	if spec.Config != nil {
+		factory = machines.ChaosFactory(chaos, spec.Config.Machine)
+	}
 	return Task{
-		Label:    fmt.Sprintf("%s/%s", spec.Machine, spec.Kernel),
-		MemoKey:  j.Hash,
-		Cell:     obs.Labels{Machine: spec.Machine, Kernel: string(spec.Kernel)},
-		Priority: j.Priority,
-		Expires:  expires,
-		OnStart:  func() { s.markRunning(id) },
-		OnRetry: func(attempt int, err error) {
-			s.traceEvent(id, obs.EventRetried, fmt.Sprintf("attempt %d: %v", attempt, err))
-		},
+		Label:      fmt.Sprintf("%s/%s", spec.Machine, spec.Kernel),
+		MemoKey:    hash,
+		Cell:       obs.Labels{Machine: spec.Machine, Kernel: string(spec.Kernel)},
 		Machine:    spec.Machine,
-		Factory:    s.factoryFor(spec),
+		Factory:    factory,
 		ConfigHash: spec.ConfigHash(),
 		RunOn: func(_ context.Context, m core.Machine) (core.Result, error) {
 			return core.Run(m, spec.Kernel, *spec.Workload)
 		},
-		Abort: abort,
 	}
+}
+
+// RunSpecs runs specs through the pool as one Submit, outside the job
+// registry — the launch path of the study grid and the sweeps, sharing
+// admitted jobs' task constructor. Every spec is normalized and hashed
+// first: an invalid one fails the call as a *BatchSpecError before
+// anything is queued. Tasks wait for queue room rather than shed, at
+// priority pr; paper-default specs build instances with factory (nil
+// means machines.ByName). The futures are index-aligned with specs.
+func RunSpecs(ctx context.Context, p *Pool, factory MachineFactory, specs []JobSpec, pr Priority) ([]*Future, error) {
+	if factory == nil {
+		factory = machines.ByName
+	}
+	tasks := make([]Task, len(specs))
+	for i, spec := range specs {
+		norm, hash, err := normalizeAt(i, spec)
+		if err != nil {
+			return nil, err
+		}
+		tasks[i] = specTask(norm, hash, factory, p.Faults())
+		tasks[i].Priority = pr
+	}
+	return p.Submit(ctx, tasks, false)
 }
 
 // complete finishes member i with its completed future and delivers its

@@ -22,15 +22,11 @@ func TestPoolCoalescing(t *testing.T) {
 
 	release := make(chan struct{})
 	var execs atomic.Int64
-	task := Task{
-		Label:   "coalesce",
-		MemoKey: "k",
-		Run: func(ctx context.Context) (core.Result, error) {
-			execs.Add(1)
-			<-release
-			return core.Result{Cycles: 42, Verified: true}, nil
-		},
-	}
+	task := funcTask(Task{Label: "coalesce", MemoKey: "k"}, func(ctx context.Context) (core.Result, error) {
+		execs.Add(1)
+		<-release
+		return core.Result{Cycles: 42, Verified: true}, nil
+	})
 	lead, err := submitOne(p, task)
 	if err != nil {
 		t.Fatal(err)
@@ -76,14 +72,10 @@ func TestPoolCoalescingWaiterCancel(t *testing.T) {
 	defer p.Close()
 
 	release := make(chan struct{})
-	task := Task{
-		Label:   "cancel",
-		MemoKey: "k",
-		Run: func(ctx context.Context) (core.Result, error) {
-			<-release
-			return core.Result{Cycles: 7, Verified: true}, nil
-		},
-	}
+	task := funcTask(Task{Label: "cancel", MemoKey: "k"}, func(ctx context.Context) (core.Result, error) {
+		<-release
+		return core.Result{Cycles: 7, Verified: true}, nil
+	})
 	lead, err := submitOne(p, task)
 	if err != nil {
 		t.Fatal(err)
@@ -122,29 +114,25 @@ func TestPoolCoalescingShedUnregisters(t *testing.T) {
 	defer p.Close()
 
 	block := make(chan struct{})
-	filler, err := submitOne(p, Task{Label: "filler", Run: func(ctx context.Context) (core.Result, error) {
+	filler, err := submitOne(p, funcTask(Task{Label: "filler"}, func(ctx context.Context) (core.Result, error) {
 		<-block
 		return core.Result{}, nil
-	}})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-filler.started
-	if _, err := submitOne(p, Task{Label: "queued", Run: func(ctx context.Context) (core.Result, error) {
+	if _, err := submitOne(p, funcTask(Task{Label: "queued"}, func(ctx context.Context) (core.Result, error) {
 		return core.Result{}, nil
-	}}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 
 	var execs atomic.Int64
-	task := Task{
-		Label:   "shed-then-run",
-		MemoKey: "k",
-		Run: func(ctx context.Context) (core.Result, error) {
-			execs.Add(1)
-			return core.Result{Cycles: 3, Verified: true}, nil
-		},
-	}
+	task := funcTask(Task{Label: "shed-then-run", MemoKey: "k"}, func(ctx context.Context) (core.Result, error) {
+		execs.Add(1)
+		return core.Result{Cycles: 3, Verified: true}, nil
+	})
 	if _, err := trySubmitOne(p, task); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("want shed, got %v", err)
 	}

@@ -53,14 +53,16 @@ type DSERequest struct {
 	Axes []DSEAxis `json:"axes,omitempty"`
 }
 
-// DSEDesign is one expanded design point before execution; its index
-// is its position in the expansion.
+// DSEDesign is a labelled spec: one expanded design point before
+// execution, whose index is its position in the expansion, and equally
+// one internal/study sweep cell, whose label names its sweep point.
 type DSEDesign struct {
 	// Label is a human-readable identity: "base", "delta[2]", or
-	// "viram.Lanes=8 raw.Mesh=2" for axis points.
+	// "viram.Lanes=8 raw.Mesh=2" for axis points; the swept value
+	// ("512x512", "4") for sweep cells.
 	Label string
-	// Spec is the runnable spec: the base with Config replaced by the
-	// point's delta. Not yet normalized.
+	// Spec is the runnable spec — for a design point, the base with
+	// Config replaced by the point's delta. Not yet normalized.
 	Spec JobSpec
 }
 

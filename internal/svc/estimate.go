@@ -9,6 +9,7 @@ import (
 	"sigkern/internal/core"
 	"sigkern/internal/kernels/matmul"
 	"sigkern/internal/kernels/pfb"
+	"sigkern/internal/machines"
 	"sigkern/internal/obs"
 	"sigkern/internal/resilience"
 	"sigkern/internal/roofline"
@@ -142,11 +143,11 @@ func (s *Service) Roofline(ctx context.Context, simulate bool) (*RooflineData, e
 	w := core.PaperWorkload()
 	measured := make(map[string]map[core.KernelID]uint64)
 	if simulate {
-		sr, err := RunStudyParallel(ctx, s.pool, s.factory, machineNames(), w)
+		sr, err := RunStudy(ctx, s.pool, s.factory, machines.Names(), w, PriorityInteractive)
 		if err != nil {
 			return nil, err
 		}
-		for _, name := range machineNames() {
+		for _, name := range machines.Names() {
 			measured[name] = make(map[core.KernelID]uint64)
 			for _, k := range core.Kernels() {
 				if r, ok := sr.Result(name, k); ok {
@@ -186,7 +187,7 @@ func (s *Service) runExtensionCells(ctx context.Context, measured map[string]map
 	}
 	var cells []cell
 	var tasks []Task
-	for _, name := range machineNames() {
+	for _, name := range machines.Names() {
 		name := name
 		// The probe instance only answers capability checks; the tasks run
 		// on the workers' own instances. The factory consults the chaos

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -52,6 +53,23 @@ func TestHTTPTable3MatchesSerialStudy(t *testing.T) {
 	resp := getJSON(t, srv.URL+"/v1/tables/3", &td)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
+	}
+
+	// The cold table ran each of its 15 cells once, and every one
+	// reached the per-cell metrics.
+	mresp, err := http.Get(srv.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	for _, name := range machines.Names() {
+		for _, k := range core.Kernels() {
+			want := fmt.Sprintf("simserved_cell_exec_latency_seconds_count{machine=%q,kernel=%q} 1\n", name, k)
+			if !strings.Contains(string(prom), want) {
+				t.Errorf("metrics lack %q", want)
+			}
+		}
 	}
 
 	sr, err := core.RunStudy(machines.All(), core.PaperWorkload())

@@ -101,10 +101,10 @@ func TestPoolPriorityAdmission(t *testing.T) {
 	defer p.Close()
 
 	gate := make(chan struct{})
-	gateFut, err := submitOne(p, Task{Label: "gate", Run: func(ctx context.Context) (core.Result, error) {
+	gateFut, err := submitOne(p, funcTask(Task{Label: "gate"}, func(ctx context.Context) (core.Result, error) {
 		<-gate
 		return core.Result{}, nil
-	}})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +112,12 @@ func TestPoolPriorityAdmission(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	mk := func(label string, pr Priority) Task {
-		return Task{Label: label, Priority: pr, Run: func(context.Context) (core.Result, error) {
+		return funcTask(Task{Label: label, Priority: pr}, func(context.Context) (core.Result, error) {
 			mu.Lock()
 			order = append(order, label)
 			mu.Unlock()
 			return core.Result{}, nil
-		}}
+		})
 	}
 	// Batch submitted FIRST: strict priority, not FIFO, must decide.
 	var futs []*Future
@@ -169,25 +169,25 @@ func TestBatchShedsBeforeInteractive(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	running := make(chan struct{})
-	if _, err := submitOne(p, Task{Label: "gate", Run: func(ctx context.Context) (core.Result, error) {
+	if _, err := submitOne(p, funcTask(Task{Label: "gate"}, func(ctx context.Context) (core.Result, error) {
 		close(running)
 		<-gate
 		return core.Result{}, nil
-	}}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the worker to pick the gate up so it no longer occupies
 	// a queue slot, then fill the interactive queue to exactly 3/4.
 	<-running
 	for i := 0; i < 3; i++ {
-		if _, err := submitOne(p, Task{Label: "fill", Run: func(context.Context) (core.Result, error) {
+		if _, err := submitOne(p, funcTask(Task{Label: "fill"}, func(context.Context) (core.Result, error) {
 			return core.Result{}, nil
-		}}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := trySubmitOne(p, Task{Label: "late-batch", Priority: PriorityBatch,
-		Run: func(context.Context) (core.Result, error) { return core.Result{}, nil }})
+	_, err := trySubmitOne(p, funcTask(Task{Label: "late-batch", Priority: PriorityBatch},
+		func(context.Context) (core.Result, error) { return core.Result{}, nil }))
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("batch admission at 3/4 interactive occupancy: err = %v, want ErrOverloaded", err)
 	}
@@ -196,8 +196,8 @@ func TestBatchShedsBeforeInteractive(t *testing.T) {
 		t.Fatalf("jobs_shed_batch = %d, want 1", snap.ShedBatch)
 	}
 	// Interactive still has the last slot.
-	if _, err := trySubmitOne(p, Task{Label: "late-inter",
-		Run: func(context.Context) (core.Result, error) { return core.Result{}, nil }}); err != nil {
+	if _, err := trySubmitOne(p, funcTask(Task{Label: "late-inter"},
+		func(context.Context) (core.Result, error) { return core.Result{}, nil })); err != nil {
 		t.Fatalf("interactive admission with one slot left: %v", err)
 	}
 }
@@ -273,22 +273,18 @@ func TestExpiredJobNeverExecutes(t *testing.T) {
 	defer p.Close()
 
 	gate := make(chan struct{})
-	gateFut, err := submitOne(p, Task{Label: "gate", Run: func(ctx context.Context) (core.Result, error) {
+	gateFut, err := submitOne(p, funcTask(Task{Label: "gate"}, func(ctx context.Context) (core.Result, error) {
 		<-gate
 		return core.Result{}, nil
-	}})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ran atomic.Bool
-	doomed, err := submitOne(p, Task{
-		Label:   "doomed",
-		Expires: time.Now().Add(50 * time.Millisecond),
-		Run: func(context.Context) (core.Result, error) {
-			ran.Store(true)
-			return core.Result{}, nil
-		},
-	})
+	doomed, err := submitOne(p, funcTask(Task{Label: "doomed", Expires: time.Now().Add(50 * time.Millisecond)}, func(context.Context) (core.Result, error) {
+		ran.Store(true)
+		return core.Result{}, nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

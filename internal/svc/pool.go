@@ -54,15 +54,15 @@ const (
 )
 
 // Task is one unit of work for the pool: a label for diagnostics, an
-// optional memoization key, and the function to run. Run receives a
-// context that is cancelled on pool shutdown or per-task timeout;
-// simulator runs cannot be interrupted mid-flight, so on timeout the
-// pool abandons the task (its goroutine finishes in the background and
-// the result is discarded) and reports ErrTimeout.
+// optional memoization key, and the function to run on a machine
+// instance. RunOn receives a context that is cancelled on pool shutdown
+// or per-task timeout; simulator runs cannot be interrupted mid-flight,
+// so on timeout the pool abandons the task (its goroutine finishes in
+// the background and the result is discarded) and reports ErrTimeout.
 type Task struct {
 	Label string
 	// MemoKey enables result memoization when non-empty: a hit skips
-	// Run entirely, and a successful Run is stored under the key.
+	// RunOn entirely, and a successful RunOn is stored under the key.
 	MemoKey string
 	// Cell identifies the (machine, kernel) Table 3 cell this task
 	// belongs to; per-cell labeled metrics are recorded under it. The
@@ -84,21 +84,14 @@ type Task struct {
 	// worker pickup instead of occupying a slot, and a running task's
 	// context deadline is clamped to it.
 	Expires time.Time
-	// Run executes the task on a machine it builds itself. Only
-	// internal/study sweeps use it: their machines are built by closures
-	// over per-point parameters and must not enter the per-worker
-	// instance cache, which never evicts. Every service job is a RunOn
-	// task.
-	Run func(ctx context.Context) (core.Result, error)
 
-	// Machine, Factory and RunOn together select the machine-reuse
-	// execution path: the worker resolves an instance of Machine from
-	// its per-worker cache (rewinding it via core.Resettable) or
-	// constructs one with Factory on a miss, then invokes RunOn with
-	// it. RunOn must be a pure function of the task's spec and the
-	// instance — the reuse-sampling determinism guard may execute it a
-	// second time on a fresh instance to verify the reused one.
-	// Exactly one of Run and RunOn must be set.
+	// Machine, Factory and RunOn are the one execution path: the worker
+	// resolves an instance of Machine from its per-worker cache
+	// (rewinding it via core.Resettable) or constructs one with Factory
+	// on a miss, then invokes RunOn with it. RunOn must be a pure
+	// function of the task's spec and the instance — the reuse-sampling
+	// determinism guard may execute it a second time on a fresh instance
+	// to verify the reused one.
 	Machine string
 	Factory MachineFactory
 	// ConfigHash qualifies Machine in the per-worker instance cache:
@@ -129,13 +122,8 @@ func (t *Task) instanceKey() string { return t.Machine + "\x00" + t.ConfigHash }
 
 // validate checks the task's execution-path invariants before admission.
 func (t *Task) validate() error {
-	switch {
-	case t.Run == nil && t.RunOn == nil:
-		return errors.New("svc: task with nil Run")
-	case t.Run != nil && t.RunOn != nil:
-		return errors.New("svc: task with both Run and RunOn")
-	case t.RunOn != nil && (t.Machine == "" || t.Factory == nil):
-		return errors.New("svc: RunOn task needs Machine and Factory")
+	if t.RunOn == nil || t.Machine == "" || t.Factory == nil {
+		return errors.New("svc: task needs RunOn, Machine and Factory")
 	}
 	return nil
 }
@@ -802,17 +790,14 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 // interrupted mid-flight: when ctx ends first the attempt is abandoned
 // (its goroutine finishes in the background, the buffered channel lets
 // it exit) and the deadline is reported as ErrTimeout. reused reports
-// whether a RunOn attempt executed on a cached machine instance.
+// whether the attempt executed on a cached machine instance.
 //
 // A cached instance is rewound here, on the worker that owns the cache;
 // a miss is built inside the attempt, after the fault point, so a slow
 // or hung factory is bounded by the attempt's deadline like the run
 // itself, and an injected fault costs no build.
 func (p *Pool) runAttempt(ctx context.Context, t Task, ws *workerState) (core.Result, bool, error) {
-	var cached core.Machine
-	if t.RunOn != nil {
-		cached = p.cachedMachine(t, ws)
-	}
+	cached := p.cachedMachine(t, ws)
 	type outcome struct {
 		res core.Result
 		m   core.Machine
@@ -835,11 +820,6 @@ func (p *Pool) runAttempt(ctx context.Context, t Task, ws *workerState) (core.Re
 				return
 			}
 		}
-		if t.RunOn == nil {
-			res, err := t.Run(ctx)
-			ch <- outcome{res: res, err: err}
-			return
-		}
 		m := cached
 		if m == nil {
 			var err error
@@ -855,24 +835,20 @@ func (p *Pool) runAttempt(ctx context.Context, t Task, ws *workerState) (core.Re
 
 	select {
 	case out := <-ch:
-		if t.RunOn != nil {
-			if out.err == nil {
-				p.cacheMachine(ws, t.instanceKey(), out.m)
-			} else {
-				// A failed or panicked attempt leaves the instance in an
-				// unknown state; drop it rather than hand it to the next
-				// task.
-				p.evictMachine(ws, t.instanceKey())
-			}
+		if out.err == nil {
+			p.cacheMachine(ws, t.instanceKey(), out.m)
+		} else {
+			// A failed or panicked attempt leaves the instance in an
+			// unknown state; drop it rather than hand it to the next
+			// task.
+			p.evictMachine(ws, t.instanceKey())
 		}
 		return out.res, cached != nil, out.err
 	case <-ctx.Done():
-		if t.RunOn != nil {
-			// The abandoned attempt keeps running on its instance in the
-			// background; the instance must never be reused while
-			// another goroutine may still be mutating it.
-			p.evictMachine(ws, t.instanceKey())
-		}
+		// The abandoned attempt keeps running on its instance in the
+		// background; the instance must never be reused while another
+		// goroutine may still be mutating it.
+		p.evictMachine(ws, t.instanceKey())
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			return core.Result{}, cached != nil, fmt.Errorf("svc: job %q: %w", t.Label, ErrTimeout)
 		}

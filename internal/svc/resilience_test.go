@@ -56,7 +56,7 @@ func TestChaosStudyBitIdentical(t *testing.T) {
 
 	clean := NewPool(PoolOptions{Workers: 4, JobTimeout: time.Minute, Faults: faults.New(1)})
 	defer clean.Close()
-	want, err := RunStudyParallel(context.Background(), clean, nil, names, w)
+	want, err := RunStudy(context.Background(), clean, nil, names, w, PriorityInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestChaosStudyBitIdentical(t *testing.T) {
 		Faults:     reg,
 	})
 	defer chaotic.Close()
-	got, err := RunStudyParallel(context.Background(), chaotic, nil, names, w)
+	got, err := RunStudy(context.Background(), chaotic, nil, names, w, PriorityInteractive)
 	if err != nil {
 		t.Fatalf("chaotic study failed (retries should absorb 20%% transients): %v", err)
 	}
@@ -93,15 +93,12 @@ func TestPoolRetriesTransientTaskErrors(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, JobTimeout: time.Minute, Faults: faults.New(1)})
 	defer p.Close()
 	var calls atomic.Int32
-	fut, err := submitOne(p, Task{
-		Label: "flaky",
-		Run: func(context.Context) (core.Result, error) {
-			if calls.Add(1) < 3 {
-				return core.Result{}, resilience.MarkTransient(errors.New("transient wobble"))
-			}
-			return core.Result{Cycles: 11, Verified: true}, nil
-		},
-	})
+	fut, err := submitOne(p, funcTask(Task{Label: "flaky"}, func(context.Context) (core.Result, error) {
+		if calls.Add(1) < 3 {
+			return core.Result{}, resilience.MarkTransient(errors.New("transient wobble"))
+		}
+		return core.Result{Cycles: 11, Verified: true}, nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +119,10 @@ func TestPoolDoesNotRetryPermanentErrors(t *testing.T) {
 	defer p.Close()
 	var calls atomic.Int32
 	perm := errors.New("invalid configuration")
-	fut, err := submitOne(p, Task{
-		Label: "broken",
-		Run: func(context.Context) (core.Result, error) {
-			calls.Add(1)
-			return core.Result{}, perm
-		},
-	})
+	fut, err := submitOne(p, funcTask(Task{Label: "broken"}, func(context.Context) (core.Result, error) {
+		calls.Add(1)
+		return core.Result{}, perm
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +139,7 @@ func TestPoolDoesNotRetryPermanentErrors(t *testing.T) {
 func TestDeterminismGuardOnReexecution(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, JobTimeout: time.Minute, Faults: faults.New(1)})
 	defer p.Close()
-	seed, err := submitOne(p, Task{Label: "seed", MemoKey: "k3", Run: okTask(500)})
+	seed, err := submitOne(p, funcTask(Task{Label: "seed", MemoKey: "k3"}, okTask(500)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +155,8 @@ func TestDeterminismGuardOnReexecution(t *testing.T) {
 	// the memoized 501, and the guard must refuse to serve either.
 	p.memo.Put("k3", core.Result{Cycles: 501, Verified: true})
 	fut := &Future{done: make(chan struct{}), started: make(chan struct{})}
-	p.execute(poolItem{task: Task{Label: "reexec", MemoKey: "k3", Run: okTask(500)}, fut: fut}, newWorkerState())
+	reexec := funcTask(Task{Label: "reexec", MemoKey: "k3"}, okTask(500))
+	p.execute(poolItem{task: reexec, fut: fut}, newWorkerState())
 	if _, werr := fut.Wait(context.Background()); !errors.Is(werr, ErrDeterminism) {
 		t.Fatalf("err = %v, want ErrDeterminism", werr)
 	}
@@ -181,14 +176,14 @@ func TestDeterminismGuardOnCorruptedMemoRead(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1, JobTimeout: time.Minute, Faults: reg})
 	defer p.Close()
 
-	seed, err := submitOne(p, Task{Label: "seed", MemoKey: "k", Run: okTask(42)})
+	seed, err := submitOne(p, funcTask(Task{Label: "seed", MemoKey: "k"}, okTask(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, werr := seed.Wait(context.Background()); werr != nil {
 		t.Fatal(werr)
 	}
-	hit, err := submitOne(p, Task{Label: "hit", MemoKey: "k", Run: okTask(42)})
+	hit, err := submitOne(p, funcTask(Task{Label: "hit", MemoKey: "k"}, okTask(42)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,17 +208,17 @@ func TestTrySubmitShedsWhenSaturated(t *testing.T) {
 	}
 	// One running, one queued: the pool is then saturated. Wait for the
 	// worker to pick the first task up before filling the queue slot.
-	first, err := trySubmitOne(p, Task{Label: "slow0", Run: slow})
+	first, err := trySubmitOne(p, funcTask(Task{Label: "slow0"}, slow))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-first.started
-	second, err := trySubmitOne(p, Task{Label: "slow1", Run: slow})
+	second, err := trySubmitOne(p, funcTask(Task{Label: "slow1"}, slow))
 	if err != nil {
 		t.Fatalf("queue-slot submit: %v", err)
 	}
 	futs := []*Future{first, second}
-	if _, err := trySubmitOne(p, Task{Label: "shed-me", Run: slow}); !errors.Is(err, ErrOverloaded) {
+	if _, err := trySubmitOne(p, funcTask(Task{Label: "shed-me"}, slow)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated shedding submit: %v, want ErrOverloaded", err)
 	}
 	if snap := p.Metrics().Snapshot(); snap.Shed != 1 {
@@ -364,12 +359,12 @@ func TestBreakerShedProbeDoesNotWedge(t *testing.T) {
 		<-release
 		return core.Result{Cycles: 1, Verified: true}, nil
 	}
-	first, err := trySubmitOne(s.Pool(), Task{Label: "slow0", Run: slow})
+	first, err := trySubmitOne(s.Pool(), funcTask(Task{Label: "slow0"}, slow))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-first.started
-	second, err := trySubmitOne(s.Pool(), Task{Label: "slow1", Run: slow})
+	second, err := trySubmitOne(s.Pool(), funcTask(Task{Label: "slow1"}, slow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,14 +478,14 @@ func TestPoolCloseReleasesGoroutines(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 4, QueueDepth: 8, JobTimeout: time.Minute, Faults: faults.New(1)})
 	var futs []*Future
 	for i := 0; i < 8; i++ {
-		fut, err := submitOne(p, Task{Label: fmt.Sprintf("t%d", i), Run: okTask(uint64(i + 1))})
+		fut, err := submitOne(p, funcTask(Task{Label: fmt.Sprintf("t%d", i)}, okTask(uint64(i+1))))
 		if err != nil {
 			t.Fatal(err)
 		}
 		futs = append(futs, fut)
 	}
 	p.Close()
-	if _, err := submitOne(p, Task{Label: "post-close", Run: okTask(1)}); !errors.Is(err, ErrPoolClosed) {
+	if _, err := submitOne(p, funcTask(Task{Label: "post-close"}, okTask(1))); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("submit after close: %v, want ErrPoolClosed", err)
 	}
 	// Every future resolves — completed, or failed with pool-closed for
@@ -521,7 +516,7 @@ func TestFutureWaitRacesPoolShutdown(t *testing.T) {
 		p := NewPool(PoolOptions{Workers: 2, QueueDepth: 2, JobTimeout: time.Minute, Faults: faults.New(1)})
 		var wg sync.WaitGroup
 		for i := 0; i < 8; i++ {
-			fut, err := trySubmitOne(p, Task{Label: fmt.Sprintf("r%d-t%d", round, i), Run: okTask(uint64(i + 1))})
+			fut, err := trySubmitOne(p, funcTask(Task{Label: fmt.Sprintf("r%d-t%d", round, i)}, okTask(uint64(i+1))))
 			if err != nil {
 				if !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrPoolClosed) {
 					t.Fatalf("submit: %v", err)

@@ -94,9 +94,6 @@ type Service struct {
 	// (Options.ConfigHash); configHashes of per-spec overrides are
 	// computed per job, not here.
 	configHash string
-	// chaos wraps per-spec config factories with the same fault point as
-	// the default factory, so chaos runs cover config-carrying jobs too.
-	chaos *faults.Registry
 	// draining flips when the process has been told to stop accepting
 	// new work (SIGTERM) but is still finishing what it has: /readyz
 	// answers 503 while /healthz — liveness — stays 200.
@@ -154,7 +151,6 @@ func NewService(opts Options) *Service {
 		shardID:    opts.ShardID,
 		idPrefix:   prefix,
 		configHash: opts.ConfigHash,
-		chaos:      opts.Pool.Faults,
 		estimates:  newEstimateMemo(),
 		brownout:   resilience.NewBrownout(bc),
 		jobs:       make(map[string]*Job),
@@ -170,19 +166,6 @@ func (s *Service) ShardID() string { return s.shardID }
 // ConfigHash returns the identity hash of the process-wide machine
 // configuration set — what /healthz and /readyz report.
 func (s *Service) ConfigHash() string { return s.configHash }
-
-// factoryFor returns the machine factory for one normalized spec: the
-// process factory for paper-default specs, or a per-spec factory over
-// the spec's config override, wrapped with the same chaos fault point
-// as the default one. The spec must be normalized (its config
-// validated) first.
-func (s *Service) factoryFor(spec JobSpec) MachineFactory {
-	if spec.Config == nil {
-		return s.factory
-	}
-	cfg := *spec.Config
-	return machines.ChaosFactory(s.chaos, cfg.Machine)
-}
 
 // SetDraining marks the service as draining (or not). A draining
 // service still answers every endpoint — it is alive — but /readyz
@@ -526,7 +509,7 @@ func (s *Service) evictLocked() {
 // identical to a serial core.RunStudy (and so to `sigstudy -csv`, the
 // input of cmd/compare).
 func (s *Service) Table3(ctx context.Context) (*TableData, error) {
-	sr, err := RunStudyParallel(ctx, s.pool, s.factory, machineNames(), core.PaperWorkload())
+	sr, err := RunStudy(ctx, s.pool, s.factory, machines.Names(), core.PaperWorkload(), PriorityInteractive)
 	if err != nil {
 		return nil, err
 	}
@@ -567,28 +550,15 @@ func table3Data(sr *core.StudyResults) *TableData {
 	return td
 }
 
-// machineNames returns the five study machines in paper order.
-func machineNames() []string { return machines.Names() }
-
-// RunStudyParallel executes every (machine, kernel) pair of the
-// workload through the pool — the concurrent counterpart of
-// core.RunStudy. Each job runs on a fresh machine instance from
-// factory, so results are bit-identical to the serial study. Cells are
-// admitted at interactive priority (the default): callers like the
-// HTTP table endpoints sit on the request path.
-func RunStudyParallel(ctx context.Context, p *Pool, factory MachineFactory, names []string, w core.Workload) (*core.StudyResults, error) {
-	return runStudy(ctx, p, factory, names, w, PriorityInteractive)
-}
-
-// RunStudyBatch is RunStudyParallel at batch priority: cells queue
-// behind (and are shed before) interactive work. The offline drivers —
-// cmd/sigstudy, cmd/sweep — use this so a study fan-out sharing a pool
-// with a live service never starves request traffic.
-func RunStudyBatch(ctx context.Context, p *Pool, factory MachineFactory, names []string, w core.Workload) (*core.StudyResults, error) {
-	return runStudy(ctx, p, factory, names, w, PriorityBatch)
-}
-
-func runStudy(ctx context.Context, p *Pool, factory MachineFactory, names []string, w core.Workload, pr Priority) (*core.StudyResults, error) {
+// RunStudy executes every (machine, kernel) pair of the workload
+// through the pool at priority pr — the concurrent counterpart of
+// core.RunStudy. The request-path table endpoints run it at interactive
+// priority; the offline drivers at batch priority, so a study sharing a
+// pool with a live service never starves request traffic. Cells run
+// through RunSpecs on the workers' reused instances, which the
+// reuse-sampling guard holds bit-identical to fresh ones, so results
+// equal the serial study's.
+func RunStudy(ctx context.Context, p *Pool, factory MachineFactory, names []string, w core.Workload, pr Priority) (*core.StudyResults, error) {
 	if factory == nil {
 		factory = machines.ByName
 	}
@@ -612,55 +582,31 @@ func runStudy(ctx context.Context, p *Pool, factory MachineFactory, names []stri
 		ms[i] = m
 	}
 
-	// The whole grid goes through one Pool.Submit: one queue
-	// reservation per wave, memo/coalescing pre-filter up front, and
-	// per-worker machine reuse across cells of the same machine.
-	type cell struct {
-		machine string
-		kernel  core.KernelID
-	}
-	var cells []cell
-	var tasks []Task
+	// The whole grid goes through one Pool.Submit. The cells are memoized
+	// under their spec hashes; these specs carry no config override, and
+	// a process-wide -config factory is not in the hash — per-process
+	// memoization keeps that consistent, and the cluster gateway refuses
+	// to route across shards whose config hashes differ.
+	var specs []JobSpec
 	for _, name := range names {
 		for _, k := range core.Kernels() {
-			name, k := name, k
-			spec := JobSpec{Machine: name, Kernel: k, Workload: &w}
-			// Memoize under the spec hash, which covers per-spec config
-			// overrides (these study specs carry none). The hash does not
-			// cover a process-wide -config factory — per-process
-			// memoization keeps that consistent, and the cluster gateway
-			// refuses to route across shards whose config hashes differ.
-			key := ""
-			if h, err := spec.Hash(); err == nil {
-				key = h
-			}
-			cells = append(cells, cell{machine: name, kernel: k})
-			tasks = append(tasks, Task{
-				Label:    fmt.Sprintf("%s/%s", name, k),
-				MemoKey:  key,
-				Priority: pr,
-				Machine:  name,
-				Factory:  factory,
-				RunOn: func(_ context.Context, m core.Machine) (core.Result, error) {
-					return core.Run(m, k, w)
-				},
-			})
+			specs = append(specs, JobSpec{Machine: name, Kernel: k, Workload: &w})
 		}
 	}
-	futs, err := p.Submit(ctx, tasks, false)
+	futs, err := RunSpecs(ctx, p, factory, specs, pr)
 	if err != nil {
 		return nil, err
 	}
 	results := make(map[string]map[core.KernelID]core.Result)
-	for i, c := range cells {
+	for i, spec := range specs {
 		r, err := futs[i].Wait(ctx)
 		if err != nil {
-			return nil, fmt.Errorf("svc: %s on %s: %w", c.kernel, c.machine, err)
+			return nil, fmt.Errorf("svc: %s on %s: %w", spec.Kernel, spec.Machine, err)
 		}
-		if results[c.machine] == nil {
-			results[c.machine] = make(map[core.KernelID]core.Result)
+		if results[spec.Machine] == nil {
+			results[spec.Machine] = make(map[core.KernelID]core.Result)
 		}
-		results[c.machine][c.kernel] = r
+		results[spec.Machine][spec.Kernel] = r
 	}
 	return core.NewStudyResults(ms, w, results)
 }

@@ -34,6 +34,35 @@ func okTask(cycles uint64) func(context.Context) (core.Result, error) {
 	}
 }
 
+// funcMachine is the machine funcTask's tasks run on. It runs no kernel
+// and is not core.Resettable, so the pool builds a fresh one for every
+// attempt: it never enters a worker's instance cache and the
+// reuse-sampling guard never re-runs a task, which keeps the tests'
+// call counts exact.
+type funcMachine struct{}
+
+var errFuncMachine = errors.New("funcMachine runs no kernel")
+
+func (funcMachine) Name() string        { return "func" }
+func (funcMachine) Params() core.Params { return core.Params{} }
+func (funcMachine) RunCornerTurn(cornerturn.Spec) (core.Result, error) {
+	return core.Result{}, errFuncMachine
+}
+func (funcMachine) RunCSLC(cslc.Spec) (core.Result, error) { return core.Result{}, errFuncMachine }
+func (funcMachine) RunBeamSteering(beamsteer.Spec) (core.Result, error) {
+	return core.Result{}, errFuncMachine
+}
+
+// funcTask makes t run fn, as RunOn over a funcMachine: the pool-level
+// tests drive timeouts, panics, retries, memoization and queueing with
+// plain functions.
+func funcTask(t Task, fn func(context.Context) (core.Result, error)) Task {
+	t.Machine = "func"
+	t.Factory = func(string) (core.Machine, error) { return funcMachine{}, nil }
+	t.RunOn = func(ctx context.Context, _ core.Machine) (core.Result, error) { return fn(ctx) }
+	return t
+}
+
 // submitOne is Pool.Submit for one task that waits for queue room.
 func submitOne(p *Pool, t Task) (*Future, error) {
 	futs, err := p.Submit(context.Background(), []Task{t}, false)
@@ -75,13 +104,10 @@ func TestPoolConcurrentSubmitters(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < perSubmitter; j++ {
-				fut, err := submitOne(p, Task{
-					Label: fmt.Sprintf("s%d-%d", i, j),
-					Run: func(context.Context) (core.Result, error) {
-						ran.Add(1)
-						return core.Result{Cycles: 7, Verified: true}, nil
-					},
-				})
+				fut, err := submitOne(p, funcTask(Task{Label: fmt.Sprintf("s%d-%d", i, j)}, func(context.Context) (core.Result, error) {
+					ran.Add(1)
+					return core.Result{Cycles: 7, Verified: true}, nil
+				}))
 				if err != nil {
 					errs <- err
 					continue
@@ -113,13 +139,10 @@ func TestPoolTimeout(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 2, JobTimeout: 30 * time.Millisecond})
 	defer p.Close()
 	release := make(chan struct{})
-	fut, err := submitOne(p, Task{
-		Label: "slow",
-		Run: func(ctx context.Context) (core.Result, error) {
-			<-release // longer than the deadline
-			return core.Result{Verified: true}, nil
-		},
-	})
+	fut, err := submitOne(p, funcTask(Task{Label: "slow"}, func(ctx context.Context) (core.Result, error) {
+		<-release // longer than the deadline
+		return core.Result{Verified: true}, nil
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +156,7 @@ func TestPoolTimeout(t *testing.T) {
 		t.Fatalf("timeout metrics: %+v", snap)
 	}
 	// The worker slot is free again: a fast job still completes.
-	fut2, err := submitOne(p, Task{Label: "fast", Run: okTask(1)})
+	fut2, err := submitOne(p, funcTask(Task{Label: "fast"}, okTask(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +168,9 @@ func TestPoolTimeout(t *testing.T) {
 func TestPoolPanicIsolation(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 2})
 	defer p.Close()
-	fut, err := submitOne(p, Task{
-		Label: "boom",
-		Run: func(context.Context) (core.Result, error) {
-			panic("simulated simulator bug")
-		},
-	})
+	fut, err := submitOne(p, funcTask(Task{Label: "boom"}, func(context.Context) (core.Result, error) {
+		panic("simulated simulator bug")
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +183,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 		t.Fatalf("panic metrics: %+v", snap)
 	}
 	// The pool survived: later tasks run normally.
-	fut2, err := submitOne(p, Task{Label: "after", Run: okTask(2)})
+	fut2, err := submitOne(p, funcTask(Task{Label: "after"}, okTask(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +196,10 @@ func TestPoolMemoization(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 4})
 	defer p.Close()
 	var runs atomic.Int32
-	task := Task{
-		Label:   "memoized",
-		MemoKey: "key-1",
-		Run: func(context.Context) (core.Result, error) {
-			runs.Add(1)
-			return core.Result{Cycles: 42, Verified: true}, nil
-		},
-	}
+	task := funcTask(Task{Label: "memoized", MemoKey: "key-1"}, func(context.Context) (core.Result, error) {
+		runs.Add(1)
+		return core.Result{Cycles: 42, Verified: true}, nil
+	})
 	first, err := submitOne(p, task)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +232,7 @@ func TestPoolMemoization(t *testing.T) {
 
 func TestPoolClose(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 1})
-	fut, err := submitOne(p, Task{Label: "pre-close", Run: okTask(1)})
+	fut, err := submitOne(p, funcTask(Task{Label: "pre-close"}, okTask(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +240,7 @@ func TestPoolClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
-	if _, err := submitOne(p, Task{Label: "post-close", Run: okTask(1)}); !errors.Is(err, ErrPoolClosed) {
+	if _, err := submitOne(p, funcTask(Task{Label: "post-close"}, okTask(1))); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("submit after close: %v, want ErrPoolClosed", err)
 	}
 	p.Close() // idempotent
