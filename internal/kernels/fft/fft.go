@@ -3,7 +3,7 @@
 // mixed-radix decomposition the paper uses for N=128 ("three radix-4
 // stages and one radix-2 stage"). It also exposes exact operation counts
 // per plan, which the machine timing models consume, and a naive O(N^2)
-// DFT as the golden reference for tests.
+// DFT as the golden reference for tests and kernel verification.
 //
 // The radix choice mirrors the paper's platform-specific decisions: the
 // hand-optimized VIRAM and Imagine implementations use the mixed
@@ -391,33 +391,42 @@ func (p *Plan) countOps() Counts {
 	return c
 }
 
-// NaiveDFT computes the O(N^2) discrete Fourier transform; it is the
-// golden reference for tests.
-func NaiveDFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for t := 0; t < n; t++ {
-			ang := -2 * math.Pi * float64(k*t) / float64(n)
-			sum += x[t] * complex(math.Cos(ang), math.Sin(ang))
-		}
-		out[k] = sum
+// NaiveDFT computes the O(N^2) discrete Fourier transform by its
+// defining sum; it is the golden reference for tests and verification.
+func NaiveDFT(x []complex128) []complex128 { return directSum(x, -1) }
+
+// NaiveIDFT computes the O(N^2) inverse DFT with 1/N scaling.
+func NaiveIDFT(x []complex128) []complex128 {
+	out := directSum(x, 1)
+	for k := range out {
+		out[k] /= complex(float64(len(x)), 0)
 	}
 	return out
 }
 
-// NaiveIDFT computes the O(N^2) inverse DFT with 1/N scaling.
-func NaiveIDFT(x []complex128) []complex128 {
+// directSum returns out[k] = sum_t x[t]*exp(sign*2*pi*i*k*t/n). It
+// builds its own table of the n roots of unity, one Sincos each, and
+// reads root[k*t mod n], carrying the index without division; sharing
+// no table with Plan's twiddles keeps the reference independent of the
+// fast path it checks.
+func directSum(x []complex128, sign float64) []complex128 {
 	n := len(x)
+	root := make([]complex128, n)
+	for j := range root {
+		s, c := math.Sincos(sign * 2 * math.Pi * float64(j) / float64(n))
+		root[j] = complex(c, s)
+	}
 	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
+	for k := range out {
 		var sum complex128
-		for t := 0; t < n; t++ {
-			ang := 2 * math.Pi * float64(k*t) / float64(n)
-			sum += x[t] * complex(math.Cos(ang), math.Sin(ang))
+		j := 0
+		for _, v := range x {
+			sum += v * root[j]
+			if j += k; j >= n {
+				j -= n
+			}
 		}
-		out[k] = sum / complex(float64(n), 0)
+		out[k] = sum
 	}
 	return out
 }

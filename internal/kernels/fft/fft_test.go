@@ -54,6 +54,43 @@ func TestNewPlanLengthValidation(t *testing.T) {
 	}
 }
 
+// termDFT is the defining sum evaluated term by term, every root from
+// its own cos and sin of the unreduced angle: the oracle for the root
+// table NaiveDFT and NaiveIDFT read. inverse selects the +i sign and
+// the 1/N scaling.
+func termDFT(x []complex128, inverse bool) []complex128 {
+	n := len(x)
+	sign, scale := -1.0, complex(1, 0)
+	if inverse {
+		sign, scale = 1, complex(float64(n), 0)
+	}
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for t := 0; t < n; t++ {
+			ang := sign * 2 * math.Pi * float64(k*t) / float64(n)
+			sum += x[t] * complex(math.Cos(ang), math.Sin(ang))
+		}
+		out[k] = sum / scale
+	}
+	return out
+}
+
+// TestNaiveMatchesTermByTermOracle pins the reference itself, including
+// lengths that are not powers of two (pfb.DirectFrame passes its
+// channel count).
+func TestNaiveMatchesTermByTermOracle(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 7, 12, 64, 100, 128, 256, 1000} {
+		x := randomSignal(n, uint64(n)+11)
+		if e := maxErr(NaiveDFT(x), termDFT(x, false)); e > tol {
+			t.Errorf("N=%d: NaiveDFT differs from the oracle by %g", n, e)
+		}
+		if e := maxErr(NaiveIDFT(x), termDFT(x, true)); e > tol {
+			t.Errorf("N=%d: NaiveIDFT differs from the oracle by %g", n, e)
+		}
+	}
+}
+
 func TestAllRadicesMatchNaiveDFT(t *testing.T) {
 	for _, tc := range []struct {
 		n     int
@@ -288,6 +325,27 @@ func BenchmarkFFT128Mixed(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = p.Transform(dst, x)
+	}
+}
+
+// naiveSink keeps BenchmarkNaiveDFT's result live.
+var naiveSink []complex128
+
+// BenchmarkNaiveDFT is the reference's own cost at the paper's 128
+// points, apart from the scene, weights and pipeline that
+// cslc's BenchmarkVerifyCold also times.
+func BenchmarkNaiveDFT(b *testing.B) {
+	x := randomSignal(128, 1)
+	for _, c := range []struct {
+		name string
+		f    func([]complex128) []complex128
+	}{{"forward", NaiveDFT}, {"inverse", NaiveIDFT}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				naiveSink = c.f(x)
+			}
+		})
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sigkern/internal/core"
+	"sigkern/internal/faults"
 	"sigkern/internal/journal"
 )
 
@@ -77,7 +78,10 @@ func TestHTTPDSEServerRefusalIs503(t *testing.T) {
 // each as a single job, the other as a one-member batch. Every answer —
 // state, cycles, verification, memo use and the trace's event names —
 // must agree, on the cold pass and on the memo-hit pass after it. The
-// cells run the test-size workload every service test uses.
+// cells run the test-size workload every service test uses. Each
+// service gets a private unarmed fault registry: the test compares
+// admission paths, and a retry injected on one side only would add a
+// "retried" event to that side's trace.
 func TestSingleJobIsBatchOfOne(t *testing.T) {
 	w := smallWorkload()
 	specs := BatchGrid{Workloads: []*core.Workload{&w}}.Expand()
@@ -90,9 +94,14 @@ func TestSingleJobIsBatchOfOne(t *testing.T) {
 	}
 	specs = append(specs, designs[0].Spec)
 
-	single := NewService(durableOpts())
+	opts := func() Options {
+		o := durableOpts()
+		o.Pool.Faults = faults.New(1)
+		return o
+	}
+	single := NewService(opts())
 	defer single.Close()
-	batch := NewService(durableOpts())
+	batch := NewService(opts())
 	defer batch.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
