@@ -8,7 +8,7 @@
 //
 // The pipeline implemented here:
 //
-//  1. Sub-band extraction: 73 overlapping 128-sample windows per channel.
+//  1. Sub-band windows: 73 overlapping 128-sample windows per channel.
 //  2. Forward FFT of every window (radix per machine: mixed radix-4/2 on
 //     VIRAM and Imagine, radix-2 on Raw).
 //  3. Weight application per main channel and frequency bin:
@@ -145,25 +145,25 @@ func NewWeights(s Spec) *Weights {
 	return w
 }
 
-// ExtractSubBands copies the spec's overlapping windows out of one
-// channel's samples.
-func ExtractSubBands(s Spec, x []complex128) ([][]complex128, error) {
-	if len(x) != s.Samples {
-		return nil, fmt.Errorf("cslc: channel has %d samples, spec wants %d", len(x), s.Samples)
+// checkChannels reports whether channels holds the spec's channels,
+// mains first, each of Samples samples.
+func checkChannels(s Spec, channels [][]complex128) error {
+	if len(channels) != s.Channels() {
+		return fmt.Errorf("cslc: %d channels, spec wants %d", len(channels), s.Channels())
 	}
-	hop := s.Hop()
-	// One backing array for all windows: band extraction runs once per
-	// channel per interval, and 73 separate 128-sample allocations per
-	// call dominated the allocation profile.
-	backing := make([]complex128, s.SubBands*s.FFTSize)
-	bands := make([][]complex128, s.SubBands)
-	for b := 0; b < s.SubBands; b++ {
-		start := b * hop
-		w := backing[b*s.FFTSize : (b+1)*s.FFTSize : (b+1)*s.FFTSize]
-		copy(w, x[start:start+s.FFTSize])
-		bands[b] = w
+	for _, x := range channels {
+		if len(x) != s.Samples {
+			return fmt.Errorf("cslc: channel has %d samples, spec wants %d", len(x), s.Samples)
+		}
 	}
-	return bands, nil
+	return nil
+}
+
+// window returns sub-band b of one channel's samples: FFTSize samples
+// from b*Hop, read in place.
+func (s Spec) window(x []complex128, b int) []complex128 {
+	start := b * s.Hop()
+	return x[start : start+s.FFTSize]
 }
 
 // Spectra holds per-channel, per-band frequency-domain data:
@@ -172,8 +172,8 @@ type Spectra [][][]complex128
 
 // ForwardTransform FFTs every sub-band of every channel.
 func ForwardTransform(s Spec, channels [][]complex128) (Spectra, error) {
-	if len(channels) != s.Channels() {
-		return nil, fmt.Errorf("cslc: %d channels, spec wants %d", len(channels), s.Channels())
+	if err := checkChannels(s, channels); err != nil {
+		return nil, err
 	}
 	plan, err := fft.NewPlan(s.FFTSize, s.Radix, false)
 	if err != nil {
@@ -181,38 +181,42 @@ func ForwardTransform(s Spec, channels [][]complex128) (Spectra, error) {
 	}
 	out := make(Spectra, len(channels))
 	for ch, x := range channels {
-		bands, err := ExtractSubBands(s, x)
-		if err != nil {
-			return nil, err
-		}
-		backing := make([]complex128, len(bands)*s.FFTSize)
-		out[ch] = make([][]complex128, len(bands))
-		for b, w := range bands {
-			spec := backing[b*s.FFTSize : (b+1)*s.FFTSize : (b+1)*s.FFTSize]
-			if err := plan.Transform(spec, w); err != nil {
+		out[ch] = rows(s.SubBands, s.FFTSize)
+		for b, spec := range out[ch] {
+			if err := plan.Transform(spec, s.window(x, b)); err != nil {
 				return nil, err
 			}
-			out[ch][b] = spec
 		}
 	}
 	return out, nil
+}
+
+// rows returns n zeroed rows of width values carved from one backing
+// array.
+func rows(n, width int) [][]complex128 {
+	backing := make([]complex128, n*width)
+	out := make([][]complex128, n)
+	for i := range out {
+		out[i] = backing[i*width : (i+1)*width : (i+1)*width]
+	}
+	return out
 }
 
 // ApplyWeights computes the cancelled spectrum of one main channel's
 // sub-band: out[bin] = main[bin] - sum_a w[a][bin]*aux[a][band][bin].
 func ApplyWeights(mainBand []complex128, auxBands [][]complex128, w [][]complex128) []complex128 {
 	out := make([]complex128, len(mainBand))
-	applyWeightsInto(out, mainBand, auxBands, w)
+	copy(out, mainBand)
+	cancel(out, auxBands, w)
 	return out
 }
 
-// applyWeightsInto is ApplyWeights writing into caller-owned storage.
-func applyWeightsInto(out, mainBand []complex128, auxBands [][]complex128, w [][]complex128) {
-	copy(out, mainBand)
+// cancel subtracts the weighted aux spectra from spec in place.
+func cancel(spec []complex128, auxBands [][]complex128, w [][]complex128) {
 	for a, aux := range auxBands {
 		wa := w[a]
-		for k := range out {
-			out[k] -= wa[k] * aux[k]
+		for k := range spec {
+			spec[k] -= wa[k] * aux[k]
 		}
 	}
 }
@@ -226,47 +230,67 @@ type Output struct {
 }
 
 // Run executes the full timed pipeline on the channel set (mains first,
-// then aux), applying the given weights.
+// then aux), applying the given weights, one sub-band at a time (see
+// stream), and returns every cancelled sub-band.
 func Run(s Spec, channels [][]complex128, w *Weights) (*Output, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	spectra, err := ForwardTransform(s, channels)
-	if err != nil {
-		return nil, err
-	}
-	inv, err := fft.NewPlan(s.FFTSize, s.Radix, true)
-	if err != nil {
+	if err := checkChannels(s, channels); err != nil {
 		return nil, err
 	}
 	out := &Output{
 		Cancelled:        make([][][]complex128, s.MainChannels),
 		CancelledSpectra: make([][][]complex128, s.MainChannels),
 	}
-	auxSpectra := spectra[s.MainChannels:]
-	auxBands := make([][]complex128, s.AuxChannels)
-	for m := 0; m < s.MainChannels; m++ {
-		// Bulk backings for the channel's time- and frequency-domain
-		// outputs (2 allocations instead of 2 per sub-band).
-		tdBacking := make([]complex128, s.SubBands*s.FFTSize)
-		fdBacking := make([]complex128, s.SubBands*s.FFTSize)
-		out.Cancelled[m] = make([][]complex128, s.SubBands)
-		out.CancelledSpectra[m] = make([][]complex128, s.SubBands)
-		for b := 0; b < s.SubBands; b++ {
-			for a := 0; a < s.AuxChannels; a++ {
-				auxBands[a] = auxSpectra[a][b]
-			}
-			spec := fdBacking[b*s.FFTSize : (b+1)*s.FFTSize : (b+1)*s.FFTSize]
-			applyWeightsInto(spec, spectra[m][b], auxBands, w.W[m])
-			out.CancelledSpectra[m][b] = spec
-			td := tdBacking[b*s.FFTSize : (b+1)*s.FFTSize : (b+1)*s.FFTSize]
-			if err := inv.Transform(td, spec); err != nil {
-				return nil, err
-			}
-			out.Cancelled[m][b] = td
-		}
+	for m := range out.Cancelled {
+		out.Cancelled[m] = rows(s.SubBands, s.FFTSize)
+		out.CancelledSpectra[m] = rows(s.SubBands, s.FFTSize)
+	}
+	err := stream(s, channels, w, func(m, b int, spec, td []complex128) error {
+		copy(out.CancelledSpectra[m][b], spec)
+		copy(out.Cancelled[m][b], td)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// stream is the pipeline behind Run and Verify. It works one sub-band at
+// a time: it forward-transforms the aux windows into scratch, then each
+// main window, applies the weights to that spectrum, inverse-transforms
+// it, and hands main channel m's cancelled band b to emit, as its
+// spectrum and its time-domain samples, in scratch the next band reuses.
+// An error from emit stops it. The spec and channels must be valid.
+func stream(s Spec, channels [][]complex128, w *Weights, emit func(m, b int, spec, td []complex128) error) error {
+	p, err := newPlans(s)
+	if err != nil {
+		return err
+	}
+	scratch := rows(s.AuxChannels+2, s.FFTSize)
+	aux, spec, td := scratch[:s.AuxChannels], scratch[s.AuxChannels], scratch[s.AuxChannels+1]
+	for b := 0; b < s.SubBands; b++ {
+		for a, x := range aux {
+			if err := p.forward.Transform(x, s.window(channels[s.MainChannels+a], b)); err != nil {
+				return err
+			}
+		}
+		for m := 0; m < s.MainChannels; m++ {
+			if err := p.forward.Transform(spec, s.window(channels[m], b)); err != nil {
+				return err
+			}
+			cancel(spec, aux, w.W[m])
+			if err := p.inverse.Transform(td, spec); err != nil {
+				return err
+			}
+			if err := emit(m, b, spec, td); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // EstimateWeights computes per-bin least-squares weights from the
@@ -340,8 +364,10 @@ func loading(trace float64) complex128 {
 // radix, before timing the kernel.
 //
 // The scene, the weights and the naive reference are pure functions of
-// the spec, so they come from a process-wide memo (see goldenFor); Run,
-// the formulation under test, executes and is compared on every call.
+// the spec, so they come from a process-wide memo (see goldenFor); the
+// pipeline under test, Run's, executes and is compared on every call.
+// Verify checks each probed band as the pipeline produces it, so it
+// keeps no band the check does not read.
 func Verify(s Spec) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -350,11 +376,7 @@ func Verify(s Spec) error {
 	if err != nil {
 		return err
 	}
-	out, err := Run(s, g.channels, g.w)
-	if err != nil {
-		return err
-	}
-	return g.ref.check(out)
+	return stream(s, g.channels, g.w, g.ref.checkBand)
 }
 
 // probeBands returns the sub-bands Verify proves: first, middle, last.
@@ -415,21 +437,37 @@ func naiveReference(s Spec, spectra [][][]complex128, w *Weights, bands []int) r
 	return reference{bands: bands, want: want}
 }
 
-// check compares out with the reference, sample by sample, and returns
-// the first discrepancy. Verify and VerifyAgainstNaive both end here.
+// check compares out with the reference, band by band, and returns the
+// first discrepancy.
 func (r reference) check(out *Output) error {
-	for m, bands := range r.want {
-		for i, ref := range bands {
-			b := r.bands[i]
-			got := out.Cancelled[m][b]
-			for j := range ref {
-				d := ref[j] - got[j]
-				if real(d)*real(d)+imag(d)*imag(d) > 1e-12 {
-					return fmt.Errorf("cslc: main %d band %d sample %d: got %v, want %v",
-						m, b, j, got[j], ref[j])
-				}
+	for m := range r.want {
+		for _, b := range r.bands {
+			if err := r.checkBand(m, b, nil, out.Cancelled[m][b]); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// checkBand compares got, main channel m's cancelled sub-band b in the
+// time domain, with the reference sample by sample when b is a probed
+// band, and returns the first discrepancy. It has stream's emit
+// signature; Verify and VerifyAgainstNaive both end here.
+func (r reference) checkBand(m, b int, _, got []complex128) error {
+	for i, probe := range r.bands {
+		if probe != b {
+			continue
+		}
+		ref := r.want[m][i]
+		for j := range ref {
+			d := ref[j] - got[j]
+			if real(d)*real(d)+imag(d)*imag(d) > 1e-12 {
+				return fmt.Errorf("cslc: main %d band %d sample %d: got %v, want %v",
+					m, b, j, got[j], ref[j])
+			}
+		}
+		return nil
 	}
 	return nil
 }

@@ -45,37 +45,183 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-func TestExtractSubBandsOverlap(t *testing.T) {
+// TestSubBandWindowsOverlap checks that ForwardTransform and Run read
+// band b from samples b*112 .. b*112+127 of the paper's instance, so
+// consecutive windows share 16 samples, and leave the channels as they
+// found them.
+func TestSubBandWindowsOverlap(t *testing.T) {
 	s := PaperSpec(fft.Radix2)
+	s.MainChannels, s.AuxChannels = 1, 0
 	x := make([]complex128, s.Samples)
 	for i := range x {
-		x[i] = complex(float64(i), 0)
+		x[i] = complex(float64(i), float64(-i%7))
 	}
-	bands, err := ExtractSubBands(s, x)
+	orig := append([]complex128(nil), x...)
+	spectra, err := ForwardTransform(s, [][]complex128{x})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bands) != 73 {
-		t.Fatalf("bands = %d", len(bands))
+	out, err := Run(s, [][]complex128{x}, NewWeights(s))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Band b starts at b*112; check window contents and the 16-sample
-	// overlap between consecutive windows.
-	for b, w := range bands {
-		if real(w[0]) != float64(b*112) {
-			t.Fatalf("band %d starts at %v, want %d", b, w[0], b*112)
+	if len(spectra[0]) != 73 || len(out.Cancelled[0]) != 73 {
+		t.Fatalf("bands = %d and %d, want 73", len(spectra[0]), len(out.Cancelled[0]))
+	}
+	fwd, err := fft.NewPlan(s.FFTSize, s.Radix, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, err := fft.NewPlan(s.FFTSize, s.Radix, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := make([]complex128, s.FFTSize)
+	wantSpec := make([]complex128, s.FFTSize)
+	wantTime := make([]complex128, s.FFTSize)
+	for b := 0; b < 73; b++ {
+		for i := range win {
+			win[i] = complex(float64(b*112+i), float64(-(b*112+i)%7))
+		}
+		if b > 0 && win[0] != x[(b-1)*112+112] {
+			t.Fatal("consecutive windows do not overlap by 16 samples")
+		}
+		if err := fwd.Transform(wantSpec, win); err != nil {
+			t.Fatal(err)
+		}
+		if err := inv.Transform(wantTime, wantSpec); err != nil {
+			t.Fatal(err)
+		}
+		if !sameCells([][]complex128{spectra[0][b], out.CancelledSpectra[0][b], out.Cancelled[0][b]},
+			[][]complex128{wantSpec, wantSpec, wantTime}) {
+			t.Fatalf("band %d is not the transform of samples %d..%d", b, b*112, b*112+127)
 		}
 	}
-	for i := 0; i < 16; i++ {
-		if bands[0][112+i] != bands[1][i] {
-			t.Fatal("overlap mismatch between consecutive bands")
-		}
+	if !sameCells([][]complex128{x}, [][]complex128{orig}) {
+		t.Fatal("the pipeline wrote to its input channel")
 	}
 }
 
-func TestExtractSubBandsWrongLength(t *testing.T) {
+// TestWrongLengthChannelRejected checks that ForwardTransform and Run
+// reject a short channel and a wrong channel count.
+func TestWrongLengthChannelRejected(t *testing.T) {
 	s := PaperSpec(fft.Radix2)
-	if _, err := ExtractSubBands(s, make([]complex128, 100)); err == nil {
-		t.Fatal("wrong-length channel not rejected")
+	short := make([][]complex128, s.Channels())
+	for i := range short {
+		short[i] = make([]complex128, s.Samples)
+	}
+	short[s.Channels()-1] = make([]complex128, 100)
+	if _, err := ForwardTransform(s, short); err == nil {
+		t.Fatal("ForwardTransform accepted a wrong-length channel")
+	}
+	if _, err := Run(s, short, NewWeights(s)); err == nil {
+		t.Fatal("Run accepted a wrong-length channel")
+	}
+	if _, err := ForwardTransform(s, short[:1]); err == nil {
+		t.Fatal("ForwardTransform accepted a wrong channel count")
+	}
+	if _, err := Run(s, short[:1], NewWeights(s)); err == nil {
+		t.Fatal("Run accepted a wrong channel count")
+	}
+}
+
+// wholeArrayRun is the pipeline in its whole-array form: it copies every
+// window of every channel out, forward-transforms them all, and only then
+// applies the weights and inverts. It is the oracle Run, which works one
+// sub-band at a time, must match bit for bit.
+func wholeArrayRun(s Spec, channels [][]complex128, w *Weights) (*Output, error) {
+	fwd, err := fft.NewPlan(s.FFTSize, s.Radix, false)
+	if err != nil {
+		return nil, err
+	}
+	inv, err := fft.NewPlan(s.FFTSize, s.Radix, true)
+	if err != nil {
+		return nil, err
+	}
+	spectra := make([][][]complex128, len(channels))
+	for ch, x := range channels {
+		spectra[ch] = make([][]complex128, s.SubBands)
+		for b := range spectra[ch] {
+			win := make([]complex128, s.FFTSize)
+			copy(win, x[b*s.Hop():b*s.Hop()+s.FFTSize])
+			spectra[ch][b] = make([]complex128, s.FFTSize)
+			if err := fwd.Transform(spectra[ch][b], win); err != nil {
+				return nil, err
+			}
+		}
+	}
+	out := &Output{
+		Cancelled:        make([][][]complex128, s.MainChannels),
+		CancelledSpectra: make([][][]complex128, s.MainChannels),
+	}
+	for m := 0; m < s.MainChannels; m++ {
+		out.Cancelled[m] = make([][]complex128, s.SubBands)
+		out.CancelledSpectra[m] = make([][]complex128, s.SubBands)
+		for b := 0; b < s.SubBands; b++ {
+			spec := make([]complex128, s.FFTSize)
+			copy(spec, spectra[m][b])
+			for a := 0; a < s.AuxChannels; a++ {
+				aux := spectra[s.MainChannels+a][b]
+				for k := range spec {
+					spec[k] -= w.W[m][a][k] * aux[k]
+				}
+			}
+			out.CancelledSpectra[m][b] = spec
+			out.Cancelled[m][b] = make([]complex128, s.FFTSize)
+			if err := inv.Transform(out.Cancelled[m][b], spec); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
+}
+
+// TestRunMatchesWholeArrayOracle requires Run's cancelled sub-bands and
+// spectra to equal wholeArrayRun's bit for bit, over shapes with zero,
+// one and two aux channels (a single band among them) and every radix;
+// radix-4 runs at n=64.
+func TestRunMatchesWholeArrayOracle(t *testing.T) {
+	shapes := []Spec{
+		{MainChannels: 1, AuxChannels: 0, Samples: 700, SubBands: 9, FFTSize: 128},
+		{MainChannels: 2, AuxChannels: 1, Samples: 512, SubBands: 7, FFTSize: 32},
+		{MainChannels: 2, AuxChannels: 2, Samples: 1216, SubBands: 18, FFTSize: 128},
+		{MainChannels: 3, AuxChannels: 2, Samples: 128, SubBands: 1, FFTSize: 128},
+		{MainChannels: 2, AuxChannels: 2, Samples: 8192, SubBands: 73, FFTSize: 128},
+	}
+	for _, shape := range shapes {
+		for _, radix := range []fft.Radix{fft.Radix2, fft.Radix4, fft.MixedRadix42} {
+			s := shape
+			s.Radix = radix
+			if radix == fft.Radix4 {
+				s.FFTSize = 64
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatalf("%+v: %v", s, err)
+			}
+			scene := testsig.DefaultScene(s.Samples)
+			scene.AuxCoupling = scene.AuxCoupling[:s.AuxChannels]
+			channels := scene.Channels(s.MainChannels)
+			w, err := EstimateWeights(s, channels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(s, channels, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := wholeArrayRun(s, channels, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m := 0; m < s.MainChannels; m++ {
+				if !sameCells(got.Cancelled[m], want.Cancelled[m]) {
+					t.Errorf("%+v: main %d cancelled sub-bands differ from the whole-array pipeline", s, m)
+				}
+				if !sameCells(got.CancelledSpectra[m], want.CancelledSpectra[m]) {
+					t.Errorf("%+v: main %d cancelled spectra differ from the whole-array pipeline", s, m)
+				}
+			}
+		}
 	}
 }
 
@@ -157,10 +303,10 @@ func TestZeroWeightsIdentity(t *testing.T) {
 	}
 	// With zero weights the pipeline is FFT then IFFT: each cancelled
 	// band must reproduce its input window.
-	bands, _ := ExtractSubBands(s, channels[0])
-	for b := range bands {
-		for i := range bands[b] {
-			if d := absC(out.Cancelled[0][b][i] - bands[b][i]); d > 1e-9 {
+	for b := 0; b < s.SubBands; b++ {
+		win := s.window(channels[0], b)
+		for i := range win {
+			if d := absC(out.Cancelled[0][b][i] - win[i]); d > 1e-9 {
 				t.Fatalf("band %d sample %d differs by %g", b, i, d)
 			}
 		}
@@ -385,6 +531,11 @@ func TestVerifyCatchesWrongOutput(t *testing.T) {
 	out.Cancelled[1][bands[1]][5] += 1e-3
 	if err := g.ref.check(out); err == nil {
 		t.Fatal("a perturbed sample in a probed band passed the memoized check")
+	}
+	// So must the streamed check Verify runs: without its weights the
+	// pipeline leaves the jammer in every band.
+	if err := stream(s, g.channels, NewWeights(s), g.ref.checkBand); err == nil {
+		t.Fatal("the streamed check passed an uncancelled pipeline")
 	}
 }
 

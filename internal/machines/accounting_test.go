@@ -42,6 +42,8 @@ type namedWorkload struct {
 type namedConfigSet struct {
 	name string
 	set  ConfigSet
+	// machines restricts the set to these machines; nil runs all five.
+	machines []string
 }
 
 // goldenSmallWorkloads span corner turns below, at and above the
@@ -67,10 +69,13 @@ func goldenSmallWorkloads() []namedWorkload {
 	}
 }
 
-// goldenConfigSets are the paper configuration and one set that moves
-// the structures whose accounting is easiest to get wrong: a small TLB
-// that evicts constantly, a bank count that is not a power of two, a
-// small two-way L1, and a 2x2 Raw mesh.
+// goldenConfigSets are the paper configuration, one set that moves the
+// structures whose accounting is easiest to get wrong (a small TLB that
+// evicts constantly, a bank count that is not a power of two, a small
+// two-way L1, and a 2x2 Raw mesh), and two VIRAM-only sets at the edges
+// of its scoreboard: a narrow machine whose vectors cross a TLB page
+// every three words behind a three-deep issue queue, and a wide one
+// whose 256-element vectors span whole CSLC strips.
 func goldenConfigSets() []namedConfigSet {
 	v := viram.DefaultConfig()
 	v.TLBEntries = 8
@@ -79,18 +84,25 @@ func goldenConfigSets() []namedConfigSet {
 	p.L1 = cache.Config{Name: "l1-8k-2way", SizeBytes: 8 << 10, LineBytes: 32, Assoc: 2, HitLatency: 1}
 	r := rawsim.DefaultConfig()
 	r.Mesh.Width, r.Mesh.Height = 2, 2
+	narrow := viram.DefaultConfig()
+	narrow.Lanes, narrow.FPLanes, narrow.MVL = 2, 2, 32
+	narrow.IssueQueue, narrow.TLBEntries, narrow.TLBPageBytes = 3, 2, 12
+	wide := viram.DefaultConfig()
+	wide.Lanes, wide.FPLanes, wide.MVL = 16, 16, 256
 	return []namedConfigSet{
-		{"default", ConfigSet{}},
-		{"alt", ConfigSet{PPC: &p, VIRAM: &v, Raw: &r}},
+		{"default", ConfigSet{}, nil},
+		{"alt", ConfigSet{PPC: &p, VIRAM: &v, Raw: &r}, nil},
+		{"viram-narrow", ConfigSet{VIRAM: &narrow}, []string{"VIRAM"}},
+		{"viram-wide", ConfigSet{VIRAM: &wide}, []string{"VIRAM"}},
 	}
 }
 
-// goldenCellsFor runs every kernel of w on every machine of set, each
-// on a freshly built instance.
-func goldenCellsFor(t testing.TB, prefix string, set ConfigSet, w core.Workload) []goldenCell {
+// goldenCellsFor runs every kernel of w on each named machine of set,
+// each on a freshly built instance.
+func goldenCellsFor(t testing.TB, prefix string, set ConfigSet, names []string, w core.Workload) []goldenCell {
 	t.Helper()
 	var out []goldenCell
-	for _, name := range Names() {
+	for _, name := range names {
 		for _, k := range core.Kernels() {
 			m, err := set.Machine(name)
 			if err != nil {
@@ -127,10 +139,14 @@ func cellOf(name string, r core.Result) goldenCell {
 // cells under every golden config set.
 func measureGoldenCells(t testing.TB) []goldenCell {
 	t.Helper()
-	cells := goldenCellsFor(t, "paper/default", ConfigSet{}, core.PaperWorkload())
+	cells := goldenCellsFor(t, "paper/default", ConfigSet{}, Names(), core.PaperWorkload())
 	for _, cs := range goldenConfigSets() {
+		names := cs.machines
+		if names == nil {
+			names = Names()
+		}
 		for _, nw := range goldenSmallWorkloads() {
-			cells = append(cells, goldenCellsFor(t, nw.name+"/"+cs.name, cs.set, nw.w)...)
+			cells = append(cells, goldenCellsFor(t, nw.name+"/"+cs.name, cs.set, names, nw.w)...)
 		}
 	}
 	return cells

@@ -151,16 +151,29 @@ func TestHTTPHealthzJournalSection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var h Health
-	if resp := getJSON(t, srv.URL+"/healthz", &h); resp.StatusCode != http.StatusOK {
-		t.Fatalf("durable healthz: %d", resp.StatusCode)
-	}
-	if h.Journal == nil {
-		t.Fatal("durable healthz missing journal section")
-	}
-	// accepted + started + done at minimum, all fsynced under SyncAlways.
-	if h.Journal.Appended < 3 || h.Journal.Lag != 0 || h.Journal.AppendErrors != 0 {
-		t.Fatalf("journal health: %+v", h.Journal)
+	// accepted + started + done at minimum. Under SyncAlways the started
+	// and done records are appended with a deferred fsync that the
+	// group's end commits, and Wait can return before that, so poll
+	// until the lag closes.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var h Health
+		if resp := getJSON(t, srv.URL+"/healthz", &h); resp.StatusCode != http.StatusOK {
+			t.Fatalf("durable healthz: %d", resp.StatusCode)
+		}
+		if h.Journal == nil {
+			t.Fatal("durable healthz missing journal section")
+		}
+		if h.Journal.Appended < 3 || h.Journal.AppendErrors != 0 {
+			t.Fatalf("journal health: %+v", h.Journal)
+		}
+		if h.Journal.Lag == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("journal lag still open after 5s: %+v", h.Journal)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	s2, srv2 := newTestServer(t)

@@ -11,14 +11,23 @@ import (
 	"sigkern/internal/kernels/testsig"
 )
 
-// prog is a small builder for vector instruction streams. Register
-// operands default to "none" so a forgotten field cannot silently alias
-// vector register zero.
+// prog is a kernel's vector program builder. Register operands default
+// to "none" so a forgotten field cannot silently alias vector register
+// zero. A program issues each instruction to its machine's scoreboard as
+// it is emitted; a collecting builder (m nil) appends to insts instead,
+// for the butterfly phases the pipeline reorders.
 type prog struct {
+	m     *Machine
 	insts []Inst
 }
 
-func (p *prog) emit(in Inst) { p.insts = append(p.insts, in) }
+func (p *prog) emit(in Inst) {
+	if p.m == nil {
+		p.insts = append(p.insts, in)
+		return
+	}
+	p.m.issue(&in)
+}
 
 func (p *prog) load(vl, base, dst int) {
 	p.emit(Inst{Op: VLoad, VL: vl, Base: base, Stride: 1, Dst: dst, Src1: -1, Src2: -1})
@@ -68,18 +77,14 @@ func chunks(n, mvl int) []int {
 	return out
 }
 
-// newProg returns the machine's reusable program builder, emptied. The
-// instruction backing is handed back by finish so its capacity carries
-// over to the next kernel run.
-func (m *Machine) newProg() *prog {
-	return &prog{insts: m.progBuf[:0]}
-}
+// newProg returns a program that issues to m. A kernel allocates its
+// arrays first: alloc panics once an instruction has issued.
+func (m *Machine) newProg() *prog { return &prog{m: m} }
 
-// finish executes the kernel's program, returns its backing array to
-// the machine for reuse, and assembles the core.Result.
-func (m *Machine) finish(p *prog, kernel core.KernelID, ops, words uint64) core.Result {
-	res := m.exec(p.insts)
-	m.progBuf = p.insts
+// finish assembles the core.Result of the program issued since the last
+// reset.
+func (m *Machine) finish(kernel core.KernelID, ops, words uint64) core.Result {
+	res := m.result()
 	return core.Result{
 		Machine:   m.Name(),
 		Kernel:    kernel,
@@ -91,35 +96,6 @@ func (m *Machine) finish(p *prog, kernel core.KernelID, ops, words uint64) core.
 		Verified:  true,
 	}
 }
-
-// instArena hands out fixed-capacity []Inst chunks carved from one
-// backing array, so per-butterfly bundle construction does not allocate.
-// When a request outgrows the backing a larger one is allocated; chunks
-// already handed out keep referencing the old array, which stays live
-// (and correct) until they are consumed.
-type instArena struct{ buf []Inst }
-
-// take returns an empty slice with capacity exactly n that appends in
-// place within the arena backing.
-func (a *instArena) take(n int) []Inst {
-	if len(a.buf)+n > cap(a.buf) {
-		grow := 2 * cap(a.buf)
-		if grow < n {
-			grow = n
-		}
-		if grow < 1024 {
-			grow = 1024
-		}
-		a.buf = make([]Inst, 0, grow)
-	}
-	s := a.buf[len(a.buf) : len(a.buf) : len(a.buf)+n]
-	a.buf = a.buf[:len(a.buf)+n]
-	return s
-}
-
-// reset recycles the backing. Only call once every chunk handed out
-// since the last reset has been consumed (copied into a program).
-func (a *instArena) reset() { a.buf = a.buf[:0] }
 
 // RunCornerTurn implements core.Machine. The program follows the paper's
 // VIRAM algorithm: strided loads of matrix columns (with row padding to
@@ -152,7 +128,7 @@ func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
 			r0 += vl
 		}
 	}
-	return m.finish(p, core.CornerTurn, 2*spec.Words(), 2*spec.Words()), nil
+	return m.finish(core.CornerTurn, 2*spec.Words(), 2*spec.Words()), nil
 }
 
 // RunCornerTurnPermute is the alternative corner-turn formulation the
@@ -205,7 +181,7 @@ func (m *Machine) RunCornerTurnPermute(spec cornerturn.Spec) (core.Result, error
 			c0 += vl
 		}
 	}
-	r := m.finish(p, core.CornerTurn, 2*spec.Words(), 2*spec.Words())
+	r := m.finish(core.CornerTurn, 2*spec.Words(), 2*spec.Words())
 	r.Notes = append(r.Notes, "permute variant: unit-stride loads, in-register transpose, strided stores")
 	return r, nil
 }
@@ -244,7 +220,7 @@ func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
 			outAddr += spec.Elements
 		}
 	}
-	return m.finish(p, core.BeamSteering,
+	return m.finish(core.BeamSteering,
 		spec.Outputs()*spec.OpsPerOutput(), spec.Outputs()*spec.MemPerOutput()), nil
 }
 
@@ -261,8 +237,12 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 		return core.Result{}, err
 	}
 
+	counts, err := spec.TotalCounts()
+	if err != nil {
+		return core.Result{}, err
+	}
+
 	m.reset()
-	p := m.newProg()
 	n := spec.FFTSize
 	// Plane buffers (reused across strips, as a real implementation
 	// would): input planes, working planes, half planes.
@@ -277,6 +257,7 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 	outRe := m.alloc(n * m.cfg.MVL)
 	outIm := m.alloc(n * m.cfg.MVL)
 
+	p := m.newProg()
 	strips := chunks(spec.SubBands, m.cfg.MVL)
 
 	// Forward transforms: every channel, every strip of sub-bands.
@@ -298,11 +279,7 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 			m.emitFFT(p, n, vl, workRe, workIm, evenRe, evenIm, oddRe, oddIm, outRe, outIm, true)
 		}
 	}
-	counts, err := spec.TotalCounts()
-	if err != nil {
-		return core.Result{}, err
-	}
-	return m.finish(p, core.CSLC, counts.Flops(), counts.Loads+counts.Stores), nil
+	return m.finish(core.CSLC, counts.Flops(), counts.Loads+counts.Stores), nil
 }
 
 // emitExtract emits the sub-band gather: for each sample row, a strided
@@ -376,38 +353,29 @@ func (m *Machine) emitFFT(p *prog, n, vl, workRe, workIm, evenRe, evenIm, oddRe,
 		m.emitRadix4Half(p, half, vl, base[0], base[1])
 	}
 	// Final radix-2 combine into the output planes, software-pipelined
-	// one butterfly deep so the next loads overlap the previous stores.
-	// Bundle instruction slices come from the machine arena (sizes are
-	// fixed per butterfly: 4 loads, 11 computes, 4 stores).
-	bundles := m.bundles[:0]
+	// one butterfly deep: 4 loads, 11 computes and 4 stores each.
+	pl := &m.pipe
 	for k := 0; k < half; k++ {
-		b := bundle{}
-		bp := prog{insts: m.arena.take(4)}
-		bp.load(vl, evenRe+k*vl, 0)
-		bp.load(vl, evenIm+k*vl, 1)
-		bp.load(vl, oddRe+k*vl, 2)
-		bp.load(vl, oddIm+k*vl, 3)
-		b.loads = bp.insts
-		bp = prog{insts: m.arena.take(11)}
+		p.load(vl, evenRe+k*vl, 0)
+		p.load(vl, evenIm+k*vl, 1)
+		p.load(vl, oddRe+k*vl, 2)
+		p.load(vl, oddIm+k*vl, 3)
+		c := &pl.computes
 		// t = odd * w^k (scalar twiddle).
-		m.emitCMulScalar(&bp, vl, 2, 3, 4, 5, 30, 31)
-		bp.fadd(vl, 6, 0, 4) // out[k]
-		bp.fadd(vl, 7, 1, 5)
-		bp.fadd(vl, 8, 0, 4) // out[k+half] (subtract: same slot cost)
-		bp.fadd(vl, 9, 1, 5)
-		bp.scalar(2)
-		b.computes = bp.insts
-		bp = prog{insts: m.arena.take(4)}
-		bp.store(vl, outRe+k*vl, 6)
-		bp.store(vl, outIm+k*vl, 7)
-		bp.store(vl, outRe+(k+half)*vl, 8)
-		bp.store(vl, outIm+(k+half)*vl, 9)
-		b.stores = bp.insts
-		bundles = append(bundles, b)
+		m.emitCMulScalar(c, vl, 2, 3, 4, 5, 30, 31)
+		c.fadd(vl, 6, 0, 4) // out[k]
+		c.fadd(vl, 7, 1, 5)
+		c.fadd(vl, 8, 0, 4) // out[k+half] (subtract: same slot cost)
+		c.fadd(vl, 9, 1, 5)
+		c.scalar(2)
+		st := &pl.stores
+		st.store(vl, outRe+k*vl, 6)
+		st.store(vl, outIm+k*vl, 7)
+		st.store(vl, outRe+(k+half)*vl, 8)
+		st.store(vl, outIm+(k+half)*vl, 9)
+		pl.next(p)
 	}
-	pipelineBundles(p, bundles)
-	m.bundles = bundles
-	m.arena.reset()
+	pl.drain(p)
 	if inverse {
 		for s := 0; s < n; s++ {
 			p.load(vl, outRe+s*vl, 0)
@@ -453,120 +421,111 @@ func (m *Machine) emitRadix4Half(p *prog, n, vl, re, im int) {
 		}
 	}
 	// Radix-4 stages, software-pipelined one butterfly deep per stage.
-	// The bundle list and its instruction slices are machine scratch,
-	// recycled per stage once pipelineBundles has copied them out.
 	for size := 4; size <= n; size <<= 2 {
 		quarter := size / 4
-		bundles := m.bundles[:0]
 		for start := 0; start < n; start += size {
 			for k := 0; k < quarter; k++ {
-				bundles = append(bundles, m.radix4BflyBundle(vl, re, im, start+k, quarter))
+				m.radix4Bfly(p, vl, re, im, start+k, quarter)
 			}
 		}
-		pipelineBundles(p, bundles)
-		m.bundles = bundles
-		m.arena.reset()
+		m.pipe.drain(p)
 	}
 }
 
-// bundle groups one butterfly's instructions by phase so pipelineBundles
-// can overlap the memory unit with the arithmetic units across
-// butterflies, the way a hand-scheduled vector loop does.
-type bundle struct {
-	loads, computes, stores []Inst
+// pipeline software-pipelines butterflies one deep, the shape of a
+// hand-scheduled vector loop: a butterfly's loads issue ahead of the
+// previous butterfly's stores, and those stores issue interleaved with
+// its computes, so the memory unit and the arithmetic units both stay
+// fed through the finite dispatch queue. A butterfly issues its loads
+// directly and collects its computes and stores here; the pipeline
+// keeps nothing else but the previous butterfly's stores.
+type pipeline struct {
+	computes, stores, pending prog
 }
 
-// pipelineBundles emits bundles with the stores deferred one butterfly:
-// loads(k+1) issue before stores(k), and the deferred stores are
-// interleaved into the compute sequence so both units stay fed through
-// the finite dispatch queue — the shape a hand-scheduled vector loop has.
-func pipelineBundles(p *prog, bundles []bundle) {
-	var pending []Inst
-	for _, b := range bundles {
-		p.insts = append(p.insts, b.loads...)
-		p.insts = appendInterleaved(p.insts, b.computes, pending)
-		pending = b.stores
-	}
-	p.insts = append(p.insts, pending...)
+// next issues the butterfly just built: its computes interleaved with
+// the previous butterfly's stores. Its own stores become pending.
+func (pl *pipeline) next(p *prog) {
+	p.interleave(pl.computes.insts, pl.pending.insts)
+	pl.computes.insts = pl.computes.insts[:0]
+	pl.pending.insts, pl.stores.insts = pl.stores.insts, pl.pending.insts[:0]
 }
 
-// appendInterleaved appends the two instruction sequences to dst merged
-// proportionally, preserving each sequence's internal order. Writing
-// straight into the destination program avoids a temporary per merge.
-func appendInterleaved(dst []Inst, a, b []Inst) []Inst {
-	if len(b) == 0 {
-		return append(dst, a...)
+// drain issues the last butterfly's stores.
+func (pl *pipeline) drain(p *prog) {
+	for _, in := range pl.pending.insts {
+		p.emit(in)
 	}
+	pl.pending.insts = pl.pending.insts[:0]
+}
+
+// interleave emits the two instruction sequences merged proportionally,
+// preserving each sequence's internal order.
+func (p *prog) interleave(a, b []Inst) {
 	ai, bi := 0, 0
 	for ai < len(a) || bi < len(b) {
 		// Emit from whichever sequence is proportionally behind.
-		if bi*len(a) <= ai*len(b) && bi < len(b) {
-			dst = append(dst, b[bi])
+		if bi < len(b) && bi*len(a) <= ai*len(b) {
+			p.emit(b[bi])
 			bi++
 		} else {
-			dst = append(dst, a[ai])
+			p.emit(a[ai])
 			ai++
 		}
 	}
-	return dst
 }
 
-// radix4BflyBundle builds one radix-4 butterfly over plane rows i, i+q,
-// i+2q, i+3q (scalar twiddles, complex arithmetic on vector registers).
-func (m *Machine) radix4BflyBundle(vl, re, im, i, q int) bundle {
+// radix4Bfly emits one radix-4 butterfly over plane rows i, i+q, i+2q,
+// i+3q (scalar twiddles, complex arithmetic on vector registers) into
+// the pipeline: 8 loads, 35 computes (3 complex multiplies x 6, 16 adds,
+// 1 scalar) and 8 stores.
+func (m *Machine) radix4Bfly(p *prog, vl, re, im, i, q int) {
 	a := func(plane, idx int) int { return plane + idx*vl }
-	var b bundle
-	// Arena-backed phase slices: 8 loads, 35 computes (3 complex
-	// multiplies x 6, 16 adds, 1 scalar), 8 stores per butterfly.
-	bp := prog{insts: m.arena.take(8)}
 	// Loads: four complex operands.
-	bp.load(vl, a(re, i), 0)
-	bp.load(vl, a(im, i), 1)
-	bp.load(vl, a(re, i+q), 2)
-	bp.load(vl, a(im, i+q), 3)
-	bp.load(vl, a(re, i+2*q), 4)
-	bp.load(vl, a(im, i+2*q), 5)
-	bp.load(vl, a(re, i+3*q), 6)
-	bp.load(vl, a(im, i+3*q), 7)
-	b.loads = bp.insts
-	bp = prog{insts: m.arena.take(35)}
+	p.load(vl, a(re, i), 0)
+	p.load(vl, a(im, i), 1)
+	p.load(vl, a(re, i+q), 2)
+	p.load(vl, a(im, i+q), 3)
+	p.load(vl, a(re, i+2*q), 4)
+	p.load(vl, a(im, i+2*q), 5)
+	p.load(vl, a(re, i+3*q), 6)
+	p.load(vl, a(im, i+3*q), 7)
+	c := &m.pipe.computes
 	// Three scalar-twiddle complex multiplies (b, c, d).
 	for j := 0; j < 3; j++ {
 		sr, si := 2+2*j, 3+2*j
 		dr, di := 8+2*j, 9+2*j
-		m.emitCMulScalar(&bp, vl, sr, si, dr, di, 30, 31)
+		m.emitCMulScalar(c, vl, sr, si, dr, di, 30, 31)
 	}
 	// Complex add/sub tree: apc, amc, bpd, bmd then the four outputs.
-	bp.fadd(vl, 14, 0, 10) // apc re (a + c')
-	bp.fadd(vl, 15, 1, 11) // apc im
-	bp.fadd(vl, 16, 0, 10) // amc re
-	bp.fadd(vl, 17, 1, 11) // amc im
-	bp.fadd(vl, 18, 8, 12) // bpd re
-	bp.fadd(vl, 19, 9, 13) // bpd im
-	bp.fadd(vl, 20, 8, 12) // bmd re
-	bp.fadd(vl, 21, 9, 13) // bmd im
-	bp.fadd(vl, 22, 14, 18)
-	bp.fadd(vl, 23, 15, 19)
-	bp.fadd(vl, 24, 16, 21)
-	bp.fadd(vl, 25, 17, 20)
-	bp.fadd(vl, 26, 14, 18)
-	bp.fadd(vl, 27, 15, 19)
-	bp.fadd(vl, 28, 16, 21)
-	bp.fadd(vl, 29, 17, 20)
-	bp.scalar(2)
-	b.computes = bp.insts
-	bp = prog{insts: m.arena.take(8)}
+	c.fadd(vl, 14, 0, 10) // apc re (a + c')
+	c.fadd(vl, 15, 1, 11) // apc im
+	c.fadd(vl, 16, 0, 10) // amc re
+	c.fadd(vl, 17, 1, 11) // amc im
+	c.fadd(vl, 18, 8, 12) // bpd re
+	c.fadd(vl, 19, 9, 13) // bpd im
+	c.fadd(vl, 20, 8, 12) // bmd re
+	c.fadd(vl, 21, 9, 13) // bmd im
+	c.fadd(vl, 22, 14, 18)
+	c.fadd(vl, 23, 15, 19)
+	c.fadd(vl, 24, 16, 21)
+	c.fadd(vl, 25, 17, 20)
+	c.fadd(vl, 26, 14, 18)
+	c.fadd(vl, 27, 15, 19)
+	c.fadd(vl, 28, 16, 21)
+	c.fadd(vl, 29, 17, 20)
+	c.scalar(2)
 	// Stores: four complex results.
-	bp.store(vl, a(re, i), 22)
-	bp.store(vl, a(im, i), 23)
-	bp.store(vl, a(re, i+q), 24)
-	bp.store(vl, a(im, i+q), 25)
-	bp.store(vl, a(re, i+2*q), 26)
-	bp.store(vl, a(im, i+2*q), 27)
-	bp.store(vl, a(re, i+3*q), 28)
-	bp.store(vl, a(im, i+3*q), 29)
-	b.stores = bp.insts
-	return b
+	st := &m.pipe.stores
+	st.store(vl, a(re, i), 22)
+	st.store(vl, a(im, i), 23)
+	st.store(vl, a(re, i+q), 24)
+	st.store(vl, a(im, i+q), 25)
+	st.store(vl, a(re, i+2*q), 26)
+	st.store(vl, a(im, i+2*q), 27)
+	st.store(vl, a(re, i+3*q), 28)
+	st.store(vl, a(im, i+3*q), 29)
+	m.pipe.next(p)
 }
 
 // emitCMulScalar emits a scalar-twiddle complex multiply: six FP slots

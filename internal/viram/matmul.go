@@ -43,6 +43,6 @@ func (m *Machine) RunMatMul(spec matmul.Spec) (core.Result, error) {
 	}
 	// B streams past every output row (one word per MAC — vector
 	// registers hold C, not B), plus C in/out and the A scalars.
-	return m.finish(p, core.MatMul, spec.Flops(),
+	return m.finish(core.MatMul, spec.Flops(),
 		spec.MACs()+2*uint64(spec.M)*uint64(spec.N)+uint64(spec.M)*uint64(spec.K)), nil
 }

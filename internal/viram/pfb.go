@@ -70,6 +70,6 @@ func (m *Machine) RunPFB(w pfb.Workload) (core.Result, error) {
 		}
 		f0 += vl
 	}
-	return m.finish(p, core.KernelID("pfb"), w.TotalOps(),
+	return m.finish(core.KernelID("pfb"), w.TotalOps(),
 		2*uint64(w.Samples)*uint64(w.Taps)+2*uint64(w.FrameCount())*uint64(w.Channels)), nil
 }

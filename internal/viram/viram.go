@@ -20,6 +20,11 @@
 // producer's first elements emerge (producer start + startup latency).
 // Kernel implementations generate real vector instruction streams whose
 // counts derive from the same loop structures as the functional kernels.
+// As on the chip, where the scalar core feeds the vector unit through a
+// short instruction queue, each instruction issues to the scoreboard as
+// the kernel emits it: no run holds its whole program, only the one
+// software-pipelined butterfly it is building and the previous one's
+// stores.
 package viram
 
 import (
@@ -167,14 +172,10 @@ type Machine struct {
 	tlb    *tlb
 	heap   int // bump allocator for kernel address spaces (words)
 	tracer func(TraceEntry)
-
-	// Program-construction scratch, reused across kernel runs. A Machine
-	// is single-threaded by contract, so reuse needs no locking; the
-	// buffers keep their capacity between runs so steady-state program
-	// generation does not allocate per instruction or per butterfly.
-	progBuf []Inst
-	arena   instArena
-	bundles []bundle
+	sb     scoreboard
+	// pipe holds the butterfly pipeline's few instructions; its buffers
+	// keep their capacity between runs.
+	pipe pipeline
 }
 
 // SetTracer attaches a per-instruction trace callback (nil detaches).
@@ -206,6 +207,10 @@ func New(cfg Config) *Machine {
 		cfg: cfg,
 		mem: dram.NewController(cfg.DRAM),
 		tlb: newTLB(cfg.TLBEntries, cfg.TLBPageBytes),
+		sb: scoreboard{
+			chainReady: make([]uint64, cfg.VRegs),
+			starts:     make([]uint64, cfg.IssueQueue),
+		},
 	}
 }
 
@@ -228,21 +233,28 @@ func (m *Machine) Config() Config { return m.cfg }
 // Reset implements core.Resettable: it rewinds all simulation state so
 // the instance can be reused across jobs with bit-identical cycle
 // counts. Every kernel entry point performs the same rewind, so this is
-// a public contract over the existing mechanism, not a new one. The
-// program-construction scratch (progBuf, arena, bundles) is
-// intentionally untouched — it is overwritten from scratch by every
-// kernel build and never feeds cycle accounting.
+// a public contract over the existing mechanism, not a new one. A run
+// issues its program as it emits it, so what an instance keeps between
+// runs is its DRAM, TLB and scoreboard state and the butterfly
+// pipeline's few instructions, none of them sized by the program.
 func (m *Machine) Reset() { m.reset() }
 
 // reset rewinds simulation state between kernel runs.
 func (m *Machine) reset() {
 	m.mem.Reset()
 	m.tlb.reset()
+	m.sb.reset()
 	m.heap = 0
 }
 
 // alloc reserves words of the on-chip DRAM address space (word address).
+// A kernel allocates everything before its first instruction issues, so
+// that checkAddressRange checks every access against the run's whole
+// heap; alloc panics after that.
 func (m *Machine) alloc(words int) int {
+	if m.sb.issued > 0 {
+		panic("viram: alloc after the first instruction issued")
+	}
 	base := m.heap
 	m.heap += words
 	// Round to a DRAM row so arrays do not share open-row state.
@@ -258,171 +270,191 @@ type ExecResult struct {
 	Stats     sim.Stats
 }
 
-// exec runs the scoreboard over a vector program. The three functional
-// units are the memory unit and the two arithmetic units; chaining lets
-// a consumer start `startup` cycles after its producer. Events are
-// counted in locals and reported as a Stats and a Breakdown once the
-// program has run; the Breakdown's memory, compute and scalar
+// The scoreboard's units: the memory unit, the two arithmetic units and
+// the scalar core.
+const (
+	unitMem = iota
+	unitALU0
+	unitALU1
+	unitScalar
+	numUnits
+)
+
+// scoreboard is the issue state of the program a kernel is emitting.
+// Events are counted in its fields and reported as a Stats and a
+// Breakdown by result; the Breakdown's memory, compute and scalar
 // categories are the busy cycles of the units that execute them.
-func (m *Machine) exec(prog []Inst) ExecResult {
-	const (
-		unitMem = iota
-		unitALU0
-		unitALU1
-		unitScalar
-		numUnits
-	)
-	var (
-		unitFree   [numUnits]uint64
-		busy       [numUnits]uint64
-		chainReady = make([]uint64, m.cfg.VRegs)
-		dispatch   uint64
-		end        uint64
-
-		stallQueue, stallUnit, stallDep             uint64
-		tlbMisses, rowMisses, conflictStalls, words uint64
-		flops, intops                               uint64
-	)
+type scoreboard struct {
+	unitFree, busy [numUnits]uint64
+	chainReady     []uint64 // per vector register: when a consumer may chain
 	// starts holds the execution-start cycles of the last IssueQueue
-	// instructions: dispatch may run ahead of execution by at most the
-	// queue depth.
-	starts := make([]uint64, m.cfg.IssueQueue)
+	// instructions, a ring whose oldest entry is starts[slot]: dispatch
+	// may run ahead of execution by at most the queue depth.
+	starts   []uint64
+	slot     int
+	issued   uint64
+	dispatch uint64
+	end      uint64
 
-	for i := range prog {
-		in := &prog[i]
-		if in.VL > m.cfg.MVL {
-			panic(fmt.Sprintf("viram: VL %d exceeds MVL %d", in.VL, m.cfg.MVL))
-		}
-		// Select the executing unit.
-		var unit int
-		var dur, startup uint64
-		switch in.Op {
-		case VLoad, VStore, VLoadStride, VStoreStride:
-			unit = unitMem
-			startup = uint64(m.cfg.StartupMem)
-		case VAddF, VMulF, VFMA, VPerm:
-			unit = unitALU0
-			startup = uint64(m.cfg.StartupALU)
-		case VAddI, VShift:
-			// Integer ops run on whichever ALU frees first.
-			unit = unitALU0
-			if unitFree[unitALU1] < unitFree[unitALU0] {
-				unit = unitALU1
-			}
-			startup = uint64(m.cfg.StartupALU)
-		case Scalar:
-			unit = unitScalar
-			startup = 0
-		default:
-			panic(fmt.Sprintf("viram: unknown op %d", in.Op))
-		}
+	stallQueue, stallUnit, stallDep             uint64
+	tlbMisses, rowMisses, conflictStalls, words uint64
+	flops, intops                               uint64
+}
 
-		// Dispatch: program order, one instruction per cycle, bounded by
-		// the queue depth (an instruction cannot dispatch until the one
-		// IssueQueue slots ahead of it has started executing).
-		if i > 0 {
-			dispatch++
-		}
-		if i >= m.cfg.IssueQueue && starts[i%m.cfg.IssueQueue] > dispatch {
-			stallQueue += starts[i%m.cfg.IssueQueue] - dispatch
-			dispatch = starts[i%m.cfg.IssueQueue]
-		}
-		// Execution start: unit availability and chaining.
-		t := dispatch
-		tUnit := t
-		if unitFree[unit] > tUnit {
-			tUnit = unitFree[unit]
-		}
-		stallUnit += tUnit - t
-		tDep := tUnit
-		for _, src := range []int{in.Src1, in.Src2} {
-			if src >= 0 && chainReady[src] > tDep {
-				tDep = chainReady[src]
-			}
-		}
-		stallDep += tDep - tUnit
-		t = tDep
-		starts[i%m.cfg.IssueQueue] = t
+// reset empties the scoreboard for a new program.
+func (s *scoreboard) reset() {
+	chainReady, starts := s.chainReady, s.starts
+	clear(chainReady)
+	clear(starts)
+	*s = scoreboard{chainReady: chainReady, starts: starts}
+}
 
-		// Duration.
-		switch in.Op {
-		case VLoad, VStore, VLoadStride, VStoreStride:
-			m.checkAddressRange(in)
-			m.mem.SyncTo(t)
-			req := dram.Request{Base: in.Base, Stride: in.Stride, Count: in.VL,
-				Write: in.Op == VStore || in.Op == VStoreStride}
-			if req.Stride == 0 {
-				req.Stride = 1
-			}
-			sr := m.mem.Stream(req)
-			misses := m.tlb.touch(in.Base, req.Stride, in.VL)
-			dur = sr.Cycles + misses*m.cfg.TLBMissPenalty
-			tlbMisses += misses
-			rowMisses += sr.RowMisses
-			conflictStalls += sr.ConflictStalls
-			words += sr.Words
-		case VAddF, VMulF, VPerm:
-			dur = sim.CeilDiv(uint64(in.VL), uint64(m.cfg.FPLanes))
-			if in.Op != VPerm {
-				flops += uint64(in.VL)
-			}
-		case VFMA:
-			dur = sim.CeilDiv(uint64(in.VL), uint64(m.cfg.FPLanes))
-			flops += 2 * uint64(in.VL)
-		case VAddI, VShift:
-			dur = sim.CeilDiv(uint64(in.VL), uint64(m.cfg.Lanes))
-			intops += uint64(in.VL)
-		case Scalar:
-			dur = uint64(in.Cost)
+// issue runs one instruction through the scoreboard. Chaining lets a
+// consumer start `startup` cycles after its producer.
+func (m *Machine) issue(in *Inst) {
+	s := &m.sb
+	if in.VL > m.cfg.MVL {
+		panic(fmt.Sprintf("viram: VL %d exceeds MVL %d", in.VL, m.cfg.MVL))
+	}
+	// Select the executing unit.
+	var unit int
+	var dur, startup uint64
+	switch in.Op {
+	case VLoad, VStore, VLoadStride, VStoreStride:
+		unit = unitMem
+		startup = uint64(m.cfg.StartupMem)
+	case VAddF, VMulF, VFMA, VPerm:
+		unit = unitALU0
+		startup = uint64(m.cfg.StartupALU)
+	case VAddI, VShift:
+		// Integer ops run on whichever ALU frees first.
+		unit = unitALU0
+		if s.unitFree[unitALU1] < s.unitFree[unitALU0] {
+			unit = unitALU1
 		}
-
-		if m.tracer != nil {
-			m.tracer(TraceEntry{
-				Index: i, Op: in.Op, VL: in.VL, Unit: unitNames[unit],
-				Dispatch: dispatch, Start: t, Duration: dur,
-			})
-		}
-		unitFree[unit] = t + dur
-		busy[unit] += dur
-		if in.Dst >= 0 {
-			if in.Dst >= m.cfg.VRegs {
-				panic(fmt.Sprintf("viram: register v%d out of range", in.Dst))
-			}
-			chainReady[in.Dst] = t + startup
-		}
-		if done := t + startup + dur; done > end {
-			end = done
-		}
+		startup = uint64(m.cfg.StartupALU)
+	case Scalar:
+		unit = unitScalar
+		startup = 0
+	default:
+		panic(fmt.Sprintf("viram: unknown op %d", in.Op))
 	}
 
-	res := ExecResult{Cycles: end}
-	res.Stats.Inc("instructions", uint64(len(prog)))
-	res.Stats.Inc("stall_queue", stallQueue)
-	res.Stats.Inc("stall_unit", stallUnit)
-	res.Stats.Inc("stall_dep", stallDep)
-	res.Stats.Inc("tlb_misses", tlbMisses)
-	res.Stats.Inc("dram_row_misses", rowMisses)
-	res.Stats.Inc("dram_conflict_stalls", conflictStalls)
-	res.Stats.Inc("mem_words", words)
-	res.Stats.Inc("flops", flops)
-	res.Stats.Inc("intops", intops)
-	res.Stats.Inc("mem_unit_busy", busy[unitMem])
-	res.Stats.Inc("alu0_busy", busy[unitALU0])
-	res.Stats.Inc("alu1_busy", busy[unitALU1])
-	compute := busy[unitALU0] + busy[unitALU1]
-	if busy[unitMem] > 0 {
-		res.Breakdown.Add("memory", busy[unitMem])
+	// Dispatch: program order, one instruction per cycle, bounded by the
+	// queue depth (an instruction cannot dispatch until the one
+	// IssueQueue slots ahead of it has started executing; the ring holds
+	// zeros while the queue fills).
+	if s.issued > 0 {
+		s.dispatch++
+	}
+	if ahead := s.starts[s.slot]; ahead > s.dispatch {
+		s.stallQueue += ahead - s.dispatch
+		s.dispatch = ahead
+	}
+	// Execution start: unit availability and chaining.
+	t := s.dispatch
+	tUnit := t
+	if s.unitFree[unit] > tUnit {
+		tUnit = s.unitFree[unit]
+	}
+	s.stallUnit += tUnit - t
+	tDep := tUnit
+	if in.Src1 >= 0 && s.chainReady[in.Src1] > tDep {
+		tDep = s.chainReady[in.Src1]
+	}
+	if in.Src2 >= 0 && s.chainReady[in.Src2] > tDep {
+		tDep = s.chainReady[in.Src2]
+	}
+	s.stallDep += tDep - tUnit
+	t = tDep
+	s.starts[s.slot] = t
+	if s.slot++; s.slot == len(s.starts) {
+		s.slot = 0
+	}
+
+	// Duration.
+	switch in.Op {
+	case VLoad, VStore, VLoadStride, VStoreStride:
+		m.checkAddressRange(in)
+		m.mem.SyncTo(t)
+		req := dram.Request{Base: in.Base, Stride: in.Stride, Count: in.VL,
+			Write: in.Op == VStore || in.Op == VStoreStride}
+		if req.Stride == 0 {
+			req.Stride = 1
+		}
+		sr := m.mem.Stream(req)
+		misses := m.tlb.touch(in.Base, req.Stride, in.VL)
+		dur = sr.Cycles + misses*m.cfg.TLBMissPenalty
+		s.tlbMisses += misses
+		s.rowMisses += sr.RowMisses
+		s.conflictStalls += sr.ConflictStalls
+		s.words += sr.Words
+	case VAddF, VMulF, VPerm:
+		dur = sim.CeilDiv(uint64(in.VL), uint64(m.cfg.FPLanes))
+		if in.Op != VPerm {
+			s.flops += uint64(in.VL)
+		}
+	case VFMA:
+		dur = sim.CeilDiv(uint64(in.VL), uint64(m.cfg.FPLanes))
+		s.flops += 2 * uint64(in.VL)
+	case VAddI, VShift:
+		dur = sim.CeilDiv(uint64(in.VL), uint64(m.cfg.Lanes))
+		s.intops += uint64(in.VL)
+	case Scalar:
+		dur = uint64(in.Cost)
+	}
+
+	if m.tracer != nil {
+		m.tracer(TraceEntry{
+			Index: int(s.issued), Op: in.Op, VL: in.VL, Unit: unitNames[unit],
+			Dispatch: s.dispatch, Start: t, Duration: dur,
+		})
+	}
+	s.issued++
+	s.unitFree[unit] = t + dur
+	s.busy[unit] += dur
+	if in.Dst >= 0 {
+		if in.Dst >= m.cfg.VRegs {
+			panic(fmt.Sprintf("viram: register v%d out of range", in.Dst))
+		}
+		s.chainReady[in.Dst] = t + startup
+	}
+	if done := t + startup + dur; done > s.end {
+		s.end = done
+	}
+}
+
+// result reports the program issued since the last reset.
+func (m *Machine) result() ExecResult {
+	s := &m.sb
+	res := ExecResult{Cycles: s.end}
+	res.Stats.Inc("instructions", s.issued)
+	res.Stats.Inc("stall_queue", s.stallQueue)
+	res.Stats.Inc("stall_unit", s.stallUnit)
+	res.Stats.Inc("stall_dep", s.stallDep)
+	res.Stats.Inc("tlb_misses", s.tlbMisses)
+	res.Stats.Inc("dram_row_misses", s.rowMisses)
+	res.Stats.Inc("dram_conflict_stalls", s.conflictStalls)
+	res.Stats.Inc("mem_words", s.words)
+	res.Stats.Inc("flops", s.flops)
+	res.Stats.Inc("intops", s.intops)
+	res.Stats.Inc("mem_unit_busy", s.busy[unitMem])
+	res.Stats.Inc("alu0_busy", s.busy[unitALU0])
+	res.Stats.Inc("alu1_busy", s.busy[unitALU1])
+	compute := s.busy[unitALU0] + s.busy[unitALU1]
+	if s.busy[unitMem] > 0 {
+		res.Breakdown.Add("memory", s.busy[unitMem])
 	}
 	if compute > 0 {
 		res.Breakdown.Add("compute", compute)
 	}
-	if busy[unitScalar] > 0 {
-		res.Breakdown.Add("scalar", busy[unitScalar])
+	if s.busy[unitScalar] > 0 {
+		res.Breakdown.Add("scalar", s.busy[unitScalar])
 	}
-	if end > busy[unitMem] {
+	if s.end > s.busy[unitMem] {
 		// Cycles no unit category accounts for are startup and waiting.
 		var wait uint64
-		if slack, accounted := end-busy[unitMem], compute+busy[unitScalar]; slack > accounted {
+		if slack, accounted := s.end-s.busy[unitMem], compute+s.busy[unitScalar]; slack > accounted {
 			wait = slack - accounted
 		}
 		res.Breakdown.Add("startup+wait", wait)
@@ -488,7 +520,41 @@ func (t *tlb) reset() {
 }
 
 // touch visits the pages of a strided access and returns the miss count.
+// An ascending access at a non-negative address visits each of its pages
+// once, in order, at one division per page crossing; any other access
+// walks word by word.
 func (t *tlb) touch(base, stride, count int) uint64 {
+	if count <= 0 {
+		return 0
+	}
+	if stride <= 0 || base < 0 {
+		return t.touchWords(base, stride, count)
+	}
+	pw := t.pageWords
+	last := base + (count-1)*stride
+	addr, page := base, base/pw
+	var misses uint64
+	for {
+		misses += t.visit(page)
+		next := (page + 1) * pw // first word of the next page
+		if next > last {
+			return misses
+		}
+		if stride < pw {
+			// The first element at or past next is less than a stride,
+			// so less than a page, beyond it.
+			addr += (next - addr + stride - 1) / stride * stride
+			page++
+		} else {
+			addr += stride
+			page = addr / pw
+		}
+	}
+}
+
+// touchWords is touch for descending or negative accesses: it visits
+// the page of every word, skipping repeats of the previous page.
+func (t *tlb) touchWords(base, stride, count int) uint64 {
 	var misses uint64
 	last := -1
 	for i := 0; i < count; i++ {
@@ -497,29 +563,36 @@ func (t *tlb) touch(base, stride, count int) uint64 {
 			continue
 		}
 		last = page
-		if s, ok := t.index[page]; ok {
-			if s != t.head {
-				t.unlink(s)
-				t.pushFront(s)
-			}
-			continue
-		}
-		misses++
-		var s int32
-		if t.used < len(t.slots) {
-			s = int32(t.used)
-			t.used++
-		} else {
-			// Evict the least recently used page.
-			s = t.tail
-			delete(t.index, t.slots[s].page)
-			t.unlink(s)
-		}
-		t.slots[s].page = page
-		t.index[page] = s
-		t.pushFront(s)
+		misses += t.visit(page)
 	}
 	return misses
+}
+
+// visit looks up one page, making it the most recently used, and
+// returns 1 on a miss.
+func (t *tlb) visit(page int) uint64 {
+	if t.head >= 0 && t.slots[t.head].page == page {
+		return 0
+	}
+	if s, ok := t.index[page]; ok {
+		t.unlink(s)
+		t.pushFront(s)
+		return 0
+	}
+	var s int32
+	if t.used < len(t.slots) {
+		s = int32(t.used)
+		t.used++
+	} else {
+		// Evict the least recently used page.
+		s = t.tail
+		delete(t.index, t.slots[s].page)
+		t.unlink(s)
+	}
+	t.slots[s].page = page
+	t.index[page] = s
+	t.pushFront(s)
+	return 1
 }
 
 // unlink removes slot s from the recency list.

@@ -1,6 +1,7 @@
 package viram
 
 import (
+	"runtime"
 	"testing"
 
 	"sigkern/internal/core"
@@ -12,6 +13,17 @@ import (
 )
 
 var _ core.Machine = (*Machine)(nil)
+
+// exec issues prog on an empty scoreboard and returns its result. The
+// DRAM and TLB state carry over from earlier programs, as they do
+// between the instructions of one.
+func (m *Machine) exec(prog []Inst) ExecResult {
+	m.sb.reset()
+	for i := range prog {
+		m.issue(&prog[i])
+	}
+	return m.result()
+}
 
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
@@ -198,7 +210,7 @@ func (t *mapScanTLB) touch(base, stride, count int) uint64 {
 func TestTLBMatchesMapScanOracle(t *testing.T) {
 	rng := sim.NewPRNG(14)
 	for _, entries := range []int{1, 2, 3, 8, 48} {
-		for _, pageBytes := range []int{4, 64, 8 << 10, 64 << 10} {
+		for _, pageBytes := range []int{4, 12, 20, 64, 8 << 10, 64 << 10} {
 			tl := newTLB(entries, pageBytes)
 			var oracle *mapScanTLB
 			// The address space spans a few times more pages than the
@@ -214,13 +226,77 @@ func TestTLBMatchesMapScanOracle(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					stride = -stride
 				}
-				count := 1 + rng.Intn(64)
+				count := 1 + rng.Intn(256)
 				got, want := tl.touch(base, stride, count), oracle.touch(base, stride, count)
 				if got != want {
 					t.Fatalf("entries %d, %d-byte pages, call %d (base %d stride %d count %d): %d misses, oracle %d",
 						entries, pageBytes, call, base, stride, count, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestAllocAfterIssuePanics pins the rule that keeps checkAddressRange
+// sound for a program issued as it is emitted: the heap is final before
+// the first instruction issues.
+func TestAllocAfterIssuePanics(t *testing.T) {
+	m := New(DefaultConfig())
+	m.reset()
+	base := m.alloc(1024)
+	m.newProg().load(64, base, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("alloc after an issued instruction did not panic")
+		}
+	}()
+	m.alloc(64)
+}
+
+// TestUsedInstanceRetainsLittle runs the paper CSLC, then the paper
+// corner turn, on eight instances and measures the heap they keep once
+// the runs are over. An instance caches in a service worker for as long
+// as the process lives, so it must not keep anything sized by the
+// program it last ran. A first run on a throwaway instance fills the
+// golden-reference memos, which are process-wide, outside the
+// measurement.
+func TestUsedInstanceRetainsLittle(t *testing.T) {
+	const instances, limit = 8, 64 << 10
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	kernels := []struct {
+		name string
+		run  func(*Machine) (core.Result, error)
+	}{
+		{"paper CSLC", func(m *Machine) (core.Result, error) { return m.RunCSLC(cslc.PaperSpec(fft.MixedRadix42)) }},
+		{"paper corner turn", func(m *Machine) (core.Result, error) { return m.RunCornerTurn(cornerturn.PaperSpec()) }},
+	}
+	for _, k := range kernels {
+		if _, err := k.run(New(DefaultConfig())); err != nil {
+			t.Fatal(err)
+		}
+		before := heap()
+		ms := make([]*Machine, instances)
+		for i := range ms {
+			ms[i] = New(DefaultConfig())
+			if _, err := k.run(ms[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := heap()
+		runtime.KeepAlive(ms)
+		var per int64
+		if after > before {
+			per = int64(after-before) / instances
+		}
+		t.Logf("%s: %.1f KiB retained per used instance", k.name, float64(per)/1024)
+		if per > limit {
+			t.Errorf("%s: a used instance retains %.1f KiB, want at most %d KiB", k.name, float64(per)/1024, limit>>10)
 		}
 	}
 }

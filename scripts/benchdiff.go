@@ -21,7 +21,8 @@
 //     regressions fail.
 //
 // Benchmarks present in only one snapshot are reported but never fail
-// the diff (the suite is allowed to grow and shrink).
+// the diff (the suite is allowed to grow and shrink). B/op and allocs/op
+// are printed beside each row as a report; they gate nothing.
 package main
 
 import (
@@ -177,8 +178,8 @@ func runCompare(args []string, tol float64) error {
 					name, bn, cn, 100*delta, 100*tol))
 			}
 		}
-		fmt.Printf("  %-55s ns/op %12.4g -> %12.4g (%+.1f%%)  allocs/op %g -> %g\n",
-			name, bn, cn, 100*delta, b["allocs/op"], c["allocs/op"])
+		fmt.Printf("  %-55s ns/op %12.4g -> %12.4g (%+.1f%%)  B/op %g -> %g  allocs/op %g -> %g\n",
+			name, bn, cn, 100*delta, b["B/op"], c["B/op"], b["allocs/op"], c["allocs/op"])
 	}
 	for name := range cur.Benchmarks {
 		if base.Benchmarks[name] == nil {
