@@ -51,6 +51,9 @@ type memoShard[V any] struct {
 	// fault-injection hook chaos runs use to prove the service's
 	// determinism guard catches a lying cache. See SetCorruptor.
 	corrupt func(key string, value V) (V, bool)
+	// building maps each key a Do call is building to a channel closed
+	// when that build ends; concurrent Do misses on the key wait on it.
+	building map[string]chan struct{}
 
 	// Pad shards out to their own cache lines so two shards' mutexes
 	// never share one and ping-pong under contention.
@@ -170,6 +173,57 @@ func (m *Memo[V]) SetCorruptor(f func(key string, value V) (V, bool)) {
 		s.corrupt = f
 		s.mu.Unlock()
 	}
+}
+
+// Do returns the value stored under key, building it with build and
+// storing it on a miss. Concurrent misses on one key build it once: the
+// first caller runs build while the rest wait for it and then read the
+// stored value. A build that fails or panics stores nothing and releases
+// its waiters, which then look the key up again (and build it themselves
+// if it is still missing); the caller that ran build gets its error or
+// panic. Each call counts one hit or one miss: a miss when it ran build.
+// Do does not consult the corruptor.
+func (m *Memo[V]) Do(key string, build func() (V, error)) (V, error) {
+	s := m.shard(key)
+	for {
+		s.mu.Lock()
+		s.tick++
+		if e, ok := s.entries[key]; ok {
+			e.used = s.tick
+			s.hits++
+			s.mu.Unlock()
+			return e.value, nil
+		}
+		if wait, ok := s.building[key]; ok {
+			s.mu.Unlock()
+			<-wait
+			continue
+		}
+		if s.building == nil {
+			s.building = make(map[string]chan struct{})
+		}
+		done := make(chan struct{})
+		s.building[key] = done
+		s.misses++
+		s.mu.Unlock()
+		return m.fill(s, key, done, build)
+	}
+}
+
+// fill runs one Do build and stores its value, then releases the key's
+// waiters whether the build returned, failed or panicked.
+func (m *Memo[V]) fill(s *memoShard[V], key string, done chan struct{}, build func() (V, error)) (V, error) {
+	defer func() {
+		s.mu.Lock()
+		delete(s.building, key)
+		s.mu.Unlock()
+		close(done)
+	}()
+	v, err := build()
+	if err == nil {
+		m.Put(key, v)
+	}
+	return v, err
 }
 
 // Put stores value under key, evicting the least recently used entries

@@ -1,9 +1,13 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMemoGetPut(t *testing.T) {
@@ -268,5 +272,108 @@ func TestSizedMemoBudget(t *testing.T) {
 	if b, n := m.Bytes(), m.Len(); b != 0 || n != 0 || hits != 1 || misses != 0 {
 		t.Fatalf("after Purge: %d bytes in %d entries, %d hits, %d misses; want empty with the one hit kept",
 			b, n, hits, misses)
+	}
+}
+
+// TestMemoDoBuildsOnce starts N callers on one missing key while the
+// build is held open: exactly one builds, every caller gets its value,
+// and the counters read one miss and N-1 hits.
+func TestMemoDoBuildsOnce(t *testing.T) {
+	const n = 16
+	m := NewSizedMemo(1<<10, func(int) int { return 8 })
+	var builds atomic.Int32
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := m.Do("k", func() (int, error) {
+				builds.Add(1)
+				<-gate
+				return 42, nil
+			})
+			if err != nil || v != 42 {
+				t.Errorf("Do = %d, %v; want 42", v, err)
+			}
+		}()
+	}
+	// Hold the build open until the other callers have had time to
+	// reach Do; a straggler that arrives after it ends is a plain hit.
+	for builds.Load() == 0 {
+		runtime.Gosched()
+	}
+	time.Sleep(10 * time.Millisecond)
+	close(gate)
+	wg.Wait()
+	if b := builds.Load(); b != 1 {
+		t.Fatalf("%d builds for one key, want 1", b)
+	}
+	if hits, misses := m.Counters(); hits != n-1 || misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want %d/1", hits, misses, n-1)
+	}
+	if v, ok := m.Peek("k"); !ok || v != 42 {
+		t.Fatalf("stored %d/%v, want 42", v, ok)
+	}
+}
+
+// TestMemoDoFailedBuild holds a failing and a panicking build open while
+// a second caller waits on the key: the caller that ran the build gets
+// the error (or the panic), nothing is stored, and the waiter is
+// released to build the value itself.
+func TestMemoDoFailedBuild(t *testing.T) {
+	for _, mode := range []string{"error", "panic"} {
+		t.Run(mode, func(t *testing.T) {
+			m := NewMemo[int](4)
+			started, gate := make(chan struct{}), make(chan struct{})
+			firstDone := make(chan error, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						firstDone <- fmt.Errorf("panic: %v", r)
+					}
+				}()
+				_, err := m.Do("k", func() (int, error) {
+					close(started)
+					<-gate
+					if mode == "panic" {
+						panic("build exploded")
+					}
+					return 0, errors.New("build failed")
+				})
+				firstDone <- err
+			}()
+			<-started
+			waiter := make(chan int, 1)
+			go func() {
+				v, err := m.Do("k", func() (int, error) { return 7, nil })
+				if err != nil {
+					t.Errorf("waiter: %v", err)
+				}
+				waiter <- v
+			}()
+			time.Sleep(10 * time.Millisecond) // let the waiter block on the build
+			if _, ok := m.Peek("k"); ok {
+				t.Fatal("value stored while its build was still running")
+			}
+			close(gate)
+			if err := <-firstDone; err == nil {
+				t.Fatal("the building caller saw no failure")
+			}
+			select {
+			case v := <-waiter:
+				if v != 7 {
+					t.Fatalf("waiter got %d, want its own build's 7", v)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("waiter never released after the failed build")
+			}
+			if v, ok := m.Peek("k"); !ok || v != 7 {
+				t.Fatalf("stored %d/%v after the waiter's build, want 7", v, ok)
+			}
+			if hits, misses := m.Counters(); hits != 0 || misses != 2 {
+				t.Fatalf("hits/misses = %d/%d, want 0/2: both callers built", hits, misses)
+			}
+		})
 	}
 }

@@ -44,11 +44,31 @@ func PaperSpec() Spec {
 	return Spec{Elements: 1608, Directions: 4, Dwells: 8, ShiftBits: 2, Rounding: 2}
 }
 
+// Absolute bounds on a spec, far above the paper's 1608/4/8. Specs
+// arrive from the network, and the machine models walk every output.
+const (
+	MaxElements   = 65536
+	MaxDirections = 256
+	MaxDwells     = 4096
+	MaxOutputs    = 1 << 24
+)
+
 // Validate reports whether the spec is usable.
 func (s Spec) Validate() error {
 	if s.Elements <= 0 || s.Directions <= 0 || s.Dwells <= 0 {
 		return fmt.Errorf("beamsteer: non-positive geometry %d/%d/%d",
 			s.Elements, s.Directions, s.Dwells)
+	}
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{{"Elements", s.Elements, MaxElements}, {"Directions", s.Directions, MaxDirections}, {"Dwells", s.Dwells, MaxDwells}} {
+		if f.v > f.max {
+			return fmt.Errorf("beamsteer: %s %d above the %d limit", f.name, f.v, f.max)
+		}
+	}
+	if n := s.Outputs(); n > MaxOutputs {
+		return fmt.Errorf("beamsteer: Outputs (Elements x Directions x Dwells) %d above the %d limit", n, MaxOutputs)
 	}
 	if s.ShiftBits > 31 {
 		return fmt.Errorf("beamsteer: shift %d out of range", s.ShiftBits)
@@ -72,62 +92,97 @@ func (s Spec) MemPerOutput() uint64 { return 3 }
 // [dwell][direction][element]. It is the golden reference implementation;
 // machine models run the same arithmetic in their own access orders.
 func Steer(spec Spec, tables *testsig.BeamTables) ([][][]int32, error) {
-	if err := spec.Validate(); err != nil {
+	var out [][][]int32
+	err := steerRows(spec, tables, func(dw, d int, row []int32) error {
+		if d == 0 {
+			out = append(out, make([][]int32, spec.Directions))
+		}
+		out[dw][d] = append([]int32(nil), row...)
+		return nil
+	})
+	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// steerRows runs Steer's loop nest and hands each (dwell, direction)
+// row of outputs to emit as soon as it is computed, dwell-major. The row
+// buffer is reused, so emit must not keep it.
+func steerRows(spec Spec, tables *testsig.BeamTables, emit func(dw, d int, row []int32) error) error {
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 	if len(tables.ElementCal) < spec.Elements ||
 		len(tables.ElementGrad) < spec.Elements ||
 		len(tables.DirSteer) < spec.Directions ||
 		len(tables.DwellBase) < spec.Dwells {
-		return nil, fmt.Errorf("beamsteer: tables too small for spec (%d/%d/%d/%d)",
+		return fmt.Errorf("beamsteer: tables too small for spec (%d/%d/%d/%d)",
 			len(tables.ElementCal), len(tables.ElementGrad),
 			len(tables.DirSteer), len(tables.DwellBase))
 	}
-	out := make([][][]int32, spec.Dwells)
+	row := make([]int32, spec.Elements)
 	for dw := 0; dw < spec.Dwells; dw++ {
-		out[dw] = make([][]int32, spec.Directions)
 		for d := 0; d < spec.Directions; d++ {
-			out[dw][d] = make([]int32, spec.Elements)
 			reg := tables.DirSteer[d] + tables.DwellBase[dw] + spec.Rounding
-			for e := 0; e < spec.Elements; e++ {
+			for e := range row {
 				t1 := tables.ElementCal[e] + tables.ElementGrad[e]
-				out[dw][d][e] = (t1 + reg) >> spec.ShiftBits
+				row[e] = (t1 + reg) >> spec.ShiftBits
+			}
+			if err := emit(dw, d, row); err != nil {
+				return err
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Verify is the beam-steering golden check: it builds the synthetic
-// calibration tables, runs Steer, and proves the first, middle and last
-// outputs against the independent single-output formula. Every machine
+// calibration tables, runs Steer's loop nest, and proves the first,
+// middle and last outputs against the independent single-output
+// formula as their rows come out, keeping no output cube. Every machine
 // model calls it once before timing the kernel.
 func Verify(spec Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 	tables := testsig.NewBeamTables(spec.Elements, spec.Directions, spec.Dwells, 7)
-	out, err := Steer(spec, tables)
-	if err != nil {
+	seen := 0
+	err := steerRows(spec, tables, func(dw, d int, row []int32) error {
+		n, err := checkRow(spec, tables, dw, d, row)
+		seen += n
 		return err
+	})
+	if err == nil && seen != len(probes(spec)) {
+		err = fmt.Errorf("beamsteer: %d of %d probed outputs produced", seen, len(probes(spec)))
 	}
-	return checkProbes(spec, tables, out)
+	return err
 }
 
-// checkProbes compares the first, middle and last outputs of out with
-// SteerOne.
-func checkProbes(spec Spec, tables *testsig.BeamTables, out [][][]int32) error {
-	for _, p := range [][3]int{
+// probes are the [dwell, direction, element] outputs Verify proves:
+// the first, the last and one in the middle.
+func probes(spec Spec) [][3]int {
+	return [][3]int{
 		{0, 0, 0},
 		{spec.Dwells - 1, spec.Directions - 1, spec.Elements - 1},
 		{spec.Dwells / 2, 0, spec.Elements / 2},
-	} {
-		dw, d, e := p[0], p[1], p[2]
-		if got, want := out[dw][d][e], SteerOne(spec, tables, dw, d, e); got != want {
-			return fmt.Errorf("beamsteer: output %v = %d, want %d", p, got, want)
+	}
+}
+
+// checkRow compares the probed outputs in row, the outputs of dwell dw
+// and direction d, with SteerOne, and reports how many it checked.
+func checkRow(spec Spec, tables *testsig.BeamTables, dw, d int, row []int32) (int, error) {
+	n := 0
+	for _, p := range probes(spec) {
+		if p[0] != dw || p[1] != d {
+			continue
+		}
+		n++
+		if got, want := row[p[2]], SteerOne(spec, tables, dw, d, p[2]); got != want {
+			return n, fmt.Errorf("beamsteer: output %v = %d, want %d", p, got, want)
 		}
 	}
-	return nil
+	return n, nil
 }
 
 // SteerOne computes a single output, independently of Steer's loop

@@ -33,11 +33,18 @@ func TestSpecValidate(t *testing.T) {
 		{Elements: 4, Directions: 0, Dwells: 1},
 		{Elements: 4, Directions: 4, Dwells: 0},
 		{Elements: 4, Directions: 4, Dwells: 1, ShiftBits: 40},
+		{Elements: MaxElements + 1, Directions: 1, Dwells: 1},
+		{Elements: 4, Directions: MaxDirections + 1, Dwells: 1},
+		{Elements: 4, Directions: 4, Dwells: MaxDwells + 1},
+		{Elements: MaxElements, Directions: MaxDirections, Dwells: 2},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d passed validation", i)
 		}
+	}
+	if err := (Spec{Elements: MaxElements, Directions: MaxDirections, Dwells: 1}).Validate(); err != nil {
+		t.Errorf("a spec at every bound (2^24 outputs): %v", err)
 	}
 }
 
@@ -158,6 +165,22 @@ func BenchmarkSteerPaperSpec(b *testing.B) {
 	}
 }
 
+// checkProbes runs Verify's per-row probe check over a whole cube and
+// reports how many probes it checked.
+func checkProbes(spec Spec, tables *testsig.BeamTables, out [][][]int32) (int, error) {
+	seen := 0
+	for dw := range out {
+		for d := range out[dw] {
+			n, err := checkRow(spec, tables, dw, d, out[dw][d])
+			seen += n
+			if err != nil {
+				return seen, err
+			}
+		}
+	}
+	return seen, nil
+}
+
 // TestVerifyCatchesWrongOutput proves the golden check can fail: Steer's
 // cube passes the probe comparison, and changing any one probed output
 // makes it fail.
@@ -171,14 +194,56 @@ func TestVerifyCatchesWrongOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkProbes(s, tb, out); err != nil {
-		t.Fatal(err)
+	if n, err := checkProbes(s, tb, out); err != nil || n != 3 {
+		t.Fatalf("Steer's cube: %v, %d probes checked", err, n)
 	}
 	for _, p := range [][3]int{{0, 0, 0}, {2, 3, 12}, {1, 0, 6}} {
 		out[p[0]][p[1]][p[2]]++
-		if err := checkProbes(s, tb, out); err == nil {
+		if _, err := checkProbes(s, tb, out); err == nil {
 			t.Errorf("changed output %v passed verification", p)
 		}
 		out[p[0]][p[1]][p[2]]--
+	}
+}
+
+// TestVerifyStreamsRows pins that Verify's check reads the rows
+// steerRows produces: rows computed without the rounding constant fail
+// it, and a grid short of the last direction leaves a probe unchecked.
+func TestVerifyStreamsRows(t *testing.T) {
+	s := Spec{Elements: 13, Directions: 4, Dwells: 3, ShiftBits: 2, Rounding: 2}
+	tb := tables(s)
+	run := func(rows Spec) (int, error) {
+		seen := 0
+		err := steerRows(rows, tb, func(dw, d int, row []int32) error {
+			n, err := checkRow(s, tb, dw, d, row)
+			seen += n
+			return err
+		})
+		return seen, err
+	}
+	if n, err := run(s); err != nil || n != 3 {
+		t.Fatalf("steerRows under the probe check: %v, %d probes checked", err, n)
+	}
+	noRounding := s
+	noRounding.Rounding = 0
+	if _, err := run(noRounding); err == nil {
+		t.Error("rows computed without the rounding constant passed the probe check")
+	}
+	short := s
+	short.Directions = 3
+	if n, err := run(short); err != nil || n == 3 {
+		t.Errorf("a grid short of the last direction: %v, %d probes checked; want fewer than 3", err, n)
+	}
+}
+
+// BenchmarkVerify is the golden check's cost at the paper size; it keeps
+// one row, not the output cube.
+func BenchmarkVerify(b *testing.B) {
+	s := PaperSpec()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := Verify(s); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -31,6 +31,11 @@ type Spec struct {
 // PaperSpec returns the paper's 1024 x 1024 x 4-byte instance.
 func PaperSpec() Spec { return Spec{Rows: 1024, Cols: 1024, BlockSize: 16} }
 
+// MaxDim bounds Rows, Cols and BlockSize: twice the largest matrix edge
+// the size sweep runs (2048), so each operand is at most 64 MiB. Specs
+// arrive from the network, and verification allocates three matrices.
+const MaxDim = 4096
+
 // Validate reports whether the spec is usable.
 func (s Spec) Validate() error {
 	if s.Rows <= 0 || s.Cols <= 0 {
@@ -38,6 +43,14 @@ func (s Spec) Validate() error {
 	}
 	if s.BlockSize <= 0 {
 		return fmt.Errorf("cornerturn: non-positive block size %d", s.BlockSize)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Rows", s.Rows}, {"Cols", s.Cols}, {"BlockSize", s.BlockSize}} {
+		if f.v > MaxDim {
+			return fmt.Errorf("cornerturn: %s %d above the %d limit", f.name, f.v, MaxDim)
+		}
 	}
 	return nil
 }
@@ -166,20 +179,18 @@ const referenceEntryBytes = 56
 var references = cache.NewSizedMemo(referenceBudget, func(uint64) int { return referenceEntryBytes })
 
 // referenceChecksum returns the checksum of the naive transpose of src,
-// which must hold the synthetic fill of its shape.
+// which must hold the synthetic fill of its shape. Concurrent misses on
+// one shape compute it once.
 func referenceChecksum(src *testsig.Matrix) (uint64, error) {
 	key := strconv.Itoa(src.Rows) + "x" + strconv.Itoa(src.Cols)
-	if sum, ok := references.Get(key); ok {
-		return sum, nil
-	}
-	ref := testsig.GetMatrix(src.Cols, src.Rows)
-	defer ref.Release()
-	if err := Transpose(ref, src); err != nil {
-		return 0, err
-	}
-	sum := Checksum(ref)
-	references.Put(key, sum)
-	return sum, nil
+	return references.Do(key, func() (uint64, error) {
+		ref := testsig.GetMatrix(src.Cols, src.Rows)
+		defer ref.Release()
+		if err := Transpose(ref, src); err != nil {
+			return 0, err
+		}
+		return Checksum(ref), nil
+	})
 }
 
 // ReferenceStats reports the reference memo's hits, misses and

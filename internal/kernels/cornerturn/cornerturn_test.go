@@ -28,6 +28,9 @@ func TestSpecValidate(t *testing.T) {
 		{Rows: 0, Cols: 4, BlockSize: 2},
 		{Rows: 4, Cols: -1, BlockSize: 2},
 		{Rows: 4, Cols: 4, BlockSize: 0},
+		{Rows: MaxDim + 1, Cols: 4, BlockSize: 2},
+		{Rows: 4, Cols: 100_000, BlockSize: 2},
+		{Rows: 4, Cols: 4, BlockSize: MaxDim + 1},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

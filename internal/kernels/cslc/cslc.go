@@ -481,8 +481,9 @@ const referenceBudget = 3 << 19
 // references memoizes Verify's inputs and references. Each piece is
 // keyed by exactly the spec fields it reads, so specs that differ only
 // in radix (the five machines of one grid) share the scene and the
-// naive spectra. Stored values are shared read-only: nothing writes to
-// a scene, spectrum, weight or reference after it is built.
+// naive spectra. Pieces fill through Do, so concurrent misses on one
+// key build it once. Stored values are shared read-only: nothing writes
+// to a scene, spectrum, weight or reference after it is built.
 var references = cache.NewSizedMemo(referenceBudget, golden.bytes)
 
 // golden holds Verify's memoized inputs and references. A memo entry
@@ -527,24 +528,10 @@ func cells(rows [][]complex128) int {
 	return n
 }
 
-// memoized returns the piece stored under key, building and storing it
-// on a miss. Two concurrent misses on one key may both build it; the
-// pieces are identical by construction.
-func memoized(key string, build func() (golden, error)) (golden, error) {
-	if g, ok := references.Get(key); ok {
-		return g, nil
-	}
-	g, err := build()
-	if err == nil {
-		references.Put(key, g)
-	}
-	return g, err
-}
-
 // goldenFor assembles the memoized scene, weights and reference of a
 // valid spec.
 func goldenFor(s Spec) (golden, error) {
-	scene, err := memoized(fmt.Sprintf("scene %d %d %d", s.Samples, s.MainChannels, s.AuxChannels),
+	scene, err := references.Do(fmt.Sprintf("scene %d %d %d", s.Samples, s.MainChannels, s.AuxChannels),
 		func() (golden, error) {
 			sc := testsig.DefaultScene(s.Samples)
 			sc.AuxCoupling = sc.AuxCoupling[:s.AuxChannels]
@@ -554,12 +541,12 @@ func goldenFor(s Spec) (golden, error) {
 		return golden{}, err
 	}
 	bands := probeBands(s)
-	spectra, err := memoized(fmt.Sprintf("spectra %d %d %d %d %d", s.Samples, s.MainChannels, s.AuxChannels, s.FFTSize, s.SubBands),
+	spectra, err := references.Do(fmt.Sprintf("spectra %d %d %d %d %d", s.Samples, s.MainChannels, s.AuxChannels, s.FFTSize, s.SubBands),
 		func() (golden, error) { return golden{spectra: naiveSpectra(s, scene.channels, bands)}, nil })
 	if err != nil {
 		return golden{}, err
 	}
-	out, err := memoized(fmt.Sprintf("output %d %d %d %d %d %d", s.Samples, s.MainChannels, s.AuxChannels, s.FFTSize, s.SubBands, s.Radix),
+	out, err := references.Do(fmt.Sprintf("output %d %d %d %d %d %d", s.Samples, s.MainChannels, s.AuxChannels, s.FFTSize, s.SubBands, s.Radix),
 		func() (golden, error) {
 			w, err := EstimateWeights(s, scene.channels)
 			if err != nil {

@@ -57,6 +57,17 @@ func Valid(name string) error {
 	return fmt.Errorf("machines: unknown machine %q", name)
 }
 
+// Host names the hardware a machine row runs on. The PPC and AltiVec
+// rows are one PowerPC G4 ("G4") under two code generators, so one spec
+// walks the same memory trace on both (package ppc memoizes it); every
+// other row is its own hardware.
+func Host(name string) string {
+	if name == "PPC" || name == "AltiVec" {
+		return "G4"
+	}
+	return name
+}
+
 // ByName returns the named machine with its default configuration. Only
 // the requested machine is constructed.
 func ByName(name string) (core.Machine, error) {

@@ -37,19 +37,21 @@ func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
 		return core.Result{}, fmt.Errorf("ppc: corner turn: %w", err)
 	}
 
-	m.reset()
+	fresh := m.begin()
 	block := spec.BlockSize
 	// Cache trace: the blocked loop nest's actual accesses.
-	for r0 := 0; r0 < spec.Rows; r0 += block {
-		for c0 := 0; c0 < spec.Cols; c0 += block {
-			for r := r0; r < minInt(r0+block, spec.Rows); r++ {
-				for c := c0; c < minInt(c0+block, spec.Cols); c++ {
-					m.access(srcBase+(r*spec.Cols+c)*4, false)
-					m.access(dstBase+(c*spec.Rows+r)*4, true)
+	m.walk(m.walkKey(core.CornerTurn, spec), fresh, func() {
+		for r0 := 0; r0 < spec.Rows; r0 += block {
+			for c0 := 0; c0 < spec.Cols; c0 += block {
+				for r := r0; r < minInt(r0+block, spec.Rows); r++ {
+					for c := c0; c < minInt(c0+block, spec.Cols); c++ {
+						m.access(srcBase+(r*spec.Cols+c)*4, false)
+						m.access(dstBase+(c*spec.Rows+r)*4, true)
+					}
 				}
 			}
 		}
-	}
+	})
 	elems := spec.Words()
 	var compute uint64
 	if m.Vector() {
@@ -80,29 +82,31 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 		return core.Result{}, err
 	}
 
-	m.reset()
+	fresh := m.begin()
 	// Cache trace: sub-band extraction reads each channel's windows from
 	// the channel arrays; butterfly working sets are L1-resident after
 	// extraction; outputs stream to a result array.
-	hop := spec.Hop() * 8 // bytes between window starts (complex64)
-	chBytes := spec.Samples * 8
-	for ch := 0; ch < spec.Channels(); ch++ {
-		base := ch * chBytes
-		for b := 0; b < spec.SubBands; b++ {
-			for s := 0; s < spec.FFTSize; s++ {
-				m.access(base+b*hop+s*8, false)
-				m.access(base+b*hop+s*8+4, false)
+	m.walk(m.walkKey(core.CSLC, spec), fresh, func() {
+		hop := spec.Hop() * 8 // bytes between window starts (complex64)
+		chBytes := spec.Samples * 8
+		for ch := 0; ch < spec.Channels(); ch++ {
+			base := ch * chBytes
+			for b := 0; b < spec.SubBands; b++ {
+				for s := 0; s < spec.FFTSize; s++ {
+					m.access(base+b*hop+s*8, false)
+					m.access(base+b*hop+s*8+4, false)
+				}
 			}
 		}
-	}
-	outBase := spec.Channels() * chBytes
-	for mch := 0; mch < spec.MainChannels; mch++ {
-		for b := 0; b < spec.SubBands; b++ {
-			for s := 0; s < spec.FFTSize; s++ {
-				m.access(outBase+(mch*spec.SubBands+b)*spec.FFTSize*8+s*8, true)
+		outBase := spec.Channels() * chBytes
+		for mch := 0; mch < spec.MainChannels; mch++ {
+			for b := 0; b < spec.SubBands; b++ {
+				for s := 0; s < spec.FFTSize; s++ {
+					m.access(outBase+(mch*spec.SubBands+b)*spec.FFTSize*8+s*8, true)
+				}
 			}
 		}
-	}
+	})
 
 	plan, err := fft.NewPlan(spec.FFTSize, spec.Radix, false)
 	if err != nil {
@@ -166,19 +170,21 @@ func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
 		return core.Result{}, err
 	}
 
-	m.reset()
-	calBase, gradBase := 0, spec.Elements*4
-	outAddr := 2 * spec.Elements * 4
-	for dw := 0; dw < spec.Dwells; dw++ {
-		for d := 0; d < spec.Directions; d++ {
-			for e := 0; e < spec.Elements; e++ {
-				m.access(calBase+e*4, false)
-				m.access(gradBase+e*4, false)
-				m.access(outAddr, true)
-				outAddr += 4
+	fresh := m.begin()
+	m.walk(m.walkKey(core.BeamSteering, spec), fresh, func() {
+		calBase, gradBase := 0, spec.Elements*4
+		outAddr := 2 * spec.Elements * 4
+		for dw := 0; dw < spec.Dwells; dw++ {
+			for d := 0; d < spec.Directions; d++ {
+				for e := 0; e < spec.Elements; e++ {
+					m.access(calBase+e*4, false)
+					m.access(gradBase+e*4, false)
+					m.access(outAddr, true)
+					outAddr += 4
+				}
 			}
 		}
-	}
+	})
 	outputs := spec.Outputs()
 	var compute uint64
 	if m.Vector() {

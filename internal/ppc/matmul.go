@@ -17,7 +17,7 @@ func (m *Machine) RunMatMul(spec matmul.Spec) (core.Result, error) {
 		return core.Result{}, err
 	}
 
-	m.reset()
+	m.begin()
 	const (
 		aBase = 0
 		bBase = 16 << 20

@@ -18,7 +18,7 @@ func (m *Machine) RunPFB(w pfb.Workload) (core.Result, error) {
 		return core.Result{}, err
 	}
 
-	m.reset()
+	m.begin()
 	frames := w.FrameCount()
 	// Cache trace: each frame reads its new samples and revisits the
 	// prototype-length history (resident after the first touch); outputs

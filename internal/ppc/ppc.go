@@ -125,6 +125,9 @@ type Machine struct {
 	// result reports them as a Stats and a Breakdown.
 	instructions, memAccesses   uint64
 	computeCycles, memoryCycles uint64
+	// ran is set by the first kernel run since construction; until then
+	// the instance is fresh (see walk).
+	ran bool
 }
 
 // New returns a machine for cfg, panicking on invalid configuration.
@@ -163,6 +166,14 @@ func (m *Machine) Vector() bool { return m.cfg.Variant == AltiVec }
 // bit-identical cycle counts. Every kernel entry point performs the
 // same rewind on entry.
 func (m *Machine) Reset() { m.reset() }
+
+// begin rewinds the machine for a kernel run and reports whether the
+// run is the instance's first since construction.
+func (m *Machine) begin() (fresh bool) {
+	m.reset()
+	fresh, m.ran = !m.ran, true
+	return fresh
+}
 
 // reset rewinds caches and accounting between kernel runs.
 func (m *Machine) reset() {

@@ -138,7 +138,9 @@ func TestBeamSteeringAltiVecGainsAboutTwo(t *testing.T) {
 func TestCornerTurnConflictMisses(t *testing.T) {
 	// The 16-row blocks conflict in the L1 (4 KB row stride, 8 ways):
 	// the destination write pattern must miss L1 far more often than the
-	// 1-in-8 spatial minimum.
+	// 1-in-8 spatial minimum. The trace memo is purged so this instance
+	// walks its own hierarchy instead of reading an earlier walk's cost.
+	PurgeTraceMemo()
 	m := New(DefaultConfig(Scalar))
 	if _, err := m.RunCornerTurn(cornerturn.PaperSpec()); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,93 @@
+package ppc
+
+import (
+	"encoding/json"
+	"fmt"
+
+	"sigkern/internal/cache"
+	"sigkern/internal/core"
+	"sigkern/internal/dram"
+)
+
+// The PPC and AltiVec rows are one G4 under two code generators: a
+// kernel's access trace and the L1/L2/DRAM hierarchy it walks are the
+// same for both. What the walk costs the hierarchy (the raw read and
+// write miss stall and the access count) reads nothing else of the
+// machine; the variant, IssueWidth, the functional-unit latencies and
+// the MLP factors enter only afterwards, in the cost model. So each
+// trace is walked once per process and its cost memoized, keyed by
+// everything the walk reads: the kernel, its spec, and the L1, L2 and
+// DRAM configs.
+
+// walkCost is what one kernel's access walk costs the hierarchy.
+type walkCost struct {
+	// readStall and writeStall are the raw miss latency beyond the L1
+	// hit, summed in walk order before the MLP factors divide them.
+	readStall, writeStall float64
+	accesses              uint64
+	// fresh records that the instance that walked was on its first run
+	// since construction, so nothing an earlier run left in its
+	// hierarchy can have reached the sums.
+	fresh bool
+}
+
+// walkBudget bounds the bytes the trace memo retains.
+const walkBudget = 256 << 10
+
+// walkEntryBytes is what one memoized cost is charged beside its key:
+// the 32-byte value and its share of the table.
+const walkEntryBytes = 80
+
+// walks memoizes walk costs by walkKey.
+var walks = cache.NewSizedMemo(walkBudget, func(walkCost) int { return walkEntryBytes })
+
+// walkKey is the trace memo key of one kernel's walk on m: the kernel,
+// its spec, and the memory configs.
+func (m *Machine) walkKey(kernel core.KernelID, spec any) string {
+	key, err := json.Marshal(struct {
+		Kernel core.KernelID
+		Spec   any
+		L1, L2 cache.Config
+		DRAM   dram.Config
+	}{kernel, spec, m.cfg.L1, m.cfg.L2, m.cfg.DRAM})
+	if err != nil {
+		// Specs and configs are plain data; Marshal cannot fail on them.
+		panic(fmt.Sprintf("ppc: trace key: %v", err))
+	}
+	return string(key)
+}
+
+// walk charges one kernel run's memory walk to m, which begin has just
+// rewound; trace issues the run's accesses through m.access. The cost
+// comes from the trace memo when it holds an entry m may trust, else
+// trace runs on m's hierarchy and its cost is stored.
+//
+// A reused instance trusts any entry. A fresh one trusts only entries a
+// fresh instance walked: the pool's reuse guard re-runs a reused
+// instance's cell on a fresh instance, and that check must not copy its
+// answer from the instance it is checking. So a fresh instance that
+// finds another kind of entry walks anyway and replaces it.
+func (m *Machine) walk(key string, fresh bool, trace func()) {
+	run := func() walkCost {
+		trace()
+		return walkCost{m.readStall, m.writeStal, m.memAccesses, fresh}
+	}
+	c, _ := walks.Do(key, func() (walkCost, error) { return run(), nil })
+	if fresh && !c.fresh {
+		c = run()
+		walks.Put(key, c)
+	}
+	m.readStall, m.writeStal, m.memAccesses = c.readStall, c.writeStall, c.accesses
+}
+
+// TraceMemoStats reports the trace memo's hits (lookups that found an
+// entry, including those a fresh instance then re-walks), misses
+// (lookups that found none and walked) and retained bytes.
+func TraceMemoStats() (hits, misses uint64, bytes int) {
+	hits, misses = walks.Counters()
+	return hits, misses, walks.Bytes()
+}
+
+// PurgeTraceMemo drops every memoized walk, keeping the counters, so
+// the next run of each trace walks the hierarchy again.
+func PurgeTraceMemo() { walks.Purge() }

@@ -501,10 +501,20 @@ func (s *Service) task(j *Job, abort <-chan struct{}, expires time.Time) Task {
 // point. RunOn is a pure function of (spec, instance), so the
 // reuse-sampling guard may re-run it on a fresh instance; the config
 // hash keys the instance cache, so a spec can never run on an instance
-// built for different hardware.
+// built for different hardware. The PPC and AltiVec rows of a spec share
+// (Task.Shares) its hash under their host's name (machines.Host).
 func specTask(spec JobSpec, hash string, factory MachineFactory, chaos *faults.Registry) Task {
 	if spec.Config != nil {
 		factory = machines.ChaosFactory(chaos, spec.Config.Machine)
+	}
+	var shares func() string
+	if host := machines.Host(spec.Machine); host != spec.Machine {
+		shares = func() string {
+			folded := spec
+			folded.Machine = host
+			key, _ := folded.Hash() // plain data: Marshal cannot fail
+			return key
+		}
 	}
 	return Task{
 		Label:      fmt.Sprintf("%s/%s", spec.Machine, spec.Kernel),
@@ -513,6 +523,7 @@ func specTask(spec JobSpec, hash string, factory MachineFactory, chaos *faults.R
 		Machine:    spec.Machine,
 		Factory:    factory,
 		ConfigHash: spec.ConfigHash(),
+		Shares:     shares,
 		RunOn: func(_ context.Context, m core.Machine) (core.Result, error) {
 			return core.Run(m, spec.Kernel, *spec.Workload)
 		},

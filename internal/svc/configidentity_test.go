@@ -387,3 +387,55 @@ func TestTooManyAuxChannelsRejected(t *testing.T) {
 		t.Fatalf("paper VIRAM CSLC job after the rejected specs: %d %+v", resp.StatusCode, job)
 	}
 }
+
+// TestOverBoundWorkloadsRejected sends corner-turn and beam-steering
+// workloads above the kernels' absolute bounds (a 100k x 100k corner
+// turn would ask for 40 GB). Every write endpoint must answer 400
+// naming the field before anything is queued: the pool builds no
+// machine for them.
+func TestOverBoundWorkloadsRejected(t *testing.T) {
+	s, srv := newTestServer(t)
+	over := []struct {
+		field string
+		edit  func(*core.Workload)
+	}{
+		{"Rows", func(w *core.Workload) { w.CornerTurn.Rows = 100_000 }},
+		{"Cols", func(w *core.Workload) { w.CornerTurn.Cols = 4097 }},
+		{"BlockSize", func(w *core.Workload) { w.CornerTurn.BlockSize = 8192 }},
+		{"Elements", func(w *core.Workload) { w.Beam.Elements = 70_000 }},
+		{"Directions", func(w *core.Workload) { w.Beam.Directions = 257 }},
+		{"Dwells", func(w *core.Workload) { w.Beam.Dwells = 5000 }},
+		{"Outputs", func(w *core.Workload) { w.Beam.Elements, w.Beam.Directions, w.Beam.Dwells = 65536, 256, 2 }},
+	}
+	builds := s.Metrics().Snapshot().MachineBuilds
+	for _, o := range over {
+		w := core.PaperWorkload()
+		o.edit(&w)
+		raw, err := json.Marshal(JobSpec{Machine: "PPC", Kernel: core.CornerTurn, Workload: &w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := string(raw)
+		for _, call := range []struct{ path, contentType, body string }{
+			{"/v1/jobs?wait=1", "application/json", spec},
+			{"/v1/batch", "application/x-ndjson", spec + "\n"},
+			{"/v1/dse", "application/json", `{"base":` + spec + `}`},
+		} {
+			resp, err := http.Post(srv.URL+call.path, call.contentType, strings.NewReader(call.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), o.field) {
+				t.Errorf("POST %s with %s over its bound: %d %s, want 400 naming it", call.path, o.field, resp.StatusCode, body)
+			}
+		}
+	}
+	if got := s.Metrics().Snapshot().MachineBuilds; got != builds {
+		t.Fatalf("over-bound specs built %d machines", got-builds)
+	}
+}

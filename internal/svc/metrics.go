@@ -12,6 +12,7 @@ import (
 	"sigkern/internal/kernels/cornerturn"
 	"sigkern/internal/kernels/cslc"
 	"sigkern/internal/obs"
+	"sigkern/internal/ppc"
 )
 
 // latencyWindow bounds the ring buffers behind the latency quantiles: a
@@ -94,6 +95,7 @@ type Metrics struct {
 	machineBuilds atomic.Uint64
 	reuseChecks   atomic.Uint64
 	machineEvicts atomic.Uint64
+	tasksHeld     atomic.Uint64 // tasks set aside by Task.Shares
 
 	// latMu guards the two rolling windows only. all holds every
 	// terminal job (cache hits included) and feeds the reported
@@ -284,6 +286,9 @@ func (m *Metrics) reuseChecked() { m.reuseChecks.Add(1) }
 // state is no longer trustworthy.
 func (m *Metrics) machineEvicted() { m.machineEvicts.Add(1) }
 
+// taskHeld records a task set aside behind the holder of its Shares key.
+func (m *Metrics) taskHeld() { m.tasksHeld.Add(1) }
+
 // breakerRejected records an admission rejected by an open breaker.
 func (m *Metrics) breakerRejected() { m.breakerDrops.Add(1) }
 
@@ -410,6 +415,9 @@ type Snapshot struct {
 	MachineBuilds    uint64 `json:"machine_builds"`
 	ReuseChecks      uint64 `json:"reuse_checks"`
 	MachineEvictions uint64 `json:"machine_evictions"`
+	// TasksHeld counts tasks set aside behind a running task holding
+	// their Task.Shares key (the AltiVec twin of a running PPC cell).
+	TasksHeld uint64 `json:"tasks_held"`
 	// JournalAppendErrors counts job lifecycle transitions the
 	// durability journal failed to persist (disk trouble; the health
 	// endpoint degrades while it is non-zero).
@@ -469,6 +477,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		MachineBuilds:    m.machineBuilds.Load(),
 		ReuseChecks:      m.reuseChecks.Load(),
 		MachineEvictions: m.machineEvicts.Load(),
+		TasksHeld:        m.tasksHeld.Load(),
 
 		JournalAppendErrors: m.journalErrs.Load(),
 
@@ -548,6 +557,7 @@ func (s Snapshot) describe() []metricDesc {
 		{"simserved_machine_builds_total", "counter", "Fresh machine-instance constructions on the reuse path.", fmt.Sprintf("%d", s.MachineBuilds)},
 		{"simserved_reuse_checks_total", "counter", "Sampled fresh-instance verifications of reused-instance results.", fmt.Sprintf("%d", s.ReuseChecks)},
 		{"simserved_machine_evictions_total", "counter", "Cached machine instances dropped as untrustworthy.", fmt.Sprintf("%d", s.MachineEvictions)},
+		{"simserved_tasks_held_total", "counter", "Tasks set aside off-worker until a running task sharing their work ended.", fmt.Sprintf("%d", s.TasksHeld)},
 		{"simserved_journal_append_errors_total", "counter", "Lifecycle transitions the durability journal failed to persist.", fmt.Sprintf("%d", s.JournalAppendErrors)},
 		{"simserved_estimates_served_total", "counter", "Estimate-tier jobs answered from the analytic roofline model.", fmt.Sprintf("%d", s.Estimates)},
 		{"simserved_model_drift_alerts_total", "counter", "Simulated results outside the analytic model's error envelope.", fmt.Sprintf("%d", s.ModelDrift)},
@@ -610,7 +620,32 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	if err := writeReferenceMemos(w); err != nil {
 		return err
 	}
+	if err := writeTraceMemo(w); err != nil {
+		return err
+	}
 	return m.reg.WritePrometheus(w)
+}
+
+// writeTraceMemo renders the process-wide G4 trace memo (package ppc):
+// hits, misses and retained bytes.
+func writeTraceMemo(w io.Writer) error {
+	hits, misses, bytes := ppc.TraceMemoStats()
+	for _, f := range []struct {
+		name, help, typ string
+		v               uint64
+	}{
+		{"simserved_ppc_trace_memo_hits_total", "G4 trace memo lookups that found an entry since process start.", "counter", hits},
+		{"simserved_ppc_trace_memo_misses_total", "G4 trace memo lookups that found none and walked the hierarchy since process start.", "counter", misses},
+		{"simserved_ppc_trace_memo_bytes", "Bytes the G4 trace memo retains.", "gauge", uint64(bytes)},
+	} {
+		if err := obs.WritePromHeader(w, f.name, f.help, f.typ); err != nil {
+			return err
+		}
+		if err := obs.WritePromSample(w, f.name, obs.Labels{}, "", "", fmt.Sprintf("%d", f.v)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeReferenceMemos renders the kernels' process-wide golden-reference

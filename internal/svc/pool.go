@@ -112,6 +112,14 @@ type Task struct {
 	// completed tasks are unaffected — a batch client disconnecting
 	// cancels only unstarted cells.
 	Abort <-chan struct{}
+	// Shares, when set, returns a key naming work this task has in
+	// common with others (the memory walk of a spec's PPC and AltiVec
+	// rows); it is called at pickup, so a memo hit never pays for it. A
+	// task picked up while a running task holds its key is set aside,
+	// and the worker takes the next task; when the holder ends, the tasks
+	// set aside behind it run ahead of their class's queue, in pickup
+	// order, and no longer exclude each other.
+	Shares func() string
 }
 
 // instanceKey is the per-worker machine-cache key: the machine name
@@ -252,11 +260,21 @@ type Pool struct {
 	// cancel stops all workers' contexts on Close.
 	cancel context.CancelFunc
 	ctx    context.Context
+
+	// holdMu guards the Task.Shares state: the tasks set aside behind
+	// each held key, the released ones in pickup order, and their count.
+	holdMu   sync.Mutex
+	holding  map[string][]poolItem
+	released []poolItem
+	held     int
 }
 
 type poolItem struct {
 	task Task
 	fut  *Future
+	// released marks a task set aside by Shares and since released: it
+	// runs without its key.
+	released bool
 }
 
 // NewPool starts a pool with opts.Workers workers.
@@ -283,6 +301,7 @@ func NewPool(opts PoolOptions) *Pool {
 		metrics:  opts.Metrics,
 		faults:   opts.Faults,
 		inflight: make(map[string]*Future),
+		holding:  make(map[string][]poolItem),
 	}
 	if opts.MemoCapacity >= 0 {
 		capacity := opts.MemoCapacity
@@ -316,8 +335,12 @@ func (p *Pool) Workers() int { return p.opts.Workers }
 func (p *Pool) Metrics() *Metrics { return p.metrics }
 
 // QueueDepth returns the number of tasks waiting for a worker across
-// both priority queues.
-func (p *Pool) QueueDepth() int { return len(p.tasks) + len(p.batch) }
+// both priority queues, held ones (Task.Shares) included.
+func (p *Pool) QueueDepth() int {
+	p.holdMu.Lock()
+	defer p.holdMu.Unlock()
+	return len(p.tasks) + len(p.batch) + p.held
+}
 
 // QueueDepthFor returns the number of tasks waiting in one priority
 // class's queue.
@@ -587,7 +610,8 @@ func (p *Pool) removeFlight(key string, fut *Future) {
 }
 
 // Close stops accepting tasks, waits for running workers to finish
-// their current job, and fails the futures of tasks still queued.
+// their current job, and fails the futures of tasks still queued or
+// held.
 func (p *Pool) Close() {
 	p.submitMu.Lock()
 	if p.closed {
@@ -608,6 +632,16 @@ func (p *Pool) Close() {
 				break drain
 			}
 		}
+	}
+	p.holdMu.Lock()
+	held := p.released
+	for _, behind := range p.holding {
+		held = append(held, behind...)
+	}
+	p.holding, p.released, p.held = map[string][]poolItem{}, nil, 0
+	p.holdMu.Unlock()
+	for _, item := range held {
+		p.fail(item, ErrPoolClosed)
 	}
 }
 
@@ -636,16 +670,22 @@ func newWorkerState() *workerState {
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	ws := newWorkerState()
-	for {
-		// Strict priority: drain every pending interactive task before
-		// even looking at the batch queue.
+	for p.ctx.Err() == nil {
+		// Strict priority: drain every pending interactive task, released
+		// ones first, before even looking at batch work.
+		if item, ok := p.unhold(PriorityInteractive); ok {
+			p.execute(item, ws)
+			continue
+		}
 		select {
 		case item := <-p.tasks:
 			p.execute(item, ws)
 			continue
-		case <-p.ctx.Done():
-			return
 		default:
+		}
+		if item, ok := p.unhold(PriorityBatch); ok {
+			p.execute(item, ws)
+			continue
 		}
 		select {
 		case item := <-p.tasks:
@@ -653,9 +693,49 @@ func (p *Pool) worker() {
 		case item := <-p.batch:
 			p.execute(item, ws)
 		case <-p.ctx.Done():
-			return
 		}
 	}
+}
+
+// hold sets item aside behind the running task that holds key and
+// reports true, or makes item key's holder and reports false.
+func (p *Pool) hold(key string, item poolItem) bool {
+	p.holdMu.Lock()
+	defer p.holdMu.Unlock()
+	behind, running := p.holding[key]
+	if running {
+		behind = append(behind, item)
+		p.held++
+		p.metrics.taskHeld()
+	}
+	p.holding[key] = behind
+	return running
+}
+
+// release ends key's hold: the tasks set aside behind it join the
+// released list, which the releasing worker reads next.
+func (p *Pool) release(key string) {
+	p.holdMu.Lock()
+	defer p.holdMu.Unlock()
+	for _, item := range p.holding[key] {
+		item.released = true
+		p.released = append(p.released, item)
+	}
+	delete(p.holding, key)
+}
+
+// unhold takes the first released task of priority class pr, if any.
+func (p *Pool) unhold(pr Priority) (poolItem, bool) {
+	p.holdMu.Lock()
+	defer p.holdMu.Unlock()
+	for i, item := range p.released {
+		if (item.task.Priority == PriorityBatch) == (pr == PriorityBatch) {
+			p.released = append(p.released[:i], p.released[i+1:]...)
+			p.held--
+			return item, true
+		}
+	}
+	return poolItem{}, false
 }
 
 // panicError reports a recovered task panic; it is never transient.
@@ -691,6 +771,15 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 			return
 		default:
 		}
+	}
+	// A task whose Shares key a running task holds waits off-worker
+	// until that task ends; otherwise it holds the key while it runs.
+	if item.task.Shares != nil && !item.released {
+		key := item.task.Shares()
+		if p.hold(key, item) {
+			return
+		}
+		defer p.release(key)
 	}
 	close(item.fut.started)
 	p.metrics.jobStarted()

@@ -5,10 +5,12 @@
 # The set is split in three because the right benchtime differs:
 #   - simulator benchmarks (all three Table 3 kernels, plus the first-run
 #     cost of the corner-turn and CSLC golden checks with their reference
-#     memo purged, BenchmarkVerifyCold, and the 128-point naive DFT/IDFT
-#     those checks reference, BenchmarkNaiveDFT): a handful of fixed
-#     iterations — a Table 3 iteration is a full deterministic
-#     simulation, so more iterations only burn time;
+#     memo purged, BenchmarkVerifyCold, the 128-point naive DFT/IDFT
+#     those checks reference, BenchmarkNaiveDFT, and the PPC cells with
+#     the G4 trace memo purged, BenchmarkWalkCold — the Table 3 PPC and
+#     AltiVec rows read that memo after their first iteration): a
+#     handful of fixed iterations — a Table 3 iteration is a full
+#     deterministic simulation, so more iterations only burn time;
 #   - service benchmarks (BenchmarkServiceThroughput): time-based, the
 #     usual regime for nanosecond-scale operations;
 #   - grid benchmarks (BenchmarkBatchGrid, BenchmarkDSEGrid): one fixed
@@ -39,9 +41,9 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run='^$' -bench='Table3CornerTurn|Table3CSLC|Table3BeamSteering' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SIM_BENCHTIME:-20x}" . | tee "$tmp"
-go test -run='^$' -bench='VerifyCold|NaiveDFT' -benchmem \
+go test -run='^$' -bench='VerifyCold|NaiveDFT|WalkCold' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SIM_BENCHTIME:-20x}" \
-    ./internal/kernels/cornerturn ./internal/kernels/cslc ./internal/kernels/fft | tee -a "$tmp"
+    ./internal/kernels/cornerturn ./internal/kernels/cslc ./internal/kernels/fft ./internal/ppc | tee -a "$tmp"
 go test -run='^$' -bench='ServiceThroughput|EstimateTier' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SVC_BENCHTIME:-0.5s}" . | tee -a "$tmp"
 go test -run='^$' -bench='BatchGrid|DSEGrid' -benchmem \
