@@ -55,7 +55,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 // /v1/dse); nil relays the shards' lines byte for byte. It returns
 // once every group has finished, with the tallies for the summary.
 func (g *Gateway) splitBatch(w http.ResponseWriter, r *http.Request, cells []batchCell, convert func(svc.BatchResult) any) *mergeWriter {
-	g.metrics.proxiedInc()
+	g.metrics.proxied.Inc()
 	groups := make(map[string][]batchCell)
 	for _, c := range cells {
 		owner := g.routeOrder(c.hash)[0]
@@ -197,7 +197,7 @@ func (g *Gateway) streamSubBatch(r *http.Request, owner string, group []batchCel
 		}
 		br := g.breakers.Get(name)
 		if err := br.Allow(); err != nil {
-			g.metrics.breakerRejectedInc()
+			g.metrics.breakerRejected.Inc()
 			lastErr = err.Error()
 			continue
 		}
@@ -205,7 +205,7 @@ func (g *Gateway) streamSubBatch(r *http.Request, owner string, group []batchCel
 		br.Record(ok)
 		if ok {
 			if name != owner {
-				g.metrics.rerouteInc()
+				g.metrics.reroutes.Inc()
 			}
 			return
 		}
@@ -250,7 +250,7 @@ func (g *Gateway) streamAttempt(r *http.Request, shard, path string, pend []batc
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
-		g.metrics.upstreamErrorInc()
+		g.metrics.upstreamErrors.Inc()
 		g.prober.ObserveFailure(shard, err)
 		return false, err.Error()
 	}
@@ -259,7 +259,7 @@ func (g *Gateway) streamAttempt(r *http.Request, shard, path string, pend []batc
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		msg := fmt.Sprintf("shard %s: %s: %s", shard, resp.Status, bytes.TrimSpace(body))
 		if resp.StatusCode >= 500 {
-			g.metrics.upstreamErrorInc()
+			g.metrics.upstreamErrors.Inc()
 			return false, msg
 		}
 		for _, c := range pend {
@@ -296,7 +296,7 @@ func (g *Gateway) streamAttempt(r *http.Request, shard, path string, pend []batc
 		mw.writeCell(raw, probe.State == string(svc.Failed), probe.FromCache)
 	}
 	if err := sc.Err(); err != nil {
-		g.metrics.upstreamErrorInc()
+		g.metrics.upstreamErrors.Inc()
 		g.prober.ObserveFailure(shard, err)
 		return false, err.Error()
 	}

@@ -168,7 +168,7 @@ func TestGatewayBatchShardDeathReroutes(t *testing.T) {
 	}
 	tc.servers[victim].Close()
 
-	before := tc.gw.Metrics().Reroutes()
+	before := tc.gw.Metrics().Snapshot().Reroutes
 	cells, sum, _ := postBatch(t, tc.gwSrv.URL, "application/json", gridBody(t))
 	if len(cells) != len(specs) || sum.Failed != 0 {
 		t.Fatalf("after killing %s: %d cells, summary %+v", victim, len(cells), sum)
@@ -182,7 +182,7 @@ func TestGatewayBatchShardDeathReroutes(t *testing.T) {
 			t.Fatalf("cell %d: state %s error %q", i, br.State, br.Error)
 		}
 	}
-	if tc.gw.Metrics().Reroutes() <= before {
+	if tc.gw.Metrics().Snapshot().Reroutes <= before {
 		t.Fatal("shard death produced no reroute")
 	}
 	if len(tc.services[victim].Jobs()) != 0 {

@@ -18,7 +18,7 @@ import (
 // same memo space. 503 until the operator converges the fleet.
 func (g *Gateway) guardConfigConsensus(w http.ResponseWriter) bool {
 	if _, ok := g.prober.ConfigConsensus(); !ok {
-		g.metrics.configMismatchInc()
+		g.metrics.configMismatch.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeGatewayError(w, http.StatusServiceUnavailable,
 			"cluster: ready shards report different hardware config-set hashes; refusing to route until they agree")

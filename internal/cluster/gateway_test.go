@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,7 +171,7 @@ func TestGatewayReroutesOnShardDeath(t *testing.T) {
 	// Kill the owner. The gateway's next submit of the same spec must
 	// land on a successor, not error.
 	tc.servers[owner].Close()
-	before := tc.gw.Metrics().Reroutes()
+	before := tc.gw.Metrics().Snapshot().Reroutes
 	resp2, job2 := tc.submit(t, spec, nil)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("submit after owner death: %d", resp2.StatusCode)
@@ -182,7 +183,7 @@ func TestGatewayReroutesOnShardDeath(t *testing.T) {
 	if job2.Result == nil || job2.Result.Cycles != job1.Result.Cycles {
 		t.Fatalf("successor cycles drifted: %+v vs %+v", job2.Result, job1.Result)
 	}
-	if tc.gw.Metrics().Reroutes() <= before {
+	if tc.gw.Metrics().Snapshot().Reroutes <= before {
 		t.Fatal("reroute not counted")
 	}
 
@@ -378,7 +379,7 @@ func TestGatewayHedgesSlowReads(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(data, []byte("from-fast")) {
 		t.Fatalf("hedge did not win: %d %s", resp.StatusCode, data)
 	}
-	if gw.Metrics().Hedges() == 0 {
+	if gw.Metrics().Snapshot().Hedges == 0 {
 		t.Fatal("hedge not counted")
 	}
 }
@@ -580,5 +581,61 @@ func TestGatewayDrainingShardStopsReceivingNewWork(t *testing.T) {
 	// The draining shard is alive, not dead: it still answers reads.
 	if !tc.gw.Prober().Alive(owner) {
 		t.Fatal("draining shard marked dead")
+	}
+}
+
+// TestGatewayRejectsOverBoundSpecs: a CSLC spec or a hardware override
+// above its absolute bound gets a 400 naming the field on every write
+// endpoint, from the gateway's own normalization, before any shard is
+// contacted.
+func TestGatewayRejectsOverBoundSpecs(t *testing.T) {
+	var contacted atomic.Int64
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/readyz" {
+			contacted.Add(1)
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer shard.Close()
+	gw, err := NewGateway(Options{Shards: []Shard{{Name: "s1", URL: shard.URL}}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Start()
+	defer gw.Close()
+	srv := httptest.NewServer(gw.Handler())
+	defer srv.Close()
+
+	w := core.PaperWorkload()
+	w.CSLC.Samples, w.CSLC.SubBands, w.CSLC.FFTSize = 8192, 1, 8192
+	cslcSpec, err := json.Marshal(svc.JobSpec{Machine: "VIRAM", Kernel: core.CSLC, Workload: &w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct{ spec, field string }{
+		{string(cslcSpec), "FFTSize"},
+		{`{"machine":"Raw","kernel":"beam-steering","config":{"raw":{"Mesh":{"Width":1000}}}}`, "Width"},
+	} {
+		for _, call := range []struct{ path, contentType, body string }{
+			{"/v1/jobs?wait=1", "application/json", b.spec},
+			{"/v1/batch", "application/x-ndjson", b.spec + "\n"},
+			{"/v1/dse", "application/json", `{"base":` + b.spec + `}`},
+		} {
+			resp, err := http.Post(srv.URL+call.path, call.contentType, strings.NewReader(call.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), b.field) {
+				t.Errorf("POST %s with %s over its bound: %d %s, want 400 naming it", call.path, b.field, resp.StatusCode, body)
+			}
+		}
+	}
+	if n := contacted.Load(); n != 0 {
+		t.Fatalf("gateway sent %d over-bound requests to the shard", n)
 	}
 }

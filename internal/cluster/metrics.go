@@ -1,67 +1,65 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"sigkern/internal/obs"
 )
 
 // Metrics is the gateway's own registry: request routing and failover
-// counters plus per-shard health gauges. Names are prefixed simgate_
-// so a shared Prometheus scrape never collides with the shards'
-// simserved_ families.
+// counters plus per-shard health gauges read from the prober at scrape
+// time. Names are prefixed simgate_ so a shared Prometheus scrape never
+// collides with the shards' simserved_ families.
 type Metrics struct {
-	proxied          atomic.Uint64
-	reroutes         atomic.Uint64
-	hedges           atomic.Uint64
-	hedgeWins        atomic.Uint64
-	upstreamErrors   atomic.Uint64
-	breakerRejected  atomic.Uint64
-	budgetExhausted  atomic.Uint64
-	configMismatch   atomic.Uint64
-	rebalances       atomic.Uint64
-	rebalanceRecords atomic.Uint64
+	reg    *obs.Registry
+	prober *Prober
 
-	mu      sync.Mutex
-	healthy map[string]bool // shard -> last probe verdict (alive)
-	ready   map[string]bool // shard -> accepting new work
+	proxied, reroutes, hedges, hedgeWins, upstreamErrors *obs.Counter
+	breakerRejected, budgetExhausted, configMismatch     *obs.Counter
+	rebalances, rebalanceRecords                         *obs.Counter
 }
 
-// NewMetrics returns an empty gateway registry.
-func NewMetrics() *Metrics {
-	return &Metrics{healthy: make(map[string]bool), ready: make(map[string]bool)}
+func newMetrics(p *Prober) *Metrics {
+	r := obs.NewRegistry()
+	m := &Metrics{
+		reg:             r,
+		prober:          p,
+		proxied:         r.NewCounter("simgate_requests_total", "Requests proxied to shards."),
+		reroutes:        r.NewCounter("simgate_reroutes_total", "Requests rerouted to a hash-ring successor after a shard failure."),
+		hedges:          r.NewCounter("simgate_hedges_total", "Hedged requests fired for idempotent reads."),
+		hedgeWins:       r.NewCounter("simgate_hedge_wins_total", "Hedged requests that answered before the primary."),
+		upstreamErrors:  r.NewCounter("simgate_upstream_errors_total", "Transport-level failures talking to shards."),
+		breakerRejected: r.NewCounter("simgate_breaker_rejected_total", "Requests skipped past a shard with an open circuit breaker."),
+		budgetExhausted: r.NewCounter("simgate_budget_exhausted_total", "Requests answered 504 because their deadline budget ran out mid-route."),
+		configMismatch:  r.NewCounter("simgate_config_mismatch_total", "Writes refused 503 because ready shards reported different hardware config-set hashes."),
+		rebalances:      r.NewCounter("simgate_rebalances_total", "WAL rebalances driven to completion."),
+		rebalanceRecords: r.NewCounter("simgate_rebalance_records_total",
+			"Jobs and memoized results replayed into successors by rebalance."),
+	}
+	shardGauge := func(name, help string, verdict func(ProbeState) bool) {
+		r.Func(name, help, "gauge", func() []obs.Sample {
+			states := p.States()
+			names := make([]string, 0, len(states))
+			for name := range states {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			out := make([]obs.Sample, len(names))
+			for i, name := range names {
+				out[i] = obs.Sample{Labels: []string{"shard", name}, Value: "0"}
+				if verdict(states[name]) {
+					out[i].Value = "1"
+				}
+			}
+			return out
+		})
+	}
+	shardGauge("simgate_shard_healthy", "Per-shard probe verdict: 1 alive, 0 unreachable.",
+		func(st ProbeState) bool { return st.Alive })
+	shardGauge("simgate_shard_ready", "Per-shard readiness: 1 accepting new work, 0 draining/degraded/dead.",
+		func(st ProbeState) bool { return st.Ready })
+	return m
 }
-
-func (m *Metrics) proxiedInc() uint64  { return m.proxied.Add(1) }
-func (m *Metrics) rerouteInc()         { m.reroutes.Add(1) }
-func (m *Metrics) hedgeInc()           { m.hedges.Add(1) }
-func (m *Metrics) hedgeWinInc()        { m.hedgeWins.Add(1) }
-func (m *Metrics) upstreamErrorInc()   { m.upstreamErrors.Add(1) }
-func (m *Metrics) breakerRejectedInc() { m.breakerRejected.Add(1) }
-func (m *Metrics) budgetExhaustedInc() { m.budgetExhausted.Add(1) }
-func (m *Metrics) configMismatchInc()  { m.configMismatch.Add(1) }
-func (m *Metrics) rebalanceDone(records int) {
-	m.rebalances.Add(1)
-	m.rebalanceRecords.Add(uint64(records))
-}
-
-// setShardState records a probe verdict for the health gauges.
-func (m *Metrics) setShardState(shard string, alive, ready bool) {
-	m.mu.Lock()
-	m.healthy[shard] = alive
-	m.ready[shard] = ready
-	m.mu.Unlock()
-}
-
-// Reroutes returns the failover counter (tests and /healthz).
-func (m *Metrics) Reroutes() uint64 { return m.reroutes.Load() }
-
-// Hedges returns the hedged-request counter.
-func (m *Metrics) Hedges() uint64 { return m.hedges.Load() }
 
 // Snapshot is the JSON form of the gateway metrics.
 type Snapshot struct {
@@ -79,128 +77,25 @@ type Snapshot struct {
 	ShardReady       map[string]bool `json:"shard_ready"`
 }
 
-// Snapshot captures every counter and gauge at one instant.
+// Snapshot captures every counter and the prober's verdicts.
 func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
-		Proxied:          m.proxied.Load(),
-		Reroutes:         m.reroutes.Load(),
-		Hedges:           m.hedges.Load(),
-		HedgeWins:        m.hedgeWins.Load(),
-		UpstreamErrors:   m.upstreamErrors.Load(),
-		BreakerRejected:  m.breakerRejected.Load(),
-		BudgetExhausted:  m.budgetExhausted.Load(),
-		ConfigMismatch:   m.configMismatch.Load(),
-		Rebalances:       m.rebalances.Load(),
-		RebalanceRecords: m.rebalanceRecords.Load(),
+		Proxied:          m.proxied.Value(),
+		Reroutes:         m.reroutes.Value(),
+		Hedges:           m.hedges.Value(),
+		HedgeWins:        m.hedgeWins.Value(),
+		UpstreamErrors:   m.upstreamErrors.Value(),
+		BreakerRejected:  m.breakerRejected.Value(),
+		BudgetExhausted:  m.budgetExhausted.Value(),
+		ConfigMismatch:   m.configMismatch.Value(),
+		Rebalances:       m.rebalances.Value(),
+		RebalanceRecords: m.rebalanceRecords.Value(),
 		ShardHealthy:     make(map[string]bool),
 		ShardReady:       make(map[string]bool),
 	}
-	m.mu.Lock()
-	for k, v := range m.healthy {
-		s.ShardHealthy[k] = v
+	for name, st := range m.prober.States() {
+		s.ShardHealthy[name] = st.Alive
+		s.ShardReady[name] = st.Ready
 	}
-	for k, v := range m.ready {
-		s.ShardReady[k] = v
-	}
-	m.mu.Unlock()
 	return s
-}
-
-// WriteText renders the flat text form (the default /metrics body).
-func (m *Metrics) WriteText(w io.Writer) error {
-	s := m.Snapshot()
-	for _, row := range []struct {
-		name string
-		val  uint64
-	}{
-		{"proxied_total", s.Proxied},
-		{"reroutes_total", s.Reroutes},
-		{"hedges_total", s.Hedges},
-		{"hedge_wins_total", s.HedgeWins},
-		{"upstream_errors_total", s.UpstreamErrors},
-		{"breaker_rejected_total", s.BreakerRejected},
-		{"budget_exhausted_total", s.BudgetExhausted},
-		{"config_mismatch_total", s.ConfigMismatch},
-		{"rebalances_total", s.Rebalances},
-		{"rebalance_records_total", s.RebalanceRecords},
-	} {
-		if _, err := fmt.Fprintf(w, "%-28s %d\n", row.name, row.val); err != nil {
-			return err
-		}
-	}
-	for _, shard := range sortedShardNames(s.ShardHealthy) {
-		if _, err := fmt.Fprintf(w, "shard_healthy{%s}           %s\n", shard, boolTo01(s.ShardHealthy[shard])); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "shard_ready{%s}             %s\n", shard, boolTo01(s.ShardReady[shard])); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WritePrometheus renders the simgate_* families in the text
-// exposition format, shards in sorted order so scrapes are stable.
-func (m *Metrics) WritePrometheus(w io.Writer) error {
-	s := m.Snapshot()
-	counters := []struct {
-		name, help string
-		val        uint64
-	}{
-		{"simgate_requests_total", "Requests proxied to shards.", s.Proxied},
-		{"simgate_reroutes_total", "Requests rerouted to a hash-ring successor after a shard failure.", s.Reroutes},
-		{"simgate_hedges_total", "Hedged requests fired for idempotent reads.", s.Hedges},
-		{"simgate_hedge_wins_total", "Hedged requests that answered before the primary.", s.HedgeWins},
-		{"simgate_upstream_errors_total", "Transport-level failures talking to shards.", s.UpstreamErrors},
-		{"simgate_breaker_rejected_total", "Requests skipped past a shard with an open circuit breaker.", s.BreakerRejected},
-		{"simgate_budget_exhausted_total", "Requests answered 504 because their deadline budget ran out mid-route.", s.BudgetExhausted},
-		{"simgate_config_mismatch_total", "Writes refused 503 because ready shards reported different hardware config-set hashes.", s.ConfigMismatch},
-		{"simgate_rebalances_total", "WAL rebalances driven to completion.", s.Rebalances},
-		{"simgate_rebalance_records_total", "Jobs and memoized results replayed into successors by rebalance.", s.RebalanceRecords},
-	}
-	for _, c := range counters {
-		if err := obs.WritePromHeader(w, c.name, c.help, "counter"); err != nil {
-			return err
-		}
-		if err := obs.WritePromSampleKV(w, c.name, fmt.Sprintf("%d", c.val)); err != nil {
-			return err
-		}
-	}
-	if len(s.ShardHealthy) > 0 {
-		if err := obs.WritePromHeader(w, "simgate_shard_healthy",
-			"Per-shard probe verdict: 1 alive, 0 unreachable.", "gauge"); err != nil {
-			return err
-		}
-		for _, shard := range sortedShardNames(s.ShardHealthy) {
-			if err := obs.WritePromSampleKV(w, "simgate_shard_healthy", boolTo01(s.ShardHealthy[shard]), "shard", shard); err != nil {
-				return err
-			}
-		}
-		if err := obs.WritePromHeader(w, "simgate_shard_ready",
-			"Per-shard readiness: 1 accepting new work, 0 draining/degraded/dead.", "gauge"); err != nil {
-			return err
-		}
-		for _, shard := range sortedShardNames(s.ShardHealthy) {
-			if err := obs.WritePromSampleKV(w, "simgate_shard_ready", boolTo01(s.ShardReady[shard]), "shard", shard); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func sortedShardNames(m map[string]bool) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func boolTo01(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
 }

@@ -41,7 +41,6 @@ type Prober struct {
 	shards   []Shard
 	client   *http.Client
 	interval time.Duration
-	metrics  *Metrics
 
 	mu    sync.Mutex
 	state map[string]ProbeState
@@ -50,21 +49,16 @@ type Prober struct {
 	done chan struct{}
 }
 
-// NewProber builds a prober over the shard set. client must have a
-// timeout set (the gateway's probe client uses a short one so a hung
-// shard reads as dead, not slow).
-func NewProber(shards []Shard, interval time.Duration, client *http.Client, m *Metrics) *Prober {
+// NewProber builds a prober over the shard set.
+func NewProber(shards []Shard, interval time.Duration) *Prober {
 	if interval <= 0 {
 		interval = DefaultProbeInterval
 	}
-	if client == nil {
-		client = &http.Client{Timeout: 2 * time.Second}
-	}
 	p := &Prober{
-		shards:   append([]Shard(nil), shards...),
-		client:   client,
+		shards: append([]Shard(nil), shards...),
+		// A short timeout, so a hung shard reads as dead, not slow.
+		client:   &http.Client{Timeout: 2 * time.Second},
 		interval: interval,
-		metrics:  m,
 		state:    make(map[string]ProbeState, len(shards)),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -138,16 +132,9 @@ func (p *Prober) probe(s Shard) {
 			st.LastError = fmt.Sprintf("readyz status %d", resp.StatusCode)
 		}
 	}
-	p.setState(s.Name, st)
-}
-
-func (p *Prober) setState(name string, st ProbeState) {
 	p.mu.Lock()
-	p.state[name] = st
+	p.state[s.Name] = st
 	p.mu.Unlock()
-	if p.metrics != nil {
-		p.metrics.setShardState(name, st.Alive, st.Ready)
-	}
 }
 
 // ObserveFailure records a transport-level failure seen by the proxy
@@ -162,9 +149,6 @@ func (p *Prober) ObserveFailure(name string, err error) {
 	st.LastChecked = time.Now()
 	p.state[name] = st
 	p.mu.Unlock()
-	if p.metrics != nil {
-		p.metrics.setShardState(name, false, false)
-	}
 }
 
 // Ready reports whether the shard should receive new work.

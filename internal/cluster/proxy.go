@@ -49,12 +49,6 @@ type Options struct {
 	// Breaker configures the per-shard circuit breakers (zero value =
 	// resilience defaults).
 	Breaker resilience.BreakerConfig
-	// Client does proxied requests; nil gets a 2-minute-timeout client
-	// (simulations are seconds-long under ?wait=1).
-	Client *http.Client
-	// ProbeClient does health probes; nil gets a 2-second-timeout
-	// client so a hung shard reads as dead, not slow.
-	ProbeClient *http.Client
 	// Logger receives structured request logs; nil disables them.
 	Logger *slog.Logger
 }
@@ -95,23 +89,22 @@ func NewGateway(opts Options) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 2 * time.Minute}
-	}
 	if opts.HedgeDelay <= 0 {
 		opts.HedgeDelay = DefaultHedgeDelay
 	}
 	if opts.MaxHedges <= 0 {
 		opts.MaxHedges = 32
 	}
-	m := NewMetrics()
+	prober := NewProber(opts.Shards, opts.ProbeInterval)
 	g := &Gateway{
-		ring:       ring,
-		shards:     byName,
-		prober:     NewProber(opts.Shards, opts.ProbeInterval, opts.ProbeClient, m),
-		breakers:   resilience.NewBreakerSet(opts.Breaker),
-		client:     opts.Client,
-		metrics:    m,
+		ring:     ring,
+		shards:   byName,
+		prober:   prober,
+		breakers: resilience.NewBreakerSet(opts.Breaker),
+		// Proxied requests get a long timeout: simulations are
+		// seconds-long under ?wait=1.
+		client:     &http.Client{Timeout: 2 * time.Minute},
+		metrics:    newMetrics(prober),
 		hedgeDelay: opts.HedgeDelay,
 		hedgeSem:   make(chan struct{}, opts.MaxHedges),
 		journals:   opts.JournalDirs,
@@ -186,7 +179,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/tables/3", g.forwardAnyReady)
 	mux.HandleFunc("GET /v1/roofline", g.forwardAnyReady)
 	mux.HandleFunc("POST /v1/rebalance", g.handleRebalance)
-	mux.HandleFunc("GET /metrics", g.handleMetrics)
+	mux.HandleFunc("GET /metrics", g.metrics.reg.Handler(func() any { return g.metrics.Snapshot() }))
 	mux.HandleFunc("GET /healthz", g.handleHealth)
 	mux.HandleFunc("GET /readyz", g.handleHealth)
 	return obs.Instrument(g.logger, mux)
@@ -366,7 +359,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		deadline = time.Now().Add(budget)
 	}
 
-	g.metrics.proxiedInc()
+	g.metrics.proxied.Inc()
 	order := g.routeOrder(hash)
 	owner := g.ring.Owner(hash)
 	path := "/v1/jobs"
@@ -380,7 +373,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	for i, name := range order {
 		br := g.breakers.Get(name)
 		if err := br.Allow(); err != nil {
-			g.metrics.breakerRejectedInc()
+			g.metrics.breakerRejected.Inc()
 			if ra := int(br.RetryAfter().Seconds()) + 1; ra > maxRetryAfter {
 				maxRetryAfter = ra
 			}
@@ -408,7 +401,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		resp, err := g.do(attemptCtx, name, http.MethodPost, path, body, hdr)
 		cancel()
 		if err != nil {
-			g.metrics.upstreamErrorInc()
+			g.metrics.upstreamErrors.Inc()
 			br.Record(false)
 			g.prober.ObserveFailure(name, err)
 			continue
@@ -427,7 +420,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		br.Record(true)
 		if name != owner {
-			g.metrics.rerouteInc()
+			g.metrics.reroutes.Inc()
 		}
 		// 429 passes through with the shard's own Retry-After: queue
 		// saturation is backpressure to honor, not a failure to hide —
@@ -441,7 +434,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		budgetSpent = true
 	}
 	if budgetSpent {
-		g.metrics.budgetExhaustedInc()
+		g.metrics.budgetExhausted.Inc()
 		if maxRetryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(maxRetryAfter))
 		}
@@ -512,7 +505,7 @@ func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request, suffix st
 	if q := r.URL.RawQuery; q != "" {
 		path += "?" + q
 	}
-	g.metrics.proxiedInc()
+	g.metrics.proxied.Inc()
 	budget, err := submitBudget(r)
 	if err != nil {
 		writeGatewayError(w, http.StatusBadRequest, err.Error())
@@ -552,7 +545,7 @@ func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request, suffix st
 		case a := <-results:
 			pending--
 			if a.err != nil {
-				g.metrics.upstreamErrorInc()
+				g.metrics.upstreamErrors.Inc()
 				g.prober.ObserveFailure(a.shard, a.err)
 				if ctx.Err() == nil && launched < len(candidates) {
 					fire(candidates[launched], false)
@@ -563,7 +556,7 @@ func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request, suffix st
 			}
 			if a.resp.status < 500 && a.resp.status != http.StatusNotFound {
 				if a.hedged {
-					g.metrics.hedgeWinInc()
+					g.metrics.hedgeWins.Inc()
 				}
 				writeBuffered(w, a.resp, a.shard, 0)
 				return
@@ -582,7 +575,7 @@ func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request, suffix st
 			if launched < len(candidates) {
 				select {
 				case g.hedgeSem <- struct{}{}:
-					g.metrics.hedgeInc()
+					g.metrics.hedges.Inc()
 					shard := candidates[launched]
 					launched++
 					pending++
@@ -602,7 +595,7 @@ func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request, suffix st
 		return
 	}
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		g.metrics.budgetExhaustedInc()
+		g.metrics.budgetExhausted.Inc()
 		writeGatewayError(w, http.StatusGatewayTimeout,
 			fmt.Sprintf("cluster: deadline budget %s exhausted reading job %q", budget, id))
 		return
@@ -613,7 +606,7 @@ func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request, suffix st
 // forwardAnyReady proxies a read to the first shard accepting work
 // (falling back to any alive shard), trying the next on failure.
 func (g *Gateway) forwardAnyReady(w http.ResponseWriter, r *http.Request) {
-	g.metrics.proxiedInc()
+	g.metrics.proxied.Inc()
 	path := r.URL.Path
 	if q := r.URL.RawQuery; q != "" {
 		path += "?" + q
@@ -632,7 +625,7 @@ func (g *Gateway) forwardAnyReady(w http.ResponseWriter, r *http.Request) {
 	for _, name := range order {
 		resp, err := g.do(r.Context(), name, http.MethodGet, path, nil, r.Header)
 		if err != nil {
-			g.metrics.upstreamErrorInc()
+			g.metrics.upstreamErrors.Inc()
 			g.prober.ObserveFailure(name, err)
 			continue
 		}
@@ -640,25 +633,6 @@ func (g *Gateway) forwardAnyReady(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeGatewayError(w, http.StatusBadGateway, "cluster: no shard reachable")
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	switch format := strings.ToLower(r.URL.Query().Get("format")); format {
-	case "", "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = g.metrics.WriteText(w)
-	case "prometheus", "prom":
-		w.Header().Set("Content-Type", obs.PromContentType)
-		_ = g.metrics.WritePrometheus(w)
-	case "json":
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(g.metrics.Snapshot())
-	default:
-		writeGatewayError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown metrics format %q (want text, prometheus, or json)", format))
-	}
 }
 
 // GatewayHealth is the gateway's /healthz and /readyz payload.

@@ -123,7 +123,8 @@ func (g *Gateway) Rebalance(departed string) (*RebalanceResult, error) {
 		res.Targets[target] = st
 		res.Shipped += len(jobsByTarget[target]) + len(memoByTarget[target])
 	}
-	g.metrics.rebalanceDone(res.Shipped)
+	g.metrics.rebalances.Inc()
+	g.metrics.rebalanceRecords.Add(uint64(res.Shipped))
 	return res, nil
 }
 

@@ -87,6 +87,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// Absolute bounds on a configuration, each at least twice the largest
+// value a sweep, a test or the DSE axes use (16 clusters, 3 adders, 2
+// memory controllers, 64 descriptor registers). Overrides arrive from
+// the network.
+const (
+	maxClusters       = 64
+	maxALUs           = 64
+	maxMemControllers = 16
+	maxStreamDescRegs = 256
+)
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
@@ -103,6 +114,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("imagine: %d stream descriptor registers", c.StreamDescRegs)
 	case c.PipeDepth < 0 || c.KernelStartup < 0:
 		return fmt.Errorf("imagine: negative pipeline parameters")
+	}
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{{"Clusters", c.Clusters, maxClusters}, {"AddersPerCluster", c.AddersPerCluster, maxALUs},
+		{"MulsPerCluster", c.MulsPerCluster, maxALUs}, {"DivsPerCluster", c.DivsPerCluster, maxALUs},
+		{"MemControllers", c.MemControllers, maxMemControllers}, {"StreamDescRegs", c.StreamDescRegs, maxStreamDescRegs}} {
+		if f.v > f.max {
+			return fmt.Errorf("imagine: %s %d above the %d limit", f.name, f.v, f.max)
+		}
 	}
 	if err := c.SRF.Validate(); err != nil {
 		return err

@@ -25,6 +25,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.StreamDescRegs = 1 },
 		func(c *Config) { c.PipeDepth = -1 },
 		func(c *Config) { c.SRF.CapacityBytes = 0 },
+		func(c *Config) { c.Clusters = maxClusters + 1 },
+		func(c *Config) { c.DivsPerCluster = maxALUs + 1 },
+		func(c *Config) { c.MemControllers = maxMemControllers + 1 },
+		func(c *Config) { c.StreamDescRegs = maxStreamDescRegs + 1 },
 	}
 	for i, mut := range mutations {
 		c := DefaultConfig()

@@ -53,6 +53,20 @@ func PaperSpec(radix fft.Radix) Spec {
 	return Spec{MainChannels: 2, AuxChannels: 2, Samples: 8192, SubBands: 73, FFTSize: 128, Radix: radix}
 }
 
+// Absolute bounds on a spec, each at least twice the largest value the
+// paper (2 main channels, 8192 samples), the FFT-size sweep (512 points;
+// 292 sub-bands at 32) and the studies use. Specs arrive from the
+// network: Validate checks them before it builds an FFT plan, which
+// allocates an FFTSize-entry table the process keeps, and MaxBins bounds
+// the spectra weight estimation holds (Channels x SubBands x FFTSize).
+const (
+	MaxMainChannels = 8
+	MaxSamples      = 16384
+	MaxSubBands     = 1024
+	MaxFFTSize      = 4096
+	MaxBins         = 1 << 22
+)
+
 // Validate reports whether the spec is realizable.
 func (s Spec) Validate() error {
 	if s.MainChannels <= 0 || s.AuxChannels < 0 {
@@ -60,6 +74,18 @@ func (s Spec) Validate() error {
 	}
 	if s.AuxChannels > maxAuxChannels {
 		return fmt.Errorf("cslc: %d aux channels, at most %d supported", s.AuxChannels, maxAuxChannels)
+	}
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{{"MainChannels", s.MainChannels, MaxMainChannels}, {"Samples", s.Samples, MaxSamples},
+		{"SubBands", s.SubBands, MaxSubBands}, {"FFTSize", s.FFTSize, MaxFFTSize}} {
+		if f.v > f.max {
+			return fmt.Errorf("cslc: %s %d above the %d limit", f.name, f.v, f.max)
+		}
+	}
+	if n := s.Channels() * s.SubBands * s.FFTSize; n > MaxBins {
+		return fmt.Errorf("cslc: Bins (Channels x SubBands x FFTSize) %d above the %d limit", n, MaxBins)
 	}
 	if s.Samples < s.FFTSize || s.FFTSize < 2 {
 		return fmt.Errorf("cslc: %d samples with FFT size %d", s.Samples, s.FFTSize)

@@ -37,6 +37,11 @@ func TestSpecValidate(t *testing.T) {
 		{MainChannels: 2, AuxChannels: 2, Samples: 8192, SubBands: 73, FFTSize: 128, Radix: fft.Radix4}, // 128 != 4^k
 		{MainChannels: 2, AuxChannels: 2, Samples: 130, SubBands: 100, FFTSize: 128, Radix: fft.Radix2}, // hop 0
 		{MainChannels: 2, AuxChannels: 3, Samples: 8192, SubBands: 73, FFTSize: 128, Radix: fft.Radix2}, // > 2 aux
+		{MainChannels: 9, AuxChannels: 2, Samples: 8192, SubBands: 73, FFTSize: 128, Radix: fft.Radix2},
+		{MainChannels: 2, AuxChannels: 2, Samples: 32768, SubBands: 73, FFTSize: 128, Radix: fft.Radix2},
+		{MainChannels: 2, AuxChannels: 2, Samples: 8192, SubBands: 1025, FFTSize: 128, Radix: fft.Radix2},
+		{MainChannels: 1, AuxChannels: 0, Samples: 8192, SubBands: 1, FFTSize: 8192, Radix: fft.Radix2},
+		{MainChannels: 8, AuxChannels: 2, Samples: 16384, SubBands: 1024, FFTSize: 512, Radix: fft.Radix2}, // MaxBins
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

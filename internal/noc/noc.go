@@ -34,11 +34,20 @@ type Config struct {
 	HeaderWords int
 }
 
+// maxEdge bounds Width and Height: twice the largest mesh edge the DSE
+// axes sweep (16). Overrides arrive from the network, and building a
+// Raw machine assigns every tile a port, tiles x ports steps.
+const maxEdge = 32
+
 // Validate reports whether the mesh is realizable.
 func (c Config) Validate() error {
 	switch {
 	case c.Width <= 0 || c.Height <= 0:
 		return errors.New("noc: mesh dimensions must be positive")
+	case c.Width > maxEdge:
+		return fmt.Errorf("noc: Width %d above the %d limit", c.Width, maxEdge)
+	case c.Height > maxEdge:
+		return fmt.Errorf("noc: Height %d above the %d limit", c.Height, maxEdge)
 	case c.BaseLatency < 1:
 		return errors.New("noc: BaseLatency must be at least 1")
 	case c.HopLatency < 0:

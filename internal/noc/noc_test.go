@@ -14,6 +14,8 @@ func TestConfigValidate(t *testing.T) {
 		{Width: 4, Height: 4, BaseLatency: 0, HopLatency: 1, MinPacketWords: 4},
 		{Width: 4, Height: 4, BaseLatency: 3, HopLatency: -1, MinPacketWords: 4},
 		{Width: 4, Height: 4, BaseLatency: 3, HopLatency: 1, MinPacketWords: 0},
+		{Width: maxEdge + 1, Height: 4, BaseLatency: 3, HopLatency: 1, MinPacketWords: 4},
+		{Width: 4, Height: maxEdge + 1, BaseLatency: 3, HopLatency: 1, MinPacketWords: 4},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

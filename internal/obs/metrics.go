@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,8 +11,9 @@ import (
 
 // Labels identifies one (machine, kernel) cell of the paper's Table 3 —
 // the label set every per-cell metric series is keyed by. The zero
-// value means "unlabeled"; vectors ignore observations made with it so
-// internal plumbing (stub tasks, tests) never mints empty-label series.
+// value means "unlabeled"; vectors expose no series for observations
+// made with it, so internal plumbing (stub tasks, tests) never mints
+// empty-label series.
 type Labels struct {
 	Machine string
 	Kernel  string
@@ -19,6 +21,11 @@ type Labels struct {
 
 // IsZero reports whether the label set carries no information.
 func (l Labels) IsZero() bool { return l.Machine == "" && l.Kernel == "" }
+
+// pairs returns the cell's label pairs followed by extra pairs.
+func (l Labels) pairs(extra ...string) []string {
+	return append([]string{"machine", l.Machine, "kernel", l.Kernel}, extra...)
+}
 
 // Counter is one monotonically increasing series. All methods are
 // atomic and safe for concurrent use.
@@ -39,22 +46,19 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // read under an RWMutex on the hot path; child creation (first
 // observation of a cell) takes the write lock once.
 type CounterVec struct {
-	name string
-	help string
-
 	mu       sync.RWMutex
 	children map[Labels]*Counter
+	// zero counts observations made with zero Labels: Total includes
+	// them, the exposition does not.
+	zero Counter
 }
 
-// Name returns the metric family name.
-func (v *CounterVec) Name() string { return v.name }
-
 // With returns the counter for l, creating it on first use. The zero
-// Labels value returns a shared throwaway counter that is never
-// exposed, so unlabeled call sites cost an atomic add and nothing else.
+// Labels value returns the family's unexposed zero-label counter, so
+// unlabeled call sites cost an atomic add and nothing else.
 func (v *CounterVec) With(l Labels) *Counter {
 	if l.IsZero() {
-		return &discard
+		return &v.zero
 	}
 	v.mu.RLock()
 	c, ok := v.children[l]
@@ -72,8 +76,17 @@ func (v *CounterVec) With(l Labels) *Counter {
 	return c
 }
 
-// discard absorbs observations made with zero Labels.
-var discard Counter
+// Total returns the family's count over every series, zero-label
+// observations included: the family's unlabeled total.
+func (v *CounterVec) Total() uint64 {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	n := v.zero.Value()
+	for _, c := range v.children {
+		n += c.Value()
+	}
+	return n
+}
 
 // Gauge is one instantaneous-value series (a float64 set atomically via
 // its bit pattern). All methods are safe for concurrent use.
@@ -87,18 +100,12 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the last stored value (0 before any Set).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// GaugeVec is a family of gauges keyed by Labels, with the same
-// zero-label discard behavior as CounterVec.
+// GaugeVec is a family of gauges keyed by Labels. Like CounterVec it
+// exposes no series for zero Labels; it keeps no value for them either.
 type GaugeVec struct {
-	name string
-	help string
-
 	mu       sync.RWMutex
 	children map[Labels]*Gauge
 }
-
-// Name returns the metric family name.
-func (v *GaugeVec) Name() string { return v.name }
 
 // With returns the gauge for l, creating it on first use. The zero
 // Labels value returns a shared throwaway gauge that is never exposed.
@@ -158,12 +165,15 @@ type LabeledValue struct {
 }
 
 func sortLabeled(s []LabeledValue) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Labels.Machine != s[j].Labels.Machine {
-			return s[i].Labels.Machine < s[j].Labels.Machine
-		}
-		return s[i].Labels.Kernel < s[j].Labels.Kernel
-	})
+	sort.Slice(s, func(i, j int) bool { return s[i].Labels.less(s[j].Labels) })
+}
+
+// less orders cells by machine, then kernel.
+func (l Labels) less(o Labels) bool {
+	if l.Machine != o.Machine {
+		return l.Machine < o.Machine
+	}
+	return l.Kernel < o.Kernel
 }
 
 // DefBuckets are the default latency histogram bounds in seconds:
@@ -222,16 +232,11 @@ func (h *Histogram) Cumulative() (bounds []float64, cum []uint64) {
 // HistogramVec is a family of histograms keyed by Labels, sharing one
 // set of bucket bounds.
 type HistogramVec struct {
-	name   string
-	help   string
 	bounds []float64
 
 	mu       sync.RWMutex
 	children map[Labels]*Histogram
 }
-
-// Name returns the metric family name.
-func (v *HistogramVec) Name() string { return v.name }
 
 // With returns the histogram for l, creating it on first use. The zero
 // Labels value returns an unexposed throwaway, like CounterVec.With.
@@ -259,56 +264,106 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds))}
 }
 
-// snapshot returns the children sorted by machine then kernel.
-func (v *HistogramVec) snapshot() []labeledHistogram {
+// samples returns every child's _bucket, _sum and _count series,
+// children sorted by machine then kernel.
+func (v *HistogramVec) samples() []Sample {
+	type child struct {
+		l Labels
+		h *Histogram
+	}
 	v.mu.RLock()
-	out := make([]labeledHistogram, 0, len(v.children))
+	children := make([]child, 0, len(v.children))
 	for l, h := range v.children {
-		out = append(out, labeledHistogram{labels: l, hist: h})
+		children = append(children, child{l, h})
 	}
 	v.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].labels.Machine != out[j].labels.Machine {
-			return out[i].labels.Machine < out[j].labels.Machine
+	sort.Slice(children, func(i, j int) bool { return children[i].l.less(children[j].l) })
+	var out []Sample
+	for _, c := range children {
+		l, h := c.l, c.h
+		bounds, cum := h.Cumulative()
+		for i, ub := range bounds {
+			out = append(out, Sample{suffix: "_bucket", Labels: l.pairs("le", formatFloat(ub)), Value: strconv.FormatUint(cum[i], 10)})
 		}
-		return out[i].labels.Kernel < out[j].labels.Kernel
-	})
+		total := strconv.FormatUint(h.Count(), 10)
+		out = append(out,
+			Sample{suffix: "_bucket", Labels: l.pairs("le", "+Inf"), Value: total},
+			Sample{suffix: "_sum", Labels: l.pairs(), Value: formatFloat(h.Sum())},
+			Sample{suffix: "_count", Labels: l.pairs(), Value: total})
+	}
 	return out
 }
 
-type labeledHistogram struct {
-	labels Labels
-	hist   *Histogram
-}
-
-// Registry holds metric families for exposition, in registration
-// order. Registration happens at service construction; observation is
-// lock-free with respect to the registry itself.
+// Registry is the ordered list of metric families one daemon exposes;
+// the exposition walks them in registration order. Registration happens
+// at construction; observation never touches the registry.
 type Registry struct {
 	mu       sync.Mutex
-	counters []*CounterVec
-	gauges   []*GaugeVec
-	hists    []*HistogramVec
+	families []family
+}
+
+// family is one exposition family; collect reads its samples at scrape
+// time.
+type family struct {
+	name, help, typ string
+	collect         func() []Sample
+}
+
+// Sample is one series of a family: its label pairs (key, value, ...)
+// and its rendered value.
+type Sample struct {
+	Labels []string
+	Value  string
+	suffix string // _bucket, _sum or _count for histogram series
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
+// Func registers a family of type typ ("counter", "gauge" or
+// "histogram") whose samples collect reads at scrape time. A family
+// without samples is left out of the exposition.
+func (r *Registry) Func(name, help, typ string, collect func() []Sample) {
+	r.mu.Lock()
+	r.families = append(r.families, family{name, help, typ, collect})
+	r.mu.Unlock()
+}
+
+// Uint registers an unlabeled family whose one value read returns at
+// scrape time.
+func (r *Registry) Uint(name, help, typ string, read func() uint64) {
+	r.Func(name, help, typ, func() []Sample { return []Sample{{Value: strconv.FormatUint(read(), 10)}} })
+}
+
+// Names returns the registered family names in registration order.
+func (r *Registry) Names() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	names := make([]string, len(r.families))
+	for i, f := range r.families {
+		names[i] = f.name
+	}
+	return names
+}
+
+// NewCounter registers and returns an unlabeled counter.
+func (r *Registry) NewCounter(name, help string) *Counter {
+	c := &Counter{}
+	r.Uint(name, help, "counter", c.Value)
+	return c
+}
+
 // NewCounterVec registers and returns a labeled counter family.
 func (r *Registry) NewCounterVec(name, help string) *CounterVec {
-	v := &CounterVec{name: name, help: help, children: make(map[Labels]*Counter)}
-	r.mu.Lock()
-	r.counters = append(r.counters, v)
-	r.mu.Unlock()
+	v := &CounterVec{children: make(map[Labels]*Counter)}
+	r.Func(name, help, "counter", func() []Sample { return cellSamples(v.Values()) })
 	return v
 }
 
 // NewGaugeVec registers and returns a labeled gauge family.
 func (r *Registry) NewGaugeVec(name, help string) *GaugeVec {
-	v := &GaugeVec{name: name, help: help, children: make(map[Labels]*Gauge)}
-	r.mu.Lock()
-	r.gauges = append(r.gauges, v)
-	r.mu.Unlock()
+	v := &GaugeVec{children: make(map[Labels]*Gauge)}
+	r.Func(name, help, "gauge", func() []Sample { return cellSamples(v.Values()) })
 	return v
 }
 
@@ -318,9 +373,15 @@ func (r *Registry) NewHistogramVec(name, help string, buckets []float64) *Histog
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	v := &HistogramVec{name: name, help: help, bounds: buckets, children: make(map[Labels]*Histogram)}
-	r.mu.Lock()
-	r.hists = append(r.hists, v)
-	r.mu.Unlock()
+	v := &HistogramVec{bounds: buckets, children: make(map[Labels]*Histogram)}
+	r.Func(name, help, "histogram", v.samples)
 	return v
+}
+
+func cellSamples(vals []LabeledValue) []Sample {
+	out := make([]Sample, len(vals))
+	for i, lv := range vals {
+		out[i] = Sample{Labels: lv.Labels.pairs(), Value: formatFloat(lv.Value)}
+	}
+	return out
 }

@@ -47,6 +47,11 @@ func TestCounterVecZeroLabelsDiscarded(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Fatalf("empty family exposed:\n%s", buf.String())
 	}
+	// The unlabeled total still counts them.
+	v.With(Labels{Machine: "VIRAM", Kernel: "cslc"}).Inc()
+	if got := v.Total(); got != 12 {
+		t.Fatalf("Total = %d, want 12", got)
+	}
 }
 
 // TestVectorsConcurrent hammers one counter family and one histogram
@@ -193,12 +198,39 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
+// TestWriteTextIsUnlabeledSubset pins the two renderings of one
+// registry: families in registration order, a family without samples
+// left out, and the flat text exactly the unlabeled sample lines.
+func TestWriteTextIsUnlabeledSubset(t *testing.T) {
+	reg := NewRegistry()
+	reg.NewCounter("up_total", "Unlabeled.").Add(3)
+	reg.Func("by_kind", "Labeled.", "gauge", func() []Sample {
+		return []Sample{{Labels: []string{"kind", "a"}, Value: "1"}}
+	})
+	reg.Func("empty", "No samples.", "gauge", func() []Sample { return nil })
+	reg.Uint("last", "", "gauge", func() uint64 { return 7 })
+	var prom, text bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	wantProm := "# HELP up_total Unlabeled.\n# TYPE up_total counter\nup_total 3\n" +
+		"# HELP by_kind Labeled.\n# TYPE by_kind gauge\nby_kind{kind=\"a\"} 1\n" +
+		"# TYPE last gauge\nlast 7\n"
+	if prom.String() != wantProm {
+		t.Errorf("prometheus = %q, want %q", prom.String(), wantProm)
+	}
+	if want := "up_total 3\nlast 7\n"; text.String() != want {
+		t.Errorf("text = %q, want %q", text.String(), want)
+	}
+}
+
 func TestPromLabelEscaping(t *testing.T) {
 	var buf bytes.Buffer
 	l := Labels{Machine: `a\b"c`, Kernel: "x\ny"}
-	if err := WritePromSample(&buf, "m_total", l, "", "", "1"); err != nil {
-		t.Fatal(err)
-	}
+	writePromSample(&buf, "m_total", "1", l.pairs()...)
 	want := `m_total{machine="a\\b\"c",kernel="x\ny"} 1` + "\n"
 	if buf.String() != want {
 		t.Fatalf("escaped sample = %q, want %q", buf.String(), want)
@@ -207,9 +239,7 @@ func TestPromLabelEscaping(t *testing.T) {
 
 func TestPromHelpEscaping(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePromHeader(&buf, "m_total", "line1\nline2 \\ end", "counter"); err != nil {
-		t.Fatal(err)
-	}
+	writePromHeader(&buf, "m_total", "line1\nline2 \\ end", "counter")
 	want := "# HELP m_total line1\\nline2 \\\\ end\n# TYPE m_total counter\n"
 	if buf.String() != want {
 		t.Fatalf("header = %q, want %q", buf.String(), want)

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 	"strings"
 )
@@ -23,137 +26,89 @@ var escapeHelp = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 // shortest representation that round-trips.
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// WritePromHeader writes the # HELP and # TYPE comment lines for one
-// metric family. typ is "counter", "gauge", or "histogram".
-func WritePromHeader(w io.Writer, name, help, typ string) error {
+// writePromHeader writes the # HELP and # TYPE comment lines for one
+// metric family.
+func writePromHeader(b *bytes.Buffer, name, help, typ string) {
 	if help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp.Replace(help)); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "# HELP %s %s\n", name, escapeHelp.Replace(help))
 	}
-	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-	return err
+	fmt.Fprintf(b, "# TYPE %s %s\n", name, typ)
 }
 
-// WritePromSample writes one sample line, with the cell labels (and
-// any extra label pair, e.g. le for histogram buckets) escaped.
-func WritePromSample(w io.Writer, name string, l Labels, extraKey, extraVal string, value string) error {
-	var sb strings.Builder
-	sb.WriteString(name)
-	if !l.IsZero() || extraKey != "" {
-		sb.WriteByte('{')
-		sep := ""
-		if !l.IsZero() {
-			sb.WriteString(`machine="`)
-			sb.WriteString(escapeLabelValue.Replace(l.Machine))
-			sb.WriteString(`",kernel="`)
-			sb.WriteString(escapeLabelValue.Replace(l.Kernel))
-			sb.WriteString(`"`)
-			sep = ","
-		}
-		if extraKey != "" {
-			sb.WriteString(sep)
-			sb.WriteString(extraKey)
-			sb.WriteString(`="`)
-			sb.WriteString(escapeLabelValue.Replace(extraVal))
-			sb.WriteString(`"`)
-		}
-		sb.WriteByte('}')
-	}
-	_, err := fmt.Fprintf(w, "%s %s\n", sb.String(), value)
-	return err
-}
-
-// WritePromSampleKV writes one sample line with arbitrary label pairs
-// (key1, val1, key2, val2, ...), values escaped. It serves families
-// whose label set is not the (machine, kernel) cell — e.g. the cluster
-// gateway's per-shard series. An odd trailing key is ignored.
-func WritePromSampleKV(w io.Writer, name, value string, pairs ...string) error {
-	var sb strings.Builder
-	sb.WriteString(name)
+// writePromSample writes one sample line with label pairs (key1, val1,
+// key2, val2, ...), values escaped.
+func writePromSample(b *bytes.Buffer, name, value string, pairs ...string) {
+	b.WriteString(name)
 	if len(pairs) >= 2 {
-		sb.WriteByte('{')
+		b.WriteByte('{')
 		for i := 0; i+1 < len(pairs); i += 2 {
 			if i > 0 {
-				sb.WriteByte(',')
+				b.WriteByte(',')
 			}
-			sb.WriteString(pairs[i])
-			sb.WriteString(`="`)
-			sb.WriteString(escapeLabelValue.Replace(pairs[i+1]))
-			sb.WriteString(`"`)
+			fmt.Fprintf(b, `%s="%s"`, pairs[i], escapeLabelValue.Replace(pairs[i+1]))
 		}
-		sb.WriteByte('}')
+		b.WriteByte('}')
 	}
-	_, err := fmt.Fprintf(w, "%s %s\n", sb.String(), value)
+	fmt.Fprintf(b, " %s\n", value)
+}
+
+// WritePrometheus renders every family in the Prometheus text
+// exposition format, families in registration order and each family's
+// series in its collector's order, so scrapes are stable.
+func (r *Registry) WritePrometheus(w io.Writer) error { return r.write(w, false) }
+
+// WriteText renders the flat `name value` format: the unlabeled sample
+// lines of the Prometheus body, in the same order.
+func (r *Registry) WriteText(w io.Writer) error { return r.write(w, true) }
+
+func (r *Registry) write(w io.Writer, flat bool) error {
+	r.mu.Lock()
+	families := append([]family(nil), r.families...)
+	r.mu.Unlock()
+	var b bytes.Buffer
+	for _, f := range families {
+		samples := f.collect()
+		if !flat && len(samples) > 0 {
+			writePromHeader(&b, f.name, f.help, f.typ)
+		}
+		for _, s := range samples {
+			if !flat || len(s.Labels) == 0 {
+				writePromSample(&b, f.name+s.suffix, s.Value, s.Labels...)
+			}
+		}
+	}
+	_, err := w.Write(b.Bytes())
 	return err
 }
 
-// WritePrometheus renders every registered family in the Prometheus
-// text exposition format, families in registration order and series in
-// sorted (machine, kernel) order so scrapes are stable.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	counters := append([]*CounterVec(nil), r.counters...)
-	gauges := append([]*GaugeVec(nil), r.gauges...)
-	hists := append([]*HistogramVec(nil), r.hists...)
-	r.mu.Unlock()
+// Handler serves GET /metrics in the three formats both daemons expose:
+// the flat text (the default, or ?format=text), the Prometheus
+// exposition (?format=prometheus) and the JSON document that snapshot
+// returns (?format=json).
+func (r *Registry) Handler(snapshot func() any) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		// A failed write means the scraper hung up; there is no one
+		// left to tell.
+		switch format := strings.ToLower(req.URL.Query().Get("format")); format {
+		case "", "text":
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			_ = r.WriteText(w)
+		case "prometheus", "prom":
+			w.Header().Set("Content-Type", PromContentType)
+			_ = r.WritePrometheus(w)
+		case "json":
+			writeJSON(w, http.StatusOK, snapshot())
+		default:
+			writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf(
+				"unknown metrics format %q (want text, prometheus, or json)", format)})
+		}
+	}
+}
 
-	for _, v := range counters {
-		vals := v.Values()
-		if len(vals) == 0 {
-			continue
-		}
-		if err := WritePromHeader(w, v.name, v.help, "counter"); err != nil {
-			return err
-		}
-		for _, lv := range vals {
-			if err := WritePromSample(w, v.name, lv.Labels, "", "", formatFloat(lv.Value)); err != nil {
-				return err
-			}
-		}
-	}
-	for _, v := range gauges {
-		vals := v.Values()
-		if len(vals) == 0 {
-			continue
-		}
-		if err := WritePromHeader(w, v.name, v.help, "gauge"); err != nil {
-			return err
-		}
-		for _, lv := range vals {
-			if err := WritePromSample(w, v.name, lv.Labels, "", "", formatFloat(lv.Value)); err != nil {
-				return err
-			}
-		}
-	}
-	for _, v := range hists {
-		children := v.snapshot()
-		if len(children) == 0 {
-			continue
-		}
-		if err := WritePromHeader(w, v.name, v.help, "histogram"); err != nil {
-			return err
-		}
-		for _, lh := range children {
-			bounds, cum := lh.hist.Cumulative()
-			for i, ub := range bounds {
-				if err := WritePromSample(w, v.name+"_bucket", lh.labels, "le", formatFloat(ub),
-					strconv.FormatUint(cum[i], 10)); err != nil {
-					return err
-				}
-			}
-			total := lh.hist.Count()
-			if err := WritePromSample(w, v.name+"_bucket", lh.labels, "le", "+Inf",
-				strconv.FormatUint(total, 10)); err != nil {
-				return err
-			}
-			if err := WritePromSample(w, v.name+"_sum", lh.labels, "", "", formatFloat(lh.hist.Sum())); err != nil {
-				return err
-			}
-			if err := WritePromSample(w, v.name+"_count", lh.labels, "", "", strconv.FormatUint(total, 10)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }

@@ -29,11 +29,17 @@ type Config struct {
 	WordsPerCycle int
 }
 
+// maxCapacityBytes bounds an override of an array's capacity: 512
+// times the largest the machines use (Imagine's 128 KiB SRF).
+const maxCapacityBytes = 64 << 20
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
 	case c.CapacityBytes <= 0:
 		return errors.New("sram: CapacityBytes must be positive")
+	case c.CapacityBytes > maxCapacityBytes:
+		return fmt.Errorf("sram: CapacityBytes %d above the %d limit", c.CapacityBytes, maxCapacityBytes)
 	case c.BlockBytes <= 0:
 		return errors.New("sram: BlockBytes must be positive")
 	case c.WordsPerCycle <= 0:

@@ -14,6 +14,7 @@ func TestConfigValidate(t *testing.T) {
 		{CapacityBytes: 1024, BlockBytes: 0, WordsPerCycle: 1},
 		{CapacityBytes: 1024, BlockBytes: 128, WordsPerCycle: 0},
 		{CapacityBytes: 1000, BlockBytes: 128, WordsPerCycle: 1}, // not multiple
+		{CapacityBytes: maxCapacityBytes + 128, BlockBytes: 128, WordsPerCycle: 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -165,7 +165,7 @@ func (b *BatchRun) Cancel() {
 	b.cancel.Do(func() {
 		close(b.abort)
 		if b.metrics != nil {
-			b.metrics.batchCancelled()
+			b.metrics.batchCancels.Inc()
 		}
 	})
 }
@@ -181,7 +181,8 @@ func (b *BatchRun) Cancel() {
 func (s *Service) SubmitBatch(ctx context.Context, specs []JobSpec, opts BatchOptions) (*BatchRun, error) {
 	run, err := s.admit(ctx, specs, nil, opts, false)
 	if err == nil {
-		s.Metrics().batchAccepted(len(specs))
+		s.Metrics().batchGroups.Inc()
+		s.Metrics().batchCells.Add(uint64(len(specs)))
 	}
 	return run, err
 }
@@ -262,7 +263,7 @@ func (s *Service) admit(ctx context.Context, specs []JobSpec, keys []string, opt
 	// one.
 	if opts.Budget > 0 && !s.answeredAtOnce(run.members) {
 		if est := s.drainEstimate(opts.Priority); est > opts.Budget {
-			s.Metrics().budgetRejected()
+			s.Metrics().budgetDrops.Inc()
 			return nil, fmt.Errorf("svc: admitting %d job(s): remaining budget %s below drain estimate %s: %w",
 				len(specs), opts.Budget, est, ErrBudgetExhausted)
 		}
@@ -274,7 +275,7 @@ func (s *Service) admit(ctx context.Context, specs []JobSpec, keys []string, opt
 			continue
 		}
 		if err := s.breakers.Get(m).Allow(); err != nil {
-			s.Metrics().breakerRejected()
+			s.Metrics().breakerDrops.Inc()
 			s.settle(run.probes)
 			return nil, &breakerRefusal{machine: m, err: err}
 		}
@@ -625,7 +626,7 @@ func (s *Service) syncJournal() error {
 		return nil
 	}
 	if err := s.journal.Sync(); err != nil {
-		s.Metrics().journalAppendError()
+		s.Metrics().journalErrs.Inc()
 		return fmt.Errorf("%w: %v", ErrDurability, err)
 	}
 	return nil

@@ -292,15 +292,15 @@ func TestInvalidHardwareOverridesRejected(t *testing.T) {
 	}
 }
 
-// TestOversizedHardwareOverridesRejected sends cache and DRAM overrides
-// above the absolute bounds. They once passed validation, and the
+// TestOversizedHardwareOverridesRejected sends cache, DRAM, VIRAM, mesh,
+// SRAM and Imagine overrides above the absolute bounds. They once passed validation, and the
 // largest (a 16 GiB L2, a billion DRAM banks) made the machine build
 // allocate until the process died, which no recover catches. Every
-// write endpoint must refuse each with a 400 naming the field. The
-// values here stay small enough to build, so a server without the
-// bounds answers 200 instead of dying.
+// write endpoint must refuse each with a 400 naming the field before
+// any machine is built. The values here stay small enough to build, so
+// a server without the bounds answers 200 instead of dying.
 func TestOversizedHardwareOverridesRejected(t *testing.T) {
-	_, srv := newTestServer(t)
+	s, srv := newTestServer(t)
 	bad := []struct{ spec, field string }{
 		{`{"machine":"PPC","kernel":"beam-steering","config":{"ppc":{"L2":{"SizeBytes":33554432}}}}`, "SizeBytes"},
 		{`{"machine":"PPC","kernel":"beam-steering","config":{"ppc":{"L1":{"Assoc":128}}}}`, "Assoc"},
@@ -314,7 +314,25 @@ func TestOversizedHardwareOverridesRejected(t *testing.T) {
 		{`{"machine":"Raw","kernel":"beam-steering","config":{"raw":{"DRAM":{"AddrGens":1048576}}}}`, "AddrGens"},
 		{`{"machine":"Raw","kernel":"beam-steering","config":{"raw":{"DRAM":{"RowWords":1073741824}}}}`, "RowWords"},
 		{`{"machine":"Raw","kernel":"beam-steering","config":{"raw":{"DRAM":{"InterleaveWords":1073741824}}}}`, "InterleaveWords"},
+		{`{"machine":"VIRAM","kernel":"beam-steering","config":{"viram":{"Lanes":65}}}`, "Lanes"},
+		{`{"machine":"VIRAM","kernel":"beam-steering","config":{"viram":{"FPLanes":65}}}`, "FPLanes"},
+		{`{"machine":"VIRAM","kernel":"beam-steering","config":{"viram":{"MVL":1025}}}`, "MVL"},
+		{`{"machine":"VIRAM","kernel":"beam-steering","config":{"viram":{"VRegs":257}}}`, "VRegs"},
+		{`{"machine":"VIRAM","kernel":"beam-steering","config":{"viram":{"IssueQueue":257}}}`, "IssueQueue"},
+		{`{"machine":"VIRAM","kernel":"beam-steering","config":{"viram":{"TLBEntries":4097}}}`, "TLBEntries"},
+		{`{"machine":"VIRAM","kernel":"beam-steering","config":{"viram":{"TLBPageBytes":16777220}}}`, "TLBPageBytes"},
+		{`{"machine":"Raw","kernel":"beam-steering","config":{"raw":{"Mesh":{"Width":33}}}}`, "Width"},
+		{`{"machine":"Raw","kernel":"beam-steering","config":{"raw":{"Mesh":{"Height":33}}}}`, "Height"},
+		{`{"machine":"Raw","kernel":"beam-steering","config":{"raw":{"TileMem":{"CapacityBytes":67108868}}}}`, "CapacityBytes"},
+		{`{"machine":"Imagine","kernel":"beam-steering","config":{"imagine":{"Clusters":65}}}`, "Clusters"},
+		{`{"machine":"Imagine","kernel":"beam-steering","config":{"imagine":{"AddersPerCluster":65}}}`, "AddersPerCluster"},
+		{`{"machine":"Imagine","kernel":"beam-steering","config":{"imagine":{"MulsPerCluster":65}}}`, "MulsPerCluster"},
+		{`{"machine":"Imagine","kernel":"beam-steering","config":{"imagine":{"DivsPerCluster":65}}}`, "DivsPerCluster"},
+		{`{"machine":"Imagine","kernel":"beam-steering","config":{"imagine":{"MemControllers":17}}}`, "MemControllers"},
+		{`{"machine":"Imagine","kernel":"beam-steering","config":{"imagine":{"StreamDescRegs":257}}}`, "StreamDescRegs"},
+		{`{"machine":"Imagine","kernel":"beam-steering","config":{"imagine":{"SRF":{"CapacityBytes":67108992}}}}`, "CapacityBytes"},
 	}
+	builds := s.Metrics().Snapshot().MachineBuilds
 	for _, b := range bad {
 		for _, call := range []struct{ path, contentType, body string }{
 			{"/v1/jobs?wait=1", "application/json", b.spec},
@@ -338,6 +356,23 @@ func TestOversizedHardwareOverridesRejected(t *testing.T) {
 					call.path, b.spec, resp.StatusCode, body, b.field)
 			}
 		}
+	}
+	// A DSE axis expands to an override and meets the same bounds.
+	axis := `{"base":{"machine":"Raw","kernel":"beam-steering"},"axes":[{"param":"raw.Mesh","values":[1000]}]}`
+	resp, err := http.Post(srv.URL+"/v1/dse", "application/json", strings.NewReader(axis))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "Width") {
+		t.Errorf("POST /v1/dse with raw.Mesh 1000: %d %s, want 400 naming Width", resp.StatusCode, body)
+	}
+	if got := s.Metrics().Snapshot().MachineBuilds; got != builds {
+		t.Fatalf("over-bound overrides built %d machines", got-builds)
 	}
 	resp, job := postJob(t, srv.URL+"/v1/jobs?wait=1", JobSpec{Machine: "PPC", Kernel: core.BeamSteering})
 	if resp.StatusCode != http.StatusOK || job.State != Done || job.Result == nil || !job.Result.Verified {
@@ -388,9 +423,10 @@ func TestTooManyAuxChannelsRejected(t *testing.T) {
 	}
 }
 
-// TestOverBoundWorkloadsRejected sends corner-turn and beam-steering
-// workloads above the kernels' absolute bounds (a 100k x 100k corner
-// turn would ask for 40 GB). Every write endpoint must answer 400
+// TestOverBoundWorkloadsRejected sends corner-turn, beam-steering and
+// CSLC workloads above the kernels' absolute bounds (a 100k x 100k
+// corner turn would ask for 40 GB, and a 2^33-point CSLC transform for
+// a 128 GiB table at validation). Every write endpoint must answer 400
 // naming the field before anything is queued: the pool builds no
 // machine for them.
 func TestOverBoundWorkloadsRejected(t *testing.T) {
@@ -406,6 +442,13 @@ func TestOverBoundWorkloadsRejected(t *testing.T) {
 		{"Directions", func(w *core.Workload) { w.Beam.Directions = 257 }},
 		{"Dwells", func(w *core.Workload) { w.Beam.Dwells = 5000 }},
 		{"Outputs", func(w *core.Workload) { w.Beam.Elements, w.Beam.Directions, w.Beam.Dwells = 65536, 256, 2 }},
+		{"MainChannels", func(w *core.Workload) { w.CSLC.MainChannels = 9 }},
+		{"Samples", func(w *core.Workload) { w.CSLC.Samples = 32768 }},
+		{"SubBands", func(w *core.Workload) { w.CSLC.SubBands = 1025 }},
+		{"FFTSize", func(w *core.Workload) { w.CSLC.Samples, w.CSLC.SubBands, w.CSLC.FFTSize = 8192, 1, 8192 }},
+		{"Bins", func(w *core.Workload) {
+			w.CSLC.MainChannels, w.CSLC.Samples, w.CSLC.SubBands, w.CSLC.FFTSize = 8, 16384, 1024, 512
+		}},
 	}
 	builds := s.Metrics().Snapshot().MachineBuilds
 	for _, o := range over {

@@ -74,7 +74,7 @@ func (s *Service) Estimate(spec JobSpec) (Job, error) {
 		}
 		s.estimates.Put(hash, est)
 	}
-	s.Metrics().estimateServed(obs.Labels{Machine: norm.Machine, Kernel: string(norm.Kernel)})
+	s.Metrics().estimates.With(obs.Labels{Machine: norm.Machine, Kernel: string(norm.Kernel)}).Inc()
 	e := est
 	res := core.Result{
 		Machine: norm.Machine,

@@ -232,7 +232,7 @@ func TestPaperGridWalksEachTraceOnce(t *testing.T) {
 		}
 	}
 	var body strings.Builder
-	if err := s.Metrics().WritePrometheus(&body); err != nil {
+	if err := s.Metrics().Registry().WritePrometheus(&body); err != nil {
 		t.Fatal(err)
 	}
 	value := func(family string) uint64 {

@@ -114,7 +114,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /v1/tables/3", s.handleTable3)
 	mux.HandleFunc("GET /v1/roofline", s.handleRoofline)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics", s.Metrics().Registry().Handler(func() any { return s.Metrics().Snapshot() }))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("POST /v1/replay", s.handleReplay)
@@ -338,7 +338,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// degraded answer is ever mistaken for a simulated one.
 			job.Degraded = true
 			w.Header().Set("X-Degraded", "brownout")
-			s.Metrics().brownoutServed()
+			s.Metrics().brownoutJobs.Inc()
 		}
 		writeJSON(w, http.StatusOK, job)
 		return
@@ -500,22 +500,6 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, TraceResponse{ID: id, State: state, Events: events})
 }
 
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	switch format := strings.ToLower(r.URL.Query().Get("format")); format {
-	case "", "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = s.Metrics().Snapshot().WriteText(w)
-	case "prometheus", "prom":
-		w.Header().Set("Content-Type", obs.PromContentType)
-		_ = s.Metrics().WritePrometheus(w)
-	case "json":
-		writeJSON(w, http.StatusOK, s.Metrics().Snapshot())
-	default:
-		writeError(w, httpError{http.StatusBadRequest,
-			fmt.Sprintf("unknown metrics format %q (want text, prometheus, or json)", format)})
-	}
-}
-
 // Health is the /healthz payload: admission and breaker visibility for
 // load balancers and chaos drivers.
 type Health struct {
@@ -574,12 +558,12 @@ func (s *Service) Healthz() Health {
 	// Feed the brownout controller from the health probe too: a service
 	// receiving only ?tier=simulate traffic still keeps the controller's
 	// view (and the brownout gauge) current.
-	s.Metrics().setBrownoutActive(s.brownout.Observe(s.brownoutInputs()))
+	s.Metrics().brownoutOn.Store(s.brownout.Observe(s.brownoutInputs()))
 	h.Brownout = s.brownout.Stats()
 	if s.journal != nil {
 		h.Journal = &JournalHealth{
 			Stats:        s.journal.Stats(),
-			AppendErrors: s.Metrics().JournalAppendErrors(),
+			AppendErrors: s.Metrics().journalErrs.Value(),
 			Replay:       s.ReplayStats(),
 		}
 		if h.Journal.AppendErrors > 0 {
@@ -641,7 +625,7 @@ func (s *Service) Readiness() Readiness {
 	rd := Readiness{
 		Draining:   s.Draining(),
 		Degraded:   s.Healthz().Degraded,
-		Brownout:   s.Metrics().BrownoutActive(),
+		Brownout:   s.Metrics().brownoutOn.Load(),
 		Shard:      s.shardID,
 		ConfigHash: s.configHash,
 	}

@@ -235,7 +235,7 @@ func (s *Service) journalAcceptedLocked(members []*Job, seq uint64) error {
 		err = s.journal.Append(data)
 	}
 	if err != nil {
-		s.Metrics().journalAppendError()
+		s.Metrics().journalErrs.Inc()
 		return fmt.Errorf("%w: %v", ErrDurability, err)
 	}
 	return nil
@@ -268,6 +268,6 @@ func (s *Service) journalEventLocked(t eventType, j *Job) {
 		err = s.journal.AppendDefer(data)
 	}
 	if err != nil {
-		s.Metrics().journalAppendError()
+		s.Metrics().journalErrs.Inc()
 	}
 }

@@ -140,14 +140,14 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				m.jobQueued()
-				m.jobStarted()
-				m.cacheMiss(cell)
+				m.queued.Inc()
+				m.running.Add(1)
+				m.cacheMisses.With(cell).Inc()
 				m.jobFinished(cell, true, true, false, false, time.Duration(i)*time.Microsecond)
-				m.cacheHit(cell, 100)
-				m.jobCoalesced(cell)
-				m.jobRetried(cell, 1)
-				m.cyclesRun(10)
+				m.cacheHits.With(cell).Inc()
+				m.coalesced.With(cell).Inc()
+				m.retries.With(cell).Add(1)
+				m.cyclesServed.Add(10)
 				m.loadShed(PriorityInteractive)
 			}
 		}()
@@ -156,12 +156,12 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 	go func() {
 		defer close(readerDone)
 		for i := 0; i < 100; i++ {
-			snap := m.Snapshot()
-			if err := snap.WriteText(io.Discard); err != nil {
+			_ = m.Snapshot()
+			if err := m.Registry().WriteText(io.Discard); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := m.WritePrometheus(io.Discard); err != nil {
+			if err := m.Registry().WritePrometheus(io.Discard); err != nil {
 				t.Error(err)
 				return
 			}
@@ -193,10 +193,10 @@ func TestMetricsWritePrometheus(t *testing.T) {
 	m.jobFinished(viramCT, true, true, false, false, 120*time.Millisecond)
 	m.jobFinished(viramCT, true, true, false, false, 80*time.Millisecond)
 	m.jobFinished(imagineCS, true, false, false, false, 10*time.Millisecond)
-	m.cacheHit(viramCT, 12345)
+	m.cacheHits.With(viramCT).Inc()
 
 	var buf bytes.Buffer
-	if err := m.WritePrometheus(&buf); err != nil {
+	if err := m.Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -207,7 +207,7 @@ func TestBatchShedsBeforeInteractive(t *testing.T) {
 func seedExecWindow(m *Metrics, lat time.Duration, n int) {
 	cell := obs.Labels{Machine: "VIRAM", Kernel: string(core.CornerTurn)}
 	for i := 0; i < n; i++ {
-		m.jobStarted()
+		m.running.Add(1)
 		m.jobFinished(cell, true, true, false, false, lat)
 	}
 	m.invalidateExecQuantiles()

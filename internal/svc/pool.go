@@ -198,8 +198,6 @@ type PoolOptions struct {
 	QueueDepth int
 	// MemoCapacity is the memo table size; < 0 disables memoization.
 	MemoCapacity int
-	// Metrics receives lifecycle events; nil allocates a private one.
-	Metrics *Metrics
 	// Retry governs re-execution of attempts that fail with an error
 	// classified transient (resilience.IsTransient). The zero value is
 	// resilience.DefaultRetry; set MaxAttempts to 1 to disable.
@@ -288,9 +286,6 @@ func NewPool(opts PoolOptions) *Pool {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 256
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = NewMetrics()
-	}
 	if opts.Faults == nil {
 		opts.Faults = faults.Default()
 	}
@@ -298,7 +293,7 @@ func NewPool(opts PoolOptions) *Pool {
 		opts:     opts,
 		tasks:    make(chan poolItem, opts.QueueDepth),
 		batch:    make(chan poolItem, opts.QueueDepth),
-		metrics:  opts.Metrics,
+		metrics:  NewMetrics(),
 		faults:   opts.Faults,
 		inflight: make(map[string]*Future),
 		holding:  make(map[string][]poolItem),
@@ -331,7 +326,7 @@ func NewPool(opts PoolOptions) *Pool {
 // Workers returns the pool's concurrency.
 func (p *Pool) Workers() int { return p.opts.Workers }
 
-// Metrics returns the pool's registry.
+// Metrics returns the pool's metrics.
 func (p *Pool) Metrics() *Metrics { return p.metrics }
 
 // QueueDepth returns the number of tasks waiting for a worker across
@@ -401,14 +396,6 @@ func (p *Pool) MemoEntries() map[string]core.Result {
 	return p.memo.Entries()
 }
 
-// MemoHitRate returns the memo table's hit rate (0 when disabled).
-func (p *Pool) MemoHitRate() float64 {
-	if p.memo == nil {
-		return 0
-	}
-	return p.memo.HitRate()
-}
-
 // Submit admits a group of tasks — the pool's one entry point, for a
 // single task as for a grid. The memo/coalescing pre-filter answers
 // cached and duplicate tasks synchronously, so they never occupy a
@@ -467,23 +454,24 @@ func (p *Pool) prepare(t Task) (fut *Future, enqueue bool) {
 	// hard ErrDeterminism, never a silently wrong cycle count.
 	if p.memo != nil && t.MemoKey != "" {
 		if r, ok := p.memo.Get(t.MemoKey); ok {
-			p.metrics.jobQueued()
+			p.metrics.queued.Inc()
 			if raw, ok := p.memo.Peek(t.MemoKey); !ok || raw.Cycles != r.Cycles || raw.Verified != r.Verified {
-				p.metrics.determinismViolation(t.Cell)
+				p.metrics.determinism.With(t.Cell).Inc()
 				p.metrics.jobFinished(t.Cell, false, false, false, false, 0)
 				fut.err = fmt.Errorf("svc: job %q: memoized result failed verification: %w", t.Label, ErrDeterminism)
 				close(fut.started)
 				close(fut.done)
 				return fut, false
 			}
-			p.metrics.cacheHit(t.Cell, r.Cycles)
+			p.metrics.cacheHits.With(t.Cell).Inc()
+			p.metrics.cyclesServed.Add(r.Cycles)
 			p.metrics.jobFinished(t.Cell, false, true, false, false, 0)
 			fut.res, fut.fromCache = r, true
 			close(fut.started)
 			close(fut.done)
 			return fut, false
 		}
-		p.metrics.cacheMiss(t.Cell)
+		p.metrics.cacheMisses.With(t.Cell).Inc()
 	}
 
 	// Coalesce duplicate in-flight work: if an execution for the same
@@ -495,7 +483,7 @@ func (p *Pool) prepare(t Task) (fut *Future, enqueue bool) {
 		p.inflightMu.Lock()
 		if leader, ok := p.inflight[t.MemoKey]; ok {
 			p.inflightMu.Unlock()
-			p.metrics.jobCoalesced(t.Cell)
+			p.metrics.coalesced.With(t.Cell).Inc()
 			return leader, false
 		}
 		p.inflight[t.MemoKey] = fut
@@ -526,7 +514,7 @@ func (p *Pool) fill(pend []poolItem, shed bool) []poolItem {
 		if len(rest) == 0 {
 			select {
 			case p.queueFor(item.task) <- item:
-				p.metrics.jobQueued()
+				p.metrics.queued.Inc()
 				continue
 			default:
 			}
@@ -556,7 +544,7 @@ func (p *Pool) feed(ctx context.Context, pend []poolItem) {
 		if cause == nil {
 			select {
 			case p.queueFor(pend[0].task) <- pend[0]:
-				p.metrics.jobQueued()
+				p.metrics.queued.Inc()
 				pend = p.fill(pend[1:], false)
 			case <-ctx.Done():
 				cause = ctx.Err()
@@ -706,7 +694,7 @@ func (p *Pool) hold(key string, item poolItem) bool {
 	if running {
 		behind = append(behind, item)
 		p.held++
-		p.metrics.taskHeld()
+		p.metrics.tasksHeld.Inc()
 	}
 	p.holding[key] = behind
 	return running
@@ -757,7 +745,7 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 	// the simulator would burn a worker slot on an answer nobody is
 	// waiting for — exactly what the budget exists to prevent.
 	if !item.task.Expires.IsZero() && start.After(item.task.Expires) {
-		p.metrics.expiredDropped()
+		p.metrics.expiredDrops.Inc()
 		p.fail(item, fmt.Errorf("expired in queue: %w", ErrBudgetExhausted))
 		return
 	}
@@ -782,7 +770,7 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 		defer p.release(key)
 	}
 	close(item.fut.started)
-	p.metrics.jobStarted()
+	p.metrics.running.Add(1)
 	if item.task.OnStart != nil {
 		item.task.OnStart()
 	}
@@ -817,7 +805,7 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 		return aerr
 	})
 	if attempts > 1 {
-		p.metrics.jobRetried(item.task.Cell, uint64(attempts-1))
+		p.metrics.retries.With(item.task.Cell).Add(uint64(attempts - 1))
 	}
 	// The per-job context's only cancellation path (as opposed to
 	// deadline) is pool shutdown, so report abandoned in-flight work as
@@ -850,7 +838,7 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 		// bit. The simulators are deterministic, so a mismatch is
 		// corruption and is surfaced as a hard error.
 		if prev, ok := p.memo.Peek(item.task.MemoKey); ok && prev.Cycles != res.Cycles {
-			p.metrics.determinismViolation(item.task.Cell)
+			p.metrics.determinism.With(item.task.Cell).Inc()
 			err = fmt.Errorf("svc: job %q: ran to %d cycles but %d are memoized for the same spec: %w",
 				item.task.Label, res.Cycles, prev.Cycles, ErrDeterminism)
 		} else {
@@ -858,7 +846,7 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 		}
 	}
 	if err == nil {
-		p.metrics.cyclesRun(res.Cycles)
+		p.metrics.cyclesServed.Add(res.Cycles)
 	}
 	elapsed := time.Since(start)
 	p.metrics.jobFinished(item.task.Cell, true, err == nil, timedOut, panicked, elapsed)
@@ -916,7 +904,7 @@ func (p *Pool) runAttempt(ctx context.Context, t Task, ws *workerState) (core.Re
 				ch <- outcome{err: fmt.Errorf("svc: job %q: %w", t.Label, err)}
 				return
 			}
-			p.metrics.machineBuilt()
+			p.metrics.machineBuilds.Inc()
 		}
 		res, err := t.RunOn(ctx, m)
 		ch <- outcome{res: res, m: m, err: err}
@@ -958,7 +946,7 @@ func (p *Pool) cachedMachine(t Task, ws *workerState) core.Machine {
 	}
 	if r, isReset := cached.(core.Resettable); isReset {
 		r.Reset()
-		p.metrics.machineReused()
+		p.metrics.machineReuses.Inc()
 		return cached
 	}
 	delete(ws.machines, key)
@@ -982,7 +970,7 @@ func (p *Pool) cacheMachine(ws *workerState, key string, m core.Machine) {
 func (p *Pool) evictMachine(ws *workerState, key string) {
 	if _, ok := ws.machines[key]; ok {
 		delete(ws.machines, key)
-		p.metrics.machineEvicted()
+		p.metrics.machineEvicts.Inc()
 	}
 }
 
@@ -1011,7 +999,7 @@ func (p *Pool) sampleReuse(ws *workerState, key string) bool {
 // guard still protect the primary result. RunOn is documented pure, so
 // re-invoking it performs no duplicate side effects.
 func (p *Pool) verifyReuse(ctx context.Context, t Task, got core.Result) error {
-	p.metrics.reuseChecked()
+	p.metrics.reuseChecks.Inc()
 	fresh, err := t.Factory(t.Machine)
 	if err != nil {
 		return nil
@@ -1031,7 +1019,7 @@ func (p *Pool) verifyReuse(ctx context.Context, t Task, got core.Result) error {
 		return nil
 	}
 	if vres.Cycles != got.Cycles {
-		p.metrics.determinismViolation(t.Cell)
+		p.metrics.determinism.With(t.Cell).Inc()
 		return fmt.Errorf("svc: job %q: reused instance ran to %d cycles but a fresh instance runs to %d: %w",
 			t.Label, got.Cycles, vres.Cycles, ErrDeterminism)
 	}

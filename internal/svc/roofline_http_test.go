@@ -83,7 +83,7 @@ func TestHTTPRooflineGrid(t *testing.T) {
 		t.Fatalf("healthy grid fired %d drift alerts", snap.ModelDrift)
 	}
 	var sb strings.Builder
-	if err := s.Metrics().WritePrometheus(&sb); err != nil {
+	if err := s.Metrics().Registry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `simserved_cell_model_error_ratio{machine="VIRAM",kernel="corner-turn"}`) {

@@ -255,7 +255,7 @@ func (s *Service) ResolveTier(t Tier) (tier Tier, degraded bool) {
 		return t, false
 	}
 	active := s.brownout.Observe(s.brownoutInputs())
-	s.Metrics().setBrownoutActive(active)
+	s.Metrics().brownoutOn.Store(active)
 	if active {
 		return TierEstimate, true
 	}

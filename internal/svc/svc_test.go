@@ -225,7 +225,7 @@ func TestPoolMemoization(t *testing.T) {
 	if r1.Cycles != r2.Cycles {
 		t.Fatalf("cycles differ: %d vs %d", r1.Cycles, r2.Cycles)
 	}
-	if hr := p.MemoHitRate(); hr != 0.5 {
+	if hr := p.Metrics().Snapshot().CacheHitRate; hr != 0.5 {
 		t.Fatalf("memo hit rate %v, want 0.5", hr)
 	}
 }
@@ -395,7 +395,7 @@ func TestMetricsQuantiles(t *testing.T) {
 		t.Fatalf("p99 = %v", snap.P99Seconds)
 	}
 	var sb strings.Builder
-	if err := snap.WriteText(&sb); err != nil {
+	if err := m.Registry().WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{

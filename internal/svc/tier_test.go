@@ -216,14 +216,11 @@ func TestModelDriftAlert(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close() // drain the completion goroutine that records drift
-	if got := s.Metrics().ModelDriftAlerts(); got != 1 {
-		t.Fatalf("drift alerts = %d, want 1", got)
-	}
 	if snap := s.Metrics().Snapshot(); snap.ModelDrift != 1 {
 		t.Fatalf("snapshot drift = %d, want 1", snap.ModelDrift)
 	}
 	var buf bytes.Buffer
-	if err := s.Metrics().WritePrometheus(&buf); err != nil {
+	if err := s.Metrics().Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -250,11 +247,11 @@ func TestNoDriftOnHealthySimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	if got := s.Metrics().ModelDriftAlerts(); got != 0 {
+	if got := s.Metrics().Snapshot().ModelDrift; got != 0 {
 		t.Fatalf("healthy simulator fired %d drift alerts", got)
 	}
 	var buf bytes.Buffer
-	if err := s.Metrics().WritePrometheus(&buf); err != nil {
+	if err := s.Metrics().Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `simserved_cell_model_error_ratio{machine="VIRAM",kernel="corner-turn"} 1.5`) {

@@ -133,22 +133,47 @@ func DefaultConfig() Config {
 	}
 }
 
+// Absolute bounds on a configuration, each at least twice the largest
+// value a sweep, a golden config or the DSE axes use (16 lanes, MVL 256,
+// the paper's 32 registers, 8-deep queue, 48 entries and 64 KiB pages).
+// Overrides arrive from the network.
+const (
+	maxLanes        = 64
+	maxMVL          = 1024
+	maxVRegs        = 256
+	maxIssueQueue   = 256
+	maxTLBEntries   = 4096
+	maxTLBPageBytes = 1 << 24
+)
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
 	case c.Lanes <= 0 || c.FPLanes <= 0 || c.FPLanes > c.Lanes:
-		return fmt.Errorf("viram: lanes %d / FP lanes %d", c.Lanes, c.FPLanes)
+		return fmt.Errorf("viram: Lanes %d / FPLanes %d", c.Lanes, c.FPLanes)
+	case c.Lanes > maxLanes:
+		return fmt.Errorf("viram: Lanes %d above the %d limit", c.Lanes, maxLanes)
 	case c.MVL <= 0 || c.VRegs <= 0:
 		return fmt.Errorf("viram: MVL %d / VRegs %d", c.MVL, c.VRegs)
+	case c.MVL > maxMVL:
+		return fmt.Errorf("viram: MVL %d above the %d limit", c.MVL, maxMVL)
+	case c.VRegs > maxVRegs:
+		return fmt.Errorf("viram: VRegs %d above the %d limit", c.VRegs, maxVRegs)
 	case c.StartupALU < 0 || c.StartupMem < 0:
 		return fmt.Errorf("viram: negative startup")
 	case c.IssueQueue <= 0:
 		return fmt.Errorf("viram: IssueQueue %d", c.IssueQueue)
+	case c.IssueQueue > maxIssueQueue:
+		return fmt.Errorf("viram: IssueQueue %d above the %d limit", c.IssueQueue, maxIssueQueue)
 	case c.TLBEntries <= 0:
 		return fmt.Errorf("viram: TLBEntries %d must be positive", c.TLBEntries)
+	case c.TLBEntries > maxTLBEntries:
+		return fmt.Errorf("viram: TLBEntries %d above the %d limit", c.TLBEntries, maxTLBEntries)
 	case c.TLBPageBytes < 4:
 		// A page must hold at least one 32-bit word.
 		return fmt.Errorf("viram: TLBPageBytes %d below one 4-byte word", c.TLBPageBytes)
+	case c.TLBPageBytes > maxTLBPageBytes:
+		return fmt.Errorf("viram: TLBPageBytes %d above the %d limit", c.TLBPageBytes, maxTLBPageBytes)
 	}
 	return c.DRAM.Validate()
 }

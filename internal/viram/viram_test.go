@@ -37,6 +37,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.StartupALU = -1 },
 		func(c *Config) { c.TLBEntries = 0 },
 		func(c *Config) { c.TLBPageBytes = 2 },
+		func(c *Config) { c.Lanes = maxLanes + 1 },
+		func(c *Config) { c.MVL = maxMVL + 1 },
+		func(c *Config) { c.VRegs = maxVRegs + 1 },
+		func(c *Config) { c.IssueQueue = maxIssueQueue + 1 },
+		func(c *Config) { c.TLBEntries = maxTLBEntries + 1 },
+		func(c *Config) { c.TLBPageBytes = maxTLBPageBytes + 4 },
 		func(c *Config) { c.DRAM.Banks = 0 },
 		func(c *Config) { c.DRAM.InterleaveWords = -8 },
 	}
