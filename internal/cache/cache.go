@@ -190,47 +190,50 @@ func (c *Cache) Access(addr int, write bool) uint64 {
 	base := set * c.cfg.Assoc
 	ways := c.ways[base : base+c.cfg.Assoc]
 
+	// One pass finds the line and moves the ways ahead of it one place
+	// back, carrying each in a register; the line found (or, on a miss,
+	// the new one) then takes the front. A miss carries out the last way,
+	// the victim, unless an invalid way ended the pass: no valid way
+	// follows one, and the pass displaced it instead.
+	carry := want
 	for i, w := range ways {
+		ways[i] = carry
 		if w&^dirtyBit == want {
 			if write {
 				w |= dirtyBit
 			}
-			copy(ways[1:i+1], ways[:i])
 			ways[0] = w
 			c.counters.Hits++
 			return uint64(c.cfg.HitLatency)
 		}
-		if w == 0 {
-			break // the invalid tail: no valid way follows
+		if carry = w; w == 0 {
+			break
 		}
 	}
 	c.counters.Misses++
-
-	lat := uint64(c.cfg.HitLatency)
-	last := len(ways) - 1
-	if victim := ways[last]; victim&(validBit|dirtyBit) == validBit|dirtyBit {
-		// Write back the victim. Writebacks are buffered in real machines;
-		// we charge the lower level's occupancy but not its full latency.
-		victimLine := int(victim>>tagShift)<<c.setShift | set
-		c.next(victimLine<<c.lineShift, true)
-		c.counters.Writebacks++
-	}
-	lat += c.next(addr, false)
-	copy(ways[1:], ways[:last])
-	ways[0] = want
 	if write {
 		ways[0] |= dirtyBit
 	}
-	return lat
-}
 
-// next serves a line access at the level below: the lower cache, or a
-// whole-line fill from DRAM (a writeback is charged as a fill too).
-func (c *Cache) next(addr int, write bool) uint64 {
-	if c.lower != nil {
-		return c.lower.Access(addr, write)
+	lat := uint64(c.cfg.HitLatency)
+	if victim := carry; victim&(validBit|dirtyBit) == validBit|dirtyBit {
+		// Write back the victim. Writebacks are buffered in real machines;
+		// we charge the lower level's occupancy but not its full latency.
+		victimAddr := (int(victim>>tagShift)<<c.setShift | set) << c.lineShift
+		if c.lower != nil {
+			c.lower.Access(victimAddr, true)
+		} else {
+			c.mem.LineFetch(victimAddr>>2, c.lineWords)
+		}
+		c.counters.Writebacks++
 	}
-	return c.mem.LineFetch(addr>>2, c.lineWords)
+	// Fetch the line from the level below: the lower cache, or a
+	// whole-line fill from DRAM (a writeback above is charged as a fill
+	// too).
+	if c.lower != nil {
+		return lat + c.lower.Access(addr, false)
+	}
+	return lat + c.mem.LineFetch(addr>>2, c.lineWords)
 }
 
 // MissRate returns misses / (hits + misses), or 0 when idle.

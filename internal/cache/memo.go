@@ -324,16 +324,6 @@ func (m *Memo[V]) Bytes() int {
 	return n
 }
 
-// HitRate returns hits / (hits + misses), or 0 when the table has never
-// been probed.
-func (m *Memo[V]) HitRate() float64 {
-	h, mi := m.Counters()
-	if h+mi == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+mi)
-}
-
 // Counters returns the cumulative hit and miss counts, aggregated
 // across shards.
 func (m *Memo[V]) Counters() (hits, misses uint64) {

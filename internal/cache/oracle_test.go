@@ -150,19 +150,22 @@ func (h *hierarchy) reset() {
 	h.o1.Reset()
 }
 
-// oracleHierarchies are the G4 stack and the golden files' alternative
-// PPC L1 (8 KB, 2-way) over a DRAM with a bank count that is not a
-// power of two and a narrow interleave.
+// oracleHierarchies are the G4 stack, the golden files' alternative PPC
+// L1 (8 KB, 2-way) over a DRAM with a bank count that is not a power of
+// two and a narrow interleave, and levels at the associativity limit.
 func oracleHierarchies() []*hierarchy {
 	six := dram.PPCDRAM()
 	six.Banks = 6
 	six.InterleaveWords = 8
 	small := Config{Name: "l1-8k-2way", SizeBytes: 8 << 10, LineBytes: 32, Assoc: 2, HitLatency: 1}
 	direct := Config{Name: "l2-direct", SizeBytes: 16 << 10, LineBytes: 64, Assoc: 1, HitLatency: 4}
+	wideL1 := Config{Name: "l1-8k-64way", SizeBytes: 8 << 10, LineBytes: 32, Assoc: maxAssoc, HitLatency: 1}
+	wideL2 := Config{Name: "l2-256k-64way", SizeBytes: 256 << 10, LineBytes: 32, Assoc: maxAssoc, HitLatency: 9}
 	return []*hierarchy{
 		newHierarchy("g4", G4L1(), G4L2(), dram.PPCDRAM()),
 		newHierarchy("8k-2way/6-banks", small, G4L2(), six),
 		newHierarchy("8k-2way/direct-l2", small, direct, dram.PPCDRAM()),
+		newHierarchy("64-way", wideL1, wideL2, dram.PPCDRAM()),
 	}
 }
 

@@ -615,6 +615,8 @@ func TestGatewayRejectsOverBoundSpecs(t *testing.T) {
 	for _, b := range []struct{ spec, field string }{
 		{string(cslcSpec), "FFTSize"},
 		{`{"machine":"Raw","kernel":"beam-steering","config":{"raw":{"Mesh":{"Width":1000}}}}`, "Width"},
+		{`{"machine":"AltiVec","kernel":"cslc","config":{"ppc":{"VecLatency":288230376151711744}}}`, "VecLatency"},
+		{`{"machine":"PPC","kernel":"corner-turn","config":{"ppc":{"IssueWidth":1000}}}`, "IssueWidth"},
 	} {
 		for _, call := range []struct{ path, contentType, body string }{
 			{"/v1/jobs?wait=1", "application/json", b.spec},

@@ -53,8 +53,8 @@ type Config struct {
 	InterleaveWords int
 	// Reorder models a streaming memory controller (Imagine) that
 	// reorders pending accesses to avoid bank conflicts: when set,
-	// strided streams behave like sequential ones at AddrGens words per
-	// cycle and row activates overlap.
+	// strided streams behave like sequential ones at SeqWordsPerCycle
+	// words per cycle and row activates overlap.
 	Reorder bool
 }
 
@@ -212,8 +212,10 @@ type Controller struct {
 
 	// The address mapping, derived once from cfg: banks switch every il
 	// words, and a row stripe spans stripe words. When both and the bank
-	// count are powers of two, decoding is by shift and mask.
-	il, stripe        int
+	// count are powers of two, decoding is by shift and mask. A run (a
+	// stretch of words in one bank and one row) never crosses a multiple
+	// of il or of stripe; span is the smaller of the two.
+	il, stripe, span  int
 	pow2              bool
 	ilShift, rowShift uint
 	bankMask          int
@@ -236,6 +238,7 @@ func NewController(cfg Config) *Controller {
 	if c.il == 0 {
 		c.il = cfg.RowWords
 	}
+	c.span = min(c.il, c.stripe)
 	if isPow2(c.il) && isPow2(cfg.Banks) && isPow2(c.stripe) {
 		c.pow2 = true
 		c.ilShift = uint(bits.TrailingZeros(uint(c.il)))
@@ -281,7 +284,9 @@ func (c *Controller) bankAndRow(addr int) (bank, row int) {
 		addr = -addr
 	}
 	if c.pow2 {
-		return (addr >> c.ilShift) & c.bankMask, addr >> c.rowShift
+		// The shift counts are below 64; masking them says so to the
+		// compiler, which then emits a bare shift.
+		return (addr >> (c.ilShift & 63)) & c.bankMask, addr >> (c.rowShift & 63)
 	}
 	return (addr / c.il) % c.cfg.Banks, addr / c.stripe
 }
@@ -316,6 +321,18 @@ const queueDepth = 16
 // revisit a busy bank are pushed out and, through the bounded request
 // queue, eventually stall issue. A reordering stream controller (Imagine,
 // Raw ports) hides activate latency entirely by scheduling around it.
+//
+// The request is walked run by run. A run is a stretch of consecutive
+// words in one interleave chunk and one row stripe, so in one bank and
+// one row: only its first word can open a row, and each run decodes its
+// address and tests its bank's open row once. The rest of its words
+// only take a queue entry and an issue slot, and not even that while no
+// queued word is served after the current issue cycle. A reordering
+// controller serves every word at its issue cycle (it never stalls, so
+// word i issues at start + i/width), which leaves nothing to do per
+// word: a row miss marks its bank busy from that word's issue cycle,
+// and the stream takes ⌈n/width⌉ cycles. The per-word walk this
+// replaced is the oracle in oracle_test.go.
 func (c *Controller) Stream(req Request) StreamResult {
 	n := req.Count
 	if req.Indices != nil {
@@ -331,57 +348,19 @@ func (c *Controller) Stream(req Request) StreamResult {
 	strided := req.Indices != nil || req.Stride != 1
 	width := c.issueWidth(strided)
 	start := c.clock.Now()
-	issue := start
-	var res StreamResult
-	res.Words = uint64(n)
-	res.StartLatency = uint64(c.cfg.CAS + c.cfg.TRCD)
+	res := StreamResult{Words: uint64(n), StartLatency: uint64(c.cfg.CAS + c.cfg.TRCD)}
+	// Runs are longer than one word only for ascending strides shorter
+	// than a chunk and a stripe, from a non-negative base. Indexed,
+	// descending, negative-base and chunk-wide requests take one word per
+	// run, with no division beyond the decode.
+	runs := req.Indices == nil && req.Base >= 0 && req.Stride > 0 && req.Stride < c.span
 
-	var ring [queueDepth]uint64
-	inSlot := 0
-	finish := start
-	for i := 0; i < n; i++ {
-		addr := req.Base + i*req.Stride
-		if req.Indices != nil {
-			addr = req.Indices[i]
-		}
-		bank, row := c.bankAndRow(addr)
-
-		// Backpressure: the queue holds at most queueDepth outstanding
-		// accesses.
-		if i >= queueDepth && ring[i%queueDepth] > issue {
-			res.ConflictStalls += ring[i%queueDepth] - issue
-			issue = ring[i%queueDepth]
-		}
-
-		serve := issue
-		if c.openRow[bank] != row {
-			res.RowMisses++
-			if c.cfg.Reorder {
-				// The streaming controller schedules around activates;
-				// the bank is refreshed in the background.
-				c.bankFree[bank] = serve + c.rowCycle()
-			} else {
-				rowStart := serve
-				if c.bankFree[bank] > rowStart {
-					res.ConflictStalls += c.bankFree[bank] - rowStart
-					rowStart = c.bankFree[bank]
-				}
-				serve = rowStart + c.rowCycle()
-				c.bankFree[bank] = serve
-			}
-			c.openRow[bank] = row
-		}
-
-		ring[i%queueDepth] = serve
-		if serve > finish {
-			finish = serve
-		}
-		// Advance the issue slot: width words per cycle.
-		inSlot++
-		if inSlot == width {
-			inSlot = 0
-			issue++
-		}
+	var finish uint64
+	if c.cfg.Reorder {
+		res.RowMisses = c.reordered(req, n, width, start, runs)
+		finish = start + uint64((n-1)/width)
+	} else {
+		finish, res.RowMisses, res.ConflictStalls = c.queued(req, n, width, start, runs)
 	}
 	end := finish + 1
 	res.Cycles = end - start
@@ -395,6 +374,129 @@ func (c *Controller) Stream(req Request) StreamResult {
 	c.counters.StreamRequests++
 	c.counters.BusyCycles += res.Cycles
 	return res
+}
+
+// reordered walks a request on a reordering controller, which serves
+// word i at its issue cycle, start + i/width. It opens each run's row and
+// returns the row misses.
+func (c *Controller) reordered(req Request, n, width int, start uint64, runs bool) (misses uint64) {
+	issue, slot := start, 0 // the run's first issue cycle and its slot in it
+	for i := 0; i < n; {
+		addr := req.Base + i*req.Stride
+		if req.Indices != nil {
+			addr = req.Indices[i]
+		}
+		bank, row := c.bankAndRow(addr)
+		run := 1
+		if runs {
+			run = min(c.runWords(addr, req.Stride), n-i)
+		}
+		if c.openRow[bank] != row {
+			// The streaming controller schedules around activates; the
+			// bank is refreshed in the background.
+			misses++
+			c.bankFree[bank] = issue + c.rowCycle()
+			c.openRow[bank] = row
+		}
+		issue, slot = advance(issue, slot, run, width)
+		i += run
+	}
+	return misses
+}
+
+// queued walks a request through the controller's bounded queue and
+// returns the last serve cycle, the row misses and the stall cycles.
+func (c *Controller) queued(req Request, n, width int, start uint64, runs bool) (finish, misses, stalls uint64) {
+	var ring [queueDepth]uint64 // serve cycles of the last queueDepth words
+	issue, slot := start, 0     // word i's issue cycle and its slot in it
+	finish = start
+	for i := 0; i < n; {
+		addr := req.Base + i*req.Stride
+		if req.Indices != nil {
+			addr = req.Indices[i]
+		}
+		bank, row := c.bankAndRow(addr)
+
+		// Backpressure: the queue holds at most queueDepth outstanding
+		// accesses. Its entries start at 0, which no issue cycle
+		// precedes.
+		q := &ring[uint(i)%queueDepth]
+		if *q > issue {
+			stalls += *q - issue
+			issue = *q
+		}
+		serve := issue
+		if c.openRow[bank] != row {
+			misses++
+			if free := c.bankFree[bank]; free > serve {
+				stalls += free - serve
+				serve = free
+			}
+			serve += c.rowCycle()
+			c.bankFree[bank] = serve
+			c.openRow[bank] = row
+		}
+		*q = serve
+		finish = max(finish, serve)
+		issue, slot = advance(issue, slot, 1, width)
+		i++
+		if !runs {
+			continue
+		}
+
+		// The rest of the run is served from its open row.
+		end := min(i-1+c.runWords(addr, req.Stride), n)
+		if m := end - i; m > 0 && finish <= issue {
+			// No queued word is served after issue, so none of the m
+			// stalls: each is served at its issue cycle. Their queue
+			// entries are skipped, which no later word can tell: the
+			// entries they would write and the ones left in place are
+			// all at or before issue.
+			finish = issue + uint64((slot+m-1)/width)
+			issue, slot = advance(issue, slot, m, width)
+			i = end
+		}
+		for ; i < end; i++ {
+			q := &ring[uint(i)%queueDepth]
+			if *q > issue {
+				stalls += *q - issue
+				issue = *q
+			}
+			*q = issue
+			finish = max(finish, issue)
+			issue, slot = advance(issue, slot, 1, width)
+		}
+	}
+	return finish, misses, stalls
+}
+
+// runWords returns how many words of an ascending stream with stride s
+// (0 < s < span) from word address addr >= 0 lie before the next multiple
+// of the interleave or of the row stripe: the length of addr's run.
+func (c *Controller) runWords(addr, s int) int {
+	var left int
+	if c.pow2 {
+		left = min(c.il-addr&(c.il-1), c.stripe-addr&(c.stripe-1))
+	} else {
+		left = min(c.il-addr%c.il, c.stripe-addr%c.stripe)
+	}
+	if s == 1 {
+		return left
+	}
+	return (left + s - 1) / s
+}
+
+// advance moves a stream's issue cycle and slot on by words words, at
+// width words per cycle. One word costs no division.
+func advance(issue uint64, slot, words, width int) (uint64, int) {
+	slot += words
+	switch {
+	case slot < width:
+		return issue, slot
+	case words == 1:
+		return issue + 1, 0
+	}
+	return issue + uint64(slot/width), slot % width
 }
 
 // LineFetch models a cache-line fill of lineWords words at word address

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -264,5 +265,25 @@ func BenchmarkStridedStream1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Reset()
 		c.Stream(Request{Stride: 1025, Count: 1 << 20})
+	}
+}
+
+// BenchmarkReorderStream times one Imagine corner-turn strip (8,192
+// words from base 0) on each reordering controller: read at unit stride,
+// as Imagine loads a strip and Raw streams a block, and written at the
+// paper matrix's 1,024-word row stride, as Imagine stores a strip.
+func BenchmarkReorderStream(b *testing.B) {
+	const stripWords = 8192
+	for _, cfg := range []Config{ImagineChannel(0), RawPort(0)} {
+		for _, stride := range []int{1, 1024} {
+			b.Run(cfg.Name+"/stride"+strconv.Itoa(stride), func(b *testing.B) {
+				c := NewController(cfg)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c.Reset()
+					c.Stream(Request{Stride: stride, Count: stripWords})
+				}
+			})
+		}
 	}
 }

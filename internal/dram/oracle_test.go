@@ -109,7 +109,9 @@ func oracleLineFetch(c *Controller, addr, lineWords int) uint64 {
 
 // oracleConfigs cover power-of-two and other bank counts, row-granular
 // (InterleaveWords 0) and narrow interleaves, rows that are not a power
-// of two, and the reordering controller on and off.
+// of two, interleaves wider than a row stripe (so one chunk spans
+// several stripes), and the reordering controller on and off, at one
+// and at several words per cycle.
 func oracleConfigs() map[string]Config {
 	six := VIRAMDRAM()
 	six.Banks = 6
@@ -121,24 +123,33 @@ func oracleConfigs() map[string]Config {
 	sixReorder.Banks = 6
 	sixReorderIL := sixReorder
 	sixReorderIL.InterleaveWords = 8
+	wide := VIRAMDRAM()
+	wide.Banks, wide.RowWords, wide.InterleaveWords = 4, 64, 1024
+	wideReorder := RawPort(0)
+	wideReorder.InterleaveWords, wideReorder.SeqWordsPerCycle = 4096, 4
 	return map[string]Config{
-		"viram":               VIRAMDRAM(),
-		"ppc":                 PPCDRAM(),
-		"imagine":             ImagineChannel(0),
-		"6-banks/il8":         six,
-		"6-banks/il0":         sixRow,
-		"5-banks/row384/il24": odd,
-		"6-banks/reorder/il0": sixReorder,
-		"6-banks/reorder/il8": sixReorderIL,
+		"viram":                  VIRAMDRAM(),
+		"ppc":                    PPCDRAM(),
+		"imagine":                ImagineChannel(0),
+		"raw":                    RawPort(0),
+		"6-banks/il8":            six,
+		"6-banks/il0":            sixRow,
+		"5-banks/row384/il24":    odd,
+		"6-banks/reorder/il0":    sixReorder,
+		"6-banks/reorder/il8":    sixReorderIL,
+		"4-banks/row64/il1024":   wide,
+		"reorder/il4096/4-words": wideReorder,
 	}
 }
 
 // oracleRequest draws one seeded request: unit, small, row-sized and
-// huge strides, forward and backward, from bases of either sign, and
-// gathers.
+// huge strides, forward and backward, from bases of either sign,
+// gathers, and the streams Imagine and Raw issue: base 0, unit or fixed
+// stride, 512 to 8,192 words, whose runs cross chunks, stripes and the
+// request queue.
 func oracleRequest(rng *rand.Rand) Request {
 	req := Request{Base: rng.Intn(1 << 22), Count: rng.Intn(300), Write: rng.Intn(3) == 0}
-	switch rng.Intn(6) {
+	switch rng.Intn(8) {
 	case 0:
 		req.Stride = 1
 	case 1:
@@ -152,6 +163,11 @@ func oracleRequest(rng *rand.Rand) Request {
 		if rng.Intn(2) == 0 {
 			req.Base = -req.Base
 		}
+	case 6:
+		req.Base, req.Stride, req.Count = 0, 1, 512+rng.Intn(8192-512+1)
+	case 7:
+		strides := []int{2, 3, 8, 24, 64, 511, 1024}
+		req.Base, req.Stride, req.Count = 0, strides[rng.Intn(len(strides))], 512+rng.Intn(8192-512+1)
 	default:
 		req.Indices = make([]int, req.Count)
 		for i := range req.Indices {

@@ -5,15 +5,18 @@
 // larger than Imagine's 128 KB SRF and Raw's 2 MB of on-chip SRAM, but
 // smaller than VIRAM's 13 MB on-chip DRAM.
 //
-// Three functional variants are provided: the naive transpose (the
-// reference), a cache-blocked transpose (what the PPC and VIRAM use), and
-// a strip transpose that mirrors Imagine's multi-row-strip streaming
+// Three functional variants are provided: the naive transpose, a
+// cache-blocked transpose (what the PPC and VIRAM use), and a strip
+// transpose that mirrors Imagine's multi-row-strip streaming
 // formulation. All produce identical results; they differ only in access
-// order, which is what the machine models account for.
+// order, which is what the machine models account for. The golden check,
+// VerifySynthetic, compares a formulation's output with a reference
+// checksum that transposes nothing.
 package cornerturn
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"sigkern/internal/cache"
@@ -65,8 +68,8 @@ func (s Spec) Words() uint64 { return uint64(s.Rows) * uint64(s.Cols) }
 // memory system, can be the binding bound (Raw in the paper's Table 4).
 func (s Spec) MoveOps() uint64 { return 2 * s.Words() }
 
-// Transpose computes dst = src^T with a simple doubly nested loop. It is
-// the golden reference. dst must be Cols x Rows when src is Rows x Cols.
+// Transpose computes dst = src^T with a simple doubly nested loop. dst
+// must be Cols x Rows when src is Rows x Cols.
 func Transpose(dst, src *testsig.Matrix) error {
 	if dst.Rows != src.Cols || dst.Cols != src.Rows {
 		return fmt.Errorf("cornerturn: dst %dx%d incompatible with src %dx%d",
@@ -133,10 +136,11 @@ func TransposeStrips(dst, src *testsig.Matrix, strips int) error {
 
 // VerifySynthetic proves one transpose formulation on pooled synthetic
 // operands: it fills a deterministic rows x cols source, runs transpose
-// into a cols x rows destination, and compares its checksum against the
-// naive reference's. Machine models call this before timing a corner
-// turn; the matrices come from (and return to) the testsig pool, so
-// steady-state verification allocates nothing matrix-sized.
+// into a cols x rows destination, and compares the checksum of its whole
+// output against the reference checksum of src^T. Machine models call
+// this before timing a corner turn; the matrices come from (and return
+// to) the testsig pool, so steady-state verification allocates nothing
+// matrix-sized.
 //
 // The fill is deterministic, so the reference checksum is a function of
 // the shape alone: it is computed once per shape per process and
@@ -174,23 +178,34 @@ const referenceBudget = 64 << 10
 // its key: the 8-byte value and its share of the table.
 const referenceEntryBytes = 56
 
-// references memoizes the naive transpose's checksum of the synthetic
-// source, keyed by shape.
+// references memoizes the checksum of the synthetic source's transpose,
+// keyed by shape.
 var references = cache.NewSizedMemo(referenceBudget, func(uint64) int { return referenceEntryBytes })
 
-// referenceChecksum returns the checksum of the naive transpose of src,
-// which must hold the synthetic fill of its shape. Concurrent misses on
-// one shape compute it once.
+// referenceChecksum returns the checksum of src^T, where src must hold
+// the synthetic fill of its shape. Concurrent misses on one shape
+// compute it once.
 func referenceChecksum(src *testsig.Matrix) (uint64, error) {
 	key := strconv.Itoa(src.Rows) + "x" + strconv.Itoa(src.Cols)
-	return references.Do(key, func() (uint64, error) {
-		ref := testsig.GetMatrix(src.Cols, src.Rows)
-		defer ref.Release()
-		if err := Transpose(ref, src); err != nil {
-			return 0, err
+	return references.Do(key, func() (uint64, error) { return transposedChecksum(src), nil })
+}
+
+// transposedChecksum returns Checksum(src^T) without building src^T.
+// Element (r, c) of src is element (c, r) of its transpose, at position
+// c*src.Rows + r; Checksum's terms do not depend on the order they are
+// added in, so one row-order pass over src adds each at that position.
+// It shares no code with any transposer, so a wrong index in one of
+// them cannot reappear in the reference meant to catch it.
+func transposedChecksum(src *testsig.Matrix) uint64 {
+	h := shapeTerm(src.Cols, src.Rows)
+	for r := 0; r < src.Rows; r++ {
+		pos := r
+		for _, v := range src.Data[r*src.Cols : (r+1)*src.Cols] {
+			h += elementTerm(pos, v)
+			pos += src.Rows
 		}
-		return Checksum(ref), nil
-	})
+	}
+	return h
 }
 
 // ReferenceStats reports the reference memo's hits, misses and
@@ -200,21 +215,38 @@ func ReferenceStats() (hits, misses uint64, bytes int) {
 	return hits, misses, references.Bytes()
 }
 
-// Checksum returns an order-independent-free (position-sensitive) FNV-1a
-// digest of the matrix contents, used by machine models to prove their
-// functional output matches the reference without holding both copies.
+// Checksum returns a position-keyed digest of the matrix: the 64-bit
+// sum of one term for the shape and one for each element, mixed from the
+// element's row-major position and its value. A changed, moved or
+// swapped element changes its terms, and with them the sum, barring a
+// 64-bit coincidence; the sum is the same in whatever order its terms
+// are added, which lets the reference add them in the order it reads
+// its source. Machine models use it to prove their functional output
+// matches the reference without holding both copies.
 func Checksum(m *testsig.Matrix) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	h = (h ^ uint64(uint32(m.Rows))) * prime
-	h = (h ^ uint64(uint32(m.Cols))) * prime
-	for _, v := range m.Data {
-		h = (h ^ uint64(uint32(v))) * prime
+	h := shapeTerm(m.Rows, m.Cols)
+	for pos, v := range m.Data {
+		h += elementTerm(pos, v)
 	}
 	return h
+}
+
+// shapeTerm is Checksum's term for a rows x cols shape.
+func shapeTerm(rows, cols int) uint64 {
+	return fold(uint64(rows)^0x8ebc6af09c88c6e3, uint64(cols)^0x589965cc75374cc3)
+}
+
+// elementTerm is Checksum's term for value v at row-major position pos.
+func elementTerm(pos int, v int32) uint64 {
+	return fold(uint64(pos)^0xe7037ed1a0b428db, uint64(uint32(v))^0xa0761d6478bd642f)
+}
+
+// fold is wyhash's mixing step: the high and low words of the 128-bit
+// product a*b, xored. The constants the terms xor in keep both factors
+// far from zero.
+func fold(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
 func min(a, b int) int {

@@ -92,15 +92,38 @@ func DefaultConfig(v Variant) Config {
 	}
 }
 
+// Absolute upper bounds on a G4 configuration, far above the real core
+// and every swept one (the DSE's ppc.IssueWidth axis reaches 16). They
+// keep the cost model's per-iteration cycles, and their products with
+// iteration counts, far from uint64 overflow.
+const (
+	maxIssueWidth = 64
+	maxLSPorts    = 64
+	maxLatency    = 10_000
+	maxMLP        = 64
+)
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
 	case c.IssueWidth <= 0 || c.LSPorts <= 0:
-		return fmt.Errorf("ppc: issue width %d / LS ports %d", c.IssueWidth, c.LSPorts)
+		return fmt.Errorf("ppc: IssueWidth %d / LSPorts %d must be positive", c.IssueWidth, c.LSPorts)
+	case c.IssueWidth > maxIssueWidth:
+		return fmt.Errorf("ppc: IssueWidth %d above the %d limit", c.IssueWidth, maxIssueWidth)
+	case c.LSPorts > maxLSPorts:
+		return fmt.Errorf("ppc: LSPorts %d above the %d limit", c.LSPorts, maxLSPorts)
 	case c.FPLatency <= 0 || c.VecLatency <= 0:
-		return fmt.Errorf("ppc: latencies %d/%d", c.FPLatency, c.VecLatency)
-	case c.MLP < 1 || c.MLPStore < 1:
-		return fmt.Errorf("ppc: MLP %v / %v", c.MLP, c.MLPStore)
+		return fmt.Errorf("ppc: FPLatency %d / VecLatency %d must be positive", c.FPLatency, c.VecLatency)
+	case c.FPLatency > maxLatency:
+		return fmt.Errorf("ppc: FPLatency %d above the %d limit", c.FPLatency, maxLatency)
+	case c.VecLatency > maxLatency:
+		return fmt.Errorf("ppc: VecLatency %d above the %d limit", c.VecLatency, maxLatency)
+	case !(c.MLP >= 1) || !(c.MLPStore >= 1): // also false for NaN
+		return fmt.Errorf("ppc: MLP %v / MLPStore %v must be at least 1", c.MLP, c.MLPStore)
+	case c.MLP > maxMLP:
+		return fmt.Errorf("ppc: MLP %v above the %d limit", c.MLP, maxMLP)
+	case c.MLPStore > maxMLP:
+		return fmt.Errorf("ppc: MLPStore %v above the %d limit", c.MLPStore, maxMLP)
 	}
 	if err := c.L1.Validate(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package ppc
 
 import (
+	"math"
 	"testing"
 
 	"sigkern/internal/core"
@@ -23,6 +24,13 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.FPLatency = 0 },
 		func(c *Config) { c.MLP = 0.5 },
 		func(c *Config) { c.MLPStore = 0 },
+		func(c *Config) { c.IssueWidth = maxIssueWidth + 1 },
+		func(c *Config) { c.LSPorts = maxLSPorts + 1 },
+		func(c *Config) { c.FPLatency = maxLatency + 1 },
+		func(c *Config) { c.VecLatency = 1 << 58 },
+		func(c *Config) { c.MLP = maxMLP + 0.5 },
+		func(c *Config) { c.MLPStore = math.NaN() },
+		func(c *Config) { c.MLPStore = math.Inf(1) },
 		func(c *Config) { c.L1.SizeBytes = 0 },
 		func(c *Config) { c.DRAM.Banks = 0 },
 	}
@@ -32,6 +40,12 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d passed validation", i)
 		}
+	}
+	limit := DefaultConfig(AltiVec)
+	limit.IssueWidth, limit.LSPorts, limit.FPLatency, limit.VecLatency = maxIssueWidth, maxLSPorts, maxLatency, maxLatency
+	limit.MLP, limit.MLPStore = maxMLP, maxMLP
+	if err := limit.Validate(); err != nil {
+		t.Errorf("config at every bound rejected: %v", err)
 	}
 }
 

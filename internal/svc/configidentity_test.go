@@ -293,9 +293,11 @@ func TestInvalidHardwareOverridesRejected(t *testing.T) {
 }
 
 // TestOversizedHardwareOverridesRejected sends cache, DRAM, VIRAM, mesh,
-// SRAM and Imagine overrides above the absolute bounds. They once passed validation, and the
-// largest (a 16 GiB L2, a billion DRAM banks) made the machine build
-// allocate until the process died, which no recover catches. Every
+// SRAM, Imagine and G4 core overrides above the absolute bounds. They
+// once passed validation, and the largest (a 16 GiB L2, a billion DRAM
+// banks) made the machine build allocate until the process died, which
+// no recover catches; a G4 VecLatency of 2^58 wrapped the cycle count
+// and came back verified with fewer cycles than the paper config. Every
 // write endpoint must refuse each with a 400 naming the field before
 // any machine is built. The values here stay small enough to build, so
 // a server without the bounds answers 200 instead of dying.
@@ -331,6 +333,12 @@ func TestOversizedHardwareOverridesRejected(t *testing.T) {
 		{`{"machine":"Imagine","kernel":"beam-steering","config":{"imagine":{"MemControllers":17}}}`, "MemControllers"},
 		{`{"machine":"Imagine","kernel":"beam-steering","config":{"imagine":{"StreamDescRegs":257}}}`, "StreamDescRegs"},
 		{`{"machine":"Imagine","kernel":"beam-steering","config":{"imagine":{"SRF":{"CapacityBytes":67108992}}}}`, "CapacityBytes"},
+		{`{"machine":"PPC","kernel":"beam-steering","config":{"ppc":{"IssueWidth":65}}}`, "IssueWidth"},
+		{`{"machine":"PPC","kernel":"beam-steering","config":{"ppc":{"LSPorts":65}}}`, "LSPorts"},
+		{`{"machine":"PPC","kernel":"beam-steering","config":{"ppc":{"FPLatency":10001}}}`, "FPLatency"},
+		{`{"machine":"AltiVec","kernel":"cslc","config":{"ppc":{"VecLatency":288230376151711744}}}`, "VecLatency"},
+		{`{"machine":"AltiVec","kernel":"beam-steering","config":{"ppc":{"MLP":64.5}}}`, "MLP"},
+		{`{"machine":"PPC","kernel":"beam-steering","config":{"ppc":{"MLPStore":1000}}}`, "MLPStore"},
 	}
 	builds := s.Metrics().Snapshot().MachineBuilds
 	for _, b := range bad {

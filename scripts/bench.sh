@@ -8,7 +8,10 @@
 #     memo purged, BenchmarkVerifyCold, the 128-point naive DFT/IDFT
 #     those checks reference, BenchmarkNaiveDFT, and the PPC cells with
 #     the G4 trace memo purged, BenchmarkWalkCold — the Table 3 PPC and
-#     AltiVec rows read that memo after their first iteration): a
+#     AltiVec rows read that memo after their first iteration), and the
+#     DRAM model alone (BenchmarkSequentialStream1M,
+#     BenchmarkStridedStream1M, and one strip on the reordering
+#     controllers, BenchmarkReorderStream): a
 #     handful of fixed iterations — a Table 3 iteration is a full
 #     deterministic simulation, so more iterations only burn time;
 #   - service benchmarks (BenchmarkServiceThroughput): time-based, the
@@ -41,9 +44,10 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run='^$' -bench='Table3CornerTurn|Table3CSLC|Table3BeamSteering' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SIM_BENCHTIME:-20x}" . | tee "$tmp"
-go test -run='^$' -bench='VerifyCold|NaiveDFT|WalkCold' -benchmem \
+go test -run='^$' -bench='VerifyCold|NaiveDFT|WalkCold|Stream1M|ReorderStream' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SIM_BENCHTIME:-20x}" \
-    ./internal/kernels/cornerturn ./internal/kernels/cslc ./internal/kernels/fft ./internal/ppc | tee -a "$tmp"
+    ./internal/kernels/cornerturn ./internal/kernels/cslc ./internal/kernels/fft ./internal/ppc \
+    ./internal/dram | tee -a "$tmp"
 go test -run='^$' -bench='ServiceThroughput|EstimateTier' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SVC_BENCHTIME:-0.5s}" . | tee -a "$tmp"
 go test -run='^$' -bench='BatchGrid|DSEGrid' -benchmem \
