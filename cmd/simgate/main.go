@@ -24,7 +24,11 @@
 // across the ring cell by cell; POST /v1/dse expands a design-space
 // exploration at the gateway, routes each design point by its
 // canonical spec hash, and merges the shard streams under one
-// gateway-computed Pareto frontier.
+// gateway-computed Pareto frontier. Jobs and every batch or DSE
+// sub-batch go through one routing loop with one rule for what counts
+// against a shard: a 5xx, a transport error or a broken stream does;
+// a caller that hangs up, or a deadline budget that runs out at the
+// gateway or at the shard (its 504), never does.
 //
 // Config safety: every /readyz probe records the shard's hardware
 // config-set hash. While ready shards disagree — say, one restarted
@@ -33,12 +37,15 @@
 // which hardware answers a spec; reads keep flowing.
 //
 // Deadline budgets: an X-Deadline-Budget header (or, absent one, the
-// ?timeout= query) bounds the gateway's whole routing effort —
-// reroutes, hedges and all. The remaining budget is sliced evenly
-// across the attempts left, forwarded to each shard as a decremented
-// X-Deadline-Budget, and drives the per-attempt request context; when
-// it runs out mid-route the client gets 504 (counted as
-// simgate_budget_exhausted_total) instead of an open-ended wait.
+// ?timeout= query) bounds the gateway's whole routing effort on jobs,
+// batches and explorations — reroutes, hedges and all. The remaining
+// budget is sliced evenly across the attempts left, forwarded to each
+// shard as a decremented X-Deadline-Budget, and drives the per-attempt
+// request context; all sub-batches of one request share its deadline.
+// When it runs out mid-route a job gets 504 and a sub-batch's
+// unanswered cells come back as failed lines naming the budget (either
+// counted as simgate_budget_exhausted_total) instead of an open-ended
+// wait.
 // ?tier=, ?priority= and X-Degraded pass through untouched: degrading
 // to an analytic estimate is the shard's brownout decision, and the
 // gateway never masks the flag. A dead shard's WAL can be

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,22 +40,26 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	b, err := submitBudget(r)
+	if err != nil {
+		writeGatewayError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	w.Header().Set("X-Batch-Cells", strconv.Itoa(len(cells)))
-	mw := g.splitBatch(w, r, cells, nil)
+	mw := g.splitBatch(w, r, b, cells, nil)
 	mw.writeLine(svc.BatchSummary{Done: true, Cells: len(cells), Failed: mw.failed, FromCache: mw.fromCache})
 }
 
 // splitBatch routes cells across the ring by spec hash and merges the
-// answers into w as NDJSON. Each shard group is one upstream POST
-// /v1/batch carrying explicit per-line index fields, so a cell's index
-// survives the split; lines are relayed to the client as they arrive,
-// serialized through one writer. A failed sub-batch reroutes its
-// unanswered cells to the group's ring successors; cells no shard could
-// run come back as synthesized failed lines, never a dropped index.
-// convert, when set, re-encodes every merged cell (a design point on
-// /v1/dse); nil relays the shards' lines byte for byte. It returns
-// once every group has finished, with the tallies for the summary.
-func (g *Gateway) splitBatch(w http.ResponseWriter, r *http.Request, cells []batchCell, convert func(svc.BatchResult) any) *mergeWriter {
+// answers into w as NDJSON. Each shard group is one sub-batch
+// (streamSubBatch) carrying explicit per-line index fields, so a cell's
+// index survives the split; lines are relayed to the client as they
+// arrive, serialized through one writer. Every group spends from the
+// request's one deadline budget b. convert, when set, re-encodes every
+// merged cell (a design point on /v1/dse); nil relays the shards' lines
+// byte for byte. It returns once every group has finished, with the
+// tallies for the summary.
+func (g *Gateway) splitBatch(w http.ResponseWriter, r *http.Request, b budget, cells []batchCell, convert func(svc.BatchResult) any) *mergeWriter {
 	g.metrics.proxied.Inc()
 	groups := make(map[string][]batchCell)
 	for _, c := range cells {
@@ -71,12 +76,12 @@ func (g *Gateway) splitBatch(w http.ResponseWriter, r *http.Request, cells []bat
 		fl.Flush()
 	}
 	var wg sync.WaitGroup
-	for shard, group := range groups {
+	for _, group := range groups {
 		wg.Add(1)
-		go func(shard string, group []batchCell) {
+		go func(group []batchCell) {
 			defer wg.Done()
-			g.streamSubBatch(r, shard, group, mw)
-		}(shard, group)
+			g.streamSubBatch(r, b, group, mw)
+		}(group)
 	}
 	wg.Wait()
 	return mw
@@ -173,100 +178,66 @@ func statusForBodyErr(err error) int {
 	return http.StatusBadRequest
 }
 
-// streamSubBatch drives one shard group to completion: try each
-// candidate in ring order, resending only the cells no attempt has
-// answered yet, and synthesize failed lines for whatever is left when
-// the candidates run out.
-func (g *Gateway) streamSubBatch(r *http.Request, owner string, group []batchCell, mw *mergeWriter) {
-	order := g.routeOrder(group[0].hash)
-	answered := make(map[int]bool)
+// streamSubBatch routes one shard group through route, along the ring
+// order of its first cell: the sub-batch is the attempt shape whose
+// NDJSON answer is streamed line by line. Each attempt resends only the
+// cells no earlier attempt answered, and whatever is still unanswered
+// when the route ends comes back as failed lines naming why — the last
+// shard failure or the exhausted budget — never a dropped index.
+func (g *Gateway) streamSubBatch(r *http.Request, b budget, group []batchCell, mw *mergeWriter) {
+	answered := make(map[int]bool, len(group))
 	path := "/v1/batch"
 	if q := r.URL.RawQuery; q != "" {
 		path += "?" + q
 	}
-	lastErr := "no shard reachable for batch"
-	for _, name := range order {
-		var pend []batchCell
-		for _, c := range group {
-			if !answered[c.index] {
-				pend = append(pend, c)
-			}
-		}
-		if len(pend) == 0 {
-			return
-		}
-		br := g.breakers.Get(name)
-		if err := br.Allow(); err != nil {
-			g.metrics.breakerRejected.Inc()
-			lastErr = err.Error()
-			continue
-		}
-		ok, errMsg := g.streamAttempt(r, name, path, pend, answered, mw)
-		br.Record(ok)
-		if ok {
-			if name != owner {
-				g.metrics.reroutes.Inc()
-			}
-			return
-		}
-		lastErr = errMsg
-	}
+	hdr := r.Header.Clone()
+	hdr.Set("Content-Type", "application/x-ndjson")
+	hdr.Del("Idempotency-Key") // one client key cannot name every sub-batch
+	_, err := g.route(r.Context(), group[0].hash, b, hdr, func(ctx context.Context, shard string, hdr http.Header) (int, error) {
+		return g.streamAttempt(ctx, shard, path, hdr, group, answered, mw)
+	})
 	for _, c := range group {
 		if !answered[c.index] {
-			answered[c.index] = true
-			mw.writeFailedCell(c, lastErr)
+			mw.writeFailedCell(c, err.Error())
 		}
 	}
 }
 
-// streamAttempt POSTs one sub-batch to one shard and relays its NDJSON
-// stream line by line, marking each answered index. It reports ok=false
-// on transport errors and 5xx (the caller reroutes the unanswered
-// remainder); a 4xx refusal fails the pending cells in place — a
-// successor would refuse the same specs — and still counts as the shard
-// working.
-func (g *Gateway) streamAttempt(r *http.Request, shard, path string, pend []batchCell, answered map[int]bool, mw *mergeWriter) (bool, string) {
-	s, ok := g.shards[shard]
-	if !ok {
-		return false, fmt.Sprintf("unknown shard %q", shard)
-	}
+// streamAttempt POSTs the group's unanswered cells to one shard and
+// relays its NDJSON stream line by line, marking each answered index.
+// An answer below 500 other than 200 fails the pending cells in place —
+// a successor would refuse the same specs — and still counts as the
+// shard working. The attempt succeeds once every pending cell has a
+// line, even if the stream then breaks; a stream that ends or breaks
+// before that returns 0 and the error, for route to classify.
+func (g *Gateway) streamAttempt(ctx context.Context, shard, path string, hdr http.Header, group []batchCell, answered map[int]bool, mw *mergeWriter) (int, error) {
+	var pend []batchCell
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for _, c := range pend {
-		_ = enc.Encode(struct {
-			svc.JobSpec
-			Index int `json:"index"`
-		}{c.spec, c.index})
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, s.URL+path, &buf)
-	if err != nil {
-		return false, err.Error()
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	for _, k := range []string{"X-Request-Id", "X-Deadline-Budget", "Accept"} {
-		if v := r.Header.Get(k); v != "" {
-			req.Header.Set(k, v)
+	for _, c := range group {
+		if !answered[c.index] {
+			pend = append(pend, c)
+			_ = enc.Encode(struct {
+				svc.JobSpec
+				Index int `json:"index"`
+			}{c.spec, c.index})
 		}
 	}
-	resp, err := g.client.Do(req)
+	resp, err := g.send(ctx, shard, http.MethodPost, path, buf.Bytes(), hdr)
 	if err != nil {
-		g.metrics.upstreamErrors.Inc()
-		g.prober.ObserveFailure(shard, err)
-		return false, err.Error()
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		msg := fmt.Sprintf("shard %s: %s: %s", shard, resp.Status, bytes.TrimSpace(body))
-		if resp.StatusCode >= 500 {
-			g.metrics.upstreamErrors.Inc()
-			return false, msg
+		err := fmt.Errorf("shard %s: %s: %s", shard, resp.Status, bytes.TrimSpace(body))
+		if resp.StatusCode < 500 {
+			for _, c := range pend {
+				answered[c.index] = true
+				mw.writeFailedCell(c, err.Error())
+			}
 		}
-		for _, c := range pend {
-			answered[c.index] = true
-			mw.writeFailedCell(c, msg)
-		}
-		return true, ""
+		return resp.StatusCode, err
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
@@ -295,12 +266,15 @@ func (g *Gateway) streamAttempt(r *http.Request, shard, path string, pend []batc
 		}
 		mw.writeCell(raw, probe.State == string(svc.Failed), probe.FromCache)
 	}
-	if err := sc.Err(); err != nil {
-		g.metrics.upstreamErrors.Inc()
-		g.prober.ObserveFailure(shard, err)
-		return false, err.Error()
+	for _, c := range pend {
+		if !answered[c.index] {
+			if err := sc.Err(); err != nil {
+				return 0, err
+			}
+			return 0, fmt.Errorf("shard %s: stream ended before cell %d", shard, c.index)
+		}
 	}
-	return true, ""
+	return http.StatusOK, nil
 }
 
 // mergeWriter serializes concurrent shard streams into one NDJSON

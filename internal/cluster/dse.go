@@ -60,9 +60,14 @@ func (g *Gateway) handleDSE(w http.ResponseWriter, r *http.Request) {
 	if !normalizeCells(w, cells, func(i int) string { return fmt.Sprintf("dse point %q", designs[i].Label) }) {
 		return
 	}
+	b, err := submitBudget(r)
+	if err != nil {
+		writeGatewayError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	w.Header().Set("X-DSE-Points", strconv.Itoa(len(cells)))
 	sum := svc.DSESummary{Points: len(cells), Machine: req.Base.Machine}
-	mw := g.splitBatch(w, r, cells, func(br svc.BatchResult) any {
+	mw := g.splitBatch(w, r, b, cells, func(br svc.BatchResult) any {
 		pt := svc.NewDSEPoint(br.Index, designs[br.Index].Label, br.Job)
 		sum.Add(pt)
 		return pt

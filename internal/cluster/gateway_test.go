@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -639,5 +640,64 @@ func TestGatewayRejectsOverBoundSpecs(t *testing.T) {
 	}
 	if n := contacted.Load(); n != 0 {
 		t.Fatalf("gateway sent %d over-bound requests to the shard", n)
+	}
+}
+
+// TestGatewayForwardsReadsPastRefusingShard: GET /v1/tables/3 walks
+// the shards ready first. A shard that died after the last probe
+// refuses the connection; the read falls past it to a ready shard, and
+// the dead shard, now marked down, is tried last — but still tried, so
+// a failed probe sweep cannot black-hole reads.
+func TestGatewayForwardsReadsPastRefusingShard(t *testing.T) {
+	var served atomic.Int64
+	ready := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/readyz" {
+			served.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write([]byte(`{"table":3}`))
+		}
+	}))
+	defer ready.Close()
+	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	gw, err := NewGateway(Options{
+		Shards:        []Shard{{Name: "s1", URL: dying.URL}, {Name: "s2", URL: ready.URL}},
+		ProbeInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Start() // the one sweep finds both shards ready
+	defer gw.Close()
+	dying.Close()
+	gwSrv := httptest.NewServer(gw.Handler())
+	defer gwSrv.Close()
+
+	read := func(step string, wantUpstreamErrors uint64) {
+		t.Helper()
+		resp, err := http.Get(gwSrv.URL + "/v1/tables/3?format=json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Simgate-Shard") != "s2" || string(body) != `{"table":3}` {
+			t.Fatalf("%s: %d from %q: %s, want the ready shard's table", step, resp.StatusCode, resp.Header.Get("X-Simgate-Shard"), body)
+		}
+		if got := gw.Metrics().Snapshot().UpstreamErrors; got != wantUpstreamErrors {
+			t.Fatalf("%s: upstream_errors_total = %d, want %d", step, got, wantUpstreamErrors)
+		}
+	}
+	read("past the refusing shard", 1)
+	if gw.Prober().Alive("s1") {
+		t.Fatal("a refused connection left s1 alive")
+	}
+	read("with s1 down", 1)
+	gw.Prober().ObserveFailure("s2", errors.New("probe timed out"))
+	read("with both marked down", 2)
+	if n := served.Load(); n != 3 {
+		t.Fatalf("ready shard served %d reads, want 3", n)
 	}
 }

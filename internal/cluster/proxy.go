@@ -46,9 +46,6 @@ type Options struct {
 	// JournalDirs maps shard name -> journal directory, enabling the
 	// rebalance path for shards whose WAL the gateway can reach.
 	JournalDirs map[string]string
-	// Breaker configures the per-shard circuit breakers (zero value =
-	// resilience defaults).
-	Breaker resilience.BreakerConfig
 	// Logger receives structured request logs; nil disables them.
 	Logger *slog.Logger
 }
@@ -100,7 +97,7 @@ func NewGateway(opts Options) (*Gateway, error) {
 		ring:     ring,
 		shards:   byName,
 		prober:   prober,
-		breakers: resilience.NewBreakerSet(opts.Breaker),
+		breakers: resilience.NewBreakerSet(resilience.BreakerConfig{}),
 		// Proxied requests get a long timeout: simulations are
 		// seconds-long under ?wait=1.
 		client:     &http.Client{Timeout: 2 * time.Minute},
@@ -169,12 +166,8 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", g.handleSubmit)
 	mux.HandleFunc("POST /v1/batch", g.handleBatch)
 	mux.HandleFunc("POST /v1/dse", g.handleDSE)
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		g.handleJobGet(w, r, "")
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		g.handleJobGet(w, r, "/trace")
-	})
+	mux.HandleFunc("GET /v1/jobs/{id}", g.handleJobGet)
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", g.handleJobGet)
 	mux.HandleFunc("GET /v1/jobs", g.forwardAnyReady)
 	mux.HandleFunc("GET /v1/tables/3", g.forwardAnyReady)
 	mux.HandleFunc("GET /v1/roofline", g.forwardAnyReady)
@@ -185,32 +178,6 @@ func (g *Gateway) Handler() http.Handler {
 	return obs.Instrument(g.logger, mux)
 }
 
-// routeOrder returns the shards to try for a key, owner first: ready
-// shards in ring-successor order, then alive-but-not-ready ones (a
-// draining shard still answers reads and dedups submits), then — last
-// resort, so a fully-failed probe sweep cannot black-hole traffic —
-// everything else.
-func (g *Gateway) routeOrder(key string) []string {
-	succ := g.ring.Successors(key)
-	order := make([]string, 0, len(succ))
-	for _, name := range succ {
-		if g.prober.Ready(name) {
-			order = append(order, name)
-		}
-	}
-	for _, name := range succ {
-		if !g.prober.Ready(name) && g.prober.Alive(name) {
-			order = append(order, name)
-		}
-	}
-	for _, name := range succ {
-		if !g.prober.Ready(name) && !g.prober.Alive(name) {
-			order = append(order, name)
-		}
-	}
-	return order
-}
-
 // bufferedResponse is one upstream answer, fully read so it can be
 // compared against other attempts before anything is written back.
 type bufferedResponse struct {
@@ -219,8 +186,9 @@ type bufferedResponse struct {
 	body   []byte
 }
 
-// do proxies one request to one shard and buffers the answer.
-func (g *Gateway) do(ctx context.Context, shard, method, pathAndQuery string, body []byte, hdr http.Header) (*bufferedResponse, error) {
+// send makes one request to one shard, forwarding the request headers
+// a shard reads. The caller owns the response body.
+func (g *Gateway) send(ctx context.Context, shard, method, pathAndQuery string, body []byte, hdr http.Header) (*http.Response, error) {
 	s, ok := g.shards[shard]
 	if !ok {
 		return nil, fmt.Errorf("cluster: unknown shard %q", shard)
@@ -238,7 +206,12 @@ func (g *Gateway) do(ctx context.Context, shard, method, pathAndQuery string, bo
 			req.Header.Set(k, v)
 		}
 	}
-	resp, err := g.client.Do(req)
+	return g.client.Do(req)
+}
+
+// do proxies one request to one shard and buffers the answer.
+func (g *Gateway) do(ctx context.Context, shard, method, pathAndQuery string, body []byte, hdr http.Header) (*bufferedResponse, error) {
+	resp, err := g.send(ctx, shard, method, pathAndQuery, body, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -293,32 +266,16 @@ func writeGatewayError(w http.ResponseWriter, status int, msg string) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// submitBudget extracts the request's deadline budget: the client's
-// X-Deadline-Budget header, or — the common case — the ?timeout= the
-// client is already waiting with. Zero means unbounded (the pre-budget
-// behavior).
-func submitBudget(r *http.Request) (time.Duration, error) {
-	v := r.Header.Get("X-Deadline-Budget")
-	if v == "" {
-		v = r.URL.Query().Get("timeout")
-	}
-	return resilience.ParseTimeout(v, 0)
-}
-
-// handleSubmit routes a job submission by its canonical spec hash and
-// reroutes along the hash ring when the owner fails. The
-// Idempotency-Key — the client's, or the spec hash when the client
-// sent none — is forwarded on every attempt, so a shard that already
-// journaled the job from an earlier (timed-out but delivered) attempt
-// answers with the original instead of duplicate work: every rerouted
-// job is answered exactly once.
-//
-// The deadline budget (X-Deadline-Budget, defaulted from ?timeout=)
-// is spent down across attempts: each shard gets an even slice of
-// what remains — its per-attempt context and the decremented budget
-// header it sees — and when the budget runs out mid-route the gateway
-// answers 504 instead of burning more attempts on a client that has
-// already given up.
+// handleSubmit routes a job by its canonical spec hash through route,
+// buffering each attempt's answer. The Idempotency-Key — the client's,
+// or the spec hash — goes with every attempt, so a shard that journaled
+// the job from an earlier attempt (timed out but delivered, or 5xx
+// after accepting) answers with the original: every rerouted job is
+// answered exactly once. A 429 passes through with the shard's own
+// Retry-After: overload is backpressure to honor, and rerouting it
+// would melt the next shard too. With no answer below 500 the client
+// gets the last 5xx, or 502, or 504 once the budget ran out, with the
+// largest Retry-After seen.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !g.guardConfigConsensus(w) {
 		return
@@ -349,107 +306,43 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if hdr.Get("Idempotency-Key") == "" {
 		hdr.Set("Idempotency-Key", hash)
 	}
-	budget, err := submitBudget(r)
+	b, err := submitBudget(r)
 	if err != nil {
 		writeGatewayError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var deadline time.Time
-	if budget > 0 {
-		deadline = time.Now().Add(budget)
-	}
 
 	g.metrics.proxied.Inc()
-	order := g.routeOrder(hash)
-	owner := g.ring.Owner(hash)
-	path := "/v1/jobs"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	maxRetryAfter := 0
-	budgetSpent := false
+	path := r.URL.RequestURI()
+	seenRetryAfter := 0
 	var last *bufferedResponse
 	lastShard := ""
-	for i, name := range order {
-		br := g.breakers.Get(name)
-		if err := br.Allow(); err != nil {
-			g.metrics.breakerRejected.Inc()
-			if ra := int(br.RetryAfter().Seconds()) + 1; ra > maxRetryAfter {
-				maxRetryAfter = ra
-			}
-			continue
-		}
-		// Each attempt gets an even slice of the remaining budget — its
-		// own context deadline, and the decremented X-Deadline-Budget the
-		// shard sees — so a slow first shard cannot eat the whole budget
-		// and leave the reroute a guaranteed failure.
-		attemptCtx := r.Context()
-		cancel := func() {}
-		if !deadline.IsZero() {
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				budgetSpent = true
-				break
-			}
-			slice := remaining
-			if left := len(order) - i; left > 1 {
-				slice = remaining / time.Duration(left)
-			}
-			hdr.Set("X-Deadline-Budget", slice.String())
-			attemptCtx, cancel = context.WithTimeout(r.Context(), slice)
-		}
-		resp, err := g.do(attemptCtx, name, http.MethodPost, path, body, hdr)
-		cancel()
+	breakerRetryAfter, err := g.route(r.Context(), hash, b, hdr, func(ctx context.Context, shard string, hdr http.Header) (int, error) {
+		resp, err := g.do(ctx, shard, http.MethodPost, path, body, hdr)
 		if err != nil {
-			g.metrics.upstreamErrors.Inc()
-			br.Record(false)
-			g.prober.ObserveFailure(name, err)
-			continue
+			return 0, err
 		}
-		if ra := retryAfterSeconds(resp.header); ra > maxRetryAfter {
-			maxRetryAfter = ra
+		seenRetryAfter = max(seenRetryAfter, retryAfterSeconds(resp.header))
+		last, lastShard = resp, shard
+		return resp.status, nil
+	})
+	retryAfter := max(seenRetryAfter, breakerRetryAfter)
+	exhausted := errors.Is(err, errBudgetExhausted)
+	switch {
+	case err == nil:
+		writeBuffered(w, last, lastShard, 0)
+	case last != nil && !exhausted:
+		writeBuffered(w, last, lastShard, retryAfter)
+	default:
+		status := http.StatusBadGateway
+		if exhausted {
+			status = http.StatusGatewayTimeout
 		}
-		if resp.status >= 500 {
-			// Including 503: an open upstream breaker or failing journal
-			// means this shard cannot take the job now — a successor can,
-			// and the forwarded Idempotency-Key dedups if the shard in
-			// fact accepted before failing.
-			br.Record(false)
-			last, lastShard = resp, name
-			continue
+		if retryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 		}
-		br.Record(true)
-		if name != owner {
-			g.metrics.reroutes.Inc()
-		}
-		// 429 passes through with the shard's own Retry-After: queue
-		// saturation is backpressure to honor, not a failure to hide —
-		// rerouting overload would melt the next shard too.
-		writeBuffered(w, resp, name, 0)
-		return
+		writeGatewayError(w, status, "cluster: "+err.Error()+" routing job")
 	}
-	if !deadline.IsZero() && !budgetSpent && time.Now().After(deadline) {
-		// Every attempt slice timed out: the budget died inside do(),
-		// not at the top of the loop.
-		budgetSpent = true
-	}
-	if budgetSpent {
-		g.metrics.budgetExhausted.Inc()
-		if maxRetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(maxRetryAfter))
-		}
-		writeGatewayError(w, http.StatusGatewayTimeout,
-			fmt.Sprintf("cluster: deadline budget %s exhausted routing job", budget))
-		return
-	}
-	if last != nil {
-		writeBuffered(w, last, lastShard, maxRetryAfter)
-		return
-	}
-	if maxRetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(maxRetryAfter))
-	}
-	writeGatewayError(w, http.StatusBadGateway, "cluster: no shard reachable for job")
 }
 
 // jobCandidates orders shards for a job-ID read: the ID's shard prefix
@@ -497,45 +390,50 @@ func (g *Gateway) jobCandidates(id string) []string {
 // candidate is tried in parallel, and the first definitive answer
 // (anything but a 404 miss or a failure) wins. Misses walk the
 // candidate list — a rebalanced job lives on the origin's ring
-// successor, not the shard its ID names.
-func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request, suffix string) {
+// successor, not the shard its ID names. A failed read moves on only
+// when it was the shard's fault (shardFault).
+func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	candidates := g.jobCandidates(id)
-	path := "/v1/jobs/" + id + suffix
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
+	path := r.URL.RequestURI()
 	g.metrics.proxied.Inc()
-	budget, err := submitBudget(r)
+	b, err := submitBudget(r)
 	if err != nil {
 		writeGatewayError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
-	type attempt struct {
+	type read struct {
 		shard  string
 		hedged bool
 		resp   *bufferedResponse
 		err    error
 	}
-	results := make(chan attempt, len(candidates))
+	results := make(chan read, len(candidates))
 	ctx, cancel := context.WithCancel(r.Context())
-	if budget > 0 {
+	if !b.deadline.IsZero() {
 		// The whole candidate walk — hedges included — shares the one
 		// deadline budget.
-		ctx, cancel = context.WithTimeout(r.Context(), budget)
+		ctx, cancel = context.WithDeadline(r.Context(), b.deadline)
 	}
 	defer cancel()
-	fire := func(shard string, hedged bool) {
+	launched, pending := 0, 0
+	// fire reads from the next candidate; a hedged read holds a hedgeSem
+	// slot, which it releases when it ends.
+	fire := func(hedged bool) {
+		shard := candidates[launched]
+		launched++
+		pending++
 		go func() {
+			if hedged {
+				defer func() { <-g.hedgeSem }()
+			}
 			resp, err := g.do(ctx, shard, http.MethodGet, path, nil, r.Header)
-			results <- attempt{shard: shard, hedged: hedged, resp: resp, err: err}
+			results <- read{shard: shard, hedged: hedged, resp: resp, err: err}
 		}()
 	}
 
-	launched := 1
-	pending := 1
-	fire(candidates[0], false)
+	fire(false)
 	var miss *bufferedResponse
 	missShard := ""
 	timer := time.NewTimer(g.hedgeDelay)
@@ -545,12 +443,8 @@ func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request, suffix st
 		case a := <-results:
 			pending--
 			if a.err != nil {
-				g.metrics.upstreamErrors.Inc()
-				g.prober.ObserveFailure(a.shard, a.err)
-				if ctx.Err() == nil && launched < len(candidates) {
-					fire(candidates[launched], false)
-					launched++
-					pending++
+				if g.shardFault(ctx, a.shard, a.err) && launched < len(candidates) {
+					fire(false)
 				}
 				continue
 			}
@@ -565,27 +459,18 @@ func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request, suffix st
 				miss, missShard = a.resp, a.shard
 			}
 			if launched < len(candidates) {
-				fire(candidates[launched], false)
-				launched++
-				pending++
+				fire(false)
 			}
 		case <-timer.C:
 			// The primary is slow, not failed: hedge to the next
-			// candidate if the global budget allows.
+			// candidate if the global hedge budget allows.
 			if launched < len(candidates) {
 				select {
 				case g.hedgeSem <- struct{}{}:
 					g.metrics.hedges.Inc()
-					shard := candidates[launched]
-					launched++
-					pending++
-					go func() {
-						defer func() { <-g.hedgeSem }()
-						resp, err := g.do(ctx, shard, http.MethodGet, path, nil, r.Header)
-						results <- attempt{shard: shard, hedged: true, resp: resp, err: err}
-					}()
+					fire(true)
 				default:
-					// Budget exhausted: wait for the primary.
+					// No hedge slot: wait for the primary.
 				}
 			}
 		}
@@ -597,40 +482,26 @@ func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request, suffix st
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		g.metrics.budgetExhausted.Inc()
 		writeGatewayError(w, http.StatusGatewayTimeout,
-			fmt.Sprintf("cluster: deadline budget %s exhausted reading job %q", budget, id))
+			fmt.Sprintf("cluster: deadline budget %s exhausted reading job %q", b.d, id))
 		return
 	}
 	writeGatewayError(w, http.StatusBadGateway, fmt.Sprintf("cluster: no shard could answer for job %q", id))
 }
 
-// forwardAnyReady proxies a read to the first shard accepting work
-// (falling back to any alive shard), trying the next on failure.
+// forwardAnyReady proxies a read to the shards in byHealth order,
+// trying the next when a call fails by the shard's fault.
 func (g *Gateway) forwardAnyReady(w http.ResponseWriter, r *http.Request) {
 	g.metrics.proxied.Inc()
-	path := r.URL.Path
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	var order []string
-	for _, name := range g.ring.Shards() {
-		if g.prober.Ready(name) {
-			order = append(order, name)
-		}
-	}
-	for _, name := range g.ring.Shards() {
-		if !g.prober.Ready(name) && g.prober.Alive(name) {
-			order = append(order, name)
-		}
-	}
-	for _, name := range order {
+	path := r.URL.RequestURI()
+	for _, name := range g.byHealth(g.ring.Shards()) {
 		resp, err := g.do(r.Context(), name, http.MethodGet, path, nil, r.Header)
-		if err != nil {
-			g.metrics.upstreamErrors.Inc()
-			g.prober.ObserveFailure(name, err)
-			continue
+		if err == nil {
+			writeBuffered(w, resp, name, 0)
+			return
 		}
-		writeBuffered(w, resp, name, 0)
-		return
+		if !g.shardFault(r.Context(), name, err) {
+			return // the caller left
+		}
 	}
 	writeGatewayError(w, http.StatusBadGateway, "cluster: no shard reachable")
 }

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -27,19 +27,13 @@ type RebalanceResult struct {
 	Targets map[string]svc.IngestStats `json:"targets"`
 }
 
-// successorFor returns the first shard, in ring order from key, that
-// is not the departed shard and is ready (falling back to merely
-// alive). Per-key routing on purpose: a rerouted client resubmitting
-// the same spec lands on the same successor the rebalance ships the
-// original job to, so the idempotency key meets its job.
+// successorFor returns the first shard of routeOrder(key) that is not
+// the departed shard and is alive: ready first, since routeOrder puts
+// ready shards ahead. Per-key routing on purpose: a rerouted client
+// resubmitting the same spec lands on the same successor the rebalance
+// ships the original job to, so the idempotency key meets its job.
 func (g *Gateway) successorFor(key, departed string) string {
-	succ := g.ring.Successors(key)
-	for _, name := range succ {
-		if name != departed && g.prober.Ready(name) {
-			return name
-		}
-	}
-	for _, name := range succ {
+	for _, name := range g.routeOrder(key) {
 		if name != departed && g.prober.Alive(name) {
 			return name
 		}
@@ -129,13 +123,10 @@ func (g *Gateway) Rebalance(departed string) (*RebalanceResult, error) {
 }
 
 func (g *Gateway) postReplay(target string, payload []byte) (svc.IngestStats, error) {
-	s, ok := g.shards[target]
-	if !ok {
-		return svc.IngestStats{}, fmt.Errorf("unknown shard %q", target)
-	}
-	resp, err := g.client.Post(s.URL+"/v1/replay", "application/json", bytes.NewReader(payload))
+	ctx := context.TODO()
+	resp, err := g.send(ctx, target, http.MethodPost, "/v1/replay", payload, http.Header{"Content-Type": {"application/json"}})
 	if err != nil {
-		g.prober.ObserveFailure(target, err)
+		g.shardFault(ctx, target, err)
 		return svc.IngestStats{}, err
 	}
 	defer resp.Body.Close()
