@@ -32,9 +32,11 @@ check:
 # transient errors plus latency spikes at every execution attempt and
 # occasional machine-factory failures. Everything must still pass —
 # retries absorb the faults and the determinism guard keeps the numbers
-# honest. (10% keeps a whole job's 5-attempt failure at ~1e-5; the 20%
-# acceptance rate is exercised by TestChaosStudyBitIdentical, which
-# arms its own registry with a deeper attempt budget.)
+# honest. (Every attempt consults both points, since every attempt
+# builds its machine, so a whole job fails all 5 attempts with odds
+# (1 - 0.9 x 0.95)^5 ~ 6.4e-5; the 20% acceptance rate is exercised by
+# TestChaosStudyBitIdentical, which arms its own registry with a deeper
+# attempt budget.)
 chaos:
 	SIGKERN_FAULTS='pool.execute:transient:0.1,pool.execute:latency:0.05:2ms,machines.factory:transient:0.05' \
 	SIGKERN_FAULTS_SEED=42 $(GO) test -race ./...

@@ -101,6 +101,43 @@ func BenchmarkTable3BeamSteering(b *testing.B) {
 	}
 }
 
+// --- Cold paper grid -------------------------------------------------------
+
+// BenchmarkColdGrid is the in-process twin of the served paper-grid
+// workload: each iteration runs the 15 paper cells through svc.RunStudy
+// on a fresh 2-worker pool, after purging the G4 trace memo and both
+// golden-reference memos, so every cell pays for its walk and its
+// reference as on a cold daemon. ns/op is one grid's wall time;
+// sim-kcycles, the grid's summed cycles, is the same on every run.
+func BenchmarkColdGrid(b *testing.B) {
+	ctx := context.Background()
+	var sum uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ppc.PurgeTraceMemo()
+		cornerturn.PurgeReferenceMemo()
+		cslc.PurgeReferenceMemo()
+		p := svc.NewPool(svc.PoolOptions{Workers: 2})
+		b.StartTimer()
+		sr, err := svc.RunStudy(ctx, p, nil, machines.Names(), core.PaperWorkload(), svc.PriorityInteractive)
+		b.StopTimer()
+		p.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sum = 0
+		for _, name := range sr.MachineNames() {
+			for _, k := range core.Kernels() {
+				r, _ := sr.Result(name, k)
+				sum += r.Cycles
+			}
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(sum)/1e3, "sim-kcycles")
+}
+
 // --- Table 4: performance model vs measured ------------------------------
 
 func BenchmarkTable4CornerTurnModel(b *testing.B) {
@@ -571,9 +608,8 @@ func BenchmarkServiceThroughput(b *testing.B) {
 			MemoCapacity: 4096,
 		})
 	}
-	// Pool-level rows run RunOn over a stubMachine, which is not
-	// core.Resettable: every cold task builds one, and none is cached or
-	// reuse-sampled.
+	// Pool-level rows run RunOn over a stubMachine; every cold task
+	// builds one, as every attempt does.
 	stubFactory := func(name string) (core.Machine, error) { return stubMachine{name: name}, nil }
 	stubTask := func(key string) svc.Task {
 		return svc.Task{

@@ -49,13 +49,12 @@ func runTable(t *testing.T, what string, workers int, checkpoint string, resume 
 	return table
 }
 
-// TestSweepsMatchCheckpoints runs all six sweeps at one worker, where
-// every cell of a machine runs on one reused instance, and at four. Each
-// run's checkpoint must hold the committed file's cells in the same
-// order with the same cycles and verified flags, and both runs must
-// render the same table. Resuming from a copy of the committed file must
-// re-simulate nothing: the copy is never rewritten and the table is
-// unchanged.
+// TestSweepsMatchCheckpoints runs all six sweeps at one worker and at
+// four. Each run's checkpoint must hold the committed file's cells in
+// the same order with the same cycles and verified flags, and both runs
+// must render the same table. Resuming from a copy of the committed
+// file must re-simulate nothing: the copy is never rewritten and the
+// table is unchanged.
 func TestSweepsMatchCheckpoints(t *testing.T) {
 	for _, what := range sweeps {
 		t.Run(what, func(t *testing.T) {

@@ -25,12 +25,12 @@ func newMetrics(p *Prober) *Metrics {
 		reg:             r,
 		prober:          p,
 		proxied:         r.NewCounter("simgate_requests_total", "Requests proxied to shards."),
-		reroutes:        r.NewCounter("simgate_reroutes_total", "Requests rerouted to a hash-ring successor after a shard failure."),
+		reroutes:        r.NewCounter("simgate_reroutes_total", "Jobs and sub-batches served off the key's ring owner."),
 		hedges:          r.NewCounter("simgate_hedges_total", "Hedged requests fired for idempotent reads."),
 		hedgeWins:       r.NewCounter("simgate_hedge_wins_total", "Hedged requests that answered before the primary."),
 		upstreamErrors:  r.NewCounter("simgate_upstream_errors_total", "Transport-level failures talking to shards."),
 		breakerRejected: r.NewCounter("simgate_breaker_rejected_total", "Requests skipped past a shard with an open circuit breaker."),
-		budgetExhausted: r.NewCounter("simgate_budget_exhausted_total", "Requests answered 504 because their deadline budget ran out mid-route."),
+		budgetExhausted: r.NewCounter("simgate_budget_exhausted_total", "Deadline budgets that ran out mid-route: a job's 504, or a sub-batch whose unanswered cells failed naming the budget."),
 		configMismatch:  r.NewCounter("simgate_config_mismatch_total", "Writes refused 503 because ready shards reported different hardware config-set hashes."),
 		rebalances:      r.NewCounter("simgate_rebalances_total", "WAL rebalances driven to completion."),
 		rebalanceRecords: r.NewCounter("simgate_rebalance_records_total",

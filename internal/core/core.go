@@ -139,13 +139,14 @@ type MatMulRunner interface {
 }
 
 // Resettable is implemented by machine models whose instances may be
-// reused across jobs. Reset rewinds every piece of simulation state —
+// reused across runs. Reset rewinds every piece of simulation state —
 // memory timelines, cache contents, accounting counters — to the
 // just-constructed state, so a reused instance produces bit-identical
 // cycle counts to a fresh one. Every kernel entry point performs the
-// same rewind on entry; the exported contract exists so executors that
-// cache instances can assert the capability up front, and so tests can
-// verify the rewind stays complete as models grow state.
+// same rewind on entry. The service's pool never calls Reset: it builds
+// an instance per execution attempt. The exported contract exists so
+// tests and benchmarks can verify and time the rewind as models grow
+// state.
 type Resettable interface {
 	Reset()
 }

@@ -215,6 +215,10 @@ func ReferenceStats() (hits, misses uint64, bytes int) {
 	return hits, misses, references.Bytes()
 }
 
+// PurgeReferenceMemo drops every memoized reference, keeping the
+// counters, so the next check of each spec computes its reference again.
+func PurgeReferenceMemo() { references.Purge() }
+
 // Checksum returns a position-keyed digest of the matrix: the 64-bit
 // sum of one term for the shape and one for each element, mixed from the
 // element's row-major position and its value. A changed, moved or

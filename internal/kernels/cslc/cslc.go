@@ -593,6 +593,10 @@ func ReferenceStats() (hits, misses uint64, bytes int) {
 	return hits, misses, references.Bytes()
 }
 
+// PurgeReferenceMemo drops every memoized reference, keeping the
+// counters, so the next check of each spec computes its reference again.
+func PurgeReferenceMemo() { references.Purge() }
+
 // TotalPower sums the mean power of every band of one main channel's
 // output; used to measure cancellation depth.
 func TotalPower(bands [][]complex128) float64 {

@@ -1,7 +1,8 @@
 // Reset-contract tests: every paper machine must implement
 // core.Resettable, and a reset instance must reproduce a fresh
-// instance's cycle counts bit-identically — the property the worker
-// pool's machine-reuse fast path rests on.
+// instance's cycle counts bit-identically — the property any caller
+// that runs one instance more than once (core.RunStudy, a benchmark
+// loop) rests on.
 package machines
 
 import (

@@ -37,10 +37,10 @@ func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
 		return core.Result{}, fmt.Errorf("ppc: corner turn: %w", err)
 	}
 
-	fresh := m.begin()
+	m.Reset()
 	block := spec.BlockSize
 	// Cache trace: the blocked loop nest's actual accesses.
-	m.walk(m.walkKey(core.CornerTurn, spec), fresh, func() {
+	m.walk(m.walkKey(core.CornerTurn, spec), func() {
 		for r0 := 0; r0 < spec.Rows; r0 += block {
 			for c0 := 0; c0 < spec.Cols; c0 += block {
 				for r := r0; r < minInt(r0+block, spec.Rows); r++ {
@@ -82,11 +82,11 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 		return core.Result{}, err
 	}
 
-	fresh := m.begin()
+	m.Reset()
 	// Cache trace: sub-band extraction reads each channel's windows from
 	// the channel arrays; butterfly working sets are L1-resident after
 	// extraction; outputs stream to a result array.
-	m.walk(m.walkKey(core.CSLC, spec), fresh, func() {
+	m.walk(m.walkKey(core.CSLC, spec), func() {
 		hop := spec.Hop() * 8 // bytes between window starts (complex64)
 		chBytes := spec.Samples * 8
 		for ch := 0; ch < spec.Channels(); ch++ {
@@ -170,8 +170,8 @@ func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
 		return core.Result{}, err
 	}
 
-	fresh := m.begin()
-	m.walk(m.walkKey(core.BeamSteering, spec), fresh, func() {
+	m.Reset()
+	m.walk(m.walkKey(core.BeamSteering, spec), func() {
 		calBase, gradBase := 0, spec.Elements*4
 		outAddr := 2 * spec.Elements * 4
 		for dw := 0; dw < spec.Dwells; dw++ {

@@ -17,7 +17,8 @@ func (m *Machine) RunMatMul(spec matmul.Spec) (core.Result, error) {
 		return core.Result{}, err
 	}
 
-	m.begin()
+	m.Reset()
+	m.hierarchy() // this walk is not memoized
 	const (
 		aBase = 0
 		bBase = 16 << 20

@@ -18,7 +18,8 @@ func (m *Machine) RunPFB(w pfb.Workload) (core.Result, error) {
 		return core.Result{}, err
 	}
 
-	m.begin()
+	m.Reset()
+	m.hierarchy() // this walk is not memoized
 	frames := w.FrameCount()
 	// Cache trace: each frame reads its new samples and revisits the
 	// prototype-length history (resident after the first touch); outputs

@@ -137,9 +137,9 @@ func (c Config) Validate() error {
 // Machine is one G4 instance (scalar or AltiVec). It is not safe for
 // concurrent use.
 type Machine struct {
-	cfg       Config
-	mem       *dram.Controller
-	l2        *cache.Cache
+	cfg Config
+	// l1 heads the L1/L2/DRAM hierarchy, which the first walk that runs
+	// builds (see hierarchy); nil until then.
 	l1        *cache.Cache
 	readStall float64 // accumulated raw read-miss latency (pre-MLP)
 	writeStal float64 // accumulated raw write-miss latency (pre-MLP)
@@ -148,21 +148,16 @@ type Machine struct {
 	// result reports them as a Stats and a Breakdown.
 	instructions, memAccesses   uint64
 	computeCycles, memoryCycles uint64
-	// ran is set by the first kernel run since construction; until then
-	// the instance is fresh (see walk).
-	ran bool
 }
 
-// New returns a machine for cfg, panicking on invalid configuration.
+// New returns a machine for cfg, panicking on invalid configuration. It
+// allocates no cache hierarchy: a run whose walk cost the trace memo
+// holds never needs one, so building an instance per run is cheap.
 func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Machine{cfg: cfg}
-	m.mem = dram.NewController(cfg.DRAM)
-	m.l2 = cache.NewOverDRAM(cfg.L2, m.mem)
-	m.l1 = cache.New(cfg.L1, m.l2)
-	return m
+	return &Machine{cfg: cfg}
 }
 
 // Name implements core.Machine ("PPC" or "AltiVec").
@@ -184,27 +179,25 @@ func (m *Machine) Config() Config { return m.cfg }
 // Vector reports whether the machine runs AltiVec code.
 func (m *Machine) Vector() bool { return m.cfg.Variant == AltiVec }
 
-// Reset implements core.Resettable: it rewinds the cache hierarchy and
-// all accounting so the instance can be reused across jobs with
-// bit-identical cycle counts. Every kernel entry point performs the
-// same rewind on entry.
-func (m *Machine) Reset() { m.reset() }
-
-// begin rewinds the machine for a kernel run and reports whether the
-// run is the instance's first since construction.
-func (m *Machine) begin() (fresh bool) {
-	m.reset()
-	fresh, m.ran = !m.ran, true
-	return fresh
-}
-
-// reset rewinds caches and accounting between kernel runs.
-func (m *Machine) reset() {
-	m.l1.Reset() // cascades to L2 and DRAM
+// Reset implements core.Resettable: it rewinds the cache hierarchy, if
+// a walk has built one, and all accounting, so a reused instance gives
+// bit-identical cycle counts. Every kernel entry point calls it.
+func (m *Machine) Reset() {
+	if m.l1 != nil {
+		m.l1.Reset() // cascades to L2 and DRAM
+	}
 	m.readStall = 0
 	m.writeStal = 0
 	m.instructions, m.memAccesses = 0, 0
 	m.computeCycles, m.memoryCycles = 0, 0
+}
+
+// hierarchy builds the L1/L2/DRAM hierarchy on the instance's first
+// walk that runs; later walks find it, rewound by Reset.
+func (m *Machine) hierarchy() {
+	if m.l1 == nil {
+		m.l1 = cache.New(m.cfg.L1, cache.NewOverDRAM(m.cfg.L2, dram.NewController(m.cfg.DRAM)))
+	}
 }
 
 // loopMix describes one inner loop's per-iteration instruction mix.

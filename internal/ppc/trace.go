@@ -25,17 +25,13 @@ type walkCost struct {
 	// hit, summed in walk order before the MLP factors divide them.
 	readStall, writeStall float64
 	accesses              uint64
-	// fresh records that the instance that walked was on its first run
-	// since construction, so nothing an earlier run left in its
-	// hierarchy can have reached the sums.
-	fresh bool
 }
 
 // walkBudget bounds the bytes the trace memo retains.
 const walkBudget = 256 << 10
 
 // walkEntryBytes is what one memoized cost is charged beside its key:
-// the 32-byte value and its share of the table.
+// the 24-byte value and its share of the table.
 const walkEntryBytes = 80
 
 // walks memoizes walk costs by walkKey.
@@ -57,32 +53,22 @@ func (m *Machine) walkKey(kernel core.KernelID, spec any) string {
 	return string(key)
 }
 
-// walk charges one kernel run's memory walk to m, which begin has just
+// walk charges one kernel run's memory walk to m, which Reset has just
 // rewound; trace issues the run's accesses through m.access. The cost
-// comes from the trace memo when it holds an entry m may trust, else
-// trace runs on m's hierarchy and its cost is stored.
-//
-// A reused instance trusts any entry. A fresh one trusts only entries a
-// fresh instance walked: the pool's reuse guard re-runs a reused
-// instance's cell on a fresh instance, and that check must not copy its
-// answer from the instance it is checking. So a fresh instance that
-// finds another kind of entry walks anyway and replaces it.
-func (m *Machine) walk(key string, fresh bool, trace func()) {
-	run := func() walkCost {
+// comes from the trace memo, or else trace runs on m's hierarchy, built
+// here on the instance's first walk, and its cost is stored.
+func (m *Machine) walk(key string, trace func()) {
+	c, _ := walks.Do(key, func() (walkCost, error) {
+		m.hierarchy()
 		trace()
-		return walkCost{m.readStall, m.writeStal, m.memAccesses, fresh}
-	}
-	c, _ := walks.Do(key, func() (walkCost, error) { return run(), nil })
-	if fresh && !c.fresh {
-		c = run()
-		walks.Put(key, c)
-	}
+		return walkCost{m.readStall, m.writeStal, m.memAccesses}, nil
+	})
 	m.readStall, m.writeStal, m.memAccesses = c.readStall, c.writeStall, c.accesses
 }
 
 // TraceMemoStats reports the trace memo's hits (lookups that found an
-// entry, including those a fresh instance then re-walks), misses
-// (lookups that found none and walked) and retained bytes.
+// entry), misses (lookups that found none and walked) and retained
+// bytes.
 func TraceMemoStats() (hits, misses uint64, bytes int) {
 	hits, misses = walks.Counters()
 	return hits, misses, walks.Bytes()

@@ -74,54 +74,6 @@ func TestResetReproducesFreshWalks(t *testing.T) {
 	}
 }
 
-// TestFreshInstanceDistrustsReusedEntry plants a wrong walk cost, marked
-// as walked by a reused instance, under a beam-steering trace key. A
-// fresh instance must walk anyway, return the purged-memo numbers and
-// replace the entry with its own; a reused instance trusts the entry it
-// finds, so a wrong one reaches its result — the case the pool's reuse
-// guard re-runs on a fresh instance to catch.
-func TestFreshInstanceDistrustsReusedEntry(t *testing.T) {
-	spec := traceWorkload().Beam
-	PurgeTraceMemo()
-	want, err := New(DefaultConfig(Scalar)).RunBeamSteering(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := New(DefaultConfig(Scalar)).walkKey(core.BeamSteering, spec)
-	good, ok := walks.Peek(key)
-	if !ok || !good.fresh {
-		t.Fatalf("a fresh instance's walk stored %+v, %v; want a fresh entry", good, ok)
-	}
-	planted := walkCost{readStall: 1e6, writeStall: 2e6, accesses: 7}
-
-	walks.Put(key, planted)
-	got, err := New(DefaultConfig(Scalar)).RunBeamSteering(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameResult(got, want); err != nil {
-		t.Errorf("fresh instance over a planted entry: %v", err)
-	}
-	if e, _ := walks.Peek(key); e != good {
-		t.Errorf("fresh instance left entry %+v, want its own walk %+v", e, good)
-	}
-
-	walks.Put(key, planted)
-	reused := New(DefaultConfig(Scalar))
-	if _, err := reused.RunCornerTurn(cornerturn.Spec{Rows: 16, Cols: 16, BlockSize: 16}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = reused.RunBeamSteering(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cycles == want.Cycles || got.Stats.Get("mem_accesses") != planted.accesses {
-		t.Errorf("reused instance ran to %d cycles, %d accesses; want the planted entry's %d accesses",
-			got.Cycles, got.Stats.Get("mem_accesses"), planted.accesses)
-	}
-	PurgeTraceMemo()
-}
-
 // TestTraceMemoSharedByVariants checks the memo's reason to exist: a
 // scalar run and an AltiVec run of one spec walk once, the second run is
 // a hit, and both equal their purged-memo results.

@@ -7,8 +7,7 @@
 // sweeps vary the spec's Workload on every study machine, hardware
 // sweeps set its Config. The cells run through svc.RunSpecs on a
 // private worker pool, so the (point, machine) grid runs
-// machine-parallel on reused machine instances; the pool's
-// reuse-sampling guard re-runs sampled cells on fresh instances, so
+// machine-parallel, each cell on a machine instance of its own, and
 // results are identical at any concurrency. The Sweeper type controls
 // concurrency and checkpoint resume.
 package study

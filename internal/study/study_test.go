@@ -154,10 +154,8 @@ func TestSweeperConcurrencyMatchesSerial(t *testing.T) {
 	if len(serial) != len(parallel) {
 		t.Fatalf("point counts differ: %d vs %d", len(serial), len(parallel))
 	}
-	// Workers reuse machine instances, resetting them between cells, and
-	// the pool re-runs sampled reused cells on fresh instances: whichever
-	// worker runs a cell, on whatever instance, concurrency must not
-	// change a single cycle count.
+	// Whichever worker runs a cell, concurrency must not change a
+	// single cycle count.
 	for i := range serial {
 		if serial[i].Label != parallel[i].Label {
 			t.Fatalf("point %d: label %q vs %q", i, serial[i].Label, parallel[i].Label)

@@ -122,8 +122,8 @@ func (g BatchGrid) Expand() []JobSpec {
 	return specs
 }
 
-// BatchRun is an admitted group in flight: the acceptance snapshots of
-// every member plus a stream of completions.
+// BatchRun is an admitted group in flight: every member's snapshot at
+// admission plus a stream of completions.
 type BatchRun struct {
 	jobs    []Job
 	results chan BatchResult
@@ -149,8 +149,10 @@ type BatchRun struct {
 // probe is one breaker probe's evidence from its admission's members.
 type probe struct{ executed, failed bool }
 
-// Jobs returns the members' acceptance snapshots, index-aligned with
-// the submitted specs.
+// Jobs returns the members' snapshots at admission, index-aligned with
+// the submitted specs. A member the admission answered itself (a memo
+// hit, or a replayed key's finished job) is terminal in it; any other
+// is not, however soon a worker finishes it.
 func (b *BatchRun) Jobs() []Job { return b.jobs }
 
 // Results streams completed cells in completion order; the channel is
@@ -172,12 +174,12 @@ func (b *BatchRun) Cancel() {
 
 // SubmitBatch admits a group of specs as one unit — the service half of
 // the grid fast path. Cells execute through one Pool.Submit, so cached
-// and duplicate cells never occupy a worker slot and cold cells run on
-// per-worker reused machine instances; when the queue is full they wait
-// for room. ctx cancellation (or BatchRun.Cancel) stops cells that have
-// not started; everything already running completes and is journaled.
-// Batch cells take no idempotency key: duplicate simulations are
-// suppressed by the memo table and in-flight coalescing instead.
+// and duplicate cells never occupy a worker slot; when the queue is
+// full they wait for room. ctx cancellation (or BatchRun.Cancel) stops
+// cells that have not started; everything already running completes
+// and is journaled. Batch cells take no idempotency key: duplicate
+// simulations are suppressed by the memo table and in-flight
+// coalescing instead.
 func (s *Service) SubmitBatch(ctx context.Context, specs []JobSpec, opts BatchOptions) (*BatchRun, error) {
 	run, err := s.admit(ctx, specs, nil, opts, false)
 	if err == nil {
@@ -214,7 +216,7 @@ func (s *Service) admitOne(spec JobSpec, key string, opts BatchOptions, shed boo
 	if err != nil {
 		return Job{}, false, err
 	}
-	return s.snapshot(run.members[0].ID), run.replayed[0], nil
+	return run.jobs[0], run.replayed[0], nil
 }
 
 // admit is the one way work enters the service: N >= 1 specs. keys,
@@ -459,8 +461,11 @@ func (s *Service) launch(ctx context.Context, run *BatchRun, expires time.Time, 
 			s.drop(run.members[i].ID)
 			shedErr = fut.err
 		}
-		if fut.ready() {
-			s.complete(run, i, fut)
+		if fut.answered() {
+			job := s.complete(run, i, fut)
+			if run.jobs != nil { // relaunch keeps no snapshots
+				run.jobs[i] = job
+			}
 			continue
 		}
 		s.wg.Add(1)
@@ -493,17 +498,14 @@ func (s *Service) task(j *Job, abort <-chan struct{}, expires time.Time) Task {
 	return t
 }
 
-// specTask builds the pool task that runs one normalized spec on the
-// worker's cached instance of its machine and configuration — the one
-// constructor behind admitted jobs, study grids and sweeps. The spec
-// hash is the memo key and the (machine, kernel) pair the metrics cell.
-// A paper-default spec builds its instances with factory; a
+// specTask builds the pool task that runs one normalized spec on an
+// instance of its machine and configuration — the one constructor
+// behind admitted jobs, study grids and sweeps. The spec hash is the
+// memo key and the (machine, kernel) pair the metrics cell. A
+// paper-default spec builds its instances with factory; a
 // config-carrying one with its own config, behind the same chaos fault
-// point. RunOn is a pure function of (spec, instance), so the
-// reuse-sampling guard may re-run it on a fresh instance; the config
-// hash keys the instance cache, so a spec can never run on an instance
-// built for different hardware. The PPC and AltiVec rows of a spec share
-// (Task.Shares) its hash under their host's name (machines.Host).
+// point. The PPC and AltiVec rows of a spec share (Task.Shares) its hash
+// under their host's name (machines.Host).
 func specTask(spec JobSpec, hash string, factory MachineFactory, chaos *faults.Registry) Task {
 	if spec.Config != nil {
 		factory = machines.ChaosFactory(chaos, spec.Config.Machine)
@@ -518,13 +520,12 @@ func specTask(spec JobSpec, hash string, factory MachineFactory, chaos *faults.R
 		}
 	}
 	return Task{
-		Label:      fmt.Sprintf("%s/%s", spec.Machine, spec.Kernel),
-		MemoKey:    hash,
-		Cell:       obs.Labels{Machine: spec.Machine, Kernel: string(spec.Kernel)},
-		Machine:    spec.Machine,
-		Factory:    factory,
-		ConfigHash: spec.ConfigHash(),
-		Shares:     shares,
+		Label:   fmt.Sprintf("%s/%s", spec.Machine, spec.Kernel),
+		MemoKey: hash,
+		Cell:    obs.Labels{Machine: spec.Machine, Kernel: string(spec.Kernel)},
+		Machine: spec.Machine,
+		Factory: factory,
+		Shares:  shares,
 		RunOn: func(_ context.Context, m core.Machine) (core.Result, error) {
 			return core.Run(m, spec.Kernel, *spec.Workload)
 		},
@@ -559,8 +560,9 @@ func RunSpecs(ctx context.Context, p *Pool, factory MachineFactory, specs []JobS
 // breaker probes first, so a Wait that returns sees the breaker
 // settled. Terminal transitions are journaled without an fsync; the
 // journal is synced every batchSyncEvery deliveries and at group end,
-// amortizing the durability cost across the group.
-func (s *Service) complete(run *BatchRun, i int, fut *Future) {
+// amortizing the durability cost across the group. It returns the
+// snapshot it delivered.
+func (s *Service) complete(run *BatchRun, i int, fut *Future) Job {
 	j := run.members[i]
 	res, err := fut.Wait(context.Background())
 	if p := run.probes[j.Spec.Machine]; p != nil {
@@ -582,7 +584,8 @@ func (s *Service) complete(run *BatchRun, i int, fut *Future) {
 	if err == nil && !fut.FromCache() {
 		s.recordModelDrift(j.Spec, res)
 	}
-	run.results <- BatchResult{Index: i, Job: s.snapshot(j.ID)}
+	job := s.snapshot(j.ID)
+	run.results <- BatchResult{Index: i, Job: job}
 	switch n := run.delivered.Add(1); {
 	case n == run.launched:
 		s.syncJournal()
@@ -590,6 +593,7 @@ func (s *Service) complete(run *BatchRun, i int, fut *Future) {
 	case n%batchSyncEvery == 0:
 		s.syncJournal()
 	}
+	return job
 }
 
 // backendFault reports whether a job error is evidence about its

@@ -215,10 +215,10 @@ func TestHeldTasksHonourAbortExpiresAndClose(t *testing.T) {
 // TestPaperGridWalksEachTraceOnce runs the paper grid on a fresh
 // service and reads the trace memo and hold series from the Prometheus
 // exposition: the G4 rows walk each of the three traces once (three
-// misses) and read it once (three hits). Reuse sampling and fault
-// injection are off, so the six G4 cells are the only runs.
+// misses) and read it once (three hits). Fault injection is off, so the
+// six G4 cells are the only runs.
 func TestPaperGridWalksEachTraceOnce(t *testing.T) {
-	s := NewService(Options{Pool: PoolOptions{Workers: 2, JobTimeout: 5 * time.Minute, ReuseSampleEvery: -1, Faults: faults.New(1)}})
+	s := NewService(Options{Pool: PoolOptions{Workers: 2, JobTimeout: 5 * time.Minute, Faults: faults.New(1)}})
 	defer s.Close()
 	ppc.PurgeTraceMemo()
 	hits0, misses0, _ := ppc.TraceMemoStats()

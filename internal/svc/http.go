@@ -370,9 +370,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, final)
 		return
 	}
+	// job is the snapshot at admission: terminal only when admission
+	// answered it (a memo hit, or a replayed key's finished job), never
+	// because a worker happened to finish it before this line.
 	status := http.StatusAccepted
 	if job.State.Terminal() {
-		status = http.StatusOK // cache hit: done before the response
+		status = http.StatusOK
 	}
 	writeJSON(w, status, job)
 }

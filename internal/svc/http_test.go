@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"sigkern/internal/core"
+	"sigkern/internal/faults"
 	"sigkern/internal/machines"
 )
 
@@ -239,6 +240,57 @@ func TestHTTPAsyncLifecycle(t *testing.T) {
 			t.Fatalf("job %s stuck in %s", job.ID, cur.State)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestHTTPSubmitStatusFollowsAdmission: POST /v1/jobs answers 200 only
+// when admission itself answered the job. Cold submits to a machine
+// that finishes at once (a leakyMachine, built per attempt) all get 202
+// with a job still unfinished in the body, however soon their worker
+// finishes them; resubmitting a finished spec, a memo hit, gets 200.
+func TestHTTPSubmitStatusFollowsAdmission(t *testing.T) {
+	s := NewService(Options{
+		Pool:    PoolOptions{Workers: 2, JobTimeout: time.Minute, Faults: faults.New(1)},
+		Factory: func(name string) (core.Machine, error) { return &leakyMachine{name: name}, nil },
+	})
+	srv := httptest.NewServer(s.Handler())
+	defer func() {
+		srv.Close()
+		s.Close()
+	}()
+	post := func(spec JobSpec) (int, Job) {
+		t.Helper()
+		body, _ := json.Marshal(spec)
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var job Job
+		if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, job
+	}
+	var first JobSpec
+	var firstID string
+	for i := 0; i < 300; i++ {
+		w := smallWorkload()
+		w.CornerTurn.Rows, w.CornerTurn.Cols = 16*(1+i%20), 16*(1+i/20)
+		spec := JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn, Workload: &w}
+		code, job := post(spec)
+		if code != http.StatusAccepted || job.State.Terminal() {
+			t.Fatalf("cold submit %d: status %d with a %s job, want 202 and an unfinished job", i, code, job.State)
+		}
+		if i == 0 {
+			first, firstID = spec, job.ID
+		}
+	}
+	if _, err := s.Wait(context.Background(), firstID); err != nil {
+		t.Fatal(err)
+	}
+	if code, hit := post(first); code != http.StatusOK || hit.State != Done || !hit.FromCache {
+		t.Fatalf("memo hit: status %d, %s job, from_cache=%v; want 200 and a done cached job", code, hit.State, hit.FromCache)
 	}
 }
 

@@ -42,18 +42,6 @@ type JobSpec struct {
 	Config *machines.ConfigSet `json:"config,omitempty"`
 }
 
-// ConfigHash returns the identity hash of the spec's config override:
-// machines.ConfigSet.Hash of the override, or the empty string when the
-// spec runs paper defaults. It keys the per-worker machine-reuse cache
-// alongside the machine name, so a reused instance can never carry the
-// wrong hardware parameters.
-func (s JobSpec) ConfigHash() string {
-	if s.Config == nil {
-		return ""
-	}
-	return s.Config.Hash()
-}
-
 // Normalize validates the spec against the known machines and kernels
 // and fills in the paper workload, so that hashing and execution see
 // one canonical form.
@@ -215,8 +203,7 @@ func (j Job) Latency() time.Duration {
 }
 
 // MachineFactory constructs a fresh machine instance by name. The
-// machine models are stateful and not safe for concurrent use, so a
-// worker never shares an instance: it builds one per machine and
-// configuration and rewinds it between jobs. The default factory is
-// machines.ByName (paper configurations).
+// machine models are stateful and not safe for concurrent use, so the
+// pool never shares an instance: every execution attempt builds its
+// own. The default factory is machines.ByName (paper configurations).
 type MachineFactory func(name string) (core.Machine, error)

@@ -67,14 +67,11 @@ type Metrics struct {
 	// worker pickup because their budget ran out; estimate answers served
 	// because the brownout controller was engaged.
 	shed, shedBatch, breakerDrops, budgetDrops, expiredDrops, brownoutJobs *obs.Counter
-	// Batch fast-path counters: accepted groups and their member
-	// cells, plus the machine-reuse ledger — executions served by a
-	// per-worker cached instance, fresh constructions, sampled
-	// fresh-instance verifications, and cache evictions (abandoned or
-	// failed attempts, determinism trips).
-	batchGroups, batchCells, batchCancels                    *obs.Counter
-	machineReuses, machineBuilds, reuseChecks, machineEvicts *obs.Counter
-	tasksHeld, journalErrs                                   *obs.Counter
+	// Batch fast-path counters (accepted groups and their member
+	// cells), machine instances built (one per execution attempt), and
+	// tasks set aside behind a running twin.
+	batchGroups, batchCells, batchCancels *obs.Counter
+	machineBuilds, tasksHeld, journalErrs *obs.Counter
 
 	running    atomic.Int64
 	brownoutOn atomic.Bool
@@ -152,10 +149,7 @@ func NewMetrics() *Metrics {
 	m.batchGroups = r.NewCounter("simserved_batch_groups_total", "Accepted batch groups.")
 	m.batchCells = r.NewCounter("simserved_batch_cells_total", "Member cells across accepted batch groups.")
 	m.batchCancels = r.NewCounter("simserved_batch_cancels_total", "Batch groups cancelled mid-flight.")
-	m.machineReuses = r.NewCounter("simserved_machine_reuses_total", "Executions served by a per-worker cached machine instance.")
-	m.machineBuilds = r.NewCounter("simserved_machine_builds_total", "Fresh machine-instance constructions on the reuse path.")
-	m.reuseChecks = r.NewCounter("simserved_reuse_checks_total", "Sampled fresh-instance verifications of reused-instance results.")
-	m.machineEvicts = r.NewCounter("simserved_machine_evictions_total", "Cached machine instances dropped as untrustworthy.")
+	m.machineBuilds = r.NewCounter("simserved_machine_builds_total", "Machine instances built: one per execution attempt whose factory succeeded.")
 	m.tasksHeld = r.NewCounter("simserved_tasks_held_total", "Tasks set aside off-worker until a running task sharing their work ended.")
 	m.journalErrs = r.NewCounter("simserved_journal_append_errors_total", "Lifecycle transitions the durability journal failed to persist.")
 	total("simserved_estimates_served_total", "Estimate-tier jobs answered from the analytic roofline model.", &m.estimates)
@@ -384,17 +378,16 @@ type Snapshot struct {
 	BrownoutServed uint64 `json:"brownout_served"`
 	BrownoutActive bool   `json:"brownout_active"`
 	// BatchGroups/BatchCells count accepted /v1/batch groups and their
-	// member cells; MachineReuses/MachineBuilds are the per-worker
-	// instance-cache ledger (reused vs freshly constructed);
-	// ReuseChecks counts sampled fresh-instance verifications and
-	// MachineEvictions cache entries dropped as untrustworthy.
-	BatchGroups      uint64 `json:"batch_groups"`
-	BatchCells       uint64 `json:"batch_cells"`
-	BatchCancels     uint64 `json:"batch_cancels"`
-	MachineReuses    uint64 `json:"machine_reuses"`
-	MachineBuilds    uint64 `json:"machine_builds"`
-	ReuseChecks      uint64 `json:"reuse_checks"`
-	MachineEvictions uint64 `json:"machine_evictions"`
+	// member cells; MachineBuilds counts machine instances built, one per
+	// execution attempt whose factory succeeded. MachineReuses is
+	// always 0: every attempt builds its own instance, so none is
+	// reused. It stays for readers of the JSON format that compute a
+	// reuse ratio.
+	BatchGroups   uint64 `json:"batch_groups"`
+	BatchCells    uint64 `json:"batch_cells"`
+	BatchCancels  uint64 `json:"batch_cancels"`
+	MachineReuses uint64 `json:"machine_reuses"`
+	MachineBuilds uint64 `json:"machine_builds"`
 	// TasksHeld counts tasks set aside behind a running task holding
 	// their Task.Shares key (the AltiVec twin of a running PPC cell).
 	TasksHeld uint64 `json:"tasks_held"`
@@ -446,14 +439,11 @@ func (m *Metrics) Snapshot() Snapshot {
 		BrownoutServed:  m.brownoutJobs.Value(),
 		BrownoutActive:  m.brownoutOn.Load(),
 
-		BatchGroups:      m.batchGroups.Value(),
-		BatchCells:       m.batchCells.Value(),
-		BatchCancels:     m.batchCancels.Value(),
-		MachineReuses:    m.machineReuses.Value(),
-		MachineBuilds:    m.machineBuilds.Value(),
-		ReuseChecks:      m.reuseChecks.Value(),
-		MachineEvictions: m.machineEvicts.Value(),
-		TasksHeld:        m.tasksHeld.Value(),
+		BatchGroups:   m.batchGroups.Value(),
+		BatchCells:    m.batchCells.Value(),
+		BatchCancels:  m.batchCancels.Value(),
+		MachineBuilds: m.machineBuilds.Value(),
+		TasksHeld:     m.tasksHeld.Value(),
 
 		JournalAppendErrors: m.journalErrs.Value(),
 

@@ -50,9 +50,8 @@ func feedMetrics(m *Metrics) {
 	m.brownoutOn.Store(true)
 	m.batchGroups.Add(13)
 	m.batchCells.Add(39)
-	for n, c := range []*obs.Counter{m.batchCancels, m.machineReuses, m.machineBuilds, m.reuseChecks,
-		m.machineEvicts, m.tasksHeld, m.breakerDrops, m.journalErrs} {
-		c.Add(uint64(14 + n))
+	for c, n := range map[*obs.Counter]uint64{m.batchCancels: 14, m.machineBuilds: 16, m.tasksHeld: 19, m.breakerDrops: 20, m.journalErrs: 21} {
+		c.Add(n)
 	}
 	m.estimates.With(cs).Add(22)
 	m.modelObserved(ct, 1.25, true)

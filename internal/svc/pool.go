@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sigkern/internal/cache"
@@ -85,23 +84,14 @@ type Task struct {
 	// context deadline is clamped to it.
 	Expires time.Time
 
-	// Machine, Factory and RunOn are the one execution path: the worker
-	// resolves an instance of Machine from its per-worker cache
-	// (rewinding it via core.Resettable) or constructs one with Factory
-	// on a miss, then invokes RunOn with it. RunOn must be a pure
-	// function of the task's spec and the instance — the reuse-sampling
-	// determinism guard may execute it a second time on a fresh instance
-	// to verify the reused one.
+	// Machine, Factory and RunOn are the one execution path: every
+	// attempt builds an instance of Machine with Factory and invokes
+	// RunOn with it, and the instance goes when the attempt ends. RunOn
+	// must be a pure function of the task's spec and the instance — a
+	// retry executes it again on a new instance.
 	Machine string
 	Factory MachineFactory
-	// ConfigHash qualifies Machine in the per-worker instance cache:
-	// tasks running non-default hardware parameters (config-carrying
-	// specs) must never be handed an instance built for a different
-	// configuration, so cache entries and reuse-sampling counters are
-	// keyed by (Machine, ConfigHash). Empty means paper defaults.
-	// Factory must construct instances matching this hash.
-	ConfigHash string
-	RunOn      func(ctx context.Context, m core.Machine) (core.Result, error)
+	RunOn   func(ctx context.Context, m core.Machine) (core.Result, error)
 	// OnStart, when set, is called once from the worker goroutine at
 	// pickup, before the first attempt — not per retry, and never for
 	// cells answered by the memo or coalescing pre-filter.
@@ -122,12 +112,6 @@ type Task struct {
 	Shares func() string
 }
 
-// instanceKey is the per-worker machine-cache key: the machine name
-// qualified by the config hash, so instances built under different
-// hardware parameters can never be confused. The NUL separator cannot
-// occur in either component.
-func (t *Task) instanceKey() string { return t.Machine + "\x00" + t.ConfigHash }
-
 // validate checks the task's execution-path invariants before admission.
 func (t *Task) validate() error {
 	if t.RunOn == nil || t.Machine == "" || t.Factory == nil {
@@ -143,6 +127,8 @@ type Future struct {
 	err  error
 	// fromCache is true when the result came from the memo table.
 	fromCache bool
+	// atSubmit marks a future Submit completed itself; see answered.
+	atSubmit bool
 	// elapsed is the wall-clock execution time (0 for cache hits and
 	// never-run tasks).
 	elapsed time.Duration
@@ -169,6 +155,12 @@ func (f *Future) ready() bool {
 		return false
 	}
 }
+
+// answered reports whether Submit completed the task itself (a memo
+// hit, a failed memo read or a shed), so no worker ever held it — known
+// as soon as Submit returns. A coalesced duplicate may share a future
+// that another Submit is still completing, so ready is read first.
+func (f *Future) answered() bool { return f.ready() && f.atSubmit }
 
 // shed reports whether a shedding Submit refused the task for lack of
 // queue room — known as soon as Submit returns.
@@ -205,22 +197,7 @@ type PoolOptions struct {
 	// Faults is the fault-injection registry the pool consults; nil
 	// means faults.Default() (armed from SIGKERN_FAULTS, usually off).
 	Faults *faults.Registry
-	// ReuseSampleEvery controls the reuse-sampling determinism guard:
-	// every Nth successful execution on a reused machine instance (per
-	// worker, per machine, starting with the first) is re-executed on
-	// a fresh instance and must reproduce the same cycle count bit for
-	// bit; a mismatch is a hard ErrDeterminism and disables instance
-	// reuse pool-wide. 0 means the default of 16; negative disables
-	// sampling.
-	ReuseSampleEvery int
 }
-
-// defaultReuseSampleEvery is the reuse-verification sampling interval
-// when PoolOptions.ReuseSampleEvery is zero. The first reuse of every
-// (worker, machine) instance is always sampled, so a Reset that leaks
-// state on every run is caught before a second reused result can ever
-// be published.
-const defaultReuseSampleEvery = 16
 
 // Pool is a bounded worker pool running simulation tasks with per-job
 // timeouts, panic isolation, transient-error retry, and optional result
@@ -249,11 +226,6 @@ type Pool struct {
 	// new task can slip into the queue behind the drain.
 	submitMu sync.RWMutex
 	closed   bool
-	// reuseOff quarantines the machine-instance caches: set the moment
-	// the reuse-sampling guard observes a cycle mismatch, after which
-	// every task gets a fresh factory instance again. One trip costs
-	// reuse, never correctness.
-	reuseOff atomic.Bool
 	wg       sync.WaitGroup
 	// cancel stops all workers' contexts on Close.
 	cancel context.CancelFunc
@@ -459,6 +431,7 @@ func (p *Pool) prepare(t Task) (fut *Future, enqueue bool) {
 				p.metrics.determinism.With(t.Cell).Inc()
 				p.metrics.jobFinished(t.Cell, false, false, false, false, 0)
 				fut.err = fmt.Errorf("svc: job %q: memoized result failed verification: %w", t.Label, ErrDeterminism)
+				fut.atSubmit = true
 				close(fut.started)
 				close(fut.done)
 				return fut, false
@@ -466,7 +439,7 @@ func (p *Pool) prepare(t Task) (fut *Future, enqueue bool) {
 			p.metrics.cacheHits.With(t.Cell).Inc()
 			p.metrics.cyclesServed.Add(r.Cycles)
 			p.metrics.jobFinished(t.Cell, false, true, false, false, 0)
-			fut.res, fut.fromCache = r, true
+			fut.res, fut.fromCache, fut.atSubmit = r, true, true
 			close(fut.started)
 			close(fut.done)
 			return fut, false
@@ -572,6 +545,7 @@ func (p *Pool) fail(item poolItem, cause error) {
 // registration, and it must see the shed rather than wait forever.
 func (p *Pool) shedTask(item poolItem) {
 	p.metrics.loadShed(item.task.Priority)
+	item.fut.atSubmit = true
 	p.failUnrun(item, ErrOverloaded)
 }
 
@@ -633,53 +607,30 @@ func (p *Pool) Close() {
 	}
 }
 
-// workerState is one worker's private execution state: the machine
-// instance cache (simulator instances keyed by machine name plus config
-// hash — see Task.instanceKey — reused
-// across jobs so a 1,000-cell grid pays construction once per worker
-// and machine instead of once per cell) and the per-machine counters
-// that drive reuse-determinism sampling. Owned by the worker goroutine
-// and never shared, so reuse needs no locking — with one hazard: an
-// abandoned attempt (timeout) keeps running on its instance in the
-// background, so that entry is evicted rather than handed to the next
-// task.
-type workerState struct {
-	machines map[string]core.Machine
-	reuses   map[string]uint64
-}
-
-func newWorkerState() *workerState {
-	return &workerState{
-		machines: make(map[string]core.Machine),
-		reuses:   make(map[string]uint64),
-	}
-}
-
 func (p *Pool) worker() {
 	defer p.wg.Done()
-	ws := newWorkerState()
 	for p.ctx.Err() == nil {
 		// Strict priority: drain every pending interactive task, released
 		// ones first, before even looking at batch work.
 		if item, ok := p.unhold(PriorityInteractive); ok {
-			p.execute(item, ws)
+			p.execute(item)
 			continue
 		}
 		select {
 		case item := <-p.tasks:
-			p.execute(item, ws)
+			p.execute(item)
 			continue
 		default:
 		}
 		if item, ok := p.unhold(PriorityBatch); ok {
-			p.execute(item, ws)
+			p.execute(item)
 			continue
 		}
 		select {
 		case item := <-p.tasks:
-			p.execute(item, ws)
+			p.execute(item)
 		case item := <-p.batch:
-			p.execute(item, ws)
+			p.execute(item)
 		case <-p.ctx.Done():
 		}
 	}
@@ -738,7 +689,7 @@ func (e *panicError) Error() string {
 
 // execute runs one task with timeout, panic isolation, transient-error
 // retry, and the determinism guard over the memo table.
-func (p *Pool) execute(item poolItem, ws *workerState) {
+func (p *Pool) execute(item poolItem) {
 	start := time.Now()
 	// A task whose deadline budget ran out while it waited is dropped
 	// at pickup: the client's deadline has already passed, so running
@@ -790,16 +741,14 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 	var res core.Result
 	var attempt int
 	var lastErr error
-	var reused bool
 	attempts, err := p.opts.Retry.Do(ctx, func(ctx context.Context) error {
 		attempt++
 		if attempt > 1 && item.task.OnRetry != nil {
 			item.task.OnRetry(attempt, lastErr)
 		}
-		r, onReused, aerr := p.runAttempt(ctx, item.task, ws)
+		r, aerr := p.runAttempt(ctx, item.task)
 		if aerr == nil {
 			res = r
-			reused = onReused
 		}
 		lastErr = aerr
 		return aerr
@@ -817,20 +766,6 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 	var pe *panicError
 	panicked := errors.As(err, &pe)
 	timedOut := errors.Is(err, ErrTimeout)
-
-	// Reuse-sampling determinism guard: a sampled cell served by a
-	// reused instance is re-executed on a fresh factory instance and the
-	// two cycle counts compared bit for bit. The paper machines rewind
-	// completely (every kernel entry resets), so a mismatch means a
-	// Reset that leaked state — surfaced as a hard ErrDeterminism, with
-	// reuse quarantined pool-wide, never a silently wrong number.
-	if err == nil && reused && p.sampleReuse(ws, item.task.instanceKey()) {
-		if verr := p.verifyReuse(ctx, item.task, res); verr != nil {
-			err = verr
-			p.reuseOff.Store(true)
-			p.evictMachine(ws, item.task.instanceKey())
-		}
-	}
 
 	if err == nil && p.memo != nil && item.task.MemoKey != "" {
 		// Determinism guard: a re-executed (possibly retried) job must
@@ -862,22 +797,18 @@ func (p *Pool) execute(item poolItem, ws *workerState) {
 	close(item.fut.done)
 }
 
-// runAttempt executes one try of the task with panic isolation,
-// consulting the execute fault point. The simulator cannot be
-// interrupted mid-flight: when ctx ends first the attempt is abandoned
-// (its goroutine finishes in the background, the buffered channel lets
-// it exit) and the deadline is reported as ErrTimeout. reused reports
-// whether the attempt executed on a cached machine instance.
-//
-// A cached instance is rewound here, on the worker that owns the cache;
-// a miss is built inside the attempt, after the fault point, so a slow
-// or hung factory is bounded by the attempt's deadline like the run
-// itself, and an injected fault costs no build.
-func (p *Pool) runAttempt(ctx context.Context, t Task, ws *workerState) (core.Result, bool, error) {
-	cached := p.cachedMachine(t, ws)
+// runAttempt executes one try of the task with panic isolation: the
+// execute fault point, then a new instance from the task's Factory, then
+// RunOn on it. The build happens inside the attempt, so a slow or hung
+// factory is bounded by the attempt's deadline like the run itself, and
+// an injected fault costs no build. The simulator cannot be interrupted
+// mid-flight: when ctx ends first the attempt is abandoned (its
+// goroutine finishes in the background on its own instance, and the
+// buffered channel lets it exit) and the deadline is reported as
+// ErrTimeout.
+func (p *Pool) runAttempt(ctx context.Context, t Task) (core.Result, error) {
 	type outcome struct {
 		res core.Result
-		m   core.Machine
 		err error
 	}
 	ch := make(chan outcome, 1)
@@ -897,131 +828,23 @@ func (p *Pool) runAttempt(ctx context.Context, t Task, ws *workerState) (core.Re
 				return
 			}
 		}
-		m := cached
-		if m == nil {
-			var err error
-			if m, err = t.Factory(t.Machine); err != nil {
-				ch <- outcome{err: fmt.Errorf("svc: job %q: %w", t.Label, err)}
-				return
-			}
-			p.metrics.machineBuilds.Inc()
+		m, err := t.Factory(t.Machine)
+		if err != nil {
+			ch <- outcome{err: fmt.Errorf("svc: job %q: %w", t.Label, err)}
+			return
 		}
+		p.metrics.machineBuilds.Inc()
 		res, err := t.RunOn(ctx, m)
-		ch <- outcome{res: res, m: m, err: err}
+		ch <- outcome{res: res, err: err}
 	}()
 
 	select {
 	case out := <-ch:
-		if out.err == nil {
-			p.cacheMachine(ws, t.instanceKey(), out.m)
-		} else {
-			// A failed or panicked attempt leaves the instance in an
-			// unknown state; drop it rather than hand it to the next
-			// task.
-			p.evictMachine(ws, t.instanceKey())
-		}
-		return out.res, cached != nil, out.err
+		return out.res, out.err
 	case <-ctx.Done():
-		// The abandoned attempt keeps running on its instance in the
-		// background; the instance must never be reused while another
-		// goroutine may still be mutating it.
-		p.evictMachine(ws, t.instanceKey())
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return core.Result{}, cached != nil, fmt.Errorf("svc: job %q: %w", t.Label, ErrTimeout)
+			return core.Result{}, fmt.Errorf("svc: job %q: %w", t.Label, ErrTimeout)
 		}
-		return core.Result{}, cached != nil, fmt.Errorf("svc: job %q: %w", t.Label, ctx.Err())
+		return core.Result{}, fmt.Errorf("svc: job %q: %w", t.Label, ctx.Err())
 	}
-}
-
-// cachedMachine returns the worker's cached instance for the task,
-// rewound via core.Resettable, or nil when the attempt must build a
-// fresh one: nothing cached yet, the reuse quarantine has tripped, or
-// the instance cannot be rewound — such machines are rebuilt per job
-// exactly as before the cache existed.
-func (p *Pool) cachedMachine(t Task, ws *workerState) core.Machine {
-	key := t.instanceKey()
-	cached, ok := ws.machines[key]
-	if !ok || p.reuseOff.Load() {
-		return nil
-	}
-	if r, isReset := cached.(core.Resettable); isReset {
-		r.Reset()
-		p.metrics.machineReuses.Inc()
-		return cached
-	}
-	delete(ws.machines, key)
-	return nil
-}
-
-// cacheMachine stores a cleanly used instance for the next job on this
-// worker under its (machine, config-hash) key; non-Resettable machines
-// and quarantined pools skip the cache.
-func (p *Pool) cacheMachine(ws *workerState, key string, m core.Machine) {
-	if p.reuseOff.Load() {
-		return
-	}
-	if _, ok := m.(core.Resettable); ok {
-		ws.machines[key] = m
-	}
-}
-
-// evictMachine drops a worker's cached instance whose state is no
-// longer trustworthy (abandoned attempt, failed run, determinism trip).
-func (p *Pool) evictMachine(ws *workerState, key string) {
-	if _, ok := ws.machines[key]; ok {
-		delete(ws.machines, key)
-		p.metrics.machineEvicts.Inc()
-	}
-}
-
-// sampleReuse deterministically picks reused-instance executions for
-// fresh-instance verification: per worker and (machine, config-hash)
-// instance, the first reuse and every ReuseSampleEvery-th after it — so
-// a config-varying batch samples each configuration's instances
-// independently.
-func (p *Pool) sampleReuse(ws *workerState, key string) bool {
-	every := p.opts.ReuseSampleEvery
-	if every < 0 {
-		return false
-	}
-	if every == 0 {
-		every = defaultReuseSampleEvery
-	}
-	n := ws.reuses[key]
-	ws.reuses[key] = n + 1
-	return n%uint64(every) == 0
-}
-
-// verifyReuse re-executes the task on a fresh factory instance and
-// compares simulated cycles with the reused-instance result. Only a
-// cycle mismatch fails the job; a factory error or a failed fresh run
-// is inconclusive and changes nothing — the retry policy and the memo
-// guard still protect the primary result. RunOn is documented pure, so
-// re-invoking it performs no duplicate side effects.
-func (p *Pool) verifyReuse(ctx context.Context, t Task, got core.Result) error {
-	p.metrics.reuseChecks.Inc()
-	fresh, err := t.Factory(t.Machine)
-	if err != nil {
-		return nil
-	}
-	var vres core.Result
-	verr := func() (rerr error) {
-		defer func() {
-			if r := recover(); r != nil {
-				rerr = &panicError{label: t.Label, value: r}
-			}
-		}()
-		var e error
-		vres, e = t.RunOn(ctx, fresh)
-		return e
-	}()
-	if verr != nil {
-		return nil
-	}
-	if vres.Cycles != got.Cycles {
-		p.metrics.determinism.With(t.Cell).Inc()
-		return fmt.Errorf("svc: job %q: reused instance ran to %d cycles but a fresh instance runs to %d: %w",
-			t.Label, got.Cycles, vres.Cycles, ErrDeterminism)
-	}
-	return nil
 }

@@ -156,7 +156,7 @@ func TestDeterminismGuardOnReexecution(t *testing.T) {
 	p.memo.Put("k3", core.Result{Cycles: 501, Verified: true})
 	fut := &Future{done: make(chan struct{}), started: make(chan struct{})}
 	reexec := funcTask(Task{Label: "reexec", MemoKey: "k3"}, okTask(500))
-	p.execute(poolItem{task: reexec, fut: fut}, newWorkerState())
+	p.execute(poolItem{task: reexec, fut: fut})
 	if _, werr := fut.Wait(context.Background()); !errors.Is(werr, ErrDeterminism) {
 		t.Fatalf("err = %v, want ErrDeterminism", werr)
 	}
@@ -293,15 +293,9 @@ func TestServiceBreakerOpensAndRecovers(t *testing.T) {
 	}
 }
 
-// unresettable hides a machine's Reset, so workers never cache it: every
-// job builds a fresh instance and so consults the factory.
-type unresettable struct{ core.Machine }
-
 // breakerTestService builds a service whose factory fails while failing
 // is set and whose breaker trips on one failure, with a manually
-// advanced clock. Its machines cannot be reused, so every job reaches
-// the factory — and sees it fail — even on a worker that already ran
-// the same machine.
+// advanced clock. Every job reaches the factory, and sees it fail.
 func breakerTestService(pool PoolOptions, failing *atomic.Bool, now *atomic.Pointer[time.Time]) *Service {
 	boom := errors.New("backend down")
 	return NewService(Options{
@@ -310,8 +304,7 @@ func breakerTestService(pool PoolOptions, failing *atomic.Bool, now *atomic.Poin
 			if failing.Load() {
 				return nil, boom
 			}
-			m, err := machines.ByName(name)
-			return unresettable{m}, err
+			return machines.ByName(name)
 		},
 		Breaker: resilience.BreakerConfig{
 			FailureThreshold: 1,

@@ -555,9 +555,8 @@ func table3Data(sr *core.StudyResults) *TableData {
 // core.RunStudy. The request-path table endpoints run it at interactive
 // priority; the offline drivers at batch priority, so a study sharing a
 // pool with a live service never starves request traffic. Cells run
-// through RunSpecs on the workers' reused instances, which the
-// reuse-sampling guard holds bit-identical to fresh ones, so results
-// equal the serial study's.
+// through RunSpecs, each on an instance built for its attempt, so
+// results equal the serial study's.
 func RunStudy(ctx context.Context, p *Pool, factory MachineFactory, names []string, w core.Workload, pr Priority) (*core.StudyResults, error) {
 	if factory == nil {
 		factory = machines.ByName

@@ -34,11 +34,8 @@ func okTask(cycles uint64) func(context.Context) (core.Result, error) {
 	}
 }
 
-// funcMachine is the machine funcTask's tasks run on. It runs no kernel
-// and is not core.Resettable, so the pool builds a fresh one for every
-// attempt: it never enters a worker's instance cache and the
-// reuse-sampling guard never re-runs a task, which keeps the tests'
-// call counts exact.
+// funcMachine is the machine funcTask's tasks run on. It runs no
+// kernel: the task's function is the whole run.
 type funcMachine struct{}
 
 var errFuncMachine = errors.New("funcMachine runs no kernel")

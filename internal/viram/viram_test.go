@@ -261,9 +261,9 @@ func TestAllocAfterIssuePanics(t *testing.T) {
 
 // TestUsedInstanceRetainsLittle runs the paper CSLC, then the paper
 // corner turn, on eight instances and measures the heap they keep once
-// the runs are over. An instance caches in a service worker for as long
-// as the process lives, so it must not keep anything sized by the
-// program it last ran. A first run on a throwaway instance fills the
+// the runs are over. A caller may keep an instance across runs
+// (core.RunStudy, a benchmark loop), so it must not keep anything sized
+// by the program it last ran. A first run on a throwaway instance fills the
 // golden-reference memos, which are process-wide, outside the
 // measurement.
 func TestUsedInstanceRetainsLittle(t *testing.T) {

@@ -3,7 +3,8 @@
 # snapshot (default BENCH.json) for scripts/benchdiff.go.
 #
 # The set is split in three because the right benchtime differs:
-#   - simulator benchmarks (all three Table 3 kernels, plus the first-run
+#   - simulator benchmarks (all three Table 3 kernels and the cold paper
+#     grid through the service pool, BenchmarkColdGrid, plus the first-run
 #     cost of the corner-turn and CSLC golden checks with their reference
 #     memo purged, BenchmarkVerifyCold, the 128-point naive DFT/IDFT
 #     those checks reference, BenchmarkNaiveDFT, and the PPC cells with
@@ -42,7 +43,7 @@ out="${1:-BENCH.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-go test -run='^$' -bench='Table3CornerTurn|Table3CSLC|Table3BeamSteering' -benchmem \
+go test -run='^$' -bench='Table3CornerTurn|Table3CSLC|Table3BeamSteering|ColdGrid' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SIM_BENCHTIME:-20x}" . | tee "$tmp"
 go test -run='^$' -bench='VerifyCold|NaiveDFT|WalkCold|Stream1M|ReorderStream' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SIM_BENCHTIME:-20x}" \
