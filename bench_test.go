@@ -105,9 +105,9 @@ func BenchmarkTable3BeamSteering(b *testing.B) {
 
 // BenchmarkColdGrid is the in-process twin of the served paper-grid
 // workload: each iteration runs the 15 paper cells through svc.RunStudy
-// on a fresh 2-worker pool, after purging the G4 trace memo and both
-// golden-reference memos, so every cell pays for its walk and its
-// reference as on a cold daemon. ns/op is one grid's wall time;
+// on a fresh 2-worker pool, after purging the G4 trace memo, the VIRAM
+// segment memo and both golden-reference memos, so every cell pays for
+// its walk, its program and its reference as on a cold daemon. ns/op is one grid's wall time;
 // sim-kcycles, the grid's summed cycles, is the same on every run.
 func BenchmarkColdGrid(b *testing.B) {
 	ctx := context.Background()
@@ -116,6 +116,7 @@ func BenchmarkColdGrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		ppc.PurgeTraceMemo()
+		viram.PurgeSegmentMemo()
 		cornerturn.PurgeReferenceMemo()
 		cslc.PurgeReferenceMemo()
 		p := svc.NewPool(svc.PoolOptions{Workers: 2})

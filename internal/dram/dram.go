@@ -18,6 +18,7 @@
 package dram
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -266,6 +267,88 @@ func (c *Controller) Reset() {
 
 // Counters returns the event counts accumulated since the last Reset.
 func (c *Controller) Counters() Counters { return c.counters }
+
+// Sub returns the counts c holds beyond earlier, field by field.
+func (c Counters) Sub(earlier Counters) Counters {
+	return Counters{
+		RowMisses:      c.RowMisses - earlier.RowMisses,
+		WordsRead:      c.WordsRead - earlier.WordsRead,
+		WordsWritten:   c.WordsWritten - earlier.WordsWritten,
+		StreamRequests: c.StreamRequests - earlier.StreamRequests,
+		BusyCycles:     c.BusyCycles - earlier.BusyCycles,
+		LineFetches:    c.LineFetches - earlier.LineFetches,
+	}
+}
+
+// AddCounters adds d to the controller's counts, as if the requests
+// that counted d had run on it.
+func (c *Controller) AddCounters(d Counters) {
+	c.counters.RowMisses += d.RowMisses
+	c.counters.WordsRead += d.WordsRead
+	c.counters.WordsWritten += d.WordsWritten
+	c.counters.StreamRequests += d.StreamRequests
+	c.counters.BusyCycles += d.BusyCycles
+	c.counters.LineFetches += d.LineFetches
+}
+
+// AppendState appends what later requests read of the controller to b:
+// the clock and each bank's busy-until cycle, as max(v, floor) − floor,
+// and each bank's open row, all as varints. A caller that syncs the
+// clock to a cycle at or after floor before each later request (as
+// VIRAM's scoreboard does) compares these cycles only with cycles at or
+// after floor, so two states that append the same bytes at their own
+// floors time every later request alike, relative to those floors.
+func (c *Controller) AppendState(b []byte, floor uint64) []byte {
+	b = binary.AppendUvarint(b, above(c.clock.Now(), floor))
+	for bank, row := range c.openRow {
+		b = binary.AppendVarint(b, int64(row))
+		b = binary.AppendUvarint(b, above(c.bankFree[bank], floor))
+	}
+	return b
+}
+
+// RestoreState sets the state AppendState wrote, with its cycles taken
+// relative to floor, and returns the rest of b.
+func (c *Controller) RestoreState(b []byte, floor uint64) []byte {
+	var now uint64
+	now, b = uvarint(b)
+	c.clock.Reset()
+	c.clock.AdvanceTo(floor + now)
+	for bank := range c.openRow {
+		var row int64
+		row, b = varint(b)
+		c.openRow[bank] = int(row)
+		c.bankFree[bank], b = uvarint(b)
+		c.bankFree[bank] += floor
+	}
+	return b
+}
+
+// above returns max(v, floor) − floor.
+func above(v, floor uint64) uint64 {
+	if v <= floor {
+		return 0
+	}
+	return v - floor
+}
+
+// uvarint and varint decode one value AppendState wrote and return the
+// rest of b; b is always state this package encoded.
+func uvarint(b []byte) (uint64, []byte) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
+		panic("dram: truncated state")
+	}
+	return v, b[n:]
+}
+
+func varint(b []byte) (int64, []byte) {
+	v, n := binary.Varint(b)
+	if n <= 0 {
+		panic("dram: truncated state")
+	}
+	return v, b[n:]
+}
 
 // Now returns the controller's current cycle.
 func (c *Controller) Now() uint64 { return c.clock.Now() }

@@ -13,6 +13,7 @@ import (
 	"sigkern/internal/kernels/cslc"
 	"sigkern/internal/obs"
 	"sigkern/internal/ppc"
+	"sigkern/internal/viram"
 )
 
 // latencyWindow bounds the ring buffers behind the latency quantiles: a
@@ -195,6 +196,12 @@ func NewMetrics() *Metrics {
 		func() uint64 { _, m, _ := ppc.TraceMemoStats(); return m })
 	r.Uint("simserved_ppc_trace_memo_bytes", "Bytes the G4 trace memo retains.", "gauge",
 		func() uint64 { _, _, b := ppc.TraceMemoStats(); return uint64(b) })
+	r.Uint("simserved_viram_segment_memo_hits_total", "VIRAM program segments taken from the segment memo since process start.", "counter",
+		func() uint64 { h, _, _ := viram.SegmentMemoStats(); return h })
+	r.Uint("simserved_viram_segment_memo_misses_total", "VIRAM program segments the segment memo lacked, so issued instruction by instruction, since process start.", "counter",
+		func() uint64 { _, m, _ := viram.SegmentMemoStats(); return m })
+	r.Uint("simserved_viram_segment_memo_bytes", "Bytes the VIRAM segment memo retains.", "gauge",
+		func() uint64 { _, _, b := viram.SegmentMemoStats(); return uint64(b) })
 	m.done = r.NewCounterVec("simserved_cell_jobs_done_total",
 		"Jobs finished successfully, per (machine, kernel) cell.")
 	m.failed = r.NewCounterVec("simserved_cell_jobs_failed_total",

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sigkern/internal/core"
+	"sigkern/internal/faults"
 	"sigkern/internal/obs"
 )
 
@@ -486,10 +487,14 @@ func TestTraceSurvivesCrashReplay(t *testing.T) {
 
 // TestTraceSurvivesSnapshotReplay drains a durable service gracefully
 // (snapshot + compact) and reopens it: traces come back through the
-// snapshot path rather than raw-log replay.
+// snapshot path rather than raw-log replay. Both services inject no
+// faults, whatever the environment arms, so the job never retries and
+// its trace is exactly the four lifecycle events.
 func TestTraceSurvivesSnapshotReplay(t *testing.T) {
 	dir := t.TempDir()
-	s := openDurable(t, dir, durableOpts())
+	opts := durableOpts()
+	opts.Pool.Faults = faults.New(1)
+	s := openDurable(t, dir, opts)
 	w := smallWorkload()
 	job, err := s.Submit(JobSpec{Machine: "Imagine", Kernel: core.BeamSteering, Workload: &w})
 	if err != nil {
@@ -500,7 +505,8 @@ func TestTraceSurvivesSnapshotReplay(t *testing.T) {
 	}
 	s.Close() // graceful: snapshots and compacts
 
-	s2 := openDurable(t, dir, durableOpts())
+	opts.Pool.Faults = faults.New(1)
+	s2 := openDurable(t, dir, opts)
 	defer s2.Close()
 	events, state, ok := s2.JobTrace(job.ID)
 	if !ok || state != Done {

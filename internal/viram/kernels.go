@@ -248,135 +248,155 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 	// would): input planes, working planes, half planes.
 	chRe := m.alloc(spec.Samples)
 	chIm := m.alloc(spec.Samples)
-	workRe := m.alloc(n * m.cfg.MVL)
-	workIm := m.alloc(n * m.cfg.MVL)
-	evenRe := m.alloc(n / 2 * m.cfg.MVL)
-	evenIm := m.alloc(n / 2 * m.cfg.MVL)
-	oddRe := m.alloc(n / 2 * m.cfg.MVL)
-	oddIm := m.alloc(n / 2 * m.cfg.MVL)
-	outRe := m.alloc(n * m.cfg.MVL)
-	outIm := m.alloc(n * m.cfg.MVL)
+	var pl fftPlanes
+	pl.workRe = m.alloc(n * m.cfg.MVL)
+	pl.workIm = m.alloc(n * m.cfg.MVL)
+	pl.evenRe = m.alloc(n / 2 * m.cfg.MVL)
+	pl.evenIm = m.alloc(n / 2 * m.cfg.MVL)
+	pl.oddRe = m.alloc(n / 2 * m.cfg.MVL)
+	pl.oddIm = m.alloc(n / 2 * m.cfg.MVL)
+	pl.outRe = m.alloc(n * m.cfg.MVL)
+	pl.outIm = m.alloc(n * m.cfg.MVL)
 
 	p := m.newProg()
 	strips := chunks(spec.SubBands, m.cfg.MVL)
 
-	// Forward transforms: every channel, every strip of sub-bands.
+	// Forward transforms: every channel, every strip of sub-bands. Each
+	// extract, FFT stage and weight pass is a segment: the channels and
+	// strips reuse one set of planes, so most repeat one another.
 	for ch := 0; ch < spec.Channels(); ch++ {
 		for _, vl := range strips {
-			m.emitExtract(p, spec, vl, chRe, chIm, workRe, workIm)
-			m.emitFFT(p, n, vl, workRe, workIm, evenRe, evenIm, oddRe, oddIm, outRe, outIm, false)
+			m.emitExtract(p, spec, vl, chRe, chIm, pl.workRe, pl.workIm)
+			m.emitFFT(p, n, vl, pl, false)
 		}
 	}
 	// Weight application: each main channel, each strip.
 	for mc := 0; mc < spec.MainChannels; mc++ {
 		for _, vl := range strips {
-			m.emitWeightApply(p, spec, vl, workRe, workIm)
+			m.emitWeightApply(p, spec, vl, pl.workRe, pl.workIm)
 		}
 	}
 	// Inverse transforms: each main channel, each strip.
 	for mc := 0; mc < spec.MainChannels; mc++ {
 		for _, vl := range strips {
-			m.emitFFT(p, n, vl, workRe, workIm, evenRe, evenIm, oddRe, oddIm, outRe, outIm, true)
+			m.emitFFT(p, n, vl, pl, true)
 		}
 	}
 	return m.finish(core.CSLC, counts.Flops(), counts.Loads+counts.Stores), nil
 }
 
+// fftPlanes are the plane pairs a strip's transform works in: the
+// working planes it reads, the even and odd half planes, and the output
+// planes.
+type fftPlanes struct {
+	workRe, workIm, evenRe, evenIm, oddRe, oddIm, outRe, outIm int
+}
+
 // emitExtract emits the sub-band gather: for each sample row, a strided
 // load across the strip's bands (stride = hop) into the working plane.
 func (m *Machine) emitExtract(p *prog, spec cslc.Spec, vl, chRe, chIm, workRe, workIm int) {
-	hop := spec.Hop()
+	n, hop := spec.FFTSize, spec.Hop()
 	if hop == 0 {
 		hop = 1
 	}
-	for s := 0; s < spec.FFTSize; s++ {
-		p.loadStride(vl, chRe+s, hop, 0)
-		p.store(vl, workRe+s*vl, 0)
-		p.loadStride(vl, chIm+s, hop, 1)
-		p.store(vl, workIm+s*vl, 1)
-		if s%8 == 0 {
-			p.scalar(2)
+	m.segment(segID{segExtract, [8]int{n, hop, vl, chRe, chIm, workRe, workIm}}, func() {
+		for s := 0; s < n; s++ {
+			p.loadStride(vl, chRe+s, hop, 0)
+			p.store(vl, workRe+s*vl, 0)
+			p.loadStride(vl, chIm+s, hop, 1)
+			p.store(vl, workIm+s*vl, 1)
+			if s%8 == 0 {
+				p.scalar(2)
+			}
 		}
-	}
+	})
 }
 
 // emitFFT emits one strip's mixed radix-4/2 transform: even/odd
 // deinterleave, digit-reversal of each half, three radix-4 stages per
 // half, and the final radix-2 combine. When inverse is set a 1/N scaling
 // pass is appended. Addresses follow the plane layout (row s of a plane
-// holds sample s across the strip's bands).
-func (m *Machine) emitFFT(p *prog, n, vl, workRe, workIm, evenRe, evenIm, oddRe, oddIm, outRe, outIm int, inverse bool) {
+// holds sample s across the strip's bands). Each stage is a segment.
+func (m *Machine) emitFFT(p *prog, n, vl int, pl fftPlanes, inverse bool) {
 	if fft.BestRadix(n) == fft.Radix4 {
 		// Power-of-four length: a pure radix-4 transform in place over
 		// the working planes, then copy-out and optional scaling.
-		m.emitRadix4Half(p, n, vl, workRe, workIm)
-		for s := 0; s < n; s++ {
-			p.load(vl, workRe+s*vl, 0)
-			p.store(vl, outRe+s*vl, 0)
-			p.load(vl, workIm+s*vl, 1)
-			p.store(vl, outIm+s*vl, 1)
-			if s%8 == 0 {
-				p.scalar(2)
-			}
-		}
-		if inverse {
+		m.segment(segID{segRadix4, [8]int{n, vl, pl.workRe, pl.workIm}}, func() {
+			m.emitRadix4Half(p, n, vl, pl.workRe, pl.workIm)
+		})
+		m.segment(segID{segCopyOut, [8]int{n, vl, pl.workRe, pl.workIm, pl.outRe, pl.outIm}}, func() {
 			for s := 0; s < n; s++ {
-				p.load(vl, outRe+s*vl, 0)
-				p.fmul(vl, 1, 0)
-				p.store(vl, outRe+s*vl, 1)
-				p.load(vl, outIm+s*vl, 2)
-				p.fmul(vl, 3, 2)
-				p.store(vl, outIm+s*vl, 3)
+				p.load(vl, pl.workRe+s*vl, 0)
+				p.store(vl, pl.outRe+s*vl, 0)
+				p.load(vl, pl.workIm+s*vl, 1)
+				p.store(vl, pl.outIm+s*vl, 1)
 				if s%8 == 0 {
 					p.scalar(2)
 				}
 			}
+		})
+		if inverse {
+			m.emitScale(p, n, vl, pl.outRe, pl.outIm)
 		}
 		return
 	}
 	half := n / 2
 	// Deinterleave even/odd samples (the radix-2 DIT split).
-	for s := 0; s < half; s++ {
-		p.load(vl, workRe+2*s*vl, 0)
-		p.store(vl, evenRe+s*vl, 0)
-		p.load(vl, workIm+2*s*vl, 1)
-		p.store(vl, evenIm+s*vl, 1)
-		p.load(vl, workRe+(2*s+1)*vl, 2)
-		p.store(vl, oddRe+s*vl, 2)
-		p.load(vl, workIm+(2*s+1)*vl, 3)
-		p.store(vl, oddIm+s*vl, 3)
-		if s%8 == 0 {
-			p.scalar(2)
+	m.segment(segID{segDeinterleave, [8]int{half, vl, pl.workRe, pl.workIm, pl.evenRe, pl.evenIm, pl.oddRe, pl.oddIm}}, func() {
+		for s := 0; s < half; s++ {
+			p.load(vl, pl.workRe+2*s*vl, 0)
+			p.store(vl, pl.evenRe+s*vl, 0)
+			p.load(vl, pl.workIm+2*s*vl, 1)
+			p.store(vl, pl.evenIm+s*vl, 1)
+			p.load(vl, pl.workRe+(2*s+1)*vl, 2)
+			p.store(vl, pl.oddRe+s*vl, 2)
+			p.load(vl, pl.workIm+(2*s+1)*vl, 3)
+			p.store(vl, pl.oddIm+s*vl, 3)
+			if s%8 == 0 {
+				p.scalar(2)
+			}
 		}
-	}
-	for _, base := range [][2]int{{evenRe, evenIm}, {oddRe, oddIm}} {
-		m.emitRadix4Half(p, half, vl, base[0], base[1])
+	})
+	for _, h := range [2][2]int{{pl.evenRe, pl.evenIm}, {pl.oddRe, pl.oddIm}} {
+		m.segment(segID{segRadix4, [8]int{half, vl, h[0], h[1]}}, func() {
+			m.emitRadix4Half(p, half, vl, h[0], h[1])
+		})
 	}
 	// Final radix-2 combine into the output planes, software-pipelined
 	// one butterfly deep: 4 loads, 11 computes and 4 stores each.
-	pl := &m.pipe
-	for k := 0; k < half; k++ {
-		p.load(vl, evenRe+k*vl, 0)
-		p.load(vl, evenIm+k*vl, 1)
-		p.load(vl, oddRe+k*vl, 2)
-		p.load(vl, oddIm+k*vl, 3)
-		c := &pl.computes
-		// t = odd * w^k (scalar twiddle).
-		m.emitCMulScalar(c, vl, 2, 3, 4, 5, 30, 31)
-		c.fadd(vl, 6, 0, 4) // out[k]
-		c.fadd(vl, 7, 1, 5)
-		c.fadd(vl, 8, 0, 4) // out[k+half] (subtract: same slot cost)
-		c.fadd(vl, 9, 1, 5)
-		c.scalar(2)
-		st := &pl.stores
-		st.store(vl, outRe+k*vl, 6)
-		st.store(vl, outIm+k*vl, 7)
-		st.store(vl, outRe+(k+half)*vl, 8)
-		st.store(vl, outIm+(k+half)*vl, 9)
-		pl.next(p)
-	}
-	pl.drain(p)
+	m.segment(segID{segCombine, [8]int{half, vl, pl.evenRe, pl.evenIm, pl.oddRe, pl.oddIm, pl.outRe, pl.outIm}}, func() {
+		bf := &m.pipe
+		for k := 0; k < half; k++ {
+			p.load(vl, pl.evenRe+k*vl, 0)
+			p.load(vl, pl.evenIm+k*vl, 1)
+			p.load(vl, pl.oddRe+k*vl, 2)
+			p.load(vl, pl.oddIm+k*vl, 3)
+			c := &bf.computes
+			// t = odd * w^k (scalar twiddle).
+			m.emitCMulScalar(c, vl, 2, 3, 4, 5, 30, 31)
+			c.fadd(vl, 6, 0, 4) // out[k]
+			c.fadd(vl, 7, 1, 5)
+			c.fadd(vl, 8, 0, 4) // out[k+half] (subtract: same slot cost)
+			c.fadd(vl, 9, 1, 5)
+			c.scalar(2)
+			st := &bf.stores
+			st.store(vl, pl.outRe+k*vl, 6)
+			st.store(vl, pl.outIm+k*vl, 7)
+			st.store(vl, pl.outRe+(k+half)*vl, 8)
+			st.store(vl, pl.outIm+(k+half)*vl, 9)
+			bf.next(p)
+		}
+		bf.drain(p)
+	})
 	if inverse {
+		m.emitScale(p, n, vl, pl.outRe, pl.outIm)
+	}
+}
+
+// emitScale emits an inverse transform's 1/N scaling pass over the
+// output planes.
+func (m *Machine) emitScale(p *prog, n, vl, outRe, outIm int) {
+	m.segment(segID{segScale, [8]int{n, vl, outRe, outIm}}, func() {
 		for s := 0; s < n; s++ {
 			p.load(vl, outRe+s*vl, 0)
 			p.fmul(vl, 1, 0)
@@ -388,7 +408,7 @@ func (m *Machine) emitFFT(p *prog, n, vl, workRe, workIm, evenRe, evenIm, oddRe,
 				p.scalar(2)
 			}
 		}
-	}
+	})
 }
 
 // emitRadix4Half emits the digit-reversal and the radix-4 stages of one
@@ -544,20 +564,23 @@ func (m *Machine) emitCMulScalar(p *prog, vl, srcRe, srcIm, dstRe, dstIm, t1, t2
 // strip: out[bin] = main[bin] - sum_a w[a][bin]*aux_a[bin], with the
 // weights scalar per bin and the band dimension vectorized.
 func (m *Machine) emitWeightApply(p *prog, spec cslc.Spec, vl, workRe, workIm int) {
-	for k := 0; k < spec.FFTSize; k++ {
-		p.load(vl, workRe+k*vl, 0) // main re
-		p.load(vl, workIm+k*vl, 1) // main im
-		for a := 0; a < spec.AuxChannels; a++ {
-			p.load(vl, workRe+(spec.FFTSize+k)*vl, 2)
-			p.load(vl, workIm+(spec.FFTSize+k)*vl, 3)
-			// acc -= w * aux: a scalar-weight complex multiply and a
-			// complex subtract (subtracts cost add slots).
-			m.emitCMulScalar(p, vl, 2, 3, 4, 5, 30, 31)
-			p.fadd(vl, 0, 0, 4)
-			p.fadd(vl, 1, 1, 5)
+	n, aux := spec.FFTSize, spec.AuxChannels
+	m.segment(segID{segWeight, [8]int{n, aux, vl, workRe, workIm}}, func() {
+		for k := 0; k < n; k++ {
+			p.load(vl, workRe+k*vl, 0) // main re
+			p.load(vl, workIm+k*vl, 1) // main im
+			for a := 0; a < aux; a++ {
+				p.load(vl, workRe+(n+k)*vl, 2)
+				p.load(vl, workIm+(n+k)*vl, 3)
+				// acc -= w * aux: a scalar-weight complex multiply and a
+				// complex subtract (subtracts cost add slots).
+				m.emitCMulScalar(p, vl, 2, 3, 4, 5, 30, 31)
+				p.fadd(vl, 0, 0, 4)
+				p.fadd(vl, 1, 1, 5)
+			}
+			p.store(vl, workRe+k*vl, 0)
+			p.store(vl, workIm+k*vl, 1)
+			p.scalar(2)
 		}
-		p.store(vl, workRe+k*vl, 0)
-		p.store(vl, workIm+k*vl, 1)
-		p.scalar(2)
-	}
+	})
 }

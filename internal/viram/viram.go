@@ -201,6 +201,10 @@ type Machine struct {
 	// pipe holds the butterfly pipeline's few instructions; its buffers
 	// keep their capacity between runs.
 	pipe pipeline
+	// cfgKey is the SHA-256 of cfg's JSON, set at the first segment;
+	// key is the buffer segment keys are built in.
+	cfgKey string
+	key    []byte
 }
 
 // SetTracer attaches a per-instruction trace callback (nil detaches).
@@ -310,20 +314,62 @@ const (
 // Breakdown by result; the Breakdown's memory, compute and scalar
 // categories are the busy cycles of the units that execute them.
 type scoreboard struct {
-	unitFree, busy [numUnits]uint64
-	chainReady     []uint64 // per vector register: when a consumer may chain
+	unitFree   [numUnits]uint64
+	chainReady []uint64 // per vector register: when a consumer may chain
 	// starts holds the execution-start cycles of the last IssueQueue
 	// instructions, a ring whose oldest entry is starts[slot]: dispatch
 	// may run ahead of execution by at most the queue depth.
 	starts   []uint64
 	slot     int
-	issued   uint64
 	dispatch uint64
 	end      uint64
+	eventCounts
+}
 
+// eventCounts are the scoreboard's additive event counts.
+type eventCounts struct {
+	issued                                      uint64
 	stallQueue, stallUnit, stallDep             uint64
 	tlbMisses, rowMisses, conflictStalls, words uint64
 	flops, intops                               uint64
+	busy                                        [numUnits]uint64
+}
+
+// sub returns the counts c holds beyond earlier, field by field.
+func (c eventCounts) sub(earlier eventCounts) eventCounts {
+	d := eventCounts{
+		issued:         c.issued - earlier.issued,
+		stallQueue:     c.stallQueue - earlier.stallQueue,
+		stallUnit:      c.stallUnit - earlier.stallUnit,
+		stallDep:       c.stallDep - earlier.stallDep,
+		tlbMisses:      c.tlbMisses - earlier.tlbMisses,
+		rowMisses:      c.rowMisses - earlier.rowMisses,
+		conflictStalls: c.conflictStalls - earlier.conflictStalls,
+		words:          c.words - earlier.words,
+		flops:          c.flops - earlier.flops,
+		intops:         c.intops - earlier.intops,
+	}
+	for u := range d.busy {
+		d.busy[u] = c.busy[u] - earlier.busy[u]
+	}
+	return d
+}
+
+// add adds d to c, field by field.
+func (c *eventCounts) add(d eventCounts) {
+	c.issued += d.issued
+	c.stallQueue += d.stallQueue
+	c.stallUnit += d.stallUnit
+	c.stallDep += d.stallDep
+	c.tlbMisses += d.tlbMisses
+	c.rowMisses += d.rowMisses
+	c.conflictStalls += d.conflictStalls
+	c.words += d.words
+	c.flops += d.flops
+	c.intops += d.intops
+	for u := range c.busy {
+		c.busy[u] += d.busy[u]
+	}
 }
 
 // reset empties the scoreboard for a new program.
@@ -633,6 +679,21 @@ func (t *tlb) unlink(s int32) {
 	} else {
 		t.tail = sl.prev
 	}
+}
+
+// pushBack fills the next free slot with page as the least recently
+// used, rebuilding a recency list most recent first.
+func (t *tlb) pushBack(page int) {
+	s := int32(t.used)
+	t.used++
+	t.slots[s] = tlbSlot{page: page, prev: t.tail, next: -1}
+	if t.tail >= 0 {
+		t.slots[t.tail].next = s
+	} else {
+		t.head = s
+	}
+	t.tail = s
+	t.index[page] = s
 }
 
 // pushFront makes slot s the most recently used.

@@ -7,9 +7,12 @@
 #     grid through the service pool, BenchmarkColdGrid, plus the first-run
 #     cost of the corner-turn and CSLC golden checks with their reference
 #     memo purged, BenchmarkVerifyCold, the 128-point naive DFT/IDFT
-#     those checks reference, BenchmarkNaiveDFT, and the PPC cells with
+#     those checks reference, BenchmarkNaiveDFT, the PPC cells with
 #     the G4 trace memo purged, BenchmarkWalkCold — the Table 3 PPC and
-#     AltiVec rows read that memo after their first iteration), and the
+#     AltiVec rows read that memo after their first iteration — and a
+#     sweep-sized VIRAM CSLC cell traced, on a purged segment memo and
+#     warm, BenchmarkCSLCSweepCell — Table3CSLC/VIRAM reads the segment
+#     memo after its first iteration, as the G4 rows read theirs), and the
 #     DRAM model alone (BenchmarkSequentialStream1M,
 #     BenchmarkStridedStream1M, and one strip on the reordering
 #     controllers, BenchmarkReorderStream): a
@@ -45,10 +48,10 @@ trap 'rm -f "$tmp"' EXIT
 
 go test -run='^$' -bench='Table3CornerTurn|Table3CSLC|Table3BeamSteering|ColdGrid' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SIM_BENCHTIME:-20x}" . | tee "$tmp"
-go test -run='^$' -bench='VerifyCold|NaiveDFT|WalkCold|Stream1M|ReorderStream' -benchmem \
+go test -run='^$' -bench='VerifyCold|NaiveDFT|WalkCold|Stream1M|ReorderStream|CSLCSweepCell' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SIM_BENCHTIME:-20x}" \
     ./internal/kernels/cornerturn ./internal/kernels/cslc ./internal/kernels/fft ./internal/ppc \
-    ./internal/dram | tee -a "$tmp"
+    ./internal/dram ./internal/viram | tee -a "$tmp"
 go test -run='^$' -bench='ServiceThroughput|EstimateTier' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SVC_BENCHTIME:-0.5s}" . | tee -a "$tmp"
 go test -run='^$' -bench='BatchGrid|DSEGrid' -benchmem \
