@@ -23,6 +23,7 @@ package cslc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sigkern/internal/cache"
 	"sigkern/internal/kernels/fft"
@@ -390,10 +391,11 @@ func loading(trace float64) complex128 {
 // radix, before timing the kernel.
 //
 // The scene, the weights and the naive reference are pure functions of
-// the spec, so they come from a process-wide memo (see goldenFor); the
-// pipeline under test, Run's, executes and is compared on every call.
-// Verify checks each probed band as the pipeline produces it, so it
-// keeps no band the check does not read.
+// the spec without its radix, so they come from a process-wide memo (see
+// goldenFor) that the machines of one spec share whatever radix each
+// uses; the pipeline under test, Run's, executes with the caller's radix
+// and is compared on every call. Verify checks each probed band as the
+// pipeline produces it, so it keeps no band the check does not read.
 func Verify(s Spec) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -405,8 +407,17 @@ func Verify(s Spec) error {
 	return stream(s, g.channels, g.w, g.ref.checkBand)
 }
 
-// probeBands returns the sub-bands Verify proves: first, middle, last.
-func probeBands(s Spec) []int { return []int{0, s.SubBands / 2, s.SubBands - 1} }
+// probeBands returns the sub-bands Verify proves, first, middle and
+// last, each once and in order: {0} for one sub-band, {0, 1} for two.
+func probeBands(s Spec) []int {
+	bands := []int{0}
+	for _, b := range []int{s.SubBands / 2, s.SubBands - 1} {
+		if b != bands[len(bands)-1] {
+			bands = append(bands, b)
+		}
+	}
+	return bands
+}
 
 // VerifyAgainstNaive recomputes the pipeline for the selected sub-bands
 // with the O(N^2) naive DFT/IDFT and compares against out, sharing no
@@ -499,28 +510,29 @@ func (r reference) checkBand(m, b int, _, got []complex128) error {
 }
 
 // referenceBudget bounds the bytes the reference memo retains, 1.5 MiB:
-// the paper's scene (512 KiB) with its spectra and the pieces of both
-// radices the machines use fits, with room for two more scenes of that
-// size.
+// the paper's scene (512 KiB) and its reference (20 KiB) fit twice over,
+// and so do the four scenes the sweep's 256–1,216-sample specs of one
+// channel count share (240 KiB at four channels). A spec whose bucketed
+// scene alone would fill it gets a scene of its own length instead (see
+// sceneLength).
 const referenceBudget = 3 << 19
 
-// references memoizes Verify's inputs and references. Each piece is
-// keyed by exactly the spec fields it reads, so specs that differ only
-// in radix (the five machines of one grid) share the scene and the
-// naive spectra. Pieces fill through Do, so concurrent misses on one
-// key build it once. Stored values are shared read-only: nothing writes
-// to a scene, spectrum, weight or reference after it is built.
+// references memoizes Verify's inputs and references in two pieces, each
+// keyed by exactly what it reads: the scene by its length and channel
+// counts (see sceneFor), and the reference by the spec without its
+// radix. The machines of one spec, whatever their radices, therefore
+// share one scene and one reference, and specs of nearby lengths share
+// a scene. Pieces fill through Do, so concurrent misses on one key build
+// it once. Stored values are shared read-only: nothing writes to a
+// scene, weight or reference after it is built.
 var references = cache.NewSizedMemo(referenceBudget, golden.bytes)
 
 // golden holds Verify's memoized inputs and references. A memo entry
-// fills the fields of one piece: the scene (channels, which reads
-// Samples, MainChannels and AuxChannels), the naive spectra of the
-// probed sub-bands (which also read FFTSize and SubBands, not Radix), or
-// the weights EstimateWeights derives with the spec's radix together
-// with the naive reference under them (the whole spec).
+// fills the fields of one piece: a scene (channels), or the weights
+// EstimateWeights derives at radix 2 together with the naive reference
+// under them (w and ref).
 type golden struct {
 	channels [][]complex128
-	spectra  [][][]complex128 // naiveSpectra over probeBands
 	w        *Weights
 	ref      reference
 }
@@ -531,9 +543,6 @@ const complexBytes = 16
 // bytes is what a memo entry is charged against referenceBudget.
 func (g golden) bytes() int {
 	n := cells(g.channels)
-	for _, ch := range g.spectra {
-		n += cells(ch)
-	}
 	if g.w != nil {
 		for _, ch := range g.w.W {
 			n += cells(ch)
@@ -554,36 +563,65 @@ func cells(rows [][]complex128) int {
 	return n
 }
 
-// goldenFor assembles the memoized scene, weights and reference of a
-// valid spec.
-func goldenFor(s Spec) (golden, error) {
-	scene, err := references.Do(fmt.Sprintf("scene %d %d %d", s.Samples, s.MainChannels, s.AuxChannels),
+// sceneLength returns how many samples per channel the memoized scene
+// behind s holds: the power of two at or above Samples, so that specs of
+// nearby lengths share one scene, or exactly Samples when that scene
+// alone would fill the budget, so a spec whose scene cannot be kept
+// never pays for the slack.
+func sceneLength(s Spec) int {
+	n := 1 << bits.Len(uint(s.Samples-1))
+	if s.Channels()*n*complexBytes >= referenceBudget {
+		return s.Samples
+	}
+	return n
+}
+
+// sceneFor returns the spec's channels, each the first Samples samples
+// of a memoized scene of sceneLength(s) samples. RadarScene.Channels
+// draws sample by sample, so that prefix is bit for bit the scene of
+// Samples samples.
+func sceneFor(s Spec) ([][]complex128, error) {
+	n := sceneLength(s)
+	scene, err := references.Do(fmt.Sprintf("scene %d %d %d", n, s.MainChannels, s.AuxChannels),
 		func() (golden, error) {
-			sc := testsig.DefaultScene(s.Samples)
+			sc := testsig.DefaultScene(n)
 			sc.AuxCoupling = sc.AuxCoupling[:s.AuxChannels]
 			return golden{channels: sc.Channels(s.MainChannels)}, nil
 		})
 	if err != nil {
-		return golden{}, err
+		return nil, err
 	}
-	bands := probeBands(s)
-	spectra, err := references.Do(fmt.Sprintf("spectra %d %d %d %d %d", s.Samples, s.MainChannels, s.AuxChannels, s.FFTSize, s.SubBands),
-		func() (golden, error) { return golden{spectra: naiveSpectra(s, scene.channels, bands)}, nil })
+	channels := make([][]complex128, len(scene.channels))
+	for i, ch := range scene.channels {
+		channels[i] = ch[:s.Samples:s.Samples]
+	}
+	return channels, nil
+}
+
+// goldenFor assembles the memoized scene, weights and reference of a
+// valid spec. The weights are estimated at radix 2, which every valid
+// FFT size admits, so the reference does not depend on the radix under
+// test; the naive spectra it is built from are not kept.
+func goldenFor(s Spec) (golden, error) {
+	channels, err := sceneFor(s)
 	if err != nil {
 		return golden{}, err
 	}
-	out, err := references.Do(fmt.Sprintf("output %d %d %d %d %d %d", s.Samples, s.MainChannels, s.AuxChannels, s.FFTSize, s.SubBands, s.Radix),
+	out, err := references.Do(fmt.Sprintf("reference %d %d %d %d %d", s.Samples, s.MainChannels, s.AuxChannels, s.FFTSize, s.SubBands),
 		func() (golden, error) {
-			w, err := EstimateWeights(s, scene.channels)
+			r := s
+			r.Radix = fft.Radix2
+			w, err := EstimateWeights(r, channels)
 			if err != nil {
 				return golden{}, err
 			}
-			return golden{w: w, ref: naiveReference(s, spectra.spectra, w, bands)}, nil
+			bands := probeBands(s)
+			return golden{w: w, ref: naiveReference(s, naiveSpectra(s, channels, bands), w, bands)}, nil
 		})
 	if err != nil {
 		return golden{}, err
 	}
-	return golden{channels: scene.channels, w: out.w, ref: out.ref}, nil
+	return golden{channels: channels, w: out.w, ref: out.ref}, nil
 }
 
 // ReferenceStats reports the reference memo's hits, misses and

@@ -2,6 +2,7 @@ package cslc
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -523,8 +524,8 @@ func TestVerifyCatchesWrongOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h, m := references.Counters(); h != hits+3 || m != misses {
-		t.Fatalf("goldenFor after Verify: %d hits %d misses -> %d hits %d misses, want three hits", hits, misses, h, m)
+	if h, m := references.Counters(); h != hits+2 || m != misses {
+		t.Fatalf("goldenFor after Verify: %d hits %d misses -> %d hits %d misses, want two hits", hits, misses, h, m)
 	}
 	out, err = Run(s, g.channels, g.w)
 	if err != nil {
@@ -545,8 +546,8 @@ func TestVerifyCatchesWrongOutput(t *testing.T) {
 }
 
 // memoSpecs are specs no other test verifies, so each starts cold: two
-// radices of one shape (which share the scene and the naive spectra) and
-// a single-aux shape.
+// radices of one shape (which share the scene and the reference) and a
+// single-aux shape. Each length lies strictly inside its scene's bucket.
 func memoSpecs() []Spec {
 	return []Spec{
 		{MainChannels: 2, AuxChannels: 2, Samples: 1536, SubBands: 11, FFTSize: 128, Radix: fft.Radix2},
@@ -557,8 +558,10 @@ func memoSpecs() []Spec {
 
 // TestReferenceMemoMatchesFresh verifies fresh specs, so that Run has
 // consumed every memoized piece, and then rebuilds each piece without
-// the memo: scene, naive spectra, weights and reference must be equal
-// bit for bit.
+// the memo: a scene of exactly Samples samples, the weights estimated at
+// radix 2 and the naive reference under them must equal the memoized
+// scene prefix, weights and reference bit for bit, whatever the spec's
+// radix.
 func TestReferenceMemoMatchesFresh(t *testing.T) {
 	for _, s := range memoSpecs() {
 		if err := Verify(s); err != nil {
@@ -573,7 +576,9 @@ func TestReferenceMemoMatchesFresh(t *testing.T) {
 		scene := testsig.DefaultScene(s.Samples)
 		scene.AuxCoupling = scene.AuxCoupling[:s.AuxChannels]
 		channels := scene.Channels(s.MainChannels)
-		w, err := EstimateWeights(s, channels)
+		r := s
+		r.Radix = fft.Radix2
+		w, err := EstimateWeights(r, channels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -613,8 +618,7 @@ func sameCells(a, b [][]complex128) bool {
 }
 
 // TestReferenceMemoSharesAcrossRadix checks the keying: a second radix
-// of one shape reuses the scene and the naive spectra and builds only
-// its own weights and reference.
+// of one shape reuses the scene and the reference and builds nothing.
 func TestReferenceMemoSharesAcrossRadix(t *testing.T) {
 	s := Spec{MainChannels: 2, AuxChannels: 1, Samples: 896, SubBands: 7, FFTSize: 128, Radix: fft.Radix2}
 	if err := Verify(s); err != nil {
@@ -625,15 +629,15 @@ func TestReferenceMemoSharesAcrossRadix(t *testing.T) {
 	if err := Verify(s); err != nil {
 		t.Fatal(err)
 	}
-	if h, m := references.Counters(); h != hits+2 || m != misses+1 {
-		t.Fatalf("second radix: %d hits %d misses -> %d hits %d misses, want two hits and one miss", hits, misses, h, m)
+	if h, m := references.Counters(); h != hits+2 || m != misses {
+		t.Fatalf("second radix: %d hits %d misses -> %d hits %d misses, want two hits and no miss", hits, misses, h, m)
 	}
 }
 
 // TestVerifyConcurrent verifies both radices of one fresh spec from
 // several goroutines at once. Under -race it checks that Run and
-// EstimateWeights only read the memoized scene, spectra, weights and
-// reference the goroutines share.
+// EstimateWeights only read the memoized scene, weights and reference
+// the goroutines share.
 func TestVerifyConcurrent(t *testing.T) {
 	s := Spec{MainChannels: 2, AuxChannels: 2, Samples: 640, SubBands: 5, FFTSize: 128, Radix: fft.Radix2}
 	var wg sync.WaitGroup
@@ -658,10 +662,18 @@ func TestVerifyConcurrent(t *testing.T) {
 
 // TestReferenceMemoWithinBudget verifies specs whose scenes together
 // exceed the budget several times over and checks the retained bytes
-// after each one.
+// after each one. Every spec lies in the 8,192-sample bucket, and each
+// has its own channel counts, so each needs its own scene of 512 KiB to
+// 1.25 MiB.
 func TestReferenceMemoWithinBudget(t *testing.T) {
-	for i := 0; i < 10; i++ {
-		s := Spec{MainChannels: 2, AuxChannels: 2, Samples: 8192 + 64*i, SubBands: 9, FFTSize: 64, Radix: fft.Radix2}
+	channels := [][2]int{{2, 2}, {3, 2}, {4, 2}, {5, 2}, {6, 2}, {7, 2}, {8, 2}, {8, 1}, {7, 1}, {6, 1}}
+	scenes := 0
+	for i, c := range channels {
+		s := Spec{MainChannels: c[0], AuxChannels: c[1], Samples: 8192 - 64*i, SubBands: 9, FFTSize: 64, Radix: fft.Radix2}
+		if n := sceneLength(s); n != 8192 {
+			t.Fatalf("spec %d: scene of %d samples, want the 8192-sample bucket", i, n)
+		}
+		scenes += s.Channels() * 8192 * complexBytes
 		if err := Verify(s); err != nil {
 			t.Fatal(err)
 		}
@@ -669,16 +681,79 @@ func TestReferenceMemoWithinBudget(t *testing.T) {
 			t.Fatalf("after spec %d: %d bytes retained, budget %d", i, b, referenceBudget)
 		}
 	}
+	if scenes < 4*referenceBudget {
+		t.Fatalf("the scenes total %d bytes, under four budgets", scenes)
+	}
 	if b := references.Bytes(); b < referenceBudget/2 {
 		t.Fatalf("only %d bytes retained after ten paper-sized scenes", b)
 	}
 }
 
-// BenchmarkVerifyCold is Verify's first-run cost on the paper instance:
-// the memo is purged every iteration, so each one builds the scene, the
-// naive spectra, the weights and the reference as well as running the
-// pipeline under test. The sub-benchmark names the kernel, so the row
-// stays distinct from the corner turn's in one snapshot.
+// TestScenePrefixMatchesFresh pins the property the scene memo rests
+// on: the first S samples of every channel of a longer scene are the
+// scene of S samples, bit for bit. It checks a prefix of the longest
+// scene a spec admits and the channels sceneFor hands out, which must
+// also end at Samples, so no append can reach the shared scene.
+func TestScenePrefixMatchesFresh(t *testing.T) {
+	for aux := 0; aux <= maxAuxChannels; aux++ {
+		long := testsig.DefaultScene(MaxSamples)
+		long.AuxCoupling = long.AuxCoupling[:aux]
+		longChannels := long.Channels(2)
+		for _, samples := range []int{255, 256, 257, 1216, 8192} {
+			fresh := testsig.DefaultScene(samples)
+			fresh.AuxCoupling = fresh.AuxCoupling[:aux]
+			want := fresh.Channels(2)
+			prefix := make([][]complex128, len(longChannels))
+			for i, ch := range longChannels {
+				prefix[i] = ch[:samples]
+			}
+			if !sameCells(prefix, want) {
+				t.Errorf("%d samples, %d aux: the prefix of a %d-sample scene differs from a fresh scene", samples, aux, MaxSamples)
+			}
+			s := Spec{MainChannels: 2, AuxChannels: aux, Samples: samples}
+			got, err := sceneFor(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameCells(got, want) {
+				t.Errorf("%d samples, %d aux: sceneFor (a %d-sample scene) differs from a fresh scene", samples, aux, sceneLength(s))
+			}
+			for i, ch := range got {
+				if cap(ch) != samples {
+					t.Errorf("%d samples, %d aux: channel %d has capacity %d", samples, aux, i, cap(ch))
+				}
+			}
+		}
+	}
+}
+
+// TestProbeBandsDistinct checks that Verify proves each probed sub-band
+// once, in order, when the first, middle and last bands coincide.
+func TestProbeBandsDistinct(t *testing.T) {
+	for _, c := range []struct {
+		subBands int
+		want     []int
+	}{
+		{1, []int{0}},
+		{2, []int{0, 1}},
+		{3, []int{0, 1, 2}},
+		{73, []int{0, 36, 72}},
+	} {
+		got := probeBands(Spec{SubBands: c.subBands})
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%d sub-bands: probe bands %v, want %v", c.subBands, got, c.want)
+		}
+	}
+}
+
+// BenchmarkVerifyCold is Verify's first-run cost: the memo is purged
+// every iteration, so each one builds the scene, the weights and the
+// reference as well as running the pipeline under test. The cslc row is
+// the paper instance at radix 2. The cslc-sweep row is a sweep-sized
+// spec (1,088 samples, hop 96) checked at radix 2 and at mixed
+// radix-4/2, as the machines of one sweep cell check it. The
+// sub-benchmark names the kernel, so the rows stay distinct from the
+// corner turn's in one snapshot.
 func BenchmarkVerifyCold(b *testing.B) {
 	b.Run("cslc", func(b *testing.B) {
 		s := PaperSpec(fft.Radix2)
@@ -687,6 +762,19 @@ func BenchmarkVerifyCold(b *testing.B) {
 			references.Purge()
 			if err := Verify(s); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cslc-sweep", func(b *testing.B) {
+		s := Spec{MainChannels: 2, AuxChannels: 2, Samples: 1088, SubBands: 11, FFTSize: 128}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			references.Purge()
+			for _, radix := range []fft.Radix{fft.Radix2, fft.MixedRadix42} {
+				s.Radix = radix
+				if err := Verify(s); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

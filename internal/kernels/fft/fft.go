@@ -409,6 +409,16 @@ func NaiveIDFT(x []complex128) []complex128 {
 // reads root[k*t mod n], carrying the index without division; sharing
 // no table with Plan's twiddles keeps the reference independent of the
 // fast path it checks.
+//
+// Since root[(n-k)*t mod n] is conj(root[k*t mod n]), one pass over x
+// yields both out[k] and out[n-k]: with x[t] = xr + i*xi and the root
+// c + i*s, it sums the four products xr*c, xi*s, xr*s and xi*c over t,
+// and
+//
+//	out[k]   = (Σ xr*c - Σ xi*s) + i*(Σ xr*s + Σ xi*c)
+//	out[n-k] = (Σ xr*c + Σ xi*s) + i*(Σ xi*c - Σ xr*s)
+//
+// Bin 0, and bin n/2 when n is even, pair with themselves.
 func directSum(x []complex128, sign float64) []complex128 {
 	n := len(x)
 	root := make([]complex128, n)
@@ -417,16 +427,23 @@ func directSum(x []complex128, sign float64) []complex128 {
 		root[j] = complex(c, s)
 	}
 	out := make([]complex128, n)
-	for k := range out {
-		var sum complex128
+	for k := 0; k < n && 2*k <= n; k++ {
+		var rc, is, rs, ic float64
 		j := 0
 		for _, v := range x {
-			sum += v * root[j]
+			c, s := real(root[j]), imag(root[j])
 			if j += k; j >= n {
 				j -= n
 			}
+			rc += real(v) * c
+			is += imag(v) * s
+			rs += real(v) * s
+			ic += imag(v) * c
 		}
-		out[k] = sum
+		out[k] = complex(rc-is, rs+ic)
+		if k > 0 && 2*k < n {
+			out[n-k] = complex(rc+is, ic-rs)
+		}
 	}
 	return out
 }

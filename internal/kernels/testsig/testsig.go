@@ -129,7 +129,9 @@ func DefaultScene(samples int) RadarScene {
 // Channels synthesizes the channel set: nMain main channels (target +
 // jammer + noise) followed by len(AuxCoupling) auxiliary channels
 // (coupled jammer + noise, no target — the aux antennas point at the
-// jammer, not the target).
+// jammer, not the target). It draws sample by sample, every channel's
+// sample t before any sample t+1, so the first n samples of each channel
+// are bit for bit the channels of the same scene with Samples = n.
 func (s RadarScene) Channels(nMain int) [][]complex128 {
 	p := sim.NewPRNG(s.Seed)
 	nAux := len(s.AuxCoupling)

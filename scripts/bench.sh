@@ -6,7 +6,9 @@
 #   - simulator benchmarks (all three Table 3 kernels and the cold paper
 #     grid through the service pool, BenchmarkColdGrid, plus the first-run
 #     cost of the corner-turn and CSLC golden checks with their reference
-#     memo purged, BenchmarkVerifyCold, the 128-point naive DFT/IDFT
+#     memo purged, BenchmarkVerifyCold — for CSLC the paper instance
+#     (cslc) and a sweep-sized spec checked at radix 2 and mixed
+#     radix-4/2 (cslc-sweep) — the 128-point naive DFT/IDFT
 #     those checks reference, BenchmarkNaiveDFT, the PPC cells with
 #     the G4 trace memo purged, BenchmarkWalkCold — the Table 3 PPC and
 #     AltiVec rows read that memo after their first iteration — and a
