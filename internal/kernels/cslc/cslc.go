@@ -24,6 +24,7 @@ package cslc
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"sigkern/internal/cache"
 	"sigkern/internal/kernels/fft"
@@ -410,13 +411,7 @@ func Verify(s Spec) error {
 // probeBands returns the sub-bands Verify proves, first, middle and
 // last, each once and in order: {0} for one sub-band, {0, 1} for two.
 func probeBands(s Spec) []int {
-	bands := []int{0}
-	for _, b := range []int{s.SubBands / 2, s.SubBands - 1} {
-		if b != bands[len(bands)-1] {
-			bands = append(bands, b)
-		}
-	}
-	return bands
+	return slices.Compact([]int{0, s.SubBands / 2, s.SubBands - 1})
 }
 
 // VerifyAgainstNaive recomputes the pipeline for the selected sub-bands
@@ -566,8 +561,11 @@ func cells(rows [][]complex128) int {
 // sceneLength returns how many samples per channel the memoized scene
 // behind s holds: the power of two at or above Samples, so that specs of
 // nearby lengths share one scene, or exactly Samples when that scene
-// alone would fill the budget, so a spec whose scene cannot be kept
-// never pays for the slack.
+// alone would fill the budget. The memo keeps no value over its budget,
+// so such a spec (six or more channels above 8,192 samples) would
+// otherwise synthesize its whole bucket on each machine's call; at its
+// own length its scene is kept and shared. No benchmark workload has
+// such a spec; TestReferenceMemoSharesAcrossRadix covers it.
 func sceneLength(s Spec) int {
 	n := 1 << bits.Len(uint(s.Samples-1))
 	if s.Channels()*n*complexBytes >= referenceBudget {

@@ -546,13 +546,15 @@ func TestVerifyCatchesWrongOutput(t *testing.T) {
 }
 
 // memoSpecs are specs no other test verifies, so each starts cold: two
-// radices of one shape (which share the scene and the reference) and a
-// single-aux shape. Each length lies strictly inside its scene's bucket.
+// radices of one shape (which share the scene and the reference), a
+// single-aux shape, each lying strictly inside its scene's bucket, and a
+// ten-channel shape whose scene is exactly Samples long.
 func memoSpecs() []Spec {
 	return []Spec{
 		{MainChannels: 2, AuxChannels: 2, Samples: 1536, SubBands: 11, FFTSize: 128, Radix: fft.Radix2},
 		{MainChannels: 2, AuxChannels: 2, Samples: 1536, SubBands: 11, FFTSize: 128, Radix: fft.MixedRadix42},
 		{MainChannels: 1, AuxChannels: 1, Samples: 640, SubBands: 5, FFTSize: 64, Radix: fft.Radix4},
+		{MainChannels: 8, AuxChannels: 2, Samples: 9000, SubBands: 9, FFTSize: 128, Radix: fft.Radix2},
 	}
 }
 
@@ -619,18 +621,33 @@ func sameCells(a, b [][]complex128) bool {
 
 // TestReferenceMemoSharesAcrossRadix checks the keying: a second radix
 // of one shape reuses the scene and the reference and builds nothing.
+// The ten-channel shape's bucket (16,384 samples, 2.5 MiB) would exceed
+// the budget, so its scene is exactly Samples long, and is still kept.
 func TestReferenceMemoSharesAcrossRadix(t *testing.T) {
-	s := Spec{MainChannels: 2, AuxChannels: 1, Samples: 896, SubBands: 7, FFTSize: 128, Radix: fft.Radix2}
-	if err := Verify(s); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := references.Counters()
-	s.Radix = fft.MixedRadix42
-	if err := Verify(s); err != nil {
-		t.Fatal(err)
-	}
-	if h, m := references.Counters(); h != hits+2 || m != misses {
-		t.Fatalf("second radix: %d hits %d misses -> %d hits %d misses, want two hits and no miss", hits, misses, h, m)
+	for _, c := range []struct {
+		s     Spec
+		scene int
+	}{
+		{Spec{MainChannels: 2, AuxChannels: 1, Samples: 896, SubBands: 7, FFTSize: 128}, 1024},
+		{Spec{MainChannels: 8, AuxChannels: 2, Samples: 9000, SubBands: 5, FFTSize: 128}, 9000},
+	} {
+		s := c.s
+		if n := sceneLength(s); n != c.scene {
+			t.Errorf("%d samples, %d channels: scene of %d samples, want %d", s.Samples, s.Channels(), n, c.scene)
+		}
+		s.Radix = fft.Radix2
+		if err := Verify(s); err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := references.Counters()
+		s.Radix = fft.MixedRadix42
+		if err := Verify(s); err != nil {
+			t.Fatal(err)
+		}
+		if h, m := references.Counters(); h != hits+2 || m != misses {
+			t.Errorf("%d samples, %d channels, second radix: %d hits %d misses -> %d hits %d misses, want two hits and no miss",
+				s.Samples, s.Channels(), hits, misses, h, m)
+		}
 	}
 }
 
