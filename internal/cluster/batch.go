@@ -16,10 +16,6 @@ import (
 	"sigkern/internal/svc"
 )
 
-// maxBatchBody bounds POST /v1/batch request bodies at the gateway,
-// matching the shard-side cap.
-const maxBatchBody = 16 << 20
-
 // batchCell is one parsed batch cell: the client-visible index, the
 // normalized spec, and its canonical hash (the routing key).
 type batchCell struct {
@@ -92,7 +88,7 @@ func (g *Gateway) splitBatch(w http.ResponseWriter, r *http.Request, b budget, c
 // computes each cell's routing hash. On failure it writes the error
 // (400 with the line number, 413 past the caps) and reports ok=false.
 func (g *Gateway) readBatchCells(w http.ResponseWriter, r *http.Request) ([]batchCell, bool) {
-	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
+	body := http.MaxBytesReader(w, r.Body, svc.MaxBatchBodyBytes)
 	var cells []batchCell
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		dec := json.NewDecoder(body)
@@ -107,7 +103,7 @@ func (g *Gateway) readBatchCells(w http.ResponseWriter, r *http.Request) ([]batc
 		}
 	} else {
 		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+		sc.Buffer(make([]byte, 0, 64<<10), svc.MaxBodyBytes)
 		line := 0
 		for sc.Scan() {
 			line++

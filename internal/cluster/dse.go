@@ -38,7 +38,7 @@ func (g *Gateway) handleDSE(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req svc.DSERequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, svc.MaxBatchBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeGatewayError(w, statusForBodyErr(err), "bad dse request: "+err.Error())

@@ -280,7 +280,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !g.guardConfigConsensus(w) {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(io.LimitReader(r.Body, svc.MaxBodyBytes))
 	if err != nil {
 		writeGatewayError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return

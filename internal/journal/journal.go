@@ -415,74 +415,7 @@ func Export(dir string) (*Recovery, error) {
 // Append writes one record. With SyncAlways it returns only once the
 // record is fsynced; other policies return after the OS write.
 func (j *Journal) Append(payload []byte) error {
-	frame, err := EncodeFrame(payload)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if _, err := j.f.Write(frame); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	j.appended++
-	j.segBytes += int64(len(frame))
-	j.dirty = true
-	if j.opts.Sync == SyncAlways {
-		if err := j.syncLocked(); err != nil {
-			return err
-		}
-	}
-	if j.segBytes >= j.opts.SegmentBytes {
-		if err := j.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AppendBatch writes a group of records as one commit: every frame is
-// encoded first (an invalid record fails the whole group before any
-// byte lands), then all frames go to the OS in a single write and —
-// under SyncAlways — a single fsync covers the group. This is the
-// group-commit half that amortizes the per-record durability cost
-// across a batch: one disk round-trip instead of len(payloads).
-func (j *Journal) AppendBatch(payloads [][]byte) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	var group []byte
-	for _, payload := range payloads {
-		frame, err := EncodeFrame(payload)
-		if err != nil {
-			return err
-		}
-		group = append(group, frame...)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if _, err := j.f.Write(group); err != nil {
-		return fmt.Errorf("journal: append batch: %w", err)
-	}
-	j.appended += uint64(len(payloads))
-	j.segBytes += int64(len(group))
-	j.dirty = true
-	if j.opts.Sync == SyncAlways {
-		if err := j.syncLocked(); err != nil {
-			return err
-		}
-	}
-	if j.segBytes >= j.opts.SegmentBytes {
-		if err := j.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return j.write(payload, j.opts.Sync == SyncAlways)
 }
 
 // AppendDefer writes one record without fsyncing, regardless of the
@@ -492,7 +425,11 @@ func (j *Journal) AppendBatch(payloads [][]byte) error {
 // because the records they defer are reconstructible (the service
 // replays a batch member from its group-accepted record and re-runs the
 // deterministic simulation).
-func (j *Journal) AppendDefer(payload []byte) error {
+func (j *Journal) AppendDefer(payload []byte) error { return j.write(payload, false) }
+
+// write appends one framed record, fsyncs it when sync is set, and
+// rotates the segment once it is full.
+func (j *Journal) write(payload []byte, sync bool) error {
 	frame, err := EncodeFrame(payload)
 	if err != nil {
 		return err
@@ -508,6 +445,11 @@ func (j *Journal) AppendDefer(payload []byte) error {
 	j.appended++
 	j.segBytes += int64(len(frame))
 	j.dirty = true
+	if sync {
+		if err := j.syncLocked(); err != nil {
+			return err
+		}
+	}
 	if j.segBytes >= j.opts.SegmentBytes {
 		if err := j.rotateLocked(); err != nil {
 			return err

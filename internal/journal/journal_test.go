@@ -292,84 +292,6 @@ func TestFrameRejectsEmptyAndOversized(t *testing.T) {
 	}
 }
 
-func TestAppendBatchGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := mustOpen(t, Options{Dir: dir, Sync: SyncAlways})
-	var group [][]byte
-	for i := 0; i < 10; i++ {
-		group = append(group, []byte(fmt.Sprintf("member-%d", i)))
-	}
-	if err := j.AppendBatch(group); err != nil {
-		t.Fatal(err)
-	}
-	// One commit covers the whole group: every record durable, no lag.
-	if st := j.Stats(); st.Appended != 10 || st.Synced != 10 || st.Lag != 0 {
-		t.Fatalf("group commit stats: %+v", st)
-	}
-	// An empty group is a no-op, not an error.
-	if err := j.AppendBatch(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := mustOpen(t, Options{Dir: dir})
-	got := recordStrings(rec)
-	if len(got) != 10 {
-		t.Fatalf("replayed %d records, want 10", len(got))
-	}
-	for i, r := range got {
-		if want := fmt.Sprintf("member-%d", i); r != want {
-			t.Fatalf("record %d = %q, want %q", i, r, want)
-		}
-	}
-}
-
-func TestAppendBatchRejectsWholeGroupOnBadRecord(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := mustOpen(t, Options{Dir: dir, Sync: SyncAlways})
-	// A bad member (empty payload) anywhere fails the group before any
-	// byte lands: all-or-nothing framing, no partial groups on disk.
-	err := j.AppendBatch([][]byte{[]byte("ok-1"), nil, []byte("ok-2")})
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad member error = %v, want ErrCorrupt", err)
-	}
-	if st := j.Stats(); st.Appended != 0 {
-		t.Fatalf("partial group appended: %+v", st)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := mustOpen(t, Options{Dir: dir})
-	if len(rec.Records) != 0 {
-		t.Fatalf("replayed %d records from rejected group", len(rec.Records))
-	}
-}
-
-func TestAppendBatchRotatesOnceAfterGroup(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := mustOpen(t, Options{Dir: dir, Sync: SyncAlways, SegmentBytes: 64})
-	var group [][]byte
-	for i := 0; i < 8; i++ {
-		group = append(group, []byte(fmt.Sprintf("rotating-member-%02d", i)))
-	}
-	if err := j.AppendBatch(group); err != nil {
-		t.Fatal(err)
-	}
-	// The group lands contiguously in one segment; rotation happens
-	// after the commit, not between members.
-	if st := j.Stats(); st.Segments != 2 {
-		t.Fatalf("segments = %d, want 2 (one full, one fresh): %+v", st.Segments, st)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := mustOpen(t, Options{Dir: dir})
-	if len(rec.Records) != 8 {
-		t.Fatalf("replayed %d records, want 8", len(rec.Records))
-	}
-}
-
 func TestAppendDeferCallerOwnsSync(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, Options{Dir: dir, Sync: SyncAlways})

@@ -60,7 +60,8 @@ func PaperSpec(radix fft.Radix) Spec {
 // 292 sub-bands at 32) and the studies use. Specs arrive from the
 // network: Validate checks them before it builds an FFT plan, which
 // allocates an FFTSize-entry table the process keeps, and MaxBins bounds
-// the spectra weight estimation holds (Channels x SubBands x FFTSize).
+// the sub-bands of every channel (Channels x SubBands x FFTSize), and so
+// the cancelled bands and spectra Run returns.
 const (
 	MaxMainChannels = 8
 	MaxSamples      = 16384
@@ -189,58 +190,25 @@ func checkChannels(s Spec, channels [][]complex128) error {
 
 // window returns sub-band b of one channel's samples: FFTSize samples
 // from b*Hop, read in place.
-func (s Spec) window(x []complex128, b int) []complex128 {
+func window[T complex64 | complex128](s Spec, x []T, b int) []T {
 	start := b * s.Hop()
 	return x[start : start+s.FFTSize]
 }
 
-// Spectra holds per-channel, per-band frequency-domain data:
-// S[channel][band][bin].
-type Spectra [][][]complex128
-
-// ForwardTransform FFTs every sub-band of every channel.
-func ForwardTransform(s Spec, channels [][]complex128) (Spectra, error) {
-	if err := checkChannels(s, channels); err != nil {
-		return nil, err
-	}
-	plan, err := fft.NewPlan(s.FFTSize, s.Radix, false)
-	if err != nil {
-		return nil, err
-	}
-	out := make(Spectra, len(channels))
-	for ch, x := range channels {
-		out[ch] = rows(s.SubBands, s.FFTSize)
-		for b, spec := range out[ch] {
-			if err := plan.Transform(spec, s.window(x, b)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
 // rows returns n zeroed rows of width values carved from one backing
 // array.
-func rows(n, width int) [][]complex128 {
-	backing := make([]complex128, n*width)
-	out := make([][]complex128, n)
+func rows[T any](n, width int) [][]T {
+	backing := make([]T, n*width)
+	out := make([][]T, n)
 	for i := range out {
 		out[i] = backing[i*width : (i+1)*width : (i+1)*width]
 	}
 	return out
 }
 
-// ApplyWeights computes the cancelled spectrum of one main channel's
-// sub-band: out[bin] = main[bin] - sum_a w[a][bin]*aux[a][band][bin].
-func ApplyWeights(mainBand []complex128, auxBands [][]complex128, w [][]complex128) []complex128 {
-	out := make([]complex128, len(mainBand))
-	copy(out, mainBand)
-	cancel(out, auxBands, w)
-	return out
-}
-
-// cancel subtracts the weighted aux spectra from spec in place.
-func cancel(spec []complex128, auxBands [][]complex128, w [][]complex128) {
+// cancel subtracts the weighted aux spectra from spec in place:
+// spec[bin] -= sum_a w[a][bin]*auxBands[a][bin].
+func cancel[T complex64 | complex128](spec []T, auxBands [][]T, w [][]T) {
 	for a, aux := range auxBands {
 		wa := w[a]
 		for k := range spec {
@@ -267,58 +235,93 @@ func Run(s Spec, channels [][]complex128, w *Weights) (*Output, error) {
 	if err := checkChannels(s, channels); err != nil {
 		return nil, err
 	}
-	out := &Output{
-		Cancelled:        make([][][]complex128, s.MainChannels),
-		CancelledSpectra: make([][][]complex128, s.MainChannels),
-	}
-	for m := range out.Cancelled {
-		out.Cancelled[m] = rows(s.SubBands, s.FFTSize)
-		out.CancelledSpectra[m] = rows(s.SubBands, s.FFTSize)
-	}
-	err := stream(s, channels, w, func(m, b int, spec, td []complex128) error {
-		copy(out.CancelledSpectra[m][b], spec)
-		copy(out.Cancelled[m][b], td)
-		return nil
-	})
-	if err != nil {
+	out, emit := collect[complex128](s)
+	if err := stream(s, channels, w.W, emit); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// stream is the pipeline behind Run and Verify. It works one sub-band at
-// a time: it forward-transforms the aux windows into scratch, then each
-// main window, applies the weights to that spectrum, inverse-transforms
-// it, and hands main channel m's cancelled band b to emit, as its
-// spectrum and its time-domain samples, in scratch the next band reuses.
-// An error from emit stops it. The spec and channels must be valid.
-func stream(s Spec, channels [][]complex128, w *Weights, emit func(m, b int, spec, td []complex128) error) error {
-	p, err := newPlans(s)
+// collect returns an empty Output for s and the stream sink that fills
+// it, widening each cancelled band to complex128.
+func collect[T complex64 | complex128](s Spec) (*Output, func(m, b int, spec, td []T) error) {
+	out := &Output{
+		Cancelled:        make([][][]complex128, s.MainChannels),
+		CancelledSpectra: make([][][]complex128, s.MainChannels),
+	}
+	for m := range out.Cancelled {
+		out.Cancelled[m] = rows[complex128](s.SubBands, s.FFTSize)
+		out.CancelledSpectra[m] = rows[complex128](s.SubBands, s.FFTSize)
+	}
+	return out, func(m, b int, spec, td []T) error {
+		cs, ct := out.CancelledSpectra[m][b], out.Cancelled[m][b]
+		for k := range spec {
+			cs[k], ct[k] = complex128(spec[k]), complex128(td[k])
+		}
+		return nil
+	}
+}
+
+// transformer returns p's transform at T's precision: Transform for
+// complex128, Transform32 for complex64.
+func transformer[T complex64 | complex128](p *fft.Plan) func(dst, src []T) error {
+	if f, ok := any(p.Transform).(func(dst, src []T) error); ok {
+		return f
+	}
+	return any(p.Transform32).(func(dst, src []T) error)
+}
+
+// bands is the forward half of the pipeline, at T's precision. It works
+// one sub-band at a time, in order: it forward-transforms every
+// channel's window b into scratch the next band reuses and hands the
+// spectra, indexed by channel with the mains first, to each. An error
+// from each stops it. The spec and channels must be valid.
+func bands[T complex64 | complex128](s Spec, channels [][]T, each func(b int, spectra [][]T) error) error {
+	p, err := fft.NewPlan(s.FFTSize, s.Radix, false)
 	if err != nil {
 		return err
 	}
-	scratch := rows(s.AuxChannels+2, s.FFTSize)
-	aux, spec, td := scratch[:s.AuxChannels], scratch[s.AuxChannels], scratch[s.AuxChannels+1]
+	forward := transformer[T](p)
+	spectra := rows[T](len(channels), s.FFTSize)
 	for b := 0; b < s.SubBands; b++ {
-		for a, x := range aux {
-			if err := p.forward.Transform(x, s.window(channels[s.MainChannels+a], b)); err != nil {
+		for ch, x := range channels {
+			if err := forward(spectra[ch], window(s, x, b)); err != nil {
 				return err
 			}
 		}
-		for m := 0; m < s.MainChannels; m++ {
-			if err := p.forward.Transform(spec, s.window(channels[m], b)); err != nil {
-				return err
-			}
-			cancel(spec, aux, w.W[m])
-			if err := p.inverse.Transform(td, spec); err != nil {
+		if err := each(b, spectra); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stream is the pipeline behind Run, RunSinglePrecision and Verify, at
+// T's precision. For each sub-band from bands it applies main channel
+// m's weights w[m] to that channel's spectrum, inverse-transforms it,
+// and hands the cancelled band b to emit, as its spectrum and its
+// time-domain samples, in scratch the next band reuses. An error from
+// emit stops it. The spec and channels must be valid.
+func stream[T complex64 | complex128](s Spec, channels [][]T, w [][][]T, emit func(m, b int, spec, td []T) error) error {
+	p, err := fft.NewPlan(s.FFTSize, s.Radix, true)
+	if err != nil {
+		return err
+	}
+	inverse := transformer[T](p)
+	td := make([]T, s.FFTSize)
+	return bands(s, channels, func(b int, spectra [][]T) error {
+		aux := spectra[s.MainChannels:]
+		for m, spec := range spectra[:s.MainChannels] {
+			cancel(spec, aux, w[m])
+			if err := inverse(td, spec); err != nil {
 				return err
 			}
 			if err := emit(m, b, spec, td); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // EstimateWeights computes per-bin least-squares weights from the
@@ -329,43 +332,46 @@ func stream(s Spec, channels [][]complex128, w *Weights, emit func(m, b int, spe
 // via the normal equations with diagonal loading (the ensemble over 73
 // sub-bands provides the averaging a real canceller gets from training
 // data). This is the adaptive half of a real CSLC; the paper times only
-// the application half.
+// the application half. It adds up the per-bin correlations band by band
+// as bands produces the spectra, so it keeps no band.
 func EstimateWeights(s Spec, channels [][]complex128) (*Weights, error) {
-	spectra, err := ForwardTransform(s, channels)
-	if err != nil {
+	if err := checkChannels(s, channels); err != nil {
 		return nil, err
 	}
 	if s.AuxChannels > maxAuxChannels {
 		return nil, fmt.Errorf("cslc: EstimateWeights supports at most %d aux channels, got %d", maxAuxChannels, s.AuxChannels)
 	}
+	// Over the bands, r[a*aux+c][k] sums conj(aux_a)*aux_c for c >= a,
+	// and p[m*aux+a][k] sums conj(aux_a)*main_m.
+	aux := s.AuxChannels
+	r := rows[complex128](aux*aux, s.FFTSize)
+	p := rows[complex128](s.MainChannels*aux, s.FFTSize)
+	err := bands(s, channels, func(_ int, spectra [][]complex128) error {
+		mains, auxs := spectra[:s.MainChannels], spectra[s.MainChannels:]
+		for a, x := range auxs {
+			for c := a; c < aux; c++ {
+				correlate(r[a*aux+c], x, auxs[c])
+			}
+			for m, mn := range mains {
+				correlate(p[m*aux+a], x, mn)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	w := NewWeights(s)
-	auxSpectra := spectra[s.MainChannels:]
-	for m := 0; m < s.MainChannels; m++ {
+	for m := range w.W {
 		for k := 0; k < s.FFTSize; k++ {
-			switch s.AuxChannels {
-			case 0:
-				// Nothing to estimate.
+			switch aux {
 			case 1:
-				var num, den complex128
-				for b := 0; b < s.SubBands; b++ {
-					a0 := auxSpectra[0][b][k]
-					num += conj(a0) * spectra[m][b][k]
-					den += conj(a0) * a0
-				}
+				den := r[0][k]
 				den += loading(real(den))
-				w.W[m][0][k] = num / den
+				w.W[m][0][k] = p[m][k] / den
 			case 2:
-				var r00, r01, r11, p0, p1 complex128
-				for b := 0; b < s.SubBands; b++ {
-					a0 := auxSpectra[0][b][k]
-					a1 := auxSpectra[1][b][k]
-					mn := spectra[m][b][k]
-					r00 += conj(a0) * a0
-					r01 += conj(a0) * a1
-					r11 += conj(a1) * a1
-					p0 += conj(a0) * mn
-					p1 += conj(a1) * mn
-				}
+				r00, r01, r11 := r[0][k], r[1][k], r[3][k]
+				p0, p1 := p[2*m][k], p[2*m+1][k]
 				d := loading(real(r00) + real(r11))
 				r00 += d
 				r11 += d
@@ -376,6 +382,13 @@ func EstimateWeights(s Spec, channels [][]complex128) (*Weights, error) {
 		}
 	}
 	return w, nil
+}
+
+// correlate adds conj(x[k])*y[k] to sum[k] for every bin k.
+func correlate(sum, x, y []complex128) {
+	for k := range sum {
+		sum[k] += conj(x[k]) * y[k]
+	}
 }
 
 func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }
@@ -405,7 +418,7 @@ func Verify(s Spec) error {
 	if err != nil {
 		return err
 	}
-	return stream(s, g.channels, g.w, g.ref.checkBand)
+	return stream(s, g.channels, g.w.W, g.ref.checkBand)
 }
 
 // probeBands returns the sub-bands Verify proves, first, middle and

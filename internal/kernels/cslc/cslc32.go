@@ -1,112 +1,37 @@
 package cslc
 
-import (
-	"fmt"
-
-	"sigkern/internal/kernels/fft"
-)
-
-// plans bundles the forward and inverse transforms of one spec.
-type plans struct {
-	forward, inverse *fft.Plan
-}
-
-func newPlans(s Spec) (plans, error) {
-	fwd, err := fft.NewPlan(s.FFTSize, s.Radix, false)
-	if err != nil {
-		return plans{}, err
-	}
-	inv, err := fft.NewPlan(s.FFTSize, s.Radix, true)
-	if err != nil {
-		return plans{}, err
-	}
-	return plans{forward: fwd, inverse: inv}, nil
-}
-
 // RunSinglePrecision executes the timed pipeline entirely in 32-bit
 // complex arithmetic — the precision the paper's machines actually used
 // ("All computations are done using single-precision floating-point
-// operations"). Inputs and weights are rounded to float32 on entry; the
-// output is widened back to complex128 for comparison against the
-// double-precision pipeline.
+// operations"). Inputs and weights are rounded to float32 on entry, the
+// pipeline is Run's stream at complex64, and the output is widened back
+// to complex128 for comparison against the double-precision pipeline.
 func RunSinglePrecision(s Spec, channels [][]complex128, w *Weights) (*Output, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if len(channels) != s.Channels() {
-		return nil, fmt.Errorf("cslc: %d channels, spec wants %d", len(channels), s.Channels())
-	}
-	fwd, err := newPlans(s)
-	if err != nil {
+	if err := checkChannels(s, channels); err != nil {
 		return nil, err
 	}
-
-	// Narrow the weights once.
-	w32 := make([][][]complex64, s.MainChannels)
-	for m := range w32 {
-		w32[m] = make([][]complex64, s.AuxChannels)
-		for a := range w32[m] {
-			w32[m][a] = make([]complex64, s.FFTSize)
-			for k, v := range w.W[m][a] {
-				w32[m][a][k] = complex64(v)
-			}
-		}
+	w32 := make([][][]complex64, len(w.W))
+	for m, ws := range w.W {
+		w32[m] = round32(ws)
 	}
-
-	// Forward-transform every channel's sub-bands in float32.
-	spectra := make([][][]complex64, s.Channels())
-	hop := s.Hop()
-	for ch, x := range channels {
-		if len(x) != s.Samples {
-			return nil, fmt.Errorf("cslc: channel %d has %d samples", ch, len(x))
-		}
-		spectra[ch] = make([][]complex64, s.SubBands)
-		for b := 0; b < s.SubBands; b++ {
-			win := make([]complex64, s.FFTSize)
-			for i := 0; i < s.FFTSize; i++ {
-				win[i] = complex64(x[b*hop+i])
-			}
-			spec := make([]complex64, s.FFTSize)
-			if err := fwd.forward.Transform32(spec, win); err != nil {
-				return nil, err
-			}
-			spectra[ch][b] = spec
-		}
-	}
-
-	out := &Output{
-		Cancelled:        make([][][]complex128, s.MainChannels),
-		CancelledSpectra: make([][][]complex128, s.MainChannels),
-	}
-	aux := spectra[s.MainChannels:]
-	for m := 0; m < s.MainChannels; m++ {
-		out.Cancelled[m] = make([][]complex128, s.SubBands)
-		out.CancelledSpectra[m] = make([][]complex128, s.SubBands)
-		for b := 0; b < s.SubBands; b++ {
-			spec := make([]complex64, s.FFTSize)
-			copy(spec, spectra[m][b])
-			for a := 0; a < s.AuxChannels; a++ {
-				wa := w32[m][a]
-				ab := aux[a][b]
-				for k := range spec {
-					spec[k] -= wa[k] * ab[k]
-				}
-			}
-			td := make([]complex64, s.FFTSize)
-			if err := fwd.inverse.Transform32(td, spec); err != nil {
-				return nil, err
-			}
-			out.CancelledSpectra[m][b] = widen(spec)
-			out.Cancelled[m][b] = widen(td)
-		}
+	out, emit := collect[complex64](s)
+	if err := stream(s, round32(channels), w32, emit); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-func widen(x []complex64) []complex128 {
-	out := make([]complex128, len(x))
-	for i, v := range x {
-		out[i] = complex128(v)
+// round32 rounds every value of rows to single precision.
+func round32(rows [][]complex128) [][]complex64 {
+	out := make([][]complex64, len(rows))
+	for i, r := range rows {
+		out[i] = make([]complex64, len(r))
+		for j, v := range r {
+			out[i][j] = complex64(v)
+		}
 	}
 	return out
 }

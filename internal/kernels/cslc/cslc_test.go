@@ -51,10 +51,10 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestSubBandWindowsOverlap checks that ForwardTransform and Run read
-// band b from samples b*112 .. b*112+127 of the paper's instance, so
-// consecutive windows share 16 samples, and leave the channels as they
-// found them.
+// TestSubBandWindowsOverlap checks that Run reads band b from samples
+// b*112 .. b*112+127 of the paper's instance, so consecutive windows
+// share 16 samples, and leaves the channels as it found them. With no
+// aux channels, Run's cancelled spectra are the forward spectra.
 func TestSubBandWindowsOverlap(t *testing.T) {
 	s := PaperSpec(fft.Radix2)
 	s.MainChannels, s.AuxChannels = 1, 0
@@ -63,16 +63,12 @@ func TestSubBandWindowsOverlap(t *testing.T) {
 		x[i] = complex(float64(i), float64(-i%7))
 	}
 	orig := append([]complex128(nil), x...)
-	spectra, err := ForwardTransform(s, [][]complex128{x})
-	if err != nil {
-		t.Fatal(err)
-	}
 	out, err := Run(s, [][]complex128{x}, NewWeights(s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spectra[0]) != 73 || len(out.Cancelled[0]) != 73 {
-		t.Fatalf("bands = %d and %d, want 73", len(spectra[0]), len(out.Cancelled[0]))
+	if len(out.CancelledSpectra[0]) != 73 || len(out.Cancelled[0]) != 73 {
+		t.Fatalf("bands = %d and %d, want 73", len(out.CancelledSpectra[0]), len(out.Cancelled[0]))
 	}
 	fwd, err := fft.NewPlan(s.FFTSize, s.Radix, false)
 	if err != nil {
@@ -98,8 +94,8 @@ func TestSubBandWindowsOverlap(t *testing.T) {
 		if err := inv.Transform(wantTime, wantSpec); err != nil {
 			t.Fatal(err)
 		}
-		if !sameCells([][]complex128{spectra[0][b], out.CancelledSpectra[0][b], out.Cancelled[0][b]},
-			[][]complex128{wantSpec, wantSpec, wantTime}) {
+		if !sameCells([][]complex128{out.CancelledSpectra[0][b], out.Cancelled[0][b]},
+			[][]complex128{wantSpec, wantTime}) {
 			t.Fatalf("band %d is not the transform of samples %d..%d", b, b*112, b*112+127)
 		}
 	}
@@ -108,7 +104,7 @@ func TestSubBandWindowsOverlap(t *testing.T) {
 	}
 }
 
-// TestWrongLengthChannelRejected checks that ForwardTransform and Run
+// TestWrongLengthChannelRejected checks that EstimateWeights and Run
 // reject a short channel and a wrong channel count.
 func TestWrongLengthChannelRejected(t *testing.T) {
 	s := PaperSpec(fft.Radix2)
@@ -117,14 +113,14 @@ func TestWrongLengthChannelRejected(t *testing.T) {
 		short[i] = make([]complex128, s.Samples)
 	}
 	short[s.Channels()-1] = make([]complex128, 100)
-	if _, err := ForwardTransform(s, short); err == nil {
-		t.Fatal("ForwardTransform accepted a wrong-length channel")
+	if _, err := EstimateWeights(s, short); err == nil {
+		t.Fatal("EstimateWeights accepted a wrong-length channel")
 	}
 	if _, err := Run(s, short, NewWeights(s)); err == nil {
 		t.Fatal("Run accepted a wrong-length channel")
 	}
-	if _, err := ForwardTransform(s, short[:1]); err == nil {
-		t.Fatal("ForwardTransform accepted a wrong channel count")
+	if _, err := EstimateWeights(s, short[:1]); err == nil {
+		t.Fatal("EstimateWeights accepted a wrong channel count")
 	}
 	if _, err := Run(s, short[:1], NewWeights(s)); err == nil {
 		t.Fatal("Run accepted a wrong channel count")
@@ -310,7 +306,7 @@ func TestZeroWeightsIdentity(t *testing.T) {
 	// With zero weights the pipeline is FFT then IFFT: each cancelled
 	// band must reproduce its input window.
 	for b := 0; b < s.SubBands; b++ {
-		win := s.window(channels[0], b)
+		win := window(s, channels[0], b)
 		for i := range win {
 			if d := absC(out.Cancelled[0][b][i] - win[i]); d > 1e-9 {
 				t.Fatalf("band %d sample %d differs by %g", b, i, d)
@@ -346,10 +342,10 @@ func TestRadixChoiceDoesNotChangeResults(t *testing.T) {
 }
 
 func TestApplyWeightsKnown(t *testing.T) {
-	main := []complex128{complex(2, 0), complex(0, 2)}
+	out := []complex128{complex(2, 0), complex(0, 2)}
 	aux := [][]complex128{{complex(1, 0), complex(1, 0)}}
 	w := [][]complex128{{complex(1, 0), complex(0, 1)}}
-	out := ApplyWeights(main, aux, w)
+	cancel(out, aux, w)
 	if out[0] != complex(1, 0) {
 		t.Fatalf("out[0] = %v, want 1", out[0])
 	}
@@ -540,7 +536,7 @@ func TestVerifyCatchesWrongOutput(t *testing.T) {
 	}
 	// So must the streamed check Verify runs: without its weights the
 	// pipeline leaves the jammer in every band.
-	if err := stream(s, g.channels, NewWeights(s), g.ref.checkBand); err == nil {
+	if err := stream(s, g.channels, NewWeights(s).W, g.ref.checkBand); err == nil {
 		t.Fatal("the streamed check passed an uncancelled pipeline")
 	}
 }

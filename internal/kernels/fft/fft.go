@@ -115,6 +115,8 @@ type Plan struct {
 	inverse bool
 	tw      []complex128 // forward twiddles w^k = exp(-2*pi*i*k/n)
 	subTw   []complex128 // mixed-radix sub-transform twiddles (period n/2)
+	tw32    []complex64  // tw and subTw rounded to single precision
+	subTw32 []complex64
 	counts  Counts
 }
 
@@ -128,8 +130,12 @@ type planKey struct {
 var planCache sync.Map // planKey -> *Plan
 
 // mixedScratch pools the even/odd deinterleave buffers of the mixed
-// radix-4/2 transform (one 2*(n/2) slice per in-flight Transform).
-var mixedScratch = sync.Pool{New: func() any { return new([]complex128) }}
+// radix-4/2 transform (one n-entry slice per in-flight Transform), and
+// mixedScratch32 those of Transform32.
+var (
+	mixedScratch   = sync.Pool{New: func() any { return new([]complex128) }}
+	mixedScratch32 = sync.Pool{New: func() any { return new([]complex64) }}
+)
 
 // NewPlan builds a plan for length n. It returns an error when n is not
 // compatible with the radix (radix-2: power of two; radix-4: power of
@@ -177,6 +183,7 @@ func NewPlan(n int, radix Radix, inverse bool) (*Plan, error) {
 			p.subTw[k] = p.tw[2*k]
 		}
 	}
+	p.tw32, p.subTw32 = round32(p.tw), round32(p.subTw)
 	p.counts = p.countOps()
 	// Two racing builders compute bit-identical tables; keep the first.
 	shared, _ := planCache.LoadOrStore(key, p)
@@ -208,6 +215,15 @@ func (p *Plan) Counts() Counts { return p.counts }
 // inverse plan applies the conventional 1/N scaling. It returns an error
 // if the slice lengths do not match the plan.
 func (p *Plan) Transform(dst, src []complex128) error {
+	return transform(p, dst, src, p.tw, p.subTw, &mixedScratch)
+}
+
+// transform is the one FFT core behind Transform and Transform32, at
+// either precision: it checks the lengths, copies src into dst, runs the
+// plan's decomposition over the twiddles tw (the mixed plan also over
+// subTw, deinterleaving into a buffer from pool) and applies the
+// inverse's 1/N scaling.
+func transform[T complex64 | complex128](p *Plan, dst, src, tw, subTw []T, pool *sync.Pool) error {
 	if len(src) != p.n || len(dst) != p.n {
 		return fmt.Errorf("fft: plan length %d, got src %d dst %d", p.n, len(src), len(dst))
 	}
@@ -216,14 +232,14 @@ func (p *Plan) Transform(dst, src []complex128) error {
 	}
 	switch p.radix {
 	case Radix2:
-		p.radix2(dst)
+		radix2(dst, tw)
 	case Radix4:
-		p.radix4(dst, p.tw, p.n)
+		radix4(dst, tw, p.inverse)
 	case MixedRadix42:
-		p.mixed(dst)
+		mixed(dst, tw, subTw, p.inverse, pool)
 	}
 	if p.inverse {
-		s := complex(1/float64(p.n), 0)
+		s := T(complex(1/float64(p.n), 0))
 		for i := range dst {
 			dst[i] *= s
 		}
@@ -232,7 +248,7 @@ func (p *Plan) Transform(dst, src []complex128) error {
 }
 
 // bitReverse permutes x by bit reversal in place.
-func bitReverse(x []complex128) {
+func bitReverse[T complex64 | complex128](x []T) {
 	n := len(x)
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
 	for i := 0; i < n; i++ {
@@ -243,8 +259,9 @@ func bitReverse(x []complex128) {
 	}
 }
 
-// radix2 runs the iterative radix-2 DIT transform in place.
-func (p *Plan) radix2(x []complex128) {
+// radix2 runs the iterative radix-2 DIT transform in place, with the
+// twiddles tw of period len(x).
+func radix2[T complex64 | complex128](x, tw []T) {
 	n := len(x)
 	bitReverse(x)
 	for size := 2; size <= n; size <<= 1 {
@@ -252,7 +269,7 @@ func (p *Plan) radix2(x []complex128) {
 		step := n / size
 		for start := 0; start < n; start += size {
 			for k := 0; k < half; k++ {
-				w := p.tw[k*step]
+				w := tw[k*step]
 				a := x[start+k]
 				b := x[start+k+half] * w
 				x[start+k] = a + b
@@ -263,7 +280,7 @@ func (p *Plan) radix2(x []complex128) {
 }
 
 // digitReverse4 permutes x by base-4 digit reversal in place.
-func digitReverse4(x []complex128) {
+func digitReverse4[T complex64 | complex128](x []T) {
 	n := len(x)
 	digits := bits.TrailingZeros(uint(n)) / 2
 	rev := func(i int) int {
@@ -281,24 +298,25 @@ func digitReverse4(x []complex128) {
 	}
 }
 
-// radix4 runs an iterative radix-4 DIT transform in place over x of
-// length m, using twiddles tw defined over period twN (twN >= m and
-// m divides twN).
-func (p *Plan) radix4(x []complex128, tw []complex128, twN int) {
+// radix4 runs an iterative radix-4 DIT transform in place over x, using
+// twiddles tw whose period len(tw) is a multiple of len(x). Each
+// butterfly reads tw below 3/4 of its period, so no index wraps.
+func radix4[T complex64 | complex128](x, tw []T, inverse bool) {
 	m := len(x)
+	twN := len(tw)
 	digitReverse4(x)
-	imSign := complex(0, -1) // multiply by -j for the forward transform
-	if p.inverse {
-		imSign = complex(0, 1)
+	imSign := T(complex(0, -1)) // multiply by -j for the forward transform
+	if inverse {
+		imSign = T(complex(0, 1))
 	}
 	for size := 4; size <= m; size <<= 2 {
 		quarter := size / 4
 		step := twN / size
 		for start := 0; start < m; start += size {
 			for k := 0; k < quarter; k++ {
-				w1 := tw[(k*step)%twN]
-				w2 := tw[(2*k*step)%twN]
-				w3 := tw[(3*k*step)%twN]
+				w1 := tw[k*step]
+				w2 := tw[2*k*step]
+				w3 := tw[3*k*step]
 				a := x[start+k]
 				b := x[start+k+quarter] * w1
 				c := x[start+k+2*quarter] * w2
@@ -317,29 +335,28 @@ func (p *Plan) radix4(x []complex128, tw []complex128, twN int) {
 }
 
 // mixed computes N = 2*4^k via one radix-2 DIT split whose two halves are
-// radix-4 transforms, matching the paper's three-radix-4-stages-plus-one-
-// radix-2-stage plan for N=128.
-func (p *Plan) mixed(x []complex128) {
+// radix-4 transforms over subTw, matching the paper's three-radix-4-
+// stages-plus-one-radix-2-stage plan for N=128.
+func mixed[T complex64 | complex128](x, tw, subTw []T, inverse bool, pool *sync.Pool) {
 	n := len(x)
 	half := n / 2
-	buf := mixedScratch.Get().(*[]complex128)
+	buf := pool.Get().(*[]T)
 	if cap(*buf) < n {
-		*buf = make([]complex128, n)
+		*buf = make([]T, n)
 	}
-	scratch := (*buf)[:n]
-	even, odd := scratch[:half], scratch[half:]
+	even, odd := (*buf)[:half], (*buf)[half:n]
 	for i := 0; i < half; i++ {
 		even[i] = x[2*i]
 		odd[i] = x[2*i+1]
 	}
-	p.radix4(even, p.subTw, half)
-	p.radix4(odd, p.subTw, half)
+	radix4(even, subTw, inverse)
+	radix4(odd, subTw, inverse)
 	for k := 0; k < half; k++ {
-		t := odd[k] * p.tw[k]
+		t := odd[k] * tw[k]
 		x[k] = even[k] + t
 		x[k+half] = even[k] - t
 	}
-	mixedScratch.Put(buf)
+	pool.Put(buf)
 }
 
 // countOps walks the plan's loop structure and returns exact operation

@@ -1,152 +1,21 @@
 package fft
 
-import "fmt"
-
 // Transform32 computes the plan's transform on single-precision complex
 // data, the arithmetic width the paper's kernels actually use ("All
 // computations are done using single-precision floating-point
-// operations"). Twiddles are rounded to float32 before use so the
-// round-off behaviour matches a real single-precision implementation;
-// the complex128 Transform remains the high-precision reference.
+// operations"). It runs the same core as Transform over the plan's
+// twiddles rounded to float32, so the round-off behaviour matches a real
+// single-precision implementation; the complex128 Transform remains the
+// high-precision reference.
 func (p *Plan) Transform32(dst, src []complex64) error {
-	if len(src) != p.n || len(dst) != p.n {
-		return fmt.Errorf("fft: plan length %d, got src %d dst %d", p.n, len(src), len(dst))
-	}
-	if &dst[0] != &src[0] {
-		copy(dst, src)
-	}
-	tw := p.tw32()
-	switch p.radix {
-	case Radix2:
-		radix2_32(dst, tw)
-	case Radix4:
-		p.radix4_32(dst, tw, p.n)
-	case MixedRadix42:
-		p.mixed32(dst, tw)
-	}
-	if p.inverse {
-		s := complex(1/float32(p.n), 0)
-		for i := range dst {
-			dst[i] *= s
-		}
-	}
-	return nil
+	return transform(p, dst, src, p.tw32, p.subTw32, &mixedScratch32)
 }
 
-// tw32 returns the twiddle table rounded to single precision.
-func (p *Plan) tw32() []complex64 {
-	out := make([]complex64, len(p.tw))
-	for i, w := range p.tw {
+// round32 rounds a twiddle table to single precision.
+func round32(tw []complex128) []complex64 {
+	out := make([]complex64, len(tw))
+	for i, w := range tw {
 		out[i] = complex64(w)
 	}
 	return out
-}
-
-// bitReverse32 permutes x by bit reversal in place.
-func bitReverse32(x []complex64) {
-	n := len(x)
-	j := 0
-	for i := 0; i < n-1; i++ {
-		if i < j {
-			x[i], x[j] = x[j], x[i]
-		}
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j |= bit
-	}
-}
-
-func radix2_32(x []complex64, tw []complex64) {
-	n := len(x)
-	bitReverse32(x)
-	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		step := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := tw[k*step]
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-			}
-		}
-	}
-}
-
-func (p *Plan) radix4_32(x []complex64, tw []complex64, twN int) {
-	m := len(x)
-	digitReverse4_32(x)
-	imSign := complex64(complex(0, -1))
-	if p.inverse {
-		imSign = complex(0, 1)
-	}
-	for size := 4; size <= m; size <<= 2 {
-		quarter := size / 4
-		step := twN / size
-		for start := 0; start < m; start += size {
-			for k := 0; k < quarter; k++ {
-				w1 := tw[(k*step)%twN]
-				w2 := tw[(2*k*step)%twN]
-				w3 := tw[(3*k*step)%twN]
-				a := x[start+k]
-				b := x[start+k+quarter] * w1
-				c := x[start+k+2*quarter] * w2
-				d := x[start+k+3*quarter] * w3
-				apc := a + c
-				amc := a - c
-				bpd := b + d
-				bmd := (b - d) * imSign
-				x[start+k] = apc + bpd
-				x[start+k+quarter] = amc + bmd
-				x[start+k+2*quarter] = apc - bpd
-				x[start+k+3*quarter] = amc - bmd
-			}
-		}
-	}
-}
-
-func digitReverse4_32(x []complex64) {
-	n := len(x)
-	digits := 0
-	for t := n; t > 1; t >>= 2 {
-		digits++
-	}
-	rev := func(i int) int {
-		r := 0
-		for d := 0; d < digits; d++ {
-			r = (r << 2) | (i & 3)
-			i >>= 2
-		}
-		return r
-	}
-	for i := 0; i < n; i++ {
-		if j := rev(i); j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-}
-
-func (p *Plan) mixed32(x []complex64, tw []complex64) {
-	n := len(x)
-	half := n / 2
-	even := make([]complex64, half)
-	odd := make([]complex64, half)
-	for i := 0; i < half; i++ {
-		even[i] = x[2*i]
-		odd[i] = x[2*i+1]
-	}
-	subTw := make([]complex64, half)
-	for k := 0; k < half; k++ {
-		subTw[k] = tw[2*k]
-	}
-	p.radix4_32(even, subTw, half)
-	p.radix4_32(odd, subTw, half)
-	for k := 0; k < half; k++ {
-		t := odd[k] * tw[k]
-		x[k] = even[k] + t
-		x[k+half] = even[k] - t
-	}
 }

@@ -18,8 +18,8 @@ import (
 	"sigkern/internal/resilience"
 )
 
-// maxBodyBytes bounds request bodies; job specs are small.
-const maxBodyBytes = 1 << 20
+// MaxBodyBytes bounds job bodies and NDJSON batch lines; specs are small.
+const MaxBodyBytes = 1 << 20
 
 // maxRequestTimeout clamps client-supplied ?timeout= values.
 const maxRequestTimeout = 10 * time.Minute
@@ -273,7 +273,7 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, httpError{http.StatusBadRequest, "bad job spec: " + err.Error()})

@@ -11,11 +11,11 @@ import (
 	"strings"
 )
 
-// maxBatchBodyBytes bounds POST /v1/batch bodies — generous enough for
-// a full MaxBatchCells NDJSON batch with explicit workloads, small
-// enough that a runaway client cannot buffer the process out of memory.
-// Oversized bodies are 413, like oversized cell counts.
-const maxBatchBodyBytes = 16 << 20
+// MaxBatchBodyBytes bounds /v1/batch and /v1/dse bodies, here and at the
+// gateway — generous enough for a full MaxBatchCells NDJSON batch with
+// explicit workloads, small enough that a runaway client cannot buffer
+// the process out of memory. Oversized bodies are 413, like cell counts.
+const MaxBatchBodyBytes = 16 << 20
 
 // ndjsonContentType marks newline-delimited JSON streams: the batch
 // request body (one JobSpec per line) and the batch response (one
@@ -117,7 +117,7 @@ func streamRun(w http.ResponseWriter, r *http.Request, run *BatchRun, line func(
 // with the 1-based line number, or 413 past the body cap) and reports
 // ok=false.
 func (s *Service) readBatchBody(w http.ResponseWriter, r *http.Request) (specs []JobSpec, indices []int, ok bool) {
-	body := http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, MaxBatchBodyBytes)
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		dec := json.NewDecoder(body)
 		dec.DisallowUnknownFields()
@@ -125,7 +125,7 @@ func (s *Service) readBatchBody(w http.ResponseWriter, r *http.Request) (specs [
 		if err := dec.Decode(&grid); err != nil {
 			if isBodyTooLarge(err) {
 				writeError(w, httpError{http.StatusRequestEntityTooLarge,
-					"batch body exceeds " + strconv.Itoa(maxBatchBodyBytes) + " bytes"})
+					"batch body exceeds " + strconv.Itoa(MaxBatchBodyBytes) + " bytes"})
 				return nil, nil, false
 			}
 			writeError(w, httpError{http.StatusBadRequest, "bad batch grid: " + err.Error()})
@@ -140,7 +140,7 @@ func (s *Service) readBatchBody(w http.ResponseWriter, r *http.Request) (specs [
 	}
 
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 64<<10), maxBodyBytes)
+	sc.Buffer(make([]byte, 0, 64<<10), MaxBodyBytes)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -170,14 +170,14 @@ func (s *Service) readBatchBody(w http.ResponseWriter, r *http.Request) (specs [
 	if err := sc.Err(); err != nil {
 		if isBodyTooLarge(err) {
 			writeError(w, httpError{http.StatusRequestEntityTooLarge,
-				"batch body exceeds " + strconv.Itoa(maxBatchBodyBytes) + " bytes"})
+				"batch body exceeds " + strconv.Itoa(MaxBatchBodyBytes) + " bytes"})
 			return nil, nil, false
 		}
 		writeJSON(w, http.StatusBadRequest, ParamError{
 			Error:     "bad batch line: " + err.Error(),
 			Parameter: "line",
 			Value:     strconv.Itoa(line + 1),
-			Want:      []string{"one JobSpec JSON object per line, at most " + strconv.Itoa(maxBodyBytes) + " bytes each"},
+			Want:      []string{"one JobSpec JSON object per line, at most " + strconv.Itoa(MaxBodyBytes) + " bytes each"},
 		})
 		return nil, nil, false
 	}

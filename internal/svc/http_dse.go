@@ -19,12 +19,12 @@ func (s *Service) handleDSE(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DSERequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBatchBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		if isBodyTooLarge(err) {
 			writeError(w, httpError{http.StatusRequestEntityTooLarge,
-				"dse body exceeds " + strconv.Itoa(maxBatchBodyBytes) + " bytes"})
+				"dse body exceeds " + strconv.Itoa(MaxBatchBodyBytes) + " bytes"})
 			return
 		}
 		writeError(w, httpError{http.StatusBadRequest, "bad dse request: " + err.Error()})

@@ -20,8 +20,11 @@
 #     controllers, BenchmarkReorderStream): a
 #     handful of fixed iterations — a Table 3 iteration is a full
 #     deterministic simulation, so more iterations only burn time;
-#   - service benchmarks (BenchmarkServiceThroughput): time-based, the
-#     usual regime for nanosecond-scale operations;
+#   - service benchmarks (BenchmarkServiceThroughput) and the 128-point
+#     FFT core every CSLC check and pipeline runs, at both precisions
+#     (BenchmarkFFT128Radix2, BenchmarkFFT128Mixed,
+#     BenchmarkFFT128Mixed32): time-based, the usual regime for
+#     nanosecond- and microsecond-scale operations;
 #   - grid benchmarks (BenchmarkBatchGrid, BenchmarkDSEGrid): one fixed
 #     iteration — each iteration drives a full 1,000-cell machine×kernel
 #     grid (or a whole design-space sweep), and the sequential-jobs leg
@@ -37,7 +40,7 @@
 # Environment knobs:
 #   BENCH_COUNT    (default 3)     repetitions per benchmark (min is kept)
 #   SIM_BENCHTIME  (default 20x)   benchtime for the simulator set
-#   SVC_BENCHTIME  (default 0.5s)  benchtime for the service set
+#   SVC_BENCHTIME  (default 0.5s)  benchtime for the service and FFT128 set
 #   GRID_BENCHTIME (default 1x)    benchtime for the batch-grid set
 #
 # Usage: scripts/bench.sh [output.json]
@@ -56,6 +59,8 @@ go test -run='^$' -bench='VerifyCold|NaiveDFT|WalkCold|Stream1M|ReorderStream|CS
     ./internal/dram ./internal/viram | tee -a "$tmp"
 go test -run='^$' -bench='ServiceThroughput|EstimateTier' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SVC_BENCHTIME:-0.5s}" . | tee -a "$tmp"
+go test -run='^$' -bench='FFT128' -benchmem \
+    -count="${BENCH_COUNT:-3}" -benchtime="${SVC_BENCHTIME:-0.5s}" ./internal/kernels/fft | tee -a "$tmp"
 go test -run='^$' -bench='BatchGrid|DSEGrid' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${GRID_BENCHTIME:-1x}" . | tee -a "$tmp"
 
