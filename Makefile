@@ -46,7 +46,7 @@ soak:
 		echo "== soak seed $$seed =="; \
 		SIGKERN_FAULTS='pool.execute:transient:0.1,pool.execute:latency:0.05:2ms' \
 		SIGKERN_FAULTS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Journal|Replay|Durab|Idempot|Frame|TornTail|Chaos|E2E' \
+			-run 'Journal|Replay|Durab|Idempot|Frame|TornTail|Chaos|E2E|Ingest' \
 			./internal/journal/... ./internal/svc/... ./cmd/simserved/...; \
 	done
 

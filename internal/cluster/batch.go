@@ -5,12 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"sigkern/internal/svc"
@@ -83,64 +81,28 @@ func (g *Gateway) splitBatch(w http.ResponseWriter, r *http.Request, b budget, c
 	return mw
 }
 
-// readBatchCells parses and normalizes the batch body — NDJSON lines
-// or, under Content-Type application/json, the compact grid form — and
-// computes each cell's routing hash. On failure it writes the error
-// (400 with the line number, 413 past the caps) and reports ok=false.
+// readBatchCells decodes the batch body (svc.ReadBatch), checks its
+// cell count, and normalizes each cell, computing its routing hash. On
+// failure it writes the error (400 naming the line, 413 past the caps)
+// and reports ok=false.
 func (g *Gateway) readBatchCells(w http.ResponseWriter, r *http.Request) ([]batchCell, bool) {
-	body := http.MaxBytesReader(w, r.Body, svc.MaxBatchBodyBytes)
-	var cells []batchCell
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		var grid svc.BatchGrid
-		if err := dec.Decode(&grid); err != nil {
-			writeGatewayError(w, statusForBodyErr(err), "bad batch grid: "+err.Error())
-			return nil, false
-		}
-		for i, spec := range grid.Expand() {
-			cells = append(cells, batchCell{index: i, spec: spec})
-		}
-	} else {
-		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 0, 64<<10), svc.MaxBodyBytes)
-		line := 0
-		for sc.Scan() {
-			line++
-			raw := bytes.TrimSpace(sc.Bytes())
-			if len(raw) == 0 {
-				continue
-			}
-			var bl struct {
-				svc.JobSpec
-				Index *int `json:"index"`
-			}
-			dec := json.NewDecoder(bytes.NewReader(raw))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&bl); err != nil {
-				writeGatewayError(w, http.StatusBadRequest,
-					fmt.Sprintf("bad batch line %d: %v", line, err))
-				return nil, false
-			}
-			idx := len(cells)
-			if bl.Index != nil {
-				idx = *bl.Index
-			}
-			cells = append(cells, batchCell{index: idx, spec: bl.JobSpec})
-		}
-		if err := sc.Err(); err != nil {
-			writeGatewayError(w, statusForBodyErr(err), "reading batch body: "+err.Error())
-			return nil, false
-		}
+	specs, indices, err := svc.ReadBatch(r.Body, r.Header.Get("Content-Type"))
+	if err != nil {
+		writeBodyError(w, err)
+		return nil, false
 	}
-	if len(cells) == 0 {
+	if len(specs) == 0 {
 		writeGatewayError(w, http.StatusBadRequest, "cluster: empty batch")
 		return nil, false
 	}
-	if len(cells) > svc.MaxBatchCells {
+	if len(specs) > svc.MaxBatchCells {
 		writeGatewayError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("cluster: batch of %d cells exceeds cap of %d", len(cells), svc.MaxBatchCells))
+			fmt.Sprintf("cluster: batch of %d cells exceeds cap of %d", len(specs), svc.MaxBatchCells))
 		return nil, false
+	}
+	cells := make([]batchCell, len(specs))
+	for i, spec := range specs {
+		cells[i] = batchCell{index: indices[i], spec: spec}
 	}
 	return cells, normalizeCells(w, cells, func(i int) string { return fmt.Sprintf("batch cell %d", i) })
 }
@@ -164,14 +126,14 @@ func normalizeCells(w http.ResponseWriter, cells []batchCell, name func(i int) s
 	return true
 }
 
-// statusForBodyErr maps a body-read failure onto 413 when it came from
-// the MaxBytesReader cap and 400 otherwise.
-func statusForBodyErr(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
+// writeBodyError answers a body svc.ReadBatch or svc.ReadDSE refused:
+// 413 past a cap, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if svc.TooLarge(err) {
+		status = http.StatusRequestEntityTooLarge
 	}
-	return http.StatusBadRequest
+	writeGatewayError(w, status, err.Error())
 }
 
 // streamSubBatch routes one shard group through route, along the ring

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -37,20 +35,9 @@ func (g *Gateway) handleDSE(w http.ResponseWriter, r *http.Request) {
 	if !g.guardConfigConsensus(w) {
 		return
 	}
-	var req svc.DSERequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, svc.MaxBatchBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeGatewayError(w, statusForBodyErr(err), "bad dse request: "+err.Error())
-		return
-	}
-	designs, err := req.Expand()
+	req, designs, err := svc.ReadDSE(r.Body)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, svc.ErrDSETooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeGatewayError(w, status, err.Error())
+		writeBodyError(w, err)
 		return
 	}
 	cells := make([]batchCell, len(designs))

@@ -223,12 +223,12 @@ func (s *Service) admitOne(spec JobSpec, key string, opts BatchOptions, shed boo
 // when non-nil, holds one idempotency key per spec, and an empty one
 // falls back to the spec hash on a durable service — the single-job
 // rule; batch admission passes nil, so its members get no implicit
-// key. admit normalizes and hashes every spec, runs one deadline-budget
-// check and one breaker probe per distinct machine, registers the
-// members and journals their acceptance under one lock hold (accept),
-// and launches them. With shed, a member the full queue refuses is
-// rolled back — unregistered and journaled aborted — and admit fails
-// with ErrOverloaded.
+// key. admit normalizes and hashes every spec into a member record,
+// runs one deadline-budget check and one breaker probe per distinct
+// machine, journals the members' acceptance and registers them under
+// one lock hold (accept), and launches them. With shed, a member the
+// full queue refuses is rolled back — journaled aborted and
+// unregistered — and admit fails with ErrOverloaded.
 func (s *Service) admit(ctx context.Context, specs []JobSpec, keys []string, opts BatchOptions, shed bool) (*BatchRun, error) {
 	switch {
 	case len(specs) == 0:
@@ -244,6 +244,7 @@ func (s *Service) admit(ctx context.Context, specs []JobSpec, keys []string, opt
 		replayed: make([]bool, len(specs)),
 		probes:   make(map[string]*probe),
 	}
+	members := make([]batchMember, len(specs))
 	for i, spec := range specs {
 		norm, hash, err := normalizeAt(i, spec)
 		if err != nil {
@@ -256,14 +257,14 @@ func (s *Service) admit(ctx context.Context, specs []JobSpec, keys []string, opt
 				key = hash
 			}
 		}
-		run.members[i] = &Job{Spec: norm, Hash: hash, IdemKey: key, State: Queued, Tier: TierSimulate, Priority: opts.Priority}
+		members[i] = batchMember{Hash: hash, Spec: norm, IdemKey: key, Priority: opts.Priority}
 	}
 
 	// One deadline-budget check for the whole group: either the queue
 	// can drain a new admission within the budget or the group is
 	// refused now, instead of queueing cells doomed to expire one by
 	// one.
-	if opts.Budget > 0 && !s.answeredAtOnce(run.members) {
+	if opts.Budget > 0 && !s.answeredAtOnce(members) {
 		if est := s.drainEstimate(opts.Priority); est > opts.Budget {
 			s.Metrics().budgetDrops.Inc()
 			return nil, fmt.Errorf("svc: admitting %d job(s): remaining budget %s below drain estimate %s: %w",
@@ -271,8 +272,8 @@ func (s *Service) admit(ctx context.Context, specs []JobSpec, keys []string, opt
 		}
 	}
 
-	for _, j := range run.members {
-		m := j.Spec.Machine
+	for _, mb := range members {
+		m := mb.Spec.Machine
 		if run.probes[m] != nil {
 			continue
 		}
@@ -284,7 +285,7 @@ func (s *Service) admit(ctx context.Context, specs []JobSpec, keys []string, opt
 		run.probes[m] = &probe{}
 	}
 
-	if err := s.accept(run); err != nil {
+	if err := s.accept(run, members); err != nil {
 		s.settle(run.probes)
 		return nil, err
 	}
@@ -315,102 +316,61 @@ func normalizeAt(i int, spec JobSpec) (JobSpec, string, error) {
 // answeredAtOnce reports whether every member would be answered without
 // queueing — a memo hit or a key bound to a live job — so no deadline
 // budget can be too short for the admission.
-func (s *Service) answeredAtOnce(members []*Job) bool {
-	for _, j := range members {
-		if !s.pool.MemoHas(j.Hash) && !s.idemLive(j.IdemKey) {
+func (s *Service) answeredAtOnce(members []batchMember) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range members {
+		if _, live := s.jobs[s.idem[m.IdemKey]]; !s.pool.MemoHas(m.Hash) && (m.IdemKey == "" || !live) {
 			return false
 		}
 	}
 	return true
 }
 
-// idemLive reports whether key is bound to a live job.
-func (s *Service) idemLive(key string) bool {
-	if key == "" {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, live := s.jobs[s.idem[key]]
-	return live
-}
-
 // accept numbers an admission's members and makes them durable and
-// registered under one lock hold. A member whose idempotency key is
-// bound to a live job is answered by that job instead — swapped in,
-// marked replayed, neither numbered nor journaled again.
-func (s *Service) accept(run *BatchRun) error {
-	now := time.Now()
+// registered under one lock hold: one batch_accepted record — one
+// append, one fsync — carrying every fresh member plus the ID counter
+// after them, applied once the journal holds it. If the journal cannot
+// persist it nothing is registered: a group is accepted whole or not
+// at all. A member whose idempotency key is bound to a live job is
+// answered by that job instead — swapped in, marked replayed, neither
+// numbered nor journaled again.
+func (s *Service) accept(run *BatchRun, members []batchMember) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq := s.seq
-	fresh := make([]*Job, 0, len(run.members))
-	for i, j := range run.members {
-		if live, ok := s.jobs[s.idem[j.IdemKey]]; ok && j.IdemKey != "" {
+	// The record's member list reuses members' array: each fresh member
+	// lands at or before its own index, after it has been read.
+	ev := jobEvent{Type: eventBatch, Seq: s.seq, Time: time.Now(), Batch: members[:0]}
+	for i, m := range members {
+		if live, ok := s.jobs[s.idem[m.IdemKey]]; ok && m.IdemKey != "" {
 			run.members[i], run.replayed[i] = live, true
 			continue
 		}
-		seq++
-		j.ID = fmt.Sprintf("%sj%06d-%s", s.idPrefix, seq, j.Hash[:8])
-		j.Submitted = now
-		// One backing array sized for the common accepted→queued→
-		// started→done lifecycle; only retries grow it. The queued event
-		// lands before the pool sees the task, so a memo hit's terminal
-		// event can never come first.
-		j.Trace = append(make([]obs.Event, 0, 4),
-			obs.Event{Name: obs.EventAccepted, Time: now},
-			obs.Event{Name: obs.EventQueued, Time: now})
-		fresh = append(fresh, j)
+		ev.Seq++
+		m.ID = fmt.Sprintf("%sj%06d-%s", s.idPrefix, ev.Seq, m.Hash[:8])
+		ev.Batch = append(ev.Batch, m)
 	}
-	if err := s.acceptLocked(fresh, seq); err != nil {
-		return err
+	if len(ev.Batch) > 0 {
+		if err := s.journalLocked(ev, true); err != nil {
+			return err
+		}
+		s.apply(ev)
 	}
-	for i, j := range run.members {
-		run.jobs[i] = j.clone(false)
-	}
-	return nil
-}
-
-// acceptLocked is where accepted work enters the registry — admission
-// and rebalance ingest both end here. Acceptance is journaled first, as
-// one batch_accepted record (one append, one fsync) carrying every
-// member's ID, hash, spec and idempotency key plus the ID counter seq
-// after them; if the journal cannot persist it nothing is registered —
-// a durable service must not accept work it cannot promise to remember,
-// and a group is accepted whole or not at all.
-func (s *Service) acceptLocked(members []*Job, seq uint64) error {
-	if err := s.journalAcceptedLocked(members, seq); err != nil {
-		return err
-	}
-	s.seq = seq
-	for _, j := range members {
-		s.registerLocked(j)
+	fresh := ev.Batch
+	for i := range run.members {
+		if !run.replayed[i] {
+			run.members[i], fresh = s.jobs[fresh[0].ID], fresh[1:]
+		}
+		run.jobs[i] = run.members[i].clone(false)
 	}
 	s.evictLocked()
 	return nil
-}
-
-// registerLocked adds a job to the registry with its completion channel
-// — already closed for a terminal job — and binds its idempotency key.
-func (s *Service) registerLocked(j *Job) {
-	j.done = make(chan struct{})
-	if j.State.Terminal() {
-		close(j.done)
-	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	if j.IdemKey != "" {
-		s.idem[j.IdemKey] = j.ID
-	}
 }
 
 // relaunch runs registered, unfinished jobs again — journal replay and
 // rebalance ingest, whose jobs were accepted before a crash or on
 // another shard — and reports how many reached the pool.
 func (s *Service) relaunch(jobs []*Job) int {
-	if len(jobs) == 0 {
-		return 0
-	}
 	run := &BatchRun{abort: make(chan struct{}), members: jobs}
 	if err := s.launch(context.Background(), run, time.Time{}, false); err != nil {
 		return 0
@@ -584,7 +544,7 @@ func (s *Service) complete(run *BatchRun, i int, fut *Future) Job {
 	if err == nil && !fut.FromCache() {
 		s.recordModelDrift(j.Spec, res)
 	}
-	job := s.snapshot(j.ID)
+	job, _ := s.Job(j.ID)
 	run.results <- BatchResult{Index: i, Job: job}
 	switch n := run.delivered.Add(1); {
 	case n == run.launched:

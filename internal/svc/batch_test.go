@@ -305,6 +305,40 @@ func TestHTTPBatchMalformedLine(t *testing.T) {
 	}
 }
 
+// TestBatchAndDSEBodyCaps pins the shared decoders' caps, which simserved
+// and the gateway both answer through: a line over MaxBodyBytes is a
+// *BatchLineError naming it (400), and a body over MaxBatchBodyBytes, in
+// either batch form or as an exploration, is TooLarge (413).
+func TestBatchAndDSEBodyCaps(t *testing.T) {
+	good := `{"machine":"VIRAM","kernel":"corner-turn"}` + "\n"
+	_, _, err := ReadBatch(strings.NewReader(good+strings.Repeat("x", MaxBodyBytes+1)+"\n"), ndjsonContentType)
+	var le *BatchLineError
+	if !errors.As(err, &le) || le.Line != 2 || TooLarge(err) {
+		t.Fatalf("over-long line: %v, want a BatchLineError naming line 2", err)
+	}
+	// Blank lines of half a line cap each, past the body cap in total.
+	over := strings.Repeat(strings.Repeat(" ", MaxBodyBytes/2)+"\n", 2*MaxBatchBodyBytes/MaxBodyBytes+1)
+	if _, _, err := ReadBatch(strings.NewReader(good+over), ndjsonContentType); !TooLarge(err) {
+		t.Fatalf("over-cap NDJSON body: %v", err)
+	}
+	if _, _, err := ReadBatch(strings.NewReader(over+"{}"), "application/json"); !TooLarge(err) {
+		t.Fatalf("over-cap grid body: %v", err)
+	}
+	if _, _, err := ReadDSE(strings.NewReader(over + "{}")); !TooLarge(err) {
+		t.Fatalf("over-cap dse body: %v", err)
+	}
+
+	s := NewService(Options{Pool: PoolOptions{Workers: 1}})
+	defer s.Close()
+	for _, path := range []string{"/v1/batch", "/v1/dse"} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(over)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s over the body cap: %d, want 413", path, rec.Code)
+		}
+	}
+}
+
 // TestHTTPBatchOversized pins the documented cap: more than
 // MaxBatchCells cells is 413, before any admission work.
 func TestHTTPBatchOversized(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -50,8 +52,9 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	specs, indices, ok := s.readBatchBody(w, r)
-	if !ok {
+	specs, indices, err := ReadBatch(r.Body, r.Header.Get("Content-Type"))
+	if err != nil {
+		writeBodyError(w, "batch", err)
 		return
 	}
 	run, err := s.SubmitBatch(r.Context(), specs, opts)
@@ -110,36 +113,48 @@ func streamRun(w http.ResponseWriter, r *http.Request, run *BatchRun, line func(
 	flush()
 }
 
-// readBatchBody parses a batch request body into specs plus the
-// client-visible index of each cell. Content-Type application/json is
-// the compact grid-expansion form (BatchGrid); anything else is NDJSON,
-// one JobSpec per line. On failure it writes the error response (400
-// with the 1-based line number, or 413 past the body cap) and reports
-// ok=false.
-func (s *Service) readBatchBody(w http.ResponseWriter, r *http.Request) (specs []JobSpec, indices []int, ok bool) {
-	body := http.MaxBytesReader(w, r.Body, MaxBatchBodyBytes)
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		dec := json.NewDecoder(body)
+// BatchLineError reports a batch body's NDJSON line — malformed, or
+// longer than MaxBodyBytes — by its 1-based number.
+type BatchLineError struct {
+	Line int
+	Err  error
+}
+
+func (e *BatchLineError) Error() string { return fmt.Sprintf("bad batch line %d: %v", e.Line, e.Err) }
+
+func (e *BatchLineError) Unwrap() error { return e.Err }
+
+// TooLarge reports whether a ReadBatch or ReadDSE error is a body or
+// an exploration past its cap — 413, where any other is 400.
+func TooLarge(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe) || errors.Is(err, ErrDSETooLarge)
+}
+
+// ReadBatch decodes a batch request body, capped at MaxBatchBodyBytes,
+// into its specs and the client-visible index of each cell: the one
+// batch decoder of simserved and the gateway. A contentType of
+// application/json is the compact grid form (BatchGrid); anything else
+// is NDJSON, one JobSpec per line with an optional "index" (by default
+// the spec's 0-based position), blank lines skipped. A malformed line
+// is a *BatchLineError.
+func ReadBatch(body io.Reader, contentType string) (specs []JobSpec, indices []int, err error) {
+	capped := http.MaxBytesReader(nil, io.NopCloser(body), MaxBatchBodyBytes)
+	if strings.HasPrefix(contentType, "application/json") {
+		dec := json.NewDecoder(capped)
 		dec.DisallowUnknownFields()
 		var grid BatchGrid
 		if err := dec.Decode(&grid); err != nil {
-			if isBodyTooLarge(err) {
-				writeError(w, httpError{http.StatusRequestEntityTooLarge,
-					"batch body exceeds " + strconv.Itoa(MaxBatchBodyBytes) + " bytes"})
-				return nil, nil, false
-			}
-			writeError(w, httpError{http.StatusBadRequest, "bad batch grid: " + err.Error()})
-			return nil, nil, false
+			return nil, nil, fmt.Errorf("bad batch grid: %w", err)
 		}
 		specs = grid.Expand()
 		indices = make([]int, len(specs))
 		for i := range indices {
 			indices[i] = i
 		}
-		return specs, indices, true
+		return specs, indices, nil
 	}
-
-	sc := bufio.NewScanner(body)
+	sc := bufio.NewScanner(capped)
 	sc.Buffer(make([]byte, 0, 64<<10), MaxBodyBytes)
 	line := 0
 	for sc.Scan() {
@@ -152,13 +167,7 @@ func (s *Service) readBatchBody(w http.ResponseWriter, r *http.Request) (specs [
 		dec.DisallowUnknownFields()
 		var bl batchLine
 		if err := dec.Decode(&bl); err != nil {
-			writeJSON(w, http.StatusBadRequest, ParamError{
-				Error:     "bad batch line: " + err.Error(),
-				Parameter: "line",
-				Value:     strconv.Itoa(line),
-				Want:      []string{"one JobSpec JSON object per line, optional \"index\" field"},
-			})
-			return nil, nil, false
+			return nil, nil, &BatchLineError{Line: line, Err: err}
 		}
 		idx := len(specs)
 		if bl.Index != nil {
@@ -168,24 +177,29 @@ func (s *Service) readBatchBody(w http.ResponseWriter, r *http.Request) (specs [
 		indices = append(indices, idx)
 	}
 	if err := sc.Err(); err != nil {
-		if isBodyTooLarge(err) {
-			writeError(w, httpError{http.StatusRequestEntityTooLarge,
-				"batch body exceeds " + strconv.Itoa(MaxBatchBodyBytes) + " bytes"})
-			return nil, nil, false
+		if TooLarge(err) {
+			return nil, nil, fmt.Errorf("reading batch body: %w", err)
 		}
-		writeJSON(w, http.StatusBadRequest, ParamError{
-			Error:     "bad batch line: " + err.Error(),
-			Parameter: "line",
-			Value:     strconv.Itoa(line + 1),
-			Want:      []string{"one JobSpec JSON object per line, at most " + strconv.Itoa(MaxBodyBytes) + " bytes each"},
-		})
-		return nil, nil, false
+		return nil, nil, &BatchLineError{Line: line + 1, Err: err}
 	}
-	return specs, indices, true
+	return specs, indices, nil
 }
 
-// isBodyTooLarge reports whether err came from the MaxBytesReader cap.
-func isBodyTooLarge(err error) bool {
+// writeBodyError answers a body ReadBatch or ReadDSE refused: 413 past
+// a cap, a ParamError naming a bad NDJSON line, and 400 otherwise.
+func writeBodyError(w http.ResponseWriter, what string, err error) {
 	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe)
+	var le *BatchLineError
+	switch {
+	case errors.As(err, &mbe):
+		writeError(w, httpError{http.StatusRequestEntityTooLarge,
+			what + " body exceeds " + strconv.Itoa(MaxBatchBodyBytes) + " bytes"})
+	case errors.Is(err, ErrDSETooLarge):
+		writeError(w, httpError{http.StatusRequestEntityTooLarge, err.Error()})
+	case errors.As(err, &le):
+		writeJSON(w, http.StatusBadRequest, ParamError{Error: err.Error(), Parameter: "line", Value: strconv.Itoa(le.Line),
+			Want: []string{"one JobSpec JSON object per line, at most " + strconv.Itoa(MaxBodyBytes) + " bytes, optional \"index\" field"}})
+	default:
+		writeError(w, httpError{http.StatusBadRequest, err.Error()})
+	}
 }

@@ -2,7 +2,8 @@ package svc
 
 import (
 	"encoding/json"
-	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -18,25 +19,9 @@ func (s *Service) handleDSE(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req DSERequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBatchBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		if isBodyTooLarge(err) {
-			writeError(w, httpError{http.StatusRequestEntityTooLarge,
-				"dse body exceeds " + strconv.Itoa(MaxBatchBodyBytes) + " bytes"})
-			return
-		}
-		writeError(w, httpError{http.StatusBadRequest, "bad dse request: " + err.Error()})
-		return
-	}
-	designs, err := req.Expand()
+	req, designs, err := ReadDSE(r.Body)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrDSETooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, httpError{status, err.Error()})
+		writeBodyError(w, "dse", err)
 		return
 	}
 
@@ -65,4 +50,18 @@ func (s *Service) handleDSE(w http.ResponseWriter, r *http.Request) {
 		summary.Finish()
 		return summary
 	})
+}
+
+// ReadDSE decodes a /v1/dse body, capped at MaxBatchBodyBytes, and
+// expands it into its design points: the one exploration decoder of
+// simserved and the gateway.
+func ReadDSE(body io.Reader) (DSERequest, []DSEDesign, error) {
+	var req DSERequest
+	dec := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(body), MaxBatchBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, nil, fmt.Errorf("bad dse request: %w", err)
+	}
+	designs, err := req.Expand()
+	return req, designs, err
 }

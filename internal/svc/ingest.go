@@ -23,16 +23,12 @@ func sortedMemoKeys(m map[string]core.Result) []string {
 
 // foldState is the pure half of journal replay: a job registry
 // reconstructed from recovered journal state with no live service
-// behind it. Startup recovery folds a journal.Open recovery and adopts
-// the result; cluster rebalance folds a departed shard's exported log
-// (journal.Export) and ships the jobs to its hash-ring successor
-// instead.
+// behind it, by the same apply the live service runs. Startup recovery
+// folds a journal.Open recovery and adopts the result; cluster
+// rebalance folds a departed shard's exported log (journal.Export) and
+// ships the jobs to its hash-ring successor instead.
 type foldState struct {
-	seq          uint64
-	jobs         map[string]*Job
-	order        []string
-	evicted      map[string]bool
-	evictedOrder []string
+	registry
 	// memo accumulates terminal cycle counts keyed by canonical spec
 	// hash, with the same first-writer-wins determinism guard the pool
 	// memo applies; memoOrder keeps seeding deterministic.
@@ -47,9 +43,8 @@ type foldState struct {
 // refused and counted.
 func foldRecovery(rec *journal.Recovery) *foldState {
 	f := &foldState{
-		jobs:    make(map[string]*Job),
-		evicted: make(map[string]bool),
-		memo:    make(map[string]core.Result),
+		registry: newRegistry(),
+		memo:     make(map[string]core.Result),
 		stats: ReplayStats{
 			SnapshotLoaded:  rec.Stats.SnapshotLoaded,
 			SnapshotCorrupt: rec.Stats.SnapshotCorrupt,
@@ -66,14 +61,11 @@ func foldRecovery(rec *journal.Recovery) *foldState {
 		} else {
 			f.seq = snap.Seq
 			for i := range snap.Jobs {
-				cp := snap.Jobs[i]
-				f.jobs[cp.ID] = &cp
-				f.order = append(f.order, cp.ID)
+				f.add(&snap.Jobs[i])
 				f.stats.JobsRestored++
 			}
 			for _, id := range snap.Evicted {
-				f.evicted[id] = true
-				f.evictedOrder = append(f.evictedOrder, id)
+				f.remember(id)
 			}
 			for _, k := range sortedMemoKeys(snap.Memo) {
 				f.seedMemo(k, snap.Memo[k])
@@ -86,7 +78,16 @@ func foldRecovery(rec *journal.Recovery) *foldState {
 			f.stats.BadRecords++
 			continue
 		}
-		f.apply(ev)
+		f.stats.RecordsApplied++
+		// Seed the memo even when the job itself is unknown (its
+		// acceptance may sit behind a truncated frame): the cycle count
+		// is still good and still saves a re-simulation.
+		if ev.Type == eventDone && ev.Result != nil && ev.Hash != "" {
+			f.seedMemo(ev.Hash, *ev.Result)
+		}
+		added, bad := f.apply(ev)
+		f.stats.JobsRestored += added
+		f.stats.BadRecords += bad
 	}
 	return f
 }
@@ -106,123 +107,6 @@ func (f *foldState) seedMemo(hash string, r core.Result) {
 	}
 	f.memo[hash] = r
 	f.stats.ResultsRestored++
-}
-
-// apply folds one log record into the registry.
-func (f *foldState) apply(ev jobEvent) {
-	f.stats.RecordsApplied++
-	switch ev.Type {
-	case eventAccepted:
-		// A journal written before every admission became a
-		// batch_accepted record: one job per record.
-		if ev.ID == "" || ev.Spec == nil {
-			f.stats.BadRecords++
-			return
-		}
-		f.accept(ev, batchMember{ID: ev.ID, Hash: ev.Hash, Spec: *ev.Spec, IdemKey: ev.IdemKey})
-	case eventBatch:
-		// One frame restores every member of an admission under its
-		// original ID; the rest of the log — started/done/failed events
-		// for members — applies unchanged.
-		if len(ev.Batch) == 0 {
-			f.stats.BadRecords++
-			return
-		}
-		f.accept(ev, ev.Batch...)
-	case eventStarted:
-		if j, ok := f.jobs[ev.ID]; ok && !j.State.Terminal() {
-			j.State = Running
-			j.Started = ev.Time
-			j.Trace = append(j.Trace, obs.Event{Name: obs.EventStarted, Time: ev.Time})
-		}
-	case eventDone:
-		if ev.Result == nil {
-			f.stats.BadRecords++
-			return
-		}
-		// Seed the memo even when the job itself is unknown (its
-		// acceptance may sit behind a truncated frame): the cycle
-		// count is still good and still saves a re-simulation.
-		if ev.Hash != "" {
-			f.seedMemo(ev.Hash, *ev.Result)
-		}
-		if j, ok := f.jobs[ev.ID]; ok && !j.State.Terminal() {
-			j.State = Done
-			j.Result = ev.Result
-			j.FromCache = ev.FromCache
-			j.Finished = ev.Time
-			note := ""
-			if ev.FromCache {
-				note = "cache hit"
-			}
-			j.Trace = append(j.Trace, obs.Event{Name: obs.EventDone, Time: ev.Time, Note: note})
-		}
-	case eventFailed:
-		if j, ok := f.jobs[ev.ID]; ok && !j.State.Terminal() {
-			j.State = Failed
-			j.Error = ev.Error
-			j.Finished = ev.Time
-			j.Trace = append(j.Trace, obs.Event{Name: obs.EventFailed, Time: ev.Time, Note: ev.Error})
-		}
-	case eventAborted:
-		if _, ok := f.jobs[ev.ID]; ok {
-			delete(f.jobs, ev.ID)
-			f.removeFromOrder(ev.ID)
-		}
-	case eventEvicted:
-		if _, ok := f.jobs[ev.ID]; ok {
-			delete(f.jobs, ev.ID)
-			f.removeFromOrder(ev.ID)
-			f.evicted[ev.ID] = true
-			f.evictedOrder = append(f.evictedOrder, ev.ID)
-		}
-	default:
-		f.stats.BadRecords++
-	}
-}
-
-// accept folds an acceptance record's members in as queued jobs. The
-// record's Seq advances the ID counter once; a member already present
-// (a duplicate append, e.g. replayed twice) keeps its first record.
-// Log-record replay reconstructs the lifecycle trace from the
-// journaled transitions: acceptance implies queueing, both were
-// durable before anyone heard about the job.
-func (f *foldState) accept(ev jobEvent, members ...batchMember) {
-	if ev.Seq > f.seq {
-		f.seq = ev.Seq
-	}
-	for _, m := range members {
-		if m.ID == "" {
-			f.stats.BadRecords++
-			continue
-		}
-		if _, exists := f.jobs[m.ID]; exists {
-			continue
-		}
-		f.jobs[m.ID] = &Job{
-			ID:        m.ID,
-			Spec:      m.Spec,
-			Hash:      m.Hash,
-			IdemKey:   m.IdemKey,
-			State:     Queued,
-			Submitted: ev.Time,
-			Trace: []obs.Event{
-				{Name: obs.EventAccepted, Time: ev.Time},
-				{Name: obs.EventQueued, Time: ev.Time},
-			},
-		}
-		f.order = append(f.order, m.ID)
-		f.stats.JobsRestored++
-	}
-}
-
-func (f *foldState) removeFromOrder(id string) {
-	for i, jid := range f.order {
-		if jid == id {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			return
-		}
-	}
 }
 
 // RecoverJobs folds an exported journal recovery (journal.Export) into
@@ -263,23 +147,28 @@ type IngestStats struct {
 	// determinism guard. The conflicting import is refused, never
 	// served.
 	Conflicts int `json:"conflicts,omitempty"`
-	// Rejected jobs were malformed (empty ID, invalid spec, terminal
-	// without a result) or carried a conflicting result.
+	// Rejected jobs were malformed (empty ID, invalid spec, a hash the
+	// spec does not produce, terminal without a result) or carried a
+	// conflicting result.
 	Rejected int `json:"rejected,omitempty"`
 }
 
 // IngestJobs folds jobs and memoized results recovered from another
 // shard's journal (RecoverJobs) into this service: the receiving half
-// of cluster rebalance. Jobs keep their original IDs and idempotency
-// keys, so a client polling a rebalanced job ID — or blindly
-// resubmitting its key — finds the original work here. Terminal jobs
-// are registered as-is and their results seeded into the memo under
-// the determinism guard; non-terminal jobs are relaunched. The ingest
-// is journaled to this shard's own log — one batch_accepted record plus
-// the terminal transitions, synced — before the call returns, so a
-// subsequent crash here does not lose the handoff. On a journal
-// failure (ErrDurability) the rebalance must be driven again; whatever
-// already landed dedups as Duplicates on the retry.
+// of cluster rebalance. Jobs keep their original IDs, idempotency
+// keys, traces and times, so a client polling a rebalanced job ID — or
+// blindly resubmitting its key — finds the original work here. Each
+// job's spec hash is recomputed from its normalized spec, and a job
+// whose payload names a different hash is rejected: the hash is the
+// memo key, and a payload's word for it would let one spec's result
+// answer another's. Terminal jobs are adopted as-is and their results
+// seeded into the memo under the determinism guard; non-terminal jobs
+// are relaunched. The ingest is journaled to this shard's own log —
+// one batch_accepted record plus the terminal transitions, synced —
+// before the call returns, so a subsequent crash here does not lose
+// the handoff. On a journal failure (ErrDurability) the rebalance must
+// be driven again; whatever already landed dedups as Duplicates on the
+// retry.
 func (s *Service) IngestJobs(jobs []Job, memo map[string]core.Result) (IngestStats, error) {
 	var st IngestStats
 	for _, k := range sortedMemoKeys(memo) {
@@ -295,12 +184,8 @@ func (s *Service) IngestJobs(jobs []Job, memo map[string]core.Result) (IngestSta
 	seen := make(map[string]bool)
 	for i := range jobs {
 		j := jobs[i]
-		if j.ID == "" {
-			st.Rejected++
-			continue
-		}
-		norm, err := j.Spec.Normalize()
-		if err != nil {
+		norm, hash, err := normalizeAt(i, j.Spec)
+		if j.ID == "" || err != nil || (j.Hash != "" && j.Hash != hash) {
 			st.Rejected++
 			continue
 		}
@@ -315,13 +200,7 @@ func (s *Service) IngestJobs(jobs []Job, memo map[string]core.Result) (IngestSta
 			continue
 		}
 		cp := j
-		cp.Spec = norm
-		if cp.Hash == "" {
-			if cp.Hash, err = norm.Hash(); err != nil {
-				st.Rejected++
-				continue
-			}
-		}
+		cp.Spec, cp.Hash = norm, hash
 		cp.Trace = append([]obs.Event(nil), j.Trace...)
 		switch {
 		case cp.State == Done:
@@ -338,33 +217,42 @@ func (s *Service) IngestJobs(jobs []Job, memo map[string]core.Result) (IngestSta
 				continue
 			}
 		case cp.State == Failed:
-			// Registered as-is: the failure already happened and was
+			// Adopted as-is: the failure already happened and was
 			// already reported; re-running it here would duplicate work
 			// the origin shard completed.
 		default:
-			cp.State = Queued
-			cp.Result = nil
-			cp.FromCache = false
-			cp.Error = ""
-			cp.Started, cp.Finished = time.Time{}, time.Time{}
-			cp.Trace = append(cp.Trace, obs.Event{Name: obs.EventRequeued, Time: time.Now(), Note: "rebalance ingest"})
+			cp.requeue("rebalance ingest")
 			rq = append(rq, &cp)
 		}
 		seen[cp.ID] = true
 		in = append(in, &cp)
 	}
-	if err := s.acceptLocked(in, s.seq); err != nil {
-		s.mu.Unlock()
-		return st, err
-	}
-	for _, j := range in {
-		switch j.State {
-		case Done:
-			s.journalEventLocked(eventDone, j)
-		case Failed:
-			s.journalEventLocked(eventFailed, j)
+	// Journaled first, as one batch_accepted record: if it cannot be,
+	// nothing is adopted. Then each job is added whole, a finished one
+	// after its terminal record.
+	now := time.Now()
+	if len(in) > 0 {
+		ev := jobEvent{Type: eventBatch, Seq: s.seq, Time: now}
+		for _, j := range in {
+			ev.Batch = append(ev.Batch, batchMember{ID: j.ID, Hash: j.Hash, Spec: j.Spec, IdemKey: j.IdemKey, Priority: j.Priority})
+		}
+		if err := s.journalLocked(ev, true); err != nil {
+			s.mu.Unlock()
+			return st, err
 		}
 	}
+	for _, j := range in {
+		// A failed deferred append is counted, like any transition's;
+		// the sync below reports a journal that cannot persist.
+		switch j.State {
+		case Done:
+			_ = s.journalLocked(jobEvent{Type: eventDone, ID: j.ID, Hash: j.Hash, Result: j.Result, FromCache: j.FromCache, Time: now}, false)
+		case Failed:
+			_ = s.journalLocked(jobEvent{Type: eventFailed, ID: j.ID, Error: j.Error, Time: now}, false)
+		}
+		s.add(j)
+	}
+	s.evictLocked()
 	s.mu.Unlock()
 	st.JobsIngested = len(in)
 	if err := s.syncJournal(); err != nil {

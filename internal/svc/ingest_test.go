@@ -212,6 +212,56 @@ func TestIngestRefusesConflictingResults(t *testing.T) {
 	}
 }
 
+// TestIngestRecomputesSpecHash: rebalance ingest derives each job's
+// spec hash from its normalized spec. A done PPC job whose payload
+// names the VIRAM corner turn's hash is rejected and seeds nothing, so
+// the next VIRAM corner-turn submit is simulated, not answered with
+// the payload's cycle count.
+func TestIngestRecomputesSpecHash(t *testing.T) {
+	s := NewService(durableOpts())
+	defer s.Close()
+	w := smallWorkload()
+	ppc, err := JobSpec{Machine: "PPC", Kernel: core.CornerTurn, Workload: &w}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	viram, err := JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn, Workload: &w}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	viramHash, err := viram.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := core.Result{Machine: "PPC", Kernel: core.CornerTurn, Cycles: 42}
+	id := "sX-j000001-" + viramHash[:8]
+	st, err := s.IngestJobs([]Job{{ID: id, Spec: ppc, Hash: viramHash, State: Done, Result: &forged}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rejected != 1 || st.JobsIngested != 0 || st.ResultsSeeded != 0 {
+		t.Fatalf("ingest stats: %+v", st)
+	}
+	if _, ok := s.Job(id); ok {
+		t.Fatal("a job with a foreign hash was registered")
+	}
+	job, err := s.Submit(viram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := s.Wait(context.Background(), job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := freshRun(viram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.FromCache || final.Result == nil || final.Result.Cycles != want.Cycles {
+		t.Fatalf("VIRAM corner turn after the ingest: %+v, want a fresh %d cycles", final, want.Cycles)
+	}
+}
+
 // TestReplayEndpoint drives the ingest over HTTP the way the gateway
 // does.
 func TestReplayEndpoint(t *testing.T) {

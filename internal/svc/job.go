@@ -140,8 +140,9 @@ type Job struct {
 	State   State  `json:"state"`
 	// Tier records which quality tier answered the job: "simulate" for
 	// the pool-run bit-deterministic simulation, "estimate" for the
-	// synchronous analytic roofline bound. Jobs journaled before tiers
-	// existed replay with an empty Tier, which reads as simulate.
+	// synchronous analytic roofline bound. Registered jobs, replayed
+	// ones included, are simulations; only a snapshot written before
+	// tiers existed holds an empty Tier, which reads as simulate.
 	// ?tier=auto is resolved before the job exists, so "auto" never
 	// appears here.
 	Tier Tier `json:"tier,omitempty"`

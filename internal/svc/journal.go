@@ -8,7 +8,6 @@ import (
 
 	"sigkern/internal/core"
 	"sigkern/internal/journal"
-	"sigkern/internal/obs"
 )
 
 // ErrDurability is returned by every admission when the service is
@@ -41,12 +40,16 @@ const (
 	eventBatch eventType = "batch_accepted"
 )
 
-// batchMember is one member job inside an eventBatch record.
+// batchMember is one member job inside an eventBatch record: what
+// acceptance knows of it. Priority is its admission class; journals
+// written before members carried it replay with none, which reads as
+// interactive.
 type batchMember struct {
-	ID      string  `json:"id"`
-	Hash    string  `json:"hash"`
-	Spec    JobSpec `json:"spec"`
-	IdemKey string  `json:"idem,omitempty"`
+	ID       string   `json:"id"`
+	Hash     string   `json:"hash"`
+	Spec     JobSpec  `json:"spec"`
+	IdemKey  string   `json:"idem,omitempty"`
+	Priority Priority `json:"priority,omitempty"`
 }
 
 // jobEvent is the JSON payload of one write-ahead-log record.
@@ -160,12 +163,7 @@ func (s *Service) snapshotLocked() serviceSnapshot {
 	for _, id := range s.order {
 		cp := *s.jobs[id]
 		if cp.interrupted {
-			cp.State = Queued
-			cp.Error = ""
-			cp.Result = nil
-			cp.FromCache = false
-			cp.Started, cp.Finished = time.Time{}, time.Time{}
-			cp.interrupted = false
+			cp.requeue("")
 		}
 		snap.Jobs = append(snap.Jobs, cp)
 	}
@@ -176,33 +174,25 @@ func (s *Service) snapshotLocked() serviceSnapshot {
 // replayRecovery adopts the journal's recovered state into a fresh
 // service: foldRecovery does the pure reconstruction (snapshot first,
 // then the log records appended after it — shared with the cluster
-// rebalance path), then the fold's registry is installed, its memo
-// seeded into the pool, and everything non-terminal relaunched. It
-// never fails — bad records are counted and skipped, conflicting
-// results are refused by the determinism guard and counted.
+// rebalance path), every unfinished job is requeued, the folded
+// registry is installed whole, its memo seeded into the pool, and the
+// requeued jobs relaunched. It never fails — bad records are counted
+// and skipped, conflicting results are refused by the determinism
+// guard and counted.
 func (s *Service) replayRecovery(rec *journal.Recovery) {
 	f := foldRecovery(rec)
 	st := f.stats
-	// Everything accepted but never finished runs again. State resets
-	// to Queued here (under the lock) so a concurrent observer never
-	// sees a Running job with no worker behind it.
+	// Requeued before the registry is installed, so a concurrent
+	// observer never sees a Running job with no worker behind it.
 	var rq []*Job
-	s.mu.Lock()
-	s.seq = f.seq
 	for _, id := range f.order {
-		j := f.jobs[id]
-		if !j.State.Terminal() {
-			j.State = Queued
-			j.Started = time.Time{}
-			j.Trace = append(j.Trace, obs.Event{Name: obs.EventRequeued, Time: time.Now(), Note: "journal replay"})
+		if j := f.jobs[id]; !j.State.Terminal() {
+			j.requeue("journal replay")
 			rq = append(rq, j)
 		}
-		s.registerLocked(j)
 	}
-	for _, id := range f.evictedOrder {
-		s.evicted[id] = true
-	}
-	s.evictedOrder = append(s.evictedOrder, f.evictedOrder...)
+	s.mu.Lock()
+	s.registry = f.registry
 	s.mu.Unlock()
 	// At startup the pool memo is empty, so seeding the folded results
 	// can only conflict if the memo itself is corrupt — counted anyway.
@@ -217,22 +207,29 @@ func (s *Service) replayRecovery(rec *journal.Recovery) {
 	s.mu.Unlock()
 }
 
-// journalAcceptedLocked makes an admission's acceptance durable before
-// anyone hears about it: one CRC32C batch_accepted frame — one append,
-// one fsync — for every member, carrying each member's ID, spec hash,
-// spec and idempotency key plus the ID counter seq after the group. A
-// failure refuses the admission.
-func (s *Service) journalAcceptedLocked(members []*Job, seq uint64) error {
-	if s.journal == nil || len(members) == 0 {
+// journalLocked appends one lifecycle event to the write-ahead log; a
+// no-op without a journal. An acceptance is appended with sync — one
+// append, one fsync for the whole admission — and its failure refuses
+// the admission, since a durable service must not accept work it
+// cannot promise to remember. A later transition is appended without
+// an fsync: the admission that launched the job syncs the journal
+// every few completions and at group end, amortizing the durability
+// cost across the group's transitions. A crash inside that window
+// loses only the unsynced transitions — replay then re-runs those jobs
+// from their batch_accepted record, and the deterministic simulators
+// reproduce the same cycle counts. Every failure is counted (and
+// degrades /healthz) and returned wrapped in ErrDurability.
+func (s *Service) journalLocked(ev jobEvent, sync bool) error {
+	if s.journal == nil {
 		return nil
-	}
-	ev := jobEvent{Type: eventBatch, Seq: seq, Time: time.Now()}
-	for _, j := range members {
-		ev.Batch = append(ev.Batch, batchMember{ID: j.ID, Hash: j.Hash, Spec: j.Spec, IdemKey: j.IdemKey})
 	}
 	data, err := json.Marshal(ev)
 	if err == nil {
-		err = s.journal.Append(data)
+		if sync {
+			err = s.journal.Append(data)
+		} else {
+			err = s.journal.AppendDefer(data)
+		}
 	}
 	if err != nil {
 		s.Metrics().journalErrs.Inc()
@@ -241,33 +238,10 @@ func (s *Service) journalAcceptedLocked(members []*Job, seq uint64) error {
 	return nil
 }
 
-// journalEventLocked appends a post-acceptance transition without an
-// fsync: the admission that launched the job syncs the journal every
-// few completions and at group end, amortizing the durability cost
-// across the group's transitions. A crash inside that window loses
-// only the unsynced transitions — replay then re-runs those jobs from
-// their batch_accepted record, and the deterministic simulators
-// reproduce the same cycle counts. Failures are counted (and degrade
-// /healthz) but do not fail the job: the in-memory state is still
-// correct and still served.
-func (s *Service) journalEventLocked(t eventType, j *Job) {
-	if s.journal == nil {
-		return
-	}
-	ev := jobEvent{Type: t, ID: j.ID, Time: time.Now()}
-	switch t {
-	case eventDone:
-		ev.Hash = j.Hash
-		ev.Result = j.Result
-		ev.FromCache = j.FromCache
-	case eventFailed:
-		ev.Error = j.Error
-	}
-	data, err := json.Marshal(ev)
-	if err == nil {
-		err = s.journal.AppendDefer(data)
-	}
-	if err != nil {
-		s.Metrics().journalErrs.Inc()
-	}
+// commitLocked journals a post-acceptance transition and applies it. A
+// journal failure does not stop the transition: the in-memory state is
+// still correct and still served.
+func (s *Service) commitLocked(ev jobEvent) {
+	_ = s.journalLocked(ev, false)
+	s.apply(ev)
 }

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -9,7 +10,9 @@ import (
 	"time"
 
 	"sigkern/internal/core"
+	"sigkern/internal/faults"
 	"sigkern/internal/journal"
+	"sigkern/internal/machines"
 )
 
 func durableOpts() Options {
@@ -350,4 +353,143 @@ func TestIdempotencyKeys(t *testing.T) {
 			t.Fatalf("durable spec-hash dedup: %v replayed=%v id=%s want %s", err, replayed, second.ID, first.ID)
 		}
 	})
+}
+
+// TestDurableRestartRebuildsLiveRegistry: a crash and reopen rebuild
+// the registry the service held — every surviving job byte for byte,
+// priority, tier, times and trace included, the submission order, and
+// the evicted IDs — because replay applies the journal's events with
+// the transition function the live service applied them with. The
+// pool gets a private fault registry so no retry adds an unjournaled
+// trace event.
+func TestDurableRestartRebuildsLiveRegistry(t *testing.T) {
+	dir := t.TempDir()
+	opts := durableOpts()
+	opts.Pool.Faults = faults.New(1)
+	opts.MaxJobs = 7
+	opts.Factory = func(name string) (core.Machine, error) {
+		if name == "Raw" {
+			return nil, errors.New("raw backend down")
+		}
+		return machines.ByName(name)
+	}
+	s := openDurable(t, dir, opts)
+	w := smallWorkload()
+	spec := func(m string, k core.KernelID) JobSpec { return JobSpec{Machine: m, Kernel: k, Workload: &w} }
+	wait := func(job Job, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Wait(context.Background(), job.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	admit := func(sp JobSpec, key string, pr Priority) (Job, error) {
+		job, _, err := s.Admit(sp, key, BatchOptions{Priority: pr})
+		return job, err
+	}
+	wait(s.Submit(spec("Imagine", core.CornerTurn))) // evicted by the last admission
+	wait(s.Submit(spec("PPC", core.CornerTurn)))
+	wait(admit(spec("VIRAM", core.CornerTurn), "client-key", ""))
+	wait(s.Submit(spec("Raw", core.BeamSteering))) // its factory fails
+	// A batch group at batch priority whose first cell is a memo hit.
+	run, err := s.SubmitBatch(context.Background(), []JobSpec{
+		spec("PPC", core.CornerTurn), spec("Imagine", core.BeamSteering), spec("VIRAM", core.BeamSteering),
+	}, BatchOptions{Priority: PriorityBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range run.Results() {
+	}
+	wait(admit(spec("AltiVec", core.BeamSteering), "batch-key", PriorityBatch))
+
+	live := s.Jobs()
+	s.mu.Lock()
+	evicted := append([]string(nil), s.evictedOrder...)
+	s.mu.Unlock()
+	if len(live) != opts.MaxJobs || len(evicted) != 1 {
+		t.Fatalf("registry holds %d jobs and %d evicted IDs, want %d and 1", len(live), len(evicted), opts.MaxJobs)
+	}
+	if !live[3].FromCache || live[3].Priority != PriorityBatch || live[2].State != Failed {
+		t.Fatalf("set-up did not produce a batch memo hit and a failure: %+v", live)
+	}
+	crash(s)
+
+	opts.Pool.Faults = faults.New(1)
+	s2 := openDurable(t, dir, opts)
+	defer s2.Close()
+	if st := s2.ReplayStats(); st.Requeued != 0 || st.BadRecords != 0 {
+		t.Fatalf("replay stats: %+v", st)
+	}
+	replayed := s2.Jobs()
+	if len(replayed) != len(live) {
+		t.Fatalf("%d jobs after restart, want %d", len(replayed), len(live))
+	}
+	for i, lj := range live {
+		if replayed[i].ID != lj.ID {
+			t.Fatalf("order after restart: job %d is %s, want %s", i, replayed[i].ID, lj.ID)
+		}
+		want, _ := s.Job(lj.ID)
+		got, _ := s2.Job(lj.ID)
+		if w, g := mustJSON(t, want), mustJSON(t, got); !bytes.Equal(w, g) {
+			t.Errorf("job %s after restart:\n  live   %s\n  replay %s", lj.ID, w, g)
+		}
+	}
+	for _, id := range evicted {
+		if _, err := s2.Wait(context.Background(), id); !errors.Is(err, ErrJobEvicted) {
+			t.Errorf("evicted job %s after restart: %v", id, err)
+		}
+	}
+}
+
+// TestDurableCrashRequeuesBatchJobAsBatch: a batch-priority job running
+// at a crash comes back with its priority class and is relaunched in
+// the batch queue, behind interactive work rather than ahead of it.
+func TestDurableCrashRequeuesBatchJobAsBatch(t *testing.T) {
+	dir := t.TempDir()
+	factory, release := blockingFactory()
+	opts := durableOpts()
+	opts.Factory = factory
+	s := openDurable(t, dir, opts)
+	w := smallWorkload()
+	inter, _, err := s.Admit(JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn, Workload: &w}, "", BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, _, err := s.Admit(JobSpec{Machine: "Imagine", Kernel: core.BeamSteering, Workload: &w}, "", BatchOptions{Priority: PriorityBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, s, inter.ID, Running)
+	waitForState(t, s, batch.ID, Running)
+	crash(s)
+	release()
+
+	// One worker: the requeued interactive job takes it, so the batch
+	// job waits in its class's queue.
+	factory2, release2 := blockingFactory()
+	opts2 := durableOpts()
+	opts2.Pool.Workers = 1
+	opts2.Factory = factory2
+	s2 := openDurable(t, dir, opts2)
+	defer s2.Close()
+	defer release2()
+	if st := s2.ReplayStats(); st.Requeued != 2 {
+		t.Fatalf("replay stats: %+v", st)
+	}
+	waitForState(t, s2, inter.ID, Running)
+	got, _ := s2.Job(batch.ID)
+	if got.Priority != PriorityBatch || got.Tier != TierSimulate || got.State != Queued || !got.Submitted.Equal(batch.Submitted) {
+		t.Fatalf("batch job after restart: %+v, submitted %v", got, batch.Submitted)
+	}
+	if b, i := s2.pool.QueueDepthFor(PriorityBatch), s2.pool.QueueDepthFor(PriorityInteractive); b != 1 || i != 0 {
+		t.Fatalf("queue depths after restart: batch %d, interactive %d; want 1 and 0", b, i)
+	}
+	release2()
+	for _, id := range []string{inter.ID, batch.ID} {
+		if final, err := s2.Wait(context.Background(), id); err != nil || final.State != Done {
+			t.Fatalf("requeued job %s: %+v, %v", id, final, err)
+		}
+	}
 }

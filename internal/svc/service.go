@@ -102,17 +102,9 @@ type Service struct {
 	// them before snapshotting final state.
 	wg sync.WaitGroup
 
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	order []string // submission order, for eviction and listing
-	// evicted remembers (bounded) IDs dropped by evictLocked so Wait
-	// can report eviction distinctly from never-issued IDs.
-	evicted      map[string]bool
-	evictedOrder []string
-	// idem maps idempotency keys to live job IDs: resubmitting a key
-	// returns the original job instead of duplicate work.
-	idem   map[string]string
-	seq    uint64
+	// mu guards the job registry and the replay stats.
+	mu sync.Mutex
+	registry
 	replay ReplayStats
 }
 
@@ -153,9 +145,7 @@ func NewService(opts Options) *Service {
 		configHash: opts.ConfigHash,
 		estimates:  newEstimateMemo(),
 		brownout:   resilience.NewBrownout(bc),
-		jobs:       make(map[string]*Job),
-		evicted:    make(map[string]bool),
-		idem:       make(map[string]string),
+		registry:   newRegistry(),
 	}
 }
 
@@ -272,26 +262,8 @@ func (s *Service) BrownoutStats() resilience.BrownoutStats { return s.brownout.S
 func (s *Service) drop(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return
-	}
-	delete(s.jobs, id)
-	if j.IdemKey != "" && s.idem[j.IdemKey] == id {
-		delete(s.idem, j.IdemKey)
-	}
-	s.removeFromOrderLocked(id)
-	s.journalEventLocked(eventAborted, j)
-	close(j.done)
-}
-
-// removeFromOrderLocked drops one ID from the submission-order slice.
-func (s *Service) removeFromOrderLocked(id string) {
-	for i, jid := range s.order {
-		if jid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return
-		}
+	if _, ok := s.jobs[id]; ok {
+		s.commitLocked(jobEvent{Type: eventAborted, ID: id, Time: time.Now()})
 	}
 }
 
@@ -420,83 +392,42 @@ func (s *Service) markRunning(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j, ok := s.jobs[id]; ok && j.State == Queued {
-		j.State = Running
-		j.Started = time.Now()
-		j.Trace = append(j.Trace, obs.Event{Name: obs.EventStarted, Time: j.Started})
-		s.journalEventLocked(eventStarted, j)
+		s.commitLocked(jobEvent{Type: eventStarted, ID: id, Time: time.Now()})
 	}
 }
 
 func (s *Service) finish(id string, res core.Result, fromCache bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok || j.State.Terminal() {
-		return
+	j := s.unfinished(id)
+	switch {
+	case j == nil:
+	case errors.Is(err, ErrPoolClosed):
+		// The shutdown, not the work, failed this job: it fails in
+		// memory only and is not journaled, so a restart — and the
+		// drain's snapshot — re-enqueues it.
+		j.State, j.Error, j.Finished, j.interrupted = Failed, err.Error(), time.Now(), true
+		close(j.done)
+	case err != nil:
+		s.commitLocked(jobEvent{Type: eventFailed, ID: id, Error: err.Error(), Time: time.Now()})
+	default:
+		r := res
+		s.commitLocked(jobEvent{Type: eventDone, ID: id, Hash: j.Hash, Result: &r, FromCache: fromCache, Time: time.Now()})
 	}
-	defer close(j.done)
-	j.Finished = time.Now()
-	j.FromCache = fromCache
-	if err != nil {
-		j.State = Failed
-		j.Error = err.Error()
-		if errors.Is(err, ErrPoolClosed) {
-			// The shutdown, not the work, failed this job: journal no
-			// terminal state so a restart re-enqueues it.
-			j.interrupted = true
-			return
-		}
-		j.Trace = append(j.Trace, obs.Event{Name: obs.EventFailed, Time: j.Finished, Note: j.Error})
-		s.journalEventLocked(eventFailed, j)
-		return
-	}
-	j.State = Done
-	r := res
-	j.Result = &r
-	note := ""
-	if fromCache {
-		note = "cache hit"
-	}
-	j.Trace = append(j.Trace, obs.Event{Name: obs.EventDone, Time: j.Finished, Note: note})
-	s.journalEventLocked(eventDone, j)
-}
-
-func (s *Service) snapshot(id string) Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		return j.clone(true)
-	}
-	return Job{}
 }
 
 // evictLocked drops the oldest terminal jobs once the registry exceeds
-// MaxJobs, remembering their IDs (bounded) so Wait can tell eviction
-// apart from an unknown ID. Non-terminal jobs are never evicted.
+// MaxJobs, one journaled eviction each, and bounds the memory of
+// evicted IDs that lets Wait tell eviction apart from an unknown ID.
+// Non-terminal jobs are never evicted.
 func (s *Service) evictLocked() {
-	if len(s.order) <= s.maxJobs {
-		return
-	}
-	kept := s.order[:0]
-	excess := len(s.order) - s.maxJobs
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if excess > 0 && j != nil && j.State.Terminal() {
-			delete(s.jobs, id)
-			if j.IdemKey != "" && s.idem[j.IdemKey] == id {
-				delete(s.idem, j.IdemKey)
-			}
-			s.evicted[id] = true
-			s.evictedOrder = append(s.evictedOrder, id)
-			s.journalEventLocked(eventEvicted, j)
-			excess--
-			continue
+	for i := 0; len(s.order) > s.maxJobs && i < len(s.order); {
+		if j := s.jobs[s.order[i]]; j != nil && j.State.Terminal() {
+			s.commitLocked(jobEvent{Type: eventEvicted, ID: j.ID, Time: time.Now()})
+		} else {
+			i++
 		}
-		kept = append(kept, id)
 	}
-	s.order = kept
-	// Bound the eviction memory too: forget the oldest evicted IDs once
-	// it outgrows the registry itself.
 	for len(s.evictedOrder) > s.maxJobs {
 		delete(s.evicted, s.evictedOrder[0])
 		s.evictedOrder = s.evictedOrder[1:]
