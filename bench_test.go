@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"testing"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/core"
 	"sigkern/internal/imagine"
 	"sigkern/internal/kernels/beamsteer"
@@ -105,9 +106,10 @@ func BenchmarkTable3BeamSteering(b *testing.B) {
 
 // BenchmarkColdGrid is the in-process twin of the served paper-grid
 // workload: each iteration runs the 15 paper cells through svc.RunStudy
-// on a fresh 2-worker pool, after purging the G4 trace memo, the VIRAM
-// segment memo and both golden-reference memos, so every cell pays for
-// its walk, its program and its reference as on a cold daemon. ns/op is one grid's wall time;
+// on a fresh 2-worker pool, after purging every process-wide memo (the
+// G4 trace memo, the VIRAM segment memo, both golden-reference memos and
+// the verdict memo), so every cell pays for its walk, its program and
+// its proof as on a cold daemon. ns/op is one grid's wall time;
 // sim-kcycles, the grid's summed cycles, is the same on every run.
 func BenchmarkColdGrid(b *testing.B) {
 	ctx := context.Background()
@@ -115,10 +117,7 @@ func BenchmarkColdGrid(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ppc.PurgeTraceMemo()
-		viram.PurgeSegmentMemo()
-		cornerturn.PurgeReferenceMemo()
-		cslc.PurgeReferenceMemo()
+		cache.PurgeProcessMemos()
 		p := svc.NewPool(svc.PoolOptions{Workers: 2})
 		b.StartTimer()
 		sr, err := svc.RunStudy(ctx, p, nil, machines.Names(), core.PaperWorkload(), svc.PriorityInteractive)
@@ -578,6 +577,9 @@ type stubMachine struct{ name string }
 
 func (s stubMachine) Name() string        { return s.name }
 func (s stubMachine) Params() core.Params { return core.Params{ClockMHz: 1} }
+func (s stubMachine) Formulation(core.Workload) core.Formulation {
+	return core.Formulation{CornerTurn: cornerturn.Transposer{Block: 16}, CSLC: fft.Radix2}
+}
 func (s stubMachine) RunCornerTurn(cornerturn.Spec) (core.Result, error) {
 	return core.Result{Machine: s.name, Kernel: core.CornerTurn, Cycles: 4242, Verified: true}, nil
 }
@@ -710,36 +712,41 @@ func BenchmarkServiceThroughput(b *testing.B) {
 
 	// The same memo-hit path end to end through svc.Service: spec
 	// normalization, canonical hashing, and job registration on top of
-	// the pool hit.
-	b.Run("service-cache-hit", func(b *testing.B) {
-		s := svc.NewService(svc.Options{
-			Pool:    svc.PoolOptions{Workers: runtime.GOMAXPROCS(0), QueueDepth: 4096, MemoCapacity: 4096},
-			Factory: stubFactory,
-			// Keep the registry small: every submit registers a job, and
-			// eviction scans the registry, so a large MaxJobs would measure
-			// registry bookkeeping instead of the memo-hit path.
-			MaxJobs: 64,
-		})
-		defer s.Close()
-		spec := svc.JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn}
-		j, err := s.Submit(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Wait(ctx, j.ID); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if _, err := s.Submit(spec); err != nil {
-					b.Error(err)
-					return
-				}
+	// the pool hit. Every submit registers a job, so the registry fills
+	// and each later submit evicts its oldest terminal job; eviction
+	// stops there, so the cost should not grow with the registry. The
+	// first row pins a 64-job registry, the second the default 4,096.
+	for _, row := range []struct {
+		name    string
+		maxJobs int
+	}{{"service-cache-hit", 64}, {"service-cache-hit-4096", 4096}} {
+		b.Run(row.name, func(b *testing.B) {
+			s := svc.NewService(svc.Options{
+				Pool:    svc.PoolOptions{Workers: runtime.GOMAXPROCS(0), QueueDepth: 4096, MemoCapacity: 4096},
+				Factory: stubFactory,
+				MaxJobs: row.maxJobs,
+			})
+			defer s.Close()
+			spec := svc.JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn}
+			j, err := s.Submit(spec)
+			if err != nil {
+				b.Fatal(err)
 			}
+			if _, err := s.Wait(ctx, j.ID); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if _, err := s.Submit(spec); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
 		})
-	})
+	}
 }
 
 // --- Batch grid fast path --------------------------------------------------

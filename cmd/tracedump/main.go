@@ -46,17 +46,11 @@ func main() {
 }
 
 func runKernel(m core.Machine, kernel string) (core.Result, error) {
-	w := core.PaperWorkload()
-	switch kernel {
-	case "ct":
-		return m.RunCornerTurn(w.CornerTurn)
-	case "cslc":
-		return m.RunCSLC(w.CSLC)
-	case "bs":
-		return m.RunBeamSteering(w.Beam)
-	default:
+	k, ok := map[string]core.KernelID{"ct": core.CornerTurn, "cslc": core.CSLC, "bs": core.BeamSteering}[kernel]
+	if !ok {
 		return core.Result{}, fmt.Errorf("unknown kernel %q (want ct, cslc, or bs)", kernel)
 	}
+	return core.Run(m, k, core.PaperWorkload())
 }
 
 func dumpVIRAM(kernel string, n int, csvPath string) error {

@@ -9,6 +9,7 @@ import (
 	"log"
 	"os"
 
+	"sigkern/internal/core"
 	"sigkern/internal/kernels/beamsteer"
 	"sigkern/internal/kernels/testsig"
 	"sigkern/internal/machines"
@@ -41,7 +42,7 @@ func main() {
 		spec.Directions = beams
 		row := []string{fmt.Sprintf("%d", beams)}
 		for _, m := range ms {
-			r, err := m.RunBeamSteering(spec)
+			r, err := core.Run(m, core.BeamSteering, core.Workload{Beam: spec})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -60,7 +61,7 @@ func main() {
 	spec.Directions = 16
 	var wrows [][]string
 	for _, m := range ms {
-		r, err := m.RunBeamSteering(spec)
+		r, err := core.Run(m, core.BeamSteering, core.Workload{Beam: spec})
 		if err != nil {
 			log.Fatal(err)
 		}

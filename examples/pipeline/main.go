@@ -13,6 +13,7 @@ import (
 	"math/cmplx"
 	"os"
 
+	"sigkern/internal/core"
 	"sigkern/internal/imagine"
 	"sigkern/internal/kernels/beamsteer"
 	"sigkern/internal/kernels/equalize"
@@ -90,7 +91,7 @@ func main() {
 	// Timing: the Section 4.4 point — inside the pipeline, beam steering
 	// stops being memory-bound on Imagine.
 	m := imagine.New(imagine.DefaultConfig())
-	isolated, err := m.RunBeamSteering(spec)
+	isolated, err := core.Run(m, core.BeamSteering, core.Workload{Beam: spec})
 	if err != nil {
 		log.Fatal(err)
 	}

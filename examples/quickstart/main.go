@@ -22,7 +22,7 @@ func main() {
 	var rows [][]string
 	var baseline core.Result
 	for _, m := range machines.All() {
-		r, err := m.RunCornerTurn(workload.CornerTurn)
+		r, err := core.Run(m, core.CornerTurn, workload)
 		if err != nil {
 			log.Fatalf("%s: %v", m.Name(), err)
 		}

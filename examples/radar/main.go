@@ -56,7 +56,7 @@ func main() {
 	fmt.Println("\nCSLC processing-interval cost per machine:")
 	var rows [][]string
 	for _, m := range machines.All() {
-		r, err := m.RunCSLC(spec)
+		r, err := core.Run(m, core.CSLC, core.Workload{CSLC: spec})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -77,5 +77,4 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_ = core.CSLC
 }

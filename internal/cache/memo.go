@@ -2,6 +2,8 @@ package cache
 
 import (
 	"hash/maphash"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -105,11 +107,74 @@ func NewMemo[V any](capacity int) *Memo[V] {
 // charges each entry len(key) + size(value), evicts least recently used
 // entries to keep the total within budget, and does not store a value
 // that alone exceeds it. It is a single shard, so LRU order is exact.
-func NewSizedMemo[V any](budget int, size func(V) int) *Memo[V] {
+//
+// A sized memo is process-wide state, so NewSizedMemo registers it under
+// name in one list: PurgeProcessMemos empties every memo on it and
+// ProcessMemoStats reports them, so a cold measurement and /metrics
+// reach a new memo without naming it.
+func NewSizedMemo[V any](name string, budget int, size func(V) int) *Memo[V] {
 	m := NewMemo[V](1) // one shard; its entry capacity is unused
 	m.shards[0].size = size
 	m.shards[0].budget = budget
+	processMemos.Lock()
+	defer processMemos.Unlock()
+	processMemos.list = append(processMemos.list, processMemo{name, m})
 	return m
+}
+
+// processMemos lists the memos NewSizedMemo made.
+var processMemos struct {
+	sync.Mutex
+	list []processMemo
+}
+
+type processMemo struct {
+	name string
+	memo interface {
+		Purge()
+		Counters() (hits, misses uint64)
+		Bytes() int
+	}
+}
+
+// MemoStats is one registered memo's lookup counts since it was made
+// (Purge keeps them) and the bytes it retains.
+type MemoStats struct {
+	Name         string
+	Hits, Misses uint64
+	Bytes        int
+}
+
+// PurgeProcessMemos drops the entries of every memo NewSizedMemo made,
+// keeping their counters.
+func PurgeProcessMemos() {
+	processMemos.Lock()
+	defer processMemos.Unlock()
+	for _, p := range processMemos.list {
+		p.memo.Purge()
+	}
+}
+
+// ProcessMemoStats reports every memo NewSizedMemo made, sorted by name.
+func ProcessMemoStats() []MemoStats {
+	processMemos.Lock()
+	defer processMemos.Unlock()
+	out := make([]MemoStats, len(processMemos.list))
+	for i, p := range processMemos.list {
+		hits, misses := p.memo.Counters()
+		out[i] = MemoStats{p.name, hits, misses, p.memo.Bytes()}
+	}
+	slices.SortFunc(out, func(a, b MemoStats) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
+// Unregister takes m off the list NewSizedMemo put it on. The
+// process-wide memos never call it; a test's throwaway memo does, so
+// that it leaves no series behind.
+func (m *Memo[V]) Unregister() {
+	processMemos.Lock()
+	defer processMemos.Unlock()
+	processMemos.list = slices.DeleteFunc(processMemos.list, func(p processMemo) bool { return p.memo == m })
 }
 
 // shard routes a key to its shard by maphash.

@@ -70,7 +70,7 @@ func TestMemoConcurrent(t *testing.T) {
 	const budget = 200
 	for name, m := range map[string]*Memo[uint64]{
 		"entries": NewMemo[uint64](32),
-		"bytes":   NewSizedMemo(budget, func(uint64) int { return 8 }),
+		"bytes":   NewSizedMemo("cache_test_concurrent", budget, func(uint64) int { return 8 }),
 	} {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
@@ -239,7 +239,7 @@ func TestMemoEntries(t *testing.T) {
 // recently used entries go first, an oversize value is not stored, and
 // Purge drops entries but keeps the counters.
 func TestSizedMemoBudget(t *testing.T) {
-	m := NewSizedMemo(100, func(v []byte) int { return len(v) })
+	m := NewSizedMemo("cache_test_budget", 100, func(v []byte) int { return len(v) })
 	m.Put("a", make([]byte, 39)) // 40 bytes
 	m.Put("b", make([]byte, 39)) // 80
 	m.Get("a")                   // b is now the LRU entry
@@ -280,7 +280,7 @@ func TestSizedMemoBudget(t *testing.T) {
 // and the counters read one miss and N-1 hits.
 func TestMemoDoBuildsOnce(t *testing.T) {
 	const n = 16
-	m := NewSizedMemo(1<<10, func(int) int { return 8 })
+	m := NewSizedMemo("cache_test_do", 1<<10, func(int) int { return 8 })
 	var builds atomic.Int32
 	gate := make(chan struct{})
 	var wg sync.WaitGroup

@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/kernels/beamsteer"
 	"sigkern/internal/kernels/cornerturn"
 	"sigkern/internal/kernels/cslc"
@@ -54,7 +55,7 @@ func (k KernelID) Title() string {
 // Workload bundles the concrete kernel instances of one study run. The
 // CSLC radix is chosen per machine (the paper used mixed radix-4/2 on
 // VIRAM and Imagine but radix-2 on Raw), so CSLC carries the base spec
-// and machines override Radix.
+// and each machine declares its own radix (Machine.Formulation).
 type Workload struct {
 	CornerTurn cornerturn.Spec
 	CSLC       cslc.Spec
@@ -108,8 +109,8 @@ type Result struct {
 	Ops uint64
 	// Words is the number of 32-bit words moved to/from memory.
 	Words uint64
-	// Verified is true when the machine's functional output was checked
-	// against the golden kernel reference during the run.
+	// Verified is true when the formulation the machine times was proved
+	// against the golden kernel reference before the run (see Checked).
 	Verified bool
 	// Notes carries qualitative observations (e.g. the Raw load-balance
 	// extrapolation).
@@ -151,33 +152,101 @@ type Resettable interface {
 	Reset()
 }
 
-// Machine is one architecture model: it can run the three kernels and
-// report simulated cycles.
+// Machine is one architecture model: it declares how it computes each
+// kernel and times the three kernels, reporting simulated cycles. Its
+// Run methods only time, on specs that Run has validated and proved the
+// declared formulation on.
 type Machine interface {
 	// Name returns the machine's display name ("VIRAM", "Imagine", ...).
 	Name() string
 	// Params returns the Table 2 parameters.
 	Params() Params
-	// RunCornerTurn, RunCSLC and RunBeamSteering execute the kernels
-	// functionally while accounting cycles.
+	// Formulation declares the formulation of each kernel of w that the
+	// machine's Run methods time.
+	Formulation(w Workload) Formulation
+	// RunCornerTurn, RunCSLC and RunBeamSteering account the cycles of
+	// the declared formulations.
 	RunCornerTurn(spec cornerturn.Spec) (Result, error)
 	RunCSLC(spec cslc.Spec) (Result, error)
 	RunBeamSteering(spec beamsteer.Spec) (Result, error)
 }
 
-// Run dispatches kernel k of workload w on machine m.
+// Formulation is how a machine computes each kernel, what its timing
+// models and Prove checks: the corner turn's transposer and CSLC's FFT
+// radix. Beam steering has one formulation, so it has no field.
+type Formulation struct {
+	CornerTurn cornerturn.Transposer
+	CSLC       fft.Radix
+}
+
+// Run proves the formulation m declares for kernel k of w, then times k
+// on m and returns the result stamped Verified.
 func Run(m Machine, k KernelID, w Workload) (Result, error) {
+	return Checked(Prove(k, w, m.Formulation(w)), func() (Result, error) {
+		switch k {
+		case CornerTurn:
+			return m.RunCornerTurn(w.CornerTurn)
+		case CSLC:
+			return m.RunCSLC(w.CSLC)
+		default:
+			return m.RunBeamSteering(w.Beam)
+		}
+	})
+}
+
+// Checked returns a failed check's error, or else run's result stamped
+// Verified: the one place a Result gains the stamp. Run and the ablation
+// entry points pass Prove's error, the extension kernels their own
+// check's.
+func Checked(check error, run func() (Result, error)) (Result, error) {
+	if check != nil {
+		return Result{}, check
+	}
+	r, err := run()
+	r.Verified = err == nil
+	return r, err
+}
+
+// Prove runs kernel k's golden check on w under formulation f and
+// returns its error unchanged: cornerturn.VerifySynthetic with f's
+// transposer, cslc.Verify at f's radix, or beamsteer.Verify. A check is
+// deterministic and reads nothing beyond its key (the kernel, the spec
+// fields the check reads, and f), so each success is remembered per
+// process and each key is proved once; a failure is never remembered,
+// so a failing formulation fails on every call.
+func Prove(k KernelID, w Workload, f Formulation) error {
+	var key string
+	var check func() error
 	switch k {
 	case CornerTurn:
-		return m.RunCornerTurn(w.CornerTurn)
+		s := w.CornerTurn
+		// Validated outside the check, which reads no block size.
+		if err := s.Validate(); err != nil {
+			return err
+		}
+		key = fmt.Sprintf("%s %dx%d %+v", k, s.Rows, s.Cols, f.CornerTurn)
+		check = func() error { return cornerturn.VerifySynthetic(s.Rows, s.Cols, f.CornerTurn.Transpose) }
 	case CSLC:
-		return m.RunCSLC(w.CSLC)
+		s := w.CSLC
+		s.Radix = f.CSLC
+		key = fmt.Sprintf("%s %+v", k, s)
+		check = func() error { return cslc.Verify(s) }
 	case BeamSteering:
-		return m.RunBeamSteering(w.Beam)
+		key = fmt.Sprintf("%s %+v", k, w.Beam)
+		check = func() error { return beamsteer.Verify(w.Beam) }
 	default:
-		return Result{}, fmt.Errorf("core: unknown kernel %q", k)
+		return fmt.Errorf("core: unknown kernel %q", k)
 	}
+	_, err := verdicts.Do(key, func() (struct{}, error) { return struct{}{}, check() })
+	return err
 }
+
+// verdicts remembers each successful Prove by its key (40-100 bytes, each
+// charged 48 more) within 16 KiB, about a hundred keys. Repeated proofs
+// come close together (a cell's five machines, a design-space
+// exploration's points), and a sized memo scans its entries to evict,
+// so a larger one costs more than it saves.
+var verdicts = cache.NewSizedMemo("core_verdict", 16<<10, func(struct{}) int { return 48 })
 
 // StudyResults holds every (machine, kernel) result of one study run.
 type StudyResults struct {

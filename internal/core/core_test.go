@@ -8,15 +8,18 @@ import (
 	"sigkern/internal/kernels/beamsteer"
 	"sigkern/internal/kernels/cornerturn"
 	"sigkern/internal/kernels/cslc"
+	"sigkern/internal/kernels/fft"
 )
 
-// fakeMachine returns canned results, for framework tests.
+// fakeMachine returns canned results, for framework tests. It declares
+// 16x16 blocks and radix 2, or with badProof a transposer of no rows,
+// which fails its proof.
 type fakeMachine struct {
-	name   string
-	clock  float64
-	cycles map[KernelID]uint64
-	fail   bool
-	unver  bool
+	name     string
+	clock    float64
+	cycles   map[KernelID]uint64
+	fail     bool
+	badProof bool
 }
 
 func (f *fakeMachine) Name() string { return f.name }
@@ -24,14 +27,18 @@ func (f *fakeMachine) Params() Params {
 	return Params{ClockMHz: f.clock, ALUs: 1, PeakGFLOPS: 1}
 }
 
+func (f *fakeMachine) Formulation(Workload) Formulation {
+	if f.badProof {
+		return Formulation{CornerTurn: cornerturn.Transposer{}, CSLC: fft.Radix2}
+	}
+	return Formulation{CornerTurn: cornerturn.Transposer{Block: 16}, CSLC: fft.Radix2}
+}
+
 func (f *fakeMachine) run(k KernelID) (Result, error) {
 	if f.fail {
 		return Result{}, errors.New("boom")
 	}
-	return Result{
-		Machine: f.name, Kernel: k, Cycles: f.cycles[k],
-		Ops: 1, Words: 1, Verified: !f.unver,
-	}, nil
+	return Result{Machine: f.name, Kernel: k, Cycles: f.cycles[k], Ops: 1, Words: 1}, nil
 }
 
 func (f *fakeMachine) RunCornerTurn(cornerturn.Spec) (Result, error)  { return f.run(CornerTurn) }
@@ -79,8 +86,8 @@ func TestRunDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Kernel != k {
-			t.Fatalf("dispatched kernel %s, want %s", r.Kernel, k)
+		if r.Kernel != k || !r.Verified {
+			t.Fatalf("dispatched kernel %s (verified %v), want %s verified", r.Kernel, r.Verified, k)
 		}
 	}
 	if _, err := Run(m, KernelID("nope"), w); err == nil {
@@ -119,9 +126,14 @@ func TestRunStudyErrors(t *testing.T) {
 	if _, err := RunStudy(failing, PaperWorkload()); err == nil {
 		t.Fatal("failing machine accepted")
 	}
-	unverified := []Machine{&fakeMachine{name: "u", clock: 1, unver: true,
+	unproved := []Machine{&fakeMachine{name: "u", clock: 1, badProof: true,
 		cycles: map[KernelID]uint64{CornerTurn: 1, CSLC: 1, BeamSteering: 1}}}
-	if _, err := RunStudy(unverified, PaperWorkload()); err == nil {
+	if _, err := RunStudy(unproved, PaperWorkload()); err == nil {
+		t.Fatal("a machine whose declared formulation fails its proof was accepted")
+	}
+	unverified := map[string]map[KernelID]Result{"u": {
+		CornerTurn: {Cycles: 1}, CSLC: {Cycles: 1, Verified: true}, BeamSteering: {Cycles: 1, Verified: true}}}
+	if _, err := NewStudyResults(unproved, PaperWorkload(), unverified); err == nil {
 		t.Fatal("unverified result accepted")
 	}
 	bad := PaperWorkload()
@@ -175,4 +187,37 @@ func TestSpeedupPanicsOnUnknownMachine(t *testing.T) {
 		}
 	}()
 	sr.SpeedupTime("base", "nope", CSLC)
+}
+
+// TestProveRemembersSuccessesOnly proves a corner turn twice under one
+// transposer (a miss, then a hit) and once more with another block size
+// in the spec, which the check does not read (a hit). A transposer of
+// no rows then fails twice with the check's own error, each call a miss
+// that stores nothing.
+func TestProveRemembersSuccessesOnly(t *testing.T) {
+	w := Workload{CornerTurn: cornerturn.Spec{Rows: 24, Cols: 40, BlockSize: 8}}
+	f := Formulation{CornerTurn: cornerturn.Transposer{Block: 8}}
+	verdicts.Purge()
+	hits0, misses0 := verdicts.Counters()
+	for _, block := range []int{8, 8, 4} {
+		w.CornerTurn.BlockSize = block
+		if err := Prove(CornerTurn, w, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := verdicts.Counters(); hits-hits0 != 2 || misses-misses0 != 1 {
+		t.Fatalf("three proofs of one key: %d hits, %d misses; want 2 and 1", hits-hits0, misses-misses0)
+	}
+	stored := verdicts.Len()
+	bad := Formulation{CornerTurn: cornerturn.Transposer{}}
+	want := cornerturn.VerifySynthetic(24, 40, bad.CornerTurn.Transpose)
+	for i := 0; i < 2; i++ {
+		if err := Prove(CornerTurn, w, bad); err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("failing proof %d: %v, want the check's %v", i, err, want)
+		}
+	}
+	if hits, misses := verdicts.Counters(); hits-hits0 != 2 || misses-misses0 != 3 || verdicts.Len() != stored {
+		t.Fatalf("two failed proofs: %d hits, %d misses, %d entries (%d before); want 2, 3 and nothing stored",
+			hits-hits0, misses-misses0, verdicts.Len(), stored)
+	}
 }

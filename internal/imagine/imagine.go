@@ -371,7 +371,6 @@ func (m *Machine) finish(kernel core.KernelID, ops, words uint64) core.Result {
 		Stats:     st,
 		Ops:       ops,
 		Words:     words,
-		Verified:  true,
 	}
 }
 

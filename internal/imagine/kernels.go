@@ -8,39 +8,33 @@ import (
 	"sigkern/internal/kernels/cornerturn"
 	"sigkern/internal/kernels/cslc"
 	"sigkern/internal/kernels/fft"
-	"sigkern/internal/kernels/testsig"
 )
 
-// stripRows is the corner-turn strip height: eight rows keep the strip's
-// input and output (32 KB each) double-buffered exactly within the
-// 128 KB SRF, and produce the paper's "128 eight-word blocks" output
-// pattern.
-const stripRows = 8
+// stripHeight is the corner-turn strip height RunCornerTurn times on
+// cols-word rows: the paper's eight (the strip's input and output, 32 KB
+// each, double-buffered exactly in the 128 KB SRF, giving its "128
+// eight-word blocks"), halved until the strip fits double-buffered.
+func (m *Machine) stripHeight(cols int) int {
+	rows := 8
+	for rows > 1 && 2*2*rows*cols*4 > m.cfg.SRF.CapacityBytes {
+		rows /= 2
+	}
+	return rows
+}
+
+// Formulation implements core.Machine: corner-turn strips of the height
+// RunCornerTurn times, and CSLC at fft.BestRadix.
+func (m *Machine) Formulation(w core.Workload) core.Formulation {
+	return core.Formulation{CornerTurn: cornerturn.Transposer{Strip: m.stripHeight(w.CornerTurn.Cols)}, CSLC: fft.BestRadix(w.CSLC.FFTSize)}
+}
 
 // RunCornerTurn implements core.Machine. The formulation is the paper's:
 // the matrix is divided into multi-row strips read as four sequential
 // input streams; the clusters route elements into output order; the
 // output leaves as one stream of eight-word blocks with non-unit stride.
 func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	// Functional half: the strip transpose, verified against the naive
-	// reference.
-	if err := cornerturn.VerifySynthetic(spec.Rows, spec.Cols, func(dst, src *testsig.Matrix) error {
-		return cornerturn.TransposeStrips(dst, src, stripRows)
-	}); err != nil {
-		return core.Result{}, fmt.Errorf("imagine: corner turn: %w", err)
-	}
-
 	m.reset()
-	// Strip height: start from the paper's eight rows and halve until the
-	// strip's input and output fit double-buffered in the SRF (wider
-	// matrices than the paper's need shorter strips).
-	rowsPerStrip := stripRows
-	for rowsPerStrip > 1 && 2*2*rowsPerStrip*spec.Cols*4 > m.cfg.SRF.CapacityBytes {
-		rowsPerStrip /= 2
-	}
+	rowsPerStrip := m.stripHeight(spec.Cols)
 	if 2*2*rowsPerStrip*spec.Cols*4 > m.cfg.SRF.CapacityBytes {
 		return core.Result{}, fmt.Errorf("imagine: a single %d-word row pair exceeds the SRF", spec.Cols)
 	}
@@ -158,10 +152,6 @@ func log4(n int) int {
 // descriptor-limited stream units.
 func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 	spec.Radix = fft.BestRadix(spec.FFTSize) // mixed radix-4/2 at the paper's N=128
-	if err := cslc.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
 	m.reset()
 	bandWords := 2 * spec.FFTSize // complex samples
 	fwd, err := m.fftKernel(spec, false)
@@ -218,73 +208,71 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 // idle clusters when fewer than eight transforms remain.
 func (m *Machine) RunCSLCIndependentFFTs(spec cslc.Spec) (core.Result, error) {
 	spec.Radix = fft.MixedRadix42
-	if err := cslc.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
-	m.reset()
-	bandWords := 2 * spec.FFTSize
-	par, err := m.fftKernel(spec, false)
-	if err != nil {
-		return core.Result{}, err
-	}
-	// Whole-FFT-per-cluster: iterations equal the full butterfly count,
-	// communication disappears.
-	indep := func(k KernelDesc) KernelDesc {
-		k.Iterations *= m.cfg.Clusters
-		k.CommPerIter = 0
-		return k
-	}
-	fwd := indep(par)
-	invPar, err := m.fftKernel(spec, true)
-	if err != nil {
-		return core.Result{}, err
-	}
-	inv := indep(invPar)
-	weight := KernelDesc{
-		Name:        "weight-apply",
-		Iterations:  spec.FFTSize / m.cfg.Clusters,
-		AddsPerIter: 4 * spec.AuxChannels,
-		MulsPerIter: 4 * spec.AuxChannels,
-	}
-	var pendingStores []uint64
-	for band := 0; band < spec.SubBands; band += 2 {
-		bands := 2
-		if band+1 >= spec.SubBands {
-			bands = 1
+	return core.Checked(core.Prove(core.CSLC, core.Workload{CSLC: spec}, core.Formulation{CSLC: spec.Radix}), func() (core.Result, error) {
+		m.reset()
+		bandWords := 2 * spec.FFTSize
+		par, err := m.fftKernel(spec, false)
+		if err != nil {
+			return core.Result{}, err
 		}
-		// Load both bands' channels, then one invocation runs all 4*bands
-		// forward transforms (one per cluster).
-		var loads uint64
-		for ch := 0; ch < spec.Channels()*bands; ch++ {
-			if d := m.memStream(bandWords, 1, false, 0); d > loads {
-				loads = d
+		// Whole-FFT-per-cluster: iterations equal the full butterfly count,
+		// communication disappears.
+		indep := func(k KernelDesc) KernelDesc {
+			k.Iterations *= m.cfg.Clusters
+			k.CommPerIter = 0
+			return k
+		}
+		fwd := indep(par)
+		invPar, err := m.fftKernel(spec, true)
+		if err != nil {
+			return core.Result{}, err
+		}
+		inv := indep(invPar)
+		weight := KernelDesc{
+			Name:        "weight-apply",
+			Iterations:  spec.FFTSize / m.cfg.Clusters,
+			AddsPerIter: 4 * spec.AuxChannels,
+			MulsPerIter: 4 * spec.AuxChannels,
+		}
+		var pendingStores []uint64
+		for band := 0; band < spec.SubBands; band += 2 {
+			bands := 2
+			if band+1 >= spec.SubBands {
+				bands = 1
+			}
+			// Load both bands' channels, then one invocation runs all 4*bands
+			// forward transforms (one per cluster).
+			var loads uint64
+			for ch := 0; ch < spec.Channels()*bands; ch++ {
+				if d := m.memStream(bandWords, 1, false, 0); d > loads {
+					loads = d
+				}
+			}
+			for _, ps := range pendingStores {
+				m.memStream(bandWords, 1, true, ps)
+			}
+			pendingStores = pendingStores[:0]
+			ready := m.srfStream(bandWords*spec.Channels()*bands, loads)
+			fftDone := m.runKernel(fwd, ready)
+			for mc := 0; mc < spec.MainChannels*bands; mc++ {
+				fftDone = m.runKernel(weight, fftDone)
+			}
+			iDone := m.runKernel(inv, fftDone)
+			for mc := 0; mc < spec.MainChannels*bands; mc++ {
+				pendingStores = append(pendingStores, m.srfStream(bandWords, iDone))
 			}
 		}
 		for _, ps := range pendingStores {
 			m.memStream(bandWords, 1, true, ps)
 		}
-		pendingStores = pendingStores[:0]
-		ready := m.srfStream(bandWords*spec.Channels()*bands, loads)
-		fftDone := m.runKernel(fwd, ready)
-		for mc := 0; mc < spec.MainChannels*bands; mc++ {
-			fftDone = m.runKernel(weight, fftDone)
+		counts, err := spec.TotalCounts()
+		if err != nil {
+			return core.Result{}, err
 		}
-		iDone := m.runKernel(inv, fftDone)
-		for mc := 0; mc < spec.MainChannels*bands; mc++ {
-			pendingStores = append(pendingStores, m.srfStream(bandWords, iDone))
-		}
-	}
-	for _, ps := range pendingStores {
-		m.memStream(bandWords, 1, true, ps)
-	}
-	counts, err := spec.TotalCounts()
-	if err != nil {
-		return core.Result{}, err
-	}
-	r := m.finish(core.CSLC, counts.Flops(), counts.Loads+counts.Stores)
-	r.Notes = append(r.Notes, "independent-FFTs variant (no inter-cluster communication)")
-	return r, nil
+		r := m.finish(core.CSLC, counts.Flops(), counts.Loads+counts.Stores)
+		r.Notes = append(r.Notes, "independent-FFTs variant (no inter-cluster communication)")
+		return r, nil
+	})
 }
 
 // RunBeamSteering implements core.Machine: per dwell and direction, the
@@ -301,7 +289,9 @@ func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
 // RunBeamSteeringSRFTables is the paper's thought experiment: calibration
 // tables resident in the SRF after a single initial load.
 func (m *Machine) RunBeamSteeringSRFTables(spec beamsteer.Spec) (core.Result, error) {
-	return m.runBeamSteering(spec, true)
+	return core.Checked(core.Prove(core.BeamSteering, core.Workload{Beam: spec}, core.Formulation{}), func() (core.Result, error) {
+		return m.runBeamSteering(spec, true)
+	})
 }
 
 // RunBeamSteeringPipelined models the paper's Section 4.4 scenario: the
@@ -312,36 +302,30 @@ func (m *Machine) RunBeamSteeringSRFTables(spec beamsteer.Spec) (core.Result, er
 // limited by memory bandwidth ... but rather will be limited by
 // arithmetic performance."
 func (m *Machine) RunBeamSteeringPipelined(spec beamsteer.Spec) (core.Result, error) {
-	if err := beamsteer.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
-	m.reset()
-	phase := KernelDesc{
-		Name:        "beam-phase",
-		Iterations:  (spec.Elements + m.cfg.Clusters - 1) / m.cfg.Clusters,
-		AddsPerIter: 6,
-	}
-	for dw := 0; dw < spec.Dwells; dw++ {
-		for d := 0; d < spec.Directions; d++ {
-			// Inputs arrive in the SRF from the upstream kernel; outputs
-			// leave through the SRF to the downstream kernel. No DRAM.
-			ready := m.srfStream(2*spec.Elements, 0)
-			kDone := m.runKernel(phase, ready)
-			m.srfStream(spec.Elements, kDone)
+	return core.Checked(core.Prove(core.BeamSteering, core.Workload{Beam: spec}, core.Formulation{}), func() (core.Result, error) {
+		m.reset()
+		phase := KernelDesc{
+			Name:        "beam-phase",
+			Iterations:  (spec.Elements + m.cfg.Clusters - 1) / m.cfg.Clusters,
+			AddsPerIter: 6,
 		}
-	}
-	r := m.finish(core.BeamSteering,
-		spec.Outputs()*spec.OpsPerOutput(), spec.Outputs()*spec.MemPerOutput())
-	r.Notes = append(r.Notes, "pipelined mode: inputs and outputs stream through the SRF")
-	return r, nil
+		for dw := 0; dw < spec.Dwells; dw++ {
+			for d := 0; d < spec.Directions; d++ {
+				// Inputs arrive in the SRF from the upstream kernel; outputs
+				// leave through the SRF to the downstream kernel. No DRAM.
+				ready := m.srfStream(2*spec.Elements, 0)
+				kDone := m.runKernel(phase, ready)
+				m.srfStream(spec.Elements, kDone)
+			}
+		}
+		r := m.finish(core.BeamSteering,
+			spec.Outputs()*spec.OpsPerOutput(), spec.Outputs()*spec.MemPerOutput())
+		r.Notes = append(r.Notes, "pipelined mode: inputs and outputs stream through the SRF")
+		return r, nil
+	})
 }
 
 func (m *Machine) runBeamSteering(spec beamsteer.Spec, srfTables bool) (core.Result, error) {
-	if err := beamsteer.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
 	m.reset()
 	phase := KernelDesc{
 		Name:       "beam-phase",

@@ -140,8 +140,8 @@ func steerRows(spec Spec, tables *testsig.BeamTables, emit func(dw, d int, row [
 // Verify is the beam-steering golden check: it builds the synthetic
 // calibration tables, runs Steer's loop nest, and proves the first,
 // middle and last outputs against the independent single-output
-// formula as their rows come out, keeping no output cube. Every machine
-// model calls it once before timing the kernel.
+// formula as their rows come out, keeping no output cube. core.Prove
+// calls it before a machine times the kernel, once per spec per process.
 func Verify(spec Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err

@@ -6,12 +6,14 @@
 // smaller than VIRAM's 13 MB on-chip DRAM.
 //
 // Three functional variants are provided: the naive transpose, a
-// cache-blocked transpose (what the PPC and VIRAM use), and a strip
+// cache-blocked transpose (what the G4 and Raw use), and a strip
 // transpose that mirrors Imagine's multi-row-strip streaming
-// formulation. All produce identical results; they differ only in access
-// order, which is what the machine models account for. The golden check,
-// VerifySynthetic, compares a formulation's output with a reference
-// checksum that transposes nothing.
+// formulation; one strip of every row is VIRAM's column order. All
+// produce identical results; they differ only in access order, which is
+// what the machine models account for. A Transposer names one blocked
+// or strip formulation as a value. The golden check, VerifySynthetic,
+// compares a formulation's output with a reference checksum that
+// transposes nothing.
 package cornerturn
 
 import (
@@ -134,13 +136,29 @@ func TransposeStrips(dst, src *testsig.Matrix, strips int) error {
 	return nil
 }
 
+// Transposer names one transpose formulation: TransposeBlocked's
+// Block x Block tiles, or TransposeStrips' strips of Strip rows when
+// Block is zero (a strip of every row walks the source one column at a
+// time). Machine models declare the one they time, and core.Prove
+// proves it.
+type Transposer struct {
+	Block, Strip int
+}
+
+// Transpose computes dst = src^T in t's access order.
+func (t Transposer) Transpose(dst, src *testsig.Matrix) error {
+	if t.Block == 0 {
+		return TransposeStrips(dst, src, t.Strip)
+	}
+	return TransposeBlocked(dst, src, t.Block)
+}
+
 // VerifySynthetic proves one transpose formulation on pooled synthetic
 // operands: it fills a deterministic rows x cols source, runs transpose
 // into a cols x rows destination, and compares the checksum of its whole
-// output against the reference checksum of src^T. Machine models call
-// this before timing a corner turn; the matrices come from (and return
-// to) the testsig pool, so steady-state verification allocates nothing
-// matrix-sized.
+// output against the reference checksum of src^T. core.Prove calls it
+// once per shape and declared Transposer; the matrices come from (and
+// return to) the testsig pool, so a sweep of many shapes allocates few.
 //
 // The fill is deterministic, so the reference checksum is a function of
 // the shape alone: it is computed once per shape per process and
@@ -157,7 +175,7 @@ func VerifySynthetic(rows, cols int, transpose func(dst, src *testsig.Matrix) er
 	}
 	dst := testsig.GetMatrix(cols, rows)
 	defer dst.Release()
-	dst.Zero()
+	clear(dst.Data)
 	if err := transpose(dst, src); err != nil {
 		return err
 	}
@@ -180,7 +198,7 @@ const referenceEntryBytes = 56
 
 // references memoizes the checksum of the synthetic source's transpose,
 // keyed by shape.
-var references = cache.NewSizedMemo(referenceBudget, func(uint64) int { return referenceEntryBytes })
+var references = cache.NewSizedMemo("cornerturn_reference", referenceBudget, func(uint64) int { return referenceEntryBytes })
 
 // referenceChecksum returns the checksum of src^T, where src must hold
 // the synthetic fill of its shape. Concurrent misses on one shape
@@ -207,17 +225,6 @@ func transposedChecksum(src *testsig.Matrix) uint64 {
 	}
 	return h
 }
-
-// ReferenceStats reports the reference memo's hits, misses and
-// retained bytes.
-func ReferenceStats() (hits, misses uint64, bytes int) {
-	hits, misses = references.Counters()
-	return hits, misses, references.Bytes()
-}
-
-// PurgeReferenceMemo drops every memoized reference, keeping the
-// counters, so the next check of each spec computes its reference again.
-func PurgeReferenceMemo() { references.Purge() }
 
 // Checksum returns a position-keyed digest of the matrix: the 64-bit
 // sum of one term for the shape and one for each element, mixed from the

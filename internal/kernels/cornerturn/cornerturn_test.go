@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/kernels/testsig"
 )
 
@@ -274,7 +275,7 @@ func TestReferenceMemoWithinBudget(t *testing.T) {
 }
 
 // BenchmarkVerifyCold is VerifySynthetic's first-run cost at the paper
-// size: the memo is purged every iteration, so each one computes the
+// size: every process-wide memo is purged every iteration, so each one computes the
 // naive reference as well as the blocked transpose under test. The
 // sub-benchmark names the kernel, so the row stays distinct from the
 // CSLC one in one snapshot.
@@ -284,7 +285,7 @@ func BenchmarkVerifyCold(b *testing.B) {
 		blocked := func(dst, src *testsig.Matrix) error { return TransposeBlocked(dst, src, s.BlockSize) }
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			references.Purge()
+			cache.PurgeProcessMemos()
 			if err := VerifySynthetic(s.Rows, s.Cols, blocked); err != nil {
 				b.Fatal(err)
 			}

@@ -401,8 +401,9 @@ func loading(trace float64) complex128 {
 // Verify is the CSLC golden check. It runs the pipeline with the spec's
 // FFT radix on the synthetic radar scene, weights estimated from that
 // scene, and proves the first, middle and last sub-bands against the
-// naive-DFT reference. Every machine model calls it once, with its own
-// radix, before timing the kernel.
+// naive-DFT reference. core.Prove calls it with the radix a machine
+// declares, before the machine times the kernel, once per spec and
+// radix per process.
 //
 // The scene, the weights and the naive reference are pure functions of
 // the spec without its radix, so they come from a process-wide memo (see
@@ -533,7 +534,7 @@ const referenceBudget = 3 << 19
 // a scene. Pieces fill through Do, so concurrent misses on one key build
 // it once. Stored values are shared read-only: nothing writes to a
 // scene, weight or reference after it is built.
-var references = cache.NewSizedMemo(referenceBudget, golden.bytes)
+var references = cache.NewSizedMemo("cslc_reference", referenceBudget, golden.bytes)
 
 // golden holds Verify's memoized inputs and references. A memo entry
 // fills the fields of one piece: a scene (channels), or the weights
@@ -634,17 +635,6 @@ func goldenFor(s Spec) (golden, error) {
 	}
 	return golden{channels: channels, w: out.w, ref: out.ref}, nil
 }
-
-// ReferenceStats reports the reference memo's hits, misses and
-// retained bytes.
-func ReferenceStats() (hits, misses uint64, bytes int) {
-	hits, misses = references.Counters()
-	return hits, misses, references.Bytes()
-}
-
-// PurgeReferenceMemo drops every memoized reference, keeping the
-// counters, so the next check of each spec computes its reference again.
-func PurgeReferenceMemo() { references.Purge() }
 
 // TotalPower sums the mean power of every band of one main channel's
 // output; used to measure cancellation depth.

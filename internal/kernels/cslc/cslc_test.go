@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/kernels/fft"
 	"sigkern/internal/kernels/testsig"
 )
@@ -759,8 +760,8 @@ func TestProbeBandsDistinct(t *testing.T) {
 	}
 }
 
-// BenchmarkVerifyCold is Verify's first-run cost: the memo is purged
-// every iteration, so each one builds the scene, the weights and the
+// BenchmarkVerifyCold is Verify's first-run cost: every process-wide
+// memo is purged every iteration, so each one builds the scene, the weights and the
 // reference as well as running the pipeline under test. The cslc row is
 // the paper instance at radix 2. The cslc-sweep row is a sweep-sized
 // spec (1,088 samples, hop 96) checked at radix 2 and at mixed
@@ -772,7 +773,7 @@ func BenchmarkVerifyCold(b *testing.B) {
 		s := PaperSpec(fft.Radix2)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			references.Purge()
+			cache.PurgeProcessMemos()
 			if err := Verify(s); err != nil {
 				b.Fatal(err)
 			}
@@ -782,7 +783,7 @@ func BenchmarkVerifyCold(b *testing.B) {
 		s := Spec{MainChannels: 2, AuxChannels: 2, Samples: 1088, SubBands: 11, FFTSize: 128}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			references.Purge()
+			cache.PurgeProcessMemos()
 			for _, radix := range []fft.Radix{fft.Radix2, fft.MixedRadix42} {
 				s.Radix = radix
 				if err := Verify(s); err != nil {

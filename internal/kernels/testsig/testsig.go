@@ -42,7 +42,7 @@ func ZeroMatrix(rows, cols int) *Matrix {
 var matrixPool = sync.Pool{New: func() any { return new(Matrix) }}
 
 // GetMatrix returns a Rows x Cols matrix drawn from the pool; its
-// contents are unspecified (call Fill or Zero before reading). Release
+// contents are unspecified (fill or clear it before reading). Release
 // it when done to recycle the backing.
 func GetMatrix(rows, cols int) *Matrix {
 	m := matrixPool.Get().(*Matrix)
@@ -65,11 +65,6 @@ func (m *Matrix) Fill(seed uint64) {
 	for i := range m.Data {
 		m.Data[i] = int32(p.Uint64())
 	}
-}
-
-// Zero overwrites every element with zero.
-func (m *Matrix) Zero() {
-	clear(m.Data)
 }
 
 // At returns element (r, c).

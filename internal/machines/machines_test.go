@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"sigkern/internal/core"
+	"sigkern/internal/kernels/cornerturn"
+	"sigkern/internal/kernels/fft"
 	"sigkern/internal/report"
 )
 
@@ -267,5 +269,44 @@ func TestNamesMatchAll(t *testing.T) {
 	}
 	if _, err := ByName("Cray"); err == nil {
 		t.Error("ByName accepted an unknown machine")
+	}
+}
+
+// TestDeclaredFormulations pins what each machine declares it times, so
+// what core.Run proves is the computation the cycles model: the
+// corner-turn transposer at the paper's 1,024 columns and the matrix
+// sweep's 2,048, and the radix of the paper's 128-point CSLC. The G4
+// rows block by the spec's tile edge, VIRAM walks columns (one strip of
+// every row), Imagine streams the strips it times (four rows once eight
+// no longer fit its SRF double-buffered), and Raw blocks by 64.
+func TestDeclaredFormulations(t *testing.T) {
+	cases := []struct {
+		machine string
+		n       int
+		ct      cornerturn.Transposer
+		radix   fft.Radix
+	}{
+		{"PPC", 1024, cornerturn.Transposer{Block: 16}, fft.Radix2},
+		{"PPC", 2048, cornerturn.Transposer{Block: 16}, fft.Radix2},
+		{"AltiVec", 1024, cornerturn.Transposer{Block: 16}, fft.Radix2},
+		{"AltiVec", 2048, cornerturn.Transposer{Block: 16}, fft.Radix2},
+		{"VIRAM", 1024, cornerturn.Transposer{Strip: 1024}, fft.MixedRadix42},
+		{"VIRAM", 2048, cornerturn.Transposer{Strip: 2048}, fft.MixedRadix42},
+		{"Imagine", 1024, cornerturn.Transposer{Strip: 8}, fft.MixedRadix42},
+		{"Imagine", 2048, cornerturn.Transposer{Strip: 4}, fft.MixedRadix42},
+		{"Raw", 1024, cornerturn.Transposer{Block: 64}, fft.Radix2},
+		{"Raw", 2048, cornerturn.Transposer{Block: 64}, fft.Radix2},
+	}
+	for _, c := range cases {
+		m, err := ByName(c.machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := core.PaperWorkload()
+		w.CornerTurn.Rows, w.CornerTurn.Cols = c.n, c.n
+		f := m.Formulation(w)
+		if f.CornerTurn != c.ct || f.CSLC != c.radix {
+			t.Errorf("%s at %d columns declares %+v and %v, want %+v and %v", c.machine, c.n, f.CornerTurn, f.CSLC, c.ct, c.radix)
+		}
 	}
 }

@@ -4,9 +4,22 @@ import (
 	"fmt"
 	"testing"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/core"
 	"sigkern/internal/viram"
 )
+
+// processMemo returns the counters of the process-wide memo named name.
+func processMemo(t *testing.T, name string) cache.MemoStats {
+	t.Helper()
+	for _, s := range cache.ProcessMemoStats() {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("no process-wide memo %q", name)
+	return cache.MemoStats{}
+}
 
 // TestSegmentMemoExact pins the VIRAM segment memo's exactness on CSLC.
 // Each CSLC workload of the accounting set, the paper's, and a twin of
@@ -61,37 +74,37 @@ func TestSegmentMemoExact(t *testing.T) {
 		}
 		return cellOf(nc.name+"/"+nw.name, r)
 	}
-	viram.PurgeSegmentMemo()
+	cache.PurgeProcessMemos()
 	for _, nc := range cfgs {
 		for _, nw := range specs {
 			oracle := run(nc, nw, true)
 			for _, pass := range []string{"first", "warm"} {
-				_, misses0, _ := viram.SegmentMemoStats()
+				misses0 := processMemo(t, "viram_segment").Misses
 				for _, d := range cellDiffs(run(nc, nw, false), oracle) {
 					t.Errorf("%s/%s %s run: %s", nc.name, nw.name, pass, d)
 				}
-				if _, misses, _ := viram.SegmentMemoStats(); pass == "warm" && misses != misses0 {
+				if misses := processMemo(t, "viram_segment").Misses; pass == "warm" && misses != misses0 {
 					t.Errorf("%s/%s warm run: %d segments missed", nc.name, nw.name, misses-misses0)
 				}
 			}
 		}
 	}
-	viram.PurgeSegmentMemo()
+	cache.PurgeProcessMemos()
 }
 
 // TestSegmentMemoHitsWithinACell checks that the memo pays off inside
 // one CSLC cell: on a purged memo, the paper cell's later channels take
 // their extract and FFT stages from its first channel's.
 func TestSegmentMemoHitsWithinACell(t *testing.T) {
-	viram.PurgeSegmentMemo()
-	defer viram.PurgeSegmentMemo()
-	hits0, misses0, _ := viram.SegmentMemoStats()
+	cache.PurgeProcessMemos()
+	defer cache.PurgeProcessMemos()
+	before := processMemo(t, "viram_segment")
 	spec := core.PaperWorkload().CSLC
 	if _, err := viram.New(viram.DefaultConfig()).RunCSLC(spec); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, bytes := viram.SegmentMemoStats()
-	hits, misses = hits-hits0, misses-misses0
+	after := processMemo(t, "viram_segment")
+	hits, misses, bytes := after.Hits-before.Hits, after.Misses-before.Misses, after.Bytes
 	t.Logf("paper CSLC on a purged memo: %d hits, %d misses, %d bytes", hits, misses, bytes)
 	if hits <= misses || bytes == 0 {
 		t.Errorf("paper CSLC on a purged memo: %d hits, %d misses, %d bytes retained", hits, misses, bytes)

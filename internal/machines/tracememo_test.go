@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"testing"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/core"
 	"sigkern/internal/ppc"
 )
@@ -59,11 +60,11 @@ func TestTraceMemoExact(t *testing.T) {
 				cold := map[string]goldenCell{}
 				for _, c := range cases {
 					for _, name := range []string{"PPC", "AltiVec"} {
-						ppc.PurgeTraceMemo()
+						cache.PurgeProcessMemos()
 						cold[c.name+name] = run(c, name)
 					}
 				}
-				ppc.PurgeTraceMemo()
+				cache.PurgeProcessMemos()
 				for _, c := range cases {
 					for _, name := range []string{"PPC", "AltiVec"} {
 						for _, d := range cellDiffs(run(c, name), cold[c.name+name]) {
@@ -74,5 +75,5 @@ func TestTraceMemoExact(t *testing.T) {
 			}
 		}
 	}
-	ppc.PurgeTraceMemo()
+	cache.PurgeProcessMemos()
 }

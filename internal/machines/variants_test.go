@@ -164,3 +164,43 @@ func TestVariantsMatchGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedProofsAreNotRemembered runs the golden file's two small96
+// cells whose 64-point FFT does not admit mixed radix-4/2 twice each.
+// Both prove one (spec, radix) key: every call fails with its golden
+// error text and is a verdict miss, and the verdict memo stores nothing.
+func TestFailedProofsAreNotRemembered(t *testing.T) {
+	data, err := os.ReadFile(filepath.FromSlash(goldenVariantsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []variantCell
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, c := range golden {
+		want[c.Name] = c.Err
+	}
+	in := variantSizes()[1]
+	before := processMemo(t, "core_verdict")
+	for pass := 0; pass < 2; pass++ {
+		for _, v := range variantRuns() {
+			name := in.name + "/" + v.name
+			if v.name != "Raw/RunCSLCRadix4" && v.name != "Imagine/RunCSLCIndependentFFTs" {
+				continue
+			}
+			if want[name] == "" {
+				t.Fatalf("%s: the golden file records no error", name)
+			}
+			if _, err := v.run(in); err == nil || err.Error() != want[name] {
+				t.Errorf("%s pass %d: error %v, want %q", name, pass, err, want[name])
+			}
+		}
+	}
+	after := processMemo(t, "core_verdict")
+	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 4 || hits != 0 || after.Bytes != before.Bytes {
+		t.Fatalf("four failed proofs: %d misses, %d hits, %d bytes retained (%d before); want 4 misses, no hit, nothing stored",
+			misses, hits, after.Bytes, before.Bytes)
+	}
+}

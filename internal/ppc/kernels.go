@@ -1,14 +1,11 @@
 package ppc
 
 import (
-	"fmt"
-
 	"sigkern/internal/core"
 	"sigkern/internal/kernels/beamsteer"
 	"sigkern/internal/kernels/cornerturn"
 	"sigkern/internal/kernels/cslc"
 	"sigkern/internal/kernels/fft"
-	"sigkern/internal/kernels/testsig"
 )
 
 // srcBase/dstBase lay the corner-turn matrices out in the simulated
@@ -19,6 +16,15 @@ const (
 	dstBase = 8 << 20
 )
 
+// cslcRadix is the FFT radix both G4 code generators run.
+const cslcRadix = fft.Radix2
+
+// Formulation implements core.Machine: the corner turn's blocked loop
+// nest at the spec's tile edge, and radix-2 CSLC.
+func (m *Machine) Formulation(w core.Workload) core.Formulation {
+	return core.Formulation{CornerTurn: cornerturn.Transposer{Block: w.CornerTurn.BlockSize}, CSLC: cslcRadix}
+}
+
 // RunCornerTurn implements core.Machine: a 16x16-blocked transpose. The
 // destination's 16 rows within a block are 4 KB apart and therefore map
 // to the same L1 set — more rows than ways — so roughly half the
@@ -28,15 +34,6 @@ const (
 // performance for the corner turn, which is limited by main memory
 // bandwidth").
 func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := cornerturn.VerifySynthetic(spec.Rows, spec.Cols, func(dst, src *testsig.Matrix) error {
-		return cornerturn.TransposeBlocked(dst, src, spec.BlockSize)
-	}); err != nil {
-		return core.Result{}, fmt.Errorf("ppc: corner turn: %w", err)
-	}
-
 	m.Reset()
 	block := spec.BlockSize
 	// Cache trace: the blocked loop nest's actual accesses.
@@ -77,11 +74,7 @@ func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
 // version, which pays extra permutes for the interleaved complex layout
 // but software-pipelines well (the source of the paper's ~6x gain).
 func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
-	spec.Radix = fft.Radix2
-	if err := cslc.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
+	spec.Radix = cslcRadix
 	m.Reset()
 	// Cache trace: sub-band extraction reads each channel's windows from
 	// the channel arrays; butterfly working sets are L1-resident after
@@ -166,10 +159,6 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 // after the first dwell; the output stream write-misses its way through
 // the store queue.
 func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
-	if err := beamsteer.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
 	m.Reset()
 	m.walk(m.walkKey(core.BeamSteering, spec), func() {
 		calBase, gradBase := 0, spec.Elements*4

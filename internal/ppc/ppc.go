@@ -264,12 +264,11 @@ func (m *Machine) memStallCycles() uint64 {
 // result assembles a core.Result.
 func (m *Machine) result(kernel core.KernelID, cycles, ops, words uint64) core.Result {
 	r := core.Result{
-		Machine:  m.Name(),
-		Kernel:   kernel,
-		Cycles:   cycles,
-		Ops:      ops,
-		Words:    words,
-		Verified: true,
+		Machine: m.Name(),
+		Kernel:  kernel,
+		Cycles:  cycles,
+		Ops:     ops,
+		Words:   words,
 	}
 	r.Breakdown.Add("compute", m.computeCycles)
 	r.Breakdown.Add("memory", m.memoryCycles)

@@ -154,7 +154,7 @@ func TestCornerTurnConflictMisses(t *testing.T) {
 	// the destination write pattern must miss L1 far more often than the
 	// 1-in-8 spatial minimum. The trace memo is purged so this instance
 	// walks its own hierarchy instead of reading an earlier walk's cost.
-	PurgeTraceMemo()
+	walks.Purge()
 	m := New(DefaultConfig(Scalar))
 	if _, err := m.RunCornerTurn(cornerturn.PaperSpec()); err != nil {
 		t.Fatal(err)

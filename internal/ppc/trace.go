@@ -35,7 +35,7 @@ const walkBudget = 256 << 10
 const walkEntryBytes = 80
 
 // walks memoizes walk costs by walkKey.
-var walks = cache.NewSizedMemo(walkBudget, func(walkCost) int { return walkEntryBytes })
+var walks = cache.NewSizedMemo("ppc_trace", walkBudget, func(walkCost) int { return walkEntryBytes })
 
 // walkKey is the trace memo key of one kernel's walk on m: the kernel,
 // its spec, and the memory configs.
@@ -65,15 +65,3 @@ func (m *Machine) walk(key string, trace func()) {
 	})
 	m.readStall, m.writeStal, m.memAccesses = c.readStall, c.writeStall, c.accesses
 }
-
-// TraceMemoStats reports the trace memo's hits (lookups that found an
-// entry), misses (lookups that found none and walked) and retained
-// bytes.
-func TraceMemoStats() (hits, misses uint64, bytes int) {
-	hits, misses = walks.Counters()
-	return hits, misses, walks.Bytes()
-}
-
-// PurgeTraceMemo drops every memoized walk, keeping the counters, so
-// the next run of each trace walks the hierarchy again.
-func PurgeTraceMemo() { walks.Purge() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/core"
 	"sigkern/internal/kernels/beamsteer"
 	"sigkern/internal/kernels/cornerturn"
@@ -50,7 +51,7 @@ func TestResetReproducesFreshWalks(t *testing.T) {
 	for _, v := range []Variant{Scalar, AltiVec} {
 		fresh := make(map[core.KernelID]core.Result)
 		for _, k := range core.Kernels() {
-			PurgeTraceMemo()
+			walks.Purge()
 			r, err := core.Run(New(DefaultConfig(v)), k, w)
 			if err != nil {
 				t.Fatal(err)
@@ -60,7 +61,7 @@ func TestResetReproducesFreshWalks(t *testing.T) {
 		reused := New(DefaultConfig(v))
 		for pass := 0; pass < 2; pass++ {
 			for _, k := range core.Kernels() {
-				PurgeTraceMemo()
+				walks.Purge()
 				reused.Reset()
 				r, err := core.Run(reused, k, w)
 				if err != nil {
@@ -81,15 +82,15 @@ func TestTraceMemoSharedByVariants(t *testing.T) {
 	spec := traceWorkload().CornerTurn
 	cold := map[Variant]core.Result{}
 	for _, v := range []Variant{Scalar, AltiVec} {
-		PurgeTraceMemo()
+		walks.Purge()
 		r, err := New(DefaultConfig(v)).RunCornerTurn(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cold[v] = r
 	}
-	PurgeTraceMemo()
-	hits0, misses0, _ := TraceMemoStats()
+	walks.Purge()
+	hits0, misses0 := walks.Counters()
 	for _, v := range []Variant{Scalar, AltiVec} {
 		r, err := New(DefaultConfig(v)).RunCornerTurn(spec)
 		if err != nil {
@@ -99,7 +100,7 @@ func TestTraceMemoSharedByVariants(t *testing.T) {
 			t.Errorf("%s after the other variant's walk: %v", v, err)
 		}
 	}
-	if hits, misses, _ := TraceMemoStats(); hits-hits0 != 1 || misses-misses0 != 1 {
+	if hits, misses := walks.Counters(); hits-hits0 != 1 || misses-misses0 != 1 {
 		t.Errorf("two variants of one spec: %d hits, %d misses; want 1 and 1", hits-hits0, misses-misses0)
 	}
 	if b := walks.Bytes(); b <= 0 || b > walkBudget {
@@ -107,11 +108,12 @@ func TestTraceMemoSharedByVariants(t *testing.T) {
 	}
 }
 
-// BenchmarkWalkCold is the first-run cost of a PPC cell: the trace memo
-// is purged every iteration, so each one walks the kernel's access trace
-// through the hierarchy, as the first of a PPC/AltiVec pair does. (The
-// Table3 rows read memo hits after their first iteration.) The golden
-// references stay memoized; BenchmarkVerifyCold prices those.
+// BenchmarkWalkCold is the first-run cost of a PPC cell: every
+// process-wide memo is purged every iteration, so each one walks the
+// kernel's access trace through the hierarchy, as the first of a
+// PPC/AltiVec pair does, and proves its formulation against a fresh
+// reference, as a cold daemon does. (The Table3 rows read memo hits
+// after their first iteration.)
 func BenchmarkWalkCold(b *testing.B) {
 	w := core.PaperWorkload()
 	for _, k := range core.Kernels() {
@@ -120,7 +122,7 @@ func BenchmarkWalkCold(b *testing.B) {
 			var last core.Result
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				PurgeTraceMemo()
+				cache.PurgeProcessMemos()
 				r, err := core.Run(m, k, w)
 				if err != nil {
 					b.Fatal(err)
@@ -139,15 +141,15 @@ func TestTraceMemoConcurrentRuns(t *testing.T) {
 	spec := traceWorkload().CSLC
 	cold := map[Variant]core.Result{}
 	for _, v := range []Variant{Scalar, AltiVec} {
-		PurgeTraceMemo()
+		walks.Purge()
 		r, err := New(DefaultConfig(v)).RunCSLC(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cold[v] = r
 	}
-	PurgeTraceMemo()
-	_, misses0, _ := TraceMemoStats()
+	walks.Purge()
+	_, misses0 := walks.Counters()
 	const n = 8
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
@@ -165,8 +167,8 @@ func TestTraceMemoConcurrentRuns(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if _, misses, _ := TraceMemoStats(); misses-misses0 != 1 {
+	if _, misses := walks.Counters(); misses-misses0 != 1 {
 		t.Errorf("%d concurrent runs of one spec walked %d times, want once", n, misses-misses0)
 	}
-	PurgeTraceMemo()
+	walks.Purge()
 }

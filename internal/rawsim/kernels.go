@@ -9,12 +9,21 @@ import (
 	"sigkern/internal/kernels/cornerturn"
 	"sigkern/internal/kernels/cslc"
 	"sigkern/internal/kernels/fft"
-	"sigkern/internal/kernels/testsig"
 )
 
 // ctBlock is the corner-turn block edge: 64x64 words (16 KB) fits one
 // tile's data memory, per the paper's MIT-designed algorithm.
 const ctBlock = 64
+
+// cslcRadix is the FFT radix of Raw's CSLC: the paper's radix-2, since
+// radix-4 spills the tile processor's registers (see RunCSLCRadix4).
+const cslcRadix = fft.Radix2
+
+// Formulation implements core.Machine: the corner turn in 64x64 blocks,
+// and radix-2 CSLC.
+func (m *Machine) Formulation(core.Workload) core.Formulation {
+	return core.Formulation{CornerTurn: cornerturn.Transposer{Block: ctBlock}, CSLC: cslcRadix}
+}
 
 // addrLoopFraction approximates the address-arithmetic and loop-control
 // instructions of the C-compiled CSLC inner loops as a fraction of the
@@ -33,15 +42,6 @@ const spillLSPerRadix4Bfly = 16
 // instruction per DRAM-to-DRAM word, all main-memory operations
 // sequential.
 func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := cornerturn.VerifySynthetic(spec.Rows, spec.Cols, func(dst, src *testsig.Matrix) error {
-		return cornerturn.TransposeBlocked(dst, src, ctBlock)
-	}); err != nil {
-		return core.Result{}, fmt.Errorf("rawsim: corner turn: %w", err)
-	}
-
 	m.reset()
 	// A 64x64 block must fit in tile memory.
 	blockBytes := ctBlock * ctBlock * 4
@@ -78,7 +78,7 @@ func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
 // number extrapolates to perfect load balance; RunCSLCImbalanced reports
 // the raw 73-sets-on-16-tiles measurement.
 func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
-	r, err := m.runCSLC(spec, fft.Radix2, false)
+	r, err := m.runCSLC(spec, cslcRadix, false)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -98,14 +98,22 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 // RunCSLCImbalanced reports the unextrapolated measurement, in which
 // tiles with five sets gate the tiles with four (~8% idle).
 func (m *Machine) RunCSLCImbalanced(spec cslc.Spec) (core.Result, error) {
-	return m.runCSLC(spec, fft.Radix2, false)
+	return provedCSLC(spec, cslcRadix, func() (core.Result, error) { return m.runCSLC(spec, cslcRadix, false) })
 }
 
 // RunCSLCRadix4 is the ablation the paper describes: the radix-4 FFT
 // does ~1.5x fewer operations but spills registers on the tile
-// processor, which costs it more than it saves.
+// processor, which costs it more than it saves. N=128 is not a power of
+// four, so the "radix-4" variant is the mixed radix-4/2 plan, as on the
+// other machines.
 func (m *Machine) RunCSLCRadix4(spec cslc.Spec) (core.Result, error) {
-	return m.runCSLC(spec, fft.Radix4, true)
+	return provedCSLC(spec, fft.MixedRadix42, func() (core.Result, error) { return m.runCSLC(spec, fft.MixedRadix42, true) })
+}
+
+// provedCSLC is an ablation's CSLC run: it proves radix on spec, then
+// times run and stamps its result Verified.
+func provedCSLC(spec cslc.Spec, radix fft.Radix, run func() (core.Result, error)) (core.Result, error) {
+	return core.Checked(core.Prove(core.CSLC, core.Workload{CSLC: spec}, core.Formulation{CSLC: radix}), run)
 }
 
 // RunCSLCDMA is the paper's other CSLC improvement: "most of this
@@ -115,68 +123,48 @@ func (m *Machine) RunCSLCRadix4(spec cslc.Spec) (core.Result, error) {
 // previous set computes, so the cache-fill stalls disappear (the
 // load/store and address instructions remain).
 func (m *Machine) RunCSLCDMA(spec cslc.Spec) (core.Result, error) {
-	spec.Radix = fft.Radix2
-	if err := cslc.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
-	m.reset()
-	fwd, err := fft.NewPlan(spec.FFTSize, spec.Radix, false)
-	if err != nil {
-		return core.Result{}, err
-	}
-	inv, err := fft.NewPlan(spec.FFTSize, spec.Radix, true)
-	if err != nil {
-		return core.Result{}, err
-	}
-	bandWords := 2 * spec.FFTSize
-	tiles := m.Tiles()
-	for set := 0; set < spec.SubBands; set++ {
-		tile := set % tiles
-		// DMA: the set's input streams to local memory via the static
-		// network with no tile instructions; the port reservation applies
-		// the bandwidth constraint, and with double buffering the
-		// transfer overlaps the previous set's compute.
-		m.portIn(tile, spec.Channels()*bandWords, false)
-		for ch := 0; ch < spec.Channels(); ch++ {
-			m.emitFFT(tile, fwd, 0)
+	spec.Radix = cslcRadix
+	return provedCSLC(spec, spec.Radix, func() (core.Result, error) {
+		m.reset()
+		fwd, inv, err := cslcPlans(spec)
+		if err != nil {
+			return core.Result{}, err
 		}
-		for mc := 0; mc < spec.MainChannels; mc++ {
-			w := spec.WeightCountsPerBand()
-			m.compute(tile, int(w.Flops()), catCompute)
-			m.localMem(tile, int(w.Loads+w.Stores))
-			m.compute(tile, int(addrLoopFraction*float64(w.Flops()+w.Loads+w.Stores)), catAddrLoop)
-			m.emitFFT(tile, inv, 0)
-			m.portOut(tile, bandWords, false)
+		bandWords := 2 * spec.FFTSize
+		tiles := m.Tiles()
+		for set := 0; set < spec.SubBands; set++ {
+			tile := set % tiles
+			// DMA: the set's input streams to local memory via the static
+			// network with no tile instructions; the port reservation applies
+			// the bandwidth constraint, and with double buffering the
+			// transfer overlaps the previous set's compute.
+			m.portIn(tile, spec.Channels()*bandWords, false)
+			for ch := 0; ch < spec.Channels(); ch++ {
+				m.emitFFT(tile, fwd, 0)
+			}
+			for mc := 0; mc < spec.MainChannels; mc++ {
+				w := spec.WeightCountsPerBand()
+				m.compute(tile, int(w.Flops()), catCompute)
+				m.localMem(tile, int(w.Loads+w.Stores))
+				m.compute(tile, int(addrLoopFraction*float64(w.Flops()+w.Loads+w.Stores)), catAddrLoop)
+				m.emitFFT(tile, inv, 0)
+				m.portOut(tile, bandWords, false)
+			}
 		}
-	}
-	counts, err := spec.TotalCounts()
-	if err != nil {
-		return core.Result{}, err
-	}
-	r := m.finish(core.CSLC, counts.Flops(), counts.Loads+counts.Stores)
-	r.Notes = append(r.Notes, "streaming-DMA variant: cache-miss stalls overlapped with compute")
-	return r, nil
+		counts, err := spec.TotalCounts()
+		if err != nil {
+			return core.Result{}, err
+		}
+		r := m.finish(core.CSLC, counts.Flops(), counts.Loads+counts.Stores)
+		r.Notes = append(r.Notes, "streaming-DMA variant: cache-miss stalls overlapped with compute")
+		return r, nil
+	})
 }
 
 func (m *Machine) runCSLC(spec cslc.Spec, radix fft.Radix, spill bool) (core.Result, error) {
-	// Raw runs the radix the caller picked; N=128 is not a power of four,
-	// so the "radix-4" variant is the mixed radix-4/2 plan, as on the
-	// other machines.
-	if radix == fft.Radix4 {
-		radix = fft.MixedRadix42
-	}
 	spec.Radix = radix
-	if err := cslc.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
 	m.reset()
-	fwd, err := fft.NewPlan(spec.FFTSize, spec.Radix, false)
-	if err != nil {
-		return core.Result{}, err
-	}
-	inv, err := fft.NewPlan(spec.FFTSize, spec.Radix, true)
+	fwd, inv, err := cslcPlans(spec)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -217,6 +205,14 @@ func (m *Machine) runCSLC(spec cslc.Spec, radix fft.Radix, spill bool) (core.Res
 	return m.finish(core.CSLC, counts.Flops(), counts.Loads+counts.Stores), nil
 }
 
+// cslcPlans returns the forward and inverse plans of spec's transforms.
+func cslcPlans(spec cslc.Spec) (fwd, inv *fft.Plan, err error) {
+	if fwd, err = fft.NewPlan(spec.FFTSize, spec.Radix, false); err == nil {
+		inv, err = fft.NewPlan(spec.FFTSize, spec.Radix, true)
+	}
+	return fwd, inv, err
+}
+
 // emitFFT charges one transform's instruction mix to a tile.
 func (m *Machine) emitFFT(tile int, plan *fft.Plan, spillLS int) {
 	c := plan.Counts()
@@ -241,45 +237,39 @@ func log4(n int) int {
 // implementation result suggests about 70% of FFT performance
 // improvement"). The weight stage keeps its register-resident form.
 func (m *Machine) RunCSLCStream(spec cslc.Spec) (core.Result, error) {
-	spec.Radix = fft.Radix2
-	if err := cslc.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
-	m.reset()
-	fwd, err := fft.NewPlan(spec.FFTSize, spec.Radix, false)
-	if err != nil {
-		return core.Result{}, err
-	}
-	inv, err := fft.NewPlan(spec.FFTSize, spec.Radix, true)
-	if err != nil {
-		return core.Result{}, err
-	}
-	bandWords := 2 * spec.FFTSize
-	tiles := m.Tiles()
-	for set := 0; set < spec.SubBands; set++ {
-		tile := set % tiles
-		for ch := 0; ch < spec.Channels(); ch++ {
-			c := fwd.Counts()
-			instrs := int(c.Flops()) + int(addrLoopFraction*float64(c.Flops()))
-			m.streamCompute(tile, bandWords, 0, instrs)
+	spec.Radix = cslcRadix
+	return provedCSLC(spec, spec.Radix, func() (core.Result, error) {
+		m.reset()
+		fwd, inv, err := cslcPlans(spec)
+		if err != nil {
+			return core.Result{}, err
 		}
-		for mc := 0; mc < spec.MainChannels; mc++ {
-			w := spec.WeightCountsPerBand()
-			m.compute(tile, int(w.Flops()), catCompute)
-			m.compute(tile, int(addrLoopFraction*float64(w.Flops())), catAddrLoop)
-			c := inv.Counts()
-			instrs := int(c.Flops()) + int(addrLoopFraction*float64(c.Flops()))
-			m.streamCompute(tile, 0, bandWords, instrs)
+		bandWords := 2 * spec.FFTSize
+		tiles := m.Tiles()
+		for set := 0; set < spec.SubBands; set++ {
+			tile := set % tiles
+			for ch := 0; ch < spec.Channels(); ch++ {
+				c := fwd.Counts()
+				instrs := int(c.Flops()) + int(addrLoopFraction*float64(c.Flops()))
+				m.streamCompute(tile, bandWords, 0, instrs)
+			}
+			for mc := 0; mc < spec.MainChannels; mc++ {
+				w := spec.WeightCountsPerBand()
+				m.compute(tile, int(w.Flops()), catCompute)
+				m.compute(tile, int(addrLoopFraction*float64(w.Flops())), catAddrLoop)
+				c := inv.Counts()
+				instrs := int(c.Flops()) + int(addrLoopFraction*float64(c.Flops()))
+				m.streamCompute(tile, 0, bandWords, instrs)
+			}
 		}
-	}
-	counts, err := spec.TotalCounts()
-	if err != nil {
-		return core.Result{}, err
-	}
-	r := m.finish(core.CSLC, counts.Flops(), counts.Loads+counts.Stores)
-	r.Notes = append(r.Notes, "stream-interface FFT variant (no loads/stores, cache stalls hidden)")
-	return r, nil
+		counts, err := spec.TotalCounts()
+		if err != nil {
+			return core.Result{}, err
+		}
+		r := m.finish(core.CSLC, counts.Flops(), counts.Loads+counts.Stores)
+		r.Notes = append(r.Notes, "stream-interface FFT variant (no loads/stores, cache stalls hidden)")
+		return r, nil
+	})
 }
 
 // RunBeamSteering implements core.Machine in the paper's stream mode:
@@ -288,10 +278,6 @@ func (m *Machine) RunCSLCStream(spec cslc.Spec) (core.Result, error) {
 // network — "loads and stores are not necessary and ALU utilization is
 // very high".
 func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
-	if err := beamsteer.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
 	m.reset()
 	tiles := m.Tiles()
 	per := spec.Elements / tiles
@@ -322,44 +308,42 @@ func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
 // two table loads and one store as real instructions, plus the cache
 // traffic for the tables and output stream.
 func (m *Machine) RunBeamSteeringMIMD(spec beamsteer.Spec) (core.Result, error) {
-	if err := beamsteer.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
-	m.reset()
-	tiles := m.Tiles()
-	per := spec.Elements / tiles
-	extra := spec.Elements % tiles
-	for dw := 0; dw < spec.Dwells; dw++ {
-		for d := 0; d < spec.Directions; d++ {
-			for tile := 0; tile < tiles; tile++ {
-				n := per
-				if tile < extra {
-					n++
+	return core.Checked(core.Prove(core.BeamSteering, core.Workload{Beam: spec}, core.Formulation{}), func() (core.Result, error) {
+		m.reset()
+		tiles := m.Tiles()
+		per := spec.Elements / tiles
+		extra := spec.Elements % tiles
+		for dw := 0; dw < spec.Dwells; dw++ {
+			for d := 0; d < spec.Directions; d++ {
+				for tile := 0; tile < tiles; tile++ {
+					n := per
+					if tile < extra {
+						n++
+					}
+					if n == 0 {
+						continue
+					}
+					// Table slices and the output arrive/leave through the
+					// cache (first dwell misses; tables then resident, the
+					// output stream always write-allocates).
+					if dw == 0 && d == 0 {
+						lines := (2*n + m.cfg.CacheLineWords - 1) / m.cfg.CacheLineWords
+						m.cacheFill(tile, lines)
+					}
+					outLines := (n + m.cfg.CacheLineWords - 1) / m.cfg.CacheLineWords
+					m.cacheFill(tile, outLines)
+					// Explicit loads and stores plus the arithmetic.
+					m.localMem(tile, 3*n)
+					m.compute(tile, int(spec.OpsPerOutput())*n, catCompute)
+					m.compute(tile, 8, catAddrLoop)
 				}
-				if n == 0 {
-					continue
-				}
-				// Table slices and the output arrive/leave through the
-				// cache (first dwell misses; tables then resident, the
-				// output stream always write-allocates).
-				if dw == 0 && d == 0 {
-					lines := (2*n + m.cfg.CacheLineWords - 1) / m.cfg.CacheLineWords
-					m.cacheFill(tile, lines)
-				}
-				outLines := (n + m.cfg.CacheLineWords - 1) / m.cfg.CacheLineWords
-				m.cacheFill(tile, outLines)
-				// Explicit loads and stores plus the arithmetic.
-				m.localMem(tile, 3*n)
-				m.compute(tile, int(spec.OpsPerOutput())*n, catCompute)
-				m.compute(tile, 8, catAddrLoop)
 			}
 		}
-	}
-	r := m.finish(core.BeamSteering,
-		spec.Outputs()*spec.OpsPerOutput(), spec.Outputs()*spec.MemPerOutput())
-	r.Notes = append(r.Notes, "MIMD cache mode (the paper's measurement used stream mode)")
-	return r, nil
+		r := m.finish(core.BeamSteering,
+			spec.Outputs()*spec.OpsPerOutput(), spec.Outputs()*spec.MemPerOutput())
+		r.Notes = append(r.Notes, "MIMD cache mode (the paper's measurement used stream mode)")
+		return r, nil
+	})
 }
 
 // streamCompute runs a stream-mode loop on one tile: inWords arrive from

@@ -27,40 +27,39 @@ func (m *Machine) RunMatMul(spec matmul.Spec) (core.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return core.Result{}, err
 	}
-	if err := matmul.VerifyBlocked(spec); err != nil {
-		return core.Result{}, err
-	}
-	if spec.M%mmBlock != 0 || spec.N%mmBlock != 0 || spec.K%mmBlock != 0 {
-		return core.Result{}, fmt.Errorf("rawsim: dimensions must be multiples of %d", mmBlock)
-	}
-
-	m.reset()
-	// Three blocks must fit in tile memory.
-	if need := 3 * mmBlock * mmBlock * 4; need > m.cfg.TileMem.CapacityBytes {
-		return core.Result{}, fmt.Errorf("rawsim: %d-byte working set exceeds tile memory", need)
-	}
-	blocksR := spec.M / mmBlock
-	blocksC := spec.N / mmBlock
-	panels := spec.K / mmBlock
-	tiles := m.Tiles()
-	blockWords := mmBlock * mmBlock
-	macsPerPanel := mmBlock * mmBlock * mmBlock
-
-	for b := 0; b < blocksR*blocksC; b++ {
-		tile := b % tiles
-		for kp := 0; kp < panels; kp++ {
-			// A and B panels stream in; the tile stores them locally.
-			m.portIn(tile, 2*blockWords, true)
-			// Register-blocked MACs: two ALU ops per MAC plus the
-			// amortized operand reloads and loop control.
-			m.compute(tile, 2*macsPerPanel, catCompute)
-			m.localMem(tile, macsPerPanel*mmLSPerMAC/mmLSDen)
-			m.compute(tile, macsPerPanel/16, catAddrLoop)
+	return core.Checked(matmul.VerifyBlocked(spec), func() (core.Result, error) {
+		if spec.M%mmBlock != 0 || spec.N%mmBlock != 0 || spec.K%mmBlock != 0 {
+			return core.Result{}, fmt.Errorf("rawsim: dimensions must be multiples of %d", mmBlock)
 		}
-		// The finished C block streams back out.
-		m.portOut(tile, blockWords, true)
-	}
-	words := uint64(blocksR*blocksC) * uint64(panels) * uint64(2*blockWords)
-	words += uint64(blocksR*blocksC) * uint64(blockWords)
-	return m.finish(core.MatMul, spec.Flops(), words), nil
+
+		m.reset()
+		// Three blocks must fit in tile memory.
+		if need := 3 * mmBlock * mmBlock * 4; need > m.cfg.TileMem.CapacityBytes {
+			return core.Result{}, fmt.Errorf("rawsim: %d-byte working set exceeds tile memory", need)
+		}
+		blocksR := spec.M / mmBlock
+		blocksC := spec.N / mmBlock
+		panels := spec.K / mmBlock
+		tiles := m.Tiles()
+		blockWords := mmBlock * mmBlock
+		macsPerPanel := mmBlock * mmBlock * mmBlock
+
+		for b := 0; b < blocksR*blocksC; b++ {
+			tile := b % tiles
+			for kp := 0; kp < panels; kp++ {
+				// A and B panels stream in; the tile stores them locally.
+				m.portIn(tile, 2*blockWords, true)
+				// Register-blocked MACs: two ALU ops per MAC plus the
+				// amortized operand reloads and loop control.
+				m.compute(tile, 2*macsPerPanel, catCompute)
+				m.localMem(tile, macsPerPanel*mmLSPerMAC/mmLSDen)
+				m.compute(tile, macsPerPanel/16, catAddrLoop)
+			}
+			// The finished C block streams back out.
+			m.portOut(tile, blockWords, true)
+		}
+		words := uint64(blocksR*blocksC) * uint64(panels) * uint64(2*blockWords)
+		words += uint64(blocksR*blocksC) * uint64(blockWords)
+		return m.finish(core.MatMul, spec.Flops(), words), nil
+	})
 }

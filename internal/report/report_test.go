@@ -9,6 +9,7 @@ import (
 	"sigkern/internal/kernels/beamsteer"
 	"sigkern/internal/kernels/cornerturn"
 	"sigkern/internal/kernels/cslc"
+	"sigkern/internal/kernels/fft"
 )
 
 func TestTableAlignment(t *testing.T) {
@@ -192,9 +193,11 @@ func (s *stubMachine) Name() string { return s.name }
 func (s *stubMachine) Params() core.Params {
 	return core.Params{ClockMHz: s.clock, ALUs: 1, PeakGFLOPS: 1}
 }
+func (s *stubMachine) Formulation(core.Workload) core.Formulation {
+	return core.Formulation{CornerTurn: cornerturn.Transposer{Block: 16}, CSLC: fft.Radix2}
+}
 func (s *stubMachine) result(k core.KernelID, base uint64) (core.Result, error) {
-	r := core.Result{Machine: s.name, Kernel: k, Cycles: base * s.scale,
-		Ops: 1, Words: 1, Verified: true}
+	r := core.Result{Machine: s.name, Kernel: k, Cycles: base * s.scale, Ops: 1, Words: 1}
 	r.Breakdown.Add("compute", base*s.scale)
 	return r, nil
 }

@@ -25,6 +25,9 @@ type leakyMachine struct {
 func (m *leakyMachine) Name() string        { return m.name }
 func (m *leakyMachine) Params() core.Params { return core.Params{} }
 func (m *leakyMachine) Reset()              {}
+func (m *leakyMachine) Formulation(core.Workload) core.Formulation {
+	return stubFormulation
+}
 
 func (m *leakyMachine) run() (core.Result, error) {
 	m.runs++

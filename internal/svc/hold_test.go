@@ -14,9 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/core"
 	"sigkern/internal/faults"
-	"sigkern/internal/ppc"
 )
 
 // g4 is the Shares key function of the tasks that share work here.
@@ -213,15 +213,15 @@ func TestHeldTasksHonourAbortExpiresAndClose(t *testing.T) {
 }
 
 // TestPaperGridWalksEachTraceOnce runs the paper grid on a fresh
-// service and reads the trace memo and hold series from the Prometheus
-// exposition: the G4 rows walk each of the three traces once (three
+// service after one purge and reads the trace memo's and the hold
+// series from the Prometheus exposition: the G4 rows walk each of the three traces once (three
 // misses) and read it once (three hits). Fault injection is off, so the
 // six G4 cells are the only runs.
 func TestPaperGridWalksEachTraceOnce(t *testing.T) {
 	s := NewService(Options{Pool: PoolOptions{Workers: 2, JobTimeout: 5 * time.Minute, Faults: faults.New(1)}})
 	defer s.Close()
-	ppc.PurgeTraceMemo()
-	hits0, misses0, _ := ppc.TraceMemoStats()
+	cache.PurgeProcessMemos()
+	before := processMemo(t, "ppc_trace")
 	run, err := s.SubmitBatch(context.Background(), BatchGrid{}.Expand(), BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -249,10 +249,11 @@ func TestPaperGridWalksEachTraceOnce(t *testing.T) {
 		t.Fatalf("exposition has no %s series", family)
 		return 0
 	}
-	if h, m := value("simserved_ppc_trace_memo_hits_total")-hits0, value("simserved_ppc_trace_memo_misses_total")-misses0; h != 3 || m != 3 {
+	const trace = `{memo="ppc_trace"}`
+	if h, m := value("simserved_process_memo_hits_total"+trace)-before.Hits, value("simserved_process_memo_misses_total"+trace)-before.Misses; h != 3 || m != 3 {
 		t.Fatalf("paper grid: %d trace memo hits, %d misses; want 3 and 3", h, m)
 	}
-	if b := value("simserved_ppc_trace_memo_bytes"); b == 0 {
+	if b := value("simserved_process_memo_bytes" + trace); b == 0 {
 		t.Fatal("trace memo retains nothing after a paper grid")
 	}
 	value("simserved_tasks_held_total") // present; how many depends on timing

@@ -8,12 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sigkern/internal/core"
-	"sigkern/internal/kernels/cornerturn"
-	"sigkern/internal/kernels/cslc"
+	"sigkern/internal/cache"
 	"sigkern/internal/obs"
-	"sigkern/internal/ppc"
-	"sigkern/internal/viram"
 )
 
 // latencyWindow bounds the ring buffers behind the latency quantiles: a
@@ -170,38 +166,26 @@ func NewMetrics() *Metrics {
 			{Labels: []string{"priority", string(PriorityBatch)}, Value: strconv.FormatUint(batch, 10)},
 		}
 	})
-	// The kernels' process-wide golden-reference memos, one series per
-	// kernel, then the G4 trace memo (package ppc).
+	// The process-wide memos (cache.NewSizedMemo), one series per memo.
 	for _, f := range []struct {
 		name, help, typ string
-		pick            func(hits, misses uint64, bytes int) uint64
+		pick            func(cache.MemoStats) uint64
 	}{
-		{"simserved_kernel_reference_memo_hits_total", "Golden-reference memo hits since process start, per kernel.", "counter",
-			func(h, _ uint64, _ int) uint64 { return h }},
-		{"simserved_kernel_reference_memo_misses_total", "Golden-reference memo misses (references computed) since process start, per kernel.", "counter",
-			func(_, m uint64, _ int) uint64 { return m }},
-		{"simserved_kernel_reference_memo_bytes", "Bytes the golden-reference memo retains, per kernel.", "gauge",
-			func(_, _ uint64, b int) uint64 { return uint64(b) }},
+		{"simserved_process_memo_hits_total", "Process-wide memo lookups that found an entry since process start, per memo.", "counter",
+			func(s cache.MemoStats) uint64 { return s.Hits }},
+		{"simserved_process_memo_misses_total", "Process-wide memo lookups that found none and built the value since process start, per memo.", "counter",
+			func(s cache.MemoStats) uint64 { return s.Misses }},
+		{"simserved_process_memo_bytes", "Bytes each process-wide memo retains.", "gauge",
+			func(s cache.MemoStats) uint64 { return uint64(s.Bytes) }},
 	} {
 		r.Func(f.name, f.help, f.typ, func() []obs.Sample {
-			return []obs.Sample{
-				{Labels: []string{"kernel", string(core.CornerTurn)}, Value: strconv.FormatUint(f.pick(cornerturn.ReferenceStats()), 10)},
-				{Labels: []string{"kernel", string(core.CSLC)}, Value: strconv.FormatUint(f.pick(cslc.ReferenceStats()), 10)},
+			var out []obs.Sample
+			for _, s := range cache.ProcessMemoStats() {
+				out = append(out, obs.Sample{Labels: []string{"memo", s.Name}, Value: strconv.FormatUint(f.pick(s), 10)})
 			}
+			return out
 		})
 	}
-	r.Uint("simserved_ppc_trace_memo_hits_total", "G4 trace memo lookups that found an entry since process start.", "counter",
-		func() uint64 { h, _, _ := ppc.TraceMemoStats(); return h })
-	r.Uint("simserved_ppc_trace_memo_misses_total", "G4 trace memo lookups that found none and walked the hierarchy since process start.", "counter",
-		func() uint64 { _, m, _ := ppc.TraceMemoStats(); return m })
-	r.Uint("simserved_ppc_trace_memo_bytes", "Bytes the G4 trace memo retains.", "gauge",
-		func() uint64 { _, _, b := ppc.TraceMemoStats(); return uint64(b) })
-	r.Uint("simserved_viram_segment_memo_hits_total", "VIRAM program segments taken from the segment memo since process start.", "counter",
-		func() uint64 { h, _, _ := viram.SegmentMemoStats(); return h })
-	r.Uint("simserved_viram_segment_memo_misses_total", "VIRAM program segments the segment memo lacked, so issued instruction by instruction, since process start.", "counter",
-		func() uint64 { _, m, _ := viram.SegmentMemoStats(); return m })
-	r.Uint("simserved_viram_segment_memo_bytes", "Bytes the VIRAM segment memo retains.", "gauge",
-		func() uint64 { _, _, b := viram.SegmentMemoStats(); return uint64(b) })
 	m.done = r.NewCounterVec("simserved_cell_jobs_done_total",
 		"Jobs finished successfully, per (machine, kernel) cell.")
 	m.failed = r.NewCounterVec("simserved_cell_jobs_failed_total",

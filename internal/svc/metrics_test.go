@@ -60,7 +60,7 @@ func feedMetrics(m *Metrics) {
 
 // memoSample matches a sample of the process-wide memo families, whose
 // values depend on what else the test binary has run.
-var memoSample = regexp.MustCompile(`(?m)^(simserved_(?:kernel_reference|ppc_trace|viram_segment)_memo_\w+(?:\{[^}]*\})?) \S+$`)
+var memoSample = regexp.MustCompile(`(?m)^(simserved_process_memo_\w+\{[^}]*\}) \S+$`)
 
 // TestMetricsFormatsMatchGolden scrapes the three /metrics formats of a
 // fresh Service after feedMetrics. The Prometheus and JSON bodies must

@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/core"
 	"sigkern/internal/faults"
+	"sigkern/internal/machines"
 	"sigkern/internal/obs"
 )
 
@@ -295,17 +297,48 @@ func TestHTTPMetricsFormats(t *testing.T) {
 	}
 }
 
-// TestReferenceMemoMetrics runs a corner turn and a CSLC job on two
-// machines each and reads the golden-reference memo series from the
-// Prometheus exposition: per kernel, the second machine's check is a
-// hit and the memo retains the references.
+// processMemo returns the counters of the process-wide memo named name.
+func processMemo(t *testing.T, name string) cache.MemoStats {
+	t.Helper()
+	for _, s := range cache.ProcessMemoStats() {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("no process-wide memo %q", name)
+	return cache.MemoStats{}
+}
+
+// memoSeries reads one memo's series of a process-memo family from a
+// Prometheus body.
+func memoSeries(t *testing.T, body, family, memo string) float64 {
+	t.Helper()
+	prefix := family + `{memo="` + memo + `"} `
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			var f float64
+			if _, err := fmt.Sscan(v, &f); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no %s series for %s:\n%s", family, memo, body)
+	return 0
+}
+
+// TestReferenceMemoMetrics runs a corner turn and a CSLC job on PPC and
+// VIRAM, which prove different formulations of each (16x16 blocks and
+// column order; radix 2 and radix 4), and reads the golden-reference
+// memo series from the Prometheus exposition: per kernel, the second
+// machine's check is a hit and the memo retains the references.
 func TestReferenceMemoMetrics(t *testing.T) {
 	s, srv := newTestServer(t)
 	w := smallWorkload()
 	w.CornerTurn.Rows, w.CornerTurn.Cols = 72, 40 // shapes no other test verifies
 	w.CSLC.Samples = 320
 	for _, k := range []core.KernelID{core.CornerTurn, core.CSLC} {
-		for _, m := range []string{"PPC", "Raw"} {
+		for _, m := range []string{"PPC", "VIRAM"} {
 			job, err := s.Submit(JobSpec{Machine: m, Kernel: k, Workload: &w})
 			if err != nil {
 				t.Fatal(err)
@@ -324,31 +357,72 @@ func TestReferenceMemoMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	value := func(family string, k core.KernelID) float64 {
-		t.Helper()
-		prefix := family + `{kernel="` + string(k) + `"} `
-		for _, line := range strings.Split(string(body), "\n") {
-			if v, ok := strings.CutPrefix(line, prefix); ok {
-				var f float64
-				if _, err := fmt.Sscan(v, &f); err != nil {
-					t.Fatalf("%s: %v", line, err)
-				}
-				return f
-			}
+	for _, memo := range []string{"cornerturn_reference", "cslc_reference"} {
+		if v := memoSeries(t, string(body), "simserved_process_memo_hits_total", memo); v < 1 {
+			t.Errorf("%s: %v memo hits after two machines checked one spec", memo, v)
 		}
-		t.Fatalf("exposition has no %s series for %s:\n%s", family, k, body)
-		return 0
+		if v := memoSeries(t, string(body), "simserved_process_memo_misses_total", memo); v < 1 {
+			t.Errorf("%s: %v memo misses after a fresh spec", memo, v)
+		}
+		if v := memoSeries(t, string(body), "simserved_process_memo_bytes", memo); v <= 0 {
+			t.Errorf("%s: %v bytes retained", memo, v)
+		}
 	}
-	for _, k := range []core.KernelID{core.CornerTurn, core.CSLC} {
-		if v := value("simserved_kernel_reference_memo_hits_total", k); v < 1 {
-			t.Errorf("%s: %v memo hits after two machines checked one spec", k, v)
+}
+
+// TestProcessMemosReachPurgeAndMetrics registers a throwaway memo and
+// checks that /metrics reports it and the one purge call empties it. It
+// unregisters the memo, so no other test's exposition shows it.
+func TestProcessMemosReachPurgeAndMetrics(t *testing.T) {
+	const name = "svc_test_throwaway"
+	m := cache.NewSizedMemo(name, 1<<10, func(int) int { return 8 })
+	t.Cleanup(m.Unregister)
+	m.Put("k", 1)
+	m.Get("k")
+	m.Get("absent")
+	s := NewService(Options{Pool: PoolOptions{Workers: 1}})
+	defer s.Close()
+	scrape := func() string {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=prometheus", nil))
+		return rec.Body.String()
+	}
+	read := func(body string) [3]float64 {
+		return [3]float64{
+			memoSeries(t, body, "simserved_process_memo_hits_total", name),
+			memoSeries(t, body, "simserved_process_memo_misses_total", name),
+			memoSeries(t, body, "simserved_process_memo_bytes", name),
 		}
-		if v := value("simserved_kernel_reference_memo_misses_total", k); v < 1 {
-			t.Errorf("%s: %v memo misses after a fresh spec", k, v)
-		}
-		if v := value("simserved_kernel_reference_memo_bytes", k); v <= 0 {
-			t.Errorf("%s: %v bytes retained", k, v)
-		}
+	}
+	if got, want := read(scrape()), [3]float64{1, 1, 9}; got != want {
+		t.Fatalf("before the purge: hits, misses, bytes %v, want %v", got, want)
+	}
+	cache.PurgeProcessMemos()
+	if n := m.Len(); n != 0 {
+		t.Fatalf("%d entries survived PurgeProcessMemos", n)
+	}
+	if got, want := read(scrape()), [3]float64{1, 1, 0}; got != want {
+		t.Fatalf("after the purge: hits, misses, bytes %v, want %v", got, want)
+	}
+}
+
+// TestPaperGridProvesEachFormulationOnce runs the paper grid through
+// RunStudy after one purge. Its 15 cells declare 7 distinct (spec,
+// formulation) pairs: four corner-turn transposers (16x16 blocks on
+// both G4 rows, column order, 8-row strips, 64x64 blocks), two CSLC
+// radices and one beam steering. So the verdict memo reads 7 misses and
+// 8 hits. A private fault registry keeps retries from adding proofs.
+func TestPaperGridProvesEachFormulationOnce(t *testing.T) {
+	p := NewPool(PoolOptions{Workers: 2, JobTimeout: 5 * time.Minute, Faults: faults.New(1)})
+	defer p.Close()
+	cache.PurgeProcessMemos()
+	before := processMemo(t, "core_verdict")
+	if _, err := RunStudy(context.Background(), p, nil, machines.Names(), core.PaperWorkload(), PriorityInteractive); err != nil {
+		t.Fatal(err)
+	}
+	after := processMemo(t, "core_verdict")
+	if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != 7 || hits != 8 {
+		t.Fatalf("paper grid: %d verdict misses, %d hits; want 7 and 8", misses, hits)
 	}
 }
 

@@ -34,6 +34,10 @@ func okTask(cycles uint64) func(context.Context) (core.Result, error) {
 	}
 }
 
+// stubFormulation is what this package's stub machines declare; core.Run
+// proves it before it calls a stub.
+var stubFormulation = core.Formulation{CornerTurn: cornerturn.Transposer{Block: 16}, CSLC: fft.Radix2}
+
 // funcMachine is the machine funcTask's tasks run on. It runs no
 // kernel: the task's function is the whole run.
 type funcMachine struct{}
@@ -42,6 +46,9 @@ var errFuncMachine = errors.New("funcMachine runs no kernel")
 
 func (funcMachine) Name() string        { return "func" }
 func (funcMachine) Params() core.Params { return core.Params{} }
+func (funcMachine) Formulation(core.Workload) core.Formulation {
+	return stubFormulation
+}
 func (funcMachine) RunCornerTurn(cornerturn.Spec) (core.Result, error) {
 	return core.Result{}, errFuncMachine
 }

@@ -189,6 +189,9 @@ type driftMachine struct{ name string }
 
 func (m driftMachine) Name() string        { return m.name }
 func (m driftMachine) Params() core.Params { return core.Params{ClockMHz: 1} }
+func (m driftMachine) Formulation(core.Workload) core.Formulation {
+	return stubFormulation
+}
 func (m driftMachine) RunCornerTurn(cornerturn.Spec) (core.Result, error) {
 	return core.Result{Machine: m.name, Kernel: core.CornerTurn, Cycles: 4242, Verified: true}, nil
 }

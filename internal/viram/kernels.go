@@ -1,14 +1,11 @@
 package viram
 
 import (
-	"fmt"
-
 	"sigkern/internal/core"
 	"sigkern/internal/kernels/beamsteer"
 	"sigkern/internal/kernels/cornerturn"
 	"sigkern/internal/kernels/cslc"
 	"sigkern/internal/kernels/fft"
-	"sigkern/internal/kernels/testsig"
 )
 
 // prog is a kernel's vector program builder. Register operands default
@@ -93,8 +90,14 @@ func (m *Machine) finish(kernel core.KernelID, ops, words uint64) core.Result {
 		Stats:     res.Stats,
 		Ops:       ops,
 		Words:     words,
-		Verified:  true,
 	}
+}
+
+// Formulation implements core.Machine: the corner turn in column order
+// (RunCornerTurn's program walks the source one column at a time, rows
+// in order: one strip of every row), and CSLC at fft.BestRadix.
+func (m *Machine) Formulation(w core.Workload) core.Formulation {
+	return core.Formulation{CornerTurn: cornerturn.Transposer{Strip: w.CornerTurn.Rows}, CSLC: fft.BestRadix(w.CSLC.FFTSize)}
 }
 
 // RunCornerTurn implements core.Machine. The program follows the paper's
@@ -102,17 +105,6 @@ func (m *Machine) finish(kernel core.KernelID, ops, words uint64) core.Result {
 // spread DRAM banks) staged through vector registers, sequential stores
 // to the destination.
 func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	// Functional half: perform and verify the real transpose.
-	if err := cornerturn.VerifySynthetic(spec.Rows, spec.Cols, func(dst, src *testsig.Matrix) error {
-		return cornerturn.TransposeBlocked(dst, src, spec.BlockSize)
-	}); err != nil {
-		return core.Result{}, fmt.Errorf("viram: corner turn: %w", err)
-	}
-
-	// Timing half: emit and execute the vector program.
 	m.reset()
 	srcStride := spec.Cols + m.cfg.PadWords
 	srcBase := m.alloc(spec.Rows * srcStride)
@@ -137,53 +129,48 @@ func (m *Machine) RunCornerTurn(spec cornerturn.Spec) (core.Result, error) {
 // permutes (as AltiVec does) instead of strided address generation. The
 // permutes execute on ALU0 only, so what the memory system gains the
 // (single) permute-capable unit gives back — the quantitative case for
-// the strided-load-plus-padding design the paper describes.
+// the strided-load-plus-padding design the paper describes. It proves
+// strips of eight rows, its panels' order.
 func (m *Machine) RunCornerTurnPermute(spec cornerturn.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := cornerturn.VerifySynthetic(spec.Rows, spec.Cols, func(dst, src *testsig.Matrix) error {
-		return cornerturn.TransposeBlocked(dst, src, spec.BlockSize)
-	}); err != nil {
-		return core.Result{}, fmt.Errorf("viram: corner turn: %w", err)
-	}
-
-	m.reset()
-	srcBase := m.alloc(spec.Rows * spec.Cols)
-	dstBase := m.alloc(spec.Rows * spec.Cols)
-	p := m.newProg()
-	// Process 8x64 panels: eight unit-stride row loads fill v0..v7, a
-	// permute network reassembles 64 8-element column groups, and eight
-	// stores emit them. Each element passes through one permute slot.
 	const panelRows = 8
-	colChunks := chunks(spec.Cols, m.cfg.MVL)
-	for r0 := 0; r0 < spec.Rows; r0 += panelRows {
-		c0 := 0
-		for _, vl := range colChunks {
-			for r := 0; r < panelRows && r0+r < spec.Rows; r++ {
-				p.load(vl, srcBase+(r0+r)*spec.Cols+c0, r)
+	proof := core.Prove(core.CornerTurn, core.Workload{CornerTurn: spec}, core.Formulation{CornerTurn: cornerturn.Transposer{Strip: panelRows}})
+	return core.Checked(proof, func() (core.Result, error) {
+		m.reset()
+		srcBase := m.alloc(spec.Rows * spec.Cols)
+		dstBase := m.alloc(spec.Rows * spec.Cols)
+		p := m.newProg()
+		// Process 8x64 panels: eight unit-stride row loads fill v0..v7, a
+		// permute network reassembles 64 8-element column groups, and eight
+		// stores emit them. Each element passes through one permute slot.
+		colChunks := chunks(spec.Cols, m.cfg.MVL)
+		for r0 := 0; r0 < spec.Rows; r0 += panelRows {
+			c0 := 0
+			for _, vl := range colChunks {
+				for r := 0; r < panelRows && r0+r < spec.Rows; r++ {
+					p.load(vl, srcBase+(r0+r)*spec.Cols+c0, r)
+				}
+				// Transpose the panel in registers: one permute pass per
+				// source register (vl elements each, ALU0 only).
+				for r := 0; r < panelRows && r0+r < spec.Rows; r++ {
+					p.emit(Inst{Op: VPerm, VL: vl, Dst: 8 + r, Src1: r, Src2: -1})
+				}
+				// Store the transposed groups: the destination addresses are
+				// short sequential runs at column-major positions; each store
+				// covers one source row's worth, strided by the destination
+				// row length.
+				for r := 0; r < panelRows && r0+r < spec.Rows; r++ {
+					p.emit(Inst{Op: VStoreStride, VL: vl,
+						Base: dstBase + c0*spec.Rows + r0 + r, Stride: spec.Rows,
+						Dst: -1, Src1: 8 + r, Src2: -1})
+				}
+				p.scalar(2)
+				c0 += vl
 			}
-			// Transpose the panel in registers: one permute pass per
-			// source register (vl elements each, ALU0 only).
-			for r := 0; r < panelRows && r0+r < spec.Rows; r++ {
-				p.emit(Inst{Op: VPerm, VL: vl, Dst: 8 + r, Src1: r, Src2: -1})
-			}
-			// Store the transposed groups: the destination addresses are
-			// short sequential runs at column-major positions; each store
-			// covers one source row's worth, strided by the destination
-			// row length.
-			for r := 0; r < panelRows && r0+r < spec.Rows; r++ {
-				p.emit(Inst{Op: VStoreStride, VL: vl,
-					Base: dstBase + c0*spec.Rows + r0 + r, Stride: spec.Rows,
-					Dst: -1, Src1: 8 + r, Src2: -1})
-			}
-			p.scalar(2)
-			c0 += vl
 		}
-	}
-	r := m.finish(core.CornerTurn, 2*spec.Words(), 2*spec.Words())
-	r.Notes = append(r.Notes, "permute variant: unit-stride loads, in-register transpose, strided stores")
-	return r, nil
+		r := m.finish(core.CornerTurn, 2*spec.Words(), 2*spec.Words())
+		r.Notes = append(r.Notes, "permute variant: unit-stride loads, in-register transpose, strided stores")
+		return r, nil
+	})
 }
 
 // RunBeamSteering implements core.Machine: the inner loop is
@@ -191,10 +178,6 @@ func (m *Machine) RunCornerTurnPermute(spec cornerturn.Spec) (core.Result, error
 // into a scalar ahead of the loop, as the paper describes ("the data is
 // fed to the vector unit, which computes output data").
 func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
-	if err := beamsteer.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
 	m.reset()
 	calBase := m.alloc(spec.Elements)
 	gradBase := m.alloc(spec.Elements)
@@ -233,10 +216,6 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 	// The paper's hand-optimized choice for N=128 is the mixed radix-4/2
 	// plan; other lengths take the best decomposition available.
 	spec.Radix = fft.BestRadix(spec.FFTSize)
-	if err := cslc.Verify(spec); err != nil {
-		return core.Result{}, err
-	}
-
 	counts, err := spec.TotalCounts()
 	if err != nil {
 		return core.Result{}, err

@@ -75,7 +75,7 @@ const segBudget = 256 << 10
 const segRunBytes = 256
 
 // segments memoizes segment runs by segment key.
-var segments = cache.NewSizedMemo(segBudget, func(r segRun) int { return segRunBytes + len(r.exit) })
+var segments = cache.NewSizedMemo("viram_segment", segBudget, func(r segRun) int { return segRunBytes + len(r.exit) })
 
 // configKey is the SHA-256 of cfg's JSON.
 func configKey(cfg Config) string {
@@ -247,14 +247,3 @@ func varint(b []byte) (int64, []byte) {
 	}
 	return v, b[n:]
 }
-
-// SegmentMemoStats reports the segment memo's hits (segments taken from
-// it), misses (segments issued and stored) and retained bytes.
-func SegmentMemoStats() (hits, misses uint64, bytes int) {
-	hits, misses = segments.Counters()
-	return hits, misses, segments.Bytes()
-}
-
-// PurgeSegmentMemo drops every memoized segment, keeping the counters,
-// so the next run of each segment issues its instructions again.
-func PurgeSegmentMemo() { segments.Purge() }

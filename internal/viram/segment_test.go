@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"sigkern/internal/cache"
 	"sigkern/internal/core"
 	"sigkern/internal/dram"
 	"sigkern/internal/kernels/cslc"
@@ -110,12 +111,12 @@ func TestSegmentMemoRandomPrograms(t *testing.T) {
 			m.SetTracer(func(TraceEntry) {})
 			oracle := run()
 			m.SetTracer(nil)
-			PurgeSegmentMemo()
-			hits0, _, _ := SegmentMemoStats()
+			segments.Purge()
+			hits0, _ := segments.Counters()
 			purged := run()
-			hits1, misses1, _ := SegmentMemoStats()
+			hits1, misses1 := segments.Counters()
 			warm := run()
-			hits2, misses2, _ := SegmentMemoStats()
+			hits2, misses2 := segments.Counters()
 			for _, r := range []struct {
 				name string
 				got  segmentCounts
@@ -168,7 +169,7 @@ func TestSegmentMemoZeroLengthIntOp(t *testing.T) {
 	m.SetTracer(func(TraceEntry) {})
 	oracle := run()
 	m.SetTracer(nil)
-	PurgeSegmentMemo()
+	segments.Purge()
 	for _, pass := range []string{"purged", "warm"} {
 		if got := run(); got != oracle {
 			t.Errorf("%s run: busy %v, want %v", pass, got.busy, oracle.busy)
@@ -198,7 +199,7 @@ func TestSegmentMemoConcurrent(t *testing.T) {
 		}
 		oracle[i] = r
 	}
-	PurgeSegmentMemo()
+	segments.Purge()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -265,10 +266,10 @@ func TestConfigKeyCoversEveryField(t *testing.T) {
 
 // BenchmarkCSLCSweepCell times a sweep-sized VIRAM CSLC cell (736
 // samples, 7 sub-bands drawn at hop 96: 52,464 instructions): off, with
-// a tracer attached so every instruction issues; cold, with the segment
-// memo purged before each iteration, so only the repeats within the
-// cell hit; and warm, where every segment hits. Each iteration includes
-// the cell's golden check, whose reference is memoized after the first.
+// a tracer attached so every instruction issues; cold, with every
+// process-wide memo purged before each iteration, so only the repeats within the
+// cell hit; and warm, where every segment hits. Each iteration times the
+// engine alone: the golden check is core.Run's.
 func BenchmarkCSLCSweepCell(b *testing.B) {
 	spec := cslc.Spec{MainChannels: 2, AuxChannels: 2, Samples: 736, SubBands: 1 + (736-128)/96, FFTSize: 128, Radix: fft.MixedRadix42}
 	for _, mode := range []string{"off", "cold", "warm"} {
@@ -286,7 +287,7 @@ func BenchmarkCSLCSweepCell(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if mode == "cold" {
 					b.StopTimer()
-					PurgeSegmentMemo()
+					cache.PurgeProcessMemos()
 					b.StartTimer()
 				}
 				r, err := m.RunCSLC(spec)

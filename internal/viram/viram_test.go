@@ -309,7 +309,7 @@ func TestUsedInstanceRetainsLittle(t *testing.T) {
 
 func TestCornerTurnCycles(t *testing.T) {
 	m := New(DefaultConfig())
-	r, err := m.RunCornerTurn(cornerturn.PaperSpec())
+	r, err := core.Run(m, core.CornerTurn, core.Workload{CornerTurn: cornerturn.PaperSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}

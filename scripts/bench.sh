@@ -5,22 +5,27 @@
 # The set is split in three because the right benchtime differs:
 #   - simulator benchmarks (all three Table 3 kernels and the cold paper
 #     grid through the service pool, BenchmarkColdGrid, plus the first-run
-#     cost of the corner-turn and CSLC golden checks with their reference
-#     memo purged, BenchmarkVerifyCold — for CSLC the paper instance
+#     cost of the corner-turn and CSLC golden checks with every memo
+#     purged, BenchmarkVerifyCold — for CSLC the paper instance
 #     (cslc) and a sweep-sized spec checked at radix 2 and mixed
 #     radix-4/2 (cslc-sweep) — the 128-point naive DFT/IDFT
 #     those checks reference, BenchmarkNaiveDFT, the PPC cells with
-#     the G4 trace memo purged, BenchmarkWalkCold — the Table 3 PPC and
-#     AltiVec rows read that memo after their first iteration — and a
-#     sweep-sized VIRAM CSLC cell traced, on a purged segment memo and
+#     every memo purged, BenchmarkWalkCold — the Table 3 PPC and
+#     AltiVec rows read the G4 trace memo after their first iteration —
+#     and a sweep-sized VIRAM CSLC cell traced, on purged memos and
 #     warm, BenchmarkCSLCSweepCell — Table3CSLC/VIRAM reads the segment
-#     memo after its first iteration, as the G4 rows read theirs), and the
+#     memo after its first iteration, as the G4 rows read theirs; every
+#     Table 3 row reads the verdict memo after its first iteration, so
+#     its proof is paid once; ColdGrid, WalkCold, VerifyCold and
+#     CSLCSweepCell/cold purge every process-wide memo with one call,
+#     cache.PurgeProcessMemos), and the
 #     DRAM model alone (BenchmarkSequentialStream1M,
 #     BenchmarkStridedStream1M, and one strip on the reordering
 #     controllers, BenchmarkReorderStream): a
 #     handful of fixed iterations — a Table 3 iteration is a full
 #     deterministic simulation, so more iterations only burn time;
-#   - service benchmarks (BenchmarkServiceThroughput) and the 128-point
+#   - service benchmarks (BenchmarkServiceThroughput, whose memo-hit
+#     rows run a 64-job and the default 4,096-job registry) and the 128-point
 #     FFT core every CSLC check and pipeline runs, at both precisions
 #     (BenchmarkFFT128Radix2, BenchmarkFFT128Mixed,
 #     BenchmarkFFT128Mixed32): time-based, the usual regime for
